@@ -42,6 +42,7 @@ const (
 	tagToken
 	tagProbe
 	tagString // raw string payloads (used by vsimpl-level tests)
+	tagTokenRequest
 )
 
 type writer struct{ buf []byte }
@@ -278,6 +279,9 @@ func encodeInto(w *writer, payload any) error {
 	case vsimpl.ProbePkt:
 		w.u8(tagProbe)
 		putViewID(w, m.ViewID)
+	case vsimpl.TokenRequestPkt:
+		w.u8(tagTokenRequest)
+		putViewID(w, m.ViewID)
 	case string:
 		w.u8(tagString)
 		w.str(m)
@@ -353,6 +357,8 @@ func decodeFrom(r *reader, depth int) any {
 		return tok
 	case tagProbe:
 		return vsimpl.ProbePkt{ViewID: getViewID(r)}
+	case tagTokenRequest:
+		return vsimpl.TokenRequestPkt{ViewID: getViewID(r)}
 	case tagString:
 		return r.str()
 	default:

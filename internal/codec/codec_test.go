@@ -70,6 +70,7 @@ func TestMembershipPacketsRoundTrip(t *testing.T) {
 		membership.AcceptPkt{ID: gidc(9, 2)},
 		membership.NewviewPkt{V: types.View{ID: gidc(9, 2), Set: types.NewProcSet(0, 2, 5)}},
 		vsimpl.ProbePkt{ViewID: types.Bottom},
+		vsimpl.TokenRequestPkt{ViewID: gidc(9, 2)},
 		"raw string payload",
 	} {
 		out, err := Roundtrip(in)

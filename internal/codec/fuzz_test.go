@@ -30,6 +30,7 @@ func FuzzDecode(f *testing.F) {
 		membership.AcceptPkt{ID: v.ID},
 		membership.NewviewPkt{V: v},
 		vsimpl.ProbePkt{ViewID: v.ID},
+		vsimpl.TokenRequestPkt{ViewID: v.ID},
 		&vsimpl.TokenPkt{
 			View: v,
 			Base: 2,

@@ -42,8 +42,12 @@ type NodeStatus struct {
 	Delivered int64
 }
 
-// DialClient connects to a daemon's client address, retrying until the
-// timeout elapses (daemons come up asynchronously).
+// DialClient connects to a daemon's client address and round-trips a PING,
+// retrying until the timeout elapses (daemons come up asynchronously). The
+// kernel completes a TCP connect before the daemon accepts it, and a
+// delivery in that window is streamed only to the connections already
+// registered; the reply proves this one is, so every delivery caused by
+// what the caller does next reaches Deliveries.
 func DialClient(addr string, timeout time.Duration) (*Client, error) {
 	deadline := time.Now().Add(timeout)
 	var lastErr error
@@ -57,7 +61,10 @@ func DialClient(addr string, timeout time.Duration) (*Client, error) {
 				replies:    make(chan string, 16),
 			}
 			go c.readLoop()
-			return c, nil
+			if err = c.Ping(time.Until(deadline)); err == nil {
+				return c, nil
+			}
+			c.Close()
 		}
 		lastErr = err
 		time.Sleep(50 * time.Millisecond)
@@ -99,6 +106,7 @@ func (c *Client) readLoop() {
 		}
 	}
 	close(c.deliveries)
+	close(c.replies) // a command waiting on a dead connection fails now, not at its timeout
 }
 
 func (c *Client) send(line string) error {
@@ -111,7 +119,10 @@ func (c *Client) send(line string) error {
 // reply waits for the next command reply.
 func (c *Client) reply(timeout time.Duration) (string, error) {
 	select {
-	case r := <-c.replies:
+	case r, ok := <-c.replies:
+		if !ok {
+			return "", fmt.Errorf("live: connection closed")
+		}
 		return r, nil
 	case <-time.After(timeout):
 		return "", fmt.Errorf("live: reply timeout")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	stdnet "net"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -12,23 +13,26 @@ import (
 	"repro/internal/types"
 )
 
-func freePort(t *testing.T) string {
-	t.Helper()
-	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
+// nextTestPort is where testConfig looks for its next port block. The
+// blocks sit below the kernel's ephemeral range (like liverun's 23600) and
+// are never handed out twice in one process: a port probed on 127.0.0.1:0
+// and released can become the source port of a peer's dial before the
+// engine binds it, which failed boots with EADDRINUSE.
+var nextTestPort = 24000
 
 func testConfig(t *testing.T, n int) *Config {
 	t.Helper()
+	base, err := probeBasePort(nextTestPort, n, 64, t.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextTestPort = base + 2*n
 	cfg := &Config{DeltaMS: 5, Seed: 7}
 	for i := 0; i < n; i++ {
 		cfg.Nodes = append(cfg.Nodes, NodeConfig{
-			ID: i, Addr: freePort(t), ClientAddr: freePort(t),
+			ID:         i,
+			Addr:       fmt.Sprintf("127.0.0.1:%d", base+2*i),
+			ClientAddr: fmt.Sprintf("127.0.0.1:%d", base+2*i+1),
 		})
 	}
 	return cfg
@@ -138,6 +142,102 @@ func TestLiveClusterInProcess(t *testing.T) {
 	}
 	if chk.OrderLen() != 2*total {
 		t.Fatalf("merged order has %d values, want %d", chk.OrderLen(), 2*total)
+	}
+}
+
+// TestLiveCommitLatencyBelowPi: on the batched default path a value
+// submitted at a follower comes back on its own stream after a handful of
+// ring hops — a token request, a demand launch, an announce round — not
+// after the next π-paced launch, and not after the next pacer tick: the
+// median commit latency sits well below π (25 ms at δ = 5 ms), where the
+// timer-driven engine measured π and the tail 2π.
+func TestLiveCommitLatencyBelowPi(t *testing.T) {
+	cfg := testConfig(t, 3)
+	engines := make([]*Engine, 3)
+	for i := range engines {
+		engines[i] = startTestEngine(t, cfg, i, 0)
+	}
+	c, err := DialClient(engines[1].ClientAddr(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	commit := func(v string) time.Duration {
+		t.Helper()
+		start := time.Now()
+		if err := c.Submit(v); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case d, ok := <-c.Deliveries():
+			if !ok || d.Value != v {
+				t.Fatalf("stream gave %q (open=%v), want %q", d.Value, ok, v)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%q not delivered", v)
+		}
+		return time.Since(start)
+	}
+	commit("warm-up") // connections dialed, initial view running
+
+	const samples = 41
+	lat := make([]time.Duration, samples)
+	for i := range lat {
+		lat[i] = commit(fmt.Sprintf("v%d", i))
+		time.Sleep(3 * time.Millisecond) // drift across the π phase
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	pi := time.Duration(3+2) * cfg.Delta() // vsimpl.DefaultConfig: π = (n+2)δ
+	if median := lat[samples/2]; median >= pi {
+		t.Errorf("median commit latency %v, want < π = %v (max %v)", median, pi, lat[samples-1])
+	}
+	if got := engines[1].Metrics().Counters["vs.token_requests"]; got == 0 {
+		t.Error("the follower never asked for the token")
+	}
+	if got := engines[0].Metrics().Counters["vs.token_demand_launches"]; got == 0 {
+		t.Error("the leader never launched on demand")
+	}
+}
+
+// TestDialClientWaitsForTheDaemon: a TCP connect completes in the kernel
+// before the daemon accepts it, so DialClient proves registration with a
+// PING round trip — a listener that accepts and says nothing is not a
+// daemon — and a command on a connection the daemon closed fails at once,
+// not at its timeout.
+func TestDialClientWaitsForTheDaemon(t *testing.T) {
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close() // held open, never answered
+		}
+	}()
+	if c, err := DialClient(ln.Addr().String(), 300*time.Millisecond); err == nil {
+		c.Close()
+		t.Fatal("DialClient returned a client for a listener that never answered PING")
+	}
+
+	cfg := testConfig(t, 1)
+	e := startTestEngine(t, cfg, 0, 0)
+	c, err := DialClient(e.ClientAddr(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	e.Close()
+	start := time.Now()
+	if err := c.Ping(30 * time.Second); err == nil {
+		t.Fatal("PING answered by a closed engine")
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("PING on a closed connection took %v to fail", waited)
 	}
 }
 

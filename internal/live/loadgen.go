@@ -204,10 +204,6 @@ func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
 			close(stop)
 			return experiments.BenchEntry{}, err
 		}
-		if err := c.Ping(10 * time.Second); err != nil {
-			close(stop)
-			return experiments.BenchEntry{}, fmt.Errorf("node %d not ready: %w", i, err)
-		}
 		slots[i] = &connSlot{addr: addr, c: c}
 	}
 

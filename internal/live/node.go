@@ -63,7 +63,12 @@ type EngineOptions struct {
 	// transport defaults, BatchMsgs 1 disables batching.
 	BatchMsgs  int
 	BatchBytes int
-	// Tick is the pacer granularity (default 2ms wall time).
+	// Tick is the pacer's period (default 2ms wall time). The engine is
+	// event-driven — every inbound packet and client submission runs the
+	// simulator up to the wall clock before it returns — so the tick only
+	// bounds how late a protocol timer (token spacing, loss detection,
+	// probes) fires on an otherwise quiet node, and how long buffered
+	// diagnostic trace lines wait for their flush.
 	Tick time.Duration
 	// Logf logs progress (default: silent).
 	Logf func(string, ...any)
@@ -73,8 +78,9 @@ type EngineOptions struct {
 // clock, a TCP transport to its peers, and a client/control listener.
 //
 // Locking: everything that touches the simulator — the pacer, inbound
-// transport deliveries, client submissions — runs under mu, so protocol
-// code executes exactly as single-threaded as it does in simulation.
+// transport deliveries, client submissions — goes through submit and so
+// runs under mu: protocol code executes exactly as single-threaded as it
+// does in simulation.
 type Engine struct {
 	mu   sync.Mutex
 	sim  *sim.Sim
@@ -191,9 +197,13 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 	e.traceW = bufio.NewWriter(e.traceFile)
 
 	e.tr = transport.NewTCP(transport.TCPConfig{
-		Self:          opts.Self,
-		Addrs:         opts.Config.Addrs(),
-		Delta:         opts.Config.Delta(),
+		Self:  opts.Self,
+		Addrs: opts.Config.Addrs(),
+		Delta: opts.Config.Delta(),
+		// A cluster's daemons boot moments apart: the first redial of a peer
+		// that was not listening yet must not cost more than a commit does.
+		// Backoff still doubles up to the transport's default ceiling.
+		DialMin:       time.Millisecond,
 		Encode:        codec.Encode,
 		Decode:        codec.Decode,
 		AppendEncode:  codec.AppendEncode,
@@ -235,6 +245,9 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		}
 	}
 	e.mu.Lock()
+	// Sim time zero. Set before the node registers with the transport: the
+	// first inbound packet already runs the simulator up to the wall clock.
+	e.origin = time.Now()
 	e.node = stack.NewLiveNode(stack.LiveOptions{
 		Self:             opts.Self,
 		Universe:         opts.Config.Universe(),
@@ -267,15 +280,18 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		return nil, fmt.Errorf("live: client listen: %w", err)
 	}
 
-	e.origin = time.Now()
 	e.wg.Add(2)
 	go e.pace()
 	go e.acceptClients()
 	return e, nil
 }
 
-// submit runs fn under the engine lock — the transport's delivery
-// serialization hook.
+// submit is the engine's one way into the simulator: it runs fn under the
+// engine lock — the transport's delivery serialization hook, and the client
+// commands' — and then catches the simulator up, so what fn made ready
+// (zero-latency WAL completions, label/confirm/release, token forwarding)
+// happens in the same critical section instead of waiting for the pacer.
+// After Close it does nothing.
 func (e *Engine) submit(fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -285,11 +301,26 @@ func (e *Engine) submit(fn func()) {
 	default:
 	}
 	fn()
+	e.catchUp()
 }
 
-// pace advances the simulator to track the wall clock: each tick runs the
-// sim up to the total wall time elapsed since boot, so virtual time
-// equals wall time regardless of tick jitter.
+// catchUp runs the simulator up to the wall clock: virtual time equals the
+// wall time elapsed since boot however irregularly it is called. Caller
+// holds mu.
+func (e *Engine) catchUp() {
+	target := sim.Time(time.Since(e.origin))
+	if target < e.sim.Now() {
+		target = e.sim.Now() // still fire what was scheduled for this instant
+	}
+	if err := e.sim.Run(target); err != nil {
+		e.opts.Logf("node %v: sim error: %v", e.opts.Self, err)
+		go e.Close()
+	}
+}
+
+// pace is the timer fallback: with no packet or submission to drive the
+// simulator, each tick catches it up so protocol timers still fire on
+// time. It also flushes the trace lines buffered since the last tick.
 func (e *Engine) pace() {
 	defer e.wg.Done()
 	ticker := time.NewTicker(e.opts.Tick)
@@ -299,18 +330,7 @@ func (e *Engine) pace() {
 		case <-e.stop:
 			return
 		case <-ticker.C:
-			e.mu.Lock()
-			target := sim.Time(time.Since(e.origin))
-			if d := time.Duration(target - e.sim.Now()); d > 0 {
-				if err := e.sim.RunFor(d); err != nil {
-					e.mu.Unlock()
-					e.opts.Logf("node %v: sim error: %v", e.opts.Self, err)
-					go e.Close()
-					return
-				}
-			}
-			e.traceW.Flush()
-			e.mu.Unlock()
+			e.submit(func() { e.traceW.Flush() })
 		}
 	}
 }
@@ -364,10 +384,9 @@ func (e *Engine) serveClient(cc *clientConn) {
 		cmd, rest, _ := strings.Cut(line, " ")
 		switch cmd {
 		case "S":
-			e.mu.Lock()
-			ok := e.node.TryBcast(types.Value(rest))
-			e.mu.Unlock()
-			if !ok {
+			accepted := true
+			e.submit(func() { accepted = e.node.TryBcast(types.Value(rest)) })
+			if !accepted {
 				cc.push("BUSY " + rest)
 			}
 		case "STATUS":
@@ -441,9 +460,7 @@ func (e *Engine) Close() error {
 // Bcast submits a value at this node (in-process callers; clients use the
 // line protocol).
 func (e *Engine) Bcast(v types.Value) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.node.Bcast(v)
+	e.submit(func() { e.node.Bcast(v) })
 }
 
 // Deliveries snapshots everything delivered at this node so far.

@@ -93,7 +93,8 @@ func (e Event) String() string {
 	}
 }
 
-// Log accumulates timed events in occurrence order. Initial records the
+// Log accumulates timed events in occurrence order — or, given a Sink,
+// streams them there and keeps none. Initial records the
 // distinguished initial view of the processors that start inside it (there
 // is no newview event for the initial view, but the property evaluators
 // need to know it).
@@ -101,20 +102,23 @@ type Log struct {
 	Events  []Event
 	Initial map[types.ProcID]types.View
 
-	// Sink and InitialSink, when non-nil, additionally observe every
-	// Append/SetInitial as it happens. The live daemon streams each event
-	// to its on-disk JSONL delivery log this way, so the trace survives a
-	// process kill up to the last flushed line.
+	// Sink, when non-nil, receives every Append in place of Events: a log
+	// that streams does not also accumulate, or a long-running daemon would
+	// hold its whole history in memory that nothing reads. InitialSink
+	// additionally observes every SetInitial. The live daemon streams each
+	// event to its on-disk JSONL delivery log this way, so the trace
+	// survives a process kill up to the last flushed line.
 	Sink        func(Event)
 	InitialSink func(types.ProcID, types.View)
 }
 
-// Append adds an event.
+// Append adds an event: to the Sink if there is one, else to Events.
 func (l *Log) Append(e Event) {
-	l.Events = append(l.Events, e)
 	if l.Sink != nil {
 		l.Sink(e)
+		return
 	}
+	l.Events = append(l.Events, e)
 }
 
 // SetInitial records that p starts in view v.

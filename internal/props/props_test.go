@@ -175,6 +175,23 @@ func TestLogUntilAndFilter(t *testing.T) {
 	}
 }
 
+// A log with a Sink streams: every event reaches the sink, in order, and
+// none is retained (the live daemon's log would otherwise grow with its
+// whole history).
+func TestLogWithSinkStreamsAndKeepsNothing(t *testing.T) {
+	var streamed []Event
+	log := &Log{Sink: func(e Event) { streamed = append(streamed, e) }}
+	for i := 1; i <= 3; i++ {
+		log.Append(Event{T: msAt(i), Kind: TOBcast, P: 0, ValueSeq: i})
+	}
+	if log.Len() != 0 || len(log.Events) != 0 {
+		t.Fatalf("streaming log retained %d events", log.Len())
+	}
+	if len(streamed) != 3 || streamed[0].ValueSeq != 1 || streamed[2].ValueSeq != 3 {
+		t.Fatalf("sink saw %v", streamed)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	log := &Log{}
 	log.SetInitial(0, types.InitialView(types.NewProcSet(0, 1)))

@@ -239,9 +239,11 @@ type Options struct {
 	// repeat). Depths > 1 overlap the storage latency of consecutive
 	// deliveries; release order and write-ahead gating are unchanged.
 	DeliverPipeline int
-	// EagerTokenRounds relaunches the VS token immediately when work is
-	// queued instead of pacing rounds at π (vsimpl.Config.EagerRelaunch),
-	// so a burst of TOBcasts is carried by back-to-back rounds.
+	// EagerTokenRounds makes VS token rounds demand-driven
+	// (vsimpl.Config.EagerRelaunch): a value asks for the token instead of
+	// waiting out the π spacing, the leader announces "safe" one rotation
+	// after it learns it, and a burst of TOBcasts is carried by
+	// back-to-back rounds. π spaces the launches of an idle ring only.
 	EagerTokenRounds bool
 	// SkipRecoveryReplay is a test-only hook: a processor recovering from
 	// an amnesia crash is rebuilt from an empty snapshot instead of a

@@ -37,9 +37,10 @@ type Stable struct {
 	writes   int
 	maxQLen  int
 
-	disk  []byte
-	base  int // logical offset of disk[0] (advanced by TruncatePrefix)
-	epoch int // bumped by Drop; stale completion events are discarded
+	disk  []byte // the durable image; stays empty while a Mirror holds it
+	size  int    // durable bytes in [base, base+size)
+	base  int    // logical offset of the first retained byte (advanced by TruncatePrefix)
+	epoch int    // bumped by Drop; stale completion events are discarded
 
 	// TornPrefix, when non-nil, decides how many bytes of an n-byte write
 	// that is in flight at the instant of a Drop have reached the platter.
@@ -54,6 +55,12 @@ type Stable struct {
 	// between the device and its mirror silently breaks crash recovery.
 	// A device that will be compacted (TruncatePrefix) needs a mirror
 	// that also implements MirrorTruncator.
+	//
+	// The mirror then *is* the image: a mirrored device keeps only the
+	// image's length (Size, Base, TruncatePrefix and SetBase stay exact),
+	// not a second copy of every byte that nothing but the simulated crash
+	// path would read — Contents returns nothing and FlipBit has nothing to
+	// flip. Attach the mirror before the first write.
 	Mirror io.Writer
 
 	// Observability handles (Instrument; all nil when disabled).
@@ -109,9 +116,10 @@ func (st *Stable) Writes() int { return st.writes }
 func (st *Stable) MaxQueue() int { return st.maxQLen }
 
 // Size returns the number of durable bytes.
-func (st *Stable) Size() int { return len(st.disk) }
+func (st *Stable) Size() int { return st.size }
 
-// Contents returns a copy of the durable byte image.
+// Contents returns a copy of the durable byte image (empty on a mirrored
+// device: read the mirror).
 func (st *Stable) Contents() []byte { return append([]byte(nil), st.disk...) }
 
 // Write persists an entry with no payload bytes and calls done when the
@@ -163,10 +171,15 @@ func (st *Stable) startNext() {
 	})
 }
 
-// persist appends bytes to the durable image and mirrors them.
+// persist appends bytes to the durable image: the mirror's if one is
+// attached, the device's own otherwise.
 func (st *Stable) persist(b []byte) {
-	st.disk = append(st.disk, b...)
-	if st.Mirror != nil && len(b) > 0 {
+	st.size += len(b)
+	if st.Mirror == nil {
+		st.disk = append(st.disk, b...)
+		return
+	}
+	if len(b) > 0 {
 		if _, err := st.Mirror.Write(b); err != nil {
 			panic(fmt.Sprintf("storage: mirror write: %v", err))
 		}
@@ -204,7 +217,7 @@ func (st *Stable) Drop() {
 
 // FlipBit flips one bit of the durable image — the injectable silent-
 // corruption fault the recovery layer's checksums must catch. Offsets
-// outside the image are ignored.
+// outside the image are ignored (on a mirrored device, all of them).
 func (st *Stable) FlipBit(off int, bit uint) {
 	if off < 0 || off >= len(st.disk) || bit > 7 {
 		return
@@ -223,8 +236,8 @@ type MirrorTruncator interface {
 }
 
 // Base returns the logical offset of the first retained durable byte:
-// 0 until TruncatePrefix advances it. Contents() holds the logical
-// range [Base, Base+Size).
+// 0 until TruncatePrefix advances it. The image — Contents(), or the
+// mirror's — holds the logical range [Base, Base+Size).
 func (st *Stable) Base() int { return st.base }
 
 // SetBase declares that the (empty) device logically continues an
@@ -232,7 +245,7 @@ func (st *Stable) Base() int { return st.base }
 // starts empty while the WAL file already holds every prior
 // incarnation's records. Only valid before any write.
 func (st *Stable) SetBase(n int) {
-	if len(st.disk) > 0 || st.busy || len(st.queue) > 0 {
+	if st.size > 0 || st.busy || len(st.queue) > 0 {
 		panic("storage: SetBase on a non-empty device")
 	}
 	st.base = n
@@ -245,11 +258,14 @@ func (st *Stable) SetBase(n int) {
 // or below Base are a no-op on the device but still forwarded to the
 // mirror, whose image may reach further back (pre-boot incarnations).
 func (st *Stable) TruncatePrefix(n int) {
-	if n > st.base+len(st.disk) {
-		panic(fmt.Sprintf("storage: TruncatePrefix(%d) beyond durable end %d", n, st.base+len(st.disk)))
+	if n > st.base+st.size {
+		panic(fmt.Sprintf("storage: TruncatePrefix(%d) beyond durable end %d", n, st.base+st.size))
 	}
 	if n > st.base {
-		st.disk = st.disk[n-st.base:]
+		if st.Mirror == nil {
+			st.disk = st.disk[n-st.base:]
+		}
+		st.size -= n - st.base
 		st.base = n
 	}
 	if st.Mirror != nil {
@@ -274,11 +290,12 @@ func (st *Stable) TruncateTail(n int) {
 	if st.busy {
 		panic("storage: TruncateTail with a write in flight")
 	}
-	if n < st.base || n > st.base+len(st.disk) {
-		panic(fmt.Sprintf("storage: TruncateTail(%d) outside [%d, %d]", n, st.base, st.base+len(st.disk)))
+	if n < st.base || n > st.base+st.size {
+		panic(fmt.Sprintf("storage: TruncateTail(%d) outside [%d, %d]", n, st.base, st.base+st.size))
 	}
 	if st.Mirror != nil {
 		panic("storage: TruncateTail with a mirror")
 	}
-	st.disk = st.disk[:n-st.base]
+	st.size = n - st.base
+	st.disk = st.disk[:st.size]
 }

@@ -2,15 +2,20 @@ package storage
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func filled(t *testing.T) (*sim.Sim, *Stable) {
+func filled(t *testing.T) (*sim.Sim, *Stable) { return filledMirrored(t, nil) }
+
+// filledMirrored is filled with a mirror attached before the first write.
+func filledMirrored(t *testing.T, mirror io.Writer) (*sim.Sim, *Stable) {
 	t.Helper()
 	s := sim.New(1)
 	st := New(s, 0)
+	st.Mirror = mirror
 	st.Append([]byte("aaaa"), nil)
 	st.Append([]byte("bbbb"), nil)
 	st.Append([]byte("cccc"), nil)
@@ -59,12 +64,7 @@ func TestTruncatePrefixBeyondEndPanics(t *testing.T) {
 // A bare io.Writer mirror cannot honor a prefix truncation; diverging
 // silently from it would break crash recovery, so the device must refuse.
 func TestTruncatePrefixNeedsTruncatingMirror(t *testing.T) {
-	s, st := filled(t)
-	st.Mirror = &bytes.Buffer{}
-	st.Append([]byte("ee"), nil)
-	if err := s.Run(sim.Never); err != nil {
-		t.Fatal(err)
-	}
+	_, st := filledMirrored(t, &bytes.Buffer{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("TruncatePrefix with a non-truncating mirror did not panic")
@@ -86,14 +86,45 @@ func (m *fakeMirror) TruncatePrefix(n int) error {
 // Truncations at or below Base still reach the mirror: its image may
 // extend further back than the device's (pre-boot incarnations).
 func TestTruncatePrefixForwardsToMirror(t *testing.T) {
-	_, st := filled(t)
 	m := &fakeMirror{}
-	st.Mirror = m
+	_, st := filledMirrored(t, m)
 	st.TruncatePrefix(4)
 	st.TruncatePrefix(2) // device no-op, mirror still told
 	if len(m.truncatedAt) != 2 || m.truncatedAt[0] != 4 || m.truncatedAt[1] != 2 {
 		t.Fatalf("mirror truncations = %v, want [4 2]", m.truncatedAt)
 	}
+}
+
+// A mirrored device holds no second copy of the image — the mirror is the
+// image — yet its length bookkeeping stays exact through appends and
+// prefix truncation.
+func TestMirroredDeviceKeepsLengthNotImage(t *testing.T) {
+	m := &fakeMirror{}
+	s, st := filledMirrored(t, m)
+	if got := m.String(); got != "aaaabbbbcccc" {
+		t.Fatalf("mirror holds %q", got)
+	}
+	if st.Size() != 12 || st.Base() != 0 {
+		t.Fatalf("Base=%d Size=%d, want 0/12", st.Base(), st.Size())
+	}
+	if len(st.Contents()) != 0 || cap(st.disk) != 0 {
+		t.Fatalf("mirrored device retained an image: %q (cap %d)", st.Contents(), cap(st.disk))
+	}
+	st.FlipBit(3, 1) // nothing to flip; must not panic
+	st.TruncatePrefix(8)
+	st.Append([]byte("dd"), nil)
+	if err := s.Run(sim.Never); err != nil {
+		t.Fatal(err)
+	}
+	if st.Base() != 8 || st.Size() != 6 {
+		t.Fatalf("after truncate+append Base=%d Size=%d, want 8/6", st.Base(), st.Size())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TruncatePrefix beyond the mirrored end did not panic")
+		}
+	}()
+	st.TruncatePrefix(15)
 }
 
 func TestTruncateTailDiscardsTornBytes(t *testing.T) {

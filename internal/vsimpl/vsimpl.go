@@ -60,13 +60,24 @@ type Config struct {
 	// ReachWindow is the staleness horizon of the one-round reachability
 	// estimate (default 2μ).
 	ReachWindow time.Duration
-	// EagerRelaunch makes the leader relaunch the token immediately when
-	// the returning rotation shows work still queued — messages buffered
-	// anywhere, or a sequence suffix not yet emitted safe — instead of
-	// pacing every launch at π. An idle ring still launches at the π
-	// cadence, and a rotation costs at least nδ of wire time, so eager
-	// rounds cannot spin; they just stop a loaded ring from idling between
-	// rotations while TOBcasts queue up.
+	// EagerRelaunch makes token rounds demand-driven: π spaces the launches
+	// of an idle ring only, and a message never waits on it. Three rules
+	// replace "launch every π" at the leader:
+	//
+	//   - demand launch: a Gpsnd that makes an empty buffer non-empty
+	//     launches the held token at once; at any other member it sends the
+	//     leader a TokenRequestPkt, which launches the held token or, with
+	//     the token out, is honoured at homecoming;
+	//   - announce round: a token that comes home to a sequence longer than
+	//     the safe prefix it was launched with goes straight out again, so
+	//     the other members learn "safe" one rotation after the leader
+	//     instead of π later;
+	//   - otherwise — a rotation that changed nothing — the leader holds the
+	//     token until π after its last launch, as the paced ring always does.
+	//
+	// Messages arriving while a rotation is in flight ride the next one
+	// together, so batching adapts to load. A lost request costs at most the
+	// π wait it tried to skip, and d = 2π + nδ still bounds delivery.
 	EagerRelaunch bool
 	// InstallSlack stretches the patience windows that implicitly assume a
 	// view installation is instantaneous: the token-loss timeout and the
@@ -160,6 +171,13 @@ type ProbePkt struct {
 	ViewID types.ViewID // sender's current view id (⊥ if none), for Observe
 }
 
+// TokenRequestPkt asks the ring leader of view ViewID for a rotation now:
+// the sender's empty buffer just took a client message (EagerRelaunch's
+// demand launch). Requests for any other view are dropped.
+type TokenRequestPkt struct {
+	ViewID types.ViewID
+}
+
 type bufMsg struct {
 	ID      check.MsgID
 	Payload any
@@ -197,7 +215,15 @@ type Node struct {
 	lastLaunch sim.Time
 	launchNo   int
 	tokenTimer sim.Timer
-	holdTimer  sim.Timer
+	// holdTimer is pending exactly while the leader holds the token, waiting
+	// out the π spacing.
+	holdTimer sim.Timer
+	// launchSafe is safeSent as of the last launch's own merge: the safe
+	// prefix that rotation announces to the other members.
+	launchSafe int
+	// requested records a TokenRequestPkt that found the token out; the next
+	// launch clears it.
+	requested bool
 
 	stats Stats
 
@@ -205,6 +231,9 @@ type Node struct {
 	mTokenLaunches   *obs.Counter
 	mTokenHops       *obs.Counter
 	mTokenTimeouts   *obs.Counter
+	mTokenRequests   *obs.Counter // TokenRequestPkts sent to the leader
+	mDemandLaunches  *obs.Counter // launches for a local Gpsnd or a member's request
+	mAnnounceRounds  *obs.Counter // relaunches at homecoming: unannounced or buffered messages
 	mProbes          *obs.Counter
 	mInstalls        *obs.Counter
 	mTokenRound      *obs.Histogram
@@ -264,6 +293,9 @@ func NewNode(id types.ProcID, universe, p0 types.ProcSet, s *sim.Sim, nw transpo
 	n.mTokenLaunches = cfg.Obs.Counter("vs.token_launches")
 	n.mTokenHops = cfg.Obs.Counter("vs.token_hops")
 	n.mTokenTimeouts = cfg.Obs.Counter("vs.token_timeouts")
+	n.mTokenRequests = cfg.Obs.Counter("vs.token_requests")
+	n.mDemandLaunches = cfg.Obs.Counter("vs.token_demand_launches")
+	n.mAnnounceRounds = cfg.Obs.Counter("vs.token_announce_rounds")
 	n.mProbes = cfg.Obs.Counter("vs.probes")
 	n.mInstalls = cfg.Obs.Counter("vs.installs")
 	n.mTokenRound = cfg.Obs.Histogram("vs.token_round")
@@ -406,6 +438,15 @@ func (n *Node) Gpsnd(payload any) {
 	if n.Log != nil {
 		n.Log.Append(props.Event{T: n.sim.Now(), Kind: props.VSGpsnd, P: n.id, Msg: id})
 	}
+	if n.cfg.EagerRelaunch && len(n.buffer) == 1 {
+		// Later messages ride the rotation this one asks for.
+		if n.isLeader() {
+			n.launchHeld()
+		} else {
+			n.mTokenRequests.Inc()
+			n.net.Send(n.id, n.cur.Set.Min(), TokenRequestPkt{ViewID: n.cur.ID})
+		}
+	}
 }
 
 // BufferedLen returns how many accepted client messages are waiting for
@@ -473,6 +514,10 @@ func (n *Node) receive(pkt transport.Packet) {
 	case ProbePkt:
 		n.former.Observe(p.ViewID)
 		n.handleProbe(pkt.From)
+	case TokenRequestPkt:
+		if n.isLeader() && p.ViewID == n.cur.ID && !n.launchHeld() {
+			n.requested = true // the token is out: honoured at homecoming
+		}
 	default:
 		panic(fmt.Sprintf("vsimpl: unexpected payload %T", pkt.Payload))
 	}
@@ -495,6 +540,7 @@ func (n *Node) launchToken() {
 	n.launchNo++
 	n.mTokenLaunches.Inc()
 	n.lastLaunch = n.sim.Now()
+	n.requested = false
 	tok := &TokenPkt{
 		View:      n.cur,
 		Msgs:      append([]TokenMsg(nil), n.seq...),
@@ -505,7 +551,21 @@ func (n *Node) launchToken() {
 	// activity, and must keep the loss detector quiet.
 	n.armTokenTimer()
 	n.mergeToken(tok)
+	n.launchSafe = n.safeSent
 	n.forwardToken(tok)
+}
+
+// launchHeld launches the token on demand if the leader is holding it, and
+// reports whether it did. A token in flight is left alone: the messages it
+// is wanted for join it at homecoming.
+func (n *Node) launchHeld() bool {
+	if !n.holdTimer.Pending() {
+		return false
+	}
+	n.holdTimer.Cancel()
+	n.mDemandLaunches.Inc()
+	n.launchToken()
+	return true
 }
 
 func copyCounts(m map[types.ProcID]int) map[types.ProcID]int {
@@ -529,34 +589,42 @@ func (n *Node) handleToken(tok *TokenPkt) {
 	if n.isLeader() {
 		// The token is home: one full ring rotation has completed.
 		n.mTokenRound.Record(n.sim.Now().Sub(n.lastLaunch))
-		// With eager relaunch, a rotation that comes home with work still
-		// queued — buffered messages or a sequence suffix not yet safe —
-		// starts the next rotation immediately: the queued messages and
-		// the count propagation they are waiting on ride the very next
-		// round instead of idling out the rest of the π window. The ring's
-		// nδ wire time paces consecutive rounds, so this cannot spin.
-		if n.cfg.EagerRelaunch && (len(n.buffer) > 0 || n.safeSent < len(n.seq)) {
-			n.holdTimer.Cancel()
-			n.launchToken()
-			return
-		}
-		// Hold it and relaunch π after the previous launch (the paper's
-		// "spacing of token creation").
-		next := n.lastLaunch.Add(n.cfg.Pi)
-		n.holdTimer.Cancel()
-		if next <= n.sim.Now() {
-			n.launchToken()
-		} else {
-			launch := n.launchNo
-			n.holdTimer = n.sim.At(next, func() {
-				if n.launchNo == launch { // no view change in between
-					n.launchToken()
-				}
-			})
-		}
+		n.tokenHome()
 		return
 	}
 	n.forwardToken(tok)
+}
+
+// tokenHome decides, with the token back at the leader, when it goes out
+// again: at once under EagerRelaunch's announce and demand rules, otherwise
+// π after the previous launch (the paper's "spacing of token creation").
+func (n *Node) tokenHome() {
+	n.holdTimer.Cancel()
+	if n.cfg.EagerRelaunch {
+		// The ring's wire time paces consecutive rounds, and a rotation that
+		// adds nothing leaves launchSafe == len(seq), so this cannot spin.
+		if len(n.buffer) > 0 || n.launchSafe < len(n.seq) {
+			n.mAnnounceRounds.Inc()
+			n.launchToken()
+			return
+		}
+		if n.requested {
+			n.mDemandLaunches.Inc()
+			n.launchToken()
+			return
+		}
+	}
+	next := n.lastLaunch.Add(n.cfg.Pi)
+	if next <= n.sim.Now() {
+		n.launchToken()
+		return
+	}
+	launch := n.launchNo
+	n.holdTimer = n.sim.At(next, func() {
+		if n.launchNo == launch { // no view change in between
+			n.launchToken()
+		}
+	})
 }
 
 // mergeToken appends this node's buffered messages to the token, delivers
@@ -638,16 +706,10 @@ func (n *Node) compactToken(tok *TokenPkt) {
 func (n *Node) forwardToken(tok *TokenPkt) {
 	members := n.cur.Set.Members()
 	if len(members) == 1 {
-		// Singleton view: the token never travels, so the homecoming path
-		// in handleToken never runs. Schedule the relaunch here, or the
-		// node would starve its own messages and churn on token timeouts.
-		n.holdTimer.Cancel()
-		launch := n.launchNo
-		n.holdTimer = n.sim.At(n.lastLaunch.Add(n.cfg.Pi), func() {
-			if n.launchNo == launch {
-				n.launchToken()
-			}
-		})
+		// Singleton view: the token never travels, so it is home already.
+		// Decide the relaunch here, or the node would starve its own
+		// messages and churn on token timeouts.
+		n.tokenHome()
 		return
 	}
 	next := members[0]

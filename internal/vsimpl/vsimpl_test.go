@@ -26,12 +26,19 @@ type cluster struct {
 }
 
 func newCluster(seed int64, n int, p0Size int, delta time.Duration, jitter bool) *cluster {
+	return buildCluster(seed, n, p0Size,
+		net.Config{Delta: delta, Jitter: jitter, UglyLossProb: 0.5, UglyMaxDelayFactor: 10},
+		DefaultConfig(delta, n))
+}
+
+// buildCluster wires and starts n nodes with the given network and protocol
+// configuration; the first p0Size processors start in the initial view.
+func buildCluster(seed int64, n int, p0Size int, netCfg net.Config, cfg Config) *cluster {
 	s := sim.New(seed)
 	oracle := failures.NewOracle(s.Now)
-	nw := net.New(s, oracle, net.Config{Delta: delta, Jitter: jitter, UglyLossProb: 0.5, UglyMaxDelayFactor: 10})
+	nw := net.New(s, oracle, netCfg)
 	procs := types.RangeProcSet(n)
 	p0 := types.NewProcSet(procs.Members()[:p0Size]...)
-	cfg := DefaultConfig(delta, n)
 	c := &cluster{
 		sim: s, oracle: oracle, net: nw,
 		nodes: make(map[types.ProcID]*Node),

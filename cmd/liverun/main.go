@@ -1,23 +1,24 @@
 // Command liverun orchestrates the live-cluster pipelines the CI live
 // jobs run.
 //
-// The default (single-scenario) mode boots N pgcsd daemons on localhost,
-// drives them with the load generator, SIGKILLs and restarts one node
-// mid-run, then merges every node's delivery logs and fails unless the
-// TO conformance checker accepts the merged trace:
+// The default mode runs one scenario (kill-waves unless -scenarios names
+// another): it boots N pgcsd daemons on localhost, drives them with the
+// load generator while the scenario's generated fault schedule runs
+// against the real processes, then merges every node's delivery logs and
+// fails unless the merged trace passes TO conformance, every node's WAL
+// passes rejoin safety, and the run was not vacuous. -floors additionally
+// enforces the checked-in throughput floor and p99 latency bound:
 //
-//	liverun -pgcsd ./bin/pgcsd -n 5 -rate 200 -duration 30s -kill 2 -dir ./liverun-out
+//	liverun -pgcsd ./bin/pgcsd -n 5 -rate 200 -window 30s -floors BENCH_baseline.json -dir ./liverun-out
 //
-// -matrix instead runs the chaos-driven scenario matrix: one generated
-// fault schedule per scenario kind (stop waves, kill waves, rolling and
-// nested isolation, flapping and asymmetric links, leader kills, rolling
-// restarts, mixed soak, and the quorum-loss families: majority kill,
-// total partition, cascading failure, split-rejoin), each against a
-// fresh cluster, each checked for TO conformance, per-node WAL rejoin
-// safety, and non-vacuity — quorum-loss scenarios instead prove the
-// inverse: delivery flatlined cluster-wide while no primary could exist
-// (primary-loss guard) and resumed within -recovery-bound of the final
-// heal (bounded recovery):
+// -matrix instead runs every scenario kind (or those -scenarios lists):
+// stop waves, kill waves, rolling and nested isolation, flapping and
+// asymmetric links, leader kills, rolling restarts, mixed soak, and the
+// quorum-loss families (majority kill, total partition, cascading
+// failure, split-rejoin), each against a fresh cluster — quorum-loss
+// scenarios prove the inverse of non-vacuity: delivery flatlined
+// cluster-wide while no primary could exist (primary-loss guard) and
+// resumed within -recovery-bound of the final heal (bounded recovery):
 //
 //	liverun -pgcsd ./bin/pgcsd -matrix -n 10 -window 12s -checkpoint-bytes 65536 -dir ./matrix-out
 //
@@ -48,17 +49,14 @@ func main() {
 		seed     = flag.Int64("seed", 1, "per-node simulator seed base")
 		basePort = flag.Int("base-port", 23600, "first of 2N consecutive localhost ports (keep below the kernel ephemeral range)")
 		rate     = flag.Int("rate", 200, "target submissions per second")
-		duration = flag.Duration("duration", 30*time.Second, "load window (single-scenario mode)")
-		kill     = flag.Int("kill", -1, "node to SIGKILL and restart mid-run (-1 disables, 'auto' = n/2 via -kill-auto)")
-		killAuto = flag.Bool("kill-auto", false, "kill node n/2 mid-run")
 
-		matrix    = flag.Bool("matrix", false, "run the chaos-driven scenario matrix instead of one scripted run")
-		window    = flag.Duration("window", 12*time.Second, "fault-schedule window per scenario (matrix mode)")
-		settle    = flag.Duration("settle", 5*time.Second, "post-heal load interval per scenario (matrix mode)")
-		scenarios = flag.String("scenarios", "", "comma-separated scenario kinds (matrix mode; default: all)")
+		matrix    = flag.Bool("matrix", false, "run every scenario kind instead of one")
+		window    = flag.Duration("window", 12*time.Second, "fault-schedule window per scenario")
+		settle    = flag.Duration("settle", 5*time.Second, "post-heal load interval per scenario")
+		scenarios = flag.String("scenarios", "", "comma-separated scenario kinds (default: kill-waves; with -matrix: all)")
 		ckptBytes = flag.Int("checkpoint-bytes", 0, "WAL snapshot/compaction threshold per daemon (0 disables)")
 
-		floorsPath = flag.String("floors", "", "BENCH_baseline.json whose live_floors to enforce on the single-scenario run (throughput floor + p99 latency bound)")
+		floorsPath = flag.String("floors", "", "BENCH_baseline.json whose live_floors to enforce on the run without -matrix (throughput floor + p99 latency bound)")
 
 		maxPending    = flag.Int("max-pending", 4096, "per-daemon accepted-but-undelivered submission bound (0 disables backpressure)")
 		recoveryBound = flag.Duration("recovery-bound", 12*time.Second, "quorum-loss scenarios: delivery must resume this soon after the final heal")
@@ -70,47 +68,38 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *matrix {
-		var kinds []live.ScenarioKind
-		if *scenarios != "" {
-			for _, s := range strings.Split(*scenarios, ",") {
-				k, err := live.ParseScenarioKind(strings.TrimSpace(s))
-				if err != nil {
-					log.Fatal(err)
-				}
-				kinds = append(kinds, k)
+	var kinds []live.ScenarioKind
+	if *scenarios != "" {
+		for _, s := range strings.Split(*scenarios, ",") {
+			k, err := live.ParseScenarioKind(strings.TrimSpace(s))
+			if err != nil {
+				log.Fatal(err)
 			}
+			kinds = append(kinds, k)
 		}
-		res, err := live.RunMatrix(live.MatrixOptions{
-			Dir:             *dir,
-			PgcsdPath:       *pgcsd,
-			N:               *n,
-			Delta:           time.Duration(*deltaMS) * time.Millisecond,
-			Seed:            *seed,
-			BasePort:        *basePort,
-			Rate:            *rate,
-			Window:          *window,
-			Settle:          *settle,
-			CheckpointBytes: *ckptBytes,
-			MaxPending:      *maxPending,
-			LossGrace:       *lossGrace,
-			RecoveryBound:   *recoveryBound,
-			Kinds:           kinds,
-			Logf:            log.Printf,
-		})
+	}
+	common := live.ScenarioOptions{
+		Dir:             *dir,
+		PgcsdPath:       *pgcsd,
+		N:               *n,
+		Delta:           time.Duration(*deltaMS) * time.Millisecond,
+		Seed:            *seed,
+		BasePort:        *basePort,
+		Rate:            *rate,
+		Window:          *window,
+		Settle:          *settle,
+		CheckpointBytes: *ckptBytes,
+		MaxPending:      *maxPending,
+		LossGrace:       *lossGrace,
+		RecoveryBound:   *recoveryBound,
+		Logf:            log.Printf,
+	}
+
+	if *matrix {
+		res, err := live.RunMatrix(live.MatrixOptions{ScenarioOptions: common, Kinds: kinds})
 		if res != nil {
 			for _, sr := range res.Scenarios {
-				status := "PASS"
-				if !sr.Passed() {
-					status = "FAIL"
-				}
-				extra := ""
-				if sr.Scenario.Kind.QuorumLoss() {
-					extra = fmt.Sprintf("  loss_epochs=%d primary_loss=%t recovery=%t recovery_ms=%d hard_failures=%d",
-						len(sr.Scenario.LossEpochs), sr.PrimaryLossOK, sr.RecoveryOK, sr.RecoveryMS, sr.HardFailures)
-				}
-				fmt.Printf("%-18s %s  deliveries=%d order=%d restarts=%d injected=%v%s\n",
-					sr.Scenario.Kind, status, sr.Entry.Deliveries, sr.OrderLen, sr.Restarts, sr.Injected, extra)
+				printScenario(sr)
 			}
 			fmt.Printf("matrix: %d scenarios, %d failed\n", len(res.Scenarios), len(res.Failed))
 		}
@@ -120,34 +109,24 @@ func main() {
 		return
 	}
 
-	killNode := *kill
-	if *killAuto {
-		killNode = *n / 2
+	kind := live.KillWaves
+	switch len(kinds) {
+	case 0:
+	case 1:
+		kind = kinds[0]
+	default:
+		log.Fatalf("liverun: %d scenarios named without -matrix", len(kinds))
 	}
-	res, err := live.Run(live.RunOptions{
-		Dir:             *dir,
-		PgcsdPath:       *pgcsd,
-		N:               *n,
-		Delta:           time.Duration(*deltaMS) * time.Millisecond,
-		Seed:            *seed,
-		BasePort:        *basePort,
-		Rate:            *rate,
-		Duration:        *duration,
-		KillNode:        killNode,
-		CheckpointBytes: *ckptBytes,
-		Logf:            log.Printf,
-	})
+	res, err := live.RunScenario(kind, common)
 	if res != nil {
+		printScenario(res)
 		lat := res.Entry.DeliveryLatency
 		fmt.Printf("throughput: %.1f deliveries/sec (%d bcasts, %d deliveries)\n",
 			res.Entry.DeliveriesPerSec, res.Entry.Bcasts, res.Entry.Deliveries)
 		fmt.Printf("delivery latency: p50 %v  p99 %v  max %v  (%d samples)\n",
 			time.Duration(lat.P50NS), time.Duration(lat.P99NS), time.Duration(lat.MaxNS), lat.Count)
-		fmt.Printf("merged TO order: %d values; conformance ok: %v\n", res.OrderLen, res.CheckOK)
 		if err == nil && *floorsPath != "" {
-			if ferr := enforceFloors(*floorsPath, res, *rate, *n); ferr != nil {
-				log.Fatal(ferr)
-			}
+			err = enforceFloors(*floorsPath, res.Entry, *rate, *n)
 		}
 	}
 	if err != nil {
@@ -155,12 +134,27 @@ func main() {
 	}
 }
 
+// printScenario prints one scenario's verdict line.
+func printScenario(sr *live.ScenarioResult) {
+	status := "PASS"
+	if !sr.Passed() {
+		status = "FAIL"
+	}
+	extra := ""
+	if sr.Scenario.Kind.QuorumLoss() {
+		extra = fmt.Sprintf("  loss_epochs=%d primary_loss=%t recovery=%t recovery_ms=%d hard_failures=%d",
+			len(sr.Scenario.LossEpochs), sr.PrimaryLossOK, sr.RecoveryOK, sr.RecoveryMS, sr.HardFailures)
+	}
+	fmt.Printf("%-18s %s  deliveries=%d order=%d restarts=%d injected=%v%s\n",
+		sr.Scenario.Kind, status, sr.Entry.Deliveries, sr.OrderLen, sr.Restarts, sr.Injected, extra)
+}
+
 // enforceFloors applies the BENCH_baseline.json live floors to a completed
-// single-scenario run: delivered throughput (summed over nodes) must be at
+// scenario's load report: delivered throughput (summed over nodes) must be at
 // least RateFraction of the offered rate × n, and p99 submit→delivery
 // latency must stay under MaxP99MS. The floors ride in the baseline file so
 // the live gate regenerates together with the simulated baseline.
-func enforceFloors(path string, res *live.RunResult, rate, n int) error {
+func enforceFloors(path string, entry experiments.BenchEntry, rate, n int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("floors: %w", err)
@@ -174,12 +168,12 @@ func enforceFloors(path string, res *live.RunResult, rate, n int) error {
 		return fmt.Errorf("floors: %s carries no live_floors", path)
 	}
 	minRate := f.RateFraction * float64(rate) * float64(n)
-	p99MS := float64(res.Entry.DeliveryLatency.P99NS) / float64(time.Millisecond)
+	p99MS := float64(entry.DeliveryLatency.P99NS) / float64(time.Millisecond)
 	fmt.Printf("floors: throughput %.1f/s (floor %.1f/s)  p99 %.1fms (bound %.1fms)\n",
-		res.Entry.DeliveriesPerSec, minRate, p99MS, f.MaxP99MS)
-	if f.RateFraction > 0 && res.Entry.DeliveriesPerSec < minRate {
+		entry.DeliveriesPerSec, minRate, p99MS, f.MaxP99MS)
+	if f.RateFraction > 0 && entry.DeliveriesPerSec < minRate {
 		return fmt.Errorf("floors: throughput %.1f deliveries/sec under the floor %.1f (rate_fraction %.2f x %d/s x %d nodes)",
-			res.Entry.DeliveriesPerSec, minRate, f.RateFraction, rate, n)
+			entry.DeliveriesPerSec, minRate, f.RateFraction, rate, n)
 	}
 	if f.MaxP99MS > 0 && p99MS > f.MaxP99MS {
 		return fmt.Errorf("floors: p99 delivery latency %.1fms over the bound %.1fms", p99MS, f.MaxP99MS)

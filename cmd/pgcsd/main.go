@@ -39,12 +39,6 @@ func main() {
 		maxPending  = flag.Int("max-pending", 4096, "accepted-but-undelivered submission bound; past it S is answered BUSY (0 disables)")
 		tickMS      = flag.Int("tick", 2, "pacer granularity in milliseconds")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
-
-		commitWindow  = flag.Duration("commit-window", 0, "WAL group-commit window (0 = coalesce behind in-flight writes only)")
-		noGroupCommit = flag.Bool("no-group-commit", false, "disable WAL group commit and delivery pipelining (legacy one-write-per-record path)")
-		deliverPipe   = flag.Int("deliver-pipeline", 0, "delivery records kept in flight ahead of the release point (0 = default: 64 with group commit, 1 without)")
-		batchMsgs     = flag.Int("batch-msgs", 0, "max messages per transport batch frame (0 = default 64, 1 disables batching)")
-		batchBytes    = flag.Int("batch-bytes", 0, "max payload bytes per transport batch frame (0 = default 256KiB)")
 	)
 	flag.Parse()
 	if *configPath == "" || *id < 0 || *walPath == "" || *tracePath == "" {
@@ -68,11 +62,6 @@ func main() {
 		MetricsPath:     *metricsPath,
 		CheckpointBytes: *ckptBytes,
 		MaxPending:      *maxPending,
-		CommitWindow:    *commitWindow,
-		GroupCommitOff:  *noGroupCommit,
-		DeliverPipeline: *deliverPipe,
-		BatchMsgs:       *batchMsgs,
-		BatchBytes:      *batchBytes,
 		Tick:            durationMS(*tickMS),
 		Logf:            logf,
 	})

@@ -181,8 +181,7 @@ func benchE16(seed int64) func() BenchEntry {
 		const n = 3
 		delta := time.Millisecond
 		c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta,
-			StorageLatency: 5 * delta, Obs: reg,
-			GroupCommit: true, DeliverPipeline: 64, EagerTokenRounds: true})
+			StorageLatency: 5 * delta, Obs: reg}.Batched())
 		c.Sim.After(30*time.Millisecond, func() {
 			for i := 0; i < 400; i++ {
 				c.Bcast(0, types.Value(fmt.Sprintf("v%d", i)))

@@ -54,9 +54,7 @@ func E16(seed int64) *Table {
 			Seed: seed, N: n, Delta: delta, StorageLatency: lambda,
 		}
 		if batched {
-			opts.GroupCommit = true
-			opts.DeliverPipeline = 64
-			opts.EagerTokenRounds = true
+			opts = opts.Batched()
 		}
 		c := stack.NewCluster(opts)
 		if err := c.Sim.RunFor(30 * time.Millisecond); err != nil {

@@ -15,9 +15,9 @@ import (
 
 // cluster owns the daemon processes of one live run: spawn parameters,
 // per-node restart counters, and the trace files every incarnation
-// wrote, in boot order. Both the single-scenario Run and the matrix
-// runner drive the same helper, so fault injectors always respawn with
-// identical parameters (same WAL file, next trace file).
+// wrote, in boot order. Every respawn goes through it, so fault
+// injectors always restart a node with identical parameters (same WAL
+// file, next trace file).
 type cluster struct {
 	dir     string
 	pgcsd   string

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	stdnet "net"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/props"
+	"repro/internal/stack"
 	"repro/internal/types"
 )
 
@@ -76,6 +78,14 @@ func TestLiveClusterInProcess(t *testing.T) {
 	engines := make([]*Engine, 3)
 	for i := range engines {
 		engines[i] = startTestEngine(t, cfg, i, 0)
+	}
+
+	// An engine has no data-path setting of its own: what it runs is
+	// stack's shipped value, the same one the simulated campaigns run.
+	for i, e := range engines {
+		if got, want := e.node.DataPath(), (stack.Options{}).Batched(); !reflect.DeepEqual(got, want) {
+			t.Errorf("node %d runs %+v; stack ships %+v", i, got, want)
+		}
 	}
 
 	// The client protocol end to end: readiness, submission, streaming.

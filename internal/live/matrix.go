@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/experiments"
@@ -324,7 +323,7 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 // longer reach the healed end state the checks assume.
 func (cl *cluster) inject(sc Scenario, start time.Time, res *ScenarioResult, logf func(string, ...any)) error {
 	actions := append([]Action(nil), sc.Actions...)
-	sort.SliceStable(actions, func(i, j int) bool { return actions[i].AtMS < actions[j].AtMS })
+	sortActions(actions)
 	for _, a := range actions {
 		if d := time.Until(start.Add(time.Duration(a.AtMS) * time.Millisecond)); d > 0 {
 			time.Sleep(d)
@@ -417,25 +416,12 @@ func (cl *cluster) healSweep(res *ScenarioResult, logf func(string, ...any)) {
 
 // MatrixOptions configures a full scenario-matrix run.
 type MatrixOptions struct {
-	Dir       string
-	PgcsdPath string
-	N         int
-	Delta     time.Duration
-	Seed      int64
-	BasePort  int
-	Rate      int
-	Window    time.Duration
-	Settle    time.Duration
-	// CheckpointBytes arms WAL compaction in every scenario (0 disables).
-	CheckpointBytes int
-	// MaxPending / LossGrace / RecoveryBound pass through to every
-	// scenario (see ScenarioOptions).
-	MaxPending    int
-	LossGrace     time.Duration
-	RecoveryBound time.Duration
+	// ScenarioOptions is what every scenario runs with, except that each
+	// gets its own subdirectory of Dir, the next Seed, a fresh port block
+	// above BasePort, and the next of the rotating load shapes.
+	ScenarioOptions
 	// Kinds defaults to the full ScenarioKinds matrix.
 	Kinds []ScenarioKind
-	Logf  func(string, ...any)
 }
 
 // MatrixResult is the whole matrix's outcome.
@@ -486,25 +472,13 @@ func RunMatrix(opts MatrixOptions) (*MatrixResult, error) {
 	for i, kind := range kinds {
 		shape := loadShapes[i%len(loadShapes)]
 		logf("=== scenario %d/%d: %s (load %s/%s) ===", i+1, len(kinds), kind, shape.profile, shape.arrival)
-		sr, err := RunScenario(kind, ScenarioOptions{
-			Dir:             filepath.Join(opts.Dir, string(kind)),
-			PgcsdPath:       opts.PgcsdPath,
-			N:               opts.N,
-			Delta:           opts.Delta,
-			Seed:            opts.Seed + int64(i),
-			BasePort:        opts.BasePort + i*2*opts.N, // fresh ports: no TIME_WAIT collisions
-			Rate:            opts.Rate,
-			Window:          opts.Window,
-			Settle:          opts.Settle,
-			CheckpointBytes: opts.CheckpointBytes,
-			MaxPending:      opts.MaxPending,
-			LossGrace:       opts.LossGrace,
-			RecoveryBound:   opts.RecoveryBound,
-			Profile:         shape.profile,
-			Arrival:         shape.arrival,
-			OpenLoop:        shape.open,
-			Logf:            logf,
-		})
+		so := opts.ScenarioOptions
+		so.Dir = filepath.Join(opts.Dir, string(kind))
+		so.Seed = opts.Seed + int64(i)
+		so.BasePort = opts.BasePort + i*2*opts.N // fresh ports: no TIME_WAIT collisions
+		so.Profile, so.Arrival, so.OpenLoop = shape.profile, shape.arrival, shape.open
+		so.Logf = logf
+		sr, err := RunScenario(kind, so)
 		if sr != nil {
 			res.Scenarios = append(res.Scenarios, sr)
 		}

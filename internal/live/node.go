@@ -46,23 +46,6 @@ type EngineOptions struct {
 	// daemon degrades by pushing back rather than buffering without
 	// limit. 0 disables.
 	MaxPending int
-	// CommitWindow arms WAL group commit with the given commit window
-	// (negative disables group commit entirely; 0 is pure pipelined
-	// coalescing — see stack.Options.GroupCommit/CommitWindow). The
-	// daemon's flag default is 0: group commit on, no added latency.
-	CommitWindow time.Duration
-	// GroupCommitOff disables WAL group commit (and the delivery
-	// pipelining default) regardless of CommitWindow.
-	GroupCommitOff bool
-	// DeliverPipeline bounds delivery records in flight ahead of the
-	// release point (stack.Options.DeliverPipeline); 0 picks the engine
-	// default: 64 with group commit on, 1 (legacy lock-step) off.
-	DeliverPipeline int
-	// BatchMsgs/BatchBytes tune transport frame batching
-	// (transport.TCPConfig.MaxBatchMsgs/MaxBatchBytes); 0 keeps the
-	// transport defaults, BatchMsgs 1 disables batching.
-	BatchMsgs  int
-	BatchBytes int
 	// Tick is the pacer's period (default 2ms wall time). The engine is
 	// event-driven — every inbound packet and client submission runs the
 	// simulator up to the wall clock before it returns — so the tick only
@@ -203,15 +186,13 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		// A cluster's daemons boot moments apart: the first redial of a peer
 		// that was not listening yet must not cost more than a commit does.
 		// Backoff still doubles up to the transport's default ceiling.
-		DialMin:       time.Millisecond,
-		Encode:        codec.Encode,
-		Decode:        codec.Decode,
-		AppendEncode:  codec.AppendEncode,
-		MaxBatchMsgs:  opts.BatchMsgs,
-		MaxBatchBytes: opts.BatchBytes,
-		Submit:        e.submit,
-		Obs:           e.reg,
-		Logf:          opts.Logf,
+		DialMin:      time.Millisecond,
+		Encode:       codec.Encode,
+		Decode:       codec.Decode,
+		AppendEncode: codec.AppendEncode,
+		Submit:       e.submit,
+		Obs:          e.reg,
+		Logf:         opts.Logf,
 	})
 	if err := e.tr.Start(); err != nil {
 		e.walFile.Close()
@@ -236,14 +217,6 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		InitialSink: func(p types.ProcID, v types.View) { props.AppendInitialJSONL(e.traceW, p, v) },
 	}
 
-	groupCommit := !opts.GroupCommitOff && opts.CommitWindow >= 0
-	pipeline := opts.DeliverPipeline
-	if pipeline <= 0 {
-		pipeline = 1
-		if groupCommit {
-			pipeline = 64
-		}
-	}
 	e.mu.Lock()
 	// Sim time zero. Set before the node registers with the transport: the
 	// first inbound packet already runs the simulator up to the wall clock.
@@ -259,10 +232,6 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		WALMirror:        e.walFile,
 		CheckpointBytes:  opts.CheckpointBytes,
 		MaxPendingBcasts: opts.MaxPending,
-		GroupCommit:      groupCommit,
-		CommitWindow:     opts.CommitWindow,
-		DeliverPipeline:  pipeline,
-		EagerTokenRounds: groupCommit,
 		Log:              lg,
 		Obs:              e.reg,
 		OnDeliver:        e.onDeliver,

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 )
 
@@ -185,11 +186,7 @@ type Scenario struct {
 // heal sweep would close it in practice).
 func ComputeLossEpochs(actions []Action, n int) []Epoch {
 	sorted := append([]Action(nil), actions...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].AtMS < sorted[j-1].AtMS; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sortActions(sorted)
 	threshold := QuorumLossThreshold(n)
 	type state struct{ stopped, killed, paused bool }
 	nodes := make([]state, n)
@@ -304,7 +301,7 @@ func GenerateScenario(kind ScenarioKind, seed int64, n int, window time.Duration
 	default:
 		return Scenario{}, fmt.Errorf("live: unknown scenario %q", kind)
 	}
-	g.sort()
+	sortActions(g.out)
 	return Scenario{
 		Kind: kind, Seed: seed, N: n,
 		WindowMS:   window.Milliseconds(),
@@ -332,15 +329,10 @@ func (g *sgen) act(t time.Duration, node int, kind ActionKind) {
 	g.out = append(g.out, Action{AtMS: t.Milliseconds(), Node: node, Kind: kind})
 }
 
-// sort orders actions by time, stably: same-instant actions keep their
-// emission order (heals before the next wave's faults when tied).
-func (g *sgen) sort() {
-	// Insertion sort: schedules are tens of actions and stability matters.
-	for i := 1; i < len(g.out); i++ {
-		for j := i; j > 0 && g.out[j].AtMS < g.out[j-1].AtMS; j-- {
-			g.out[j], g.out[j-1] = g.out[j-1], g.out[j]
-		}
-	}
+// sortActions orders actions by time, stably: same-instant actions keep
+// their emission order (heals before the next wave's faults when tied).
+func sortActions(a []Action) {
+	sort.SliceStable(a, func(i, j int) bool { return a[i].AtMS < a[j].AtMS })
 }
 
 // victims picks k distinct nodes.

@@ -10,9 +10,11 @@ import (
 // must error, and well-formed input must round-trip.
 func FuzzDecodeOp(f *testing.F) {
 	f.Add(string(Op{Kind: "w", Key: "k", Val: "v", Nonce: 1}.Encode()))
-	f.Add("w|1|2:ab")
-	f.Add("")
-	f.Add("r|0|0:")
+	// Untagged strings, among them the shapes of the retired
+	// "kind|nonce|klen:keyval" format: all malformed now.
+	for _, untagged := range []string{"", "w", "w|1|2:ab", "r|0|0:", "w|x|1:k", "w|1|99:k"} {
+		f.Add(untagged)
+	}
 	// Binary wire-format seeds: reads, weird keys, custom kinds, and
 	// truncations/corruptions of a valid encoding.
 	binary := string(Op{Kind: "w", Key: "key|with:bytes", Val: "val\x00", Nonce: 42}.Encode())
@@ -27,6 +29,9 @@ func FuzzDecodeOp(f *testing.F) {
 		op, err := DecodeOp(types.Value(s))
 		if err != nil {
 			return
+		}
+		if s[0] != opWireTag {
+			t.Fatalf("untagged value %q decoded to %+v", s, op)
 		}
 		// A successfully decoded op re-encodes to something that decodes
 		// back to itself (the encoding is canonical for decoded values).

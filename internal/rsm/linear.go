@@ -41,32 +41,29 @@ func NewAtomicChecker(m *Memory) *AtomicChecker {
 
 func (c *AtomicChecker) now() sim.Time { return c.mem.cluster.Sim.Now() }
 
-// Write submits a checked write at p.
-func (c *AtomicChecker) Write(p types.ProcID, key, val string) {
-	c.mem.nonces[p]++
-	op := Op{Kind: "w", Key: key, Val: val, Nonce: c.mem.nonces[p]}
-	rec := &atomicOp{p: p, encoded: op.Encode(), kind: "w", key: key, invoked: c.now()}
-	c.ops = append(c.ops, rec)
-	c.mem.waiters[opKey{p, op.Nonce}] = func(observed string) {
-		rec.observed = observed
-		rec.responded = c.now()
-		rec.done = true
-	}
-	c.mem.cluster.Bcast(p, op.Encode())
+// Write submits a checked write at p; false means the stack rejected it
+// (see Memory.Write) and the checker holds no record of it.
+func (c *AtomicChecker) Write(p types.ProcID, key, val string) bool {
+	return c.submit(p, Op{Kind: "w", Key: key, Val: val})
 }
 
-// Read submits a checked atomic read at p.
-func (c *AtomicChecker) Read(p types.ProcID, key string) {
-	c.mem.nonces[p]++
-	op := Op{Kind: "r", Key: key, Nonce: c.mem.nonces[p]}
-	rec := &atomicOp{p: p, encoded: op.Encode(), kind: "r", key: key, invoked: c.now()}
-	c.ops = append(c.ops, rec)
-	c.mem.waiters[opKey{p, op.Nonce}] = func(observed string) {
+// Read submits a checked atomic read at p; false as for Write.
+func (c *AtomicChecker) Read(p types.ProcID, key string) bool {
+	return c.submit(p, Op{Kind: "r", Key: key})
+}
+
+func (c *AtomicChecker) submit(p types.ProcID, op Op) bool {
+	rec := &atomicOp{p: p, kind: op.Kind, key: op.Key, invoked: c.now()}
+	var ok bool
+	rec.encoded, ok = c.mem.submit(p, op, func(observed string) {
 		rec.observed = observed
 		rec.responded = c.now()
 		rec.done = true
+	})
+	if ok {
+		c.ops = append(c.ops, rec)
 	}
-	c.mem.cluster.Bcast(p, op.Encode())
+	return ok
 }
 
 // Completed returns how many checked operations have responded.

@@ -2,8 +2,6 @@ package rsm
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/codec"
@@ -21,12 +19,8 @@ type Op struct {
 }
 
 // Op wire format (the internal/codec building blocks, like the WAL's
-// records): one tag byte that can never open a legacy encoding — legacy
-// ops begin with the printable kind letter 'w' or 'r' — then the kind as
-// a byte, the nonce, and length-prefixed key and value. DecodeOp falls
-// back to the legacy "kind|nonce|klen:keyval" string parse when the tag
-// is absent, so old traces (and WALs carrying old-format submissions)
-// still decode.
+// records): one tag byte, then the kind as a byte, the nonce, and
+// length-prefixed key and value. A value without the tag is malformed.
 const (
 	opWireTag   byte = 0x01
 	opKindWrite byte = 'w'
@@ -64,17 +58,11 @@ func (o Op) Encode() types.Value {
 	return v
 }
 
-// DecodeOp parses an encoded op: the binary wire format when the leading
-// tag byte is present, the legacy string format otherwise. Malformed
-// input of either format errors; it never panics.
+// DecodeOp parses an encoded op. Malformed input errors; it never panics.
 func DecodeOp(v types.Value) (Op, error) {
-	if len(v) > 0 && v[0] == opWireTag {
-		return decodeOpWire(v)
+	if len(v) == 0 || v[0] != opWireTag {
+		return Op{}, fmt.Errorf("rsm: malformed op %q: no wire tag", string(v))
 	}
-	return decodeOpLegacy(v)
-}
-
-func decodeOpWire(v types.Value) (Op, error) {
 	r := codec.NewReader([]byte(v))
 	r.U8() // tag, already checked
 	var op Op
@@ -98,34 +86,4 @@ func decodeOpWire(v types.Value) (Op, error) {
 		return Op{}, fmt.Errorf("rsm: malformed op: %d trailing bytes", r.Rest())
 	}
 	return op, nil
-}
-
-// decodeOpLegacy parses the pre-wire "kind|nonce|klen:keyval" string
-// format, kept so recorded traces and WAL images from before the codec
-// migration still decode.
-func decodeOpLegacy(v types.Value) (Op, error) {
-	s := string(v)
-	parts := strings.SplitN(s, "|", 3)
-	if len(parts) != 3 {
-		return Op{}, fmt.Errorf("rsm: malformed op %q", s)
-	}
-	nonce, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return Op{}, fmt.Errorf("rsm: malformed nonce in %q: %w", s, err)
-	}
-	body := parts[2]
-	i := strings.IndexByte(body, ':')
-	if i < 0 {
-		return Op{}, fmt.Errorf("rsm: malformed body in %q", s)
-	}
-	klen, err := strconv.Atoi(body[:i])
-	if err != nil || klen < 0 || i+1+klen > len(body) {
-		return Op{}, fmt.Errorf("rsm: malformed key length in %q", s)
-	}
-	return Op{
-		Kind:  parts[0],
-		Nonce: nonce,
-		Key:   body[i+1 : i+1+klen],
-		Val:   body[i+1+klen:],
-	}, nil
 }

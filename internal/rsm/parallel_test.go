@@ -190,18 +190,20 @@ func TestEmptyAndAllConflictingBatches(t *testing.T) {
 }
 
 // TestMalformedOpsHaltNotPanic sweeps malformed encodings (the
-// FuzzDecodeOp seed shapes, legacy and binary) through Memory apply: every
-// replica must apply exactly the good prefix, halt with a sticky error,
-// and never panic or diverge.
+// FuzzDecodeOp seed shapes: untagged strings in the shape of the retired
+// "kind|nonce|klen:keyval" format, and damaged wire encodings) through
+// Memory apply: every replica must apply exactly the good prefix, halt with
+// a sticky error, and never panic or diverge.
 func TestMalformedOpsHaltNotPanic(t *testing.T) {
 	good := Op{Kind: "w", Key: "k", Val: "ok", Nonce: 1}.Encode()
 	binary := string(Op{Kind: "w", Key: "key", Val: "val", Nonce: 2}.Encode())
 	malformed := []string{
-		"",                    // legacy: no separators
-		"w",                   // legacy: too few fields
-		"w|x|1:k",             // legacy: bad nonce
-		"w|1|99:k",            // legacy: key length past end
-		"q|1|1:kv",            // well-formed legacy encoding, unknown kind
+		"",                    // untagged: empty
+		"w",                   // untagged: kind letter only
+		"w|x|1:k",             // untagged: retired format, bad nonce
+		"w|1|99:k",            // untagged: retired format, key length past end
+		"q|1|1:kv",            // untagged: retired format, unknown kind
+		"w|1|1:kv",            // untagged: retired format, once well-formed
 		binary[:1],            // binary: tag only
 		binary[:4],            // binary: truncated mid-varint
 		binary + "x",          // binary: trailing bytes

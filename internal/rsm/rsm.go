@@ -78,15 +78,37 @@ func New(c *stack.Cluster) *Memory {
 	return m
 }
 
-// Write submits an update at processor p. onApplied, if non-nil, runs when
-// the update has been applied at p's replica (the client's ack).
-func (m *Memory) Write(p types.ProcID, key, val string, onApplied func()) {
+// submit gives op the next nonce at p and broadcasts it, with ack (if
+// non-nil) to run on the value the op observes once p's replica applies it.
+// It returns the encoded op and whether the stack accepted it: a submission
+// the stack rejects (stack.Node.TryBcast — backlog at MaxPendingBcasts, or
+// an amnesiac origin) will never be delivered, so its waiter is dropped and
+// the client told at once.
+func (m *Memory) submit(p types.ProcID, op Op, ack func(val string)) (types.Value, bool) {
 	m.nonces[p]++
-	op := Op{Kind: "w", Key: key, Val: val, Nonce: m.nonces[p]}
-	if onApplied != nil {
-		m.waiters[opKey{p, op.Nonce}] = func(string) { onApplied() }
+	op.Nonce = m.nonces[p]
+	key := opKey{p, op.Nonce}
+	if ack != nil {
+		m.waiters[key] = ack
 	}
-	m.cluster.Bcast(p, op.Encode())
+	v := op.Encode()
+	ok := m.cluster.Node(p).TryBcast(v)
+	if !ok {
+		delete(m.waiters, key)
+	}
+	return v, ok
+}
+
+// Write submits an update at processor p and reports whether the stack
+// accepted it. onApplied, if non-nil, runs when the update has been applied
+// at p's replica (the client's ack); it never runs for a rejected write.
+func (m *Memory) Write(p types.ProcID, key, val string, onApplied func()) bool {
+	var ack func(string)
+	if onApplied != nil {
+		ack = func(string) { onApplied() }
+	}
+	_, ok := m.submit(p, Op{Kind: "w", Key: key, Val: val}, ack)
+	return ok
 }
 
 // Read returns the local replica's value immediately (the sequentially
@@ -96,15 +118,13 @@ func (m *Memory) Read(p types.ProcID, key string) string {
 	return m.replicas[p][key]
 }
 
-// ReadAtomic submits the read through the broadcast service; onValue runs
-// with the value the read observes in the total order (the atomic variant).
-func (m *Memory) ReadAtomic(p types.ProcID, key string, onValue func(val string)) {
-	m.nonces[p]++
-	op := Op{Kind: "r", Key: key, Nonce: m.nonces[p]}
-	if onValue != nil {
-		m.waiters[opKey{p, op.Nonce}] = onValue
-	}
-	m.cluster.Bcast(p, op.Encode())
+// ReadAtomic submits the read through the broadcast service and reports
+// whether the stack accepted it; onValue runs with the value the read
+// observes in the total order (the atomic variant), never for a rejected
+// read.
+func (m *Memory) ReadAtomic(p types.ProcID, key string, onValue func(val string)) bool {
+	_, ok := m.submit(p, Op{Kind: "r", Key: key}, onValue)
+	return ok
 }
 
 // Pump applies every not-yet-applied delivery to the replicas. With the

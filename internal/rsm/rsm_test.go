@@ -35,7 +35,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeOpMalformed(t *testing.T) {
-	for _, raw := range []string{"", "w", "w|1", "w|x|1:k", "w|1|zz:k", "w|1|99:k"} {
+	// A value without the wire tag is malformed, however it is shaped.
+	for _, raw := range []string{"", "w", "w|1", "w|x|1:k", "w|1|zz:k", "w|1|99:k", "w|1|1:kv"} {
 		if _, err := DecodeOp(types.Value(raw)); err == nil {
 			t.Errorf("DecodeOp(%q) succeeded; want error", raw)
 		}
@@ -154,5 +155,49 @@ func TestPartitionedMemory(t *testing.T) {
 		if got := m.Read(p, "k"); got != ref {
 			t.Errorf("replica %v reads %q, want %q after heal", p, got, ref)
 		}
+	}
+}
+
+// TestRejectedSubmissionLeavesNoWaiter: a submission the stack rejects
+// (here: the backlog bound, on the minority side of a partition, where
+// nothing drains) is reported to the client and leaves no waiter behind;
+// the accepted one before it still acks after the heal.
+func TestRejectedSubmissionLeavesNoWaiter(t *testing.T) {
+	c := stack.NewCluster(stack.Options{Seed: 29, N: 5, Delta: time.Millisecond, MaxPendingBcasts: 1})
+	m := New(c)
+	c.Sim.After(20*time.Millisecond, func() {
+		c.Oracle.Partition(c.Procs, types.NewProcSet(0, 1, 2), types.NewProcSet(3, 4))
+	})
+	firstAcked, secondAcked, readAcked := false, false, false
+	c.Sim.After(150*time.Millisecond, func() {
+		if !m.Write(3, "k", "first", func() { firstAcked = true }) {
+			t.Error("first write rejected with an empty backlog")
+		}
+		before := len(m.waiters)
+		if m.Write(3, "k", "second", func() { secondAcked = true }) {
+			t.Error("second write accepted past MaxPendingBcasts")
+		}
+		if m.ReadAtomic(3, "k", func(string) { readAcked = true }) {
+			t.Error("atomic read accepted past MaxPendingBcasts")
+		}
+		if len(m.waiters) != before {
+			t.Errorf("rejected submissions left waiters: %d, want %d", len(m.waiters), before)
+		}
+	})
+	c.Sim.After(900*time.Millisecond, func() { c.Oracle.Heal(c.Procs) })
+	if err := m.WaitSettle(sim.Time(4 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if !firstAcked {
+		t.Error("accepted write never acked after the heal")
+	}
+	if secondAcked || readAcked {
+		t.Error("a rejected submission was acked")
+	}
+	if len(m.waiters) != 0 {
+		t.Errorf("%d waiters left after everything accepted was applied", len(m.waiters))
+	}
+	if got := m.Read(0, "k"); got != "first" {
+		t.Errorf("k = %q, want \"first\"", got)
 	}
 }

@@ -10,13 +10,9 @@ import (
 	"repro/internal/types"
 )
 
-// batchedOpts is the full batched hot path: WAL group commit, pipelined
-// delivery records, eager token rounds.
+// batchedOpts is the shipped data path on a λ-latency device.
 func batchedOpts(seed int64, n int, lambda time.Duration) Options {
-	return Options{
-		Seed: seed, N: n, Delta: time.Millisecond, StorageLatency: lambda,
-		GroupCommit: true, DeliverPipeline: 64, EagerTokenRounds: true,
-	}
+	return Options{Seed: seed, N: n, Delta: time.Millisecond, StorageLatency: lambda}.Batched()
 }
 
 // TestGroupCommitMatchesLegacyOrder: the batched stack must deliver the

@@ -59,14 +59,6 @@ type LiveOptions struct {
 	// submission backlog, exactly as Options.MaxPendingBcasts does in
 	// simulation: TryBcast rejects past the bound. 0 disables.
 	MaxPendingBcasts int
-	// GroupCommit, CommitWindow, DeliverPipeline and EagerTokenRounds
-	// mirror the Options fields of the same names: WAL group commit,
-	// delivery-record pipelining, and eager token rounds on the live
-	// daemon's endpoint.
-	GroupCommit      bool
-	CommitWindow     time.Duration
-	DeliverPipeline  int
-	EagerTokenRounds bool
 	// Quorums defaults to majorities of Universe.
 	Quorums types.QuorumSystem
 	// Log, when non-nil, replaces the node's fresh trace log — set its
@@ -78,7 +70,8 @@ type LiveOptions struct {
 }
 
 // NewLiveNode builds and starts a single processor's full TO stack (VS
-// implementation, VStoTO, write-ahead recovery log) for live deployment.
+// implementation, VStoTO, write-ahead recovery log) for live deployment,
+// always on the shipped data path (Options.Batched).
 // The returned Node is the same type the simulated Cluster hands out, so
 // everything layered on Node (Bcast, Deliveries, WAL inspection) works
 // unchanged. The endpoint becomes active only as the caller's pacer runs
@@ -93,8 +86,9 @@ func NewLiveNode(opts LiveOptions) *Node {
 	if qs == nil {
 		qs = types.Majorities{Universe: opts.Universe}
 	}
+	dp := Options{}.Batched()
 	cfg := vsimpl.DefaultConfig(opts.Delta, opts.Universe.Size())
-	cfg.EagerRelaunch = opts.EagerTokenRounds
+	cfg.EagerRelaunch = dp.EagerTokenRounds
 	cfg.Obs = opts.Obs
 	lg := opts.Log
 	if lg == nil {
@@ -112,7 +106,8 @@ func NewLiveNode(opts LiveOptions) *Node {
 		tr:          opts.Transport,
 		qs:          qs,
 		maxPending:  opts.MaxPendingBcasts,
-		deliverPipe: pipeDepth(opts.DeliverPipeline),
+		deliverPipe: dp.DeliverPipeline,
+		groupCommit: dp.GroupCommit,
 		nodes:       make(map[types.ProcID]*Node, 1),
 	}
 	c.initMetrics(opts.Obs)
@@ -122,9 +117,6 @@ func NewLiveNode(opts LiveOptions) *Node {
 	// bytes live at logical offsets after the prior incarnations' records.
 	dev.SetBase(len(opts.WALData))
 	n := newNode(c, opts.Self, opts.P0, dev)
-	if opts.GroupCommit {
-		n.wal.SetGroupCommit(opts.CommitWindow)
-	}
 	n.setCheckpointPolicy(opts.CheckpointBytes)
 	if opts.OnDeliver != nil {
 		n.onRcv = append(n.onRcv, opts.OnDeliver)

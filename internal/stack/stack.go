@@ -137,8 +137,10 @@ type Cluster struct {
 	// backlog (TryBcast backpressure); 0 leaves Bcast unbounded.
 	maxPending int
 	// deliverPipe bounds each node's delivery records in flight plus
-	// durable-awaiting-release (Options.DeliverPipeline; always ≥ 1).
+	// durable-awaiting-release (Options.DeliverPipeline; always ≥ 1);
+	// groupCommit arms WAL group commit on every node's log.
 	deliverPipe int
+	groupCommit bool
 	nodes       map[types.ProcID]*Node
 	m          clusterMetrics
 	// submitted maps each client submission to its bcast instant, for the
@@ -229,15 +231,11 @@ type Options struct {
 	// simulated network mirrors the batching semantics (net.Config.Coalesce)
 	// so sim and live stay behaviorally aligned.
 	GroupCommit bool
-	// CommitWindow, with GroupCommit, additionally delays the first write
-	// of a batch on an idle device to let a larger batch form — latency
-	// traded for throughput. 0 is pure pipelined coalescing.
-	CommitWindow time.Duration
 	// DeliverPipeline bounds how many delivery records a node keeps in
-	// flight ahead of the release point. The default 0 means 1: the legacy
-	// lock-step path (write one record, wait for durability, release,
-	// repeat). Depths > 1 overlap the storage latency of consecutive
-	// deliveries; release order and write-ahead gating are unchanged.
+	// flight ahead of the release point. The default 0 means 1: write one
+	// record, wait for durability, release, repeat. Depths > 1 overlap the
+	// storage latency of consecutive deliveries; release order and
+	// write-ahead gating are unchanged.
 	DeliverPipeline int
 	// EagerTokenRounds makes VS token rounds demand-driven
 	// (vsimpl.Config.EagerRelaunch): a value asks for the token instead of
@@ -255,6 +253,18 @@ type Options struct {
 	// layer of the stack (the registry's clock is bound to the cluster's
 	// simulated clock). Nil disables all instrumentation at zero cost.
 	Obs *obs.Registry
+}
+
+// Batched returns o with the shipped data path switched on: WAL group
+// commit (window 0), 64 delivery records in flight, demand-driven token
+// rounds. It is the one definition of what pgcsd, the chaos campaigns and
+// the batched experiment rows run; the zero value of the three fields is
+// the paper-faithful reference the E-tables hold against the §8 bounds.
+func (o Options) Batched() Options {
+	o.GroupCommit = true
+	o.DeliverPipeline = 64
+	o.EagerTokenRounds = true
+	return o
 }
 
 // NewCluster builds and starts a TO service instance.
@@ -321,15 +331,13 @@ func NewCluster(opts Options) *Cluster {
 		qs:         qs,
 		skipReplay:  opts.SkipRecoveryReplay,
 		maxPending:  opts.MaxPendingBcasts,
-		deliverPipe: pipeDepth(opts.DeliverPipeline),
+		deliverPipe: max(1, opts.DeliverPipeline),
+		groupCommit: opts.GroupCommit,
 		nodes:       make(map[types.ProcID]*Node, opts.N),
 	}
 	c.initMetrics(opts.Obs)
 	for _, p := range procs.Members() {
 		node := newNode(c, p, p0, storage.New(s, opts.StorageLatency))
-		if opts.GroupCommit {
-			node.wal.SetGroupCommit(opts.CommitWindow)
-		}
 		node.setCheckpointPolicy(opts.CheckpointBytes)
 		if p0.Contains(p) {
 			node.sealInitialState(p0)
@@ -374,15 +382,6 @@ func NewCluster(opts Options) *Cluster {
 	return c
 }
 
-// pipeDepth normalizes a DeliverPipeline option: anything below 1 is the
-// legacy lock-step depth of one.
-func pipeDepth(d int) int {
-	if d < 1 {
-		return 1
-	}
-	return d
-}
-
 // initMetrics binds the cluster-level obs handles (no-op on nil).
 func (c *Cluster) initMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -424,6 +423,9 @@ func newNode(c *Cluster, p types.ProcID, p0 types.ProcSet, dev *storage.Stable) 
 	}
 	node.proc.SetObs(c.Obs)
 	node.wal.Instrument(c.Obs)
+	if c.groupCommit {
+		node.wal.SetGroupCommit(0)
+	}
 	if c.Obs != nil {
 		node.labelAt = make(map[types.Label]sim.Time)
 		node.confirmAt = make(map[types.Label]sim.Time)
@@ -530,6 +532,12 @@ func (n *Node) VS() *vsimpl.Node { return n.vs }
 // WAL exposes the node's write-ahead log (tests and experiments: log
 // size, fault injection on the underlying device).
 func (n *Node) WAL() *recovery.WAL { return n.wal }
+
+// DataPath reports the data-path configuration this node runs, as the
+// three Options fields that select it (compare with Options.Batched).
+func (n *Node) DataPath() Options {
+	return Options{GroupCommit: n.c.groupCommit, DeliverPipeline: n.c.deliverPipe, EagerTokenRounds: n.c.Cfg.EagerRelaunch}
+}
 
 // Recoveries returns how many amnesia restarts this node has performed.
 func (n *Node) Recoveries() int { return n.recoveries }

@@ -15,20 +15,15 @@ import (
 )
 
 // Frame layout: a fixed 8-byte header — u32 payload length, u32 sender
-// ProcID, both little-endian — followed by the payload bytes produced by
-// the injected Encode. The header carries the sender so connections need no
-// handshake: any process may dial any other and start framing.
-//
-// When the sender field carries senderBatchFlag the frame is a batch: its
-// payload is a sequence of [u32 sub-length | sub-payload] messages encoded
-// back to back, all from the same sender. Batches form on the send side
-// while the writer is busy (messages coalesce into the queue's tail entry)
-// and amortize both the encode allocations and the write syscalls.
+// ProcID, both little-endian — followed by the payload: one or more
+// [u32 sub-length | sub-payload] messages back to back, all from that
+// sender, each sub-payload the bytes produced by the injected Encode. The
+// header carries the sender so connections need no handshake: any process
+// may dial any other and start framing. A frame holds more than one message
+// when they coalesce on the send side while the writer is busy (into the
+// queue's tail entry), amortizing both the encode allocations and the write
+// syscalls.
 const frameHeader = 8
-
-// senderBatchFlag marks a batch frame in the header's sender field. ProcIDs
-// are small non-negative integers, so bit 31 is always free.
-const senderBatchFlag = 1 << 31
 
 // maxWriteBatch bounds how many queued frames the writer goroutine drains
 // per wake-up into one vectored write.
@@ -58,13 +53,12 @@ type TCPConfig struct {
 	// growing allocation per batch instead of one per message. Nil falls
 	// back to Encode plus a copy.
 	AppendEncode func(dst []byte, v any) ([]byte, error)
-	// MaxBatchMsgs bounds how many messages coalesce into one batch frame
-	// (default 64). 1 disables batching entirely: every message travels as
-	// a legacy single-payload frame.
+	// MaxBatchMsgs bounds how many messages coalesce into one frame
+	// (default 64; 1 makes every frame a batch of one).
 	MaxBatchMsgs int
-	// MaxBatchBytes bounds a batch frame's payload size (default 256 KiB);
-	// a batch at or past the bound stops accepting messages and the next
-	// message opens a fresh frame.
+	// MaxBatchBytes bounds a frame's payload size (default 256 KiB); a
+	// frame at or past the bound stops accepting messages and the next
+	// message opens a fresh one.
 	MaxBatchBytes int
 	// Submit serializes handler invocations: every inbound delivery is
 	// wrapped in a closure and passed to Submit, which must run closures one
@@ -486,9 +480,7 @@ func (t *TCP) readLoop(conn stdnet.Conn) {
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sender := binary.LittleEndian.Uint32(hdr[4:8])
-		isBatch := sender&senderBatchFlag != 0
-		from := types.ProcID(int32(sender &^ senderBatchFlag))
+		from := types.ProcID(int32(binary.LittleEndian.Uint32(hdr[4:8])))
 		if int(n) > t.cfg.MaxFrame {
 			t.m.readErrors.Inc()
 			t.logf("transport: oversized frame (%d bytes) from %v, dropping connection", n, from)
@@ -499,11 +491,7 @@ func (t *TCP) readLoop(conn stdnet.Conn) {
 			t.m.readErrors.Inc()
 			return
 		}
-		if !isBatch {
-			t.decodeAndDeliver(from, buf)
-			continue
-		}
-		// Batch frame: a sequence of [u32 len | payload] messages. A
+		// The payload is a sequence of [u32 len | payload] messages. A
 		// malformed sub-header means the framing itself is unsound, so the
 		// connection is dropped like any other corrupt stream.
 		for off := 0; off < len(buf); {
@@ -605,7 +593,7 @@ func (p *peer) run() {
 // frame slices on a fresh connection: a partial vectored write may have
 // cut a frame mid-stream, and the new connection must start at a frame
 // boundary — receivers tolerate the duplicated frames exactly as they
-// tolerated the legacy path's whole-frame retries.
+// tolerate any retransmission.
 func (p *peer) write(frames [][]byte) {
 	for {
 		p.mu.Lock()
@@ -674,24 +662,19 @@ func (p *peer) dial() stdnet.Conn {
 
 // sendEntry is one queued frame: the full wire bytes (8-byte header,
 // finalized at pop time, then the payload) and the number of messages the
-// frame carries. A batch entry at the tail keeps growing as messages
-// coalesce into it; entries are only mutated or handed to the writer under
-// the queue mutex, so membership in buf is ownership.
+// frame carries. The entry at the tail keeps growing as messages coalesce
+// into it; entries are only mutated or handed to the writer under the queue
+// mutex, so membership in buf is ownership.
 type sendEntry struct {
-	from  types.ProcID
-	buf   []byte
-	msgs  int
-	batch bool
+	from types.ProcID
+	buf  []byte
+	msgs int
 }
 
 // finalize stamps the header now that the entry has stopped growing.
 func (e *sendEntry) finalize() []byte {
 	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(e.buf)-frameHeader))
-	sender := uint32(int32(e.from))
-	if e.batch {
-		sender |= senderBatchFlag
-	}
-	binary.LittleEndian.PutUint32(e.buf[4:8], sender)
+	binary.LittleEndian.PutUint32(e.buf[4:8], uint32(int32(e.from)))
 	return e.buf
 }
 
@@ -724,56 +707,44 @@ func newSendq(limit int) *sendq {
 }
 
 // push encodes payload (via enc, appending to the chosen buffer) into the
-// queue: into the tail batch entry when batching allows — same sender,
-// under maxMsgs messages and maxBytes payload — otherwise as a new frame,
-// evicting the oldest frame if the queue is full. Encoding under the
-// mutex is what makes the tail append safe and keeps allocation amortized:
-// one growing buffer per batch, not one per message. Pushing after close
-// discards the message (not an overflow: the transport is shutting down).
+// queue: into the tail entry when it has room — same sender, under maxMsgs
+// messages and maxBytes payload — otherwise as a new frame, evicting the
+// oldest frame if the queue is full. Encoding under the mutex is what makes
+// the tail append safe and keeps allocation amortized: one growing buffer
+// per frame, not one per message. Pushing after close discards the message
+// (not an overflow: the transport is shutting down).
 func (q *sendq) push(from types.ProcID, payload any, enc func([]byte, any) ([]byte, error), maxMsgs, maxBytes int) (pushResult, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return pushResult{depth: q.msgs}, nil
 	}
-	batching := maxMsgs > 1
-	if batching && len(q.buf) > 0 {
-		e := &q.buf[len(q.buf)-1]
-		if e.batch && e.from == from && e.msgs < maxMsgs && len(e.buf)-frameHeader < maxBytes {
-			off := len(e.buf)
-			grown, err := enc(append(e.buf, 0, 0, 0, 0), payload)
-			if err != nil {
-				return pushResult{}, err
-			}
-			binary.LittleEndian.PutUint32(grown[off:off+4], uint32(len(grown)-off-4))
-			e.buf = grown
-			e.msgs++
-			q.msgs++
-			q.cond.Signal()
-			return pushResult{depth: q.msgs, bytes: len(grown) - off - 4, queued: true}, nil
-		}
+	var fresh sendEntry
+	e := &fresh
+	if n := len(q.buf); n > 0 && q.buf[n-1].from == from && q.buf[n-1].msgs < maxMsgs && len(q.buf[n-1].buf)-frameHeader < maxBytes {
+		e = &q.buf[n-1]
+	} else {
+		fresh = sendEntry{from: from, buf: make([]byte, frameHeader, frameHeader+64)}
 	}
-	buf := make([]byte, frameHeader, frameHeader+64)
-	if batching {
-		buf = append(buf, 0, 0, 0, 0)
-	}
-	grown, err := enc(buf, payload)
+	off := len(e.buf)
+	grown, err := enc(append(e.buf, 0, 0, 0, 0), payload)
 	if err != nil {
 		return pushResult{}, err
 	}
-	payloadLen := len(grown) - len(buf)
-	if batching {
-		binary.LittleEndian.PutUint32(grown[frameHeader:frameHeader+4], uint32(payloadLen))
-	}
-	entry := sendEntry{from: from, buf: grown, msgs: 1, batch: batching}
+	payloadLen := len(grown) - off - 4
+	binary.LittleEndian.PutUint32(grown[off:off+4], uint32(payloadLen))
+	e.buf = grown
+	e.msgs++
 	evicted := 0
-	if len(q.buf) >= q.limit {
-		evicted = q.buf[0].msgs
-		q.msgs -= evicted
-		copy(q.buf, q.buf[1:])
-		q.buf[len(q.buf)-1] = entry
-	} else {
-		q.buf = append(q.buf, entry)
+	if e == &fresh {
+		if len(q.buf) >= q.limit {
+			evicted = q.buf[0].msgs
+			q.msgs -= evicted
+			copy(q.buf, q.buf[1:])
+			q.buf[len(q.buf)-1] = fresh
+		} else {
+			q.buf = append(q.buf, fresh)
+		}
 	}
 	q.msgs++
 	q.cond.Signal()

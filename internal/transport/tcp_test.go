@@ -90,13 +90,38 @@ func newTCP(t *testing.T, self types.ProcID, addrs map[types.ProcID]string, reg 
 	return tr
 }
 
+// wireFrame hand-builds one frame from processor `from`: the 8-byte header,
+// then each payload behind its u32 sub-length.
+func wireFrame(t *testing.T, from types.ProcID, payloads ...any) []byte {
+	t.Helper()
+	frame := make([]byte, 8)
+	for _, p := range payloads {
+		b, err := codec.Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(b)))
+		frame = append(frame, b...)
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-8))
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(from))
+	return frame
+}
+
 // TestWireTypesOverSocket round-trips every wire type the codec knows
 // across a real socket pair and asserts exact fidelity — the live
-// equivalent of the codec's in-memory round-trip tests.
+// equivalent of the codec's in-memory round-trip tests — with every frame a
+// batch of one and with the default coalescing.
 func TestWireTypesOverSocket(t *testing.T) {
+	for _, maxMsgs := range []int{1, 64} {
+		t.Run(fmt.Sprintf("MaxBatchMsgs=%d", maxMsgs), func(t *testing.T) { wireTypesOverSocket(t, maxMsgs) })
+	}
+}
+
+func wireTypesOverSocket(t *testing.T, maxMsgs int) {
 	addrs := map[types.ProcID]string{0: freePort(t), 1: freePort(t)}
 	regA, regB := obs.New(), obs.New()
-	a := newTCP(t, 0, addrs, regA, nil)
+	a := newTCP(t, 0, addrs, regA, func(c *transport.TCPConfig) { c.MaxBatchMsgs = maxMsgs })
 	b := newTCP(t, 1, addrs, regB, nil)
 
 	var got sink
@@ -198,10 +223,10 @@ func TestSendQueueOverflow(t *testing.T) {
 	regA := obs.New()
 	a := newTCP(t, 0, addrs, regA, func(c *transport.TCPConfig) {
 		c.QueueLimit = 4
-		// One message per frame: this test pins the legacy drop-oldest
-		// accounting (batching would coalesce the burst into one frame and
+		// One message per frame pins the frame-granular drop-oldest
+		// accounting (coalescing would put the burst into one frame and
 		// nothing would ever overflow — TestSendQueueOverflowBatched covers
-		// that path).
+		// multi-message frames).
 		c.MaxBatchMsgs = 1
 		// Long backoff: the first dial fails instantly (connection refused)
 		// and the writer then sits in backoff while the test overflows the
@@ -247,7 +272,7 @@ func TestSendQueueOverflow(t *testing.T) {
 	}
 }
 
-// TestSendQueueOverflowBatched is the batching-mode twin of
+// TestSendQueueOverflowBatched is the multi-message twin of
 // TestSendQueueOverflow: entries coalesce up to MaxBatchMsgs messages, so
 // drop-oldest evicts multi-message frames and the frame-granular counter
 // alone would undercount the loss. Asserts the message-granular
@@ -363,28 +388,53 @@ func TestPartialFrameAtClose(t *testing.T) {
 	waitFor(t, 2*time.Second, "oversized-frame error", func() bool { return readErrs.Value() >= 3 })
 	conn3.Close()
 
-	if got.len() != 0 {
-		t.Fatalf("partial frames delivered %d packets, want 0", got.len())
+	// Sub-header faults inside a frame whose outer length is honest: two
+	// stray bytes where a sub-header should start, a sub-length running past
+	// the frame's end, and a zero sub-length. The framing is unsound, so the
+	// connection drops and nothing of the frame is delivered.
+	good := wireFrame(t, 0, "healthy")
+	relen := func(f []byte) []byte {
+		binary.LittleEndian.PutUint32(f[0:4], uint32(len(f)-8))
+		return f
+	}
+	pastEnd := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(pastEnd[8:12], uint32(len(good)))
+	want := readErrs.Value()
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"torn sub-header", relen(append(append([]byte(nil), good...), 0xAA, 0xBB))},
+		{"sub-length past end", pastEnd},
+		{"zero sub-length", relen(append(append([]byte(nil), good[:8]...), 0, 0, 0, 0))},
+	} {
+		c, err := stdnet.Dial("tcp", addrs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(tc.frame)
+		want++
+		waitFor(t, 2*time.Second, tc.name+" error", func() bool { return readErrs.Value() >= want })
+		c.Close()
 	}
 
-	// The endpoint is still healthy: a well-formed frame goes through.
-	payload, err := codec.Encode("healthy")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// "torn sub-header" carries one sound message ahead of the tear; that
+	// one is delivered before the tear is met.
+	waitFor(t, 2*time.Second, "message ahead of the tear", func() bool { return got.len() == 1 })
+
+	// The endpoint is still healthy: a well-formed one-message frame goes
+	// through.
 	conn4, err := stdnet.Dial("tcp", addrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn4.Close()
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(0))
-	copy(frame[8:], payload)
-	conn4.Write(frame)
-	waitFor(t, 2*time.Second, "healthy delivery", func() bool { return got.len() == 1 })
-	if p := got.snapshot()[0]; p.Payload != "healthy" || p.From != 0 {
-		t.Errorf("got %#v from %v, want \"healthy\" from p0", p.Payload, p.From)
+	conn4.Write(good)
+	waitFor(t, 2*time.Second, "healthy delivery", func() bool { return got.len() == 2 })
+	for _, p := range got.snapshot() {
+		if p.Payload != "healthy" || p.From != 0 {
+			t.Errorf("got %#v from %v, want \"healthy\" from p0", p.Payload, p.From)
+		}
 	}
 }
 
@@ -436,14 +486,7 @@ func TestPauseDuringInFlightFrame(t *testing.T) {
 	b.Register(1, got.handle)
 	readErrs := regB.Counter("transport.read_errors")
 
-	payload, err := codec.Encode("in-flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], 0)
-	copy(frame[8:], payload)
+	frame := wireFrame(t, 0, "in-flight")
 
 	// Header and half the payload, then LPAUSE with the rest unwritten:
 	// the reader is blocked mid-frame when the pause closes its
@@ -453,7 +496,7 @@ func TestPauseDuringInFlightFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	half := 8 + len(payload)/2
+	half := 8 + (len(frame)-8)/2
 	if _, err := conn.Write(frame[:half]); err != nil {
 		t.Fatal(err)
 	}
@@ -478,15 +521,7 @@ func TestPauseDuringInFlightFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	payload2, err := codec.Encode("after-resume")
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame2 := make([]byte, 8+len(payload2))
-	binary.LittleEndian.PutUint32(frame2[0:4], uint32(len(payload2)))
-	binary.LittleEndian.PutUint32(frame2[4:8], 0)
-	copy(frame2[8:], payload2)
-	conn2.Write(frame2)
+	conn2.Write(wireFrame(t, 0, "after-resume"))
 	waitFor(t, 5*time.Second, "post-resume delivery", func() bool { return got.len() == 1 })
 	if p := got.snapshot()[0]; p.Payload != "after-resume" {
 		t.Errorf("got %#v, want \"after-resume\"", p.Payload)

@@ -187,17 +187,19 @@ type ReplicatedMemory struct {
 }
 
 // Write submits an update at p; onApplied (optional) runs when the update
-// reaches p's replica.
-func (r *ReplicatedMemory) Write(p ProcID, key, val string, onApplied func()) {
-	r.m.Write(p, key, val, onApplied)
+// reaches p's replica. It returns false, and onApplied never runs, when the
+// stack does not accept the submission (p is down with its state lost).
+func (r *ReplicatedMemory) Write(p ProcID, key, val string, onApplied func()) bool {
+	return r.m.Write(p, key, val, onApplied)
 }
 
 // Read returns p's local replica value (sequentially consistent).
 func (r *ReplicatedMemory) Read(p ProcID, key string) string { return r.m.Read(p, key) }
 
-// ReadAtomic routes the read through the total order (atomic semantics).
-func (r *ReplicatedMemory) ReadAtomic(p ProcID, key string, onValue func(string)) {
-	r.m.ReadAtomic(p, key, onValue)
+// ReadAtomic routes the read through the total order (atomic semantics);
+// false as for Write.
+func (r *ReplicatedMemory) ReadAtomic(p ProcID, key string, onValue func(string)) bool {
+	return r.m.ReadAtomic(p, key, onValue)
 }
 
 // Replica returns a copy of p's current replica contents.

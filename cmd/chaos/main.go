@@ -5,11 +5,19 @@
 // counterexample by delta debugging and writes a JSON artifact that -replay
 // re-executes byte for byte.
 //
+// There are 22 campaigns (-list): nine oracle-level ones (pairwise
+// partitions, ugly links, sub-π strike timing — faults only the simulated
+// oracle can execute) and thirteen process-level ones, whose schedules are
+// the very ones cmd/liverun injects into real processes for the same
+// (campaign, -seed, -n, -window) — so a failed live scenario is rerun
+// deterministically, and shrunk, here.
+//
 // Usage examples:
 //
 //	go run ./cmd/chaos -list
 //	go run ./cmd/chaos -campaign all -runs 3
 //	go run ./cmd/chaos -campaign leader-crash -seed 42 -n 6 -window 8s -v
+//	go run ./cmd/chaos -campaign kill-waves -seed 1 -n 5 -window 8s   # liverun's schedule, simulated
 //	go run ./cmd/chaos -campaign mixed -runs 5 -out artifacts/
 //	go run ./cmd/chaos -campaign all -runs 8 -workers 1   # serial sweep
 //	go run ./cmd/chaos -replay artifacts/mixed-seed3.json

@@ -5,6 +5,12 @@
 // counterexample by delta debugging, and serializes counterexamples into
 // JSON artifacts that cmd/chaos can replay byte for byte.
 //
+// failures.Schedule is the one fault vocabulary. Nine oracle-level
+// campaigns use all of it; thirteen process-level ones (process.go) use
+// the part a signal injector can execute, and internal/live injects
+// exactly their schedules into real processes — so a live scenario is
+// rerun, replayed and shrunk here from its (campaign, seed, n, window).
+//
 // Everything is deterministic: a campaign is a pure function of its type,
 // seed, and spec; a run is a pure function of its Config. The same seed
 // therefore always produces the same schedule, the same trace, the same
@@ -25,9 +31,10 @@ import (
 // CampaignType names one family of adversarial failure schedules.
 type CampaignType string
 
-// The campaign families. Each stresses a different hypothesis of the
-// paper's conditional properties (Figures 5 and 7): what survives crashes,
-// partitions, timing-free (ugly) links, and combinations thereof.
+// The oracle-level campaign families. Each stresses a different hypothesis
+// of the paper's conditional properties (Figures 5 and 7): what survives
+// crashes, partitions, timing-free (ugly) links, and combinations thereof.
+// Their timing scales with δ and π.
 const (
 	// CrashRestart: waves of processor crashes and staggered restarts,
 	// sometimes leaving processors down until the final heal.
@@ -62,18 +69,147 @@ const (
 	TornWrite CampaignType = "torn-write"
 )
 
+// The process-level families (process.go): the part of the adversary that
+// signals and listener controls can execute against real processes, so
+// internal/live injects exactly these schedules and the simulator runs
+// them too. All but RollingRestart draw from the seed.
+const (
+	// StopWaves: waves of minority stops (bad_p, live SIGSTOP) with
+	// staggered resumes. State survives intact; only timing is violated.
+	StopWaves CampaignType = "stop-waves"
+	// KillWaves: waves of minority amnesia crashes (live SIGKILL) with
+	// staggered restarts. Every restart replays the WAL and rejoins one
+	// incarnation up.
+	KillWaves CampaignType = "kill-waves"
+	// RollingIsolation: a sequence of shifting minority listener-pause
+	// sets, each replacing the previous.
+	RollingIsolation CampaignType = "rolling-isolation"
+	// NestedIsolation: one set isolated, then a second inside the
+	// remainder, healed inner-first.
+	NestedIsolation CampaignType = "nested-isolation"
+	// FlappingLinks: one or two victims toggling listener pause/resume at
+	// periods far below the membership timescale.
+	FlappingLinks CampaignType = "flapping-links"
+	// AsymmetricLinks: per phase, one victim's listener is paused while
+	// its own sends still flow — a genuinely one-way fault, rotated
+	// across victims.
+	AsymmetricLinks CampaignType = "asymmetric-links"
+	// LeaderKill: an amnesia crash targeted at the lowest-ID live node
+	// (the ring leader), restarted, then the strike cascades to the next
+	// leader.
+	LeaderKill CampaignType = "leader-kill"
+	// RollingRestart: every node gracefully cycled (live: STOP, exit,
+	// respawn) exactly once under load — the operational upgrade drill.
+	RollingRestart CampaignType = "rolling-restart"
+	// MixedFaults: the soak adversary — every few hundred ms one of stop /
+	// kill / listener pause against a random node, each healed before the
+	// next strike.
+	MixedFaults CampaignType = "mixed-faults"
+
+	// The quorum-loss families below deliberately exceed the ⌊(n-1)/2⌋
+	// budget every other process-level family respects: they fault enough
+	// nodes at once that no quorum stays mutually connected, so no primary
+	// component can exist until the heal. The paper's conditional-liveness
+	// claim (the Section 6 lemma chain) only promises delivery after the
+	// pattern stabilizes with a majority component; these families drive
+	// the before/after of that condition. Their gate is inverted: instead
+	// of proving a primary survived, the runners prove the order did not
+	// grow during any loss epoch and resumed within a bound after the
+	// final heal.
+
+	// MajorityKill: one simultaneous amnesia wave large enough that no
+	// quorum survives, held, then staggered restarts — correlated machine
+	// failure taking the primary down with it.
+	MajorityKill CampaignType = "majority-kill"
+	// TotalPartition: every node's peer listener paused at once — a total
+	// symmetric partition into n singleton components — healed together.
+	TotalPartition CampaignType = "total-partition"
+	// CascadingFailure: nodes killed one at a time until just past the
+	// quorum-loss threshold, held, then restarted in reverse order — the
+	// slow-motion loss and recovery of a primary.
+	CascadingFailure CampaignType = "cascading-failure"
+	// SplitRejoin: repeated rounds of isolating a different majority
+	// subset (listener pause) and rejoining it — each round loses and
+	// re-forms the primary.
+	SplitRejoin CampaignType = "split-rejoin"
+)
+
+// family is one row of the campaign table.
+type family struct {
+	name CampaignType
+	emit func(*gen)
+	// process marks a process-level family (process.go).
+	process bool
+	// loss marks a process-level family that exceeds the quorum budget.
+	loss bool
+}
+
+// families is the campaign table, in Campaigns' fixed order: the nine
+// oracle-level families (pairwise partitions, ugly links, sub-π strike
+// timing, crashes held to the forced heal — what only the oracle can
+// execute), then the thirteen process-level ones.
+var families = []family{
+	{name: CrashRestart, emit: (*gen).crashRestart},
+	{name: RollingPartition, emit: (*gen).rollingPartition},
+	{name: NestedPartition, emit: (*gen).nestedPartition},
+	{name: Flapping, emit: (*gen).flapping},
+	{name: Asymmetric, emit: (*gen).asymmetric},
+	{name: LeaderCrash, emit: (*gen).leaderCrash},
+	{name: Mixed, emit: (*gen).mixed},
+	{name: Amnesia, emit: (*gen).amnesia},
+	{name: TornWrite, emit: (*gen).tornWrite},
+	{name: StopWaves, emit: func(g *gen) { g.waves(failures.Bad) }, process: true},
+	{name: KillWaves, emit: func(g *gen) { g.waves(failures.Amnesia) }, process: true},
+	{name: RollingIsolation, emit: (*gen).rollingIsolation, process: true},
+	{name: NestedIsolation, emit: (*gen).nestedIsolation, process: true},
+	{name: FlappingLinks, emit: (*gen).flappingLinks, process: true},
+	{name: AsymmetricLinks, emit: (*gen).asymmetricLinks, process: true},
+	{name: LeaderKill, emit: (*gen).leaderKill, process: true},
+	{name: RollingRestart, emit: (*gen).rollingRestart, process: true},
+	{name: MixedFaults, emit: (*gen).mixedFaults, process: true},
+	{name: MajorityKill, emit: (*gen).majorityKill, process: true, loss: true},
+	{name: TotalPartition, emit: (*gen).totalPartition, process: true, loss: true},
+	{name: CascadingFailure, emit: (*gen).cascadingFailure, process: true, loss: true},
+	{name: SplitRejoin, emit: (*gen).splitRejoin, process: true, loss: true},
+}
+
 // Campaigns lists every campaign type, in a fixed order.
-var Campaigns = []CampaignType{
-	CrashRestart, RollingPartition, NestedPartition, Flapping, Asymmetric, LeaderCrash, Mixed,
-	Amnesia, TornWrite,
+var Campaigns = func() []CampaignType {
+	out := make([]CampaignType, len(families))
+	for i, f := range families {
+		out[i] = f.name
+	}
+	return out
+}()
+
+func (ct CampaignType) family() (family, bool) {
+	for _, f := range families {
+		if f.name == ct {
+			return f, true
+		}
+	}
+	return family{}, false
+}
+
+// ProcessLevel reports whether the family restricts itself to faults a
+// signal injector can execute (internal/live runs exactly these).
+func (ct CampaignType) ProcessLevel() bool {
+	f, _ := ct.family()
+	return f.process
+}
+
+// QuorumLoss reports whether the family deliberately exceeds the quorum
+// budget (and is therefore gated on primary-loss detection and bounded
+// recovery instead of the quorum-alive non-vacuity guard).
+func (ct CampaignType) QuorumLoss() bool {
+	f, _ := ct.family()
+	return f.loss
 }
 
 // ParseCampaign validates a campaign name.
 func ParseCampaign(s string) (CampaignType, error) {
-	for _, c := range Campaigns {
-		if string(c) == s {
-			return c, nil
-		}
+	if _, ok := CampaignType(s).family(); ok {
+		return CampaignType(s), nil
 	}
 	return "", fmt.Errorf("chaos: unknown campaign %q (have %v)", s, Campaigns)
 }
@@ -82,7 +218,8 @@ func ParseCampaign(s string) (CampaignType, error) {
 type Spec struct {
 	// N is the number of processors (IDs 0..N-1).
 	N int
-	// Delta is the network's δ; fault timing scales with it.
+	// Delta is the network's δ; oracle-level fault timing scales with it
+	// (the process-level families ignore it).
 	Delta time.Duration
 	// Window is the adversary's active interval [0, Window): every
 	// generated event falls strictly inside it. The runner force-heals the
@@ -97,39 +234,38 @@ type Spec struct {
 // Generate produces the failure schedule of the given campaign type,
 // deterministically from (ct, seed, spec).
 func Generate(ct CampaignType, seed int64, spec Spec) (failures.Schedule, error) {
-	if spec.N < 2 {
-		return nil, fmt.Errorf("chaos: need at least 2 processors, have %d", spec.N)
-	}
-	if spec.Delta <= 0 || spec.Window <= 0 {
-		return nil, fmt.Errorf("chaos: Delta and Window must be positive")
+	f, ok := ct.family()
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("chaos: unknown campaign %q", ct)
+	case !f.process:
+		if spec.N < 2 {
+			return nil, fmt.Errorf("chaos: need at least 2 processors, have %d", spec.N)
+		}
+		if spec.Delta <= 0 || spec.Window <= 0 {
+			return nil, fmt.Errorf("chaos: Delta and Window must be positive")
+		}
+	case spec.N < 3:
+		return nil, fmt.Errorf("chaos: campaign %s needs n >= 3, have %d", ct, spec.N)
+	case spec.Window < 2*time.Second:
+		return nil, fmt.Errorf("chaos: campaign %s needs window >= 2s, have %v", ct, spec.Window)
+	case f.loss && spec.Window < 4*time.Second:
+		// The loss epoch must outlast the live detector's grace interval
+		// plus at least two sampling periods, and the heal still has to
+		// land inside the window; below 4s the shapes can't fit.
+		return nil, fmt.Errorf("chaos: quorum-loss campaign %s needs window >= 4s, have %v", ct, spec.Window)
 	}
 	g := &gen{
-		rng:  rand.New(rand.NewSource(seed)),
-		spec: spec,
-		all:  types.RangeProcSet(spec.N),
+		rng:    rand.New(rand.NewSource(seed)),
+		spec:   spec,
+		all:    types.RangeProcSet(spec.N),
+		grain:  1,
+		budget: (spec.N - 1) / 2,
 	}
-	switch ct {
-	case CrashRestart:
-		g.crashRestart()
-	case RollingPartition:
-		g.rollingPartition()
-	case NestedPartition:
-		g.nestedPartition()
-	case Flapping:
-		g.flapping()
-	case Asymmetric:
-		g.asymmetric()
-	case LeaderCrash:
-		g.leaderCrash()
-	case Mixed:
-		g.mixed()
-	case Amnesia:
-		g.amnesia()
-	case TornWrite:
-		g.tornWrite()
-	default:
-		return nil, fmt.Errorf("chaos: unknown campaign %q", ct)
+	if f.process {
+		g.grain = time.Millisecond
 	}
+	f.emit(g)
 	g.out.Sort()
 	return g.out, nil
 }
@@ -138,18 +274,24 @@ type gen struct {
 	rng  *rand.Rand
 	spec Spec
 	all  types.ProcSet
-	out  failures.Schedule
+	// grain is the time resolution of emitted events: 1ns for the
+	// oracle-level families, 1ms (the live injector's) for process-level.
+	grain time.Duration
+	// budget is the process-level families' cap on concurrently faulted
+	// nodes: (n-1)/2.
+	budget int
+	out    failures.Schedule
 }
 
-// inWindow clamps t strictly inside the adversary window.
+// inWindow clamps t strictly inside the adversary window, on the grain.
 func (g *gen) inWindow(t time.Duration) sim.Time {
 	if t < 0 {
 		t = 0
 	}
 	if t >= g.spec.Window {
-		t = g.spec.Window - 1
+		t = g.spec.Window - g.grain
 	}
-	return sim.Time(t)
+	return sim.Time(t.Truncate(g.grain))
 }
 
 func (g *gen) proc(t time.Duration, p types.ProcID, s failures.Status) {

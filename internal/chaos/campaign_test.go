@@ -7,21 +7,35 @@ import (
 	"time"
 
 	"repro/internal/failures"
+	"repro/internal/props"
 	"repro/internal/stack"
+	"repro/internal/types"
 )
 
-func testSpec() Spec {
-	return Spec{N: 4, Delta: time.Millisecond, Window: 1200 * time.Millisecond}
+// testWindow is the short window of the quick tests; the process-level
+// families need at least 2s, the quorum-loss ones 4s.
+func testWindow(ct CampaignType) time.Duration {
+	switch {
+	case ct.QuorumLoss():
+		return 4 * time.Second
+	case ct.ProcessLevel():
+		return 2 * time.Second
+	}
+	return 1200 * time.Millisecond
+}
+
+func testSpec(ct CampaignType) Spec {
+	return Spec{N: 4, Delta: time.Millisecond, Window: testWindow(ct)}
 }
 
 func TestGenerateIsDeterministic(t *testing.T) {
 	for _, ct := range Campaigns {
 		for seed := int64(1); seed <= 3; seed++ {
-			a, err := Generate(ct, seed, testSpec())
+			a, err := Generate(ct, seed, testSpec(ct))
 			if err != nil {
 				t.Fatalf("%s: %v", ct, err)
 			}
-			b, err := Generate(ct, seed, testSpec())
+			b, err := Generate(ct, seed, testSpec(ct))
 			if err != nil {
 				t.Fatalf("%s: %v", ct, err)
 			}
@@ -33,7 +47,12 @@ func TestGenerateIsDeterministic(t *testing.T) {
 					t.Fatalf("%s seed %d: event %d differs: %v vs %v", ct, seed, i, a[i], b[i])
 				}
 			}
-			c, err := Generate(ct, seed+100, testSpec())
+			if ct.ProcessLevel() {
+				// One victim at fixed instants can coincide across seeds at
+				// n=4; TestProcessLevelSeedsDiffer checks these at n=10.
+				continue
+			}
+			c, err := Generate(ct, seed+100, testSpec(ct))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,8 +64,8 @@ func TestGenerateIsDeterministic(t *testing.T) {
 }
 
 func TestGeneratedSchedulesStayInWindow(t *testing.T) {
-	spec := testSpec()
 	for _, ct := range Campaigns {
+		spec := testSpec(ct)
 		for seed := int64(1); seed <= 5; seed++ {
 			s, err := Generate(ct, seed, spec)
 			if err != nil {
@@ -80,7 +99,13 @@ func TestGenerateRejectsBadSpecs(t *testing.T) {
 	if _, err := Generate(Mixed, 1, Spec{N: 3, Window: time.Second}); err == nil {
 		t.Error("accepted zero delta")
 	}
-	if _, err := Generate(CampaignType("nonsense"), 1, testSpec()); err == nil {
+	if _, err := Generate(StopWaves, 1, Spec{N: 2, Window: 12 * time.Second}); err == nil {
+		t.Error("process-level campaign accepted n=2")
+	}
+	if _, err := Generate(StopWaves, 1, Spec{N: 5, Window: time.Second}); err == nil {
+		t.Error("process-level campaign accepted a 1s window")
+	}
+	if _, err := Generate(CampaignType("nonsense"), 1, testSpec(Mixed)); err == nil {
 		t.Error("accepted unknown campaign")
 	}
 	if _, err := ParseCampaign("nonsense"); err == nil {
@@ -96,7 +121,7 @@ func TestGenerateRejectsBadSpecs(t *testing.T) {
 // ever hit the minimum currently-live processor.
 func TestLeaderCrashTargetsRingLeaders(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		s, err := Generate(LeaderCrash, seed, testSpec())
+		s, err := Generate(LeaderCrash, seed, testSpec(LeaderCrash))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +159,7 @@ func TestAllCampaignsPassQuick(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 2; seed++ {
 				t.Logf("seed %d", seed)
-				r := Run(Config{Campaign: ct, Seed: seed, N: 4, Window: 1200 * time.Millisecond})
+				r := Run(Config{Campaign: ct, Seed: seed, N: 4, Window: testWindow(ct)})
 				if r.Failed() {
 					t.Fatalf("seed %d: %v", seed, r.Violation)
 				}
@@ -160,5 +185,46 @@ func TestRunIsDeterministic(t *testing.T) {
 	if a.Msgs != b.Msgs || a.Deliveries != b.Deliveries || a.Net != b.Net ||
 		a.VSEvents != b.VSEvents || a.Recovery != b.Recovery || a.HealTime != b.HealTime {
 		t.Fatalf("runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestMsgsCountsAcceptedSubmissionsOnly holds one origin in amnesia for
+// the whole load window: a wiped processor hosts no client, so Bcast there
+// reports false, nothing it was offered is ever logged as submitted, and
+// Result.Msgs counts exactly the accepted submissions.
+func TestMsgsCountsAcceptedSubmissionsOnly(t *testing.T) {
+	const victim = types.ProcID(1)
+	c := stack.NewCluster(stack.Options{Seed: 1, N: 4, Delta: time.Millisecond})
+	c.Oracle.SetProc(victim, failures.Amnesia)
+	if c.Bcast(victim, "refused") {
+		t.Fatal("an amnesiac origin accepted a submission")
+	}
+	if !c.Bcast(0, "accepted") {
+		t.Fatal("a good origin refused a submission")
+	}
+
+	r := Run(Config{Campaign: Amnesia, Seed: 1, N: 4, Window: 1200 * time.Millisecond,
+		Schedule: failures.Schedule{{Time: 0, Proc: victim, Status: failures.Amnesia}}})
+	if r.Failed() {
+		t.Fatal(r.Violation)
+	}
+	logged, lastOffer := 0, 0
+	for _, e := range r.Cluster.Log.Events {
+		if e.Kind != props.TOBcast {
+			continue
+		}
+		if e.P == victim {
+			t.Fatalf("amnesiac origin logged a submission: %v", e)
+		}
+		logged++
+		var k int
+		fmt.Sscanf(string(e.Value), "c%d", &k) // the k-th value the traffic loop offered
+		lastOffer = max(lastOffer, k)
+	}
+	if r.Msgs != logged {
+		t.Errorf("Msgs = %d, want the %d accepted submissions", r.Msgs, logged)
+	}
+	if lastOffer <= r.Msgs {
+		t.Errorf("traffic loop offered %d values and Msgs = %d: no offer to the amnesiac origin was left out", lastOffer, r.Msgs)
 	}
 }

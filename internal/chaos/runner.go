@@ -83,7 +83,8 @@ func (c Config) withDefaults() Config {
 // Violation describes one failed check.
 type Violation struct {
 	// Check names the failed oracle: "conformance", "recovery-liveness",
-	// "no-traffic", "rejoin-safety", "sim", or an ExtraCheck-defined name.
+	// "no-traffic", "rejoin-safety", "quorum-loss", "sim", or an
+	// ExtraCheck-defined name.
 	Check string
 	// Detail is the human-readable diagnosis.
 	Detail string
@@ -106,9 +107,13 @@ type Result struct {
 	HealTime sim.Time
 	// Bound is the effective recovery-liveness deadline after HealTime.
 	Bound time.Duration
-	// Msgs counts client submissions; Deliveries counts TO deliveries
-	// summed over all nodes.
+	// Msgs counts the client submissions their origin accepted (an
+	// amnesiac origin refuses); Deliveries counts TO deliveries summed over
+	// all nodes.
 	Msgs, Deliveries int
+	// LossEpochs are the schedule's quorum-loss intervals (quorum-loss
+	// campaigns only): the intervals the quorum-loss check guarded.
+	LossEpochs []Epoch
 	// Net is the final network activity; PostHeal is the activity in the
 	// window after the final heal (the non-vacuity evidence).
 	Net, PostHeal net.Stats
@@ -187,14 +192,17 @@ func Run(cfg Config) *Result {
 	// Continuous traffic from an rng independent of the schedule's, so a
 	// shrunk schedule faces the identical workload.
 	traffic := rand.New(rand.NewSource(cfg.Seed*0x9e3779b9 + 1))
+	offered := 0
 	var load func()
 	load = func() {
 		if c.Sim.Now() >= healT {
 			return
 		}
 		c.Sim.After(time.Duration(20+traffic.Intn(40))*time.Millisecond, load)
-		res.Msgs++
-		c.Bcast(types.ProcID(traffic.Intn(cfg.N)), types.Value(fmt.Sprintf("c%d", res.Msgs)))
+		offered++
+		if c.Bcast(types.ProcID(traffic.Intn(cfg.N)), types.Value(fmt.Sprintf("c%d", offered))) {
+			res.Msgs++
+		}
 	}
 	c.Sim.After(10*time.Millisecond, load)
 
@@ -245,10 +253,52 @@ func Run(cfg Config) *Result {
 		return res
 	}
 
+	// Check 5 (quorum-loss campaigns): while the schedule holds a quorum's
+	// worth of nodes faulted no primary can exist, so the total order must
+	// not grow — the simulator's form of the live primary-loss guard.
+	// Recovery after the heal is check 2.
+	if cfg.Campaign.QuorumLoss() {
+		res.LossEpochs = LossEpochs(sched, cfg.N)
+		if err := checkQuorumLoss(c.Log, res.LossEpochs, c.Cfg.AnalyticB(cfg.N)); err != nil {
+			res.Violation = &Violation{Check: "quorum-loss", Detail: err.Error()}
+			return res
+		}
+	}
+
 	if cfg.ExtraCheck != nil {
 		res.Violation = cfg.ExtraCheck(res)
 	}
 	return res
+}
+
+// checkQuorumLoss verifies that the total order did not grow inside any
+// loss epoch's guarded interval (Start+grace, End]: no processor's
+// delivered prefix may become longer than the longest held anywhere before
+// it. A minority may lawfully release the established order — survivors
+// exchange state, a restarted processor catches up — but only a primary
+// can extend it. (The log passed conformance, so prefix lengths compare
+// across processors.) The grace, the analytic b, covers deliveries in
+// flight when the quorum is lost.
+func checkQuorumLoss(log *props.Log, epochs []Epoch, grace time.Duration) error {
+	delivered := make(map[types.ProcID]int)
+	longest := 0
+	for _, e := range log.Events {
+		if e.Kind != props.TOBrcv {
+			continue
+		}
+		delivered[e.P]++
+		if delivered[e.P] <= longest {
+			continue
+		}
+		for _, ep := range epochs {
+			if e.T > ep.Start.Add(grace) && e.T <= ep.End {
+				return fmt.Errorf("%v delivered %q at %v as value %d of the order, past the longest prefix %d held before: the order grew inside loss epoch [%v, %v] (grace %v)",
+					e.P, e.Value, e.T, delivered[e.P], longest, ep.Start, ep.End, grace)
+			}
+		}
+		longest = delivered[e.P]
+	}
+	return nil
 }
 
 // Conformance replays a recorded log through the VS and TO trace checkers

@@ -119,11 +119,14 @@ func TestShrinkRespectsRunCap(t *testing.T) {
 }
 
 // TestInjectedBugShrinksToMinimalReplayableCounterexample is the
-// acceptance-criteria pipeline, end to end: a deliberately broken checker
-// (it declares any run in which processor 1 ever crashed a violation) trips
-// on a full mixed campaign; delta debugging shrinks the schedule to the
-// single crash event; the minimized run serializes to an artifact; the
-// artifact replays byte for byte with the identical violation.
+// acceptance-criteria pipeline, end to end: an injected bug trips on a
+// full campaign; delta debugging shrinks the schedule to the single
+// responsible event; the minimized run serializes to an artifact; the
+// artifact replays byte for byte with the identical violation. The mixed
+// row's bug is a deliberately broken checker (it declares any run in which
+// processor 1 ever crashed a violation); the process-level rows' bug is a
+// broken recovery path (SkipRecoveryReplay), which the very schedules the
+// live injector executes expose and ddmin reduces to one amnesia crash.
 func TestInjectedBugShrinksToMinimalReplayableCounterexample(t *testing.T) {
 	brokenChecker := func(r *Result) *Violation {
 		for _, e := range r.Cluster.Oracle.History() {
@@ -133,63 +136,79 @@ func TestInjectedBugShrinksToMinimalReplayableCounterexample(t *testing.T) {
 		}
 		return nil
 	}
-	// Find a seed whose mixed campaign crashes processor 1 at some point.
-	var first *Result
-	for seed := int64(1); seed <= 20; seed++ {
-		t.Logf("seed %d", seed)
-		r := Run(Config{Campaign: Mixed, Seed: seed, N: 4,
-			Window: 1200 * time.Millisecond, ExtraCheck: brokenChecker})
-		if r.Failed() {
-			if r.Violation.Check != "injected-bug" {
-				t.Fatalf("seed %d: real violation before the injected one: %v", seed, r.Violation)
+	for _, row := range []struct {
+		cfg       Config
+		seeds     int64 // search seeds 1..seeds for the first failing run
+		wantCheck string
+		wantEvent func(failures.Event) bool
+	}{
+		{cfg: Config{Campaign: Mixed, N: 4, Window: 1200 * time.Millisecond, ExtraCheck: brokenChecker},
+			seeds: 20, wantCheck: "injected-bug",
+			wantEvent: func(e failures.Event) bool { return !e.Channel && e.Proc == 1 && e.Status == failures.Bad }},
+		{cfg: Config{Campaign: KillWaves, N: 5, Window: 6 * time.Second, SkipRecoveryReplay: true},
+			seeds: 1, wantCheck: "conformance",
+			wantEvent: func(e failures.Event) bool { return !e.Channel && e.Status == failures.Amnesia }},
+		{cfg: Config{Campaign: RollingRestart, N: 5, Window: 6 * time.Second, SkipRecoveryReplay: true},
+			seeds: 1, wantCheck: "conformance",
+			wantEvent: func(e failures.Event) bool { return !e.Channel && e.Status == failures.Amnesia }},
+	} {
+		row := row
+		t.Run(string(row.cfg.Campaign), func(t *testing.T) {
+			var first *Result
+			for seed := int64(1); seed <= row.seeds; seed++ {
+				t.Logf("seed %d", seed)
+				cfg := row.cfg
+				cfg.Seed = seed
+				r := Run(cfg)
+				if r.Failed() {
+					if r.Violation.Check != row.wantCheck {
+						t.Fatalf("seed %d: violation %v before the injected one", seed, r.Violation)
+					}
+					first = r
+					break
+				}
 			}
-			first = r
-			break
-		}
-	}
-	if first == nil {
-		t.Fatal("no mixed campaign crashed processor 1 in 20 seeds")
-	}
+			if first == nil {
+				t.Fatalf("the injected bug survived %d seeds undetected", row.seeds)
+			}
 
-	min, st := ShrinkResult(first, 0)
-	t.Logf("shrunk %d → %d events in %d runs", st.From, st.To, st.Runs)
-	if !min.Failed() || min.Violation.Check != "injected-bug" {
-		t.Fatalf("minimized run lost the violation: %v", min.Violation)
-	}
-	if len(min.Schedule) != 1 {
-		t.Fatalf("minimal counterexample has %d events, want exactly the one crash: %v",
-			len(min.Schedule), min.Schedule)
-	}
-	e := min.Schedule[0]
-	if e.Channel || e.Proc != 1 || e.Status != failures.Bad {
-		t.Fatalf("minimal event is %v, want bad_p1", e)
-	}
+			min, st := ShrinkResult(first, 0)
+			t.Logf("shrunk %d → %d events in %d runs", st.From, st.To, st.Runs)
+			if !min.Failed() || min.Violation.Check != row.wantCheck {
+				t.Fatalf("minimized run lost the violation: %v", min.Violation)
+			}
+			if len(min.Schedule) != 1 || !row.wantEvent(min.Schedule[0]) {
+				t.Fatalf("minimal counterexample is %v, want exactly the one responsible event", min.Schedule)
+			}
 
-	// Artifact round trip and byte-for-byte replay.
-	art := NewArtifact(min)
-	enc, err := art.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeArtifact(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := back.Config()
-	cfg.ExtraCheck = brokenChecker
-	replay := Run(cfg)
-	if !replay.Failed() || replay.Violation.Check != "injected-bug" {
-		t.Fatalf("replay lost the violation: %v", replay.Violation)
-	}
-	if replay.Msgs != min.Msgs || replay.Deliveries != min.Deliveries || replay.Net != min.Net {
-		t.Fatalf("replay diverged: %+v vs %+v", replay, min)
-	}
-	enc2, err := NewArtifact(replay).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, enc2) {
-		t.Fatalf("replayed artifact differs from the original:\n%s\n%s", enc, enc2)
+			// Artifact round trip and byte-for-byte replay. The injected bug
+			// is not part of the artifact; the replay re-arms it.
+			art := NewArtifact(min)
+			enc, err := art.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := DecodeArtifact(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := back.Config()
+			cfg.ExtraCheck, cfg.SkipRecoveryReplay = row.cfg.ExtraCheck, row.cfg.SkipRecoveryReplay
+			replay := Run(cfg)
+			if !replay.Failed() || replay.Violation.Check != row.wantCheck {
+				t.Fatalf("replay lost the violation: %v", replay.Violation)
+			}
+			if replay.Msgs != min.Msgs || replay.Deliveries != min.Deliveries || replay.Net != min.Net {
+				t.Fatalf("replay diverged: %+v vs %+v", replay, min)
+			}
+			enc2, err := NewArtifact(replay).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, enc2) {
+				t.Fatalf("replayed artifact differs from the original:\n%s\n%s", enc, enc2)
+			}
+		})
 	}
 }
 

@@ -12,13 +12,14 @@ import (
 )
 
 // sweepConfigs is the determinism workload: every campaign family, two
-// seeds each, short windows so the whole sweep runs twice in a test.
+// seeds each, short windows so the whole sweep runs twice in a test (4s
+// is the quorum-loss families' minimum).
 func sweepConfigs() []Config {
 	var cfgs []Config
 	for _, ct := range Campaigns {
 		for seed := int64(1); seed <= 2; seed++ {
 			cfgs = append(cfgs, Config{
-				Campaign: ct, Seed: seed, N: 4, Window: 2 * time.Second,
+				Campaign: ct, Seed: seed, N: 4, Window: max(2*time.Second, testWindow(ct)),
 				Wire: seed%2 == 0,
 			})
 		}

@@ -36,30 +36,10 @@ type BenchEntry struct {
 	Histograms      map[string]obs.HistogramSummary `json:"histograms"`
 }
 
-// LiveFloors are the perf bounds the live-cluster CI job enforces with
-// liverun -floors: the real deployment must sustain at least
-// RateFraction of the offered load (deliveries summed over nodes per
-// wall second, against rate × n offered) and keep p99 submit→delivery
-// latency under MaxP99MS. The floors ship inside BENCH_baseline.json so
-// the live gate and the simulated baseline regenerate from one file and
-// one commit.
-type LiveFloors struct {
-	// RateFraction is the minimum delivered/offered throughput ratio.
-	// Deliberately loose (the live job runs on shared CI runners and
-	// kills a node mid-run); it exists to catch order-of-magnitude
-	// regressions in the hot path, not to benchmark the runner.
-	RateFraction float64 `json:"rate_fraction"`
-	// MaxP99MS bounds the 99th-percentile submit→delivery latency in
-	// wall milliseconds.
-	MaxP99MS float64 `json:"max_p99_ms"`
-}
-
 // BenchReport is the whole baseline file (BENCH_baseline.json).
 type BenchReport struct {
 	Seed    int64        `json:"seed"`
 	Entries []BenchEntry `json:"entries"`
-	// Live carries the floors the live-cluster CI job enforces.
-	Live LiveFloors `json:"live_floors"`
 }
 
 func benchEntry(id, scenario string, c *stack.Cluster, reg *obs.Registry) BenchEntry {
@@ -98,7 +78,6 @@ func BenchBaselineWorkers(seed int64, workers int) *BenchReport {
 	return &BenchReport{
 		Seed:    seed,
 		Entries: sweep.Run(workers, len(scenarios), func(i int) BenchEntry { return scenarios[i]() }),
-		Live:    LiveFloors{RateFraction: 0.15, MaxP99MS: 2000},
 	}
 }
 

@@ -7,15 +7,11 @@ import (
 
 // TestBenchBaseline pins the bench-baseline contract: four scenarios (E1,
 // E2, E14, E16), each with live throughput, a sampled delivery-latency
-// distribution, and the per-layer counters the baseline diff keys on,
-// plus the live floors the live CI gate enforces.
+// distribution, and the per-layer counters the baseline diff keys on.
 func TestBenchBaseline(t *testing.T) {
 	r := BenchBaseline(1)
 	if len(r.Entries) != 4 {
 		t.Fatalf("entries = %d, want 4", len(r.Entries))
-	}
-	if r.Live.RateFraction <= 0 || r.Live.MaxP99MS <= 0 {
-		t.Fatalf("live floors unset: %+v", r.Live)
 	}
 	want := []string{"E1", "E2", "E14", "E16"}
 	for i, e := range r.Entries {

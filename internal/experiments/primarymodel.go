@@ -85,7 +85,7 @@ func E12(seed int64) *Table {
 	// VStoTO stack.
 	sc := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta})
 	vsRes := scenario(
-		sc.Bcast,
+		func(p types.ProcID, a types.Value) { sc.Bcast(p, a) },
 		func(until sim.Time) error { return sc.Sim.Run(until) },
 		func() map[types.ProcID]map[types.Value]bool {
 			out := make(map[types.ProcID]map[types.Value]bool)

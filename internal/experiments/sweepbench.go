@@ -49,7 +49,9 @@ func sweepWorkload(seed int64, workers int) (digest string, runs int) {
 	cfgs := make([]chaos.Config, 0, len(chaos.Campaigns))
 	for _, ct := range chaos.Campaigns {
 		cfgs = append(cfgs, chaos.Config{
-			Campaign: ct, Seed: seed, N: 5, Window: 2 * time.Second,
+			// 4s is the shortest window every campaign accepts (the
+			// quorum-loss families' minimum).
+			Campaign: ct, Seed: seed, N: 5, Window: 4 * time.Second,
 		})
 	}
 	results := chaos.Sweep(cfgs, workers)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/failures"
 	"repro/internal/props"
 	"repro/internal/types"
 )
@@ -25,7 +26,7 @@ type cluster struct {
 	cfgPath string
 	// checkpointBytes > 0 passes -checkpoint-bytes to every daemon.
 	checkpointBytes int
-	// maxPending > 0 passes -max-pending to every daemon (TryBcast
+	// maxPending > 0 passes -max-pending to every daemon (Bcast
 	// backpressure bound).
 	maxPending int
 	logf       func(string, ...any)
@@ -151,11 +152,8 @@ func (cl *cluster) stopAll(timeout time.Duration) []error {
 	var errs []error
 	for _, n := range cl.cfg.Nodes {
 		if p := cl.proc(n.ID); p != nil && !p.Exited() {
-			p.Resume() // no-op unless SIGSTOPped
-			if c, err := DialClient(n.ClientAddr, 5*time.Second); err == nil {
-				c.Stop()
-				c.Close()
-			}
+			p.Apply(failures.Good) // no-op unless SIGSTOPped
+			cl.control(n.ID, (*Client).Stop)
 		}
 	}
 	cl.mu.Lock()

@@ -19,8 +19,10 @@ import (
 //	Amnesia → SIGKILL  (volatile state gone; the WAL file survives, and
 //	                    the next boot runs the recovery path)
 //
-// Channel faults map to the daemon's listener controls (LPAUSE/LRESUME
-// over the control connection; see Client), not to signals.
+// A listener fault — all inbound pairs of a node bad at once — maps to
+// the daemon's listener controls (LPAUSE/LRESUME over the control
+// connection; see Client), not to signals. Executable (scenario.go) says
+// which schedules these realise.
 type Proc struct {
 	ID  types.ProcID
 	Cmd *exec.Cmd
@@ -32,11 +34,12 @@ type Proc struct {
 	waitErr  error
 }
 
-// Apply maps a processor status onto the live process. Good after a
-// SIGSTOP resumes; reviving a SIGKILLed process needs a restart, which
-// only the orchestrator can do (it owns the spawn parameters) — Apply
-// reports that case as an error so callers route it there. Signalling an
-// already-exited process reports os.ErrProcessDone.
+// Apply maps a processor status onto the live process — the one
+// status-to-signal mapping. Good after a SIGSTOP resumes (and is a no-op
+// on a running process); reviving a SIGKILLed process needs a restart,
+// which only the orchestrator can do (it owns the spawn parameters), so
+// callers check Exited first. Signalling an already-exited process
+// reports os.ErrProcessDone.
 func (p *Proc) Apply(status failures.Status) error {
 	switch status {
 	case failures.Bad:
@@ -44,17 +47,11 @@ func (p *Proc) Apply(status failures.Status) error {
 	case failures.Good:
 		return p.signal(syscall.SIGCONT)
 	case failures.Amnesia:
-		return p.signal(syscall.SIGKILL)
+		return p.Kill()
 	default:
 		return fmt.Errorf("live: no process realization for status %v", status)
 	}
 }
-
-// Pause delivers SIGSTOP (failures.Bad).
-func (p *Proc) Pause() error { return p.signal(syscall.SIGSTOP) }
-
-// Resume delivers SIGCONT (failures.Good after Bad).
-func (p *Proc) Resume() error { return p.signal(syscall.SIGCONT) }
 
 // Kill delivers SIGKILL (failures.Amnesia) and reaps the process,
 // bounded: SIGKILL cannot be caught or blocked (it kills even a stopped

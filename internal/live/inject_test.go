@@ -59,11 +59,14 @@ func TestApplyOnDeadProcess(t *testing.T) {
 // (a stopped node being wiped) must reap within the bound.
 func TestKillStoppedProcess(t *testing.T) {
 	p := sleeper(t, "60")
-	if err := p.Pause(); err != nil {
-		t.Fatalf("Pause: %v", err)
+	if err := p.Apply(failures.Bad); err != nil {
+		t.Fatalf("SIGSTOP: %v", err)
 	}
-	if err := p.Kill(); err != nil {
-		t.Fatalf("Kill after Pause: %v", err)
+	if err := p.Apply(failures.Amnesia); err != nil {
+		t.Fatalf("SIGKILL after SIGSTOP: %v", err)
+	}
+	if !p.Exited() {
+		t.Fatal("not reaped after Apply(Amnesia) returned")
 	}
 }
 
@@ -99,10 +102,10 @@ func TestWaitExitClean(t *testing.T) {
 // not be mistaken for an exit, and a later kill still reaps it.
 func TestPauseResumeKill(t *testing.T) {
 	p := sleeper(t, "60")
-	if err := p.Pause(); err != nil {
+	if err := p.Apply(failures.Bad); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Resume(); err != nil {
+	if err := p.Apply(failures.Good); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exited() {

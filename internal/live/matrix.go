@@ -7,7 +7,18 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/experiments"
+	"repro/internal/failures"
+)
+
+// The perf floors every single-scenario liverun run enforces on the
+// loadgen's report: delivered throughput (summed over nodes) at least
+// FloorRateFraction of the offered rate × n, and p99 submit→delivery
+// latency at most FloorMaxP99.
+const (
+	FloorRateFraction = 0.15
+	FloorMaxP99       = 2 * time.Second
 )
 
 // ScenarioOptions configures one chaos-driven live scenario: a real
@@ -31,7 +42,7 @@ type ScenarioOptions struct {
 	Settle time.Duration
 	// CheckpointBytes arms WAL compaction at every daemon (0 disables).
 	CheckpointBytes int
-	// MaxPending is the per-daemon TryBcast backpressure bound (default
+	// MaxPending is the per-daemon Bcast backpressure bound (default
 	// 4096; quorum-loss scenarios rely on it so stalled daemons push
 	// back instead of buffering without limit).
 	MaxPending int
@@ -60,8 +71,9 @@ type ScenarioResult struct {
 	Scenario Scenario               `json:"scenario"`
 	Entry    experiments.BenchEntry `json:"entry"`
 	OrderLen int                    `json:"order_len"`
-	// Injected counts executed actions per kind; InjectErrs lists
-	// injection failures (an action against a node that died first is
+	// Injected counts executed injector steps per class (sigstop,
+	// sigcont, sigkill, restart, lpause, lresume, cycle); InjectErrs lists
+	// injection failures (a step against a node that died first is
 	// recorded, not fatal).
 	Injected   map[string]int `json:"injected"`
 	InjectErrs []string       `json:"inject_errs,omitempty"`
@@ -80,7 +92,7 @@ type ScenarioResult struct {
 	// may have advanced it past busy blocks).
 	BasePort int `json:"base_port,omitempty"`
 
-	// Quorum-loss gates (set only for QuorumLoss scenario kinds).
+	// Quorum-loss gates (set only for QuorumLoss campaign kinds).
 	// PrimaryLossOK is the inverted non-vacuity guard: delivery provably
 	// flatlined cluster-wide during every loss epoch. RecoveryOK is the
 	// bounded-recovery gate, with RecoveryMS the observed resumption
@@ -108,14 +120,16 @@ func (r *ScenarioResult) Passed() bool {
 	return true
 }
 
-// RunScenario generates the scenario deterministically from (kind, Seed,
-// N, Window), runs it against a fresh cluster in opts.Dir, and writes the
-// artifact to <Dir>/scenario.json. The returned error covers
-// infrastructure failures and check violations alike: nil means the
-// cluster survived the schedule, the merged trace is a TO-machine trace,
-// every restarted node rejoined against its WAL safely, and traffic
-// actually flowed.
-func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, error) {
+// RunScenario generates the campaign's schedule deterministically from
+// (kind, Seed, N, Window) — chaos.Generate, the schedule cmd/chaos runs in
+// the simulator for the same four values — refuses it unless the injector
+// can execute every event (Executable), runs it against a fresh cluster in
+// opts.Dir, and writes the artifact to <Dir>/scenario.json. The returned
+// error covers infrastructure failures and check violations alike: nil
+// means the cluster survived the schedule, the merged trace is a
+// TO-machine trace, every restarted node rejoined against its WAL safely,
+// and traffic actually flowed.
+func RunScenario(kind chaos.CampaignType, opts ScenarioOptions) (*ScenarioResult, error) {
 	if opts.Window <= 0 {
 		opts.Window = 12 * time.Second
 	}
@@ -142,12 +156,6 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 		logf = func(string, ...any) {}
 	}
 
-	sc, err := GenerateScenario(kind, opts.Seed, opts.N, opts.Window)
-	if err != nil {
-		return nil, err
-	}
-	res := &ScenarioResult{Scenario: sc, Injected: make(map[string]int)}
-
 	basePort, err := probeBasePort(opts.BasePort, opts.N, 8, string(kind))
 	if err != nil {
 		return nil, err
@@ -155,9 +163,21 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 	if basePort != opts.BasePort {
 		logf("scenario %s: base port %d busy; using %d", kind, opts.BasePort, basePort)
 	}
-	res.BasePort = basePort
-
 	cfg := makeConfig(opts.N, opts.Delta, opts.Seed, basePort)
+
+	events, err := chaos.Generate(kind, opts.Seed, chaos.Spec{N: opts.N, Delta: cfg.Delta(), Window: opts.Window})
+	if err != nil {
+		return nil, err
+	}
+	if err := Executable(events, opts.N); err != nil {
+		return nil, fmt.Errorf("%w (campaign %s runs in the simulator only: cmd/chaos)", err, kind)
+	}
+	sc := Scenario{
+		Kind: kind, Seed: opts.Seed, N: opts.N, WindowMS: opts.Window.Milliseconds(),
+		Events: events, LossEpochs: chaos.LossEpochs(events, opts.N),
+	}
+	res := &ScenarioResult{Scenario: sc, Injected: make(map[string]int), BasePort: basePort}
+
 	cl, err := newCluster(opts.Dir, opts.PgcsdPath, cfg, opts.CheckpointBytes, opts.MaxPending, logf)
 	if err != nil {
 		return nil, err
@@ -169,7 +189,7 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 	if err := cl.readyAll(); err != nil {
 		return nil, err
 	}
-	logf("scenario %s: %d nodes ready, %d actions over %v", kind, opts.N, len(sc.Actions), opts.Window)
+	logf("scenario %s: %d nodes ready, %d events over %v", kind, opts.N, len(events), opts.Window)
 
 	// Load runs for the whole scenario plus the settle tail; the injector
 	// walks the schedule concurrently. Quorum-loss scenarios additionally
@@ -203,14 +223,14 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 		loadDone <- loadOut{entry, err}
 	}()
 
-	injectErr := cl.inject(sc, start, res, logf)
+	injectErr := cl.inject(events, start, res, logf)
 	cl.healSweep(res, logf)
 	// The final-heal instant anchors the recovery bound. Measuring it
 	// when healSweep returns (not at the schedule's nominal end) absorbs
 	// injection lag: a late heal only shortens the guarded interval,
 	// never blames the cluster for the injector's delay.
 	res.HealMS = time.Since(start).Milliseconds()
-	logf("scenario %s: schedule done (%d actions), settling", kind, len(sc.Actions))
+	logf("scenario %s: schedule done (%d events), settling", kind, len(events))
 
 	load := <-loadDone
 	if sampler != nil {
@@ -262,7 +282,7 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 	// flatlined while no primary could exist, then provably resumed
 	// within the bound after the final heal.
 	if kind.QuorumLoss() {
-		lossErr := CheckPrimaryLoss(res.Samples, sc.LossEpochs, opts.LossGrace.Milliseconds())
+		lossErr := CheckPrimaryLoss(res.Samples, sc.LossEpochs, opts.LossGrace)
 		res.PrimaryLossOK = lossErr == nil
 		if lossErr != nil {
 			res.PrimaryLossErr = lossErr.Error()
@@ -286,7 +306,7 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 		return res, fmt.Errorf("live: %s: rejoin safety: %s", kind, res.RejoinErr)
 	}
 	// Non-vacuity: traffic flowed, an order formed, faults actually
-	// landed, and the kinds that promise restarts produced them.
+	// landed, and a schedule with an amnesia event produced a restart.
 	total := 0
 	for _, c := range res.Injected {
 		total += c
@@ -295,9 +315,8 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 		return res, fmt.Errorf("live: %s: vacuous run: deliveries=%d order=%d injected=%d",
 			kind, res.Entry.Deliveries, res.OrderLen, total)
 	}
-	switch kind {
-	case KillWaves, LeaderKill, RollingRestart, MajorityKill, CascadingFailure:
-		if res.Restarts == 0 {
+	for _, e := range events {
+		if e.Status == failures.Amnesia && res.Restarts == 0 {
 			return res, fmt.Errorf("live: %s: vacuous run: no node ever restarted", kind)
 		}
 	}
@@ -316,67 +335,63 @@ func RunScenario(kind ScenarioKind, opts ScenarioOptions) (*ScenarioResult, erro
 	return res, nil
 }
 
-// inject walks the schedule in time order against the live cluster.
-// Per-action failures (a kill racing an already-dead process, a control
-// connection to a paused node) are recorded in res and injection
-// continues; only a failed respawn aborts, because the cluster can no
-// longer reach the healed end state the checks assume.
-func (cl *cluster) inject(sc Scenario, start time.Time, res *ScenarioResult, logf func(string, ...any)) error {
-	actions := append([]Action(nil), sc.Actions...)
-	sortActions(actions)
-	for _, a := range actions {
-		if d := time.Until(start.Add(time.Duration(a.AtMS) * time.Millisecond)); d > 0 {
+// inject walks the schedule in time order against the live cluster, one
+// injector step (unit) at a time. Per-step failures (a kill racing an
+// already-dead process, a control connection to a paused node) are
+// recorded in res and injection continues; only a failed respawn aborts,
+// because the cluster can no longer reach the healed end state the checks
+// assume.
+func (cl *cluster) inject(events failures.Schedule, start time.Time, res *ScenarioResult, logf func(string, ...any)) error {
+	for len(events) > 0 {
+		e := events[0]
+		k, err := unit(events, len(cl.cfg.Nodes))
+		if err != nil {
+			return err // RunScenario checked Executable; unreachable
+		}
+		events = events[k:]
+		if d := time.Until(start.Add(e.Time.Duration())); d > 0 {
 			time.Sleep(d)
 		}
-		if err := cl.apply(a, logf); err != nil {
-			if a.Kind == ActRestart || a.Kind == ActCycle {
-				return fmt.Errorf("live: inject %s node %d: %w", a.Kind, a.Node, err)
+		class, err := cl.apply(e, k == 2)
+		logf("inject: %s (%v)", class, e)
+		if err != nil {
+			if class == "restart" || class == "cycle" {
+				return fmt.Errorf("live: inject %s (%v): %w", class, e, err)
 			}
-			res.InjectErrs = append(res.InjectErrs, fmt.Sprintf("%s node %d at %dms: %v", a.Kind, a.Node, a.AtMS, err))
+			res.InjectErrs = append(res.InjectErrs, fmt.Sprintf("%s (%v): %v", class, e, err))
 			continue
 		}
-		res.Injected[string(a.Kind)]++
+		res.Injected[class]++
 	}
 	return nil
 }
 
-// apply executes one action.
-func (cl *cluster) apply(a Action, logf func(string, ...any)) error {
-	p := cl.proc(a.Node)
-	switch a.Kind {
-	case ActSigstop:
-		logf("inject: SIGSTOP node %d", a.Node)
-		return p.Pause()
-	case ActSigcont:
-		logf("inject: SIGCONT node %d", a.Node)
-		return p.Resume()
-	case ActSigkill:
-		logf("inject: SIGKILL node %d", a.Node)
-		return p.Kill()
-	case ActRestart:
-		if p != nil && !p.Exited() {
-			return nil // node never died; nothing to revive
+// apply executes the injector step that starts with event e (see unit)
+// and names its class (the key it is counted under in Injected).
+func (cl *cluster) apply(e failures.Event, cycle bool) (class string, err error) {
+	if e.Channel {
+		if e.Status == failures.Bad {
+			return "lpause", cl.control(int(e.Pair.To), (*Client).PauseListener)
 		}
-		logf("inject: restart node %d", a.Node)
-		return cl.spawn(a.Node)
-	case ActLpause:
-		logf("inject: LPAUSE node %d", a.Node)
-		return cl.control(a.Node, (*Client).PauseListener)
-	case ActLresume:
-		logf("inject: LRESUME node %d", a.Node)
-		return cl.control(a.Node, (*Client).ResumeListener)
-	case ActCycle:
-		logf("inject: cycle node %d", a.Node)
-		if c, err := DialClient(cl.cfg.Nodes[a.Node].ClientAddr, 5*time.Second); err == nil {
-			c.Stop()
-			c.Close()
-		}
+		return "lresume", cl.control(int(e.Pair.To), (*Client).ResumeListener)
+	}
+	id := int(e.Proc)
+	p := cl.proc(id)
+	switch {
+	case cycle:
+		cl.control(id, (*Client).Stop) // a daemon that cannot hear it is escalated below
 		if err := p.WaitExit(10 * time.Second); err != nil {
-			return err
+			return "cycle", err
 		}
-		return cl.spawn(a.Node)
+		return "cycle", cl.spawn(id)
+	case e.Status == failures.Bad:
+		return "sigstop", p.Apply(e.Status)
+	case e.Status == failures.Amnesia:
+		return "sigkill", p.Apply(e.Status)
+	case p.Exited():
+		return "restart", cl.spawn(id)
 	default:
-		return fmt.Errorf("unknown action %q", a.Kind)
+		return "sigcont", p.Apply(e.Status)
 	}
 }
 
@@ -407,7 +422,7 @@ func (cl *cluster) healSweep(res *ScenarioResult, logf func(string, ...any)) {
 			}
 			continue
 		}
-		p.Resume()
+		p.Apply(failures.Good)
 	}
 	for i := range cl.cfg.Nodes {
 		cl.control(i, (*Client).ResumeListener)
@@ -420,8 +435,8 @@ type MatrixOptions struct {
 	// gets its own subdirectory of Dir, the next Seed, a fresh port block
 	// above BasePort, and the next of the rotating load shapes.
 	ScenarioOptions
-	// Kinds defaults to the full ScenarioKinds matrix.
-	Kinds []ScenarioKind
+	// Kinds defaults to every process-level campaign of chaos.Campaigns.
+	Kinds []chaos.CampaignType
 }
 
 // MatrixResult is the whole matrix's outcome.
@@ -451,7 +466,11 @@ var loadShapes = []struct {
 func RunMatrix(opts MatrixOptions) (*MatrixResult, error) {
 	kinds := opts.Kinds
 	if len(kinds) == 0 {
-		kinds = ScenarioKinds
+		for _, ct := range chaos.Campaigns {
+			if ct.ProcessLevel() {
+				kinds = append(kinds, ct)
+			}
+		}
 	}
 	if opts.BasePort <= 0 {
 		// Below the kernel's ephemeral range (net.ipv4.ip_local_port_range,

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/chaos"
 )
 
 // buildPgcsd compiles the real daemon into a temp dir; the matrix runs
@@ -28,7 +30,7 @@ func TestRunScenarioSmoke(t *testing.T) {
 		t.Skip("spawns a real cluster for several seconds; skipped in -short mode")
 	}
 	bin := buildPgcsd(t)
-	res, err := RunScenario(FlappingLinks, ScenarioOptions{
+	res, err := RunScenario(chaos.FlappingLinks, ScenarioOptions{
 		Dir:             filepath.Join(t.TempDir(), "flapping-links"),
 		PgcsdPath:       bin,
 		N:               4,
@@ -49,7 +51,7 @@ func TestRunScenarioSmoke(t *testing.T) {
 	if res.Entry.Deliveries == 0 || res.OrderLen == 0 {
 		t.Fatalf("vacuous run: deliveries=%d order=%d", res.Entry.Deliveries, res.OrderLen)
 	}
-	if res.Injected[string(ActLpause)] == 0 {
+	if res.Injected["lpause"] == 0 {
 		t.Fatalf("no link faults injected: %v", res.Injected)
 	}
 }
@@ -62,7 +64,7 @@ func TestRunScenarioRestartKind(t *testing.T) {
 		t.Skip("spawns a real cluster for several seconds; skipped in -short mode")
 	}
 	bin := buildPgcsd(t)
-	res, err := RunScenario(KillWaves, ScenarioOptions{
+	res, err := RunScenario(chaos.KillWaves, ScenarioOptions{
 		Dir:             filepath.Join(t.TempDir(), "kill-waves"),
 		PgcsdPath:       bin,
 		N:               4,

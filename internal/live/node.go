@@ -353,8 +353,8 @@ func (e *Engine) serveClient(cc *clientConn) {
 		cmd, rest, _ := strings.Cut(line, " ")
 		switch cmd {
 		case "S":
-			accepted := true
-			e.submit(func() { accepted = e.node.TryBcast(types.Value(rest)) })
+			accepted := true // a stopping engine answers nothing
+			e.submit(func() { accepted = e.node.Bcast(types.Value(rest)) })
 			if !accepted {
 				cc.push("BUSY " + rest)
 			}
@@ -426,10 +426,12 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Bcast submits a value at this node (in-process callers; clients use the
-// line protocol).
-func (e *Engine) Bcast(v types.Value) {
-	e.submit(func() { e.node.Bcast(v) })
+// Bcast submits a value at this node and reports whether the node
+// accepted it (stack.Node.Bcast); the line protocol's S command answers a
+// rejection with BUSY.
+func (e *Engine) Bcast(v types.Value) (accepted bool) {
+	e.submit(func() { accepted = e.node.Bcast(v) })
+	return accepted
 }
 
 // Deliveries snapshots everything delivered at this node so far.

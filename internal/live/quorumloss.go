@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/chaos"
 )
 
 // This file is the live analogue of props.CheckRecoveryLiveness for the
@@ -81,30 +83,31 @@ func highWaterBefore(samples []DeliverySample, cutMS int64) int64 {
 // Too few guarded samples make the run inconclusive, which is an error:
 // the guard exists to prove the scenario genuinely exercised the
 // no-primary regime, so "could not observe it" must not pass.
-func CheckPrimaryLoss(samples []DeliverySample, epochs []Epoch, graceMS int64) error {
+func CheckPrimaryLoss(samples []DeliverySample, epochs []chaos.Epoch, grace time.Duration) error {
 	if len(epochs) == 0 {
 		return fmt.Errorf("primary-loss: no loss epochs in schedule")
 	}
 	guarded := 0
 	for _, e := range epochs {
-		lo := e.StartMS + graceMS
+		startMS, endMS := e.Start.Duration().Milliseconds(), e.End.Duration().Milliseconds()
+		lo := startMS + grace.Milliseconds()
 		high := highWaterBefore(samples, lo)
 		for _, s := range samples {
-			if s.AtMS <= lo || s.AtMS > e.EndMS {
+			if s.AtMS <= lo || s.AtMS > endMS {
 				continue
 			}
 			guarded++
 			for p, d := range s.Delivered {
 				if d > high {
 					return fmt.Errorf("primary-loss: node %d delivered %d values at %dms, past the pre-epoch high-water %d — the order grew during loss epoch [%d,%d]ms",
-						p, d, s.AtMS, high, e.StartMS, e.EndMS)
+						p, d, s.AtMS, high, startMS, endMS)
 				}
 			}
 		}
 	}
 	if guarded < 1 {
-		return fmt.Errorf("primary-loss: inconclusive: no sample inside any guarded loss interval (%d samples, %d epochs, grace %dms)",
-			len(samples), len(epochs), graceMS)
+		return fmt.Errorf("primary-loss: inconclusive: no sample inside any guarded loss interval (%d samples, %d epochs, grace %v)",
+			len(samples), len(epochs), grace)
 	}
 	return nil
 }

@@ -3,6 +3,10 @@ package live
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/sim"
 )
 
 // sampleRow is one DeliverySample in shorthand: a nil gen means one
@@ -25,14 +29,18 @@ func mkSamples(rows []sampleRow) []DeliverySample {
 	return out
 }
 
+func epochMS(startMS, endMS int64) chaos.Epoch {
+	return chaos.Epoch{Start: sim.Time(startMS * int64(time.Millisecond)), End: sim.Time(endMS * int64(time.Millisecond))}
+}
+
 func TestCheckPrimaryLoss(t *testing.T) {
-	epochs := []Epoch{{StartMS: 1000, EndMS: 3000}}
-	const grace = 500 // guarded interval: (1500, 3000]
+	epochs := []chaos.Epoch{epochMS(1000, 3000)}
+	const grace = 500 * time.Millisecond // guarded interval: (1500, 3000]ms
 
 	cases := []struct {
 		name    string
 		samples []sampleRow
-		epochs  []Epoch
+		epochs  []chaos.Epoch
 		wantErr string // substring; "" = pass
 	}{
 		{
@@ -145,7 +153,7 @@ func TestCheckPrimaryLoss(t *testing.T) {
 				{at: 4800, d: []int64{41, 41, 41}},
 				{at: 5000, d: []int64{41, 41, 41}},
 			},
-			epochs: []Epoch{{StartMS: 1000, EndMS: 3000}, {StartMS: 4000, EndMS: 5500}},
+			epochs: []chaos.Epoch{epochMS(1000, 3000), epochMS(4000, 5500)},
 		},
 	}
 	for _, tc := range cases {

@@ -1,178 +1,104 @@
 package live
 
 import (
-	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/failures"
+	"repro/internal/sim"
+	"repro/internal/types"
 )
 
-func TestGenerateScenarioDeterministic(t *testing.T) {
-	for _, kind := range ScenarioKinds {
-		a, err := GenerateScenario(kind, 7, 10, 12*time.Second)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+// TestProcessLevelCampaignsAreExecutable: every process-level family is a
+// schedule the injector accepts, at every cluster size the matrix runs.
+func TestProcessLevelCampaignsAreExecutable(t *testing.T) {
+	for _, ct := range chaos.Campaigns {
+		if !ct.ProcessLevel() {
+			continue
 		}
-		b, err := GenerateScenario(kind, 7, 10, 12*time.Second)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: same seed, different schedules", kind)
-		}
-		if kind == RollingRestart {
-			continue // seed-free by design: one cycle per node, fixed spacing
-		}
-		c, err := GenerateScenario(kind, 8, 10, 12*time.Second)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if reflect.DeepEqual(a.Actions, c.Actions) {
-			t.Errorf("%s: seeds 7 and 8 generated identical schedules", kind)
-		}
-	}
-}
-
-// TestScenarioBudgetAndWindow replays every generated schedule as a
-// fault-set simulation. Budgeted families: at no instant may more than
-// (n-1)/2 nodes be faulted (the primary component must survive — the
-// non-vacuity guarantee is by construction). Quorum-loss families invert
-// that: at some instant at least QuorumLossThreshold(n) nodes must be
-// faulted at once, and the recorded LossEpochs must match a replay of
-// the actions. Both: every fault must be healed by the end, and every
-// action must land strictly inside the window.
-func TestScenarioBudgetAndWindow(t *testing.T) {
-	for _, kind := range ScenarioKinds {
 		for _, n := range []int{3, 5, 10} {
-			for _, window := range []time.Duration{2 * time.Second, 5 * time.Second, 12 * time.Second} {
-				for seed := int64(1); seed <= 5; seed++ {
-					sc, err := GenerateScenario(kind, seed, n, window)
-					if kind.QuorumLoss() && window < 4*time.Second {
-						if err == nil {
-							t.Errorf("%s w=%v: short window accepted for quorum-loss kind", kind, window)
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s n=%d w=%v seed=%d: %v", kind, n, window, seed, err)
-					}
-					if len(sc.Actions) == 0 {
-						t.Errorf("%s n=%d w=%v seed=%d: empty schedule", kind, n, window, seed)
-						continue
-					}
-					budget := (n - 1) / 2
-					threshold := QuorumLossThreshold(n)
-					peak := 0
-					faulted := map[int]bool{}
-					last := int64(0)
-					for _, a := range sc.Actions {
-						if a.AtMS < 0 || a.AtMS >= sc.WindowMS {
-							t.Errorf("%s n=%d w=%v seed=%d: action at %dms outside [0, %d)",
-								kind, n, window, seed, a.AtMS, sc.WindowMS)
-						}
-						if a.AtMS < last {
-							t.Errorf("%s n=%d w=%v seed=%d: schedule not sorted", kind, n, window, seed)
-						}
-						last = a.AtMS
-						if a.Node < 0 || a.Node >= n {
-							t.Errorf("%s n=%d w=%v seed=%d: node %d out of range", kind, n, window, seed, a.Node)
-						}
-						switch a.Kind {
-						case ActSigstop, ActSigkill, ActLpause:
-							faulted[a.Node] = true
-						case ActSigcont, ActRestart, ActLresume:
-							delete(faulted, a.Node)
-						case ActCycle:
-							// Graceful in-place cycle: down and back within the
-							// runner's bounded wait, never concurrent with another
-							// cycle by construction (one per node, spaced).
-						default:
-							t.Fatalf("%s: unknown action kind %q", kind, a.Kind)
-						}
-						if len(faulted) > peak {
-							peak = len(faulted)
-						}
-						if !kind.QuorumLoss() && len(faulted) > budget {
-							t.Fatalf("%s n=%d w=%v seed=%d: %d nodes faulted at %dms, budget %d",
-								kind, n, window, seed, len(faulted), a.AtMS, budget)
-						}
-					}
-					if len(faulted) != 0 {
-						t.Errorf("%s n=%d w=%v seed=%d: %d nodes still faulted at window end: %v",
-							kind, n, window, seed, len(faulted), faulted)
-					}
-					if kind.QuorumLoss() {
-						if peak < threshold {
-							t.Errorf("%s n=%d w=%v seed=%d: peak %d faulted never reached quorum-loss threshold %d",
-								kind, n, window, seed, peak, threshold)
-						}
-						if kind != TotalPartition && peak >= n {
-							// TotalPartition alone faults everyone (a symmetric
-							// partition into singletons); the kill-based families
-							// always keep one survivor so restarts have a peer.
-							t.Errorf("%s n=%d w=%v seed=%d: all %d nodes faulted at once (generators keep one survivor)",
-								kind, n, window, seed, n)
-						}
-						if len(sc.LossEpochs) == 0 {
-							t.Errorf("%s n=%d w=%v seed=%d: quorum-loss schedule with no loss epochs", kind, n, window, seed)
-						}
-						if want := ComputeLossEpochs(sc.Actions, n); !reflect.DeepEqual(sc.LossEpochs, want) {
-							t.Errorf("%s n=%d w=%v seed=%d: LossEpochs %v != replay %v",
-								kind, n, window, seed, sc.LossEpochs, want)
-						}
-						for _, ep := range sc.LossEpochs {
-							if ep.StartMS < 0 || ep.EndMS > sc.WindowMS || ep.EndMS <= ep.StartMS {
-								t.Errorf("%s n=%d w=%v seed=%d: malformed loss epoch %+v", kind, n, window, seed, ep)
-							}
-						}
-					} else if len(sc.LossEpochs) != 0 {
-						t.Errorf("%s n=%d w=%v seed=%d: budgeted schedule recorded loss epochs %v",
-							kind, n, window, seed, sc.LossEpochs)
-					}
+			for seed := int64(1); seed <= 5; seed++ {
+				s, err := chaos.Generate(ct, seed, chaos.Spec{N: n, Window: 6 * time.Second})
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d: %v", ct, n, seed, err)
+				}
+				if err := Executable(s, n); err != nil {
+					t.Errorf("%s n=%d seed=%d: %v", ct, n, seed, err)
 				}
 			}
 		}
 	}
 }
 
-func TestRollingRestartCyclesEveryNodeOnce(t *testing.T) {
-	sc, err := GenerateScenario(RollingRestart, 1, 10, 12*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]int{}
-	for _, a := range sc.Actions {
-		if a.Kind != ActCycle {
-			t.Fatalf("rolling restart emitted %q", a.Kind)
+// TestOracleOnlyFaultsAreRejected: what signals cannot do is refused with
+// the offending event named — an ugly status, a partial inbound column, a
+// pairwise partition — and no oracle-level campaign that touches channels
+// slips through.
+func TestOracleOnlyFaultsAreRejected(t *testing.T) {
+	const n = 5
+	at := sim.Time(750 * time.Millisecond)
+	column := func(to types.ProcID, pairs int, st failures.Status) failures.Schedule {
+		var s failures.Schedule
+		for q := types.ProcID(0); len(s) < pairs; q++ {
+			if q != to {
+				s = append(s, failures.Event{Time: at, Channel: true, Pair: failures.Pair{From: q, To: to}, Status: st})
+			}
 		}
-		seen[a.Node]++
+		return s
 	}
-	for i := 0; i < 10; i++ {
-		if seen[i] != 1 {
-			t.Errorf("node %d cycled %d times, want exactly once", i, seen[i])
+	if err := Executable(column(2, n-1, failures.Bad), n); err != nil {
+		t.Fatalf("full column rejected: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		s      failures.Schedule
+		naming string
+	}{
+		"ugly processor":  {failures.Schedule{{Time: at, Proc: 1, Status: failures.Ugly}}, "ugly_p1@750ms"},
+		"ugly column":     {column(2, n-1, failures.Ugly), "ugly_{p0,p2}@750ms"},
+		"n-2 pair column": {column(2, n-2, failures.Bad), "bad_{p0,p2}@750ms"},
+		"column split across instants": {append(column(2, n-2, failures.Bad),
+			failures.Event{Time: at + 1, Channel: true, Pair: failures.Pair{From: 4, To: 2}, Status: failures.Bad}), "bad_{p0,p2}@750ms"},
+	} {
+		err := Executable(tc.s, n)
+		if err == nil || !strings.Contains(err.Error(), tc.naming) {
+			t.Errorf("%s: got %v, want a rejection naming %s", name, err, tc.naming)
 		}
 	}
-}
 
-func TestGenerateScenarioRejects(t *testing.T) {
-	if _, err := GenerateScenario(StopWaves, 1, 2, 12*time.Second); err == nil {
-		t.Error("n=2 accepted")
-	}
-	if _, err := GenerateScenario(StopWaves, 1, 5, time.Second); err == nil {
-		t.Error("1s window accepted")
-	}
-	if _, err := GenerateScenario(ScenarioKind("bogus"), 1, 5, 12*time.Second); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
-func TestParseScenarioKind(t *testing.T) {
-	for _, k := range ScenarioKinds {
-		got, err := ParseScenarioKind(string(k))
-		if err != nil || got != k {
-			t.Errorf("ParseScenarioKind(%q) = %v, %v", k, got, err)
+	// rolling-partition and every other oracle-level campaign with a
+	// channel event: refused, naming one of the schedule's channel events.
+	spec := chaos.Spec{N: n, Delta: time.Millisecond, Window: 4 * time.Second}
+	rejected := 0
+	for _, ct := range chaos.Campaigns {
+		if ct.ProcessLevel() {
+			continue
+		}
+		for seed := int64(1); seed <= 5; seed++ {
+			s, err := chaos.Generate(ct, seed, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			channels := false
+			for _, e := range s {
+				channels = channels || e.Channel
+			}
+			if !channels {
+				continue // processor statuses only: signals can do those
+			}
+			rejected++
+			err = Executable(s, n)
+			named := false
+			for _, e := range s {
+				named = named || (e.Channel && err != nil && strings.Contains(err.Error(), e.String()))
+			}
+			if !named {
+				t.Errorf("%s seed %d: got %v, want a rejection naming a channel event", ct, seed, err)
+			}
 		}
 	}
-	if _, err := ParseScenarioKind("nope"); err == nil {
-		t.Error("bad kind parsed")
+	if rejected < 5*5 { // rolling/nested partition, flapping, asymmetric, mixed at least
+		t.Errorf("only %d oracle-level schedules had channel events", rejected)
 	}
 }

@@ -81,7 +81,7 @@ func New(c *stack.Cluster) *Memory {
 // submit gives op the next nonce at p and broadcasts it, with ack (if
 // non-nil) to run on the value the op observes once p's replica applies it.
 // It returns the encoded op and whether the stack accepted it: a submission
-// the stack rejects (stack.Node.TryBcast — backlog at MaxPendingBcasts, or
+// the stack rejects (stack.Node.Bcast — backlog at MaxPendingBcasts, or
 // an amnesiac origin) will never be delivered, so its waiter is dropped and
 // the client told at once.
 func (m *Memory) submit(p types.ProcID, op Op, ack func(val string)) (types.Value, bool) {
@@ -92,7 +92,7 @@ func (m *Memory) submit(p types.ProcID, op Op, ack func(val string)) (types.Valu
 		m.waiters[key] = ack
 	}
 	v := op.Encode()
-	ok := m.cluster.Node(p).TryBcast(v)
+	ok := m.cluster.Node(p).Bcast(v)
 	if !ok {
 		delete(m.waiters, key)
 	}

@@ -127,11 +127,12 @@ func (r *Runtime) Stop() {
 	r.subs = nil
 }
 
-// Bcast submits a value at processor p.
-func (r *Runtime) Bcast(p types.ProcID, a types.Value) {
+// Bcast submits a value at processor p and reports whether the node
+// accepted it (stack.Node.Bcast).
+func (r *Runtime) Bcast(p types.ProcID, a types.Value) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cluster.Bcast(p, a)
+	return r.cluster.Bcast(p, a)
 }
 
 // Subscribe returns a channel carrying every delivery at every node from

@@ -14,7 +14,7 @@ import (
 // TestBackpressureRejectsInMinority pins the graceful-degradation valve:
 // a node cut into a minority component cannot deliver (no primary), so
 // its accepted submissions pile up in pendingOwn until MaxPendingBcasts,
-// past which TryBcast rejects without touching the WAL; after the heal
+// past which Bcast rejects without touching the WAL; after the heal
 // every accepted value is delivered everywhere, the backlog drains, and
 // submissions flow again.
 func TestBackpressureRejectsInMinority(t *testing.T) {
@@ -36,7 +36,7 @@ func TestBackpressureRejectsInMinority(t *testing.T) {
 	c.Sim.After(400*time.Millisecond, func() {
 		n := c.Node(3)
 		for i := 0; i < capacity+2; i++ {
-			if n.TryBcast(types.Value(fmt.Sprintf("minority-%d", i))) {
+			if n.Bcast(types.Value(fmt.Sprintf("minority-%d", i))) {
 				accepted++
 			} else {
 				rejected++
@@ -52,7 +52,7 @@ func TestBackpressureRejectsInMinority(t *testing.T) {
 	// it into the total order.
 	var acceptedAfterHeal bool
 	c.Sim.After(2500*time.Millisecond, func() {
-		acceptedAfterHeal = c.Node(3).TryBcast("post-heal")
+		acceptedAfterHeal = c.Node(3).Bcast("post-heal")
 	})
 	if err := c.Sim.Run(sim.Time(5 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestPendingRecomputedAcrossRecovery(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		c.Sim.After(time.Duration(10+7*i)*time.Millisecond, func() {
-			if !c.Node(0).TryBcast(types.Value(fmt.Sprintf("v%d", i))) {
+			if !c.Node(0).Bcast(types.Value(fmt.Sprintf("v%d", i))) {
 				t.Errorf("healthy submission %d rejected", i)
 			}
 		})
@@ -124,7 +124,7 @@ func TestPendingRecomputedAcrossRecovery(t *testing.T) {
 		pendingAfterRecovery = c.Node(0).PendingBcasts()
 		// The node is functional again: a fresh submission is accepted
 		// and delivered cluster-wide.
-		if !c.Node(0).TryBcast("post-recovery") {
+		if !c.Node(0).Bcast("post-recovery") {
 			t.Errorf("post-recovery submission rejected")
 		}
 	})

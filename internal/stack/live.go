@@ -57,7 +57,7 @@ type LiveOptions struct {
 	CheckpointBytes int
 	// MaxPendingBcasts bounds the node's accepted-but-undelivered
 	// submission backlog, exactly as Options.MaxPendingBcasts does in
-	// simulation: TryBcast rejects past the bound. 0 disables.
+	// simulation: Bcast rejects past the bound. 0 disables.
 	MaxPendingBcasts int
 	// Quorums defaults to majorities of Universe.
 	Quorums types.QuorumSystem

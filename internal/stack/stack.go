@@ -68,7 +68,7 @@ type Node struct {
 	bcastSeq   int        // per-origin submission counter for the log
 	deliveries []Delivery // everything delivered here, in order
 	// pendingOwn counts this node's accepted submissions not yet delivered
-	// back to it — the end-to-end TOBcast backlog TryBcast bounds. It
+	// back to it — the end-to-end TOBcast backlog Bcast bounds. It
 	// survives restarts: recovery recomputes it as the durable submission
 	// count minus the own-origin entries of the durable delivered prefix.
 	pendingOwn int
@@ -134,7 +134,7 @@ type Cluster struct {
 	qs         types.QuorumSystem
 	skipReplay bool
 	// maxPending bounds each node's accepted-but-undelivered submission
-	// backlog (TryBcast backpressure); 0 leaves Bcast unbounded.
+	// backlog (Bcast backpressure); 0 leaves Bcast unbounded.
 	maxPending int
 	// deliverPipe bounds each node's delivery records in flight plus
 	// durable-awaiting-release (Options.DeliverPipeline; always ≥ 1);
@@ -157,7 +157,7 @@ type submitKey struct {
 // clusterMetrics holds the stack-level obs handles (all nil when disabled).
 type clusterMetrics struct {
 	bcasts        *obs.Counter
-	bcastRejected *obs.Counter // TryBcast backpressure rejections
+	bcastRejected *obs.Counter // Bcast backpressure rejections
 	deliveries    *obs.Counter
 	crashes       *obs.Counter
 	recoveries    *obs.Counter
@@ -218,7 +218,7 @@ type Options struct {
 	// default; the WAL keeps every record forever, as before).
 	CheckpointBytes int
 	// MaxPendingBcasts, when positive, bounds each node's accepted-but-
-	// undelivered submission backlog: TryBcast rejects (returns false)
+	// undelivered submission backlog: Bcast rejects (returns false)
 	// while the node already holds this many of its own submissions that
 	// have not yet been delivered back to it. This is the stack's
 	// graceful-degradation valve: with no primary component the backlog
@@ -513,8 +513,9 @@ func (c *Cluster) OnDeliverBatch(fn func(p types.ProcID, batch []Delivery)) {
 	}
 }
 
-// Bcast submits a client value at processor p.
-func (c *Cluster) Bcast(p types.ProcID, a types.Value) { c.nodes[p].Bcast(a) }
+// Bcast submits a client value at processor p and reports whether the
+// node accepted it (see Node.Bcast).
+func (c *Cluster) Bcast(p types.ProcID, a types.Value) bool { return c.nodes[p].Bcast(a) }
 
 // Deliveries returns everything delivered at p so far, in order.
 func (c *Cluster) Deliveries(p types.ProcID) []Delivery { return c.nodes[p].deliveries }
@@ -546,12 +547,7 @@ func (n *Node) Recoveries() int { return n.recoveries }
 // (nil if the node never recovered).
 func (n *Node) LastReplay() *recovery.Snapshot { return n.lastReplay }
 
-// Bcast is the client's bcast(a)_p input, ignoring backpressure: a value
-// rejected by the TryBcast bound is silently dropped (legacy call sites
-// and tests that never configure MaxPendingBcasts).
-func (n *Node) Bcast(a types.Value) { n.TryBcast(a) }
-
-// TryBcast is the client's bcast(a)_p input with explicit backpressure.
+// Bcast is the client's bcast(a)_p input with explicit backpressure.
 // It reports false — and accepts nothing — when the node's own
 // accepted-but-undelivered backlog is at the configured bound (the value
 // never reached the WAL, so the client may retry the identical value
@@ -560,7 +556,7 @@ func (n *Node) Bcast(a types.Value) { n.TryBcast(a) }
 // origin) before the submission is logged or enters the delay queue, so
 // every value the trace obliges the system to deliver survives an
 // amnesia crash of its origin.
-func (n *Node) TryBcast(a types.Value) bool {
+func (n *Node) Bcast(a types.Value) bool {
 	if n.orc.Proc(n.id) == failures.Amnesia {
 		return false
 	}
@@ -605,7 +601,7 @@ func (n *Node) Deliveries() []Delivery { return n.deliveries }
 func (n *Node) DeliveredCount() int { return len(n.deliveries) }
 
 // PendingBcasts returns the node's accepted-but-undelivered submission
-// backlog — the quantity TryBcast bounds.
+// backlog — the quantity Bcast bounds.
 func (n *Node) PendingBcasts() int { return n.pendingOwn }
 
 // Primary reports whether the node's current view is a primary view: a
@@ -772,10 +768,6 @@ func (n *Node) recover() {
 	})
 }
 
-// restoreProc rebuilds the VStoTO automaton from a WAL replay snapshot:
-// restored to the last durable establishment (extended by durable order
-// appends), the persisted delivery prefix marked reported, and durable-
-// but-unlabeled submissions back in the delay queue.
 // logicalOff rebases a replay-relative offset (within the retained
 // image) to the log's logical coordinates; -1 (absent) stays -1.
 func logicalOff(base, off int) int {
@@ -785,6 +777,10 @@ func logicalOff(base, off int) int {
 	return base + off
 }
 
+// restoreProc rebuilds the VStoTO automaton from a WAL replay snapshot:
+// restored to the last durable establishment (extended by durable order
+// appends), the persisted delivery prefix marked reported, and durable-
+// but-unlabeled submissions back in the delay queue.
 func (n *Node) restoreProc(snap *recovery.Snapshot) {
 	proc := vstoto.NewProc(n.id, n.c.qs, types.ProcSet{})
 	proc.Order = append([]types.Label(nil), snap.Order...)

@@ -451,7 +451,7 @@ func (n *Node) Gpsnd(payload any) {
 
 // BufferedLen returns how many accepted client messages are waiting for
 // token pickup in the current view — observational only; labeled values
-// are never dropped on its account (the TryBcast bound upstream in
+// are never dropped on its account (the Bcast bound upstream in
 // internal/stack is the only admission control).
 func (n *Node) BufferedLen() int { return len(n.buffer) }
 

@@ -191,8 +191,8 @@ func (s *exploreState) apply(act ioa.Action) error {
 	return nil
 }
 
-// ownerKind reports whether exactly one component owns the action; the
-// explorer's action menu is constructed so this always holds.
+// system views the state's components as a System (majority quorums unless
+// cfg.Quorums says otherwise).
 func (s *exploreState) system(cfg ExploreConfig) *System {
 	qs := cfg.Quorums
 	if qs == nil {

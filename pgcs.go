@@ -96,8 +96,10 @@ func NewSimCluster(cfg Config) *SimCluster {
 }
 
 // Broadcast submits a value at processor p; it will be delivered to every
-// connected processor in one common total order.
-func (s *SimCluster) Broadcast(p ProcID, a Value) { s.c.Bcast(p, a) }
+// connected processor in one common total order. It reports false — and
+// submits nothing — when the processor refuses the value (a processor
+// wiped by an amnesia crash hosts no client until it restarts).
+func (s *SimCluster) Broadcast(p ProcID, a Value) bool { return s.c.Bcast(p, a) }
 
 // Deliveries returns everything delivered at p so far, in order.
 func (s *SimCluster) Deliveries(p ProcID) []Delivery { return s.c.Deliveries(p) }

@@ -1,121 +1,74 @@
 package vsmachine
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"maps"
+	"slices"
 
+	"repro/internal/ioa"
 	"repro/internal/types"
 )
 
-// Clone returns a deep copy of the machine. Message values themselves are
-// not copied (they are immutable by the package's conventions).
-func (m *Machine) Clone() *Machine {
-	out := &Machine{
-		procs:         m.procs,
-		weak:          m.weak,
-		Created:       make(map[types.ViewID]types.View, len(m.Created)),
-		CurrentViewID: make(map[types.ProcID]types.ViewID, len(m.CurrentViewID)),
-		Queue:         make(map[types.ViewID][]Entry, len(m.Queue)),
-		pending:       make(map[pg][]Msg, len(m.pending)),
-		next:          make(map[pg]int, len(m.next)),
-		nextSafe:      make(map[pg]int, len(m.nextSafe)),
+// CloneFor returns a copy of the machine that act can be applied to
+// without changing m. Only the maps act writes are copied; the rest, and
+// every message value (immutable by the package's conventions), are shared
+// with m. An action outside the machine's signature copies every map.
+func (m *Machine) CloneFor(act ioa.Action) *Machine {
+	out := *m
+	switch act.(type) {
+	case Createview:
+		out.Created = maps.Clone(m.Created)
+	case Newview:
+		out.CurrentViewID = maps.Clone(m.CurrentViewID)
+	case Gpsnd:
+		out.pending = cloneClipped(m.pending)
+	case VSOrder:
+		out.pending, out.Queue = cloneClipped(m.pending), cloneClipped(m.Queue)
+	case Gprcv:
+		out.next = maps.Clone(m.next)
+	case Safe:
+		out.nextSafe = maps.Clone(m.nextSafe)
+	default:
+		out.Created, out.CurrentViewID = maps.Clone(m.Created), maps.Clone(m.CurrentViewID)
+		out.pending, out.Queue = cloneClipped(m.pending), cloneClipped(m.Queue)
+		out.next, out.nextSafe = maps.Clone(m.next), maps.Clone(m.nextSafe)
 	}
-	for k, v := range m.Created {
-		out.Created[k] = v
-	}
-	for k, v := range m.CurrentViewID {
-		out.CurrentViewID[k] = v
-	}
-	for k, v := range m.Queue {
-		out.Queue[k] = append([]Entry(nil), v...)
-	}
-	for k, v := range m.pending {
-		out.pending[k] = append([]Msg(nil), v...)
-	}
-	for k, v := range m.next {
-		out.next[k] = v
-	}
-	for k, v := range m.nextSafe {
-		out.nextSafe[k] = v
+	return &out
+}
+
+// cloneClipped copies a map of sequences without copying the sequences:
+// each is capped at its length, so the appends in ApplyGpsnd and
+// ApplyVSOrder reallocate instead of writing into storage the original
+// still reads (nothing else writes a sequence element).
+func cloneClipped[K comparable, E any](m map[K][]E) map[K][]E {
+	out := make(map[K][]E, len(m))
+	for k, v := range m {
+		out[k] = slices.Clip(v)
 	}
 	return out
 }
 
-// Fingerprint returns a canonical string identifying the machine state,
-// for use as a visited-set key in bounded exhaustive exploration. Message
-// values are rendered with %v; explorer configurations use small
-// comparable payloads (ints, strings), which render canonically.
-func (m *Machine) Fingerprint() string {
-	var b strings.Builder
-	b.WriteString("created:")
-	for _, id := range m.CreatedViewIDs() {
-		fmt.Fprintf(&b, "%v=%v;", id, m.Created[id].Set)
-	}
-	b.WriteString("|cur:")
-	for _, p := range m.procs.Members() {
-		fmt.Fprintf(&b, "%v;", m.CurrentViewID[p])
-	}
-	b.WriteString("|queues:")
-	for _, g := range sortedViewIDs(m.Queue) {
-		fmt.Fprintf(&b, "%v=[", g)
-		for _, e := range m.Queue[g] {
-			fmt.Fprintf(&b, "%v@%v,", e.M, e.P)
-		}
-		b.WriteString("];")
-	}
-	b.WriteString("|pending:")
-	for _, k := range sortedPGs(m.pending) {
-		if len(m.pending[k]) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%v/%v=%v;", k.P, k.G, m.pending[k])
-	}
-	b.WriteString("|next:")
-	for _, k := range sortedPGKeys(m.next) {
-		if m.next[k] != 1 {
-			fmt.Fprintf(&b, "%v/%v=%d;", k.P, k.G, m.next[k])
-		}
-	}
-	b.WriteString("|nextsafe:")
-	for _, k := range sortedPGKeys(m.nextSafe) {
-		if m.nextSafe[k] != 1 {
-			fmt.Fprintf(&b, "%v/%v=%d;", k.P, k.G, m.nextSafe[k])
-		}
-	}
-	return b.String()
-}
-
-func sortedViewIDs(m map[types.ViewID][]Entry) []types.ViewID {
+// sortedViewIDs returns the map's keys in ascending order.
+func sortedViewIDs[V any](m map[types.ViewID]V) []types.ViewID {
 	ids := make([]types.ViewID, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	slices.SortFunc(ids, types.ViewID.Cmp)
 	return ids
 }
 
-func pgLess(a, b pg) bool {
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	return a.G.Less(b.G)
-}
-
-func sortedPGs(m map[pg][]Msg) []pg {
+// sortedPGs returns the map's keys in ascending (processor, view) order.
+func sortedPGs[V any](m map[pg]V) []pg {
 	ks := make([]pg, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return pgLess(ks[i], ks[j]) })
-	return ks
-}
-
-func sortedPGKeys(m map[pg]int) []pg {
-	ks := make([]pg, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return pgLess(ks[i], ks[j]) })
+	slices.SortFunc(ks, func(a, b pg) int {
+		if c := cmp.Compare(a.P, b.P); c != 0 {
+			return c
+		}
+		return a.G.Cmp(b.G)
+	})
 	return ks
 }

@@ -1,8 +1,10 @@
 package vsmachine
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/ioa"
 	"repro/internal/types"
 )
 
@@ -29,19 +31,22 @@ func populate(t *testing.T, m *Machine) {
 	}
 }
 
+// fingerprint is the machine's canonical encoding as a comparable value.
+func fingerprint(m *Machine) string { return string(m.AppendFingerprint(nil)) }
+
 func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	m := New(types.RangeProcSet(2), types.RangeProcSet(2))
 	populate(t, m)
-	c := m.Clone()
-	if m.Fingerprint() != c.Fingerprint() {
-		t.Fatalf("clone fingerprint differs:\n%s\nvs\n%s", m.Fingerprint(), c.Fingerprint())
+	c := m.CloneFor(nil) // outside the signature: every map copied
+	if fingerprint(m) != fingerprint(c) {
+		t.Fatalf("clone fingerprint differs:\n%x\nvs\n%x", fingerprint(m), fingerprint(c))
 	}
 	// Mutating the clone must not affect the original.
 	c.ApplyGpsnd("extra", 1)
 	if err := c.ApplyNewview(v(2, 1, 0, 1), 1); err != nil {
 		t.Fatal(err)
 	}
-	if m.Fingerprint() == c.Fingerprint() {
+	if fingerprint(m) == fingerprint(c) {
 		t.Fatal("mutating the clone changed nothing observable")
 	}
 	if m.CurrentViewID[1] != types.G0() {
@@ -49,6 +54,51 @@ func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	}
 	if len(m.Pending(1, types.G0())) != 0 {
 		t.Fatal("clone gpsnd leaked into the original's pending")
+	}
+}
+
+// TestCloneForIsolatesEveryAction: for each action of the signature, the
+// copy CloneFor makes takes the action without the original noticing —
+// neither its encoding nor any map or sequence it holds changes — and two
+// copies of one original do not see each other's appends.
+func TestCloneForIsolatesEveryAction(t *testing.T) {
+	m := New(types.RangeProcSet(2), types.RangeProcSet(2))
+	populate(t, m)
+	g := types.G0()
+	if err := m.ApplyVSOrder("m2", 0, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range []Msg{"m3", "m4", "m5"} { // leaves pending[p1,g] spare capacity
+		m.ApplyGpsnd(msg, 1)
+	}
+	want, wantFP := m.CloneFor(nil), fingerprint(m)
+	for _, act := range []ioa.Action{
+		Gpsnd{M: "m6", P: 1},
+		VSOrder{M: "m3", P: 1, G: g},
+		Gprcv{M: "m2", P: 0, Q: 0},
+		Safe{M: "m1", P: 0, Q: 1},
+		Newview{V: v(2, 1, 0, 1), P: 1},
+		Createview{V: v(3, 0, 0, 1)},
+	} {
+		a := &Auto{M: m.CloneFor(act)}
+		if a.Classify(act) == ioa.Input {
+			a.Input(act)
+		} else {
+			a.Perform(act)
+		}
+		if fingerprint(a.M) == wantFP {
+			t.Errorf("%v changed nothing on the copy", act)
+		}
+		if fingerprint(m) != wantFP || !reflect.DeepEqual(m, want) {
+			t.Fatalf("%v on a copy changed the original", act)
+		}
+	}
+
+	a, b := m.CloneFor(Gpsnd{}), m.CloneFor(Gpsnd{})
+	a.ApplyGpsnd("a", 1)
+	b.ApplyGpsnd("b", 1)
+	if pa, pb := a.Pending(1, g), b.Pending(1, g); pa[3] != "a" || pb[3] != "b" {
+		t.Fatalf("sibling copies share an append: %v and %v", pa, pb)
 	}
 }
 
@@ -77,11 +127,11 @@ func TestFingerprintDistinguishesStates(t *testing.T) {
 			}
 		},
 	}
-	seen := map[string]int{a.Fingerprint(): -1}
+	seen := map[string]int{fingerprint(a): -1}
 	for i, mutate := range variants {
 		m := base()
 		mutate(m)
-		fp := m.Fingerprint()
+		fp := fingerprint(m)
 		if prev, dup := seen[fp]; dup {
 			t.Fatalf("variants %d and %d share a fingerprint", prev, i)
 		}
@@ -98,7 +148,7 @@ func TestFingerprintCanonicalAcrossInsertionOrder(t *testing.T) {
 	a.ApplyGpsnd("n", 2)
 	b.ApplyGpsnd("n", 2)
 	b.ApplyGpsnd("m", 0)
-	if a.Fingerprint() != b.Fingerprint() {
+	if fingerprint(a) != fingerprint(b) {
 		t.Fatal("fingerprint depends on insertion order")
 	}
 }

@@ -28,20 +28,19 @@ func appendMsgFingerprint(buf []byte, m Msg) []byte {
 		return types.AppendFingerprintString(buf, t)
 	default:
 		// Tests drive the machine with small comparable payloads (ints);
-		// %v renders those canonically, as the string Fingerprint assumed.
+		// %v renders those canonically.
 		buf = append(buf, 0x03)
 		return types.AppendFingerprintString(buf, fmt.Sprintf("%v", m))
 	}
 }
 
 // AppendFingerprint appends a canonical binary encoding of the machine
-// state — the compact replacement for the string Fingerprint on the
-// explorer's allocation hot path. Every section is count-prefixed and maps
-// are walked in sorted key order, so the encoding is a pure function of
-// the state. next/next-safe entries at their default value 1 are omitted
+// state, the explorer's visited-set key. Every section is count-prefixed
+// and maps are walked in sorted key order, so the encoding is a pure
+// function of the state. next/next-safe entries at their default value 1 are omitted
 // (an absent key and an explicit 1 are the same abstract state).
 func (m *Machine) AppendFingerprint(buf []byte) []byte {
-	created := m.CreatedViewIDs()
+	created := sortedViewIDs(m.Created)
 	buf = binary.AppendUvarint(buf, uint64(len(created)))
 	for _, id := range created {
 		buf = m.Created[id].AppendFingerprint(buf)
@@ -81,7 +80,7 @@ func (m *Machine) AppendFingerprint(buf []byte) []byte {
 		}
 	}
 	for _, idx := range []map[pg]int{m.next, m.nextSafe} {
-		ks := sortedPGKeys(idx)
+		ks := sortedPGs(idx)
 		nonDefault := 0
 		for _, k := range ks {
 			if idx[k] != 1 {

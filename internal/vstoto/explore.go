@@ -2,6 +2,8 @@ package vstoto
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/ioa"
 	"repro/internal/obs"
@@ -21,10 +23,10 @@ import (
 // 6.26 is checked for every interleaving.
 //
 // The search is a breadth-first wave expansion parallelized on the sweep
-// pool: each wave's frontier states are expanded concurrently (clone,
-// apply, check, fingerprint — all against state the wave never mutates)
-// and the per-state results are merged on the calling goroutine in
-// submission order. Because FIFO BFS order is exactly level order with
+// pool: each wave's frontier states are expanded concurrently (copy what
+// the action writes, apply, fingerprint, check — all against state the
+// wave never mutates) and the per-state results are merged on the calling
+// goroutine in submission order. Because FIFO BFS order is exactly level order with
 // per-level insertion order preserved, the merged States/Edges/
 // MaxQueueLen/Truncated accounting and the first violation reported are
 // byte-identical to a serial left-to-right BFS at every worker count — the
@@ -102,48 +104,37 @@ type ExploreResult struct {
 	violationHash uint64
 }
 
+// exploreState is one state of the composition. Once it has been merged
+// into the frontier nothing writes to it or to anything it points to: a
+// successor shares every component its action leaves alone, so a component
+// may be reachable from many states, on many workers, at once.
 type exploreState struct {
 	vs     *vsmachine.Machine
 	procs  map[types.ProcID]*Proc
 	bcasts int
 	views  int
-}
 
-func (s *exploreState) clone() *exploreState {
-	out := &exploreState{
-		vs:     s.vs.Clone(),
-		procs:  make(map[types.ProcID]*Proc, len(s.procs)),
-		bcasts: s.bcasts,
-		views:  s.views,
-	}
-	for p, proc := range s.procs {
-		out.procs[p] = proc.Clone()
-	}
-	return out
-}
-
-// autos builds fresh adapter views over this state's components.
-func (s *exploreState) autos() (*vsmachine.Auto, map[types.ProcID]*Auto) {
-	vsAuto := &vsmachine.Auto{M: s.vs}
-	procAutos := make(map[types.ProcID]*Auto, len(s.procs))
-	for p, proc := range s.procs {
-		procAutos[p] = &Auto{P: proc}
-	}
-	return vsAuto, procAutos
+	// enc is the canonical encoding (see appendFingerprint) and cut its
+	// component boundaries: the VS machine is enc[cut[0]:cut[1]], the i-th
+	// processor enc[cut[i+1]:cut[i+2]]. A successor copies the bytes of
+	// the components it shares instead of encoding them again.
+	enc []byte
+	cut []int
+	// abs is f(state), computed when the state was checked.
+	abs *AbstractState
 }
 
 // enabled enumerates every action available in this state, including the
 // environment's (bounded) choices.
 func (s *exploreState) enabled(cfg ExploreConfig) []ioa.Action {
-	vsAuto, procAutos := s.autos()
-	var acts []ioa.Action
-	acts = vsAuto.Enabled(acts)
-	for _, p := range s.vs.Procs().Members() {
-		acts = procAutos[p].Enabled(acts)
+	members := s.vs.Procs().Members()
+	acts := (&vsmachine.Auto{M: s.vs}).Enabled(nil)
+	for _, p := range members {
+		acts = (&Auto{P: s.procs[p]}).Enabled(acts)
 	}
 	if s.bcasts < cfg.MaxBcasts {
 		val := types.Value(fmt.Sprintf("v%d", s.bcasts+1))
-		for _, p := range s.vs.Procs().Members() {
+		for _, p := range members {
 			acts = append(acts, tomachine.Bcast{A: val, P: p})
 		}
 	}
@@ -156,49 +147,51 @@ func (s *exploreState) enabled(cfg ExploreConfig) []ioa.Action {
 	return acts
 }
 
-// apply performs the action on this state (mutating it), mimicking the
-// executor's owner-performs / receivers-input wiring.
-func (s *exploreState) apply(act ioa.Action) error {
-	vsAuto, procAutos := s.autos()
+// successor returns the state act leads to, leaving s untouched. Only the
+// components with act in their signature are copied (the VS machine only
+// in the maps act writes) and stepped — the owner performs, a receiver
+// takes the input; their state is disjoint, so the order is immaterial.
+// Every other component is shared with s.
+func (s *exploreState) successor(act ioa.Action) *exploreState {
+	out := &exploreState{vs: s.vs, procs: s.procs, bcasts: s.bcasts, views: s.views}
 	switch act.(type) {
 	case tomachine.Bcast:
-		s.bcasts++
+		out.bcasts++
 	case vsmachine.Createview:
-		s.views++
+		out.views++
 	}
-	// Owner performs.
-	switch vsAuto.Classify(act) {
-	case ioa.Output, ioa.Internal:
-		vsAuto.Perform(act)
-	}
-	for _, p := range s.vs.Procs().Members() {
-		a := procAutos[p]
-		switch a.Classify(act) {
-		case ioa.Output, ioa.Internal:
+	if kind := (&vsmachine.Auto{}).Classify(act); kind != ioa.NotInSignature {
+		out.vs = s.vs.CloneFor(act)
+		a := &vsmachine.Auto{M: out.vs}
+		if kind == ioa.Input {
+			a.Input(act)
+		} else {
 			a.Perform(act)
 		}
 	}
-	// Receivers take input.
-	if vsAuto.Classify(act) == ioa.Input {
-		vsAuto.Input(act)
-	}
+	sharedProcs := true
 	for _, p := range s.vs.Procs().Members() {
-		a := procAutos[p]
-		if a.Classify(act) == ioa.Input {
+		kind := (&Auto{P: s.procs[p]}).Classify(act)
+		if kind == ioa.NotInSignature {
+			continue
+		}
+		if sharedProcs {
+			out.procs, sharedProcs = maps.Clone(s.procs), false
+		}
+		a := &Auto{P: s.procs[p].Clone()}
+		out.procs[p] = a.P
+		if kind == ioa.Input {
 			a.Input(act)
+		} else {
+			a.Perform(act)
 		}
 	}
-	return nil
+	return out
 }
 
-// system views the state's components as a System (majority quorums unless
-// cfg.Quorums says otherwise).
+// system views the state's components as a System.
 func (s *exploreState) system(cfg ExploreConfig) *System {
-	qs := cfg.Quorums
-	if qs == nil {
-		qs = types.Majorities{Universe: s.vs.Procs()}
-	}
-	return NewSystem(s.vs, s.procs, qs)
+	return NewSystem(s.vs, s.procs, cfg.Quorums)
 }
 
 // checkAbstractStep verifies the forward-simulation step condition for one
@@ -207,9 +200,11 @@ func (s *exploreState) system(cfg ExploreConfig) *System {
 // enabled and lead exactly to f(post).
 func checkAbstractStep(procs types.ProcSet, pre, post *AbstractState, act ioa.Action) error {
 	shadow := tomachine.New(procs)
-	shadow.Queue = append(shadow.Queue, pre.Queue...)
+	// The shadow only appends to and reslices its sequences, so capping
+	// pre's at their length shares them safely.
+	shadow.Queue = slices.Clip(pre.Queue)
 	for _, p := range procs.Members() {
-		shadow.Pending[p] = append([]types.Value(nil), pre.Pending[p]...)
+		shadow.Pending[p] = slices.Clip(pre.Pending[p])
 		shadow.Next[p] = pre.Next[p]
 	}
 	if b, ok := act.(tomachine.Bcast); ok {
@@ -290,8 +285,7 @@ func (v *exploreVisited) add(hash uint64, key string) {
 // exploreEdge is one checked transition out of a frontier state, in
 // enumeration order.
 type exploreEdge struct {
-	applyErr error  // action application failed (edge not counted)
-	checkErr error  // invariant/simulation violation (edge counted)
+	checkErr error  // invariant/simulation violation
 	hash     uint64 // successor fingerprint hash (computed before checks)
 	key      string // successor encoding, ExactKeys mode only
 	succ     *exploreState
@@ -300,29 +294,29 @@ type exploreEdge struct {
 // exploreOut is one frontier state's expansion, produced by a worker and
 // consumed by the ordered merge.
 type exploreOut struct {
-	preErr   error // f undefined at the state itself
-	queueLen int   // abstract queue length at the state
-	ample    bool  // expansion reduced to a singleton ample set
-	edges    []exploreEdge
+	ample bool // expansion reduced to a singleton ample set
+	edges []exploreEdge
+}
+
+// exploreScratch is one worker's reusable encoding scratch: the encoder is
+// the allocation hot path, and a worker expands many states per wave.
+type exploreScratch struct {
+	enc []byte
+	cut []int
 }
 
 // exploreExpand expands one frontier state: enumerate (possibly
-// POR-reduced) actions, and for each, clone, apply, fingerprint, and run
-// every check. It reads cur and visited but mutates neither — visited is
-// frozen for the duration of the wave, which is what makes concurrent
-// expansion race-free. buf is the worker's reusable encoding scratch.
-// Expansion stops at the state's first erroring edge, exactly where the
-// serial explorer stopped.
-func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited, buf *[]byte) exploreOut {
+// POR-reduced) actions, and for each, build the successor, fingerprint
+// it, derive allstate/allcontent/allconfirm once and run every check on
+// that one derivation. It reads cur and visited but mutates neither —
+// visited is frozen for the duration of the wave, which is what makes
+// concurrent expansion race-free. Expansion stops at the state's first
+// erroring edge, exactly where the serial explorer stopped.
+func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited, sc *exploreScratch) exploreOut {
 	var out exploreOut
-	preSys := cur.system(cfg)
-	preAbs, err := preSys.Abstract()
-	if err != nil {
-		out.preErr = fmt.Errorf("explore: f undefined at a visited state: %w", err)
-		return out
-	}
-	out.queueLen = len(preAbs.Queue)
-
+	// Encode through locals: the workers' scratch entries are neighbours
+	// in memory, and a store per edge would bounce their cache line.
+	enc, cut := sc.enc, sc.cut
 	acts := cur.enabled(cfg)
 	if cfg.POR {
 		ample := porAmpleIndex
@@ -336,47 +330,78 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 	}
 
 	procs := cur.vs.Procs()
+	out.edges = make([]exploreEdge, 0, len(acts))
 	for _, act := range acts {
-		succ := cur.clone()
-		if err := succ.apply(act); err != nil {
-			out.edges = append(out.edges, exploreEdge{applyErr: err})
-			return out
-		}
+		succ := cur.successor(act)
 		var e exploreEdge
 		// Fingerprint before checking: the dedup key must never decide
 		// whether a generated state gets checked, so a hash collision can
 		// lose an unexplored subtree but can never mask a violation.
-		*buf = succ.encodeFingerprint((*buf)[:0])
-		e.hash = types.HashFingerprint(*buf)
+		enc, cut = succ.appendFingerprint(enc[:0], cut[:0], cur)
+		e.hash = types.HashFingerprint(enc)
 		if cfg.fpHook != nil {
 			e.hash = cfg.fpHook(e.hash)
 		}
 		if cfg.ExactKeys {
-			e.key = string(*buf)
+			e.key = string(enc)
 		}
 		sys := succ.system(cfg)
-		if err := sys.CheckInvariants(); err != nil {
+		d := sys.derive()
+		var err error
+		if err = sys.checkInvariants(d); err != nil {
 			e.checkErr = fmt.Errorf("explore: invariant after %v: %w", act, err)
-		} else if err := sys.CheckDeepInvariants(); err != nil {
+		} else if err = sys.checkDeepInvariants(d); err != nil {
 			e.checkErr = fmt.Errorf("explore: deep invariant after %v: %w", act, err)
-		} else if postAbs, err := sys.Abstract(); err != nil {
+		} else if succ.abs, err = sys.abstract(d); err != nil {
 			e.checkErr = fmt.Errorf("explore: f undefined after %v: %w", act, err)
-		} else if err := checkAbstractStep(procs, preAbs, postAbs, act); err != nil {
+		} else if err = checkAbstractStep(procs, cur.abs, succ.abs, act); err != nil {
 			e.checkErr = fmt.Errorf("explore: simulation step for %v: %w", act, err)
 		}
 		// Keep the successor only if it might enter the frontier: already
 		// visited before this wave means the merge will drop it anyway, so
-		// release the clone to the collector here. Intra-wave duplicates
-		// are resolved by the merge (first in submission order wins).
+		// release it to the collector here. Intra-wave duplicates are
+		// resolved by the merge (first in submission order wins).
 		if e.checkErr == nil && !visited.has(e.hash, e.key) {
+			succ.enc, succ.cut = slices.Clone(enc), slices.Clone(cut)
 			e.succ = succ
 		}
 		out.edges = append(out.edges, e)
 		if e.checkErr != nil {
-			return out
+			break
 		}
 	}
+	sc.enc, sc.cut = enc, cut
 	return out
+}
+
+// exploreInitial fills in cfg's defaults and builds the initial state of
+// the composition, with the encoding and the f every frontier state
+// carries (later states get theirs from the edge that generated them).
+func exploreInitial(cfg *ExploreConfig) (*exploreState, error) {
+	if cfg.P0Size <= 0 || cfg.P0Size > cfg.N {
+		cfg.P0Size = cfg.N
+	}
+	procs := types.RangeProcSet(cfg.N)
+	p0 := types.NewProcSet(procs.Members()[:cfg.P0Size]...)
+	if cfg.Quorums == nil {
+		cfg.Quorums = types.Majorities{Universe: procs}
+	}
+	initial := &exploreState{
+		vs:    vsmachine.New(procs, p0),
+		procs: make(map[types.ProcID]*Proc, cfg.N),
+	}
+	for _, p := range procs.Members() {
+		pr := NewProc(p, cfg.Quorums, p0)
+		pr.TrackHistory = true
+		pr.LiteralFigure10Label = cfg.LiteralFigure10Label
+		initial.procs[p] = pr
+	}
+	initial.enc, initial.cut = initial.appendFingerprint(nil, nil, nil)
+	var err error
+	if initial.abs, err = initial.system(*cfg).Abstract(); err != nil {
+		return nil, fmt.Errorf("explore: f undefined at the initial state: %w", err)
+	}
+	return initial, nil
 }
 
 // Explore runs the bounded exhaustive check. It returns an error on the
@@ -385,25 +410,9 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 // of cfg.Workers.
 func Explore(cfg ExploreConfig) (ExploreResult, error) {
 	var res ExploreResult
-	if cfg.P0Size <= 0 || cfg.P0Size > cfg.N {
-		cfg.P0Size = cfg.N
-	}
-	procs := types.RangeProcSet(cfg.N)
-	p0 := types.NewProcSet(procs.Members()[:cfg.P0Size]...)
-	qs := cfg.Quorums
-	if qs == nil {
-		qs = types.Majorities{Universe: procs}
-	}
-
-	initial := &exploreState{
-		vs:    vsmachine.New(procs, p0),
-		procs: make(map[types.ProcID]*Proc, cfg.N),
-	}
-	for _, p := range procs.Members() {
-		pr := NewProc(p, qs, p0)
-		pr.TrackHistory = true
-		pr.LiteralFigure10Label = cfg.LiteralFigure10Label
-		initial.procs[p] = pr
+	initial, err := exploreInitial(&cfg)
+	if err != nil {
+		return res, err
 	}
 
 	workers := sweep.Workers(cfg.Workers)
@@ -415,25 +424,22 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 	gFrontier := cfg.Obs.Gauge("explore.frontier")
 
 	visited := newExploreVisited(cfg.ExactKeys)
-	enc := initial.encodeFingerprint(nil)
-	h0 := types.HashFingerprint(enc)
+	h0 := types.HashFingerprint(initial.enc)
 	if cfg.fpHook != nil {
 		h0 = cfg.fpHook(h0)
 	}
-	visited.add(h0, string(enc))
+	visited.add(h0, string(initial.enc))
 	res.States = 1
 	cStates.Inc()
 
-	// Per-worker reusable encoding buffers: a worker expands many states
-	// per wave and the encoder is the allocation hot path.
-	bufs := make([][]byte, workers)
+	scratch := make([]exploreScratch, workers)
 
 	frontier := []*exploreState{initial}
 	depth := 0
 	for len(frontier) > 0 {
 		gFrontier.Max(int64(len(frontier)))
 		outs := sweep.RunWorker(workers, len(frontier), func(w, i int) exploreOut {
-			return exploreExpand(cfg, frontier[i], visited, &bufs[w])
+			return exploreExpand(cfg, frontier[i], visited, &scratch[w])
 		})
 		cWaves.Inc()
 
@@ -442,21 +448,15 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 		// so every counter update and early return below lands in the
 		// same sequence a serial run would produce.
 		var next []*exploreState
-		for _, out := range outs {
-			if out.preErr != nil {
-				return res, out.preErr
-			}
-			if out.queueLen > res.MaxQueueLen {
-				res.MaxQueueLen = out.queueLen
+		for i, out := range outs {
+			if n := len(frontier[i].abs.Queue); n > res.MaxQueueLen {
+				res.MaxQueueLen = n
 			}
 			if out.ample {
 				res.AmpleStates++
 				cAmple.Inc()
 			}
 			for _, e := range out.edges {
-				if e.applyErr != nil {
-					return res, e.applyErr
-				}
 				res.Edges++
 				cEdges.Inc()
 				if e.checkErr != nil {

@@ -2,7 +2,7 @@ package vstoto
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -49,9 +49,8 @@ func (x *Summary) AppendFingerprint(buf []byte) []byte {
 }
 
 // AppendFingerprint appends the processor's canonical encoding. History
-// variables are excluded, exactly as in the string fingerprint: they are
-// functions of the reachable state and only consumed by the invariant
-// checker.
+// variables are excluded: they are functions of the reachable state and
+// only consumed by the invariant checker.
 func (p *Proc) AppendFingerprint(buf []byte) []byte {
 	buf = binary.AppendVarint(buf, int64(p.id))
 	buf = p.Current.AppendFingerprint(buf)
@@ -84,7 +83,7 @@ func (p *Proc) AppendFingerprint(buf []byte) []byte {
 	for q := range p.GotState {
 		gots = append(gots, q)
 	}
-	sort.Slice(gots, func(i, j int) bool { return gots[i] < gots[j] })
+	slices.Sort(gots)
 	buf = binary.AppendUvarint(buf, uint64(len(gots)))
 	for _, q := range gots {
 		buf = binary.AppendVarint(buf, int64(q))
@@ -96,7 +95,7 @@ func (p *Proc) AppendFingerprint(buf []byte) []byte {
 			exs = append(exs, q)
 		}
 	}
-	sort.Slice(exs, func(i, j int) bool { return exs[i] < exs[j] })
+	slices.Sort(exs)
 	buf = binary.AppendUvarint(buf, uint64(len(exs)))
 	for _, q := range exs {
 		buf = binary.AppendVarint(buf, int64(q))
@@ -115,15 +114,29 @@ func (p *Proc) AppendFingerprint(buf []byte) []byte {
 	return buf
 }
 
-// encodeFingerprint appends the composed state's canonical encoding: the
+// appendFingerprint appends the composed state's canonical encoding — the
 // environment counters, the VS machine, then every processor in universe
-// order.
-func (s *exploreState) encodeFingerprint(buf []byte) []byte {
+// order — and appends to cut the component boundaries exploreState.cut
+// describes. A component s shares with parent (nil for the initial state)
+// contributes the bytes parent already encoded; the encoding is the same
+// either way.
+func (s *exploreState) appendFingerprint(buf []byte, cut []int, parent *exploreState) ([]byte, []int) {
 	buf = binary.AppendVarint(buf, int64(s.bcasts))
 	buf = binary.AppendVarint(buf, int64(s.views))
-	buf = s.vs.AppendFingerprint(buf)
-	for _, p := range s.vs.Procs().Members() {
-		buf = s.procs[p].AppendFingerprint(buf)
+	cut = append(cut, len(buf))
+	if parent != nil && s.vs == parent.vs {
+		buf = append(buf, parent.enc[parent.cut[0]:parent.cut[1]]...)
+	} else {
+		buf = s.vs.AppendFingerprint(buf)
 	}
-	return buf
+	cut = append(cut, len(buf))
+	for i, p := range s.vs.Procs().Members() {
+		if parent != nil && s.procs[p] == parent.procs[p] {
+			buf = append(buf, parent.enc[parent.cut[i+1]:parent.cut[i+2]]...)
+		} else {
+			buf = s.procs[p].AppendFingerprint(buf)
+		}
+		cut = append(cut, len(buf))
+	}
+	return buf, cut
 }

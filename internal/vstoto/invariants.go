@@ -2,6 +2,7 @@ package vstoto
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/spec/vsmachine"
 	"repro/internal/types"
@@ -23,40 +24,6 @@ func NewSystem(vs *vsmachine.Machine, procs map[types.ProcID]*Proc, qs types.Quo
 	return &System{VS: vs, Procs: procs, QS: qs}
 }
 
-// AllState computes the derived variable allstate[p, g]: every summary that
-// is (1) the state of p if p's current view is g, (2) in pending[p,g] of
-// VS-machine, (3) in queue[g] with sender p, or (4) recorded as
-// gotstate(p)_q for some q currently in view g.
-func (s *System) AllState(p types.ProcID, g types.ViewID) []*Summary {
-	var out []*Summary
-	proc := s.Procs[p]
-	if proc.Current.ID == g {
-		out = append(out, proc.StateSummary())
-	}
-	for _, m := range s.VS.Pending(p, g) {
-		if x, ok := m.(*Summary); ok {
-			out = append(out, x)
-		}
-	}
-	for _, e := range s.VS.Queue[g] {
-		if e.P != p {
-			continue
-		}
-		if x, ok := e.M.(*Summary); ok {
-			out = append(out, x)
-		}
-	}
-	for _, q := range s.VS.Procs().Members() {
-		qp := s.Procs[q]
-		if qp.Current.ID == g {
-			if x, ok := qp.GotState[p]; ok {
-				out = append(out, x)
-			}
-		}
-	}
-	return out
-}
-
 // summaryAt tags a summary with the (p, g) slot it came from, for error
 // messages.
 type summaryAt struct {
@@ -65,33 +32,78 @@ type summaryAt struct {
 	G types.ViewID
 }
 
-// allStateAll enumerates allstate = ∪_{p,g} allstate[p,g]. Only view ids
-// that occur somewhere (created views and procs' current views) can have
-// nonempty slots, so the enumeration is over those.
-func (s *System) allStateAll() []summaryAt {
-	var out []summaryAt
-	seen := make(map[types.ViewID]bool)
-	var gs []types.ViewID
-	for id := range s.VS.Created {
-		if !seen[id] {
-			seen[id] = true
-			gs = append(gs, id)
+// String names the slot the way the invariant errors do.
+func (sa summaryAt) String() string { return fmt.Sprintf("allstate[%v,%v]", sa.P, sa.G) }
+
+// appendAllState appends the derived variable allstate[p, g], tagged with
+// its slot: every summary that is (1) the state of p if p's current view
+// is g, (2) in pending[p,g] of VS-machine, (3) in queue[g] with sender p,
+// or (4) recorded as gotstate(p)_q for some q currently in view g.
+func (s *System) appendAllState(out []summaryAt, p types.ProcID, g types.ViewID) []summaryAt {
+	if proc := s.Procs[p]; proc.Current.ID == g {
+		out = append(out, summaryAt{proc.StateSummary(), p, g})
+	}
+	for _, m := range s.VS.Pending(p, g) {
+		if x, ok := m.(*Summary); ok {
+			out = append(out, summaryAt{x, p, g})
 		}
 	}
-	for _, p := range s.VS.Procs().Members() {
-		if id := s.Procs[p].Current.ID; !id.IsBottom() && !seen[id] {
-			seen[id] = true
-			gs = append(gs, id)
+	for _, e := range s.VS.Queue[g] {
+		if x, ok := e.M.(*Summary); ok && e.P == p {
+			out = append(out, summaryAt{x, p, g})
 		}
 	}
-	for _, p := range s.VS.Procs().Members() {
-		for _, g := range gs {
-			for _, x := range s.AllState(p, g) {
-				out = append(out, summaryAt{X: x, P: p, G: g})
+	for _, q := range s.VS.Procs().Members() {
+		if qp := s.Procs[q]; qp.Current.ID == g {
+			if x, ok := qp.GotState[p]; ok {
+				out = append(out, summaryAt{x, p, g})
 			}
 		}
 	}
 	return out
+}
+
+// allStateAll enumerates allstate = ∪_{p,g} allstate[p,g]. Only view ids
+// that occur somewhere (created views and procs' current views) can have
+// nonempty slots, so the enumeration is over those.
+func (s *System) allStateAll() []summaryAt {
+	procs := s.VS.Procs().Members()
+	gs := make([]types.ViewID, 0, len(s.VS.Created)+len(procs))
+	for id := range s.VS.Created {
+		gs = append(gs, id)
+	}
+	for _, p := range procs {
+		if id := s.Procs[p].Current.ID; !id.IsBottom() && !slices.Contains(gs, id) {
+			gs = append(gs, id)
+		}
+	}
+	var out []summaryAt
+	for _, p := range procs {
+		for _, g := range gs {
+			out = s.appendAllState(out, p, g)
+		}
+	}
+	return out
+}
+
+// derived holds the Section 6 derived variables of one composed state.
+// System is a view over mutable components, so nothing is remembered on
+// it: each exported check derives afresh, and a caller running several
+// checks on one state (the explorer) derives once and passes this to their
+// unexported cores.
+type derived struct {
+	allstate   []summaryAt
+	allcontent map[types.Label]types.Value
+	contentErr error // Lemma 6.5 violated: allcontent is nil
+	allconfirm []types.Label
+	confirmErr error // Corollary 6.24 violated: allconfirm is nil
+}
+
+func (s *System) derive() *derived {
+	d := &derived{allstate: s.allStateAll()}
+	d.allcontent, d.contentErr = s.allContent(d.allstate)
+	d.allconfirm, d.confirmErr = allConfirm(d.allstate)
+	return d
 }
 
 // AllContent computes the derived variable allcontent: the union of x.con
@@ -99,19 +111,28 @@ func (s *System) allStateAll() []summaryAt {
 // and the labeled values in transit. It returns an error if the union is
 // not a function (violating Lemma 6.5).
 func (s *System) AllContent() (map[types.Label]types.Value, error) {
+	return s.allContent(s.allStateAll())
+}
+
+func (s *System) allContent(allstate []summaryAt) (map[types.Label]types.Value, error) {
 	out := make(map[types.Label]types.Value)
-	add := func(l types.Label, a types.Value, where string) error {
-		if prev, ok := out[l]; ok && prev != a {
-			return fmt.Errorf("lemma 6.5: allcontent not a function: %v ↦ %q and %q (%s)",
-				l, string(prev), string(a), where)
+	// bind adds l ↦ a, or reports the different value l is already bound
+	// to. Where a binding came from is formatted only for that report.
+	bind := func(l types.Label, a types.Value) (types.Value, bool) {
+		prev, ok := out[l]
+		if !ok {
+			out[l] = a
 		}
-		out[l] = a
-		return nil
+		return prev, ok && prev != a
 	}
-	for _, sa := range s.allStateAll() {
+	clash := func(l types.Label, prev, a types.Value, where string) (map[types.Label]types.Value, error) {
+		return nil, fmt.Errorf("lemma 6.5: allcontent not a function: %v ↦ %q and %q (%s)",
+			l, string(prev), string(a), where)
+	}
+	for _, sa := range allstate {
 		for l, a := range sa.X.Con {
-			if err := add(l, a, fmt.Sprintf("allstate[%v,%v]", sa.P, sa.G)); err != nil {
-				return nil, err
+			if prev, bad := bind(l, a); bad {
+				return clash(l, prev, a, sa.String())
 			}
 		}
 	}
@@ -119,16 +140,16 @@ func (s *System) AllContent() (map[types.Label]types.Value, error) {
 	// label→value bindings; include them so the function check is global.
 	for _, p := range s.VS.Procs().Members() {
 		for l, a := range s.Procs[p].Content {
-			if err := add(l, a, fmt.Sprintf("content_%v", p)); err != nil {
-				return nil, err
+			if prev, bad := bind(l, a); bad {
+				return clash(l, prev, a, fmt.Sprintf("content_%v", p))
 			}
 		}
 	}
 	for g, queue := range s.VS.Queue {
 		for _, e := range queue {
 			if lv, ok := e.M.(LabeledValue); ok {
-				if err := add(lv.L, lv.A, fmt.Sprintf("queue[%v]", g)); err != nil {
-					return nil, err
+				if prev, bad := bind(lv.L, lv.A); bad {
+					return clash(lv.L, prev, lv.A, fmt.Sprintf("queue[%v]", g))
 				}
 			}
 		}
@@ -152,21 +173,22 @@ func isPrefix(a, b []types.Label) bool {
 // AllConfirm computes the derived variable allconfirm: the least upper
 // bound of x.confirm over allstate. It returns an error if the confirm
 // sequences are not pairwise prefix-comparable (violating Corollary 6.24).
-func (s *System) AllConfirm() ([]types.Label, error) {
+func (s *System) AllConfirm() ([]types.Label, error) { return allConfirm(s.allStateAll()) }
+
+func allConfirm(allstate []summaryAt) ([]types.Label, error) {
 	var lub []types.Label
-	var lubAt string
-	for _, sa := range s.allStateAll() {
+	var lubAt summaryAt
+	for _, sa := range allstate {
 		c := sa.X.Confirm()
 		switch {
 		case isPrefix(c, lub):
 			// lub already covers c.
 		case isPrefix(lub, c):
-			lub = c
-			lubAt = fmt.Sprintf("allstate[%v,%v]", sa.P, sa.G)
+			lub, lubAt = c, sa
 		default:
 			return nil, fmt.Errorf(
-				"corollary 6.24: confirm sequences inconsistent: %v (from %s) vs %v (from allstate[%v,%v])",
-				lub, lubAt, c, sa.P, sa.G)
+				"corollary 6.24: confirm sequences inconsistent: %v (from %v) vs %v (from %v)",
+				lub, lubAt, c, sa)
 		}
 	}
 	return lub, nil
@@ -175,7 +197,9 @@ func (s *System) AllConfirm() ([]types.Label, error) {
 // CheckInvariants verifies the executable subset of the Section 6
 // invariants on the current composed state. Each check is labeled with the
 // lemma it corresponds to.
-func (s *System) CheckInvariants() error {
+func (s *System) CheckInvariants() error { return s.checkInvariants(s.derive()) }
+
+func (s *System) checkInvariants(d *derived) error {
 	procs := s.VS.Procs().Members()
 
 	// Lemma 6.1: agreement between processor-local current and VS state.
@@ -231,14 +255,13 @@ func (s *System) CheckInvariants() error {
 		}
 	}
 
-	allcontent, err := s.AllContent() // checks Lemma 6.5
-	if err != nil {
-		return err
+	if d.contentErr != nil { // Lemma 6.5
+		return d.contentErr
 	}
 
 	// Lemma 6.4: labels in allcontent with origin p are below p's next
 	// label.
-	for l := range allcontent {
+	for l := range d.allcontent {
 		proc := s.Procs[l.Origin]
 		bound := types.Label{ID: proc.Current.ID, Seqno: proc.NextSeqno, Origin: l.Origin}
 		if !proc.Current.ID.IsBottom() && !l.Less(bound) {
@@ -247,7 +270,7 @@ func (s *System) CheckInvariants() error {
 	}
 
 	// Lemma 6.7(4): no allstate for views above a processor's current view.
-	for _, sa := range s.allStateAll() {
+	for _, sa := range d.allstate {
 		proc := s.Procs[sa.P]
 		if proc.Current.ID.IsBottom() || proc.Current.ID.Less(sa.G) {
 			return fmt.Errorf("lemma 6.7(4): allstate[%v,%v] nonempty with current=%v",
@@ -315,9 +338,8 @@ func (s *System) CheckInvariants() error {
 
 	// Corollary 6.23 / 6.24: confirm sequences are prefixes of higher
 	// orders and pairwise consistent.
-	all := s.allStateAll()
-	for _, a := range all {
-		for _, b := range all {
+	for _, a := range d.allstate {
+		for _, b := range d.allstate {
 			if a.X.High.LessEq(b.X.High) {
 				if !isPrefix(a.X.Confirm(), b.X.Ord) {
 					return fmt.Errorf(
@@ -327,8 +349,8 @@ func (s *System) CheckInvariants() error {
 			}
 		}
 	}
-	if _, err := s.AllConfirm(); err != nil {
-		return err
+	if d.confirmErr != nil {
+		return d.confirmErr
 	}
 
 	// Per-proc sanity: nextreport ≤ nextconfirm ≤ len(order)+1.

@@ -11,7 +11,9 @@ import (
 // Lemmas 6.13, 6.14, 6.17, 6.20 and 6.21. They are costlier than
 // CheckInvariants (quadratic in places), so the randomized harnesses call
 // them per step only for small configurations; the explorer always does.
-func (s *System) CheckDeepInvariants() error {
+func (s *System) CheckDeepInvariants() error { return s.checkDeepInvariants(s.derive()) }
+
+func (s *System) checkDeepInvariants(d *derived) error {
 	procs := s.VS.Procs().Members()
 	for _, p := range procs {
 		if !s.Procs[p].TrackHistory {
@@ -61,7 +63,7 @@ func (s *System) CheckDeepInvariants() error {
 					return fmt.Errorf("lemma 6.13: %v established primary %v (now at %v) but highprimary=%v",
 						p, gid, proc.Current.ID, proc.HighPrimary)
 				}
-				for _, sa := range s.allStateAll() {
+				for _, sa := range d.allstate {
 					if sa.P == p && gid.Less(sa.G) && sa.X.High.Less(gid) {
 						return fmt.Errorf("lemma 6.14: allstate[%v,%v] has high=%v < established primary %v",
 							sa.P, sa.G, sa.X.High, gid)
@@ -119,18 +121,17 @@ func (s *System) CheckDeepInvariants() error {
 	// Equivalent linear form: for each origin o, the o-labels of ord, read
 	// in position order, must be exactly the first k labels of o's sorted
 	// allcontent labels, in that sorted order.
-	allcontent, err := s.AllContent()
-	if err != nil {
-		return err
+	if d.contentErr != nil {
+		return d.contentErr
 	}
 	perOrigin := make(map[types.ProcID][]types.Label)
-	for l := range allcontent {
+	for l := range d.allcontent {
 		perOrigin[l.Origin] = append(perOrigin[l.Origin], l)
 	}
 	for _, ls := range perOrigin {
 		types.SortLabels(ls)
 	}
-	for _, sa := range s.allStateAll() {
+	for _, sa := range d.allstate {
 		seen := make(map[types.ProcID]int)
 		for i, l := range sa.X.Ord {
 			want := perOrigin[l.Origin]

@@ -22,15 +22,16 @@ type AbstractState struct {
 //  2. next[p] = nextreport_p
 //  3. pending[p] = the values of labels with origin p in allcontent but not
 //     in allconfirm, in label order, followed by delay_p.
-func (s *System) Abstract() (*AbstractState, error) {
-	allcontent, err := s.AllContent()
-	if err != nil {
-		return nil, err
+func (s *System) Abstract() (*AbstractState, error) { return s.abstract(s.derive()) }
+
+func (s *System) abstract(d *derived) (*AbstractState, error) {
+	if d.contentErr != nil {
+		return nil, d.contentErr
 	}
-	allconfirm, err := s.AllConfirm()
-	if err != nil {
-		return nil, err
+	if d.confirmErr != nil {
+		return nil, d.confirmErr
 	}
+	allcontent, allconfirm := d.allcontent, d.allconfirm
 	abs := &AbstractState{
 		Pending: make(map[types.ProcID][]types.Value),
 		Next:    make(map[types.ProcID]int),

@@ -3,7 +3,6 @@ package vsmachine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/ioa"
 	"repro/internal/types"
@@ -68,7 +67,8 @@ func (a *Auto) Enabled(buf []ioa.Action) []ioa.Action {
 	// nondeterminism by drawing a random index into this slice, so the
 	// enumeration order must be a pure function of the state — Go's
 	// randomized map order would otherwise leak into seeded runs.
-	for _, id := range m.CreatedViewIDs() {
+	var idBuf [8]types.ViewID
+	for _, id := range sortedKeys(idBuf[:0], m.Created, types.ViewID.Cmp) {
 		v := m.Created[id]
 		for _, p := range v.Set.Members() {
 			cur := m.CurrentViewID[p]
@@ -77,17 +77,8 @@ func (a *Auto) Enabled(buf []ioa.Action) []ioa.Action {
 			}
 		}
 	}
-	keys := make([]pg, 0, len(m.pending))
-	for k := range m.pending {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].P != keys[j].P {
-			return keys[i].P < keys[j].P
-		}
-		return keys[i].G.Less(keys[j].G)
-	})
-	for _, k := range keys {
+	var pgBuf [16]pg
+	for _, k := range sortedKeys(pgBuf[:0], m.pending, cmpPG) {
 		if pend := m.pending[k]; len(pend) > 0 {
 			buf = append(buf, VSOrder{M: pend[0], P: k.P, G: k.G})
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/ioa"
-	"repro/internal/types"
 )
 
 // CloneFor returns a copy of the machine that act can be applied to
@@ -48,27 +47,20 @@ func cloneClipped[K comparable, E any](m map[K][]E) map[K][]E {
 	return out
 }
 
-// sortedViewIDs returns the map's keys in ascending order.
-func sortedViewIDs[V any](m map[types.ViewID]V) []types.ViewID {
-	ids := make([]types.ViewID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, types.ViewID.Cmp)
-	return ids
-}
-
-// sortedPGs returns the map's keys in ascending (processor, view) order.
-func sortedPGs[V any](m map[pg]V) []pg {
-	ks := make([]pg, 0, len(m))
+// sortedKeys appends m's keys to ks, sorted by order. Callers pass an
+// empty slice of a stack array, which keeps small key sets off the heap.
+func sortedKeys[K comparable, V any](ks []K, m map[K]V, order func(K, K) int) []K {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	slices.SortFunc(ks, func(a, b pg) int {
-		if c := cmp.Compare(a.P, b.P); c != 0 {
-			return c
-		}
-		return a.G.Cmp(b.G)
-	})
+	slices.SortFunc(ks, order)
 	return ks
+}
+
+// cmpPG orders (processor, view) keys by processor, then view.
+func cmpPG(a, b pg) int {
+	if c := cmp.Compare(a.P, b.P); c != 0 {
+		return c
+	}
+	return a.G.Cmp(b.G)
 }

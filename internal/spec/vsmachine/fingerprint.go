@@ -40,7 +40,9 @@ func appendMsgFingerprint(buf []byte, m Msg) []byte {
 // function of the state. next/next-safe entries at their default value 1 are omitted
 // (an absent key and an explicit 1 are the same abstract state).
 func (m *Machine) AppendFingerprint(buf []byte) []byte {
-	created := sortedViewIDs(m.Created)
+	var idBuf [8]types.ViewID
+	var pgBuf [16]pg
+	created := sortedKeys(idBuf[:0], m.Created, types.ViewID.Cmp)
 	buf = binary.AppendUvarint(buf, uint64(len(created)))
 	for _, id := range created {
 		buf = m.Created[id].AppendFingerprint(buf)
@@ -48,7 +50,7 @@ func (m *Machine) AppendFingerprint(buf []byte) []byte {
 	for _, p := range m.procs.Members() {
 		buf = m.CurrentViewID[p].AppendFingerprint(buf)
 	}
-	queues := sortedViewIDs(m.Queue)
+	queues := sortedKeys(idBuf[:0], m.Queue, types.ViewID.Cmp)
 	buf = binary.AppendUvarint(buf, uint64(len(queues)))
 	for _, g := range queues {
 		buf = g.AppendFingerprint(buf)
@@ -59,7 +61,7 @@ func (m *Machine) AppendFingerprint(buf []byte) []byte {
 			buf = binary.AppendVarint(buf, int64(e.P))
 		}
 	}
-	pgs := sortedPGs(m.pending)
+	pgs := sortedKeys(pgBuf[:0], m.pending, cmpPG)
 	nonEmpty := 0
 	for _, k := range pgs {
 		if len(m.pending[k]) > 0 {
@@ -80,7 +82,7 @@ func (m *Machine) AppendFingerprint(buf []byte) []byte {
 		}
 	}
 	for _, idx := range []map[pg]int{m.next, m.nextSafe} {
-		ks := sortedPGs(idx)
+		ks := sortedKeys(pgBuf[:0], idx, cmpPG)
 		nonDefault := 0
 		for _, k := range ks {
 			if idx[k] != 1 {

@@ -15,7 +15,6 @@ package vsmachine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/types"
 )
@@ -331,12 +330,7 @@ func (m *Machine) ApplySafe(msg Msg, p, q types.ProcID) error {
 // CreatedViewIDs returns the derived variable created-viewids, sorted
 // ascending.
 func (m *Machine) CreatedViewIDs() []types.ViewID {
-	ids := make([]types.ViewID, 0, len(m.Created))
-	for id := range m.Created {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	return ids
+	return sortedKeys(make([]types.ViewID, 0, len(m.Created)), m.Created, types.ViewID.Cmp)
 }
 
 // MaxCreatedViewID returns the largest created view identifier.

@@ -14,6 +14,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -249,6 +250,18 @@ func (l Label) Less(m Label) bool {
 		return l.Seqno < m.Seqno
 	}
 	return l.Origin < m.Origin
+}
+
+// Compare returns -1, 0, or +1 according to the lexicographic order on L,
+// for slices.SortFunc.
+func (l Label) Compare(m Label) int {
+	if c := l.ID.Cmp(m.ID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(l.Seqno, m.Seqno); c != 0 {
+		return c
+	}
+	return cmp.Compare(l.Origin, m.Origin)
 }
 
 // String renders the label compactly.

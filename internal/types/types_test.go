@@ -217,6 +217,16 @@ func TestLabelOrder(t *testing.T) {
 		if got := c.a.Less(c.b); got != c.less {
 			t.Errorf("%v.Less(%v) = %t, want %t", c.a, c.b, got, c.less)
 		}
+		want := 0
+		switch {
+		case c.a.Less(c.b):
+			want = -1
+		case c.b.Less(c.a):
+			want = 1
+		}
+		if got := c.a.Compare(c.b); got != want {
+			t.Errorf("%v.Compare(%v) = %d, want %d", c.a, c.b, got, want)
+		}
 	}
 }
 

@@ -121,19 +121,45 @@ type exploreState struct {
 	enc []byte
 	cut []int
 	// abs is f(state), computed when the state was checked.
-	abs *AbstractState
+	abs exploreAbs
+}
+
+// exploreAbs is f(x) of a frontier state in the explorer's compact form:
+// the i-th processor's pending and next are pending[i] and next[i].
+type exploreAbs struct {
+	queue   []tomachine.Entry
+	pending [][]types.Value
+	next    []int
+}
+
+// compactAbs copies abs, which the next derive overwrites, for a frontier state.
+func compactAbs(members []types.ProcID, abs *AbstractState) exploreAbs {
+	out := exploreAbs{queue: slices.Clone(abs.Queue), pending: make([][]types.Value, len(members)), next: make([]int, len(members))}
+	for i, p := range members {
+		out.pending[i], out.next[i] = slices.Clone(abs.Pending[p]), abs.Next[p]
+	}
+	return out
+}
+
+// bcastValues returns the values of the explorer's bcasts: "v1", "v2", ….
+func bcastValues(n int) []types.Value {
+	vals := make([]types.Value, n)
+	for i := range vals {
+		vals[i] = types.Value(fmt.Sprintf("v%d", i+1))
+	}
+	return vals
 }
 
 // enabled enumerates every action available in this state, including the
-// environment's (bounded) choices.
-func (s *exploreState) enabled(cfg ExploreConfig) []ioa.Action {
+// environment's (bounded) choices; values are bcastValues(cfg.MaxBcasts).
+func (s *exploreState) enabled(cfg ExploreConfig, values []types.Value) []ioa.Action {
 	members := s.vs.Procs().Members()
 	acts := (&vsmachine.Auto{M: s.vs}).Enabled(nil)
 	for _, p := range members {
 		acts = (&Auto{P: s.procs[p]}).Enabled(acts)
 	}
 	if s.bcasts < cfg.MaxBcasts {
-		val := types.Value(fmt.Sprintf("v%d", s.bcasts+1))
+		val := values[s.bcasts]
 		for _, p := range members {
 			acts = append(acts, tomachine.Bcast{A: val, P: p})
 		}
@@ -148,8 +174,8 @@ func (s *exploreState) enabled(cfg ExploreConfig) []ioa.Action {
 }
 
 // successor returns the state act leads to, leaving s untouched. Only the
-// components with act in their signature are copied (the VS machine only
-// in the maps act writes) and stepped — the owner performs, a receiver
+// components with act in their signature are copied (each only in the maps
+// act writes) and stepped — the owner performs, a receiver
 // takes the input; their state is disjoint, so the order is immaterial.
 // Every other component is shared with s.
 func (s *exploreState) successor(act ioa.Action) *exploreState {
@@ -178,7 +204,7 @@ func (s *exploreState) successor(act ioa.Action) *exploreState {
 		if sharedProcs {
 			out.procs, sharedProcs = maps.Clone(s.procs), false
 		}
-		a := &Auto{P: s.procs[p].Clone()}
+		a := &Auto{P: s.procs[p].cloneFor(act)}
 		out.procs[p] = a.P
 		if kind == ioa.Input {
 			a.Input(act)
@@ -195,25 +221,23 @@ func (s *exploreState) system(cfg ExploreConfig) *System {
 }
 
 // checkAbstractStep verifies the forward-simulation step condition for one
-// edge: starting a TO-machine at f(pre), the concrete action's abstract
-// counterpart (bcast, zero or more to-orders, brcv, or nothing) must be
-// enabled and lead exactly to f(post).
-func checkAbstractStep(procs types.ProcSet, pre, post *AbstractState, act ioa.Action) error {
-	shadow := tomachine.New(procs)
-	// The shadow only appends to and reslices its sequences, so capping
-	// pre's at their length shares them safely.
-	shadow.Queue = slices.Clip(pre.Queue)
-	for _, p := range procs.Members() {
-		shadow.Pending[p] = slices.Clip(pre.Pending[p])
-		shadow.Next[p] = pre.Next[p]
+// edge: starting shadow (a TO-machine over procs) at f(pre), the concrete
+// action's abstract counterpart (bcast, zero or more to-orders, brcv, or
+// nothing) must be enabled and lead exactly to f(post).
+func checkAbstractStep(procs types.ProcSet, pre *exploreAbs, post *AbstractState, act ioa.Action, shadow *tomachine.Machine) error {
+	// Copies, so that the shadow's appends never touch pre's storage.
+	shadow.Queue = append(shadow.Queue[:0], pre.queue...)
+	for i, p := range procs.Members() {
+		shadow.Pending[p] = append(shadow.Pending[p][:0], pre.pending[i]...)
+		shadow.Next[p] = pre.next[i]
 	}
 	if b, ok := act.(tomachine.Bcast); ok {
 		shadow.ApplyBcast(b.A, b.P)
 	}
-	if len(post.Queue) < len(pre.Queue) {
+	if len(post.Queue) < len(pre.queue) {
 		return fmt.Errorf("explore: abstract queue shrank")
 	}
-	for _, e := range post.Queue[len(pre.Queue):] {
+	for _, e := range post.Queue[len(pre.queue):] {
 		if err := shadow.ApplyToOrder(e.A, e.P); err != nil {
 			return fmt.Errorf("explore: %w", err)
 		}
@@ -298,11 +322,15 @@ type exploreOut struct {
 	edges []exploreEdge
 }
 
-// exploreScratch is one worker's reusable encoding scratch: the encoder is
-// the allocation hot path, and a worker expands many states per wave.
+// exploreScratch is what one worker reuses from edge to edge: encoding
+// buffers, the derivation every check reads (f(x) included) and the step
+// check's TO-machine. Edges hand on copies, never pointers into it.
 type exploreScratch struct {
-	enc []byte
-	cut []int
+	enc    []byte
+	cut    []int
+	d      *derived
+	shadow *tomachine.Machine
+	values []types.Value // bcastValues(cfg.MaxBcasts)
 }
 
 // exploreExpand expands one frontier state: enumerate (possibly
@@ -314,10 +342,14 @@ type exploreScratch struct {
 // erroring edge, exactly where the serial explorer stopped.
 func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited, sc *exploreScratch) exploreOut {
 	var out exploreOut
+	procs := cur.vs.Procs()
+	if sc.d == nil {
+		sc.d, sc.shadow, sc.values = newDerived(), tomachine.New(procs), bcastValues(cfg.MaxBcasts)
+	}
 	// Encode through locals: the workers' scratch entries are neighbours
 	// in memory, and a store per edge would bounce their cache line.
 	enc, cut := sc.enc, sc.cut
-	acts := cur.enabled(cfg)
+	acts := cur.enabled(cfg, sc.values)
 	if cfg.POR {
 		ample := porAmpleIndex
 		if cfg.ampleHook != nil {
@@ -329,7 +361,6 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 		}
 	}
 
-	procs := cur.vs.Procs()
 	out.edges = make([]exploreEdge, 0, len(acts))
 	for _, act := range acts {
 		succ := cur.successor(act)
@@ -346,15 +377,16 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 			e.key = string(enc)
 		}
 		sys := succ.system(cfg)
-		d := sys.derive()
+		d := sys.derive(sc.d)
+		var abs *AbstractState
 		var err error
 		if err = sys.checkInvariants(d); err != nil {
 			e.checkErr = fmt.Errorf("explore: invariant after %v: %w", act, err)
 		} else if err = sys.checkDeepInvariants(d); err != nil {
 			e.checkErr = fmt.Errorf("explore: deep invariant after %v: %w", act, err)
-		} else if succ.abs, err = sys.abstract(d); err != nil {
+		} else if abs, err = sys.abstract(d); err != nil {
 			e.checkErr = fmt.Errorf("explore: f undefined after %v: %w", act, err)
-		} else if err = checkAbstractStep(procs, cur.abs, succ.abs, act); err != nil {
+		} else if err = checkAbstractStep(procs, &cur.abs, abs, act, sc.shadow); err != nil {
 			e.checkErr = fmt.Errorf("explore: simulation step for %v: %w", act, err)
 		}
 		// Keep the successor only if it might enter the frontier: already
@@ -363,6 +395,7 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 		// resolved by the merge (first in submission order wins).
 		if e.checkErr == nil && !visited.has(e.hash, e.key) {
 			succ.enc, succ.cut = slices.Clone(enc), slices.Clone(cut)
+			succ.abs = compactAbs(procs.Members(), abs)
 			e.succ = succ
 		}
 		out.edges = append(out.edges, e)
@@ -397,10 +430,11 @@ func exploreInitial(cfg *ExploreConfig) (*exploreState, error) {
 		initial.procs[p] = pr
 	}
 	initial.enc, initial.cut = initial.appendFingerprint(nil, nil, nil)
-	var err error
-	if initial.abs, err = initial.system(*cfg).Abstract(); err != nil {
+	abs, err := initial.system(*cfg).Abstract()
+	if err != nil {
 		return nil, fmt.Errorf("explore: f undefined at the initial state: %w", err)
 	}
+	initial.abs = compactAbs(procs.Members(), abs)
 	return initial, nil
 }
 
@@ -449,7 +483,7 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 		// same sequence a serial run would produce.
 		var next []*exploreState
 		for i, out := range outs {
-			if n := len(frontier[i].abs.Queue); n > res.MaxQueueLen {
+			if n := len(frontier[i].abs.queue); n > res.MaxQueueLen {
 				res.MaxQueueLen = n
 			}
 			if out.ample {

@@ -2,10 +2,10 @@ package vstoto
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/ioa"
@@ -57,10 +57,11 @@ func walkExploreWaves(t *testing.T, cfg ExploreConfig, expand func(cfg ExploreCo
 // that successor.
 func walkExploreEdges(t *testing.T, cfg ExploreConfig, visit func(cfg ExploreConfig, cur, succ *exploreState, act ioa.Action) bool) int {
 	t.Helper()
+	values := bcastValues(cfg.MaxBcasts)
 	return walkExploreWaves(t, cfg, func(cfg ExploreConfig, frontier []*exploreState) []*exploreState {
 		var next []*exploreState
 		for _, cur := range frontier {
-			for _, act := range cur.enabled(cfg) {
+			for _, act := range cur.enabled(cfg, values) {
 				succ := cur.successor(act)
 				succ.enc, succ.cut = succ.appendFingerprint(nil, nil, cur)
 				if visit(cfg, cur, succ, act) {
@@ -72,42 +73,56 @@ func walkExploreEdges(t *testing.T, cfg ExploreConfig, visit func(cfg ExploreCon
 	})
 }
 
-// verdict reduces an invariant error to which lemma failed: the rest of
-// the text may name a different violating slot from one derivation to the
-// next (allstate is enumerated in map order).
-func verdict(err error) string {
+// errText is an error's text, "ok" for none.
+func errText(err error) string {
 	if err == nil {
 		return "ok"
 	}
-	lemma, _, _ := strings.Cut(err.Error(), ":")
-	return lemma
+	return err.Error()
+}
+
+// sameAbstract reports whether two results of f hold the same TO-machine
+// state (an empty sequence equals a nil one).
+func sameAbstract(a, b *AbstractState) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return slices.Equal(a.Queue, b.Queue) && maps.Equal(a.Next, b.Next) &&
+		maps.EqualFunc(a.Pending, b.Pending, slices.Equal[[]types.Value])
 }
 
 // TestDerivedOnceMatchesExported is the differential for the single
-// derived-variable pass: at every state of the view-change exploration,
-// and of the literal Figure 10 mutant (which reaches violating states),
-// the three cores run in sequence on ONE derivation give the verdicts and
-// the abstract state that the exported methods, each deriving afresh,
-// give.
+// derived-variable pass and for the storage a worker reuses across edges:
+// at every state of the view-change exploration, and of the literal
+// Figure 10 mutant (which reaches violating states), the three cores run
+// in sequence on ONE derivation — twice in a row, into the storage every
+// state before it used too — give the error strings and the abstract
+// state that the exported methods, each deriving afresh, give.
 func TestDerivedOnceMatchesExported(t *testing.T) {
 	mutant := exploreViewCfg()
 	mutant.LiteralFigure10Label = true
 	for name, cfg := range map[string]ExploreConfig{"clean": exploreViewCfg(), "mutant": mutant} {
+		reused := newDerived()
 		violations := 0
 		states := walkExploreEdges(t, cfg, func(cfg ExploreConfig, _, succ *exploreState, act ioa.Action) bool {
 			sys := succ.system(cfg)
-			d := sys.derive()
-			inv, deep := sys.checkInvariants(d), sys.checkDeepInvariants(d)
-			abs, absErr := sys.abstract(d)
-			if got, want := verdict(inv), verdict(sys.CheckInvariants()); got != want {
-				t.Fatalf("%s: after %v: checkInvariants %q, CheckInvariants %q", name, act, got, want)
-			}
-			if got, want := verdict(deep), verdict(sys.CheckDeepInvariants()); got != want {
-				t.Fatalf("%s: after %v: checkDeepInvariants %q, CheckDeepInvariants %q", name, act, got, want)
-			}
+			wantInv, wantDeep := errText(sys.CheckInvariants()), errText(sys.CheckDeepInvariants())
 			wantAbs, wantErr := sys.Abstract()
-			if verdict(absErr) != verdict(wantErr) || !reflect.DeepEqual(abs, wantAbs) {
-				t.Fatalf("%s: after %v: abstract (%+v, %v), Abstract (%+v, %v)", name, act, abs, absErr, wantAbs, wantErr)
+			var inv, deep, absErr error
+			for round := 1; round <= 2; round++ {
+				d := sys.derive(reused)
+				inv, deep = sys.checkInvariants(d), sys.checkDeepInvariants(d)
+				var abs *AbstractState
+				abs, absErr = sys.abstract(d)
+				if got := errText(inv); got != wantInv {
+					t.Fatalf("%s: after %v, round %d: checkInvariants %q, CheckInvariants %q", name, act, round, got, wantInv)
+				}
+				if got := errText(deep); got != wantDeep {
+					t.Fatalf("%s: after %v, round %d: checkDeepInvariants %q, CheckDeepInvariants %q", name, act, round, got, wantDeep)
+				}
+				if errText(absErr) != errText(wantErr) || !sameAbstract(abs, wantAbs) {
+					t.Fatalf("%s: after %v, round %d: abstract (%+v, %v), Abstract (%+v, %v)", name, act, round, abs, absErr, wantAbs, wantErr)
+				}
 			}
 			if inv != nil || deep != nil || absErr != nil {
 				violations++
@@ -288,5 +303,29 @@ func TestSuccessorCopiesOnlyTheSignature(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("the configuration never performed %s", name)
 		}
+	}
+}
+
+// TestExploreRetainsNothing pins that the storage workers reuse lives and
+// dies with one Explore call: after three calls and two collections (the
+// second empties sync.Pool victim caches) the live heap is back where it
+// started, give or take 16 KB — no package-level scratch, pool or
+// interning table grows with the calls.
+func TestExploreRetainsNothing(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := 0; i < 3; i++ {
+		if _, err := Explore(exploreViewCfg()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := heap() - before; grown > 16<<10 {
+		t.Errorf("live heap grew by %d bytes over three Explore calls, want ≤ 16 KB", grown)
 	}
 }

@@ -1,6 +1,7 @@
 package vstoto
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
 
@@ -30,11 +31,8 @@ func (lv LabeledValue) AppendFingerprint(buf []byte) []byte {
 // encode identically — the visited set is about state, not identity.
 func (x *Summary) AppendFingerprint(buf []byte) []byte {
 	buf = append(buf, 0x11)
-	labels := make([]types.Label, 0, len(x.Con))
-	for l := range x.Con {
-		labels = append(labels, l)
-	}
-	types.SortLabels(labels)
+	var lbuf [8]types.Label
+	labels := sortedKeys(lbuf[:0], x.Con, types.Label.Compare, nil)
 	buf = binary.AppendUvarint(buf, uint64(len(labels)))
 	for _, l := range labels {
 		buf = l.AppendFingerprint(buf)
@@ -69,49 +67,46 @@ func (p *Proc) AppendFingerprint(buf []byte) []byte {
 	for _, a := range p.Delay {
 		buf = types.AppendFingerprintString(buf, string(a))
 	}
-	labels := make([]types.Label, 0, len(p.Content))
-	for l := range p.Content {
-		labels = append(labels, l)
-	}
-	types.SortLabels(labels)
+	// Each list is encoded before the next reuses its stack array.
+	var lbuf [8]types.Label
+	var qbuf [8]types.ProcID
+	isSet := func(ok bool) bool { return ok }
+	labels := sortedKeys(lbuf[:0], p.Content, types.Label.Compare, nil)
 	buf = binary.AppendUvarint(buf, uint64(len(labels)))
 	for _, l := range labels {
 		buf = l.AppendFingerprint(buf)
 		buf = types.AppendFingerprintString(buf, string(p.Content[l]))
 	}
-	gots := make([]types.ProcID, 0, len(p.GotState))
-	for q := range p.GotState {
-		gots = append(gots, q)
-	}
-	slices.Sort(gots)
+	gots := sortedKeys(qbuf[:0], p.GotState, cmp.Compare[types.ProcID], nil)
 	buf = binary.AppendUvarint(buf, uint64(len(gots)))
 	for _, q := range gots {
 		buf = binary.AppendVarint(buf, int64(q))
 		buf = p.GotState[q].AppendFingerprint(buf)
 	}
-	exs := make([]types.ProcID, 0, len(p.SafeExch))
-	for q, ok := range p.SafeExch {
-		if ok {
-			exs = append(exs, q)
-		}
-	}
-	slices.Sort(exs)
+	exs := sortedKeys(qbuf[:0], p.SafeExch, cmp.Compare[types.ProcID], isSet)
 	buf = binary.AppendUvarint(buf, uint64(len(exs)))
 	for _, q := range exs {
 		buf = binary.AppendVarint(buf, int64(q))
 	}
-	sls := make([]types.Label, 0, len(p.SafeLabels))
-	for l, ok := range p.SafeLabels {
-		if ok {
-			sls = append(sls, l)
-		}
-	}
-	types.SortLabels(sls)
+	sls := sortedKeys(lbuf[:0], p.SafeLabels, types.Label.Compare, isSet)
 	buf = binary.AppendUvarint(buf, uint64(len(sls)))
 	for _, l := range sls {
 		buf = l.AppendFingerprint(buf)
 	}
 	return buf
+}
+
+// sortedKeys appends to ks, sorted by order, the keys of m whose value
+// keep admits (every key when keep is nil). Callers pass an empty slice of
+// a stack array, which keeps small key sets off the heap.
+func sortedKeys[K comparable, V any](ks []K, m map[K]V, order func(K, K) int, keep func(V) bool) []K {
+	for k, v := range m {
+		if keep == nil || keep(v) {
+			ks = append(ks, k)
+		}
+	}
+	slices.SortFunc(ks, order)
+	return ks
 }
 
 // appendFingerprint appends the composed state's canonical encoding — the

@@ -35,40 +35,68 @@ type summaryAt struct {
 // String names the slot the way the invariant errors do.
 func (sa summaryAt) String() string { return fmt.Sprintf("allstate[%v,%v]", sa.P, sa.G) }
 
-// appendAllState appends the derived variable allstate[p, g], tagged with
-// its slot: every summary that is (1) the state of p if p's current view
-// is g, (2) in pending[p,g] of VS-machine, (3) in queue[g] with sender p,
-// or (4) recorded as gotstate(p)_q for some q currently in view g.
-func (s *System) appendAllState(out []summaryAt, p types.ProcID, g types.ViewID) []summaryAt {
+// appendAllState appends to d.allstate the derived variable allstate[p, g],
+// tagged with its slot: every summary that is (1) the state of p if p's
+// current view is g, (2) in pending[p,g] of VS-machine, (3) in queue[g]
+// with sender p, or (4) recorded as gotstate(p)_q for some q currently in
+// view g.
+func (s *System) appendAllState(d *derived, p types.ProcID, g types.ViewID) {
 	if proc := s.Procs[p]; proc.Current.ID == g {
-		out = append(out, summaryAt{proc.StateSummary(), p, g})
+		d.own = append(d.own, *proc.StateSummary())
+		d.allstate = append(d.allstate, summaryAt{&d.own[len(d.own)-1], p, g})
 	}
 	for _, m := range s.VS.Pending(p, g) {
 		if x, ok := m.(*Summary); ok {
-			out = append(out, summaryAt{x, p, g})
+			d.allstate = append(d.allstate, summaryAt{x, p, g})
 		}
 	}
 	for _, e := range s.VS.Queue[g] {
 		if x, ok := e.M.(*Summary); ok && e.P == p {
-			out = append(out, summaryAt{x, p, g})
+			d.allstate = append(d.allstate, summaryAt{x, p, g})
 		}
 	}
 	for _, q := range s.VS.Procs().Members() {
 		if qp := s.Procs[q]; qp.Current.ID == g {
 			if x, ok := qp.GotState[p]; ok {
-				out = append(out, summaryAt{x, p, g})
+				d.allstate = append(d.allstate, summaryAt{x, p, g})
 			}
 		}
 	}
-	return out
 }
 
-// allStateAll enumerates allstate = ∪_{p,g} allstate[p,g]. Only view ids
-// that occur somewhere (created views and procs' current views) can have
-// nonempty slots, so the enumeration is over those.
-func (s *System) allStateAll() []summaryAt {
+// derived holds the Section 6 derived variables of one composed state and
+// the storage the checks reading them work in. Each exported check derives
+// into a newDerived; a caller checking many states (an explorer worker, a
+// simulation checker) refills one, so the next derive overwrites it all.
+type derived struct {
+	allstate   []summaryAt
+	allcontent map[types.Label]types.Value
+	contentErr error // Lemma 6.5 violated: allcontent is partial
+	allconfirm []types.Label
+	confirmErr error          // Corollary 6.24 violated: allconfirm is nil
+	gs         []types.ViewID // the view ids allstate is enumerated over
+	own        []Summary      // allstate clause (1): at most one per processor
+	distinct   []*Summary     // the summaries allContent has visited
+	perOrigin  map[types.ProcID][]types.Label
+	seen       map[types.ProcID]int
+	abs        AbstractState
+	confirmed  map[types.Label]bool
+	vals       []types.Value // backing array of abs.Pending
+}
+
+func newDerived() *derived {
+	return &derived{allcontent: make(map[types.Label]types.Value), perOrigin: make(map[types.ProcID][]types.Label),
+		seen: make(map[types.ProcID]int), confirmed: make(map[types.Label]bool),
+		abs: AbstractState{Pending: make(map[types.ProcID][]types.Value), Next: make(map[types.ProcID]int)}}
+}
+
+// derive computes the derived variables into d and returns it. allstate =
+// ∪_{p,g} allstate[p,g] is enumerated over the view ids that can have
+// nonempty slots (created views and procs' current views), in ascending
+// order so that every derivation of a state reports the same violation.
+func (s *System) derive(d *derived) *derived {
 	procs := s.VS.Procs().Members()
-	gs := make([]types.ViewID, 0, len(s.VS.Created)+len(procs))
+	gs := d.gs[:0]
 	for id := range s.VS.Created {
 		gs = append(gs, id)
 	}
@@ -77,45 +105,26 @@ func (s *System) allStateAll() []summaryAt {
 			gs = append(gs, id)
 		}
 	}
-	var out []summaryAt
+	slices.SortFunc(gs, types.ViewID.Cmp)
+	// Reserving a slot per processor keeps the pointers into own stable.
+	d.gs, d.own, d.allstate = gs, slices.Grow(d.own[:0], len(procs)), d.allstate[:0]
 	for _, p := range procs {
 		for _, g := range gs {
-			out = s.appendAllState(out, p, g)
+			s.appendAllState(d, p, g)
 		}
 	}
-	return out
-}
-
-// derived holds the Section 6 derived variables of one composed state.
-// System is a view over mutable components, so nothing is remembered on
-// it: each exported check derives afresh, and a caller running several
-// checks on one state (the explorer) derives once and passes this to their
-// unexported cores.
-type derived struct {
-	allstate   []summaryAt
-	allcontent map[types.Label]types.Value
-	contentErr error // Lemma 6.5 violated: allcontent is nil
-	allconfirm []types.Label
-	confirmErr error // Corollary 6.24 violated: allconfirm is nil
-}
-
-func (s *System) derive() *derived {
-	d := &derived{allstate: s.allStateAll()}
-	d.allcontent, d.contentErr = s.allContent(d.allstate)
+	d.contentErr = s.allContent(d)
 	d.allconfirm, d.confirmErr = allConfirm(d.allstate)
 	return d
 }
 
-// AllContent computes the derived variable allcontent: the union of x.con
-// over all summaries in allstate, together with every processor's content
-// and the labeled values in transit. It returns an error if the union is
-// not a function (violating Lemma 6.5).
-func (s *System) AllContent() (map[types.Label]types.Value, error) {
-	return s.allContent(s.allStateAll())
-}
-
-func (s *System) allContent(allstate []summaryAt) (map[types.Label]types.Value, error) {
-	out := make(map[types.Label]types.Value)
+// allContent computes the derived variable allcontent: the union of x.con
+// over all summaries in allstate (each visited once: a repeat can bind
+// nothing new), every processor's content and the labeled values in
+// transit. It returns an error if the union is not a function (Lemma 6.5).
+func (s *System) allContent(d *derived) error {
+	out := d.allcontent
+	clear(out)
 	// bind adds l ↦ a, or reports the different value l is already bound
 	// to. Where a binding came from is formatted only for that report.
 	bind := func(l types.Label, a types.Value) (types.Value, bool) {
@@ -125,11 +134,16 @@ func (s *System) allContent(allstate []summaryAt) (map[types.Label]types.Value, 
 		}
 		return prev, ok && prev != a
 	}
-	clash := func(l types.Label, prev, a types.Value, where string) (map[types.Label]types.Value, error) {
-		return nil, fmt.Errorf("lemma 6.5: allcontent not a function: %v ↦ %q and %q (%s)",
+	clash := func(l types.Label, prev, a types.Value, where string) error {
+		return fmt.Errorf("lemma 6.5: allcontent not a function: %v ↦ %q and %q (%s)",
 			l, string(prev), string(a), where)
 	}
-	for _, sa := range allstate {
+	d.distinct = d.distinct[:0]
+	for _, sa := range d.allstate {
+		if slices.Contains(d.distinct, sa.X) {
+			continue
+		}
+		d.distinct = append(d.distinct, sa.X)
 		for l, a := range sa.X.Con {
 			if prev, bad := bind(l, a); bad {
 				return clash(l, prev, a, sa.String())
@@ -154,7 +168,7 @@ func (s *System) allContent(allstate []summaryAt) (map[types.Label]types.Value, 
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // isPrefix reports whether a is a prefix of b.
@@ -173,7 +187,9 @@ func isPrefix(a, b []types.Label) bool {
 // AllConfirm computes the derived variable allconfirm: the least upper
 // bound of x.confirm over allstate. It returns an error if the confirm
 // sequences are not pairwise prefix-comparable (violating Corollary 6.24).
-func (s *System) AllConfirm() ([]types.Label, error) { return allConfirm(s.allStateAll()) }
+func (s *System) AllConfirm() ([]types.Label, error) {
+	return allConfirm(s.derive(newDerived()).allstate)
+}
 
 func allConfirm(allstate []summaryAt) ([]types.Label, error) {
 	var lub []types.Label
@@ -197,7 +213,7 @@ func allConfirm(allstate []summaryAt) ([]types.Label, error) {
 // CheckInvariants verifies the executable subset of the Section 6
 // invariants on the current composed state. Each check is labeled with the
 // lemma it corresponds to.
-func (s *System) CheckInvariants() error { return s.checkInvariants(s.derive()) }
+func (s *System) CheckInvariants() error { return s.checkInvariants(s.derive(newDerived())) }
 
 func (s *System) checkInvariants(d *derived) error {
 	procs := s.VS.Procs().Members()

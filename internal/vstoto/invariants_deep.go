@@ -2,6 +2,7 @@ package vstoto
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -11,7 +12,7 @@ import (
 // Lemmas 6.13, 6.14, 6.17, 6.20 and 6.21. They are costlier than
 // CheckInvariants (quadratic in places), so the randomized harnesses call
 // them per step only for small configurations; the explorer always does.
-func (s *System) CheckDeepInvariants() error { return s.checkDeepInvariants(s.derive()) }
+func (s *System) CheckDeepInvariants() error { return s.checkDeepInvariants(s.derive(newDerived())) }
 
 func (s *System) checkDeepInvariants(d *derived) error {
 	procs := s.VS.Procs().Members()
@@ -124,18 +125,12 @@ func (s *System) checkDeepInvariants(d *derived) error {
 	if d.contentErr != nil {
 		return d.contentErr
 	}
-	perOrigin := make(map[types.ProcID][]types.Label)
-	for l := range d.allcontent {
-		perOrigin[l.Origin] = append(perOrigin[l.Origin], l)
-	}
-	for _, ls := range perOrigin {
-		types.SortLabels(ls)
-	}
+	perOrigin := d.byOrigin(func(types.Label) bool { return true })
 	for _, sa := range d.allstate {
-		seen := make(map[types.ProcID]int)
+		clear(d.seen)
 		for i, l := range sa.X.Ord {
 			want := perOrigin[l.Origin]
-			k := seen[l.Origin]
+			k := d.seen[l.Origin]
 			if k >= len(want) || want[k] != l {
 				expected := "none"
 				if k < len(want) {
@@ -144,8 +139,25 @@ func (s *System) checkDeepInvariants(d *derived) error {
 				return fmt.Errorf("lemma 6.21: allstate[%v,%v].ord(%d)=%v but origin's next expected label is %s",
 					sa.P, sa.G, i+1, l, expected)
 			}
-			seen[l.Origin] = k + 1
+			d.seen[l.Origin] = k + 1
 		}
 	}
 	return nil
+}
+
+// byOrigin groups the labels of allcontent that keep admits by origin, in
+// label order, into d.perOrigin (where an origin with none may be empty).
+func (d *derived) byOrigin(keep func(types.Label) bool) map[types.ProcID][]types.Label {
+	for o, ls := range d.perOrigin {
+		d.perOrigin[o] = ls[:0]
+	}
+	for l := range d.allcontent {
+		if keep(l) {
+			d.perOrigin[l.Origin] = append(d.perOrigin[l.Origin], l)
+		}
+	}
+	for _, ls := range d.perOrigin {
+		slices.SortFunc(ls, types.Label.Compare)
+	}
+	return d.perOrigin
 }

@@ -22,8 +22,9 @@ type AbstractState struct {
 //  2. next[p] = nextreport_p
 //  3. pending[p] = the values of labels with origin p in allcontent but not
 //     in allconfirm, in label order, followed by delay_p.
-func (s *System) Abstract() (*AbstractState, error) { return s.abstract(s.derive()) }
+func (s *System) Abstract() (*AbstractState, error) { return s.abstract(s.derive(newDerived())) }
 
+// abstract computes f(x) into d.abs and returns it.
 func (s *System) abstract(d *derived) (*AbstractState, error) {
 	if d.contentErr != nil {
 		return nil, d.contentErr
@@ -31,35 +32,28 @@ func (s *System) abstract(d *derived) (*AbstractState, error) {
 	if d.confirmErr != nil {
 		return nil, d.confirmErr
 	}
-	allcontent, allconfirm := d.allcontent, d.allconfirm
-	abs := &AbstractState{
-		Pending: make(map[types.ProcID][]types.Value),
-		Next:    make(map[types.ProcID]int),
-	}
-	confirmed := make(map[types.Label]bool, len(allconfirm))
+	allcontent, allconfirm, abs := d.allcontent, d.allconfirm, &d.abs
+	clear(abs.Pending)
+	clear(abs.Next)
+	clear(d.confirmed)
+	abs.Queue = abs.Queue[:0]
 	for _, l := range allconfirm {
 		a, ok := allcontent[l]
 		if !ok {
 			return nil, fmt.Errorf("vstoto: confirmed label %v has no content", l)
 		}
 		abs.Queue = append(abs.Queue, tomachine.Entry{A: a, P: l.Origin})
-		confirmed[l] = true
+		d.confirmed[l] = true
 	}
-	perOrigin := make(map[types.ProcID][]types.Label)
-	for l := range allcontent {
-		if !confirmed[l] {
-			perOrigin[l.Origin] = append(perOrigin[l.Origin], l)
-		}
-	}
+	perOrigin := d.byOrigin(func(l types.Label) bool { return !d.confirmed[l] })
+	d.vals = d.vals[:0]
 	for _, p := range s.VS.Procs().Members() {
-		labels := perOrigin[p]
-		types.SortLabels(labels)
-		var vals []types.Value
-		for _, l := range labels {
-			vals = append(vals, allcontent[l])
+		start := len(d.vals)
+		for _, l := range perOrigin[p] {
+			d.vals = append(d.vals, allcontent[l])
 		}
-		vals = append(vals, s.Procs[p].Delay...)
-		abs.Pending[p] = vals
+		d.vals = append(d.vals, s.Procs[p].Delay...)
+		abs.Pending[p] = d.vals[start:len(d.vals):len(d.vals)]
 		abs.Next[p] = s.Procs[p].NextReport
 	}
 	return abs, nil
@@ -74,11 +68,12 @@ func (s *System) abstract(d *derived) (*AbstractState, error) {
 type SimulationChecker struct {
 	Sys    *System
 	Shadow *tomachine.Machine
+	d      *derived // rederived after every step
 }
 
 // NewSimulationChecker builds the checker with a fresh shadow machine.
 func NewSimulationChecker(sys *System) *SimulationChecker {
-	return &SimulationChecker{Sys: sys, Shadow: tomachine.New(sys.VS.Procs())}
+	return &SimulationChecker{Sys: sys, Shadow: tomachine.New(sys.VS.Procs()), d: newDerived()}
 }
 
 // Hook returns an executor step hook performing the per-step check.
@@ -94,20 +89,19 @@ func (c *SimulationChecker) AfterStep(act ioa.Action) error {
 	}
 	// Any step may have extended allconfirm (confirm_p corresponds to
 	// to-order); catch up the shadow queue before checking deliveries.
-	allconfirm, err := c.Sys.AllConfirm()
-	if err != nil {
-		return err
+	d := c.Sys.derive(c.d)
+	if d.confirmErr != nil {
+		return d.confirmErr
 	}
-	if len(allconfirm) < len(c.Shadow.Queue) {
-		return fmt.Errorf("simulation: allconfirm shrank from %d to %d", len(c.Shadow.Queue), len(allconfirm))
+	if len(d.allconfirm) < len(c.Shadow.Queue) {
+		return fmt.Errorf("simulation: allconfirm shrank from %d to %d", len(c.Shadow.Queue), len(d.allconfirm))
 	}
-	if len(allconfirm) > len(c.Shadow.Queue) {
-		allcontent, err := c.Sys.AllContent()
-		if err != nil {
-			return err
+	if len(d.allconfirm) > len(c.Shadow.Queue) {
+		if d.contentErr != nil {
+			return d.contentErr
 		}
-		for _, l := range allconfirm[len(c.Shadow.Queue):] {
-			a, ok := allcontent[l]
+		for _, l := range d.allconfirm[len(c.Shadow.Queue):] {
+			a, ok := d.allcontent[l]
 			if !ok {
 				return fmt.Errorf("simulation: confirmed label %v has no content", l)
 			}
@@ -121,12 +115,15 @@ func (c *SimulationChecker) AfterStep(act ioa.Action) error {
 			return fmt.Errorf("simulation: concrete brcv has no abstract counterpart: %w", err)
 		}
 	}
-	return c.checkCorrespondence()
+	return c.correspond(d)
 }
 
 // checkCorrespondence verifies f(x) equals the shadow state exactly.
-func (c *SimulationChecker) checkCorrespondence() error {
-	abs, err := c.Sys.Abstract()
+func (c *SimulationChecker) checkCorrespondence() error { return c.correspond(c.Sys.derive(c.d)) }
+
+// correspond is checkCorrespondence on d, the current state's derivation.
+func (c *SimulationChecker) correspond(d *derived) error {
+	abs, err := c.Sys.abstract(d)
 	if err != nil {
 		return err
 	}

@@ -191,7 +191,7 @@ func BenchmarkViewChange(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			var total time.Duration
 			for i := 0; i < b.N; i++ {
-				c := stack.NewCluster(stack.Options{Seed: int64(i + 1), N: n, Delta: time.Millisecond})
+				c := stack.NewCluster(stack.Options{Seed: int64(i + 1), N: n, Delta: time.Millisecond, Log: &props.Log{}})
 				left := types.NewProcSet(c.Procs.Members()[:n/2]...)
 				right := types.NewProcSet(c.Procs.Members()[n/2:]...)
 				c.Sim.At(sim.Time(20*time.Millisecond), func() {

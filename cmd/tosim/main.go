@@ -40,7 +40,7 @@ func main() {
 	)
 	flag.Parse()
 
-	c := stack.NewCluster(stack.Options{Seed: *seed, N: *n, Delta: *delta})
+	c := stack.NewCluster(stack.Options{Seed: *seed, N: *n, Delta: *delta, Log: &props.Log{}})
 
 	var q types.ProcSet
 	if *partition != "" {

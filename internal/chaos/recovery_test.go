@@ -102,7 +102,7 @@ func TestAmnesiaBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 // record cost only an unacknowledged submission, never a client-visible
 // regression.
 func TestAmnesiaTornTailTruncatesAndReconverges(t *testing.T) {
-	c := stack.NewCluster(stack.Options{Seed: 7, N: 3, Delta: time.Millisecond,
+	c := stack.NewCluster(stack.Options{Seed: 7, N: 3, Delta: time.Millisecond, Log: &props.Log{},
 		StorageLatency: 5 * time.Millisecond})
 	victim := types.ProcID(1)
 	healT := sim.Time(400 * time.Millisecond)

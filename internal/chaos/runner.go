@@ -167,6 +167,7 @@ func Run(cfg Config) *Result {
 		CheckpointBytes:    cfg.CheckpointBytes,
 		SkipRecoveryReplay: cfg.SkipRecoveryReplay,
 		Obs:                reg,
+		Log:                &props.Log{},
 	}.Batched())
 	res.Cluster = c
 	bound := cfg.RecoveryBound

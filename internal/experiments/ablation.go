@@ -29,6 +29,7 @@ func E9(seed int64) *Table {
 		window := time.Duration(factor * float64(delta))
 		c := stack.NewCluster(stack.Options{
 			Seed: seed, N: n, Delta: delta, CollectWait: window,
+			Log: &props.Log{},
 		})
 		left := types.NewProcSet(0, 1, 2)
 		right := types.NewProcSet(3, 4)

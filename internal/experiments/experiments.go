@@ -115,7 +115,7 @@ func ms(d time.Duration) string {
 // quiet tail, and return the cluster. A non-nil reg instruments every
 // layer (the bench baseline uses this; the tables pass nil).
 func isolationRun(seed int64, n, qSize int, delta time.Duration, reg *obs.Registry) (*stack.Cluster, types.ProcSet, sim.Time) {
-	c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, Obs: reg})
+	c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, Obs: reg, Log: &props.Log{}})
 	q := types.NewProcSet(c.Procs.Members()[:qSize]...)
 
 	var cut sim.Time
@@ -199,7 +199,7 @@ func e2(seed int64, workers int) *Table {
 		n := ns[i]
 		var tr trial
 		delta := time.Millisecond
-		c := stack.NewCluster(stack.Options{Seed: seed + int64(n), N: n, Delta: delta})
+		c := stack.NewCluster(stack.Options{Seed: seed + int64(n), N: n, Delta: delta, Log: &props.Log{}})
 		left := types.NewProcSet(c.Procs.Members()[:n/2]...)
 		right := types.NewProcSet(c.Procs.Members()[n/2:]...)
 		var cut sim.Time
@@ -308,7 +308,7 @@ func e4(seed int64, workers int) *Table {
 		n, delta := cfgs[i].n, cfgs[i].delta
 		var tr trial
 		{
-			c := stack.NewCluster(stack.Options{Seed: seed + int64(n*1000) + int64(delta), N: n, Delta: delta})
+			c := stack.NewCluster(stack.Options{Seed: seed + int64(n*1000) + int64(delta), N: n, Delta: delta, Log: &props.Log{}})
 			left := types.NewProcSet(c.Procs.Members()[:n/2]...)
 			right := types.NewProcSet(c.Procs.Members()[n/2:]...)
 			// Partition, then heal: the measured quantity is the merge time,
@@ -372,7 +372,7 @@ func E5(seed int64) *Table {
 	// Paced submissions (one per 2π) so per-message latency reflects the
 	// protocol, not queueing behind the burst.
 	runStack := func() (time.Duration, props.LatencyStats) {
-		c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta})
+		c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, Log: &props.Log{}})
 		if err := c.Sim.RunFor(30 * time.Millisecond); err != nil {
 			panic(err)
 		}

@@ -32,6 +32,7 @@ func E10(seed int64) *Table {
 		run := func(oneRound bool) result {
 			c := stack.NewCluster(stack.Options{
 				Seed: seed + int64(n), N: n, Delta: delta, OneRound: oneRound,
+				Log: &props.Log{},
 			})
 			survivors := types.NewProcSet(c.Procs.Members()[1:]...)
 			// Crash the leader, then later heal: measure both stabilizations.

@@ -92,7 +92,7 @@ func E7(seed int64) *Table {
 		Columns: []string{"n", "fault events", "VS events", "violations"},
 	}
 	for _, n := range []int{3, 5, 7} {
-		c := stack.NewCluster(stack.Options{Seed: seed + int64(n), N: n, Delta: time.Millisecond})
+		c := stack.NewCluster(stack.Options{Seed: seed + int64(n), N: n, Delta: time.Millisecond, Log: &props.Log{}})
 		rng := rand.New(rand.NewSource(seed + int64(n)*7))
 		faults := 0
 		// Random fault schedule: every 150–300ms, either partition into

@@ -63,6 +63,9 @@ func Start(opts Options) *Runtime {
 	if opts.Tick <= 0 {
 		opts.Tick = 5 * time.Millisecond
 	}
+	if opts.Cluster.Log == nil {
+		opts.Cluster.Log = &props.Log{} // read by Log
+	}
 	r := &Runtime{
 		cluster: stack.NewCluster(opts.Cluster),
 		seen:    make(map[types.ProcID]int),

@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"repro/internal/failures"
+	"repro/internal/props"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
 
 // batchedOpts is the shipped data path on a λ-latency device.
 func batchedOpts(seed int64, n int, lambda time.Duration) Options {
-	return Options{Seed: seed, N: n, Delta: time.Millisecond, StorageLatency: lambda}.Batched()
+	return Options{Seed: seed, N: n, Delta: time.Millisecond, StorageLatency: lambda, Log: &props.Log{}}.Batched()
 }
 
 // TestGroupCommitMatchesLegacyOrder: the batched stack must deliver the
@@ -42,7 +43,7 @@ func TestGroupCommitMatchesLegacyOrder(t *testing.T) {
 	}
 
 	const lambda = 2 * time.Millisecond
-	legacy, slow := run(Options{Seed: 7, N: 3, Delta: time.Millisecond, StorageLatency: lambda})
+	legacy, slow := run(Options{Seed: 7, N: 3, Delta: time.Millisecond, StorageLatency: lambda, Log: &props.Log{}})
 	batched, fast := run(batchedOpts(7, 3, lambda))
 	if len(batched) != len(legacy) {
 		t.Fatalf("batched delivered %d, legacy %d", len(batched), len(legacy))

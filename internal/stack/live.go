@@ -61,8 +61,10 @@ type LiveOptions struct {
 	MaxPendingBcasts int
 	// Quorums defaults to majorities of Universe.
 	Quorums types.QuorumSystem
-	// Log, when non-nil, replaces the node's fresh trace log — set its
-	// Sink to stream events to disk. Obs enables instrumentation.
+	// Log, when non-nil, receives the node's timed external trace, as
+	// Options.Log does in simulation — set its Sink to stream events to
+	// disk instead of holding them. Nil records none. Obs enables
+	// instrumentation.
 	Log *props.Log
 	Obs *obs.Registry
 	// OnDeliver observes every TO delivery at this node, in order.
@@ -90,19 +92,15 @@ func NewLiveNode(opts LiveOptions) *Node {
 	cfg := vsimpl.DefaultConfig(opts.Delta, opts.Universe.Size())
 	cfg.EagerRelaunch = dp.EagerTokenRounds
 	cfg.Obs = opts.Obs
-	lg := opts.Log
-	if lg == nil {
-		lg = &props.Log{}
-	}
 	c := &Cluster{
 		Sim: s,
 		// All-good oracle: in live mode faults are physical (killed
 		// processes, closed sockets), not injected into the stack.
-		Oracle:     failures.NewOracle(s.Now),
-		Log:        lg,
-		Procs:      opts.Universe,
-		Cfg:        cfg,
-		Obs:        opts.Obs,
+		Oracle:      failures.NewOracle(s.Now),
+		Log:         opts.Log,
+		Procs:       opts.Universe,
+		Cfg:         cfg,
+		Obs:         opts.Obs,
 		tr:          opts.Transport,
 		qs:          qs,
 		maxPending:  opts.MaxPendingBcasts,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/props"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -13,7 +14,7 @@ import (
 // variant must provide the same TO guarantees (the VS interface is
 // unchanged); only stabilization timing differs.
 func TestOneRoundMembershipEndToEnd(t *testing.T) {
-	c := NewCluster(Options{Seed: 33, N: 4, Delta: time.Millisecond, OneRound: true})
+	c := NewCluster(Options{Seed: 33, N: 4, Delta: time.Millisecond, OneRound: true, Log: &props.Log{}})
 	c.Sim.After(30*time.Millisecond, func() {
 		c.Oracle.Partition(c.Procs, types.NewProcSet(0, 1, 2), types.NewProcSet(3))
 	})

@@ -16,7 +16,7 @@ import (
 // progress and churn views, but can never violate the total order.
 func TestUglyLinksStillSafe(t *testing.T) {
 	t.Logf("seed 21")
-	c := NewCluster(Options{Seed: 21, N: 4, Delta: time.Millisecond})
+	c := NewCluster(Options{Seed: 21, N: 4, Delta: time.Millisecond, Log: &props.Log{}})
 	rng := rand.New(rand.NewSource(21))
 	c.Sim.After(20*time.Millisecond, func() {
 		for i := 0; i < 6; i++ {
@@ -52,7 +52,7 @@ func TestUglyLinksStillSafe(t *testing.T) {
 // TestRepeatedPartitionCycles: five partition/heal cycles with traffic in
 // each epoch; order stays consistent and everything converges at the end.
 func TestRepeatedPartitionCycles(t *testing.T) {
-	c := NewCluster(Options{Seed: 23, N: 5, Delta: time.Millisecond})
+	c := NewCluster(Options{Seed: 23, N: 5, Delta: time.Millisecond, Log: &props.Log{}})
 	splits := [][2]types.ProcSet{
 		{types.NewProcSet(0, 1, 2), types.NewProcSet(3, 4)},
 		{types.NewProcSet(0, 4), types.NewProcSet(1, 2, 3)},
@@ -92,7 +92,7 @@ func TestRepeatedPartitionCycles(t *testing.T) {
 // TestJitterMode: random per-packet delays within (0, δ] change timing but
 // never correctness.
 func TestJitterMode(t *testing.T) {
-	c := NewCluster(Options{Seed: 25, N: 4, Delta: time.Millisecond, Jitter: true})
+	c := NewCluster(Options{Seed: 25, N: 4, Delta: time.Millisecond, Jitter: true, Log: &props.Log{}})
 	c.Sim.After(10*time.Millisecond, func() {
 		c.Oracle.Partition(c.Procs, types.NewProcSet(0, 1, 2), types.NewProcSet(3))
 	})
@@ -117,7 +117,7 @@ func TestJitterMode(t *testing.T) {
 // TestLateJoiner: a processor outside the initial group (P0) is pulled in
 // by probing and then participates fully.
 func TestLateJoiner(t *testing.T) {
-	c := NewCluster(Options{Seed: 27, N: 4, P0Size: 3, Delta: time.Millisecond})
+	c := NewCluster(Options{Seed: 27, N: 4, P0Size: 3, Delta: time.Millisecond, Log: &props.Log{}})
 	c.Sim.After(20*time.Millisecond, func() { c.Bcast(0, "before-join") })
 	if err := c.Sim.Run(sim.Time(2 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestLateJoiner(t *testing.T) {
 // TestAllButOneCrash: with only one good processor there is no quorum;
 // nothing confirms until the others recover.
 func TestAllButOneCrash(t *testing.T) {
-	c := NewCluster(Options{Seed: 29, N: 3, Delta: time.Millisecond})
+	c := NewCluster(Options{Seed: 29, N: 3, Delta: time.Millisecond, Log: &props.Log{}})
 	c.Sim.After(20*time.Millisecond, func() {
 		for _, p := range []types.ProcID{1, 2} {
 			c.Oracle.SetProc(p, failures.Bad)
@@ -182,7 +182,7 @@ func TestAllButOneCrash(t *testing.T) {
 // non-quorum side as well: the paper's property is quorum-agnostic — even
 // a minority component must converge on a view of exactly its members.
 func TestVSPropertyBothSidesOfPartition(t *testing.T) {
-	c := NewCluster(Options{Seed: 31, N: 5, Delta: time.Millisecond})
+	c := NewCluster(Options{Seed: 31, N: 5, Delta: time.Millisecond, Log: &props.Log{}})
 	minority := types.NewProcSet(3, 4)
 	majority := types.NewProcSet(0, 1, 2)
 	var cut sim.Time

@@ -48,12 +48,12 @@ type Delivery struct {
 
 // Node is one processor's TO endpoint.
 type Node struct {
-	id    types.ProcID
-	sim   *sim.Sim
-	orc   *failures.Oracle
-	c     *Cluster
-	proc  *vstoto.Proc
-	vs    *vsimpl.Node
+	id      types.ProcID
+	sim     *sim.Sim
+	orc     *failures.Oracle
+	c       *Cluster
+	proc    *vstoto.Proc
+	vs      *vsimpl.Node
 	log     *props.Log
 	onRcv   []func(Delivery)
 	onBatch []func([]Delivery)
@@ -88,8 +88,8 @@ type Node struct {
 	deliverInFlight int
 	deliverReady    int
 	needsRecovery   bool
-	recoveries    int
-	lastReplay    *recovery.Snapshot
+	recoveries      int
+	lastReplay      *recovery.Snapshot
 
 	// Checkpoint policy (Options.CheckpointBytes; 0 disables). waPending
 	// counts write-ahead records enqueued but not yet durable — between
@@ -118,9 +118,11 @@ type Cluster struct {
 	Sim    *sim.Sim
 	Oracle *failures.Oracle
 	Net    *net.Network
-	Log    *props.Log
-	Procs  types.ProcSet
-	Cfg    vsimpl.Config
+	// Log is the cluster's timed external trace (Options.Log); nil when
+	// the caller asked for none.
+	Log   *props.Log
+	Procs types.ProcSet
+	Cfg   vsimpl.Config
 	// Crashes records, at each amnesia crash, what the wiped processor's
 	// stable storage will restore on restart — the evidence that
 	// props.CheckRejoinSafety compares against the recorded trace.
@@ -142,7 +144,7 @@ type Cluster struct {
 	deliverPipe int
 	groupCommit bool
 	nodes       map[types.ProcID]*Node
-	m          clusterMetrics
+	m           clusterMetrics
 	// submitted maps each client submission to its bcast instant, for the
 	// end-to-end to.deliver_latency histogram (nil when obs is disabled).
 	submitted map[submitKey]sim.Time
@@ -253,6 +255,12 @@ type Options struct {
 	// layer of the stack (the registry's clock is bound to the cluster's
 	// simulated clock). Nil disables all instrumentation at zero cost.
 	Obs *obs.Registry
+	// Log, when non-nil, receives the cluster's timed external trace — the
+	// VS and TO events the property evaluators and conformance checkers
+	// read — exactly as LiveOptions.Log does for a live node. Nil records
+	// none: the trace holds an event per VS and TO step for the whole run,
+	// so only a caller that reads it should pay for it.
+	Log *props.Log
 }
 
 // Batched returns o with the shipped data path switched on: WAL group
@@ -323,12 +331,12 @@ func NewCluster(opts Options) *Cluster {
 	cfg.Obs = opts.Obs
 	c := &Cluster{
 		Sim: s, Oracle: oracle, Net: nw,
-		Log:        &props.Log{},
-		Procs:      procs,
-		Cfg:        cfg,
-		Obs:        opts.Obs,
-		tr:         nw,
-		qs:         qs,
+		Log:         opts.Log,
+		Procs:       procs,
+		Cfg:         cfg,
+		Obs:         opts.Obs,
+		tr:          nw,
+		qs:          qs,
 		skipReplay:  opts.SkipRecoveryReplay,
 		maxPending:  opts.MaxPendingBcasts,
 		deliverPipe: max(1, opts.DeliverPipeline),
@@ -979,20 +987,26 @@ func (n *Node) performBrcv() {
 		n.pendingOwn--
 	}
 	n.c.m.deliveries.Inc()
+	// The latency histogram and the trace both key the release by its
+	// origin's bcast sequence; scan for it once, and only if either is on.
+	var seq int
+	if n.c.submitted != nil || n.log != nil {
+		seq = n.originSeq(reportIdx, from)
+	}
 	if n.c.submitted != nil {
 		l := n.proc.Order[reportIdx-1]
 		if at, ok := n.confirmAt[l]; ok {
 			n.c.m.confirmToRelease.Record(n.sim.Now().Sub(at))
 			delete(n.confirmAt, l)
 		}
-		if at, ok := n.c.submitted[submitKey{origin: from, seq: n.originSeq(reportIdx, from)}]; ok {
+		if at, ok := n.c.submitted[submitKey{origin: from, seq: seq}]; ok {
 			n.c.m.deliverLatency.Record(n.sim.Now().Sub(at))
 		}
 	}
 	if n.log != nil {
 		n.log.Append(props.Event{
 			T: n.sim.Now(), Kind: props.TOBrcv, P: n.id, From: from,
-			Value: a, ValueSeq: n.originSeq(reportIdx, from),
+			Value: a, ValueSeq: seq,
 		})
 	}
 	for _, fn := range n.onRcv {

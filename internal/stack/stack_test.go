@@ -12,9 +12,13 @@ import (
 )
 
 // toConformance replays the recorded TO events through the TO-machine
-// trace checker.
+// trace checker. The cluster must have been built with Options.Log: a
+// missing or empty trace fails rather than passing vacuously.
 func toConformance(t *testing.T, log *props.Log) *check.TOChecker {
 	t.Helper()
+	if log == nil || log.Len() == 0 {
+		t.Fatal("no trace recorded: build the cluster with Options.Log")
+	}
 	ck := check.NewTOChecker()
 	for _, e := range log.Events {
 		switch e.Kind {
@@ -33,7 +37,7 @@ func toConformance(t *testing.T, log *props.Log) *check.TOChecker {
 // nodes are delivered to every node in one common total order, respecting
 // per-sender submission order.
 func TestStableTotalOrder(t *testing.T) {
-	c := NewCluster(Options{Seed: 3, N: 4, Delta: time.Millisecond})
+	c := NewCluster(Options{Seed: 3, N: 4, Delta: time.Millisecond, Log: &props.Log{}})
 	for i := 0; i < 5; i++ {
 		i := i
 		c.Sim.After(time.Duration(10+i*7)*time.Millisecond, func() {
@@ -71,7 +75,7 @@ func TestStableTotalOrder(t *testing.T) {
 // confirming while the minority side delivers nothing new; after healing,
 // the minority catches up with the identical order (no divergence).
 func TestPartitionMinorityStalls(t *testing.T) {
-	c := NewCluster(Options{Seed: 5, N: 5, Delta: time.Millisecond})
+	c := NewCluster(Options{Seed: 5, N: 5, Delta: time.Millisecond, Log: &props.Log{}})
 	majority := types.NewProcSet(0, 1, 2)
 	minority := types.NewProcSet(3, 4)
 
@@ -126,7 +130,7 @@ func TestPartitionMinorityStalls(t *testing.T) {
 func TestTOPropertyAfterPartition(t *testing.T) {
 	const n = 5
 	delta := time.Millisecond
-	c := NewCluster(Options{Seed: 9, N: n, Delta: delta})
+	c := NewCluster(Options{Seed: 9, N: n, Delta: delta, Log: &props.Log{}})
 	q := types.NewProcSet(0, 1, 2)
 
 	var cut sim.Time

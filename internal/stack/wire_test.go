@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/props"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -13,7 +14,7 @@ import (
 // delivery sequence observed at node 0.
 func runScenario(t *testing.T, wire bool) []Delivery {
 	t.Helper()
-	c := NewCluster(Options{Seed: 15, N: 5, Delta: time.Millisecond, Wire: wire})
+	c := NewCluster(Options{Seed: 15, N: 5, Delta: time.Millisecond, Wire: wire, Log: &props.Log{}})
 	c.Sim.After(30*time.Millisecond, func() {
 		c.Oracle.Partition(c.Procs, types.NewProcSet(0, 1, 2), types.NewProcSet(3, 4))
 	})

@@ -22,6 +22,7 @@ package vsimpl
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/check"
@@ -55,7 +56,8 @@ type Config struct {
 	OneRound bool
 	// NoTokenCompaction disables dropping all-delivered entries from the
 	// circulating token (the E11 ablation: without compaction the token
-	// grows with the view's entire history).
+	// grows with the view's entire history), and from each node's copy of
+	// the view's sequence.
 	NoTokenCompaction bool
 	// ReachWindow is the staleness horizon of the one-round reachability
 	// estimate (default 2μ).
@@ -208,9 +210,13 @@ type Node struct {
 	sendSeq int
 	buffer  []bufMsg
 
-	// Per-view delivery state.
-	seq        []TokenMsg // messages of the current view delivered here
-	safeSent   int        // prefix of seq for which safe was emitted
+	// Per-view delivery state. seq holds the view's total order from the
+	// logical position seqBase on: seq[i] is message seqBase+i+1, and
+	// seqBase+len(seq) messages have been delivered here. Entries below
+	// safeSent are never read again (see trimSeq).
+	seq        []TokenMsg
+	seqBase    int
+	safeSent   int // messages of the view for which safe was emitted
 	counts     map[types.ProcID]int
 	lastLaunch sim.Time
 	launchNo   int
@@ -224,6 +230,9 @@ type Node struct {
 	// requested records a TokenRequestPkt that found the token out; the next
 	// launch clears it.
 	requested bool
+	// onLaunch, when non-nil, observes every freshly launched token before
+	// the leader's own merge (tests compare it with a reference launch).
+	onLaunch func(*TokenPkt)
 
 	stats Stats
 
@@ -468,6 +477,7 @@ func (n *Node) install(v types.View) {
 	n.cur = v
 	n.hasView = true
 	n.seq = nil
+	n.seqBase = 0
 	n.safeSent = 0
 	n.counts = make(map[types.ProcID]int)
 	n.launchNo = 0
@@ -541,12 +551,22 @@ func (n *Node) launchToken() {
 	n.mTokenLaunches.Inc()
 	n.lastLaunch = n.sim.Now()
 	n.requested = false
+	// The token starts at the prefix every member has delivered, so a launch
+	// copies the in-flight window rather than the view's history. That
+	// prefix is at least safeSent, hence at least seqBase.
+	base := 0
+	if !n.cfg.NoTokenCompaction {
+		base = minDelivered(n.cur, n.counts)
+	}
 	tok := &TokenPkt{
 		View:      n.cur,
-		Msgs:      append([]TokenMsg(nil), n.seq...),
+		Base:      base,
+		Msgs:      append([]TokenMsg(nil), n.seq[base-n.seqBase:]...),
 		Delivered: copyCounts(n.counts),
 	}
-	n.compactToken(tok)
+	if n.onLaunch != nil {
+		n.onLaunch(tok)
+	}
 	// A launch counts as token activity; in a singleton view it is the only
 	// activity, and must keep the loss detector quiet.
 	n.armTokenTimer()
@@ -602,8 +622,8 @@ func (n *Node) tokenHome() {
 	n.holdTimer.Cancel()
 	if n.cfg.EagerRelaunch {
 		// The ring's wire time paces consecutive rounds, and a rotation that
-		// adds nothing leaves launchSafe == len(seq), so this cannot spin.
-		if len(n.buffer) > 0 || n.launchSafe < len(n.seq) {
+		// adds nothing leaves launchSafe == seqLen(), so this cannot spin.
+		if len(n.buffer) > 0 || n.launchSafe < n.seqLen() {
 			n.mAnnounceRounds.Inc()
 			n.launchToken()
 			return
@@ -642,9 +662,9 @@ func (n *Node) mergeToken(tok *TokenPkt) {
 	}
 	n.mMaxTokenEntries.Max(int64(len(tok.Msgs)))
 	// Deliver the sequence suffix we have not delivered yet. Compaction
-	// guarantees Base ≤ every member's count ≤ len(n.seq), so the suffix
+	// guarantees Base ≤ every member's count ≤ seqLen(), so the suffix
 	// beyond our count is always present in the token.
-	for i := len(n.seq) - tok.Base; i < len(tok.Msgs); i++ {
+	for i := n.seqLen() - tok.Base; i < len(tok.Msgs); i++ {
 		m := tok.Msgs[i]
 		n.seq = append(n.seq, m)
 		n.stats.Delivered++
@@ -655,24 +675,19 @@ func (n *Node) mergeToken(tok *TokenPkt) {
 			n.handlers.Gprcv(m.From, m.Payload)
 		}
 	}
-	// Merge delivery counts (ours is now len(seq)).
+	// Merge delivery counts (ours is now seqLen()).
 	for p, c := range tok.Delivered {
 		if c > n.counts[p] {
 			n.counts[p] = c
 		}
 	}
-	n.counts[n.id] = len(n.seq)
+	n.counts[n.id] = n.seqLen()
 	tok.Delivered = copyCounts(n.counts)
 	n.compactToken(tok)
-	// Safe prefix: every member's count covers it.
-	safeUpTo := len(n.seq)
-	for _, p := range n.cur.Set.Members() {
-		if c := n.counts[p]; c < safeUpTo {
-			safeUpTo = c
-		}
-	}
+	// Safe prefix: every member's count covers it (ours is seqLen()).
+	safeUpTo := minDelivered(n.cur, n.counts)
 	for ; n.safeSent < safeUpTo; n.safeSent++ {
-		m := n.seq[n.safeSent]
+		m := n.seq[n.safeSent-n.seqBase]
 		n.stats.SafeEmitted++
 		if n.Log != nil {
 			n.Log.Append(props.Event{T: n.sim.Now(), Kind: props.VSSafe, P: n.id, From: m.From, Msg: m.ID})
@@ -681,6 +696,40 @@ func (n *Node) mergeToken(tok *TokenPkt) {
 			n.handlers.Safe(m.From, m.Payload)
 		}
 	}
+	n.trimSeq()
+}
+
+// seqLen returns how many messages of the current view this node has
+// delivered.
+func (n *Node) seqLen() int { return n.seqBase + len(n.seq) }
+
+// trimSeq forgets the entries of seq below safeSent. Nothing reads them
+// again: safeSent is at most every member's count and counts only grow,
+// so every later launch starts at or above it, every later token's
+// undelivered suffix lies above it, and the safe loop resumes from it. The
+// live suffix is copied out only once the dead prefix is at least half of
+// seq, which keeps the copying O(1) amortised per message and seq at most
+// twice the unsafe suffix. Under NoTokenCompaction (the E11 ablation)
+// nothing is trimmed.
+func (n *Node) trimSeq() {
+	dead := n.safeSent - n.seqBase
+	if n.cfg.NoTokenCompaction || dead == 0 || 2*dead < len(n.seq) {
+		return
+	}
+	n.seq = append([]TokenMsg(nil), n.seq[dead:]...)
+	n.seqBase = n.safeSent
+}
+
+// minDelivered returns the smallest delivery count over v's members: the
+// prefix of v's total order that every member has delivered.
+func minDelivered(v types.View, counts map[types.ProcID]int) int {
+	least := math.MaxInt
+	for _, p := range v.Set.Members() {
+		if c := counts[p]; c < least {
+			least = c
+		}
+	}
+	return least
 }
 
 // compactToken drops token entries already delivered at every member of
@@ -690,15 +739,9 @@ func (n *Node) compactToken(tok *TokenPkt) {
 	if n.cfg.NoTokenCompaction {
 		return
 	}
-	minCount := int(^uint(0) >> 1)
-	for _, p := range tok.View.Set.Members() {
-		if c := tok.Delivered[p]; c < minCount {
-			minCount = c
-		}
-	}
-	if minCount > tok.Base {
-		tok.Msgs = append([]TokenMsg(nil), tok.Msgs[minCount-tok.Base:]...)
-		tok.Base = minCount
+	if least := minDelivered(tok.View, tok.Delivered); least > tok.Base {
+		tok.Msgs = append([]TokenMsg(nil), tok.Msgs[least-tok.Base:]...)
+		tok.Base = least
 	}
 }
 

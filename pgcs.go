@@ -92,6 +92,7 @@ func NewSimCluster(cfg Config) *SimCluster {
 		P0Size:  cfg.InitialMembers,
 		Delta:   cfg.Delta,
 		Quorums: cfg.Quorums,
+		Log:     &props.Log{}, // read by EventLog
 	})}
 }
 

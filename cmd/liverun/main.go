@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/experiments"
 	"repro/internal/live"
 )
 
@@ -164,7 +163,7 @@ func printScenario(sr *live.ScenarioResult) {
 // latency must stay under live.FloorMaxP99. Deliberately loose (the job
 // runs on shared CI runners and kills nodes mid-run): they catch
 // order-of-magnitude regressions in the hot path, not benchmark the runner.
-func enforceFloors(entry experiments.BenchEntry, rate, n int) error {
+func enforceFloors(entry live.LoadReport, rate, n int) error {
 	minRate := live.FloorRateFraction * float64(rate) * float64(n)
 	p99 := time.Duration(entry.DeliveryLatency.P99NS)
 	fmt.Printf("floors: throughput %.1f/s (floor %.1f/s)  p99 %v (bound %v)\n",

@@ -1,6 +1,6 @@
 // Command loadgen drives a live pgcsd cluster with a closed-loop
 // broadcast workload and reports throughput and delivery-latency
-// percentiles in the benchmark baseline's JSON shape.
+// percentiles as a live.LoadReport JSON document.
 //
 //	loadgen -config cluster.json -rate 200 -duration 30s -out report.json
 //
@@ -24,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/live"
 )
 
@@ -61,7 +60,7 @@ func main() {
 		logf = func(string, ...any) {}
 	}
 
-	entry, err := live.RunLoad(live.LoadOptions{
+	report, err := live.RunLoad(live.LoadOptions{
 		Addrs:     addrs,
 		Rate:      *rate,
 		Duration:  *duration,
@@ -77,7 +76,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report := experiments.BenchReport{Seed: cfg.Seed, Entries: []experiments.BenchEntry{entry}}
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -87,16 +85,16 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	lat := entry.DeliveryLatency
+	lat := report.DeliveryLatency
 	fmt.Printf("throughput: %.1f deliveries/sec (%d bcasts, %d deliveries in %v)\n",
-		entry.DeliveriesPerSec, entry.Bcasts, entry.Deliveries,
-		time.Duration(entry.VirtualNS))
+		report.DeliveriesPerSec, report.Bcasts, report.Deliveries,
+		time.Duration(report.ElapsedNS))
 	fmt.Printf("delivery latency: p50 %v  p99 %v  max %v  (%d samples)\n",
 		time.Duration(lat.P50NS), time.Duration(lat.P99NS), time.Duration(lat.MaxNS), lat.Count)
 	fmt.Printf("backpressure: %d rejected, %d retries, %d stalled (%d recovered), %d hard failures\n",
-		entry.Counters["loadgen.rejected"], entry.Counters["loadgen.retries"],
-		entry.Counters["loadgen.stalled_ops"], entry.Counters["loadgen.stalled_recovered"],
-		entry.Counters["loadgen.hard_failures"])
+		report.Counters["loadgen.rejected"], report.Counters["loadgen.retries"],
+		report.Counters["loadgen.stalled_ops"], report.Counters["loadgen.stalled_recovered"],
+		report.Counters["loadgen.hard_failures"])
 	if *out == "" {
 		os.Stdout.Write(append(b, '\n'))
 	}

@@ -1,10 +1,11 @@
 // Package experiments implements the evaluation harness: one function per
-// experiment in DESIGN.md's per-experiment index (E1–E8), each regenerating
+// experiment in DESIGN.md's per-experiment index (E1–E18), each regenerating
 // the measurements that validate the paper's claims — the conditional
 // properties TO-property and VS-property (Figures 5 and 7, Theorems 7.1 and
-// 7.2), the Section 8 analytic bounds, and the introduction's comparison
-// against a stable-storage baseline. Both cmd/experiments and the
-// repository benchmarks drive these functions.
+// 7.2), the Section 8 analytic bounds, the introduction's comparison
+// against a stable-storage baseline, and the ablations and extensions
+// built on them. cmd/experiments drives these functions and writes the
+// two checked-in pins, BENCH_sweep.json and BENCH_explore.json.
 package experiments
 
 import (
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/obs"
 	"repro/internal/props"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -112,10 +112,9 @@ func ms(d time.Duration) string {
 
 // isolationRun drives one cluster run: isolate component Q at cutAt, send
 // periodic traffic from Q before and after, run until the horizon with a
-// quiet tail, and return the cluster. A non-nil reg instruments every
-// layer (the bench baseline uses this; the tables pass nil).
-func isolationRun(seed int64, n, qSize int, delta time.Duration, reg *obs.Registry) (*stack.Cluster, types.ProcSet, sim.Time) {
-	c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, Obs: reg, Log: &props.Log{}})
+// quiet tail, and return the cluster.
+func isolationRun(seed int64, n, qSize int, delta time.Duration) (*stack.Cluster, types.ProcSet, sim.Time) {
+	c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, Log: &props.Log{}})
 	q := types.NewProcSet(c.Procs.Members()[:qSize]...)
 
 	var cut sim.Time
@@ -143,8 +142,6 @@ func isolationRun(seed int64, n, qSize int, delta time.Duration, reg *obs.Regist
 // system sizes: after a component stabilizes, every value — including
 // values sent before the partition — reaches every member of Q within the
 // analytic bounds.
-func E1(seed int64) *Table { return e1(seed, 1) }
-
 func e1(seed int64, workers int) *Table {
 	t := &Table{
 		ID:      "E1",
@@ -158,7 +155,7 @@ func e1(seed int64, workers int) *Table {
 		var tr trial
 		qSize := n/2 + 1
 		delta := time.Millisecond
-		c, q, cut := isolationRun(seed+int64(n), n, qSize, delta, nil)
+		c, q, cut := isolationRun(seed+int64(n), n, qSize, delta)
 		b := c.Cfg.AnalyticB(qSize)
 		dPaper := c.Cfg.AnalyticD(qSize)
 		dImpl := c.Cfg.AnalyticDImpl(qSize)
@@ -185,8 +182,6 @@ func e1(seed int64, workers int) *Table {
 
 // E2 validates VS-property(b, d, Q) (Figure 7): view convergence within b
 // and safe indications within d, for both sides of a partition.
-func E2(seed int64) *Table { return e2(seed, 1) }
-
 func e2(seed int64, workers int) *Table {
 	t := &Table{
 		ID:      "E2",
@@ -255,7 +250,7 @@ func E3(seed int64) *Table {
 	for _, n := range []int{3, 5, 7} {
 		qSize := n/2 + 1
 		delta := time.Millisecond
-		c, q, cut := isolationRun(seed+int64(n), n, qSize, delta, nil)
+		c, q, cut := isolationRun(seed+int64(n), n, qSize, delta)
 		b := c.Cfg.AnalyticB(qSize)
 		d := c.Cfg.AnalyticDImpl(qSize)
 		ph := props.MeasurePhases(c.Log, q, cut)
@@ -285,8 +280,6 @@ func E3(seed int64) *Table {
 
 // E4 sweeps n and δ and compares measured stabilization and safe latency
 // against the Section 8 analytic formulas.
-func E4(seed int64) *Table { return e4(seed, 1) }
-
 func e4(seed int64, workers int) *Table {
 	t := &Table{
 		ID:      "E4",
@@ -460,6 +453,3 @@ func E5(seed int64) *Table {
 		"per-msg latency: bcast → last delivery at any node (distribution over values).")
 	return t
 }
-
-// All runs every experiment in order (serially; AllWorkers fans them out).
-func All(seed int64) []*Table { return AllWorkers(seed, 1) }

@@ -12,7 +12,7 @@ func TestAllExperimentsValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are seconds-long; skipped in -short mode")
 	}
-	for _, tbl := range All(1) {
+	for _, tbl := range AllWorkers(1, 1) {
 		tbl := tbl
 		t.Run(tbl.ID, func(t *testing.T) {
 			if len(tbl.Failures) > 0 {
@@ -31,8 +31,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short mode")
 	}
-	a := E4(7).Format()
-	b := E4(7).Format()
+	a := e4(7, 1).Format()
+	b := e4(7, 1).Format()
 	if a != b {
 		t.Fatalf("E4 not deterministic:\n%s\nvs\n%s", a, b)
 	}

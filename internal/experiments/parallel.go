@@ -82,8 +82,7 @@ func IDs() []string {
 // AllWorkers runs every experiment, fanning the independent experiments
 // across the given number of workers (the per-experiment trial loops stay
 // serial here — the outer fan-out already saturates the cores). The tables
-// come back in report order and are identical to All's regardless of
-// workers.
+// come back in report order and are identical for any worker count.
 func AllWorkers(seed int64, workers int) []*Table {
 	return sweep.Run(workers, len(runnerList), func(i int) *Table {
 		return runnerList[i].fn(seed, 1)

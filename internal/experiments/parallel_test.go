@@ -10,10 +10,9 @@ import (
 )
 
 // TestSuiteParallelMatchesSerial is the experiment-suite half of the
-// parallel-determinism gate: the suite sweep and the bench baseline at
-// workers=1 and workers=NumCPU must serialize identically — same tables,
-// same rows, same metric snapshots in the bench entries. Run under -race
-// in CI.
+// parallel-determinism gate: the suite sweep at workers=1 and
+// workers=NumCPU must serialize identically — same tables, same rows.
+// Run under -race in CI.
 //
 // E6 is excluded from the two sweep passes: it alone is ~10x the rest of
 // the suite combined (8000 spec-level steps with every invariant and the
@@ -68,19 +67,6 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("experiment suite diverges between workers=1 and workers=%d", workers)
-	}
-
-	sb, err := json.Marshal(BenchBaselineWorkers(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := json.Marshal(BenchBaselineWorkers(seed, workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb, pb) {
-		t.Fatalf("bench baseline diverges between workers=1 and workers=%d:\nserial:  %s\nparallel: %s",
-			workers, sb, pb)
 	}
 }
 

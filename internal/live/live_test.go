@@ -407,7 +407,7 @@ func TestLoadgenAgainstInProcessCluster(t *testing.T) {
 	for i, n := range cfg.Nodes {
 		addrs[i] = n.ClientAddr
 	}
-	entry, err := RunLoad(LoadOptions{
+	rep, err := RunLoad(LoadOptions{
 		Addrs:    addrs,
 		Rate:     200,
 		Duration: 2 * time.Second,
@@ -418,17 +418,24 @@ func TestLoadgenAgainstInProcessCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entry.Bcasts == 0 {
+	if rep.Bcasts == 0 {
 		t.Fatal("no submissions")
 	}
+	// No Seed was given, so the report names the default the run used.
+	if rep.Seed != 1 {
+		t.Errorf("report seed %d, want 1", rep.Seed)
+	}
+	if rep.ElapsedNS <= 0 {
+		t.Errorf("report elapsed %dns, want > 0", rep.ElapsedNS)
+	}
 	// Every submission is eventually delivered at every node.
-	if want := 3 * entry.Bcasts; entry.Deliveries != want {
-		t.Errorf("observed %d delivery lines, want %d", entry.Deliveries, want)
+	if want := 3 * rep.Bcasts; rep.Deliveries != want {
+		t.Errorf("observed %d delivery lines, want %d", rep.Deliveries, want)
 	}
-	if entry.Counters["loadgen.unresolved"] != 0 {
-		t.Errorf("%d submissions never delivered at their origin", entry.Counters["loadgen.unresolved"])
+	if rep.Counters["loadgen.unresolved"] != 0 {
+		t.Errorf("%d submissions never delivered at their origin", rep.Counters["loadgen.unresolved"])
 	}
-	if entry.DeliveryLatency.Count != entry.Bcasts {
-		t.Errorf("latency samples %d, want %d", entry.DeliveryLatency.Count, entry.Bcasts)
+	if rep.DeliveryLatency.Count != rep.Bcasts {
+		t.Errorf("latency samples %d, want %d", rep.DeliveryLatency.Count, rep.Bcasts)
 	}
 }

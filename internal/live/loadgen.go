@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
@@ -68,6 +67,25 @@ type LoadOptions struct {
 	Logf func(string, ...any)
 }
 
+// LoadReport is one load-generation run's result: end-to-end throughput,
+// submit → delivery latency at the origin, and the generator's own
+// accounting counters (loadgen.*). All times are wall-clock.
+type LoadReport struct {
+	// Seed is the seed the run's randomness actually used (LoadOptions.Seed
+	// after defaulting).
+	Seed      int64  `json:"seed"`
+	Scenario  string `json:"scenario"`
+	ElapsedNS int64  `json:"elapsed_ns"`
+	// Bcasts counts first submissions; Deliveries counts delivery lines
+	// observed on every connection, so a fully delivered run has
+	// Deliveries = n × Bcasts.
+	Bcasts           int64                `json:"bcasts"`
+	Deliveries       int64                `json:"deliveries"`
+	DeliveriesPerSec float64              `json:"deliveries_per_sec"`
+	DeliveryLatency  obs.HistogramSummary `json:"delivery_latency"`
+	Counters         map[string]int64     `json:"counters"`
+}
+
 // connSlot is one node's client connection; reconnects replace c.
 type connSlot struct {
 	addr string
@@ -102,15 +120,15 @@ type retryItem struct {
 }
 
 // RunLoad drives the cluster at the target rate and reports throughput
-// and delivery latency in the benchmark baseline's entry shape. Delivery
-// latency is measured closed-loop at the submitting connection: value
+// and delivery latency. Delivery latency is measured closed-loop at the
+// submitting connection: value
 // submitted at node i, timestamp taken; first sighting of that value in
 // node i's delivery stream closes the sample. A killed node's connection
 // is redialed until the run ends, so a mid-run restart shows up as a
 // latency tail rather than a generator failure; a stalled (no-primary)
 // cluster shows up as BUSY retries and stalled-op attribution rather
 // than hard failures.
-func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
+func RunLoad(opts LoadOptions) (LoadReport, error) {
 	if opts.Rate <= 0 {
 		opts.Rate = 100
 	}
@@ -156,7 +174,7 @@ func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
 		zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(opts.Addrs)-1))
 		pick = func(int) int { return int(zipf.Uint64()) }
 	default:
-		return experiments.BenchEntry{}, fmt.Errorf("loadgen: unknown profile %q", opts.Profile)
+		return LoadReport{}, fmt.Errorf("loadgen: unknown profile %q", opts.Profile)
 	}
 
 	// Submission schedule: offset from start for the seq'th submission.
@@ -178,7 +196,7 @@ func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
 				time.Duration(seq%perCycle)*(burst/time.Duration(perCycle))
 		}
 	default:
-		return experiments.BenchEntry{}, fmt.Errorf("loadgen: unknown arrival %q", opts.Arrival)
+		return LoadReport{}, fmt.Errorf("loadgen: unknown arrival %q", opts.Arrival)
 	}
 
 	var (
@@ -202,7 +220,7 @@ func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
 		c, err := DialClient(addr, 30*time.Second)
 		if err != nil {
 			close(stop)
-			return experiments.BenchEntry{}, err
+			return LoadReport{}, err
 		}
 		slots[i] = &connSlot{addr: addr, c: c}
 	}
@@ -438,10 +456,10 @@ func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
 	opsMu.Unlock()
 	elapsed := time.Since(start)
 
-	entry := experiments.BenchEntry{
-		Experiment:      "live",
+	rep := LoadReport{
+		Seed:            opts.Seed,
 		Scenario:        fmt.Sprintf("loadgen-n%d-rate%d-%s-%s", len(opts.Addrs), opts.Rate, opts.Profile, opts.Arrival),
-		VirtualNS:       elapsed.Nanoseconds(), // wall time: live runs have no virtual clock
+		ElapsedNS:       elapsed.Nanoseconds(),
 		Bcasts:          totalSubmitted,
 		Deliveries:      delivered.Load(),
 		DeliveryLatency: latency.Summary(),
@@ -457,12 +475,9 @@ func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
 			"loadgen.stalled_recovered": stalledRecovered.Load(),
 			"loadgen.hard_failures":     hardFailures.Load(),
 		},
-		Histograms: map[string]obs.HistogramSummary{
-			"loadgen.delivery_latency": latency.Summary(),
-		},
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
-		entry.DeliveriesPerSec = float64(entry.Deliveries) / secs
+		rep.DeliveriesPerSec = float64(rep.Deliveries) / secs
 	}
-	return entry, nil
+	return rep, nil
 }

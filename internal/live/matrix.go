@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/experiments"
 	"repro/internal/failures"
 )
 
@@ -68,9 +67,9 @@ type ScenarioOptions struct {
 // schedule that ran plus every check's verdict and the evidence the run
 // was not vacuous.
 type ScenarioResult struct {
-	Scenario Scenario               `json:"scenario"`
-	Entry    experiments.BenchEntry `json:"entry"`
-	OrderLen int                    `json:"order_len"`
+	Scenario Scenario   `json:"scenario"`
+	Entry    LoadReport `json:"entry"`
+	OrderLen int        `json:"order_len"`
 	// Injected counts executed injector steps per class (sigstop,
 	// sigcont, sigkill, restart, lpause, lresume, cycle); InjectErrs lists
 	// injection failures (a step against a node that died first is
@@ -204,7 +203,7 @@ func RunScenario(kind chaos.CampaignType, opts ScenarioOptions) (*ScenarioResult
 	}
 
 	type loadOut struct {
-		entry experiments.BenchEntry
+		entry LoadReport
 		err   error
 	}
 	loadDone := make(chan loadOut, 1)

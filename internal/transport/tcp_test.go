@@ -236,17 +236,19 @@ func TestSendQueueOverflow(t *testing.T) {
 	})
 
 	const total = 10
-	for i := 0; i < total; i++ {
+	// The writer pops every queued frame at once and holds them through its
+	// failing dials, so how many it holds depends on when it wakes. Let it
+	// take m0 alone first: from then on nothing drains the queue, and the
+	// rest of the burst is queued or evicted inside Send.
+	a.Send(0, 1, "m0")
+	waitFor(t, 2*time.Second, "writer to take m0", func() bool { return a.QueuedFor(1) == 0 })
+	for i := 1; i < total; i++ {
 		a.Send(0, 1, fmt.Sprintf("m%d", i))
 	}
-	// Everything is either queued (≤ limit), held by the writer (≤ 1), or
-	// dropped; wait for the accounting to settle.
-	drops := regA.Counter("transport.drops_overflow")
-	waitFor(t, 2*time.Second, "overflow drops", func() bool { return drops.Value() >= total-4-1 })
-	if d := drops.Value(); d > total-4 {
-		t.Fatalf("drops_overflow = %d, want at most %d", d, total-4)
+	dropped := int(regA.Counter("transport.drops_overflow").Value())
+	if want := total - 1 - 4; dropped != want {
+		t.Fatalf("drops_overflow = %d, want %d", dropped, want)
 	}
-	dropped := int(drops.Value())
 
 	// Bring the peer up; the survivors must all arrive.
 	var got sink
@@ -258,6 +260,9 @@ func TestSendQueueOverflow(t *testing.T) {
 	pkts := got.snapshot()
 	if len(pkts) != want {
 		t.Fatalf("delivered %d frames, want %d (dropped %d)", len(pkts), want, dropped)
+	}
+	if pkts[0].Payload != "m0" {
+		t.Errorf("first delivery = %#v, want the writer's held frame %q", pkts[0].Payload, "m0")
 	}
 	// Drop-oldest: the newest 4 sends always survive, in order, at the tail.
 	tail := pkts[len(pkts)-4:]

@@ -13,9 +13,9 @@ import (
 // E15 measures what WAL snapshot/compaction buys at rejoin: the replay
 // cost of the k-th crash as the log's total appended length grows with
 // repeated crash/recover cycles. Each cycle appends a full round of
-// traffic plus the establish records of the rejoin churn — and every
-// establish re-records the complete order, so without compaction the log
-// grows superlinearly in history and the k-th replay reads all of it.
+// traffic plus the establish records of the rejoin churn (each holding
+// only the order suffix its exchange changed), so without compaction the
+// log grows with history and the k-th replay reads all of it.
 // With compaction the retained log is a recent checkpoint plus a bounded
 // suffix: replayed records stay flat in the number of cycles while total
 // appended bytes keep climbing.
@@ -140,7 +140,7 @@ func E15(seed int64) *Table {
 
 	t.Notes = append(t.Notes,
 		"replay cost is records/bytes read at the final crash's recovery; total appended is the log's logical end offset (compaction never renumbers)",
-		"establish records re-record the full order, so the uncompacted log grows superlinearly in delivered history; the checkpoint records the same state once and the prefix before the previous checkpoint is discarded",
+		"establish records hold only the order suffix their state exchange changed, so the uncompacted log grows linearly in delivered history (a record per submission, label, order append and delivery); the checkpoint records the whole state once and the prefix before the previous checkpoint is discarded",
 		"compare E14: same crash, complementary axis — E14 pins rejoin latency (replay is a local read), E15 pins the size of that read")
 	return t
 }

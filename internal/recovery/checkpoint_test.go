@@ -34,7 +34,7 @@ func checkpointDisk(tb testing.TB) (disk []byte, c1, c2 int) {
 	s := sim.New(1)
 	w := New(storage.New(s, 0))
 	w.View(testView, nil)
-	w.Establish([]types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, labelA, "a", nil)
 	w.Bcast(2, "c", nil)
@@ -176,7 +176,7 @@ func TestCheckpointBehindInFlightAppend(t *testing.T) {
 	s := sim.New(1)
 	w := New(storage.New(s, time.Millisecond))
 	w.View(testView, nil)
-	w.Establish([]types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
 	w.Deliver(1, labelA, 1, 1, "a", nil)
 	c1 := w.EndOffset() // nothing durable yet: offsets are enqueue-time
 	cs := ckptState()
@@ -213,7 +213,7 @@ func TestTornCheckpointNeverTruncates(t *testing.T) {
 	w := New(st)
 	w.SetCompact(true)
 	w.View(testView, nil)
-	w.Establish([]types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
 	w.Deliver(1, labelA, 1, 1, "a", nil)
 	cs := ckptState()
 	cs.Pending = nil
@@ -260,7 +260,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	w := New(st)
 	w.SetCompact(true)
 	w.View(testView, nil)
-	w.Establish([]types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, labelA, "a", nil)
 	w.Deliver(1, labelA, 1, 1, "a", nil)

@@ -24,7 +24,7 @@ func gcDisk(tb testing.TB, window time.Duration) ([]byte, *obs.Snapshot) {
 	w.Instrument(reg)
 	w.SetGroupCommit(window)
 	w.View(testView, nil)
-	w.Establish([]types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, labelA, "a", nil)
 	w.OrderAppend(labelB, "b", nil)
@@ -203,6 +203,32 @@ func TestGroupCommitWindowCoalesces(t *testing.T) {
 	}
 	if got := Replay(st.Contents()); got.Truncated != "" || got.BcastSeq != 6 {
 		t.Fatalf("windowed batch lost records: %+v", got)
+	}
+}
+
+// TestGroupCommitWindowTimerDiesWithCrash: a commit-window timer armed
+// before a crash must not seal the crashed incarnation's open batch after
+// the crash instant — those records were never durable when it crashed.
+// After Resync the next incarnation's appends arm a window of their own.
+func TestGroupCommitWindowTimerDiesWithCrash(t *testing.T) {
+	s := sim.New(1)
+	st := storage.New(s, 0)
+	w := New(st)
+	w.SetGroupCommit(2 * time.Millisecond)
+	w.Bcast(1, "dead", nil)
+	s.RunFor(time.Millisecond) // window armed, batch open
+	st.Drop()
+	s.RunFor(9 * time.Millisecond) // well past the window
+	if st.Size() != 0 {
+		t.Fatalf("the crashed incarnation's batch reached the image after the crash: %d bytes", st.Size())
+	}
+
+	w.Resync(0, -1, -1)
+	w.Bcast(1, "live", nil)
+	s.RunFor(5 * time.Millisecond)
+	got := Replay(st.Contents())
+	if got.Truncated != "" || len(got.Pending) != 1 || got.Pending[0].Value != "live" {
+		t.Fatalf("next incarnation's windowed append: %+v", got)
 	}
 }
 

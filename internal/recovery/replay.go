@@ -105,30 +105,24 @@ func Replay(disk []byte) *Snapshot {
 			truncate("checksum mismatch")
 			break
 		}
+		var reason string
 		if payload[0] == recBatch {
-			if reason := s.applyBatch(payload, pending, off); reason != "" {
-				// A batch that decodes but carries an invalid sub-record
-				// may already have applied a prefix of its records to the
-				// snapshot. The kept log must replay identically on the
-				// next restart, so rebuild from the clean prefix — it
-				// replayed without truncation a moment ago, making the
-				// recursion depth exactly one.
-				clean := Replay(disk[:off])
-				clean.Truncated = reason
-				clean.TruncatedAt = off
-				return clean
-			}
+			reason = s.applyBatch(payload, pending, off)
 		} else {
-			if reason := s.applyRecord(payload, pending); reason != "" {
-				truncate(reason)
-				break
-			}
-			if payload[0] == recCheckpoint {
-				s.PrevCheckpointAt = s.CheckpointAt
-				s.CheckpointAt = off
-				s.Checkpoints++
-			}
-			s.Records++
+			reason = s.applyRecord(payload, pending, off)
+		}
+		if reason != "" {
+			// A record that decodes but is invalid may already have applied
+			// part of its effect to the snapshot (a batch: a prefix of its
+			// records; an establishment: its in-place order update). The
+			// kept log must replay identically on the next restart, so
+			// rebuild from the clean prefix — it replayed without
+			// truncation a moment ago, making the recursion depth exactly
+			// one.
+			clean := Replay(disk[:off])
+			clean.Truncated = reason
+			clean.TruncatedAt = off
+			return clean
 		}
 		off += frameHeader + length
 	}
@@ -168,23 +162,18 @@ func (s *Snapshot) applyBatch(payload []byte, pending map[int]types.Value, off i
 		if sub[0] == recBatch {
 			return "nested batch record"
 		}
-		if reason := s.applyRecord(sub, pending); reason != "" {
+		if reason := s.applyRecord(sub, pending, off); reason != "" {
 			return reason
 		}
-		if sub[0] == recCheckpoint {
-			s.PrevCheckpointAt = s.CheckpointAt
-			s.CheckpointAt = off
-			s.Checkpoints++
-		}
-		s.Records++
 		body = body[4+ln:]
 	}
 	return ""
 }
 
-// applyRecord folds one record payload into the snapshot; it returns a
-// truncation reason for undecodable or internally inconsistent records.
-func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value) string {
+// applyRecord folds one record payload, framed at byte offset off, into
+// the snapshot; it returns a truncation reason for undecodable or
+// internally inconsistent records.
+func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value, off int) string {
 	r := codec.NewReader(payload)
 	switch tag := r.U8(); tag {
 	case recView:
@@ -197,21 +186,29 @@ func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value) stri
 		}
 		s.View = v
 		s.HasView = true
-	case recEstablish:
+	case recEstablish, recEstablishSuffix:
+		keep := 0
+		if tag == recEstablishSuffix {
+			keep = int(r.U32())
+		}
 		n := int(r.U32())
 		if n < 0 || n > r.Rest() {
 			return "bad establish record: oversized order"
 		}
-		order := make([]types.Label, 0, n)
+		if keep > len(s.Order) {
+			return fmt.Sprintf("establish keep %d beyond order of %d", keep, len(s.Order))
+		}
+		// In place: a bad record's partial update is undone by Replay's
+		// rebuild from the clean prefix.
+		s.Order = s.Order[:keep]
 		for i := 0; i < n; i++ {
-			order = append(order, r.Label())
+			s.Order = append(s.Order, r.Label())
 		}
 		next := r.I32()
 		high := r.ViewID()
 		if r.Err() != nil || next < 1 {
 			return "bad establish record"
 		}
-		s.Order = order
 		s.NextConfirm = next
 		s.HighPrimary = high
 	case recOrderAppend:
@@ -274,6 +271,12 @@ func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value) stri
 	if r.Rest() != 0 {
 		return fmt.Sprintf("record tag %d has %d trailing bytes", payload[0], r.Rest())
 	}
+	if payload[0] == recCheckpoint {
+		s.PrevCheckpointAt = s.CheckpointAt
+		s.CheckpointAt = off
+		s.Checkpoints++
+	}
+	s.Records++
 	return ""
 }
 

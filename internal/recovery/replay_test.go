@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"encoding/binary"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ var (
 	testView = types.View{ID: types.ViewID{Epoch: 2, Proc: 1}, Set: types.RangeProcSet(3)}
 	labelA   = types.Label{ID: testView.ID, Seqno: 1, Origin: 1}
 	labelB   = types.Label{ID: testView.ID, Seqno: 2, Origin: 2}
+	labelC   = types.Label{ID: testView.ID, Seqno: 3, Origin: 0}
 )
 
 // sampleDisk writes one record of every type through a real WAL on a
@@ -24,7 +27,7 @@ func sampleDisk(tb testing.TB) []byte {
 	s := sim.New(1)
 	w := New(storage.New(s, 0))
 	w.View(testView, nil)
-	w.Establish([]types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, labelA, "a", nil)
 	w.OrderAppend(labelB, "b", nil)
@@ -96,6 +99,107 @@ func viewRec(v types.View) []byte {
 	return rec(func(x *codec.Writer) { x.U8(recView); x.View(v) })
 }
 
+// establishRec builds an establishment record: the whole order under the
+// older recEstablish tag when keep < 0, otherwise keep and the suffix.
+func establishRec(keep int, labels []types.Label, next int, high types.ViewID) []byte {
+	return rec(func(x *codec.Writer) {
+		if keep < 0 {
+			x.U8(recEstablish)
+		} else {
+			x.U8(recEstablishSuffix)
+			x.U32(uint32(keep))
+		}
+		x.U32(uint32(len(labels)))
+		for _, l := range labels {
+			x.Label(l)
+		}
+		x.I32(next)
+		x.ViewID(high)
+	})
+}
+
+// deltaDisk is a log whose second establishment keeps a prefix of the
+// order: view, establish [A B], deliver A, establish keep 1 + [C]. It
+// returns the image and the offset of that last record's frame.
+func deltaDisk() (disk []byte, deltaAt int) {
+	disk = append(disk, viewRec(testView)...)
+	disk = append(disk, establishRec(0, []types.Label{labelA, labelB}, 1, testView.ID)...)
+	disk = append(disk, rec(func(x *codec.Writer) {
+		x.U8(recDeliver)
+		x.I32(1)
+		x.Label(labelA)
+		x.I32(1)
+		x.I32(1)
+		x.Str("a")
+	})...)
+	deltaAt = len(disk)
+	return append(disk, establishRec(1, []types.Label{labelC}, 2, testView.ID)...), deltaAt
+}
+
+// TestEstablishSuffixRoundTrip: an establishment keeps the first keep
+// labels of the order the log replays to — order appends included — and
+// replaces the rest with its suffix: keep 0 rewrites the whole order, a
+// mid-order keep cuts it, keep = len(order) only appends.
+func TestEstablishSuffixRoundTrip(t *testing.T) {
+	l := func(i int) types.Label { return types.Label{ID: testView.ID, Seqno: i, Origin: 0} }
+	cases := []struct {
+		name   string
+		keep   int
+		suffix []types.Label
+		want   []types.Label
+	}{
+		{"keep 0", 0, []types.Label{l(7), l(8)}, []types.Label{l(7), l(8)}},
+		{"keep mid-order", 1, []types.Label{l(9)}, []types.Label{l(1), l(9)}},
+		{"keep whole order", 3, []types.Label{l(4)}, []types.Label{l(1), l(2), l(3), l(4)}},
+		{"keep whole order, no suffix", 3, nil, []types.Label{l(1), l(2), l(3)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			w := New(storage.New(s, 0))
+			w.View(testView, nil)
+			w.Establish(0, []types.Label{l(1), l(2)}, 1, testView.ID, nil)
+			w.OrderAppend(l(3), "c", nil)
+			high := types.ViewID{Epoch: 3, Proc: 0}
+			w.Establish(tc.keep, tc.suffix, 2, high, nil)
+			if err := s.Run(s.Now().Add(time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			snap := Replay(w.Storage().Contents())
+			if snap.Truncated != "" || snap.Records != 4 {
+				t.Fatalf("clean log: truncated %q after %d records", snap.Truncated, snap.Records)
+			}
+			if !slices.Equal(snap.Order, tc.want) {
+				t.Errorf("Order = %v, want %v", snap.Order, tc.want)
+			}
+			if snap.NextConfirm != 2 || snap.HighPrimary != high {
+				t.Errorf("NextConfirm, HighPrimary = %d, %v; want 2, %v", snap.NextConfirm, snap.HighPrimary, high)
+			}
+		})
+	}
+}
+
+// TestReplayReadsWholeOrderEstablish: logs written before establishment
+// records carried a suffix hold recEstablish records with the whole order.
+// Replay still reads them, as keep 0, to the snapshot the suffix records
+// of the same history replay to.
+func TestReplayReadsWholeOrderEstablish(t *testing.T) {
+	delta, at := deltaDisk()
+	old := append([]byte(nil), delta[:at]...)
+	old = append(old, establishRec(-1, []types.Label{labelA, labelC}, 2, testView.ID)...)
+	got, want := Replay(old), Replay(delta)
+	if got.Truncated != "" || want.Truncated != "" {
+		t.Fatalf("clean logs truncated: %q, %q", got.Truncated, want.Truncated)
+	}
+	if !slices.Equal(want.Order, []types.Label{labelA, labelC}) {
+		t.Fatalf("suffix log Order = %v, want [%v %v]", want.Order, labelA, labelC)
+	}
+	got.TruncatedAt, want.TruncatedAt = 0, 0 // the images differ in length
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("whole-order log replays to\n%+v\nwant\n%+v", got, want)
+	}
+}
+
 // batchFrame wraps record payloads as one group-commit batch frame:
 // [len | crc | recBatch [sublen payload]...]. The CRC covers the whole
 // batch body, making the batch the atom of durability.
@@ -153,6 +257,7 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 			x.I32(1)
 			x.Str("a")
 		}), "not at order position"},
+		{"establish keep beyond order", establishRec(1, []types.Label{labelA}, 1, testView.ID), "establish keep 1 beyond order of 0"},
 		// Group-commit batch tears: the batch is the atom of durability,
 		// so any tear inside one discards it whole while the prefix
 		// before the batch frame replays untouched.
@@ -287,6 +392,15 @@ func FuzzReplay(f *testing.F) {
 	f.Add(append(append([]byte(nil), viewRec(testView)...), batchFrame(
 		payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
 		payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(2) }),
+	)...))
+	// Establishment records that keep a prefix: loose, torn inside the
+	// keep/suffix record, and batched behind the records they build on.
+	delta, at := deltaDisk()
+	f.Add(delta)
+	f.Add(delta[:at+frameHeader+6])
+	f.Add(append(append([]byte(nil), viewRec(testView)...), batchFrame(
+		establishRec(0, []types.Label{labelA, labelB}, 1, testView.ID)[frameHeader:],
+		establishRec(1, []types.Label{labelC}, 2, testView.ID)[frameHeader:],
 	)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := Replay(data) // must never panic

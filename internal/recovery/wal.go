@@ -17,7 +17,10 @@
 //     always covers every announced installation. Establishment records
 //     keep order/nextconfirm/highprimary at the last state exchange, so
 //     representative selection after a whole-group crash cannot regress
-//     the confirmed prefix;
+//     the confirmed prefix. A record carries only what the exchange
+//     changed: how many leading labels of the order the log already
+//     replays to stay, and the new suffix after them — O(changed labels)
+//     per view change, not O(history);
 //   - primary-view order appends (OrderAppend): between establishments the
 //     order grows one label at a time; without these the restored order
 //     could be shorter than a peer's persisted delivered prefix, and a
@@ -58,6 +61,8 @@ import (
 // Record tags.
 const (
 	recView byte = iota + 1
+	// recEstablish is the whole-order establishment record older logs
+	// hold; Replay reads it as a recEstablishSuffix with keep = 0.
 	recEstablish
 	recOrderAppend
 	recBcast
@@ -74,6 +79,9 @@ const (
 	// one covering storage write, so either every record of the batch is
 	// durable and acknowledged, or none of its effects were acknowledged.
 	recBatch
+	// recEstablishSuffix is an establishment (Establish): keep, the order
+	// suffix after the kept prefix, nextconfirm, highprimary.
+	recEstablishSuffix
 )
 
 // frameHeader is the per-record overhead: u32 payload length + u32 CRC.
@@ -192,9 +200,10 @@ func (w *WAL) Resync(end, lastCkpt, prevCkpt int) {
 	// A crash abandoned whatever batch was open or in flight: the device's
 	// Drop suppressed every pending completion, so the outstanding-write
 	// accounting must be reset or the new incarnation's appends would wait
-	// forever for a completion that never comes. A window timer armed
-	// before the crash may still fire; its flush is harmless (it seals the
-	// new incarnation's open batch at worst early, never out of order).
+	// forever for a completion that never comes. The same Drop cancelled any
+	// window timer armed before the crash (storage.Stable.Schedule), so that
+	// timer neither seals the dead incarnation's batch nor the new one's,
+	// and the next append must arm a fresh one.
 	w.batch = nil
 	w.batchDones = nil
 	w.batchRecs = 0
@@ -352,15 +361,20 @@ func (w *WAL) View(v types.View, done func()) {
 	w.append(x.Data(), done)
 }
 
-// Establish records the outcome of a state exchange: the established
-// order, the new nextconfirm, and the new highprimary. It is also written
-// once at WAL creation for processors that start inside the initial view,
-// so the pre-first-view-change state is durable too.
-func (w *WAL) Establish(order []types.Label, next int, high types.ViewID, done func()) {
+// Establish records the outcome of a state exchange as what it changed:
+// the established order is the first keep labels of the order the log
+// already replays to, followed by suffix; next and high are the new
+// nextconfirm and highprimary. The caller must pass a keep no larger than
+// that replayed order — Replay truncates at a record that keeps more. It
+// is also written once at WAL creation (keep 0, no suffix) for processors
+// that start inside the initial view, so the pre-first-view-change state
+// is durable too.
+func (w *WAL) Establish(keep int, suffix []types.Label, next int, high types.ViewID, done func()) {
 	x := w.record()
-	x.U8(recEstablish)
-	x.U32(uint32(len(order)))
-	for _, l := range order {
+	x.U8(recEstablishSuffix)
+	x.U32(uint32(keep))
+	x.U32(uint32(len(suffix)))
+	for _, l := range suffix {
 		x.Label(l)
 	}
 	x.I32(next)

@@ -450,7 +450,7 @@ func (n *Node) sealInitialState(p0 types.ProcSet) {
 	n.hasView = true
 	n.curView = types.InitialView(p0)
 	n.wal.View(n.curView, nil)
-	n.wal.Establish(nil, 1, types.G0(), nil)
+	n.wal.Establish(0, nil, 1, types.G0(), nil)
 }
 
 // setCheckpointPolicy arms checkpointing (every 'bytes' of log growth;
@@ -668,11 +668,21 @@ func (n *Node) onGprcv(from types.ProcID, payload any) {
 		}
 	case *vstoto.Summary:
 		collecting := n.proc.Status == vstoto.StatusCollect
+		before := n.proc.Order
 		n.proc.GprcvSummary(from, m)
 		if collecting && n.proc.Status == vstoto.StatusNormal {
-			// The state exchange completed: persist the established order,
-			// nextconfirm and highprimary in one record.
-			n.wal.Establish(n.proc.Order, n.proc.NextConfirm, n.proc.HighPrimary, nil)
+			// The state exchange completed: persist what it changed — the
+			// order past its longest common prefix with the order before,
+			// nextconfirm and highprimary — in one record. The order before
+			// is what the log replays to (proc.Order changes only here and
+			// by logged order appends; recovery restores it from a replay),
+			// and establishment assigns a fresh slice, leaving it intact.
+			after := n.proc.Order
+			keep := 0
+			for keep < len(before) && keep < len(after) && before[keep] == after[keep] {
+				keep++
+			}
+			n.wal.Establish(keep, after[keep:], n.proc.NextConfirm, n.proc.HighPrimary, nil)
 		}
 	default:
 		panic("stack: unexpected VS payload")

@@ -1,9 +1,10 @@
 // Command experiments regenerates every table of the reproduction's
-// evaluation (E1–E18 in DESIGN.md): the paper's conditional properties
+// evaluation (E1–E17 in DESIGN.md): the paper's conditional properties
 // (TO-property, VS-property), the Figure 12 phase decomposition, the
 // Section 8 analytic bounds, the stable-storage baseline comparison, the
 // randomized safety checks, and the ablations and extensions built on
-// them. It also writes the two checked-in pins.
+// them. (The explorer's determinism and POR cross-check, once E18, is part
+// of E13.) It also writes the two checked-in pins.
 //
 // Usage:
 //
@@ -37,7 +38,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "", "run a single experiment (E1..E18); default all")
+		exp        = flag.String("exp", "", "run a single experiment (E1..E17); default all")
 		seed       = flag.Int64("seed", 1, "seed for all randomized runs")
 		workers    = flag.Int("workers", runtime.NumCPU(), "parallel runs (1 = serial; output is identical either way)")
 		csvDir     = flag.String("csv", "", "also write each table as CSV into this directory")
@@ -103,7 +104,7 @@ func main() {
 	} else {
 		run, ok := experiments.Runner(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want E1..E18)\n", *exp)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want E1..E17)\n", *exp)
 			exit(2)
 		}
 		tables = []*experiments.Table{run(*seed, *workers)}

@@ -27,7 +27,7 @@
 // failure, split-rejoin), each against a fresh cluster — quorum-loss
 // scenarios prove the inverse of non-vacuity: delivery flatlined
 // cluster-wide while no primary could exist (primary-loss guard) and
-// resumed within -recovery-bound of the final heal (bounded recovery):
+// resumed within live.RecoveryBound of the final heal (bounded recovery):
 //
 //	liverun -pgcsd ./bin/pgcsd -matrix -n 10 -window 12s -checkpoint-bytes 65536 -dir ./matrix-out
 //
@@ -66,9 +66,7 @@ func main() {
 		scenarios = flag.String("scenarios", "", "comma-separated chaos campaigns (default: kill-waves; with -matrix: every process-level one)")
 		ckptBytes = flag.Int("checkpoint-bytes", 0, "WAL snapshot/compaction threshold per daemon (0 disables)")
 
-		maxPending    = flag.Int("max-pending", 4096, "per-daemon accepted-but-undelivered submission bound (0 disables backpressure)")
-		recoveryBound = flag.Duration("recovery-bound", 12*time.Second, "quorum-loss scenarios: delivery must resume this soon after the final heal")
-		lossGrace     = flag.Duration("loss-grace", 750*time.Millisecond, "quorum-loss scenarios: per-epoch grace before the primary-loss flatline is enforced")
+		maxPending = flag.Int("max-pending", 4096, "per-daemon accepted-but-undelivered submission bound (0 disables backpressure)")
 	)
 	flag.Parse()
 	if *pgcsd == "" {
@@ -98,8 +96,6 @@ func main() {
 		Settle:          *settle,
 		CheckpointBytes: *ckptBytes,
 		MaxPending:      *maxPending,
-		LossGrace:       *lossGrace,
-		RecoveryBound:   *recoveryBound,
 		Logf:            log.Printf,
 	}
 

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/check"
+	"repro/internal/chaos"
 	"repro/internal/props"
 	"repro/internal/types"
 )
@@ -62,37 +62,12 @@ func main() {
 		p0 = append(p0, p)
 	}
 
-	vs := check.NewVSChecker(types.NewProcSet(all...), types.NewProcSet(p0...))
-	to := check.NewTOChecker()
-	vsEvents, toEvents := 0, 0
-	for i, e := range log.Events {
-		var err error
-		switch e.Kind {
-		case props.VSNewview:
-			err = vs.Newview(e.View, e.P)
-			vsEvents++
-		case props.VSGpsnd:
-			err = vs.Gpsnd(e.Msg)
-			vsEvents++
-		case props.VSGprcv:
-			err = vs.Gprcv(e.Msg, e.P)
-			vsEvents++
-		case props.VSSafe:
-			err = vs.Safe(e.Msg, e.P)
-			vsEvents++
-		case props.TOBcast:
-			to.Bcast(e.Value, e.P)
-			toEvents++
-		case props.TOBrcv:
-			err = to.Brcv(e.Value, e.From, e.P)
-			toEvents++
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "VIOLATION at event %d (%v):\n  %v\n", i, e, err)
-			os.Exit(1)
-		}
+	vs, to, err := chaos.Conformance(log, types.NewProcSet(all...), types.NewProcSet(p0...))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "VIOLATION:\n  %v\n", err)
+		os.Exit(1)
 	}
 	fmt.Printf("trace OK: %d VS events conform to VS-machine, %d TO events conform to TO-machine\n",
-		vsEvents, toEvents)
+		vs.Events(), to.Events())
 	fmt.Printf("global total order constructed: %d values\n", to.OrderLen())
 }

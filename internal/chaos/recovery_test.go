@@ -133,7 +133,7 @@ func TestAmnesiaTornTailTruncatesAndReconverges(t *testing.T) {
 	if len(c.Crashes) == 0 {
 		t.Fatal("no crash snapshot recorded")
 	}
-	if _, err := Conformance(c.Log, c.Procs, c.Procs); err != nil {
+	if _, _, err := Conformance(c.Log, c.Procs, c.Procs); err != nil {
 		t.Fatalf("conformance after torn-tail recovery: %v", err)
 	}
 	if err := props.CheckRejoinSafety(c.Log, c.Crashes); err != nil {

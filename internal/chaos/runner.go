@@ -219,8 +219,8 @@ func Run(cfg Config) *Result {
 	res.Deliveries = c.TotalDeliveries()
 
 	// Check 1: full TO/VS trace conformance (safety).
-	vsEvents, err := Conformance(c.Log, c.Procs, c.Procs)
-	res.VSEvents = vsEvents
+	vck, _, err := Conformance(c.Log, c.Procs, c.Procs)
+	res.VSEvents = vck.Events()
 	if err != nil {
 		res.Violation = &Violation{Check: "conformance", Detail: err.Error()}
 		return res
@@ -303,10 +303,11 @@ func checkQuorumLoss(log *props.Log, epochs []Epoch, grace time.Duration) error 
 }
 
 // Conformance replays a recorded log through the VS and TO trace checkers
-// and returns the number of VS events checked plus the first violation, if
-// any. p0 is the initial-view membership (the stack starts every processor
-// inside it unless Options.P0Size says otherwise).
-func Conformance(log *props.Log, universe, p0 types.ProcSet) (int, error) {
+// and returns both checkers (their event counts and the TO order they
+// built) plus the first violation, if any. p0 is the initial-view
+// membership (the stack starts every processor inside it unless
+// Options.P0Size says otherwise).
+func Conformance(log *props.Log, universe, p0 types.ProcSet) (*check.VSChecker, *check.TOChecker, error) {
 	vck := check.NewVSChecker(universe, p0)
 	tck := check.NewTOChecker()
 	for _, e := range log.Events {
@@ -326,8 +327,8 @@ func Conformance(log *props.Log, universe, p0 types.ProcSet) (int, error) {
 			err = tck.Brcv(e.Value, e.From, e.P)
 		}
 		if err != nil {
-			return vck.Events(), fmt.Errorf("%v (event: %v)", err, e)
+			return vck, tck, fmt.Errorf("%v (event: %v)", err, e)
 		}
 	}
-	return vck.Events(), nil
+	return vck, tck, nil
 }

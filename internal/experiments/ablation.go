@@ -39,9 +39,7 @@ func E9(seed int64) *Table {
 			c.Oracle.Heal(c.Procs)
 			heal = c.Sim.Now()
 		})
-		if err := c.Sim.Run(sim.Time(2 * time.Second)); err != nil {
-			panic(err)
-		}
+		must(c.Sim.Run(sim.Time(2 * time.Second)))
 		m := props.MeasureVS(c.Log, c.Procs, heal)
 		lp := "—"
 		if m.Converged {

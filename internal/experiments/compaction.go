@@ -24,11 +24,7 @@ func E11(seed int64) *Table {
 		Columns: []string{"compaction", "msgs sent", "max token entries", "delivered@p0"},
 	}
 	for _, compaction := range []bool{true, false} {
-		c := stack.NewCluster(stack.Options{Seed: seed, N: 4, Delta: time.Millisecond})
-		if !compaction {
-			// Rebuild with compaction disabled.
-			c = stack.NewCluster(stack.Options{Seed: seed, N: 4, Delta: time.Millisecond, NoTokenCompaction: true})
-		}
+		c := stack.NewCluster(stack.Options{Seed: seed, N: 4, Delta: time.Millisecond, NoTokenCompaction: !compaction})
 		msgs := 0
 		var load func()
 		load = func() {
@@ -40,9 +36,7 @@ func E11(seed int64) *Table {
 			c.Bcast(types.ProcID(msgs%4), types.Value(fmt.Sprintf("t%d", msgs)))
 		}
 		c.Sim.After(10*time.Millisecond, load)
-		if err := c.Sim.Run(sim.Time(5 * time.Second)); err != nil {
-			panic(err)
-		}
+		must(c.Sim.Run(sim.Time(5 * time.Second)))
 		maxTok := 0
 		for _, p := range c.Procs.Members() {
 			if m := c.Node(p).VS().Stats().MaxTokenEntries; m > maxTok {

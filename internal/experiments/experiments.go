@@ -1,5 +1,5 @@
 // Package experiments implements the evaluation harness: one function per
-// experiment in DESIGN.md's per-experiment index (E1–E18), each regenerating
+// experiment in DESIGN.md's per-experiment index (E1–E17), each regenerating
 // the measurements that validate the paper's claims — the conditional
 // properties TO-property and VS-property (Figures 5 and 7, Theorems 7.1 and
 // 7.2), the Section 8 analytic bounds, the introduction's comparison
@@ -110,6 +110,54 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
 }
 
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// runUntil is the harness's one settle loop: it advances s in steps of
+// step until done holds, checking done before every step, and reports
+// false if the clock passes limit first.
+func runUntil(s *sim.Sim, step time.Duration, limit sim.Time, done func() bool) bool {
+	for !done() {
+		if s.Now() > limit {
+			return false
+		}
+		must(s.RunFor(step))
+	}
+	return true
+}
+
+// allDelivered reports whether each of nodes 0..n-1 has delivered at
+// least k values. D is any cluster's delivery record.
+func allDelivered[D any](n, k int, deliveries func(types.ProcID) []D) bool {
+	for p := 0; p < n; p++ {
+		if len(deliveries(types.ProcID(p))) < k {
+			return false
+		}
+	}
+	return true
+}
+
+// pacedBurst drives any simulated cluster through one paced burst: after
+// a 30ms boot it submits k values, value i at node i mod n and i·pace
+// after the start, runs until every node has delivered all k, and returns
+// how long that took.
+func pacedBurst[D any](s *sim.Sim, n, k int, pace time.Duration,
+	bcast func(types.ProcID, types.Value), deliveries func(types.ProcID) []D) time.Duration {
+	must(s.RunFor(30 * time.Millisecond))
+	start := s.Now()
+	for i := 0; i < k; i++ {
+		i := i
+		s.After(time.Duration(i)*pace, func() { bcast(types.ProcID(i%n), types.Value(fmt.Sprintf("v%d", i))) })
+	}
+	if !runUntil(s, 5*time.Millisecond, sim.Time(60*time.Second), func() bool { return allDelivered(n, k, deliveries) }) {
+		panic("experiments: paced burst never completed")
+	}
+	return s.Now().Sub(start)
+}
+
 // isolationRun drives one cluster run: isolate component Q at cutAt, send
 // periodic traffic from Q before and after, run until the horizon with a
 // quiet tail, and return the cluster.
@@ -132,9 +180,7 @@ func isolationRun(seed int64, n, qSize int, delta time.Duration) (*stack.Cluster
 		})
 	}
 	// Horizon: generous, with a quiet tail so every safe/delivery lands.
-	if err := c.Sim.Run(sim.Time(5 * time.Second)); err != nil {
-		panic(err)
-	}
+	must(c.Sim.Run(sim.Time(5 * time.Second)))
 	return c, q, cut
 }
 
@@ -209,9 +255,7 @@ func e2(seed int64, workers int) *Table {
 				c.Bcast(right.Members()[i%right.Size()], types.Value(fmt.Sprintf("r%d", i)))
 			})
 		}
-		if err := c.Sim.Run(sim.Time(5 * time.Second)); err != nil {
-			panic(err)
-		}
+		must(c.Sim.Run(sim.Time(5 * time.Second)))
 		for _, side := range []struct {
 			name string
 			q    types.ProcSet
@@ -318,9 +362,7 @@ func e4(seed int64, workers int) *Table {
 					c.Bcast(types.ProcID(i%n), types.Value(fmt.Sprintf("m%d", i)))
 				})
 			}
-			if err := c.Sim.Run(sim.Time(2000 * delta)); err != nil {
-				panic(err)
-			}
+			must(c.Sim.Run(sim.Time(2000 * delta)))
 			b := c.Cfg.AnalyticB(n)
 			dPaper := c.Cfg.AnalyticD(n)
 			dImpl := c.Cfg.AnalyticDImpl(n)
@@ -364,37 +406,9 @@ func E5(seed int64) *Table {
 
 	// Paced submissions (one per 2π) so per-message latency reflects the
 	// protocol, not queueing behind the burst.
-	runStack := func() (time.Duration, props.LatencyStats) {
-		c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, Log: &props.Log{}})
-		if err := c.Sim.RunFor(30 * time.Millisecond); err != nil {
-			panic(err)
-		}
-		start := c.Sim.Now()
-		for i := 0; i < k; i++ {
-			i := i
-			c.Sim.After(time.Duration(i)*2*c.Cfg.Pi, func() {
-				c.Bcast(types.ProcID(i%n), types.Value(fmt.Sprintf("v%d", i)))
-			})
-		}
-		for {
-			if err := c.Sim.RunFor(5 * time.Millisecond); err != nil {
-				panic(err)
-			}
-			done := true
-			for _, p := range c.Procs.Members() {
-				if len(c.Deliveries(p)) < k {
-					done = false
-				}
-			}
-			if done {
-				return c.Sim.Now().Sub(start), props.MeasureDeliveryLatency(c.Log, c.Procs)
-			}
-			if c.Sim.Now() > sim.Time(30*time.Second) {
-				panic("stack burst never completed")
-			}
-		}
-	}
-	stackTime, stackLat := runStack()
+	sc := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, Log: &props.Log{}})
+	stackTime := pacedBurst(sc.Sim, n, k, 2*sc.Cfg.Pi, func(p types.ProcID, v types.Value) { sc.Bcast(p, v) }, sc.Deliveries)
+	stackLat := props.MeasureDeliveryLatency(sc.Log, sc.Procs)
 	t.Rows = append(t.Rows, []string{
 		"VStoTO stack", "–", ms(stackTime), ms(stackLat.Mean), ms(stackLat.P99), "0",
 	})
@@ -402,35 +416,7 @@ func E5(seed int64) *Table {
 	var prev time.Duration
 	for _, lat := range []time.Duration{0, delta, 5 * delta, 20 * delta} {
 		c := baseline.NewCluster(baseline.Options{Seed: seed, N: n, Delta: delta, StorageLatency: lat})
-		if err := c.Sim.RunFor(30 * time.Millisecond); err != nil {
-			panic(err)
-		}
-		start := c.Sim.Now()
-		for i := 0; i < k; i++ {
-			i := i
-			c.Sim.After(time.Duration(i)*2*c.Cfg.Pi, func() {
-				c.Bcast(types.ProcID(i%n), types.Value(fmt.Sprintf("v%d", i)))
-			})
-		}
-		var took time.Duration
-		for {
-			if err := c.Sim.RunFor(5 * time.Millisecond); err != nil {
-				panic(err)
-			}
-			done := true
-			for _, p := range c.Procs.Members() {
-				if len(c.Deliveries(p)) < k {
-					done = false
-				}
-			}
-			if done {
-				took = c.Sim.Now().Sub(start)
-				break
-			}
-			if c.Sim.Now() > sim.Time(60*time.Second) {
-				panic("baseline burst never completed")
-			}
-		}
+		took := pacedBurst(c.Sim, n, k, 2*c.Cfg.Pi, c.Bcast, c.Deliveries)
 		blat := props.MeasureDeliveryLatency(c.Log, c.Procs)
 		if took < prev {
 			t.Failures = append(t.Failures,

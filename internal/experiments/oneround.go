@@ -45,9 +45,7 @@ func E10(seed int64) *Table {
 				c.Oracle.Heal(c.Procs)
 				healAt = c.Sim.Now()
 			})
-			if err := c.Sim.Run(sim.Time(4 * time.Second)); err != nil {
-				panic(err)
-			}
+			must(c.Sim.Run(sim.Time(4 * time.Second)))
 			mCrash := props.MeasureVS(c.Log.Until(healAt), survivors, crashAt)
 			mMerge := props.MeasureVS(c.Log, c.Procs, healAt)
 			return result{

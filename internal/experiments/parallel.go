@@ -55,10 +55,9 @@ var runnerList = []runner{
 	{"E15", func(s int64, _ int) *Table { return E15(s) }},
 	{"E16", func(s int64, _ int) *Table { return E16(s) }},
 	{"E17", func(s int64, _ int) *Table { return E17(s) }},
-	{"E18", func(s int64, _ int) *Table { return E18(s) }},
 }
 
-// Runner looks up one experiment by ID ("E1".."E18", case-insensitive) as a
+// Runner looks up one experiment by ID ("E1".."E17", case-insensitive) as a
 // workers-parameterized function.
 func Runner(id string) (func(seed int64, workers int) *Table, bool) {
 	id = strings.ToUpper(id)

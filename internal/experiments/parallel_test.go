@@ -28,13 +28,6 @@ import (
 // claims (replica digests and ack order across apply worker counts) is
 // enforced inside the experiment itself: any divergence lands in
 // Table.Failures and fails TestAllExperimentsValidate.
-//
-// E18 is excluded for the same reason (its "wall elapsed" column is a
-// measurement) plus cost: it explores six full state spaces. Its
-// determinism claim — identical Explore results and violations at
-// workers=1 vs NumCPU — is checked inside the experiment (failures land
-// in Table.Failures) and pinned again by TestExploreParallelDeterminism
-// in internal/vstoto under -race.
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs most of the suite twice; skipped in -short mode")
@@ -47,7 +40,7 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 
 	var gate []runner
 	for _, r := range runnerList {
-		if r.id != "E6" && r.id != "E17" && r.id != "E18" {
+		if r.id != "E6" && r.id != "E17" {
 			gate = append(gate, r)
 		}
 	}

@@ -68,29 +68,14 @@ func E17(seed int64) *Table {
 				}
 			})
 		}
-		if err := m.WaitSettle(sim.Time(5 * time.Second)); err != nil {
-			panic(err)
-		}
-		if err := m.CheckCoherence(); err != nil {
-			panic(err)
-		}
-		h := sha256.New()
+		must(m.WaitSettle(sim.Time(5 * time.Second)))
+		must(m.CheckCoherence())
 		ops := 0
 		for _, p := range c.Procs.Members() {
-			rep := m.Replica(p)
-			keys := make([]string, 0, len(rep))
-			for k := range rep {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Fprintf(h, "p%v applied=%d\n", p, m.AppliedCount(p))
-			for _, k := range keys {
-				fmt.Fprintf(h, "%q=%q\n", k, rep[k])
-			}
 			ops += m.AppliedCount(p)
 		}
 		return outcome{
-			digest: hex.EncodeToString(h.Sum(nil)),
+			digest: replicaDigest(m, c.Procs),
 			acks:   hex.EncodeToString(ah.Sum(nil)),
 			ops:    ops,
 		}
@@ -122,20 +107,13 @@ func E17(seed int64) *Table {
 		keys  = 512
 	)
 	c := stack.NewCluster(stack.Options{Seed: seed + 1, N: n, Delta: time.Millisecond})
-	if err := c.Sim.RunFor(30 * time.Millisecond); err != nil {
-		panic(err)
-	}
+	must(c.Sim.RunFor(30 * time.Millisecond))
 	for i := 0; i < burst; i++ {
 		op := rsm.Op{Kind: "w", Key: fmt.Sprintf("k%d", i%keys), Val: fmt.Sprintf("v%d", i), Nonce: i + 1}
 		c.Bcast(types.ProcID(i%n), op.Encode())
 	}
-	for c.TotalDeliveries() < n*burst {
-		if err := c.Sim.RunFor(50 * time.Millisecond); err != nil {
-			panic(err)
-		}
-		if c.Sim.Now() > sim.Time(600*time.Second) {
-			panic("E17: burst never fully delivered")
-		}
+	if !runUntil(c.Sim, 50*time.Millisecond, sim.Time(600*time.Second), func() bool { return c.TotalDeliveries() >= n*burst }) {
+		panic("E17: burst never fully delivered")
 	}
 
 	// heavyApply stands in for a real state machine's per-op work: ~2k
@@ -154,24 +132,8 @@ func E17(seed int64) *Table {
 		m.SetWorkers(workers)
 		m.SetApply(heavyApply)
 		start := time.Now()
-		if err := m.Pump(); err != nil {
-			panic(err)
-		}
-		wall = time.Since(start)
-		h := sha256.New()
-		for _, p := range c.Procs.Members() {
-			rep := m.Replica(p)
-			ks := make([]string, 0, len(rep))
-			for k := range rep {
-				ks = append(ks, k)
-			}
-			sort.Strings(ks)
-			fmt.Fprintf(h, "p%v applied=%d\n", p, m.AppliedCount(p))
-			for _, k := range ks {
-				fmt.Fprintf(h, "%q=%q\n", k, rep[k])
-			}
-		}
-		return wall, hex.EncodeToString(h.Sum(nil))
+		must(m.Pump())
+		return time.Since(start), replicaDigest(m, c.Procs)
 	}
 
 	walls := map[int]time.Duration{}
@@ -211,4 +173,23 @@ func E17(seed int64) *Table {
 	t.Notes = append(t.Notes,
 		"identical replica digests and ack order at every worker count: parallelism changed only wall-clock time")
 	return t
+}
+
+// replicaDigest fingerprints every replica's applied count and key/value
+// state, in processor then key order.
+func replicaDigest(m *rsm.Memory, procs types.ProcSet) string {
+	h := sha256.New()
+	for _, p := range procs.Members() {
+		rep := m.Replica(p)
+		keys := make([]string, 0, len(rep))
+		for k := range rep {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(h, "p%v applied=%d\n", p, m.AppliedCount(p))
+		for _, k := range keys {
+			fmt.Fprintf(h, "%q=%q\n", k, rep[k])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -87,16 +87,7 @@ func E12(seed int64) *Table {
 	vsRes := scenario(
 		func(p types.ProcID, a types.Value) { sc.Bcast(p, a) },
 		func(until sim.Time) error { return sc.Sim.Run(until) },
-		func() map[types.ProcID]map[types.Value]bool {
-			out := make(map[types.ProcID]map[types.Value]bool)
-			for _, p := range sc.Procs.Members() {
-				out[p] = make(map[types.Value]bool)
-				for _, d := range sc.Deliveries(p) {
-					out[p][d.Value] = true
-				}
-			}
-			return out
-		},
+		func() map[types.ProcID]map[types.Value]bool { return coverage(n, sc.Deliveries) },
 		func() { sc.Oracle.Partition(sc.Procs, majority, minority) },
 		func() { sc.Oracle.Heal(sc.Procs) },
 	)
@@ -110,16 +101,7 @@ func E12(seed int64) *Table {
 	prRes := scenario(
 		pc.Bcast,
 		func(until sim.Time) error { return pc.Sim.Run(until) },
-		func() map[types.ProcID]map[types.Value]bool {
-			out := make(map[types.ProcID]map[types.Value]bool)
-			for _, p := range pc.Procs.Members() {
-				out[p] = make(map[types.Value]bool)
-				for _, d := range pc.Deliveries(p) {
-					out[p][d.Value] = true
-				}
-			}
-			return out
-		},
+		func() map[types.ProcID]map[types.Value]bool { return coverage(n, pc.Deliveries) },
 		func() { pc.Oracle.Partition(pc.Procs, majority, minority) },
 		func() { pc.Oracle.Heal(pc.Procs) },
 	)
@@ -146,8 +128,19 @@ func E12(seed int64) *Table {
 	return t
 }
 
-func must(err error) {
-	if err != nil {
-		panic(err)
+// coverage indexes which values each of nodes 0..n-1 delivered. D is any
+// cluster's delivery record (stack and primary share one shape).
+func coverage[D ~struct {
+	From  types.ProcID
+	Value types.Value
+	Time  sim.Time
+}](n int, deliveries func(types.ProcID) []D) map[types.ProcID]map[types.Value]bool {
+	out := make(map[types.ProcID]map[types.Value]bool, n)
+	for _, p := range types.RangeProcSet(n).Members() {
+		out[p] = make(map[types.Value]bool)
+		for _, d := range deliveries(p) {
+			out[p][stack.Delivery(d).Value] = true
+		}
 	}
+	return out
 }

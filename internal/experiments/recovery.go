@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/failures"
-	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/types"
 )
@@ -34,47 +33,14 @@ func E14(seed int64) *Table {
 
 	run := func(k int, lat time.Duration) {
 		c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, StorageLatency: lat})
-		if err := c.Sim.RunFor(30 * time.Millisecond); err != nil {
-			panic(err)
-		}
 		// Pre-crash traffic grows the victim's WAL: k values, paced so the
 		// serialized write head (λ per record) keeps up.
-		pace := 2 * c.Cfg.Pi
-		if 4*lat > pace {
-			pace = 4 * lat
-		}
-		for i := 0; i < k; i++ {
-			i := i
-			c.Sim.After(time.Duration(i)*pace, func() {
-				c.Bcast(types.ProcID(i%n), types.Value(fmt.Sprintf("v%d", i)))
-			})
-		}
-		for {
-			if err := c.Sim.RunFor(5 * time.Millisecond); err != nil {
-				panic(err)
-			}
-			done := true
-			for _, p := range c.Procs.Members() {
-				if len(c.Deliveries(p)) < k {
-					done = false
-				}
-			}
-			if done {
-				break
-			}
-			if c.Sim.Now() > sim.Time(60*time.Second) {
-				panic("E14: pre-crash burst never completed")
-			}
-		}
+		pacedBurst(c.Sim, n, k, max(2*c.Cfg.Pi, 4*lat), func(p types.ProcID, v types.Value) { c.Bcast(p, v) }, c.Deliveries)
 		// Quiesce so the WAL tail is durable, then wipe the victim.
-		if err := c.Sim.RunFor(time.Duration(k+4) * lat); err != nil {
-			panic(err)
-		}
+		must(c.Sim.RunFor(time.Duration(k+4) * lat))
 		walBytes := c.Node(victim).WAL().Storage().Size()
 		c.Oracle.SetProc(victim, failures.Amnesia)
-		if err := c.Sim.RunFor(5 * time.Millisecond); err != nil {
-			panic(err)
-		}
+		must(c.Sim.RunFor(5 * time.Millisecond))
 		healT := c.Sim.Now()
 		c.Oracle.Heal(c.Procs)
 		// Probe traffic from a survivor: the victim's first post-heal
@@ -84,10 +50,7 @@ func E14(seed int64) *Table {
 		// the origin, so probes arriving faster than ~8λ saturate the
 		// device, its queued view records delay installations, and view
 		// formation churns instead of converging.
-		probePace := c.Cfg.Pi
-		if 8*lat > probePace {
-			probePace = 8 * lat
-		}
+		probePace := max(c.Cfg.Pi, 8*lat)
 		for i := 0; i < 200; i++ {
 			i := i
 			c.Sim.At(healT.Add(time.Duration(i)*probePace), func() {
@@ -96,26 +59,19 @@ func E14(seed int64) *Table {
 		}
 		budget := c.Cfg.AnalyticB(n) + 2*c.Cfg.AnalyticDImpl(n) + 3*lat
 		var rejoin time.Duration
-		for {
-			if err := c.Sim.RunFor(time.Millisecond); err != nil {
-				panic(err)
-			}
-			found := false
+		rejoined := func() bool {
 			for _, d := range c.Deliveries(victim) {
 				if d.Time > healT {
 					rejoin = d.Time.Sub(healT)
-					found = true
-					break
+					return true
 				}
 			}
-			if found {
-				break
-			}
-			if c.Sim.Now().Sub(healT) > 10*budget {
-				t.Failures = append(t.Failures, fmt.Sprintf(
-					"k=%d λ=%v: victim never rejoined within 10× budget", k, lat))
-				return
-			}
+			return false
+		}
+		if !runUntil(c.Sim, time.Millisecond, healT.Add(10*budget), rejoined) {
+			t.Failures = append(t.Failures, fmt.Sprintf(
+				"k=%d λ=%v: victim never rejoined within 10× budget", k, lat))
+			return
 		}
 		snap := c.Node(victim).LastReplay()
 		records := 0

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/check"
+	"repro/internal/chaos"
 	"repro/internal/failures"
 	"repro/internal/ioa"
 	"repro/internal/props"
@@ -135,45 +135,18 @@ func E7(seed int64) *Table {
 			c.Bcast(types.ProcID(rng.Intn(n)), types.Value(fmt.Sprintf("t%d", msgNo)))
 		}
 		c.Sim.After(10*time.Millisecond, traffic)
-		if err := c.Sim.Run(sim.Time(4 * time.Second)); err != nil {
-			panic(err)
-		}
+		must(c.Sim.Run(sim.Time(4 * time.Second)))
 
-		ck := check.NewVSChecker(c.Procs, c.Procs)
+		// The VS events must form a trace of VS-machine, and the TO events
+		// one of TO-machine (Theorem 6.26 end to end).
+		vs, _, err := chaos.Conformance(c.Log, c.Procs, c.Procs)
 		violations := 0
-		for _, e := range c.Log.Events {
-			var err error
-			switch e.Kind {
-			case props.VSNewview:
-				err = ck.Newview(e.View, e.P)
-			case props.VSGpsnd:
-				err = ck.Gpsnd(e.Msg)
-			case props.VSGprcv:
-				err = ck.Gprcv(e.Msg, e.P)
-			case props.VSSafe:
-				err = ck.Safe(e.Msg, e.P)
-			}
-			if err != nil {
-				violations++
-				t.Failures = append(t.Failures, fmt.Sprintf("n=%d: %v", n, err))
-				break
-			}
-		}
-		// The TO trace must check out as well (Theorem 6.26 end to end).
-		tck := check.NewTOChecker()
-		for _, e := range c.Log.Events {
-			switch e.Kind {
-			case props.TOBcast:
-				tck.Bcast(e.Value, e.P)
-			case props.TOBrcv:
-				if err := tck.Brcv(e.Value, e.From, e.P); err != nil {
-					violations++
-					t.Failures = append(t.Failures, fmt.Sprintf("n=%d TO: %v", n, err))
-				}
-			}
+		if err != nil {
+			violations++
+			t.Failures = append(t.Failures, fmt.Sprintf("n=%d: %v", n, err))
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), fmt.Sprint(faults), fmt.Sprint(ck.Events()), fmt.Sprint(violations),
+			fmt.Sprint(n), fmt.Sprint(faults), fmt.Sprint(vs.Events()), fmt.Sprint(violations),
 		})
 	}
 	return t
@@ -217,9 +190,7 @@ func E8(seed int64) *Table {
 		c.Sim.After(10*time.Millisecond, load)
 		// End with a heal and a quiet tail so everything settles.
 		c.Sim.After(3500*time.Millisecond, func() { c.Oracle.Heal(c.Procs) })
-		if err := c.Sim.Run(sim.Time(6 * time.Second)); err != nil {
-			panic(err)
-		}
+		must(c.Sim.Run(sim.Time(6 * time.Second)))
 		coherent := "yes"
 		if err := mem.CheckCoherence(); err != nil {
 			coherent = "NO"

@@ -57,9 +57,7 @@ func E16(seed int64) *Table {
 			opts = opts.Batched()
 		}
 		c := stack.NewCluster(opts)
-		if err := c.Sim.RunFor(30 * time.Millisecond); err != nil {
-			panic(err)
-		}
+		must(c.Sim.RunFor(30 * time.Millisecond))
 		// Single-origin burst: all values enter at one node, at one
 		// instant, so the total order is pinned to submission order and
 		// the two runs are comparable value-for-value.
@@ -67,22 +65,8 @@ func E16(seed int64) *Table {
 		for i := 0; i < values; i++ {
 			c.Bcast(origin, types.Value(fmt.Sprintf("v%d", i)))
 		}
-		for {
-			done := true
-			for p := 0; p < n; p++ {
-				if len(c.Deliveries(types.ProcID(p))) < values {
-					done = false
-				}
-			}
-			if done {
-				break
-			}
-			if err := c.Sim.RunFor(10 * time.Millisecond); err != nil {
-				panic(err)
-			}
-			if c.Sim.Now() > sim.Time(300*time.Second) {
-				panic("E16: burst never fully delivered")
-			}
+		if !runUntil(c.Sim, 10*time.Millisecond, sim.Time(300*time.Second), func() bool { return allDelivered(n, values, c.Deliveries) }) {
+			panic("E16: burst never fully delivered")
 		}
 		elapsed := time.Duration(c.Sim.Now() - start)
 		digests := make([]string, n)

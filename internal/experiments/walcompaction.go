@@ -45,11 +45,10 @@ func E15(seed int64) *Table {
 		c := stack.NewCluster(stack.Options{
 			Seed: seed, N: n, Delta: delta, CheckpointBytes: ckptBytes,
 		})
-		if err := c.Sim.RunFor(30 * time.Millisecond); err != nil {
-			panic(err)
-		}
+		must(c.Sim.RunFor(30 * time.Millisecond))
 		bound := c.Cfg.AnalyticB(n) + 2*c.Cfg.AnalyticDImpl(n)
 		pace := 2 * c.Cfg.Pi
+		limit := sim.Time(120 * time.Second)
 		seq := 0
 		for cyc := 0; cyc < cycles; cyc++ {
 			// One round of traffic, submitted at the never-crashed node 0.
@@ -59,32 +58,19 @@ func E15(seed int64) *Table {
 				c.Sim.After(time.Duration(i)*pace, func() { c.Bcast(0, v) })
 			}
 			want := perCycle * (cyc + 1)
-			for len(c.Deliveries(0)) < want {
-				if err := c.Sim.RunFor(5 * time.Millisecond); err != nil {
-					panic(err)
-				}
-				if c.Sim.Now() > sim.Time(120*time.Second) {
-					panic("E15: burst never delivered")
-				}
+			if !runUntil(c.Sim, 5*time.Millisecond, limit, func() bool { return len(c.Deliveries(0)) >= want }) {
+				panic("E15: burst never delivered")
 			}
 			// Wipe the victim, heal, and let it rejoin (replaying its WAL)
-			// before the next round.
+			// before the next round. The heal can recover the victim
+			// synchronously, so the wait checks before it runs.
 			c.Oracle.SetProc(victim, failures.Amnesia)
-			if err := c.Sim.RunFor(5 * time.Millisecond); err != nil {
-				panic(err)
-			}
+			must(c.Sim.RunFor(5 * time.Millisecond))
 			c.Oracle.Heal(c.Procs)
-			for c.Node(victim).Recoveries() < cyc+1 {
-				if err := c.Sim.RunFor(5 * time.Millisecond); err != nil {
-					panic(err)
-				}
-				if c.Sim.Now() > sim.Time(120*time.Second) {
-					panic("E15: victim never recovered")
-				}
+			if !runUntil(c.Sim, 5*time.Millisecond, limit, func() bool { return c.Node(victim).Recoveries() > cyc }) {
+				panic("E15: victim never recovered")
 			}
-			if err := c.Sim.RunFor(bound); err != nil {
-				panic(err)
-			}
+			must(c.Sim.RunFor(bound))
 		}
 		snap := c.Node(victim).LastReplay()
 		return outcome{

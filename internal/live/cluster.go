@@ -91,8 +91,9 @@ func (cl *cluster) spawn(id int) error {
 	cmd := exec.Command(cl.pgcsd, args...)
 	cmd.Stdout = stdout
 	cmd.Stderr = stdout
-	if err := cmd.Start(); err != nil {
-		stdout.Close()
+	err = cmd.Start()
+	stdout.Close() // the child holds its own copy; exec never closes ours
+	if err != nil {
 		return err
 	}
 	cl.procs[id] = &Proc{ID: types.ProcID(id), Cmd: cmd}

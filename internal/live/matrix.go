@@ -45,16 +45,6 @@ type ScenarioOptions struct {
 	// 4096; quorum-loss scenarios rely on it so stalled daemons push
 	// back instead of buffering without limit).
 	MaxPending int
-	// LossGrace is the primary-loss detector's per-epoch grace prefix
-	// (default 750ms): survivors forming a minority view may legitimately
-	// release already-ordered values for this long after loss onset.
-	LossGrace time.Duration
-	// RecoveryBound is the bounded-recovery gate: delivery must resume
-	// within this long after the final heal (default 12s — inside
-	// Settle + the loadgen drain, with ~2x headroom over the worst
-	// observed re-formation: split-rejoin at n=10 resumes in ~6s
-	// because the heal cascades through several pairwise view merges).
-	RecoveryBound time.Duration
 	// Profile / Arrival / OpenLoop select the loadgen shape (see
 	// LoadOptions); empty strings mean uniform/steady.
 	Profile  string
@@ -119,6 +109,20 @@ func (r *ScenarioResult) Passed() bool {
 	return true
 }
 
+// The quorum-loss gates RunScenario applies.
+const (
+	// LossGrace is the primary-loss detector's per-epoch grace prefix:
+	// survivors forming a minority view may legitimately release
+	// already-ordered values for this long after loss onset.
+	LossGrace = 750 * time.Millisecond
+	// RecoveryBound is the bounded-recovery gate: delivery must resume
+	// within this long after the final heal — inside Settle + the loadgen
+	// drain, with ~2x headroom over the worst observed re-formation
+	// (split-rejoin at n=10 resumes in ~6s because the heal cascades
+	// through several pairwise view merges).
+	RecoveryBound = 12 * time.Second
+)
+
 // RunScenario generates the campaign's schedule deterministically from
 // (kind, Seed, N, Window) — chaos.Generate, the schedule cmd/chaos runs in
 // the simulator for the same four values — refuses it unless the injector
@@ -143,12 +147,6 @@ func RunScenario(kind chaos.CampaignType, opts ScenarioOptions) (*ScenarioResult
 	}
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = 4096
-	}
-	if opts.LossGrace <= 0 {
-		opts.LossGrace = 750 * time.Millisecond
-	}
-	if opts.RecoveryBound <= 0 {
-		opts.RecoveryBound = 12 * time.Second
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -281,12 +279,12 @@ func RunScenario(kind chaos.CampaignType, opts ScenarioOptions) (*ScenarioResult
 	// flatlined while no primary could exist, then provably resumed
 	// within the bound after the final heal.
 	if kind.QuorumLoss() {
-		lossErr := CheckPrimaryLoss(res.Samples, sc.LossEpochs, opts.LossGrace)
+		lossErr := CheckPrimaryLoss(res.Samples, sc.LossEpochs, LossGrace)
 		res.PrimaryLossOK = lossErr == nil
 		if lossErr != nil {
 			res.PrimaryLossErr = lossErr.Error()
 		}
-		resume, recErr := CheckBoundedRecovery(res.Samples, res.HealMS, opts.RecoveryBound.Milliseconds())
+		resume, recErr := CheckBoundedRecovery(res.Samples, res.HealMS, RecoveryBound.Milliseconds())
 		res.RecoveryOK = recErr == nil
 		res.RecoveryMS = resume
 		if recErr != nil {

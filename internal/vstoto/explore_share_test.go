@@ -132,7 +132,7 @@ func TestDerivedOnceMatchesExported(t *testing.T) {
 		})
 		t.Logf("%s: %d states, %d violating successors", name, states, violations)
 		if name == "clean" && (states != 6010 || violations != 0) {
-			t.Errorf("clean: walked %d states with %d violations, want E18's 6010 and 0", states, violations)
+			t.Errorf("clean: walked %d states with %d violations, want E13's 6010 and 0", states, violations)
 		}
 		if name == "mutant" && violations == 0 {
 			t.Errorf("mutant: no violating state reached, so no failing verdict was compared")
@@ -279,7 +279,7 @@ func TestExploreSharedComponentsImmutable(t *testing.T) {
 		return next
 	})
 	if states != 6010 || edges != 14397 {
-		t.Errorf("walked %d states over %d edges, want E18's 6010 and 14397", states, edges)
+		t.Errorf("walked %d states over %d edges, want E13's 6010 and 14397", states, edges)
 	}
 }
 

@@ -44,6 +44,10 @@ func main() {
 			"use Figure 10's literal label precondition (reproduces the documented defect)")
 	)
 	flag.Parse()
+	if *n < 1 {
+		fmt.Fprintln(os.Stderr, "bad -n: need at least one processor")
+		os.Exit(2)
+	}
 
 	cfg := vstoto.ExploreConfig{
 		N:                    *n,

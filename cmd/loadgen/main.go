@@ -1,6 +1,6 @@
 // Command loadgen drives a live pgcsd cluster with a closed-loop
 // broadcast workload and reports throughput and delivery-latency
-// percentiles as a live.LoadReport JSON document.
+// percentiles as a liverun.LoadReport JSON document.
 //
 //	loadgen -config cluster.json -rate 200 -duration 30s -out report.json
 //
@@ -8,12 +8,13 @@
 // target rate, with per-connection backpressure. Delivery latency is
 // measured submit → delivery at the submitting node. A node that dies
 // mid-run is redialed until it returns, so a kill/restart fault shows up
-// in the latency tail, not as a generator failure. Submissions the
-// daemon bounces with BUSY (its -max-pending backpressure bound) are
-// retried with jittered exponential backoff (-retry-base doubling up to
-// -retry-max, -retries attempts); an op undelivered past -op-timeout is
-// attributed as stalled rather than held against the closed loop, and a
-// hard failure is only ever an exhausted retry budget.
+// in the latency tail, not as a generator failure. Each connection holds
+// at most 256 undelivered values. Submissions the daemon bounces with
+// BUSY (its -max-pending backpressure bound) are retried with jittered
+// exponential backoff (100ms doubling up to 2s, 10 retries); an op
+// undelivered after 5s is attributed as stalled rather than held against
+// the closed loop, and a hard failure is only ever an exhausted retry
+// budget.
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/live"
+	"repro/internal/liverun"
 )
 
 func main() {
@@ -36,11 +38,6 @@ func main() {
 		runID      = flag.String("run-id", fmt.Sprintf("r%d", os.Getpid()), "value-uniquifying run id")
 		out        = flag.String("out", "", "write the report JSON here (default stdout only)")
 		quiet      = flag.Bool("quiet", false, "suppress progress logging")
-
-		opTimeout = flag.Duration("op-timeout", 5*time.Second, "reclassify an undelivered op as stalled after this long")
-		retryBase = flag.Duration("retry-base", 100*time.Millisecond, "first retry backoff for BUSY/send-failed ops (doubles per attempt, jittered)")
-		retryMax  = flag.Duration("retry-max", 2*time.Second, "retry backoff cap")
-		retries   = flag.Int("retries", 10, "retry budget per op; exhaustion is a hard failure")
 	)
 	flag.Parse()
 	if *configPath == "" {
@@ -60,17 +57,13 @@ func main() {
 		logf = func(string, ...any) {}
 	}
 
-	report, err := live.RunLoad(live.LoadOptions{
-		Addrs:     addrs,
-		Rate:      *rate,
-		Duration:  *duration,
-		Drain:     *drain,
-		RunID:     *runID,
-		OpTimeout: *opTimeout,
-		RetryBase: *retryBase,
-		RetryMax:  *retryMax,
-		Retries:   *retries,
-		Logf:      logf,
+	report, err := liverun.RunLoad(liverun.LoadOptions{
+		Addrs:    addrs,
+		Rate:     *rate,
+		Duration: *duration,
+		Drain:    *drain,
+		RunID:    *runID,
+		Logf:     logf,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -44,7 +44,7 @@ func main() {
 
 	var q types.ProcSet
 	if *partition != "" {
-		ids, err := parseIDs(*partition)
+		ids, err := parseIDs(*partition, *n)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bad -partition: %v\n", err)
 			os.Exit(2)
@@ -133,13 +133,23 @@ func main() {
 	}
 }
 
-func parseIDs(s string) ([]types.ProcID, error) {
+// parseIDs parses a comma-separated list of distinct processor ids, each
+// in [0, n).
+func parseIDs(s string, n int) ([]types.ProcID, error) {
 	var out []types.ProcID
+	seen := make(map[int]bool)
 	for _, part := range strings.Split(s, ",") {
 		id, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("id %q: %w", part, err)
 		}
+		if id < 0 || id >= n {
+			return nil, fmt.Errorf("id %d outside [0, %d)", id, n)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("id %d named twice", id)
+		}
+		seen[id] = true
 		out = append(out, types.ProcID(id))
 	}
 	return out, nil

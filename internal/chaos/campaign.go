@@ -7,9 +7,10 @@
 //
 // failures.Schedule is the one fault vocabulary. Nine oracle-level
 // campaigns use all of it; thirteen process-level ones (process.go) use
-// the part a signal injector can execute, and internal/live injects
-// exactly their schedules into real processes — so a live scenario is
-// rerun, replayed and shrunk here from its (campaign, seed, n, window).
+// the part a signal injector can execute, and internal/liverun injects
+// exactly their schedules into real pgcsd processes — so a live scenario
+// is rerun, replayed and shrunk here from its (campaign, seed, n,
+// window). Nothing here is linked by the daemon itself.
 //
 // Everything is deterministic: a campaign is a pure function of its type,
 // seed, and spec; a run is a pure function of its Config. The same seed
@@ -71,7 +72,7 @@ const (
 
 // The process-level families (process.go): the part of the adversary that
 // signals and listener controls can execute against real processes, so
-// internal/live injects exactly these schedules and the simulator runs
+// internal/liverun injects exactly these schedules and the simulator runs
 // them too. All but RollingRestart draw from the seed.
 const (
 	// StopWaves: waves of minority stops (bad_p, live SIGSTOP) with
@@ -192,7 +193,7 @@ func (ct CampaignType) family() (family, bool) {
 }
 
 // ProcessLevel reports whether the family restricts itself to faults a
-// signal injector can execute (internal/live runs exactly these).
+// signal injector can execute (internal/liverun runs exactly these).
 func (ct CampaignType) ProcessLevel() bool {
 	f, _ := ct.family()
 	return f.process

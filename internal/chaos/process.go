@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the process-level families: the adversary a signal
-// injector can execute against real processes (internal/live) as well as
+// injector can execute against real processes (internal/liverun) as well as
 // the oracle against simulated ones — processor statuses bad, amnesia and
 // good, a node's n−1 inbound pairs cut at one instant (its listener
 // paused), and amnesia+good at one instant (a graceful restart). Timing is

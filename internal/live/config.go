@@ -1,9 +1,9 @@
-// Package live deploys the TO stack as real processes on real sockets:
-// the pgcsd daemon engine (one full processor stack paced against the
-// wall clock over the TCP transport), the line-protocol client the load
-// generator speaks, per-node delivery-log merging with offline TO
-// conformance checking, and process-level fault injection for the CI
-// live-cluster pipeline.
+// Package live is the pgcsd daemon: the engine (one full processor stack
+// paced against the wall clock over the TCP transport), the line-protocol
+// client, the cluster config, the WAL file mirror, and per-node
+// delivery-log merging with offline TO conformance checking. The
+// process-level harness that injects faults into running daemons and
+// judges them is internal/liverun; nothing here links it.
 //
 // The split of responsibilities with the rest of the repository: the
 // protocol itself still runs on the deterministic simulator (the daemon

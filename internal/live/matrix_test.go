@@ -1,4 +1,8 @@
-package live
+// The black-box tests of package live_test exercise internal/liverun,
+// the process-level harness that drives this daemon, next to the
+// daemon's own tests. A test import does not enter the daemon's link
+// closure (TestDaemonLinksNoHarness).
+package live_test
 
 import (
 	"os/exec"
@@ -7,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/liverun"
 )
 
 // buildPgcsd compiles the real daemon into a temp dir; the matrix runs
@@ -21,6 +26,21 @@ func buildPgcsd(t *testing.T) string {
 	return bin
 }
 
+// runOne runs kind as a one-scenario matrix on a 4-process cluster of the
+// real daemon at 60 values/s with WAL compaction armed, and fails the test
+// unless every check passes.
+func runOne(t *testing.T, kind chaos.CampaignType, so liverun.ScenarioOptions) *liverun.ScenarioResult {
+	t.Helper()
+	so.Dir = t.TempDir()
+	so.PgcsdPath = buildPgcsd(t)
+	so.N, so.Rate, so.CheckpointBytes, so.Logf = 4, 60, 32<<10, t.Logf
+	res, err := liverun.RunMatrix(liverun.MatrixOptions{ScenarioOptions: so, Kinds: []chaos.CampaignType{kind}})
+	if err != nil {
+		t.Fatalf("scenario failed: %v", err)
+	}
+	return res.Scenarios[0]
+}
+
 // TestRunScenarioSmoke runs one real chaos scenario end to end: a
 // 4-process cluster under load, link flapping from the generated
 // schedule, WAL compaction armed, all checks on. This is the PR-gate
@@ -29,24 +49,14 @@ func TestRunScenarioSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a real cluster for several seconds; skipped in -short mode")
 	}
-	bin := buildPgcsd(t)
-	res, err := RunScenario(chaos.FlappingLinks, ScenarioOptions{
-		Dir:             filepath.Join(t.TempDir(), "flapping-links"),
-		PgcsdPath:       bin,
-		N:               4,
-		Seed:            1,
-		BasePort:        23810,
-		Rate:            60,
-		Window:          3 * time.Second,
-		Settle:          2 * time.Second,
-		CheckpointBytes: 32 << 10,
-		Logf:            t.Logf,
+	res := runOne(t, chaos.FlappingLinks, liverun.ScenarioOptions{
+		Seed:     1,
+		BasePort: 23810,
+		Window:   3 * time.Second,
+		Settle:   2 * time.Second,
 	})
-	if err != nil {
-		t.Fatalf("scenario failed: %v", err)
-	}
 	if !res.Passed() {
-		t.Fatalf("checks failed: check=%q rejoin=%q", res.CheckErr, res.RejoinErr)
+		t.Fatalf("checks failed: check=%q rejoin=%q recovery=%q", res.CheckErr, res.RejoinErr, res.RecoveryErr)
 	}
 	if res.Entry.Deliveries == 0 || res.OrderLen == 0 {
 		t.Fatalf("vacuous run: deliveries=%d order=%d", res.Entry.Deliveries, res.OrderLen)
@@ -63,32 +73,22 @@ func TestRunScenarioRestartKind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a real cluster for several seconds; skipped in -short mode")
 	}
-	bin := buildPgcsd(t)
-	res, err := RunScenario(chaos.KillWaves, ScenarioOptions{
-		Dir:             filepath.Join(t.TempDir(), "kill-waves"),
-		PgcsdPath:       bin,
-		N:               4,
-		Seed:            2,
-		BasePort:        23830,
-		Rate:            60,
-		Window:          4 * time.Second,
-		Settle:          3 * time.Second,
-		CheckpointBytes: 32 << 10,
-		Logf:            t.Logf,
+	res := runOne(t, chaos.KillWaves, liverun.ScenarioOptions{
+		Seed:     2,
+		BasePort: 23830,
+		Window:   4 * time.Second,
+		Settle:   3 * time.Second,
 	})
-	if err != nil {
-		t.Fatalf("scenario failed: %v", err)
-	}
 	if res.Restarts == 0 {
 		t.Fatal("kill waves produced no restarts")
 	}
 }
 
 func TestRunLoadRejectsUnknownShapes(t *testing.T) {
-	if _, err := RunLoad(LoadOptions{Profile: "bogus"}); err == nil {
+	if _, err := liverun.RunLoad(liverun.LoadOptions{Profile: "bogus"}); err == nil {
 		t.Error("unknown profile accepted")
 	}
-	if _, err := RunLoad(LoadOptions{Arrival: "sawtooth"}); err == nil {
+	if _, err := liverun.RunLoad(liverun.LoadOptions{Arrival: "sawtooth"}); err == nil {
 		t.Error("unknown arrival accepted")
 	}
 }

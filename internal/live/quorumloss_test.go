@@ -1,4 +1,4 @@
-package live
+package live_test
 
 import (
 	"strings"
@@ -6,10 +6,11 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/liverun"
 	"repro/internal/sim"
 )
 
-// sampleRow is one DeliverySample in shorthand: a nil gen means one
+// sampleRow is one liverun.DeliverySample in shorthand: a nil gen means one
 // connection generation throughout.
 type sampleRow struct {
 	at  int64
@@ -17,14 +18,14 @@ type sampleRow struct {
 	gen []int
 }
 
-func mkSamples(rows []sampleRow) []DeliverySample {
-	out := make([]DeliverySample, len(rows))
+func mkSamples(rows []sampleRow) []liverun.DeliverySample {
+	out := make([]liverun.DeliverySample, len(rows))
 	for i, r := range rows {
 		gen := r.gen
 		if gen == nil {
 			gen = make([]int, len(r.d))
 		}
-		out[i] = DeliverySample{AtMS: r.at, Delivered: r.d, Gen: gen}
+		out[i] = liverun.DeliverySample{AtMS: r.at, Delivered: r.d, Gen: gen}
 	}
 	return out
 }
@@ -158,7 +159,7 @@ func TestCheckPrimaryLoss(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := CheckPrimaryLoss(mkSamples(tc.samples), tc.epochs, grace)
+			err := liverun.CheckPrimaryLoss(mkSamples(tc.samples), tc.epochs, grace)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("want pass, got %v", err)
@@ -252,7 +253,7 @@ func TestCheckBoundedRecovery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resume, err := CheckBoundedRecovery(mkSamples(tc.samples), heal, bound)
+			resume, err := liverun.CheckBoundedRecovery(mkSamples(tc.samples), heal, bound)
 			if resume != tc.wantResume {
 				t.Errorf("resume = %d, want %d", resume, tc.wantResume)
 			}

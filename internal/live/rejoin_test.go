@@ -1,4 +1,4 @@
-package live
+package live_test
 
 import (
 	"os"
@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/liverun"
 	"repro/internal/props"
 	"repro/internal/recovery"
 	"repro/internal/sim"
@@ -68,7 +69,7 @@ func TestCheckRejoinWALAcceptsCleanRun(t *testing.T) {
 	wal, ds := rejoinFixture(t)
 	dir := filepath.Dir(wal)
 	tr := writeTrace(t, dir, "r0.jsonl", ds)
-	if err := CheckRejoinWAL(wal, []string{tr}); err != nil {
+	if err := liverun.CheckRejoinWAL(wal, []string{tr}); err != nil {
 		t.Fatalf("clean run rejected: %v", err)
 	}
 }
@@ -83,7 +84,7 @@ func TestCheckRejoinWALAcceptsBoundaryGap(t *testing.T) {
 	// trace line was swallowed by the kill; incarnation 1 traced delivery 3.
 	r0 := writeTrace(t, dir, "r0.jsonl", ds[:1])
 	r1 := writeTrace(t, dir, "r1.jsonl", ds[2:])
-	if err := CheckRejoinWAL(wal, []string{r0, r1}); err != nil {
+	if err := liverun.CheckRejoinWAL(wal, []string{r0, r1}); err != nil {
 		t.Fatalf("boundary gap rejected: %v", err)
 	}
 }
@@ -94,7 +95,7 @@ func TestCheckRejoinWALRejectsMidIncarnationSkip(t *testing.T) {
 	wal, ds := rejoinFixture(t)
 	dir := filepath.Dir(wal)
 	tr := writeTrace(t, dir, "r0.jsonl", []props.Event{ds[0], ds[2]}) // skips ds[1]
-	err := CheckRejoinWAL(wal, []string{tr})
+	err := liverun.CheckRejoinWAL(wal, []string{tr})
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("mid-incarnation skip accepted: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestCheckRejoinWALRejectsRedelivery(t *testing.T) {
 	dir := filepath.Dir(wal)
 	r0 := writeTrace(t, dir, "r0.jsonl", ds)
 	r1 := writeTrace(t, dir, "r1.jsonl", ds[:1]) // delivers "a" again
-	err := CheckRejoinWAL(wal, []string{r0, r1})
+	err := liverun.CheckRejoinWAL(wal, []string{r0, r1})
 	if err == nil || !strings.Contains(err.Error(), "re-delivery or rewind") {
 		t.Fatalf("re-delivery accepted: %v", err)
 	}
@@ -119,7 +120,7 @@ func TestCheckRejoinWALFirstIncarnationAnchored(t *testing.T) {
 	wal, ds := rejoinFixture(t)
 	dir := filepath.Dir(wal)
 	tr := writeTrace(t, dir, "r0.jsonl", ds[1:]) // starts at position 2
-	if err := CheckRejoinWAL(wal, []string{tr}); err == nil {
+	if err := liverun.CheckRejoinWAL(wal, []string{tr}); err == nil {
 		t.Fatal("first-incarnation gap accepted")
 	}
 }
@@ -134,7 +135,7 @@ func TestCheckRejoinWALRejectsPhantomDelivery(t *testing.T) {
 	phantom.ValueSeq = 9
 	r0 := writeTrace(t, dir, "r0.jsonl", ds[:1])
 	r1 := writeTrace(t, dir, "r1.jsonl", []props.Event{phantom})
-	if err := CheckRejoinWAL(wal, []string{r0, r1}); err == nil {
+	if err := liverun.CheckRejoinWAL(wal, []string{r0, r1}); err == nil {
 		t.Fatal("phantom delivery accepted")
 	}
 }

@@ -1,4 +1,4 @@
-package live
+package live_test
 
 import (
 	"strings"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/failures"
+	"repro/internal/liverun"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -24,7 +25,7 @@ func TestProcessLevelCampaignsAreExecutable(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s n=%d seed=%d: %v", ct, n, seed, err)
 				}
-				if err := Executable(s, n); err != nil {
+				if err := liverun.Executable(s, n); err != nil {
 					t.Errorf("%s n=%d seed=%d: %v", ct, n, seed, err)
 				}
 			}
@@ -48,7 +49,7 @@ func TestOracleOnlyFaultsAreRejected(t *testing.T) {
 		}
 		return s
 	}
-	if err := Executable(column(2, n-1, failures.Bad), n); err != nil {
+	if err := liverun.Executable(column(2, n-1, failures.Bad), n); err != nil {
 		t.Fatalf("full column rejected: %v", err)
 	}
 	for name, tc := range map[string]struct {
@@ -61,7 +62,7 @@ func TestOracleOnlyFaultsAreRejected(t *testing.T) {
 		"column split across instants": {append(column(2, n-2, failures.Bad),
 			failures.Event{Time: at + 1, Channel: true, Pair: failures.Pair{From: 4, To: 2}, Status: failures.Bad}), "bad_{p0,p2}@750ms"},
 	} {
-		err := Executable(tc.s, n)
+		err := liverun.Executable(tc.s, n)
 		if err == nil || !strings.Contains(err.Error(), tc.naming) {
 			t.Errorf("%s: got %v, want a rejection naming %s", name, err, tc.naming)
 		}
@@ -88,7 +89,7 @@ func TestOracleOnlyFaultsAreRejected(t *testing.T) {
 				continue // processor statuses only: signals can do those
 			}
 			rejected++
-			err = Executable(s, n)
+			err = liverun.Executable(s, n)
 			named := false
 			for _, e := range s {
 				named = named || (e.Channel && err != nil && strings.Contains(err.Error(), e.String()))

@@ -390,7 +390,7 @@ func (t *TCP) Close() error {
 // PauseListener severs every inbound link: the listener closes and all
 // accepted connections are dropped, so no frame reaches this processor
 // until ResumeListener. This is the live-fault realization of turning every
-// channel *into* this processor bad (internal/live maps the failures
+// channel *into* this processor bad (internal/liverun maps the failures
 // vocabulary onto it).
 func (t *TCP) PauseListener() {
 	t.mu.Lock()

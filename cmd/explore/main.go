@@ -48,6 +48,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bad -n: need at least one processor")
 		os.Exit(2)
 	}
+	if *bcasts < 0 {
+		fmt.Fprintf(os.Stderr, "bad -bcasts: %d, need at least 0\n", *bcasts)
+		os.Exit(2)
+	}
 
 	cfg := vstoto.ExploreConfig{
 		N:                    *n,

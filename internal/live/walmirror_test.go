@@ -147,7 +147,7 @@ func TestWALMirrorCompactionSurvivesReboot(t *testing.T) {
 	cs := recovery.CheckpointState{
 		HasView: true, View: view,
 		Order:       []types.Label{la},
-		Content:     map[types.Label]types.Value{la: "a"},
+		Content:     recovery.ContentMap{la: "a"},
 		NextConfirm: 2, HighPrimary: view.ID, DeliveredCount: 1,
 		Incarnations: 1,
 	}
@@ -156,7 +156,7 @@ func TestWALMirrorCompactionSurvivesReboot(t *testing.T) {
 	w.OrderAppend(lb, "b", nil)
 	cs2 := cs
 	cs2.Order = []types.Label{la, lb}
-	cs2.Content = map[types.Label]types.Value{la: "a", lb: "b"}
+	cs2.Content = recovery.ContentMap{la: "a", lb: "b"}
 	w.Checkpoint(cs2, nil)
 	if err := s.Run(s.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)

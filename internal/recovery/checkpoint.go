@@ -1,7 +1,7 @@
 package recovery
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/types"
@@ -29,8 +29,10 @@ type CheckpointState struct {
 	NextConfirm int
 	HighPrimary types.ViewID
 	// Content is the label→value relation; it must cover every label in
-	// Order and may hold extras (labeled values not yet ordered).
-	Content map[types.Label]types.Value
+	// Order and may hold extras (labeled values not yet ordered); nil binds
+	// nothing. The record is encoded before Checkpoint returns, so the
+	// stack passes its live vstoto.Proc.
+	Content Content
 	// DeliveredCount is the length of the delivered (released) prefix of
 	// Order.
 	DeliveredCount int
@@ -41,6 +43,41 @@ type CheckpointState struct {
 	// Incarnations is the number of durable recovery markers at capture
 	// time.
 	Incarnations int
+}
+
+// Content is the label→value relation a checkpoint captures.
+type Content interface {
+	// ValueOf returns the value bound to l.
+	ValueOf(l types.Label) (types.Value, bool)
+	// AppendExtras appends to dst, in label order, every bound label that
+	// order does not hold.
+	AppendExtras(dst, order []types.Label) []types.Label
+}
+
+// ContentMap is a Content held as a map: what Replay reconstructs.
+type ContentMap map[types.Label]types.Value
+
+// ValueOf returns the value bound to l.
+func (c ContentMap) ValueOf(l types.Label) (types.Value, bool) {
+	a, ok := c[l]
+	return a, ok
+}
+
+// AppendExtras appends to dst, in label order, every bound label that
+// order does not hold.
+func (c ContentMap) AppendExtras(dst, order []types.Label) []types.Label {
+	inOrder := make(map[types.Label]bool, len(order))
+	for _, l := range order {
+		inOrder[l] = true
+	}
+	start := len(dst)
+	for l := range c {
+		if !inOrder[l] {
+			dst = append(dst, l)
+		}
+	}
+	slices.SortFunc(dst[start:], types.Label.Compare)
+	return dst
 }
 
 // Checkpoint appends a checkpoint record capturing cs and calls done once
@@ -64,26 +101,22 @@ func (w *WAL) Checkpoint(cs CheckpointState, done func()) {
 	} else {
 		x.U8(0)
 	}
+	content := cs.Content
+	if content == nil {
+		content = ContentMap(nil)
+	}
 	x.U32(uint32(len(cs.Order)))
 	for _, l := range cs.Order {
+		a, _ := content.ValueOf(l)
 		x.Label(l)
-		x.Str(string(cs.Content[l]))
+		x.Str(string(a))
 	}
-	extras := make([]types.Label, 0, len(cs.Content)-len(cs.Order))
-	inOrder := make(map[types.Label]bool, len(cs.Order))
-	for _, l := range cs.Order {
-		inOrder[l] = true
-	}
-	for l := range cs.Content {
-		if !inOrder[l] {
-			extras = append(extras, l)
-		}
-	}
-	sort.Slice(extras, func(i, j int) bool { return extras[i].Less(extras[j]) })
+	extras := content.AppendExtras(nil, cs.Order)
 	x.U32(uint32(len(extras)))
 	for _, l := range extras {
+		a, _ := content.ValueOf(l)
 		x.Label(l)
-		x.Str(string(cs.Content[l]))
+		x.Str(string(a))
 	}
 	x.I32(cs.NextConfirm)
 	x.ViewID(cs.HighPrimary)
@@ -134,7 +167,7 @@ func (s *Snapshot) decodeCheckpoint(r *codec.Reader, pending map[int]types.Value
 		return "bad checkpoint record: oversized order"
 	}
 	order := make([]types.Label, 0, n)
-	content := make(map[types.Label]types.Value, n)
+	content := make(ContentMap, n)
 	for i := 0; i < n; i++ {
 		l := r.Label()
 		order = append(order, l)

@@ -1,12 +1,15 @@
 package recovery
 
 import (
+	"bytes"
+	"maps"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/vstoto"
 )
 
 // ckptState is the sample checkpoint used across these tests: one
@@ -16,7 +19,7 @@ func ckptState() CheckpointState {
 		HasView:        true,
 		View:           testView,
 		Order:          []types.Label{labelA},
-		Content:        map[types.Label]types.Value{labelA: "a"},
+		Content:        ContentMap{labelA: "a"},
 		NextConfirm:    2,
 		HighPrimary:    testView.ID,
 		DeliveredCount: 1,
@@ -48,7 +51,7 @@ func checkpointDisk(tb testing.TB) (disk []byte, c1, c2 int) {
 
 	cs2 := ckptState()
 	cs2.Order = []types.Label{labelA, labelB}
-	cs2.Content = map[types.Label]types.Value{labelA: "a", labelB: "b"}
+	cs2.Content = ContentMap{labelA: "a", labelB: "b"}
 	cs2.NextConfirm = 3
 	cs2.DeliveredCount = 2
 	c2 = w.EndOffset()
@@ -230,7 +233,7 @@ func TestTornCheckpointNeverTruncates(t *testing.T) {
 	c2 := w.EndOffset()
 	cs2 := cs
 	cs2.Order = []types.Label{labelA, labelB}
-	cs2.Content = map[types.Label]types.Value{labelA: "a", labelB: "b"}
+	cs2.Content = ContentMap{labelA: "a", labelB: "b"}
 	w.Checkpoint(cs2, nil)
 	// Half the write latency: C2 is under the head, not durable.
 	if err := s.Run(s.Now().Add(time.Millisecond / 2)); err != nil {
@@ -278,7 +281,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	w.OrderAppend(labelB, "b", nil)
 	cs2 := ckptState()
 	cs2.Order = []types.Label{labelA, labelB}
-	cs2.Content = map[types.Label]types.Value{labelA: "a", labelB: "b"}
+	cs2.Content = ContentMap{labelA: "a", labelB: "b"}
 	c2 := w.EndOffset()
 	w.Checkpoint(cs2, nil)
 	if err := s.Run(s.Now().Add(time.Second)); err != nil {
@@ -300,5 +303,52 @@ func TestCheckpointCompaction(t *testing.T) {
 	// logical ones.
 	if got := snap.CheckpointAt + st.Base(); got != c2 {
 		t.Errorf("latest checkpoint at logical %d, want %d", got, c2)
+	}
+}
+
+// TestCheckpointFromProcMatchesMap pins the checkpoint record bytes a
+// vstoto.Proc's run-based content writes: the same as the map holding the
+// same pairs, extras (labeled values not yet ordered, across two views and
+// origins) included, and the record replays to that map.
+func TestCheckpointFromProcMatchesMap(t *testing.T) {
+	procs := types.RangeProcSet(3)
+	qs := types.Majorities{Universe: procs}
+	p := vstoto.NewProc(0, qs, procs)
+	for _, a := range []types.Value{"a", "b", "c"} {
+		p.Bcast(a)
+		p.Label()
+	}
+	peer := func(s int) types.Label { return types.Label{ID: types.G0(), Seqno: s, Origin: 2} }
+	p.GprcvValue(vstoto.LabeledValue{L: peer(1), A: "x"})
+	p.GprcvValue(vstoto.LabeledValue{L: types.Label{ID: types.G0(), Seqno: 1, Origin: 0}, A: "a"})
+	p.MergeContent(map[types.Label]types.Value{
+		{ID: types.G0(), Seqno: 2, Origin: 2}: "y",
+		{ID: types.G0(), Seqno: 3, Origin: 2}: "z",
+	})
+	m := ContentMap{}
+	p.RangeContent(func(l types.Label, a types.Value) bool {
+		m[l] = a
+		return true
+	})
+	if len(m) != 6 || len(p.Order) != 2 {
+		t.Fatalf("content %v, order %v", m, p.Order)
+	}
+	image := func(c Content) []byte {
+		s := sim.New(1)
+		w := New(storage.New(s, 0))
+		cs := ckptState()
+		cs.Order, cs.Content, cs.DeliveredCount = p.Order, c, 0
+		w.Checkpoint(cs, nil)
+		if err := s.Run(s.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return w.Storage().Contents()
+	}
+	got, want := image(p), image(m)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint from the runs differs from the map's:\n%x\n%x", got, want)
+	}
+	if snap := Replay(got); snap.Truncated != "" || !maps.Equal(snap.Content, m) {
+		t.Fatalf("replayed content %v (%s), want %v", snap.Content, snap.Truncated, m)
 	}
 }

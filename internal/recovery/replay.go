@@ -41,7 +41,7 @@ type Snapshot struct {
 	NextConfirm int
 	HighPrimary types.ViewID
 	// Content is the label→value relation recoverable from this log.
-	Content map[types.Label]types.Value
+	Content ContentMap
 	// Delivered is the persisted delivery prefix, in position order.
 	Delivered []DeliveredRecord
 	// Pending are durable submissions never labeled, in submission order.
@@ -78,7 +78,7 @@ type Snapshot struct {
 func Replay(disk []byte) *Snapshot {
 	s := &Snapshot{
 		NextConfirm:      1,
-		Content:          make(map[types.Label]types.Value),
+		Content:          make(ContentMap),
 		CheckpointAt:     -1,
 		PrevCheckpointAt: -1,
 	}

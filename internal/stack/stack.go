@@ -805,9 +805,7 @@ func (n *Node) restoreProc(snap *recovery.Snapshot) {
 	proc.NextConfirm = snap.NextConfirm
 	proc.NextReport = len(snap.Delivered) + 1
 	proc.HighPrimary = snap.HighPrimary
-	for l, a := range snap.Content {
-		proc.Content[l] = a
-	}
+	proc.MergeContent(snap.Content)
 	for _, pv := range snap.Pending {
 		proc.Delay = append(proc.Delay, pv.Value)
 		n.delaySeqs = append(n.delaySeqs, pv.Seq)
@@ -869,14 +867,14 @@ func (n *Node) drain() {
 			n.performBrcv()
 			progress = true
 		}
-		if _, ok := n.proc.LabelEnabled(); ok {
+		if a, ok := n.proc.LabelEnabled(); ok {
 			seq := n.delaySeqs[0]
 			n.delaySeqs = n.delaySeqs[1:]
 			l := n.proc.Label()
 			if n.labelAt != nil {
 				n.labelAt[l] = n.sim.Now()
 			}
-			n.wal.Label(seq, l, n.proc.Content[l], nil)
+			n.wal.Label(seq, l, a, nil)
 			progress = true
 		}
 		if n.proc.GpsndSummaryEnabled() {
@@ -958,7 +956,7 @@ func (n *Node) maybeCheckpoint() {
 		HasView:        n.hasView,
 		View:           n.curView,
 		Order:          n.proc.Order,
-		Content:        n.proc.Content,
+		Content:        n.proc,
 		NextConfirm:    n.proc.NextConfirm,
 		HighPrimary:    n.proc.HighPrimary,
 		DeliveredCount: n.proc.NextReport - 1,

@@ -132,11 +132,13 @@ type exploreAbs struct {
 	next    []int
 }
 
-// compactAbs copies abs, which the next derive overwrites, for a frontier state.
+// compactAbs copies abs, which the next derive overwrites, for a frontier
+// state. An empty sequence copies to nil whether the worker's scratch was
+// nil or not, so a state's f does not depend on which worker derived it.
 func compactAbs(members []types.ProcID, abs *AbstractState) exploreAbs {
-	out := exploreAbs{queue: slices.Clone(abs.Queue), pending: make([][]types.Value, len(members)), next: make([]int, len(members))}
+	out := exploreAbs{queue: append([]tomachine.Entry(nil), abs.Queue...), pending: make([][]types.Value, len(members)), next: make([]int, len(members))}
 	for i, p := range members {
-		out.pending[i], out.next[i] = slices.Clone(abs.Pending[p]), abs.Next[p]
+		out.pending[i], out.next[i] = append([]types.Value(nil), abs.Pending[p]...), abs.Next[p]
 	}
 	return out
 }
@@ -407,10 +409,17 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 	return out
 }
 
-// exploreInitial fills in cfg's defaults and builds the initial state of
-// the composition, with the encoding and the f every frontier state
-// carries (later states get theirs from the edge that generated them).
+// exploreInitial rejects a configuration with no processor or a negative
+// bcast bound, fills in cfg's defaults and builds the initial state of the
+// composition, with the encoding and the f every frontier state carries
+// (later states get theirs from the edge that generated them).
 func exploreInitial(cfg *ExploreConfig) (*exploreState, error) {
+	if cfg.N < 1 {
+		return nil, fmt.Errorf("explore: bad config: N = %d, need at least one processor", cfg.N)
+	}
+	if cfg.MaxBcasts < 0 {
+		return nil, fmt.Errorf("explore: bad config: MaxBcasts = %d, need at least 0", cfg.MaxBcasts)
+	}
 	if cfg.P0Size <= 0 || cfg.P0Size > cfg.N {
 		cfg.P0Size = cfg.N
 	}

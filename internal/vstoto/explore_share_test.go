@@ -161,18 +161,21 @@ func TestInvariantErrorTextPinned(t *testing.T) {
 
 	// Lemma 6.5 among the summaries: the two processors' own states.
 	inSummary := build(procs)
-	inSummary.Procs[0].Content[l1], inSummary.Procs[0].NextSeqno = "a", 2
-	inSummary.Procs[1].Content[l1] = "b"
+	inSummary.Procs[0].content.set(l1, "a")
+	inSummary.Procs[0].NextSeqno = 2
+	inSummary.Procs[1].content.set(l1, "b")
 
 	// Lemma 6.5 in a processor's content: p1 is in no view, so its content
 	// is in no summary.
 	inContent := build(types.NewProcSet(0))
-	inContent.Procs[0].Content[l1], inContent.Procs[0].NextSeqno = "a", 2
-	inContent.Procs[1].Content[l1] = "b"
+	inContent.Procs[0].content.set(l1, "a")
+	inContent.Procs[0].NextSeqno = 2
+	inContent.Procs[1].content.set(l1, "b")
 
 	// Lemma 6.5 in a VS queue.
 	inQueue := build(procs)
-	inQueue.Procs[0].Content[l1], inQueue.Procs[0].NextSeqno = "a", 2
+	inQueue.Procs[0].content.set(l1, "a")
+	inQueue.Procs[0].NextSeqno = 2
 	inQueue.VS.ApplyGpsnd(LabeledValue{L: l1, A: "b"}, 0)
 	if err := inQueue.VS.ApplyVSOrder(LabeledValue{L: l1, A: "b"}, 0, types.G0()); err != nil {
 		t.Fatal(err)
@@ -182,7 +185,8 @@ func TestInvariantErrorTextPinned(t *testing.T) {
 	// stops at Corollary 6.23 on such a state, so only f reports 6.24.)
 	split := build(procs)
 	for _, p := range procs.Members() {
-		split.Procs[p].Content[l1], split.Procs[p].Content[l2] = "a", "b"
+		split.Procs[p].content.set(l1, "a")
+		split.Procs[p].content.set(l2, "b")
 		split.Procs[p].NextSeqno, split.Procs[p].NextConfirm = 2, 2
 	}
 	split.Procs[0].Order, split.Procs[1].Order = []types.Label{l1}, []types.Label{l2}
@@ -223,18 +227,31 @@ func (s *exploreState) snapshot() *exploreState {
 
 // TestExploreSharedComponentsImmutable is the aliasing test for
 // copy-on-write successors. Every frontier state of the view-change
-// exploration is expanded twice, on different workers of a NumCPU pool
+// exploration, and of the stable one with two values (where a content run
+// and a safe count grow past 1), is expanded twice, on different workers of a NumCPU pool
 // (so the race detector watches the shared components: CI runs this under
 // -race), and: the two expansions are identical; the parent is deep-equal
 // to a snapshot taken before, so no action wrote through a shared map or
 // slice; and every successor's cached encoding, component by component, is
 // what encoding it from scratch gives.
 func TestExploreSharedComponentsImmutable(t *testing.T) {
+	for _, c := range []struct {
+		cfg           ExploreConfig
+		states, edges int
+	}{
+		{exploreViewCfg(), 6010, 14397}, // E13's
+		{ExploreConfig{N: 2, MaxBcasts: 2}, 1335, 3356},
+	} {
+		checkSharedComponentsImmutable(t, c.cfg, c.states, c.edges)
+	}
+}
+
+func checkSharedComponentsImmutable(t *testing.T, cfg ExploreConfig, wantStates, wantEdges int) {
 	workers := max(2, runtime.NumCPU())
 	scratch := make([]exploreScratch, workers)
 	none := newExploreVisited(false) // empty: every successor is kept
 	edges := 0
-	states := walkExploreWaves(t, exploreViewCfg(), func(cfg ExploreConfig, frontier []*exploreState) []*exploreState {
+	states := walkExploreWaves(t, cfg, func(cfg ExploreConfig, frontier []*exploreState) []*exploreState {
 		n := len(frontier)
 		before := make([]*exploreState, n)
 		for i, cur := range frontier {
@@ -278,8 +295,8 @@ func TestExploreSharedComponentsImmutable(t *testing.T) {
 		}
 		return next
 	})
-	if states != 6010 || edges != 14397 {
-		t.Errorf("walked %d states over %d edges, want E13's 6010 and 14397", states, edges)
+	if states != wantStates || edges != wantEdges {
+		t.Errorf("walked %d states over %d edges, want %d and %d", states, edges, wantStates, wantEdges)
 	}
 }
 

@@ -101,3 +101,27 @@ func TestExploreFindsLiteralLabelBug(t *testing.T) {
 	}
 	t.Logf("explorer found the defect: %v", err)
 }
+
+// TestExploreRejectsBadConfig: a configuration with no processor, or a
+// negative bcast bound, is an error — not a vacuous clean result, and not
+// a panic inside a worker.
+func TestExploreRejectsBadConfig(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  ExploreConfig
+		want string
+	}{
+		{"no processors", ExploreConfig{N: 0, MaxBcasts: 1}, "explore: bad config: N = 0, need at least one processor"},
+		{"negative processors", ExploreConfig{N: -2}, "explore: bad config: N = -2, need at least one processor"},
+		{"negative bcasts", ExploreConfig{N: 2, MaxBcasts: -1}, "explore: bad config: MaxBcasts = -1, need at least 0"},
+		{"negative bcasts, POR", ExploreConfig{N: 2, MaxBcasts: -3, POR: true}, "explore: bad config: MaxBcasts = -3, need at least 0"},
+	} {
+		res, err := Explore(c.cfg)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Explore = %+v, %v; want error %q", c.name, res, err, c.want)
+		}
+	}
+	if _, err := Explore(ExploreConfig{N: 1}); err != nil {
+		t.Errorf("one processor, no bcasts: %v", err)
+	}
+}

@@ -67,33 +67,21 @@ func (p *Proc) AppendFingerprint(buf []byte) []byte {
 	for _, a := range p.Delay {
 		buf = types.AppendFingerprintString(buf, string(a))
 	}
+	buf = p.appendContentFingerprint(buf)
 	// Each list is encoded before the next reuses its stack array.
-	var lbuf [8]types.Label
 	var qbuf [8]types.ProcID
-	isSet := func(ok bool) bool { return ok }
-	labels := sortedKeys(lbuf[:0], p.Content, types.Label.Compare, nil)
-	buf = binary.AppendUvarint(buf, uint64(len(labels)))
-	for _, l := range labels {
-		buf = l.AppendFingerprint(buf)
-		buf = types.AppendFingerprintString(buf, string(p.Content[l]))
-	}
 	gots := sortedKeys(qbuf[:0], p.GotState, cmp.Compare[types.ProcID], nil)
 	buf = binary.AppendUvarint(buf, uint64(len(gots)))
 	for _, q := range gots {
 		buf = binary.AppendVarint(buf, int64(q))
 		buf = p.GotState[q].AppendFingerprint(buf)
 	}
-	exs := sortedKeys(qbuf[:0], p.SafeExch, cmp.Compare[types.ProcID], isSet)
+	exs := sortedKeys(qbuf[:0], p.SafeExch, cmp.Compare[types.ProcID], func(ok bool) bool { return ok })
 	buf = binary.AppendUvarint(buf, uint64(len(exs)))
 	for _, q := range exs {
 		buf = binary.AppendVarint(buf, int64(q))
 	}
-	sls := sortedKeys(lbuf[:0], p.SafeLabels, types.Label.Compare, isSet)
-	buf = binary.AppendUvarint(buf, uint64(len(sls)))
-	for _, l := range sls {
-		buf = l.AppendFingerprint(buf)
-	}
-	return buf
+	return p.appendSafeFingerprint(buf)
 }
 
 // sortedKeys appends to ks, sorted by order, the keys of m whose value

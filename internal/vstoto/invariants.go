@@ -30,6 +30,9 @@ type summaryAt struct {
 	X *Summary
 	P types.ProcID
 	G types.ViewID
+	// state is the processor whose current state X is (allstate clause 1).
+	// Such an X has no Con: its content is the processor's, read in place.
+	state *Proc
 }
 
 // String names the slot the way the invariant errors do.
@@ -42,23 +45,23 @@ func (sa summaryAt) String() string { return fmt.Sprintf("allstate[%v,%v]", sa.P
 // view g.
 func (s *System) appendAllState(d *derived, p types.ProcID, g types.ViewID) {
 	if proc := s.Procs[p]; proc.Current.ID == g {
-		d.own = append(d.own, *proc.StateSummary())
-		d.allstate = append(d.allstate, summaryAt{&d.own[len(d.own)-1], p, g})
+		d.own = append(d.own, Summary{Ord: proc.Order, Next: proc.NextConfirm, High: proc.HighPrimary})
+		d.allstate = append(d.allstate, summaryAt{&d.own[len(d.own)-1], p, g, proc})
 	}
 	for _, m := range s.VS.Pending(p, g) {
 		if x, ok := m.(*Summary); ok {
-			d.allstate = append(d.allstate, summaryAt{x, p, g})
+			d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
 		}
 	}
 	for _, e := range s.VS.Queue[g] {
 		if x, ok := e.M.(*Summary); ok && e.P == p {
-			d.allstate = append(d.allstate, summaryAt{x, p, g})
+			d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
 		}
 	}
 	for _, q := range s.VS.Procs().Members() {
 		if qp := s.Procs[q]; qp.Current.ID == g {
 			if x, ok := qp.GotState[p]; ok {
-				d.allstate = append(d.allstate, summaryAt{x, p, g})
+				d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
 			}
 		}
 	}
@@ -138,12 +141,28 @@ func (s *System) allContent(d *derived) error {
 		return fmt.Errorf("lemma 6.5: allcontent not a function: %v ↦ %q and %q (%s)",
 			l, string(prev), string(a), where)
 	}
+	// bindContent binds content_p's pairs, returning the first clash.
+	bindContent := func(p *Proc, where func() string) (err error) {
+		p.RangeContent(func(l types.Label, a types.Value) bool {
+			if prev, bad := bind(l, a); bad {
+				err = clash(l, prev, a, where())
+			}
+			return err == nil
+		})
+		return err
+	}
 	d.distinct = d.distinct[:0]
 	for _, sa := range d.allstate {
 		if slices.Contains(d.distinct, sa.X) {
 			continue
 		}
 		d.distinct = append(d.distinct, sa.X)
+		if sa.state != nil {
+			if err := bindContent(sa.state, sa.String); err != nil {
+				return err
+			}
+			continue
+		}
 		for l, a := range sa.X.Con {
 			if prev, bad := bind(l, a); bad {
 				return clash(l, prev, a, sa.String())
@@ -153,10 +172,8 @@ func (s *System) allContent(d *derived) error {
 	// Content held locally and labeled values in VS transit also carry
 	// label→value bindings; include them so the function check is global.
 	for _, p := range s.VS.Procs().Members() {
-		for l, a := range s.Procs[p].Content {
-			if prev, bad := bind(l, a); bad {
-				return clash(l, prev, a, fmt.Sprintf("content_%v", p))
-			}
+		if err := bindContent(s.Procs[p], func() string { return fmt.Sprintf("content_%v", p) }); err != nil {
+			return err
 		}
 	}
 	for g, queue := range s.VS.Queue {
@@ -254,7 +271,7 @@ func (s *System) checkInvariants(d *derived) error {
 				return fmt.Errorf("lemma 6.3(1): buffer_%v holds %v with current=%v", p, l, proc.Current.ID)
 			}
 			// Lemma 6.6: buffered labels have content.
-			if _, ok := proc.Content[l]; !ok {
+			if _, ok := proc.ValueOf(l); !ok {
 				return fmt.Errorf("lemma 6.6: buffer_%v holds %v without content", p, l)
 			}
 		}

@@ -79,7 +79,7 @@ func (s *System) checkDeepInvariants(d *derived) error {
 	// at every member q of the current view.
 	for _, p := range procs {
 		proc := s.Procs[p]
-		if len(proc.SafeLabels) == 0 {
+		if proc.safeLen() == 0 {
 			continue
 		}
 		if !proc.Primary() {
@@ -88,7 +88,7 @@ func (s *System) checkDeepInvariants(d *derived) error {
 		// Longest order prefix terminated by a safe label.
 		longest := 0
 		for i, l := range proc.Order {
-			if proc.SafeLabels[l] {
+			if proc.Safe(l) {
 				longest = i + 1
 			}
 		}
@@ -101,7 +101,7 @@ func (s *System) checkDeepInvariants(d *derived) error {
 		// contiguous safe prefix only.
 		contig := 0
 		for _, l := range proc.Order {
-			if proc.SafeLabels[l] {
+			if proc.Safe(l) {
 				contig++
 			} else {
 				break
@@ -142,7 +142,7 @@ func (s *System) checkDeepInvariants(d *derived) error {
 			d.seen[l.Origin] = k + 1
 		}
 	}
-	return nil
+	return s.checkLabelRuns()
 }
 
 // byOrigin groups the labels of allcontent that keep admits by origin, in
@@ -160,4 +160,51 @@ func (d *derived) byOrigin(keep func(types.Label) bool) map[types.ProcID][]types
 		slices.SortFunc(ls, types.Label.Compare)
 	}
 	return d.perOrigin
+}
+
+// checkLabelRuns checks the premises of the dense label state (labels.go)
+// at every processor:
+//   - every (view, origin) run of content is seqnos 1..k, with no holes;
+//   - every current-view label the safe counts cover has content;
+//   - the exchange flag is set only in an established primary view, and
+//     then the content of other views is exactly what fullorder(gotstate)
+//     holds of them, so that Safe answers as the set of labels would.
+func (s *System) checkLabelRuns() error {
+	for _, p := range s.VS.Procs().Members() {
+		proc := s.Procs[p]
+		for i := range proc.content.runs {
+			if r := &proc.content.runs[i]; r.holes > 0 {
+				return fmt.Errorf("label runs: content_%v of (%v, %v) has %d holes below seqno %d",
+					p, r.id, r.origin, r.holes, len(r.vals))
+			}
+		}
+		for _, oc := range proc.safe.prefix {
+			l := types.Label{ID: proc.Current.ID, Seqno: oc.n, Origin: oc.origin}
+			if _, ok := proc.ValueOf(l); !ok {
+				return fmt.Errorf("label runs: safe-labels_%v holds %v without content", p, l)
+			}
+		}
+		if !proc.safe.exch {
+			continue
+		}
+		if !proc.Primary() || proc.Status != StatusNormal {
+			return fmt.Errorf("label runs: %v holds the exchange safe in %v with status %v", p, proc.Current.ID, proc.Status)
+		}
+		var err error
+		proc.RangeContent(func(l types.Label, _ types.Value) bool {
+			if l.ID != proc.Current.ID && !proc.GotState.known(l) {
+				err = fmt.Errorf("label runs: content_%v holds %v, which fullorder(gotstate) lacks", p, l)
+			}
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+		for _, l := range proc.GotState.ShortOrder() {
+			if _, ok := proc.ValueOf(l); !ok {
+				return fmt.Errorf("label runs: fullorder(gotstate)_%v holds %v without content", p, l)
+			}
+		}
+	}
+	return nil
 }

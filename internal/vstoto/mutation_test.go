@@ -95,11 +95,9 @@ func requireViolation(t *testing.T, sys *System, wantSubstring string) {
 func TestMutationContentDisagreement(t *testing.T) {
 	sys, _ := healthySystem(t)
 	// Bind an existing label to a different value at p1: allcontent stops
-	// being a function (Lemma 6.5).
-	for l := range sys.Procs[0].Content {
-		sys.Procs[1].Content[l] = "DIFFERENT"
-		break
-	}
+	// being a function (Lemma 6.5). The automaton never rebinds a label, so
+	// the corruption writes the run directly.
+	sys.Procs[1].content.runs[0].vals[0] = "DIFFERENT"
 	requireViolation(t, sys, "lemma 6.5")
 }
 
@@ -134,7 +132,7 @@ func TestMutationDivergentConfirms(t *testing.T) {
 	sys, _ := healthySystem(t)
 	// Give p1 a confirmed order that contradicts p0's.
 	alien := types.Label{ID: types.G0(), Seqno: 7, Origin: 1}
-	sys.Procs[1].Content[alien] = "z"
+	sys.Procs[1].content.set(alien, "z")
 	sys.Procs[1].Order = []types.Label{alien}
 	sys.Procs[1].NextConfirm = 2
 	err := sys.CheckInvariants()
@@ -168,9 +166,9 @@ func TestMutationSimulationCatchesReorderedQueue(t *testing.T) {
 	// submitted through bcast: the shadow's to-order must fail.
 	ghost := types.Label{ID: types.G0(), Seqno: 5, Origin: 0}
 	p0 := sys.Procs[0]
-	p0.Content[ghost] = "ghost"
+	p0.content.set(ghost, "ghost")
 	p0.Order = append(p0.Order, ghost)
-	p0.SafeLabels[ghost] = true
+	p0.safe.raise(ghost.Origin, ghost.Seqno)
 	p0.NextConfirm++
 	if err := sim.AfterStep(ConfirmAct{P: 0}); err == nil {
 		t.Fatal("unsubmitted confirmed value not detected")
@@ -184,8 +182,8 @@ func TestMutationDeepLemma621OrderGap(t *testing.T) {
 	p0 := sys.Procs[0]
 	skipped := types.Label{ID: types.G0(), Seqno: 5, Origin: 0}
 	later := types.Label{ID: types.G0(), Seqno: 6, Origin: 0}
-	p0.Content[skipped] = "s"
-	p0.Content[later] = "l"
+	p0.content.set(skipped, "s")
+	p0.content.set(later, "l")
 	p0.Order = append(p0.Order, later) // later without skipped
 	err := sys.CheckDeepInvariants()
 	if err == nil || !strings.Contains(err.Error(), "lemma 6.21") {
@@ -198,9 +196,9 @@ func TestMutationDeepLemma620SafeWithoutBuildorder(t *testing.T) {
 	// Mark a label safe at p0 that p1's buildorder does not carry.
 	p0, p1 := sys.Procs[0], sys.Procs[1]
 	ghost := types.Label{ID: types.G0(), Seqno: 5, Origin: 0}
-	p0.Content[ghost] = "g"
+	p0.content.set(ghost, "g")
 	p0.Order = []types.Label{ghost}
-	p0.SafeLabels[ghost] = true
+	p0.safe.raise(ghost.Origin, ghost.Seqno)
 	_ = p1
 	err := sys.CheckDeepInvariants()
 	if err == nil {
@@ -236,5 +234,37 @@ func TestMutationDeepLemma613HighprimaryRollback(t *testing.T) {
 	err := sys.CheckDeepInvariants()
 	if err == nil || !strings.Contains(err.Error(), "lemma 6.13") {
 		t.Fatalf("highprimary rollback not detected: %v", err)
+	}
+}
+
+// TestLabelRunsInvariantFires corrupts the dense label state in each way
+// its premises rule out and requires checkLabelRuns (the last check of
+// CheckDeepInvariants) to name it.
+func TestLabelRunsInvariantFires(t *testing.T) {
+	g0 := types.G0()
+	for _, c := range []struct {
+		name    string
+		corrupt func(p0 *Proc)
+		want    string
+	}{
+		{"content hole", func(p0 *Proc) { p0.content.set(types.Label{ID: g0, Seqno: 3, Origin: 1}, "x") },
+			"label runs: content_p0 of (g1.0, p1) has 2 holes below seqno 3"},
+		{"safe beyond content", func(p0 *Proc) { p0.safe.raise(0, 2) },
+			"label runs: safe-labels_p0 holds ⟨g1.0#2@p0⟩ without content"},
+		{"exchange safe in recovery", func(p0 *Proc) { p0.safe.exch, p0.Status = true, StatusCollect },
+			"label runs: p0 holds the exchange safe in g1.0 with status collect"},
+		{"old-view content outside the exchange", func(p0 *Proc) {
+			p0.content.set(types.Label{ID: types.ViewID{Epoch: 0, Proc: 1}, Seqno: 1, Origin: 1}, "old")
+			p0.safe.exch = true
+		}, "label runs: content_p0 holds ⟨g0.1#1@p1⟩, which fullorder(gotstate) lacks"},
+	} {
+		sys, _ := healthySystem(t)
+		if err := sys.checkLabelRuns(); err != nil {
+			t.Fatalf("%s: healthy state fails: %v", c.name, err)
+		}
+		c.corrupt(sys.Procs[0])
+		if err := sys.checkLabelRuns(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: checkLabelRuns = %v, want %q", c.name, err, c.want)
+		}
 	}
 }

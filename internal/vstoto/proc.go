@@ -62,14 +62,17 @@ type Proc struct {
 	Status Status
 	// Delay buffers client values not yet labeled.
 	Delay []types.Value
-	// Content is the label→value relation (a partial function; Lemma 6.5).
-	Content map[types.Label]types.Value
+	// content is the label→value relation (a partial function; Lemma 6.5)
+	// as one dense run per (view, origin): read it with ValueOf,
+	// RangeContent and ContentLen (labels.go).
+	content labelRuns
 	// GotState accumulates state-exchange summaries in the current view.
 	GotState GotState
 	// SafeExch is the set of members whose summaries are known safe.
 	SafeExch map[types.ProcID]bool
-	// SafeLabels is the set of labels reported safe in the current view.
-	SafeLabels map[types.Label]bool
+	// safe is the set of labels reported safe in the current view, as
+	// per-origin counts plus the exchange's flag: read it with Safe.
+	safe safeLabels
 
 	// LiteralFigure10Label reverts label(a)_p to the paper's literal
 	// precondition (no status check). It exists to *study* the resulting
@@ -105,10 +108,8 @@ func NewProc(id types.ProcID, qs types.QuorumSystem, p0 types.ProcSet) *Proc {
 		NextSeqno:   1,
 		NextConfirm: 1,
 		NextReport:  1,
-		Content:     make(map[types.Label]types.Value),
 		GotState:    make(GotState),
 		SafeExch:    make(map[types.ProcID]bool),
-		SafeLabels:  make(map[types.Label]bool),
 		Established: make(map[types.ViewID]bool),
 		BuildOrder:  make(map[types.ViewID][]types.Label),
 	}
@@ -165,13 +166,13 @@ func (p *Proc) Newview(v types.View) {
 	p.Buffer = nil
 	p.GotState = make(GotState)
 	p.SafeExch = make(map[types.ProcID]bool)
-	p.SafeLabels = make(map[types.Label]bool)
+	p.safe = safeLabels{}
 	p.Status = StatusSend
 }
 
 // GprcvValue applies the input gprcv(⟨l,a⟩)_{q,p} for an ordinary message.
 func (p *Proc) GprcvValue(lv LabeledValue) {
-	p.Content[lv.L] = lv.A
+	p.content.set(lv.L, lv.A)
 	if p.Primary() {
 		p.Order = append(p.Order, lv.L)
 		p.gOrderLen.Max(int64(len(p.Order)))
@@ -182,9 +183,7 @@ func (p *Proc) GprcvValue(lv LabeledValue) {
 // GprcvSummary applies the input gprcv(x)_{q,p} for a state-exchange
 // summary; it performs view establishment when the last summary arrives.
 func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
-	for l, a := range x.Con {
-		p.Content[l] = a
-	}
+	p.MergeContent(x.Con)
 	p.GotState[q] = x
 	if p.GotState.domainEquals(p.Current.Set) && p.Status == StatusCollect {
 		p.NextConfirm = p.GotState.MaxNextConfirm()
@@ -210,19 +209,30 @@ func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
 	}
 }
 
-// SafeValue applies the input safe(⟨l,a⟩)_{q,p}.
+// SafeValue applies the input safe(⟨l,a⟩)_{q,p}. VS reports safe only for
+// messages of the current view, in each sender's order, so l extends its
+// origin's safe prefix; anything else panics.
 func (p *Proc) SafeValue(lv LabeledValue) {
-	if p.Primary() {
-		p.SafeLabels[lv.L] = true
+	if !p.Primary() {
+		return
 	}
+	l := lv.L
+	if n, _ := p.safe.count(l.Origin); l.ID != p.Current.ID || l.Seqno > n+1 {
+		panic(fmt.Sprintf("vstoto: safe(%v) at %v does not extend %v's safe prefix %d in %v",
+			l, p.id, l.Origin, n, p.Current.ID))
+	}
+	p.safe.raise(l.Origin, l.Seqno)
 }
 
 // SafeSummary applies the input safe(x)_{q,p} for a state-exchange summary.
 func (p *Proc) SafeSummary(q types.ProcID) {
 	p.SafeExch[q] = true
 	if p.safeExchComplete() && p.Primary() {
+		p.safe.exch = true
 		for _, l := range p.GotState.FullOrder() {
-			p.SafeLabels[l] = true
+			if l.ID == p.Current.ID {
+				p.safe.raise(l.Origin, l.Seqno)
+			}
 		}
 	}
 }
@@ -271,7 +281,7 @@ func (p *Proc) Label() types.Label {
 	}
 	l := types.Label{ID: p.Current.ID, Seqno: p.NextSeqno, Origin: p.id}
 	p.mLabels.Inc()
-	p.Content[l] = a
+	p.content.set(l, a)
 	p.Buffer = append(p.Buffer, l)
 	p.NextSeqno++
 	p.Delay = p.Delay[1:]
@@ -285,7 +295,7 @@ func (p *Proc) GpsndValueEnabled() (LabeledValue, bool) {
 		return LabeledValue{}, false
 	}
 	l := p.Buffer[0]
-	a, ok := p.Content[l]
+	a, ok := p.content.get(l)
 	if !ok {
 		return LabeledValue{}, false
 	}
@@ -312,14 +322,15 @@ func (p *Proc) GpsndSummaryEnabled() bool { return p.Status == StatusSend }
 // gpsnd would carry. The summary is an immutable snapshot: Ord shares the
 // order's backing array with its capacity clipped (Order is append-only, so
 // any later growth reallocates away from the shared prefix — O(1) instead
-// of an O(|Order|) copy per send; TestSummaryImmutable pins it). Con must
-// still be copied: Content is a map, mutated in place by later labels and
-// deliveries, and maps have no copy-on-write prefix to share.
+// of an O(|Order|) copy per send; TestSummaryImmutable pins it). Con is
+// built from the runs: a summary's content is a map, on the wire and in
+// fullorder's union, while content_p is kept as runs.
 func (p *Proc) SummaryMessage() *Summary {
-	con := make(map[types.Label]types.Value, len(p.Content))
-	for l, a := range p.Content {
+	con := make(map[types.Label]types.Value, p.content.n)
+	p.RangeContent(func(l types.Label, a types.Value) bool {
 		con[l] = a
-	}
+		return true
+	})
 	return &Summary{
 		Con:  con,
 		Ord:  p.Order[:len(p.Order):len(p.Order)],
@@ -354,7 +365,7 @@ func (p *Proc) ConfirmEnabled() bool {
 	if !p.Primary() || p.NextConfirm > len(p.Order) {
 		return false
 	}
-	return p.SafeLabels[p.Order[p.NextConfirm-1]]
+	return p.Safe(p.Order[p.NextConfirm-1])
 }
 
 // Confirm performs confirm_p.
@@ -382,7 +393,7 @@ func (p *Proc) BrcvEnabledAt(pos int) (types.ProcID, types.Value, bool) {
 		return 0, "", false
 	}
 	l := p.Order[pos-1]
-	a, ok := p.Content[l]
+	a, ok := p.content.get(l)
 	if !ok {
 		return 0, "", false
 	}
@@ -424,10 +435,4 @@ func (p *Proc) ConfirmedLabels() []types.Label {
 		n = len(p.Order)
 	}
 	return p.Order[:n]
-}
-
-// StateSummary returns the summary whose components are the current local
-// state (the x of allstate clause 1), without changing status.
-func (p *Proc) StateSummary() *Summary {
-	return &Summary{Con: p.Content, Ord: p.Order, Next: p.NextConfirm, High: p.HighPrimary}
 }

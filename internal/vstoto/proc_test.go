@@ -10,6 +10,12 @@ func gid(epoch int64, proc types.ProcID) types.ViewID {
 	return types.ViewID{Epoch: epoch, Proc: proc}
 }
 
+// valueOf returns the value p's content binds l to ("" when unbound).
+func valueOf(p *Proc, l types.Label) types.Value {
+	a, _ := p.ValueOf(l)
+	return a
+}
+
 func newTestProc(id types.ProcID, n int) *Proc {
 	procs := types.RangeProcSet(n)
 	p := NewProc(id, types.Majorities{Universe: procs}, procs)
@@ -45,7 +51,7 @@ func TestLabelAssignsSequentialLabels(t *testing.T) {
 	if l2.Seqno != 2 {
 		t.Errorf("l2 = %v", l2)
 	}
-	if p.Content[l1] != "a" || p.Content[l2] != "b" {
+	if valueOf(p, l1) != "a" || valueOf(p, l2) != "b" {
 		t.Error("content wrong")
 	}
 	if len(p.Buffer) != 2 || len(p.Delay) != 0 {
@@ -92,19 +98,22 @@ func TestNewviewResetsPerViewState(t *testing.T) {
 	p := newTestProc(0, 3)
 	p.Bcast("a")
 	p.Label()
-	p.SafeLabels[types.Label{ID: types.G0(), Seqno: 1, Origin: 0}] = true
+	p.SafeValue(LabeledValue{L: types.Label{ID: types.G0(), Seqno: 1, Origin: 0}, A: "a"})
+	if p.safeLen() != 1 {
+		t.Fatal("safe not recorded")
+	}
 	v2 := types.View{ID: gid(2, 1), Set: types.RangeProcSet(3)}
 	p.Newview(v2)
 	if p.Status != StatusSend || p.Current.ID != v2.ID {
 		t.Errorf("status=%v current=%v", p.Status, p.Current.ID)
 	}
-	if len(p.Buffer) != 0 || len(p.SafeLabels) != 0 || len(p.GotState) != 0 || len(p.SafeExch) != 0 {
+	if len(p.Buffer) != 0 || p.safeLen() != 0 || len(p.GotState) != 0 || len(p.SafeExch) != 0 {
 		t.Error("per-view state not reset")
 	}
 	if p.NextSeqno != 1 {
 		t.Error("nextseqno not reset")
 	}
-	if len(p.Content) == 0 {
+	if p.ContentLen() == 0 {
 		t.Error("content must survive view changes")
 	}
 }
@@ -165,7 +174,7 @@ func TestEstablishPrimaryAdoptsFullOrder(t *testing.T) {
 			t.Fatalf("order = %v, want %v", p.Order, want)
 		}
 	}
-	if p.Content[lc] != "c" {
+	if valueOf(p, lc) != "c" {
 		t.Error("peer content not merged")
 	}
 	if !p.Established[v2.ID] {
@@ -243,10 +252,10 @@ func TestNonPrimaryIgnoresOrderingAndSafe(t *testing.T) {
 		t.Error("non-primary appended to order")
 	}
 	p.SafeValue(LabeledValue{L: l, A: "v"})
-	if len(p.SafeLabels) != 0 {
+	if p.safeLen() != 0 {
 		t.Error("non-primary recorded safe label")
 	}
-	if p.Content[l] != "v" {
+	if valueOf(p, l) != "v" {
 		t.Error("content must still be recorded")
 	}
 }
@@ -263,11 +272,11 @@ func TestSafeSummaryCompletionMarksExchangeSafe(t *testing.T) {
 
 	p.SafeSummary(0)
 	p.SafeSummary(1)
-	if len(p.SafeLabels) != 0 {
+	if p.safeLen() != 0 {
 		t.Fatal("safe labels set before all summaries safe")
 	}
 	p.SafeSummary(2)
-	if !p.SafeLabels[lx] {
+	if !p.Safe(lx) {
 		t.Fatal("exchange-safe did not mark recovered labels safe")
 	}
 	if !p.ConfirmEnabled() {

@@ -111,6 +111,16 @@ func (y GotState) KnownContent() map[types.Label]types.Value {
 	return out
 }
 
+// known reports whether l is in dom(knowncontent(Y)).
+func (y GotState) known(l types.Label) bool {
+	for _, x := range y {
+		if _, ok := x.Con[l]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // MaxPrimary returns maxprimary(Y) = max_{q ∈ dom(Y)} Y(q).high.
 func (y GotState) MaxPrimary() types.ViewID {
 	max := types.Bottom

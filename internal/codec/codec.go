@@ -9,14 +9,18 @@
 // the tests assert exact round-trip fidelity for every wire type.
 //
 // Format: one type-tag byte, then fields with fixed-width little-endian
-// integers and length-prefixed byte strings. Maps are written in sorted
-// key order so encodings are deterministic.
+// integers and length-prefixed byte strings. A summary's content is its
+// runs, in the order the summary holds them: per run the view, origin,
+// first seqno, count and values, with no per-value label. The one map on
+// the wire, a token's delivered counts, is written in sorted key order, so
+// every encoding is deterministic.
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -56,7 +60,10 @@ func (w *writer) bytes(b []byte) {
 	w.u32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
 }
-func (w *writer) str(s string) { w.bytes([]byte(s)) }
+func (w *writer) str(s string) {
+	w.u32(uint32(len(s)))
+	w.buf = append(w.buf, s...)
+}
 
 type reader struct {
 	buf []byte
@@ -174,15 +181,16 @@ func getMsgID(r *reader) check.MsgID {
 }
 
 func putSummary(w *writer, x *vstoto.Summary) {
-	labels := make([]types.Label, 0, len(x.Con))
-	for l := range x.Con {
-		labels = append(labels, l)
-	}
-	types.SortLabels(labels)
-	w.u32(uint32(len(labels)))
-	for _, l := range labels {
-		putLabel(w, l)
-		w.str(string(x.Con[l]))
+	runs := x.ContentRuns()
+	w.u32(uint32(len(runs)))
+	for _, r := range runs {
+		putViewID(w, r.ID)
+		w.i32(int(r.Origin))
+		w.i32(r.First)
+		w.u32(uint32(len(r.Vals)))
+		for _, a := range r.Vals {
+			w.str(string(a))
+		}
 	}
 	w.u32(uint32(len(x.Ord)))
 	for _, l := range x.Ord {
@@ -192,16 +200,35 @@ func putSummary(w *writer, x *vstoto.Summary) {
 	putViewID(w, x.High)
 }
 
+// getSummary decodes a summary, rejecting content no summary has: a run
+// that is empty, starts below seqno 1 or runs past the largest one, or
+// that is out of (view, origin, first) order with, overlaps or touches
+// the run before it.
 func getSummary(r *reader) *vstoto.Summary {
-	nCon := int(r.u32())
-	if r.err != nil || nCon < 0 || nCon > len(r.buf) {
-		r.fail("summary con")
+	nRuns := int(r.u32())
+	if r.err != nil || nRuns < 0 || nRuns > len(r.buf) {
+		r.fail("summary runs")
 		return nil
 	}
-	con := make(map[types.Label]types.Value, nCon)
-	for i := 0; i < nCon; i++ {
-		l := getLabel(r)
-		con[l] = types.Value(r.str())
+	runs := make([]vstoto.ContentRun, 0, nRuns)
+	for i := 0; i < nRuns; i++ {
+		run := vstoto.ContentRun{ID: getViewID(r), Origin: types.ProcID(r.i32()), First: r.i32()}
+		k := int(r.u32())
+		// Every value takes at least its 4-byte length.
+		if r.err != nil || k < 1 || k > (len(r.buf)-r.off)/4 {
+			r.fail("summary run")
+			return nil
+		}
+		if run.First < 1 || run.First > math.MaxInt32-k+1 || i > 0 && !runFollows(&runs[i-1], &run) {
+			r.err = fmt.Errorf("codec: summary run %d (%v@%v from %d) out of place: %w",
+				i, run.ID, run.Origin, run.First, ErrMalformed)
+			return nil
+		}
+		run.Vals = make([]types.Value, k)
+		for j := range run.Vals {
+			run.Vals[j] = types.Value(r.str())
+		}
+		runs = append(runs, run)
 	}
 	nOrd := int(r.u32())
 	if r.err != nil || nOrd < 0 || nOrd > len(r.buf) {
@@ -212,7 +239,19 @@ func getSummary(r *reader) *vstoto.Summary {
 	for i := 0; i < nOrd; i++ {
 		ord = append(ord, getLabel(r))
 	}
-	return &vstoto.Summary{Con: con, Ord: ord, Next: r.i32(), High: getViewID(r)}
+	return &vstoto.Summary{Runs: runs, Ord: ord, Next: r.i32(), High: getViewID(r)}
+}
+
+// runFollows reports whether b may follow a in a summary's runs: a later
+// (view, origin), or the same one from past a's end with a gap between.
+func runFollows(a, b *vstoto.ContentRun) bool {
+	if c := a.ID.Cmp(b.ID); c != 0 {
+		return c < 0
+	}
+	if a.Origin != b.Origin {
+		return a.Origin < b.Origin
+	}
+	return b.First > a.First+len(a.Vals)
 }
 
 // --- top-level encode/decode ----------------------------------------------

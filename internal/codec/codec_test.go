@@ -51,15 +51,20 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if out == in {
 		t.Fatal("round trip returned the same pointer")
 	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("got %+v, want %+v", out, in)
+	// The literal form decodes to the run form of the same content.
+	want := &vstoto.Summary{Runs: vstoto.RunsOf(in.Con), Ord: in.Ord, Next: in.Next, High: in.High}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("got %+v, want %+v", out, want)
+	}
+	if again := roundtrip(t, out); !reflect.DeepEqual(again, want) {
+		t.Fatalf("run form: got %+v, want %+v", again, want)
 	}
 }
 
 func TestEmptySummaryRoundTrip(t *testing.T) {
 	in := &vstoto.Summary{Con: map[types.Label]types.Value{}, Next: 1, High: types.Bottom}
 	out := roundtrip(t, in).(*vstoto.Summary)
-	if len(out.Con) != 0 || len(out.Ord) != 0 || out.Next != 1 || !out.High.IsBottom() {
+	if len(out.ContentRuns()) != 0 || len(out.Ord) != 0 || out.Next != 1 || !out.High.IsBottom() {
 		t.Fatalf("got %+v", out)
 	}
 }
@@ -90,7 +95,8 @@ func TestTokenRoundTrip(t *testing.T) {
 		Msgs: []vsimpl.TokenMsg{
 			{ID: check.MsgID{Sender: 0, Seq: 1}, From: 0, Payload: vstoto.LabeledValue{L: la, A: "v"}},
 			{ID: check.MsgID{Sender: 1, Seq: 1}, From: 1, Payload: &vstoto.Summary{
-				Con: map[types.Label]types.Value{la: "v"}, Ord: []types.Label{la}, Next: 1, High: gidc(1, 0),
+				Runs: []vstoto.ContentRun{{ID: la.ID, Origin: la.Origin, First: 1, Vals: []types.Value{"v"}}},
+				Ord:  []types.Label{la}, Next: 1, High: gidc(1, 0),
 			}},
 			{ID: check.MsgID{Sender: 2, Seq: 4}, From: 2, Payload: "plain"},
 		},
@@ -142,8 +148,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestDeterministicEncoding(t *testing.T) {
-	// Maps are serialized in sorted order: two structurally equal
-	// summaries built in different insertion orders encode identically.
+	// A literal content is written as its sorted runs: two structurally
+	// equal summaries built in different insertion orders encode
+	// identically.
 	la := types.Label{ID: gidc(1, 0), Seqno: 1, Origin: 0}
 	lb := types.Label{ID: gidc(1, 0), Seqno: 2, Origin: 1}
 	x1 := &vstoto.Summary{Con: map[types.Label]types.Value{la: "a", lb: "b"}, Next: 1}

@@ -21,10 +21,25 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0x00, 0x01})
 	sum, _ := Encode(&vstoto.Summary{Con: map[types.Label]types.Value{}, Next: 1})
 	f.Add(sum)
+	g := types.G0()
+	runs, _ := Encode(&vstoto.Summary{
+		Runs: []vstoto.ContentRun{
+			{ID: g, Origin: 0, First: 1, Vals: []types.Value{"a", "b", "c"}},
+			{ID: g, Origin: 0, First: 5, Vals: []types.Value{"e"}},
+			{ID: g, Origin: 2, First: 1, Vals: []types.Value{"x"}},
+		},
+		Ord:  []types.Label{{ID: g, Seqno: 1, Origin: 0}},
+		Next: 2, High: g,
+	})
+	f.Add(runs)
+	// Each class of malformed runs, so the fuzzer starts at every check.
+	for _, b := range malformedSummaries() {
+		f.Add(b)
+	}
 	// One valid encoding of every wire type, so the fuzzer starts inside
 	// each branch of the decoder rather than having to find the tags.
 	v := types.View{ID: types.ViewID{Epoch: 3, Proc: 1}, Set: types.RangeProcSet(3)}
-	valid := [][]byte{seed, sum}
+	valid := [][]byte{seed, sum, runs}
 	for _, pkt := range []any{
 		membership.CallPkt{ID: v.ID},
 		membership.AcceptPkt{ID: v.ID},

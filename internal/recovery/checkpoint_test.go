@@ -321,10 +321,10 @@ func TestCheckpointFromProcMatchesMap(t *testing.T) {
 	peer := func(s int) types.Label { return types.Label{ID: types.G0(), Seqno: s, Origin: 2} }
 	p.GprcvValue(vstoto.LabeledValue{L: peer(1), A: "x"})
 	p.GprcvValue(vstoto.LabeledValue{L: types.Label{ID: types.G0(), Seqno: 1, Origin: 0}, A: "a"})
-	p.MergeContent(map[types.Label]types.Value{
+	p.MergeContent(vstoto.RunsOf(map[types.Label]types.Value{
 		{ID: types.G0(), Seqno: 2, Origin: 2}: "y",
 		{ID: types.G0(), Seqno: 3, Origin: 2}: "z",
-	})
+	}))
 	m := ContentMap{}
 	p.RangeContent(func(l types.Label, a types.Value) bool {
 		m[l] = a

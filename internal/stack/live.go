@@ -136,7 +136,7 @@ func NewLiveNode(opts LiveOptions) *Node {
 	// the simulated amnesia crash). Rebuild from the WAL file and rejoin
 	// through the ordinary membership machinery, one incarnation up.
 	snap := recovery.Replay(opts.WALData)
-	n.lastReplay = snap
+	n.lastReplay = replayStats(snap)
 	n.recoveries++
 	c.m.recoveries.Inc()
 	c.m.replayRecords.Add(int64(snap.Records))

@@ -89,7 +89,7 @@ type Node struct {
 	deliverReady    int
 	needsRecovery   bool
 	recoveries      int
-	lastReplay      *recovery.Snapshot
+	lastReplay      *ReplayStats
 
 	// Checkpoint policy (Options.CheckpointBytes; 0 disables). waPending
 	// counts write-ahead records enqueued but not yet durable — between
@@ -125,7 +125,8 @@ type Cluster struct {
 	Cfg   vsimpl.Config
 	// Crashes records, at each amnesia crash, what the wiped processor's
 	// stable storage will restore on restart — the evidence that
-	// props.CheckRejoinSafety compares against the recorded trace.
+	// props.CheckRejoinSafety compares against the recorded trace. Like
+	// the trace, it is kept only when Log is set.
 	Crashes []props.CrashSnapshot
 	// Obs is the cluster's observability registry (nil when disabled).
 	Obs *obs.Registry
@@ -147,7 +148,15 @@ type Cluster struct {
 	m           clusterMetrics
 	// submitted maps each client submission to its bcast instant, for the
 	// end-to-end to.deliver_latency histogram (nil when obs is disabled).
-	submitted map[submitKey]sim.Time
+	// An entry leaves once every node of the cluster has released it.
+	submitted map[submitKey]submission
+}
+
+// submission is a client submission's bcast instant and the number of
+// nodes that have released it so far.
+type submission struct {
+	at       sim.Time
+	released int
 }
 
 // submitKey identifies one client submission across the cluster.
@@ -395,7 +404,7 @@ func (c *Cluster) initMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	c.submitted = make(map[submitKey]sim.Time)
+	c.submitted = make(map[submitKey]submission)
 	c.m = clusterMetrics{
 		bcasts:           reg.Counter("to.bcasts"),
 		bcastRejected:    reg.Counter("to.bcast_rejected"),
@@ -551,9 +560,24 @@ func (n *Node) DataPath() Options {
 // Recoveries returns how many amnesia restarts this node has performed.
 func (n *Node) Recoveries() int { return n.recoveries }
 
-// LastReplay returns the snapshot the most recent recovery restored from
-// (nil if the node never recovered).
-func (n *Node) LastReplay() *recovery.Snapshot { return n.lastReplay }
+// ReplayStats is what a recovery's WAL replay reported: the records it
+// read and the torn or corrupt record it stopped at (Truncated is empty
+// for a clean log; TruncatedAt is the offset replay stopped at).
+type ReplayStats struct {
+	Records     int
+	Truncated   string
+	TruncatedAt int
+}
+
+// replayStats keeps what LastReplay reports of snap, not the state it
+// restored.
+func replayStats(snap *recovery.Snapshot) *ReplayStats {
+	return &ReplayStats{Records: snap.Records, Truncated: snap.Truncated, TruncatedAt: snap.TruncatedAt}
+}
+
+// LastReplay returns what the most recent recovery's replay reported (nil
+// if the node never recovered).
+func (n *Node) LastReplay() *ReplayStats { return n.lastReplay }
 
 // Bcast is the client's bcast(a)_p input with explicit backpressure.
 // It reports false — and accepts nothing — when the node's own
@@ -581,7 +605,7 @@ func (n *Node) Bcast(a types.Value) bool {
 		// Submission instant, for the end-to-end delivery latency. Keyed by
 		// origin and bcast sequence; recovery restores bcastSeq from the WAL,
 		// so keys stay unique across incarnations.
-		n.c.submitted[submitKey{origin: n.id, seq: seq}] = n.sim.Now()
+		n.c.submitted[submitKey{origin: n.id, seq: seq}] = submission{at: n.sim.Now()}
 	}
 	inc := n.incarnation
 	n.waPending++
@@ -721,6 +745,9 @@ func (n *Node) crash() {
 	n.vs.Stop()
 	st := n.wal.Storage()
 	st.Drop()
+	if n.c.Log == nil {
+		return // no trace for props.CheckRejoinSafety to hold it against
+	}
 	snap := recovery.Replay(st.Contents())
 	cs := props.CrashSnapshot{P: n.id, T: n.sim.Now()}
 	for _, d := range snap.Delivered {
@@ -744,7 +771,7 @@ func (n *Node) recover() {
 		disk = nil // deliberately broken: restart from nothing
 	}
 	snap := recovery.Replay(disk)
-	n.lastReplay = snap
+	n.lastReplay = replayStats(snap)
 	n.needsRecovery = false
 	n.recoveries++
 	n.c.m.recoveries.Inc()
@@ -805,7 +832,7 @@ func (n *Node) restoreProc(snap *recovery.Snapshot) {
 	proc.NextConfirm = snap.NextConfirm
 	proc.NextReport = len(snap.Delivered) + 1
 	proc.HighPrimary = snap.HighPrimary
-	proc.MergeContent(snap.Content)
+	proc.MergeContent(vstoto.RunsOf(snap.Content))
 	for _, pv := range snap.Pending {
 		proc.Delay = append(proc.Delay, pv.Value)
 		n.delaySeqs = append(n.delaySeqs, pv.Seq)
@@ -1007,8 +1034,16 @@ func (n *Node) performBrcv() {
 			n.c.m.confirmToRelease.Record(n.sim.Now().Sub(at))
 			delete(n.confirmAt, l)
 		}
-		if at, ok := n.c.submitted[submitKey{origin: from, seq: seq}]; ok {
-			n.c.m.deliverLatency.Record(n.sim.Now().Sub(at))
+		// A node releases a value at most once, so the last node to
+		// release it deletes its entry.
+		k := submitKey{origin: from, seq: seq}
+		if sub, ok := n.c.submitted[k]; ok {
+			n.c.m.deliverLatency.Record(n.sim.Now().Sub(sub.at))
+			if sub.released++; sub.released == len(n.c.nodes) {
+				delete(n.c.submitted, k)
+			} else {
+				n.c.submitted[k] = sub
+			}
 		}
 	}
 	if n.log != nil {

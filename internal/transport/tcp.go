@@ -93,11 +93,11 @@ type TCPConfig struct {
 }
 
 type tcpMetrics struct {
-	sent, delivered *obs.Counter
-	bytes           *obs.Counter
-	connects        *obs.Counter
-	reconnects      *obs.Counter
-	accepts         *obs.Counter
+	sent, delivered  *obs.Counter
+	bytes            *obs.Counter
+	connects         *obs.Counter
+	reconnects       *obs.Counter
+	accepts          *obs.Counter
 	dropOverflow     *obs.Counter // drop-oldest evictions, in frames
 	dropOverflowMsgs *obs.Counter // messages lost to those evictions
 	dropUnknown      *obs.Counter
@@ -179,12 +179,12 @@ func NewTCP(cfg TCPConfig) *TCP {
 		inbound:  make(map[stdnet.Conn]struct{}),
 		stop:     make(chan struct{}),
 		m: tcpMetrics{
-			sent:         cfg.Obs.Counter("transport.sent"),
-			delivered:    cfg.Obs.Counter("transport.delivered"),
-			bytes:        cfg.Obs.Counter("transport.bytes"),
-			connects:     cfg.Obs.Counter("transport.connects"),
-			reconnects:   cfg.Obs.Counter("transport.reconnects"),
-			accepts:      cfg.Obs.Counter("transport.accepts"),
+			sent:             cfg.Obs.Counter("transport.sent"),
+			delivered:        cfg.Obs.Counter("transport.delivered"),
+			bytes:            cfg.Obs.Counter("transport.bytes"),
+			connects:         cfg.Obs.Counter("transport.connects"),
+			reconnects:       cfg.Obs.Counter("transport.reconnects"),
+			accepts:          cfg.Obs.Counter("transport.accepts"),
 			dropOverflow:     cfg.Obs.Counter("transport.drops_overflow"),
 			dropOverflowMsgs: cfg.Obs.Counter("transport.drops_overflow_msgs"),
 			dropUnknown:      cfg.Obs.Counter("transport.drops_unknown_peer"),

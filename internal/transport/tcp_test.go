@@ -132,7 +132,7 @@ func wireTypesOverSocket(t *testing.T, maxMsgs int) {
 	payloads := []any{
 		vstoto.LabeledValue{L: label, A: types.Value("hello")},
 		&vstoto.Summary{
-			Con:  map[types.Label]types.Value{label: "v"},
+			Runs: []vstoto.ContentRun{{ID: label.ID, Origin: label.Origin, First: label.Seqno, Vals: []types.Value{"v"}}},
 			Ord:  []types.Label{label},
 			Next: 2,
 			High: types.ViewID{Epoch: 4, Proc: 0},

@@ -165,6 +165,14 @@ func TestInvariantErrorTextPinned(t *testing.T) {
 	inSummary.Procs[0].NextSeqno = 2
 	inSummary.Procs[1].content.set(l1, "b")
 
+	// Lemma 6.5 in a sent summary: p1's, in the run form every sent
+	// summary has, is pending at VS.
+	inSent := build(procs)
+	inSent.Procs[0].content.set(l1, "a")
+	inSent.Procs[0].NextSeqno = 2
+	inSent.VS.ApplyGpsnd(&Summary{Runs: []ContentRun{{ID: l1.ID, Origin: l1.Origin, First: 1, Vals: []types.Value{"b"}}},
+		Next: 1, High: types.G0()}, 1)
+
 	// Lemma 6.5 in a processor's content: p1 is in no view, so its content
 	// is in no summary.
 	inContent := build(types.NewProcSet(0))
@@ -199,6 +207,7 @@ func TestInvariantErrorTextPinned(t *testing.T) {
 		abstract   string
 	}{
 		{"6.5 in allstate", inSummary, lemma65 + "(allstate[p1,g1.0])", lemma65 + "(allstate[p1,g1.0])"},
+		{"6.5 in a sent summary", inSent, lemma65 + "(allstate[p1,g1.0])", lemma65 + "(allstate[p1,g1.0])"},
 		{"6.5 in content", inContent, lemma65 + "(content_p1)", lemma65 + "(content_p1)"},
 		{"6.5 in queue", inQueue, lemma65 + "(queue[g1.0])", lemma65 + "(queue[g1.0])"},
 		{"6.24", split,

@@ -31,13 +31,15 @@ func (lv LabeledValue) AppendFingerprint(buf []byte) []byte {
 // encode identically — the visited set is about state, not identity.
 func (x *Summary) AppendFingerprint(buf []byte) []byte {
 	buf = append(buf, 0x11)
-	var lbuf [8]types.Label
-	labels := sortedKeys(lbuf[:0], x.Con, types.Label.Compare, nil)
-	buf = binary.AppendUvarint(buf, uint64(len(labels)))
-	for _, l := range labels {
-		buf = l.AppendFingerprint(buf)
-		buf = types.AppendFingerprintString(buf, string(x.Con[l]))
+	runs, n := x.ContentRuns(), 0
+	for _, r := range runs {
+		n += len(r.Vals)
 	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	walkRuns(runs, func(l types.Label, a types.Value) {
+		buf = l.AppendFingerprint(buf)
+		buf = types.AppendFingerprintString(buf, string(a))
+	})
 	buf = binary.AppendUvarint(buf, uint64(len(x.Ord)))
 	for _, l := range x.Ord {
 		buf = l.AppendFingerprint(buf)

@@ -163,9 +163,12 @@ func (s *System) allContent(d *derived) error {
 			}
 			continue
 		}
-		for l, a := range sa.X.Con {
-			if prev, bad := bind(l, a); bad {
-				return clash(l, prev, a, sa.String())
+		for _, r := range sa.X.ContentRuns() {
+			for k, a := range r.Vals {
+				l := types.Label{ID: r.ID, Seqno: r.First + k, Origin: r.Origin}
+				if prev, bad := bind(l, a); bad {
+					return clash(l, prev, a, sa.String())
+				}
 			}
 		}
 	}

@@ -191,8 +191,9 @@ func (s *System) checkLabelRuns() error {
 			return fmt.Errorf("label runs: %v holds the exchange safe in %v with status %v", p, proc.Current.ID, proc.Status)
 		}
 		var err error
+		known := proc.GotState.union()
 		proc.RangeContent(func(l types.Label, _ types.Value) bool {
-			if l.ID != proc.Current.ID && !proc.GotState.known(l) {
+			if _, ok := known.get(l); l.ID != proc.Current.ID && !ok {
 				err = fmt.Errorf("label runs: content_%v holds %v, which fullorder(gotstate) lacks", p, l)
 			}
 			return err == nil

@@ -16,7 +16,9 @@ import (
 // summary's as its sender's prefix. So content is one value slice per
 // (view, origin), indexed by seqno − 1, and safe-labels is a count per
 // origin plus one flag. checkLabelRuns checks both premises wherever the
-// Section 6 invariants are checked.
+// Section 6 invariants are checked. A summary's content is the same runs
+// (ContentRun), so the state exchange builds, merges and unions them
+// without a map or a sort.
 
 // labelRun is the content of one (view, origin) pair: vals[s−1] is the
 // value of ⟨id, s, origin⟩.
@@ -25,9 +27,9 @@ type labelRun struct {
 	origin types.ProcID
 	vals   []types.Value
 	// missing marks the indexes below len(vals) that are unbound, and holes
-	// counts them. A merge from a map binds a run's seqnos in any order, so
-	// a run can have holes while the merge is under way; missing is nil
-	// whenever holes is 0.
+	// counts them. A merge of a content that is not a prefix (a hand-built
+	// summary's, a replayed log's) leaves holes until later merges fill
+	// them; missing is nil whenever holes is 0.
 	missing []uint64
 	holes   int
 }
@@ -52,11 +54,19 @@ type labelRuns struct {
 	n    int // bound labels
 }
 
-// run returns the index of l's run, or where it would be inserted. The
-// search is written out: a merge looks up every label of a summary, and
-// the comparison inlined here costs a third of slices.BinarySearchFunc's.
-func (c *labelRuns) run(l types.Label) (int, bool) {
-	lo, hi := 0, len(c.runs)
+// run returns the index of l's run, or where it would be inserted.
+func (c *labelRuns) run(l types.Label) (int, bool) { return c.runFrom(0, l) }
+
+// runFrom is run for a label whose run is not before c.runs[lo]. A walk
+// over a summary's sorted runs passes the index after the last run it
+// found, which is most often the one it wants next. The search is written
+// out: the comparison inlined here costs a third of
+// slices.BinarySearchFunc's.
+func (c *labelRuns) runFrom(lo int, l types.Label) (int, bool) {
+	if lo < len(c.runs) && c.runs[lo].id == l.ID && c.runs[lo].origin == l.Origin {
+		return lo, true
+	}
+	hi := len(c.runs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		r := &c.runs[m]
@@ -81,10 +91,11 @@ func (c *labelRuns) get(l types.Label) (types.Value, bool) {
 
 // set binds l to a, unless l is bound already: content is a function
 // system-wide (Lemma 6.5), so a second binding carries the same value, and
-// a merge need not read the value it would overwrite. Arrays a clone may
-// share are never written in place: clone clips every run, so an append
-// reallocates, and it copies a run with holes, so filling one writes only
-// an owned array.
+// a merge need not read the value it would overwrite. Arrays a clone, a
+// summary or gotstate may share are never written in place: they hold
+// them clipped, so an append reallocates, and clone copies a run with
+// holes, so filling one writes only an owned array (a summary shares only
+// bound stretches, which no fill touches).
 func (c *labelRuns) set(l types.Label, a types.Value) {
 	if l.Seqno < 1 {
 		panic(fmt.Sprintf("vstoto: label %v has seqno < 1", l))
@@ -150,6 +161,87 @@ func (c *labelRuns) walk(fn func(i, j int) bool) {
 		}
 		lo = hi
 	}
+}
+
+// mergeAll binds every pair of runs, sorted as a summary's are.
+func (c *labelRuns) mergeAll(runs []ContentRun, share bool) {
+	i := 0
+	for _, r := range runs {
+		i = c.merge(i, r, share)
+	}
+}
+
+// merge binds every pair of r, whose run is not before c.runs[from], and
+// returns the index of its run. Where r continues a run without holes,
+// only the suffix the run lacks is appended. With share, the run takes
+// r's values instead, capacity clipped, when r starts at seqno 1 and
+// reaches at least as far as the run: content is a function system-wide
+// (Lemma 6.5), so the values it replaces are the same.
+func (c *labelRuns) merge(from int, r ContentRun, share bool) int {
+	if len(r.Vals) == 0 {
+		return from
+	}
+	if r.First < 1 {
+		panic(fmt.Sprintf("vstoto: run of %v@%v from seqno %d < 1", r.ID, r.Origin, r.First))
+	}
+	i, ok := c.runFrom(from, types.Label{ID: r.ID, Origin: r.Origin})
+	if !ok {
+		c.runs = slices.Insert(c.runs, i, labelRun{id: r.ID, origin: r.Origin})
+	}
+	run, skip, end := &c.runs[i], r.First-1, r.First-1+len(r.Vals)
+	switch {
+	case run.holes > 0 || skip > len(run.vals):
+		for k, a := range r.Vals {
+			c.set(types.Label{ID: r.ID, Seqno: r.First + k, Origin: r.Origin}, a)
+		}
+	case end <= len(run.vals):
+	case share && skip == 0:
+		c.n += end - len(run.vals)
+		run.vals = slices.Clip(r.Vals)
+	default:
+		c.n += end - len(run.vals)
+		run.vals = append(run.vals, r.Vals[len(run.vals)-skip:]...)
+	}
+	return i
+}
+
+// segments returns c as a summary's runs, sharing the values with their
+// capacity clipped: one per run, or one per stretch between a run's holes.
+func (c *labelRuns) segments() []ContentRun {
+	out := make([]ContentRun, 0, len(c.runs))
+	for i := range c.runs {
+		r := &c.runs[i]
+		if r.holes == 0 {
+			out = append(out, ContentRun{ID: r.id, Origin: r.origin, First: 1, Vals: slices.Clip(r.vals)})
+			continue
+		}
+		for j := 0; j < len(r.vals); {
+			k := j
+			for k < len(r.vals) && r.bound(k) {
+				k++
+			}
+			if k > j {
+				out = append(out, ContentRun{ID: r.id, Origin: r.origin, First: j + 1, Vals: r.vals[j:k:k]})
+			}
+			for k < len(r.vals) && !r.bound(k) {
+				k++
+			}
+			j = k
+		}
+	}
+	return out
+}
+
+// views returns runs with each run's values replaced by the same stretch
+// of c, capacity clipped. c must bind every label of runs.
+func (c *labelRuns) views(runs []ContentRun) []ContentRun {
+	out, i := make([]ContentRun, len(runs)), 0
+	for k, r := range runs {
+		i, _ = c.runFrom(i, types.Label{ID: r.ID, Origin: r.Origin})
+		lo, hi := r.First-1, r.First-1+len(r.Vals)
+		out[k] = ContentRun{ID: r.ID, Origin: r.Origin, First: r.First, Vals: c.runs[i].vals[lo:hi:hi]}
+	}
+	return out
 }
 
 // appendExtras appends to dst, in label order, every bound label that
@@ -233,15 +325,12 @@ func (p *Proc) RangeContent(fn func(types.Label, types.Value) bool) {
 	})
 }
 
-// MergeContent binds every pair of con in content_p, as gprcv of a summary
-// does and as restoring a processor from a replayed log needs. The union
-// of two prefixes is a prefix, so where content_p and con were both dense
-// the merge leaves no holes.
-func (p *Proc) MergeContent(con map[types.Label]types.Value) {
-	for l, a := range con {
-		p.content.set(l, a)
-	}
-}
+// MergeContent binds every pair of runs in content_p, as gprcv of a
+// summary does and as restoring a processor from a replayed log needs.
+// Runs that continue content_p's runs append only the suffix content_p
+// lacks; the union of two prefixes is a prefix, so where content_p and
+// runs were both dense the merge leaves no holes.
+func (p *Proc) MergeContent(runs []ContentRun) { p.content.mergeAll(runs, false) }
 
 // AppendExtras appends to dst, in label order, the labels content_p binds
 // that order does not hold (a checkpoint's unordered labels).

@@ -269,7 +269,7 @@ func (d *labelDriver) step() string {
 		d.epoch++ // the restarted processor joins only later views
 		con := d.prefixCon()
 		d.p = NewProc(p.id, d.qs, types.ProcSet{})
-		d.p.MergeContent(con)
+		d.p.MergeContent(RunsOf(con))
 		d.m = newLabelModel()
 		for l, a := range con {
 			d.m.content[l] = a

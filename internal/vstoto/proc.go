@@ -2,6 +2,7 @@ package vstoto
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/types"
@@ -183,8 +184,13 @@ func (p *Proc) GprcvValue(lv LabeledValue) {
 // GprcvSummary applies the input gprcv(x)_{q,p} for a state-exchange
 // summary; it performs view establishment when the last summary arrives.
 func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
-	p.MergeContent(x.Con)
-	p.GotState[q] = x
+	runs := x.ContentRuns()
+	p.MergeContent(runs)
+	// gotstate(q) is x with its content read from content_p, which now
+	// binds all of it to the same values (Lemma 6.5), and its order read
+	// from an equal one p holds already, if any: the node keeps one copy of
+	// the content, and of an order its members share, not one per member.
+	p.GotState[q] = &Summary{Runs: p.content.views(runs), Ord: p.sharedOrder(x.Ord), Next: x.Next, High: x.High}
 	if p.GotState.domainEquals(p.Current.Set) && p.Status == StatusCollect {
 		p.NextConfirm = p.GotState.MaxNextConfirm()
 		if p.Primary() {
@@ -209,6 +215,23 @@ func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
 	}
 }
 
+// sharedOrder returns ord, or an equal sequence that is a prefix of the
+// order or of an order in gotstate, capacity clipped as a summary's is.
+func (p *Proc) sharedOrder(ord []types.Label) []types.Label {
+	prefixOf := func(held []types.Label) bool {
+		return len(ord) > 0 && len(held) >= len(ord) && slices.Equal(held[:len(ord)], ord)
+	}
+	if prefixOf(p.Order) {
+		return p.Order[:len(ord):len(ord)]
+	}
+	for _, y := range p.GotState {
+		if prefixOf(y.Ord) {
+			return y.Ord[:len(ord):len(ord)]
+		}
+	}
+	return ord
+}
+
 // SafeValue applies the input safe(⟨l,a⟩)_{q,p}. VS reports safe only for
 // messages of the current view, in each sender's order, so l extends its
 // origin's safe prefix; anything else panics.
@@ -228,8 +251,17 @@ func (p *Proc) SafeValue(lv LabeledValue) {
 func (p *Proc) SafeSummary(q types.ProcID) {
 	p.SafeExch[q] = true
 	if p.safeExchComplete() && p.Primary() {
+		// Every label of fullorder(gotstate) becomes safe. Its current-view
+		// labels are shortorder's and the union's, and raise keeps the
+		// maximum, so a run's last seqno stands for all of its labels.
 		p.safe.exch = true
-		for _, l := range p.GotState.FullOrder() {
+		u := p.GotState.union()
+		for i := range u.runs {
+			if r := &u.runs[i]; r.id == p.Current.ID {
+				p.safe.raise(r.origin, len(r.vals))
+			}
+		}
+		for _, l := range p.GotState.ShortOrder() {
 			if l.ID == p.Current.ID {
 				p.safe.raise(l.Origin, l.Seqno)
 			}
@@ -319,20 +351,14 @@ func (p *Proc) GpsndSummaryEnabled() bool { return p.Status == StatusSend }
 
 // SummaryMessage builds (without any state change) the summary
 // x = ⟨content, order, nextconfirm, highprimary⟩ that the state-exchange
-// gpsnd would carry. The summary is an immutable snapshot: Ord shares the
-// order's backing array with its capacity clipped (Order is append-only, so
-// any later growth reallocates away from the shared prefix — O(1) instead
-// of an O(|Order|) copy per send; TestSummaryImmutable pins it). Con is
-// built from the runs: a summary's content is a map, on the wire and in
-// fullorder's union, while content_p is kept as runs.
+// gpsnd would carry, in O(runs). The summary is an immutable snapshot: Ord
+// shares the order's backing array and each content run shares its run's
+// values, all with their capacity clipped (the automaton only appends to
+// them, so any later growth reallocates away from the shared prefix;
+// TestSummaryImmutable pins it).
 func (p *Proc) SummaryMessage() *Summary {
-	con := make(map[types.Label]types.Value, p.content.n)
-	p.RangeContent(func(l types.Label, a types.Value) bool {
-		con[l] = a
-		return true
-	})
 	return &Summary{
-		Con:  con,
+		Runs: p.content.segments(),
 		Ord:  p.Order[:len(p.Order):len(p.Order)],
 		Next: p.NextConfirm,
 		High: p.HighPrimary,

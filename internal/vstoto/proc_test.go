@@ -293,11 +293,8 @@ func TestSummaryMessageIsSnapshot(t *testing.T) {
 	p.Bcast("b")
 	lb := p.Label()
 	p.Order = append(p.Order, lb)
-	if len(x.Con) != 1 {
-		t.Errorf("snapshot con = %v", x.Con)
-	}
-	if _, ok := x.Con[la]; !ok {
-		t.Error("snapshot missing la")
+	if con := refCon(x); len(con) != 1 || con[la] != "a" {
+		t.Errorf("snapshot con = %v, want only %v", con, la)
 	}
 	if len(x.Ord) != 0 {
 		t.Error("snapshot ord grew")

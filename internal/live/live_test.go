@@ -85,9 +85,34 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// deliveredCount is the engine's delivered count (the STATUS figure).
+func (e *Engine) deliveredCount() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.node.DeliveredCount()
+}
+
+// traceBrcvs reads a node's trace files and returns its brcv events in
+// order: the delivery history a daemon keeps on disk, not in memory.
+func traceBrcvs(t *testing.T, files ...string) []props.Event {
+	t.Helper()
+	lg, err := ReadTraceFiles(files...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []props.Event
+	for _, ev := range lg.Events {
+		if ev.Kind == props.TOBrcv {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 // TestLiveClusterInProcess boots a three-node cluster of real engines
 // (real sockets, wall-clock pacing) in one process, drives it through
-// the client protocol, and checks the merged trace for TO conformance.
+// the client protocol, checks the client stream against node 0's traced
+// deliveries, and checks the merged trace for TO conformance.
 func TestLiveClusterInProcess(t *testing.T) {
 	cfg := testConfig(t, 3)
 	engines := make([]*Engine, 3)
@@ -125,25 +150,19 @@ func TestLiveClusterInProcess(t *testing.T) {
 	for i, e := range engines {
 		e := e
 		waitFor(t, 20*time.Second, fmt.Sprintf("node %d deliveries", i), func() bool {
-			return len(e.Deliveries()) == 2*total
+			return e.deliveredCount() == 2*total
 		})
 	}
-	// The streamed delivery lines match node 0's delivery sequence.
-	streamed := 0
-	for streamed < 2*total {
+	var streamed []DeliveryLine
+	for len(streamed) < 2*total {
 		select {
 		case d, ok := <-c.Deliveries():
 			if !ok {
 				t.Fatal("delivery stream closed early")
 			}
-			want := engines[0].Deliveries()[streamed]
-			if string(want.Value) != d.Value || want.From != d.From {
-				t.Fatalf("stream line %d: got %v %q, want %v %q",
-					streamed, d.From, d.Value, want.From, want.Value)
-			}
-			streamed++
+			streamed = append(streamed, d)
 		case <-time.After(10 * time.Second):
-			t.Fatalf("streamed only %d/%d deliveries", streamed, 2*total)
+			t.Fatalf("streamed only %d/%d deliveries", len(streamed), 2*total)
 		}
 	}
 
@@ -151,7 +170,9 @@ func TestLiveClusterInProcess(t *testing.T) {
 		t.Fatalf("metrics: %q, %v", m, err)
 	}
 
-	// Graceful stop flushes the traces; then the merged conformance check.
+	// Graceful stop flushes the traces; then the streamed delivery lines
+	// must match node 0's traced brcv sequence, and the merged conformance
+	// check.
 	logs := make(map[types.ProcID]*props.Log, 3)
 	for i, e := range engines {
 		e.Close()
@@ -160,6 +181,15 @@ func TestLiveClusterInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		logs[types.ProcID(i)] = lg
+	}
+	brcvs := traceBrcvs(t, engines[0].opts.TracePath)
+	if len(brcvs) != 2*total {
+		t.Fatalf("node 0 traced %d deliveries, want %d", len(brcvs), 2*total)
+	}
+	for i, d := range streamed {
+		if want := brcvs[i]; string(want.Value) != d.Value || want.From != d.From {
+			t.Fatalf("stream line %d: got %v %q, want %v %q", i, d.From, d.Value, want.From, want.Value)
+		}
 	}
 	chk, err := CheckMergedTO(logs)
 	if err != nil {
@@ -297,7 +327,7 @@ func TestLiveRestartFromWAL(t *testing.T) {
 	for i, e := range engines {
 		e := e
 		waitFor(t, 20*time.Second, fmt.Sprintf("node %d first delivery", i), func() bool {
-			return len(e.Deliveries()) == 1
+			return e.deliveredCount() == 1
 		})
 	}
 
@@ -309,21 +339,25 @@ func TestLiveRestartFromWAL(t *testing.T) {
 	}
 
 	// The restarted node must rejoin and deliver values submitted both
-	// elsewhere and at itself.
+	// elsewhere and at itself. Its count starts at zero: the durable
+	// delivery prefix ("before") is not delivered again.
 	engines[0].Bcast("after-0")
 	waitFor(t, 30*time.Second, "restarted node catches up", func() bool {
-		return len(engines[2].Deliveries()) >= 1
+		return engines[2].deliveredCount() >= 1
 	})
 	engines[2].Bcast("after-2")
 	for i, e := range engines {
-		e := e
+		e, want := e, 3
+		if i == 2 {
+			want = 2
+		}
 		waitFor(t, 30*time.Second, fmt.Sprintf("node %d full delivery", i), func() bool {
-			ds := e.Deliveries()
-			return len(ds) >= 1 && string(ds[len(ds)-1].Value) == "after-2"
+			return e.deliveredCount() == want
 		})
 	}
 
-	// Merged conformance across incarnation files.
+	// Every node's traced deliveries, across its incarnation files, end
+	// with "after-2"; then merged conformance.
 	logs := make(map[types.ProcID]*props.Log, 3)
 	for i, e := range engines {
 		e.Close()
@@ -335,6 +369,10 @@ func TestLiveRestartFromWAL(t *testing.T) {
 			}
 		} else {
 			files = []string{filepath.Join(dir, fmt.Sprintf("node%d.r0.jsonl", i))}
+		}
+		brcvs := traceBrcvs(t, files...)
+		if len(brcvs) != 3 || string(brcvs[2].Value) != "after-2" {
+			t.Fatalf("node %d traced %d deliveries, want 3 ending in after-2: %v", i, len(brcvs), brcvs)
 		}
 		lg, err := ReadTraceFiles(files...)
 		if err != nil {

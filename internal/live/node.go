@@ -434,13 +434,6 @@ func (e *Engine) Bcast(v types.Value) (accepted bool) {
 	return accepted
 }
 
-// Deliveries snapshots everything delivered at this node so far.
-func (e *Engine) Deliveries() []stack.Delivery {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]stack.Delivery(nil), e.node.Deliveries()...)
-}
-
 // ClientAddr returns the bound client/control address.
 func (e *Engine) ClientAddr() string { return e.clientLn.Addr().String() }
 

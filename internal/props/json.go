@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/check"
 	"repro/internal/sim"
@@ -13,7 +14,8 @@ import (
 
 // eventJSON is the wire form of a timed trace line, used by tosim (write)
 // and vscheck (read). One JSON object per line; "initial" lines declare
-// initial-view membership and precede all events.
+// initial-view membership and precede all events. Lines are written by
+// appendJSON, which must produce what encoding/json would for this type.
 type eventJSON struct {
 	Kind      string `json:"kind"`
 	TNanos    int64  `json:"t_ns,omitempty"`
@@ -72,7 +74,7 @@ func AppendInitialJSONL(w io.Writer, p types.ProcID, v types.View) error {
 	for _, m := range v.Set.Members() {
 		set = append(set, int(m))
 	}
-	return json.NewEncoder(w).Encode(eventJSON{
+	return writeJSONL(w, &eventJSON{
 		Kind: "initial", P: int(p),
 		ViewEpoch: v.ID.Epoch, ViewProc: int(v.ID.Proc), ViewSet: set,
 	})
@@ -100,7 +102,74 @@ func AppendEventJSONL(w io.Writer, e Event) error {
 			j.ViewSet = append(j.ViewSet, int(m))
 		}
 	}
-	return json.NewEncoder(w).Encode(j)
+	return writeJSONL(w, &j)
+}
+
+// writeJSONL writes j as one JSON line. A *bufio.Writer (the trace sinks')
+// lends its free buffer space, so the line is built in place.
+func writeJSONL(w io.Writer, j *eventJSON) error {
+	var b []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		b = bw.AvailableBuffer()
+	}
+	_, err := w.Write(j.appendJSON(b))
+	return err
+}
+
+// appendJSON appends j and a newline to b, byte for byte as a
+// json.Encoder encodes it: fields in declaration order, zero values under
+// omitempty left out, strings HTML-escaped.
+func (j *eventJSON) appendJSON(b []byte) []byte {
+	b = append(b, `{"kind":`...)
+	b = appendJSONString(b, j.Kind)
+	b = appendIntField(b, `,"t_ns":`, j.TNanos)
+	b = append(b, `,"p":`...)
+	b = strconv.AppendInt(b, int64(j.P), 10)
+	b = appendIntField(b, `,"from":`, int64(j.From))
+	if j.Value != "" {
+		b = append(b, `,"value":`...)
+		b = appendJSONString(b, j.Value)
+	}
+	b = appendIntField(b, `,"value_seq":`, int64(j.ValueSeq))
+	b = appendIntField(b, `,"msg_sender":`, int64(j.MsgSender))
+	b = appendIntField(b, `,"msg_seq":`, int64(j.MsgSeq))
+	b = appendIntField(b, `,"view_epoch":`, j.ViewEpoch)
+	b = appendIntField(b, `,"view_proc":`, int64(j.ViewProc))
+	if len(j.ViewSet) > 0 {
+		b = append(b, `,"view_set":[`...)
+		for i, m := range j.ViewSet {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(m), 10)
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
+}
+
+// appendIntField appends an omitempty integer field: key (with its leading
+// comma) and v, or nothing when v is 0.
+func appendIntField(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendJSONString appends s quoted. Printable ASCII other than the
+// quote, the backslash and the HTML-escaped <, > and & is copied as is;
+// any other string takes encoding/json's path, which escapes it.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // WriteJSONL streams the log as JSON lines.

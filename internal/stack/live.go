@@ -75,7 +75,7 @@ type LiveOptions struct {
 // implementation, VStoTO, write-ahead recovery log) for live deployment,
 // always on the shipped data path (Options.Batched).
 // The returned Node is the same type the simulated Cluster hands out, so
-// everything layered on Node (Bcast, Deliveries, WAL inspection) works
+// everything layered on Node (Bcast, DeliveredCount, WAL inspection) works
 // unchanged. The endpoint becomes active only as the caller's pacer runs
 // the simulator; nothing happens synchronously here beyond scheduling.
 func NewLiveNode(opts LiveOptions) *Node {

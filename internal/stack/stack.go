@@ -57,16 +57,17 @@ type Node struct {
 	log     *props.Log
 	onRcv   []func(Delivery)
 	onBatch []func([]Delivery)
-	// drainDepth/batchMark bracket one client-visible delivery batch: the
-	// outermost drain (completion callbacks re-enter drain mid-loop) marks
-	// the delivered prefix on entry and, once the pipeline quiesces, flushes
-	// everything released since to the batch observers in one call — the
-	// boundary the rsm layer's antichain planner cuts at.
+	// drainDepth/batch bracket one client-visible delivery batch: the
+	// outermost drain (completion callbacks re-enter drain mid-loop), once
+	// the pipeline quiesces, flushes everything released since the last
+	// flush to the batch observers in one call — the boundary the rsm
+	// layer's antichain planner cuts at. batch is kept only while there
+	// are batch observers, and reused after each flush.
 	drainDepth int
-	batchMark  int
+	batch      []Delivery
 
-	bcastSeq   int        // per-origin submission counter for the log
-	deliveries []Delivery // everything delivered here, in order
+	bcastSeq  int // per-origin submission counter for the log
+	delivered int // values released to the client here
 	// pendingOwn counts this node's accepted submissions not yet delivered
 	// back to it — the end-to-end TOBcast backlog Bcast bounds. It
 	// survives restarts: recovery recomputes it as the durable submission
@@ -80,13 +81,14 @@ type Node struct {
 	// under an older incarnation must not act on the rebuilt state.
 	incarnation int
 	// Delivery pipelining (Cluster.deliverPipe bounds the sum of the two):
-	// deliverInFlight counts delivery records being written, deliverReady
-	// counts records durable but not yet released. Records are written for
-	// consecutive confirmed positions ahead of NextReport; the confirmed
-	// prefix is stable across establishments, so a record written ahead
-	// names the same label/value it will have at release time.
+	// deliverInFlight counts delivery records being written, and ready
+	// holds, in release order, the origin seq of each record durable but
+	// not yet released. Records are written for consecutive confirmed
+	// positions ahead of NextReport; the confirmed prefix is stable across
+	// establishments, so a record written ahead names the same label/value
+	// (and origin seq) it will have at release time.
 	deliverInFlight int
-	deliverReady    int
+	ready           []int
 	needsRecovery   bool
 	recoveries      int
 	lastReplay      *ReplayStats
@@ -150,6 +152,10 @@ type Cluster struct {
 	// end-to-end to.deliver_latency histogram (nil when obs is disabled).
 	// An entry leaves once every node of the cluster has released it.
 	submitted map[submitKey]submission
+	// history holds every node's deliveries, in order — what Deliveries
+	// returns. Only a simulated cluster keeps it: a live node's history
+	// lives in its trace file and its clients, and is nil here.
+	history map[types.ProcID][]Delivery
 }
 
 // submission is a client submission's bcast instant and the number of
@@ -351,6 +357,7 @@ func NewCluster(opts Options) *Cluster {
 		deliverPipe: max(1, opts.DeliverPipeline),
 		groupCommit: opts.GroupCommit,
 		nodes:       make(map[types.ProcID]*Node, opts.N),
+		history:     make(map[types.ProcID][]Delivery, opts.N),
 	}
 	c.initMetrics(opts.Obs)
 	for _, p := range procs.Members() {
@@ -501,7 +508,7 @@ func (c *Cluster) ApplySchedule(s failures.Schedule) { s.ApplyAt(c.Sim, c.Oracle
 func (c *Cluster) TotalDeliveries() int {
 	total := 0
 	for _, n := range c.nodes {
-		total += len(n.deliveries)
+		total += n.delivered
 	}
 	return total
 }
@@ -521,8 +528,9 @@ func (c *Cluster) OnDeliver(fn func(p types.ProcID, d Delivery)) {
 // in one quiescent step, in delivery order. Per-delivery OnDeliver
 // observers fire first (inside the drain); the batch observer fires after
 // the pipeline quiesces, which is the natural cut point for batch-aware
-// appliers (internal/rsm's antichain planner). The slice aliases the
-// node's delivery history — observers must not retain or mutate it.
+// appliers (internal/rsm's antichain planner). The slice is the node's
+// buffer of unflushed deliveries and is valid until the next flush:
+// observers must not retain or mutate it.
 func (c *Cluster) OnDeliverBatch(fn func(p types.ProcID, batch []Delivery)) {
 	for _, p := range c.Procs.Members() {
 		p := p
@@ -534,8 +542,10 @@ func (c *Cluster) OnDeliverBatch(fn func(p types.ProcID, batch []Delivery)) {
 // node accepted it (see Node.Bcast).
 func (c *Cluster) Bcast(p types.ProcID, a types.Value) bool { return c.nodes[p].Bcast(a) }
 
-// Deliveries returns everything delivered at p so far, in order.
-func (c *Cluster) Deliveries(p types.ProcID) []Delivery { return c.nodes[p].deliveries }
+// Deliveries returns everything delivered at p so far, in order. A
+// simulated cluster keeps this history; a live node does not, and
+// returns nil.
+func (c *Cluster) Deliveries(p types.ProcID) []Delivery { return c.history[p] }
 
 // ID returns the node's processor identifier.
 func (n *Node) ID() types.ProcID { return n.id }
@@ -626,11 +636,8 @@ func (n *Node) Bcast(a types.Value) bool {
 	return true
 }
 
-// Deliveries returns everything delivered at this node, in order.
-func (n *Node) Deliveries() []Delivery { return n.deliveries }
-
 // DeliveredCount returns how many values this node has delivered.
-func (n *Node) DeliveredCount() int { return len(n.deliveries) }
+func (n *Node) DeliveredCount() int { return n.delivered }
 
 // PendingBcasts returns the node's accepted-but-undelivered submission
 // backlog — the quantity Bcast bounds.
@@ -736,7 +743,7 @@ func (n *Node) crash() {
 	n.c.m.tracer.Emit("stack", "crash", n.id, obs.NoPeer, int64(n.incarnation+1), "")
 	n.incarnation++
 	n.deliverInFlight = 0
-	n.deliverReady = 0
+	n.ready = n.ready[:0]
 	n.delaySeqs = nil
 	n.needsRecovery = true
 	n.waPending = 0
@@ -884,14 +891,14 @@ func (n *Node) drain() {
 		return
 	}
 	n.drainDepth++
-	if n.drainDepth == 1 {
-		n.batchMark = len(n.deliveries)
-	}
 	for {
 		progress := false
-		for n.deliverReady > 0 {
-			n.deliverReady--
-			n.performBrcv()
+		for len(n.ready) > 0 {
+			// Pop in place: the queue is at most the pipeline depth, and
+			// its array is reused for the life of the node.
+			seq := n.ready[0]
+			n.ready = append(n.ready[:0], n.ready[1:]...)
+			n.performBrcv(seq)
 			progress = true
 		}
 		if a, ok := n.proc.LabelEnabled(); ok {
@@ -931,23 +938,24 @@ func (n *Node) drain() {
 		// storage latency the next confirmed positions get their records
 		// enqueued behind it (and, under group commit, coalesced into the
 		// same covering write) instead of waiting a full λ each.
-		for n.deliverInFlight+n.deliverReady < n.c.deliverPipe {
-			pos := n.proc.NextReport + n.deliverReady + n.deliverInFlight
+		for n.deliverInFlight+len(n.ready) < n.c.deliverPipe {
+			pos := n.proc.NextReport + len(n.ready) + n.deliverInFlight
 			from, a, ok := n.proc.BrcvEnabledAt(pos)
 			if !ok {
 				break
 			}
 			l := n.proc.Order[pos-1]
 			inc := n.incarnation
+			seq := n.originSeq(pos, from)
 			n.deliverInFlight++
 			n.waPending++
-			n.wal.Deliver(pos, l, from, n.originSeq(pos, from), a, func() {
+			n.wal.Deliver(pos, l, from, seq, a, func() {
 				if n.incarnation != inc {
 					return
 				}
 				n.waPending--
 				n.deliverInFlight--
-				n.deliverReady++
+				n.ready = append(n.ready, seq)
 				n.drain()
 			})
 		}
@@ -956,11 +964,11 @@ func (n *Node) drain() {
 		}
 	}
 	n.drainDepth--
-	if n.drainDepth == 0 {
-		if batch := n.deliveries[n.batchMark:]; len(batch) > 0 {
-			for _, fn := range n.onBatch {
-				fn(batch)
-			}
+	if n.drainDepth == 0 && len(n.batch) > 0 {
+		batch := n.batch
+		n.batch = n.batch[:0]
+		for _, fn := range n.onBatch {
+			fn(batch)
 		}
 	}
 	n.maybeCheckpoint()
@@ -975,7 +983,7 @@ func (n *Node) drain() {
 // so the durable prefix ending at the checkpoint always replays to
 // exactly the captured state.
 func (n *Node) maybeCheckpoint() {
-	if n.ckptEvery <= 0 || n.ckptPending || n.waPending > 0 || n.deliverReady > 0 ||
+	if n.ckptEvery <= 0 || n.ckptPending || n.waPending > 0 || len(n.ready) > 0 ||
 		n.proc.Status != vstoto.StatusNormal || n.wal.SinceCheckpoint() < n.ckptEvery {
 		return
 	}
@@ -1008,8 +1016,9 @@ func (n *Node) maybeCheckpoint() {
 // (across its current process lifetime).
 func (n *Node) Checkpoints() int { return n.checkpoints }
 
-// performBrcv releases the delivery whose record just became durable.
-func (n *Node) performBrcv() {
+// performBrcv releases the delivery whose record just became durable; seq
+// is the origin seq its record carries.
+func (n *Node) performBrcv(seq int) {
 	from, a, ok := n.proc.BrcvEnabled()
 	if !ok {
 		return
@@ -1017,17 +1026,19 @@ func (n *Node) performBrcv() {
 	reportIdx := n.proc.NextReport // 1-based position about to be consumed
 	n.proc.Brcv()
 	d := Delivery{From: from, Value: a, Time: n.sim.Now()}
-	n.deliveries = append(n.deliveries, d)
+	n.delivered++
+	if n.c.history != nil {
+		n.c.history[n.id] = append(n.c.history[n.id], d)
+	}
+	if len(n.onBatch) > 0 {
+		n.batch = append(n.batch, d)
+	}
 	if from == n.id && n.pendingOwn > 0 {
 		n.pendingOwn--
 	}
 	n.c.m.deliveries.Inc()
 	// The latency histogram and the trace both key the release by its
-	// origin's bcast sequence; scan for it once, and only if either is on.
-	var seq int
-	if n.c.submitted != nil || n.log != nil {
-		seq = n.originSeq(reportIdx, from)
-	}
+	// origin's bcast sequence.
 	if n.c.submitted != nil {
 		l := n.proc.Order[reportIdx-1]
 		if at, ok := n.confirmAt[l]; ok {
@@ -1062,7 +1073,8 @@ func (n *Node) performBrcv() {
 // position idx, the count from the same origin. Because TO delivers each
 // origin's values in submission order with no gaps, this equals the
 // origin's bcast sequence number — giving the log the identity it needs to
-// match brcv events with bcast events.
+// match brcv events with bcast events. drain computes it once per
+// delivery record, which carries it to the release through ready.
 func (n *Node) originSeq(idx int, origin types.ProcID) int {
 	count := 0
 	for i := 0; i < idx && i < len(n.proc.Order); i++ {

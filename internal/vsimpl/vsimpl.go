@@ -214,9 +214,16 @@ type Node struct {
 	// logical position seqBase on: seq[i] is message seqBase+i+1, and
 	// seqBase+len(seq) messages have been delivered here. Entries below
 	// safeSent are never read again (see trimSeq).
-	seq        []TokenMsg
-	seqBase    int
-	safeSent   int // messages of the view for which safe was emitted
+	seq      []TokenMsg
+	seqBase  int
+	safeSent int // messages of the view for which safe was emitted
+	// safeTarget is the prefix every member's count covers as of the last
+	// merge: safe for messages safeSent+1 .. safeTarget is owed, and
+	// emitSafe makes it once the token has been handed off. emitting
+	// marks an emitSafe in progress, so an upcall that relaunches the
+	// token (gpsnd → launchHeld) leaves the new safes to the running loop.
+	safeTarget int
+	emitting   bool
 	counts     map[types.ProcID]int
 	lastLaunch sim.Time
 	launchNo   int
@@ -224,8 +231,8 @@ type Node struct {
 	// holdTimer is pending exactly while the leader holds the token, waiting
 	// out the π spacing.
 	holdTimer sim.Timer
-	// launchSafe is safeSent as of the last launch's own merge: the safe
-	// prefix that rotation announces to the other members.
+	// launchSafe is the safe target as of the last launch's own merge: the
+	// safe prefix that rotation announces to the other members.
 	launchSafe int
 	// requested records a TokenRequestPkt that found the token out; the next
 	// launch clears it.
@@ -479,6 +486,7 @@ func (n *Node) install(v types.View) {
 	n.seq = nil
 	n.seqBase = 0
 	n.safeSent = 0
+	n.safeTarget = 0
 	n.counts = make(map[types.ProcID]int)
 	n.launchNo = 0
 	n.lastLaunch = 0
@@ -553,7 +561,7 @@ func (n *Node) launchToken() {
 	n.requested = false
 	// The token starts at the prefix every member has delivered, so a launch
 	// copies the in-flight window rather than the view's history. That
-	// prefix is at least safeSent, hence at least seqBase.
+	// prefix is at least the safe target, hence at least seqBase.
 	base := 0
 	if !n.cfg.NoTokenCompaction {
 		base = minDelivered(n.cur, n.counts)
@@ -571,8 +579,9 @@ func (n *Node) launchToken() {
 	// activity, and must keep the loss detector quiet.
 	n.armTokenTimer()
 	n.mergeToken(tok)
-	n.launchSafe = n.safeSent
+	n.launchSafe = n.safeTarget
 	n.forwardToken(tok)
+	n.emitSafe()
 }
 
 // launchHeld launches the token on demand if the leader is holding it, and
@@ -610,9 +619,10 @@ func (n *Node) handleToken(tok *TokenPkt) {
 		// The token is home: one full ring rotation has completed.
 		n.mTokenRound.Record(n.sim.Now().Sub(n.lastLaunch))
 		n.tokenHome()
-		return
+	} else {
+		n.forwardToken(tok)
 	}
-	n.forwardToken(tok)
+	n.emitSafe()
 }
 
 // tokenHome decides, with the token back at the leader, when it goes out
@@ -648,8 +658,11 @@ func (n *Node) tokenHome() {
 }
 
 // mergeToken appends this node's buffered messages to the token, delivers
-// everything not yet delivered here, updates counts, and emits safe events
-// for the all-members-delivered prefix.
+// everything not yet delivered here, updates counts, and raises the safe
+// target to the all-members-delivered prefix. The safe events themselves
+// wait for emitSafe, after the token has left: the counts the token
+// carries are gprcv upcalls already made, so the target is safe when the
+// token leaves and stays safe, since counts only grow.
 func (n *Node) mergeToken(tok *TokenPkt) {
 	// Pick up buffered client messages for this view.
 	for _, m := range n.buffer {
@@ -685,9 +698,24 @@ func (n *Node) mergeToken(tok *TokenPkt) {
 	tok.Delivered = copyCounts(n.counts)
 	n.compactToken(tok)
 	// Safe prefix: every member's count covers it (ours is seqLen()).
-	safeUpTo := minDelivered(n.cur, n.counts)
-	for ; n.safeSent < safeUpTo; n.safeSent++ {
+	n.safeTarget = minDelivered(n.cur, n.counts)
+}
+
+// emitSafe emits the safe events owed up to the safe target, in order. It
+// runs once the token is handed off (forwarded, or home and relaunched or
+// held), so a hop's token never waits for the layer above's safe work. A
+// nested call — a safe upcall whose gpsnd relaunches the held token —
+// returns at once; the running loop emits what the relaunch made safe,
+// and each message's safe exactly once, since safeSent moves past a
+// message before its upcall runs.
+func (n *Node) emitSafe() {
+	if n.emitting {
+		return
+	}
+	n.emitting = true
+	for n.safeSent < n.safeTarget {
 		m := n.seq[n.safeSent-n.seqBase]
+		n.safeSent++
 		n.stats.SafeEmitted++
 		if n.Log != nil {
 			n.Log.Append(props.Event{T: n.sim.Now(), Kind: props.VSSafe, P: n.id, From: m.From, Msg: m.ID})
@@ -696,6 +724,7 @@ func (n *Node) mergeToken(tok *TokenPkt) {
 			n.handlers.Safe(m.From, m.Payload)
 		}
 	}
+	n.emitting = false
 	n.trimSeq()
 }
 

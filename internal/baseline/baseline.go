@@ -38,7 +38,6 @@ type Options struct {
 	N              int
 	Delta          time.Duration
 	StorageLatency time.Duration
-	Pi, Mu         time.Duration
 }
 
 // Cluster is a baseline TO service instance.
@@ -63,6 +62,9 @@ type node struct {
 
 	bcastSeq   int
 	deliveries []Delivery
+	// fromOrigin counts the values delivered here per origin: a delivery's
+	// count is its origin-local sequence number, the trace's ValueSeq.
+	fromOrigin []int
 }
 
 // NewCluster builds and starts a baseline instance.
@@ -72,16 +74,10 @@ func NewCluster(opts Options) *Cluster {
 	}
 	s := sim.New(opts.Seed)
 	oracle := failures.NewOracle(s.Now)
-	nw := net.New(s, oracle, net.Config{Delta: opts.Delta, UglyLossProb: 0.5, UglyMaxDelayFactor: 10})
+	nw := net.New(s, oracle, net.Config{Delta: opts.Delta})
 	procs := types.RangeProcSet(opts.N)
 	qs := types.Majorities{Universe: procs}
 	cfg := vsimpl.DefaultConfig(opts.Delta, opts.N)
-	if opts.Pi > 0 {
-		cfg.Pi = opts.Pi
-	}
-	if opts.Mu > 0 {
-		cfg.Mu = opts.Mu
-	}
 	c := &Cluster{
 		Sim: s, Oracle: oracle,
 		Log:   &props.Log{},
@@ -91,12 +87,13 @@ func NewCluster(opts Options) *Cluster {
 	}
 	for _, p := range procs.Members() {
 		nd := &node{
-			id:     p,
-			sim:    s,
-			orc:    oracle,
-			proc:   vstoto.NewProc(p, qs, procs),
-			log:    c.Log,
-			stable: storage.New(s, opts.StorageLatency),
+			id:         p,
+			sim:        s,
+			orc:        oracle,
+			proc:       vstoto.NewProc(p, qs, procs),
+			log:        c.Log,
+			stable:     storage.New(s, opts.StorageLatency),
+			fromOrigin: make([]int, opts.N),
 		}
 		nd.vs = vsimpl.NewNode(p, procs, procs, s, nw, oracle, cfg, vsimpl.Handlers{
 			Newview: func(v types.View) { nd.proc.Newview(v); nd.drain() },
@@ -185,13 +182,13 @@ func (nd *node) drain() {
 			})
 		}
 		if from, a, ok := nd.proc.BrcvEnabled(); ok {
-			reportIdx := nd.proc.NextReport
 			nd.proc.Brcv()
 			nd.deliveries = append(nd.deliveries, Delivery{From: from, Value: a, Time: nd.sim.Now()})
+			nd.fromOrigin[from]++
 			if nd.log != nil {
 				nd.log.Append(props.Event{
 					T: nd.sim.Now(), Kind: props.TOBrcv, P: nd.id, From: from,
-					Value: a, ValueSeq: nd.originSeq(reportIdx, from),
+					Value: a, ValueSeq: nd.fromOrigin[from],
 				})
 			}
 			progress = true
@@ -200,14 +197,4 @@ func (nd *node) drain() {
 			return
 		}
 	}
-}
-
-func (nd *node) originSeq(idx int, origin types.ProcID) int {
-	count := 0
-	for i := 0; i < idx && i < len(nd.proc.Order); i++ {
-		if nd.proc.Order[i].Origin == origin {
-			count++
-		}
-	}
-	return count
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
+	"repro/internal/props"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/types"
@@ -102,5 +104,46 @@ func TestStorageLatencyShape(t *testing.T) {
 		if storeLat >= 25*delta && bt <= stackTime {
 			t.Errorf("baseline with storage latency %v (%v) not slower than stack (%v)", storeLat, bt, stackTime)
 		}
+	}
+}
+
+// TestValueSeqMatchesOrderScan: the per-origin delivered counter numbers
+// every delivery exactly as a scan of the order up to the delivered
+// position does, and the trace it produces passes the TO checker.
+func TestValueSeqMatchesOrderScan(t *testing.T) {
+	const n, k = 4, 48
+	c := NewCluster(Options{Seed: 43, N: n, Delta: time.Millisecond, StorageLatency: time.Millisecond})
+	ck := check.NewTOChecker()
+	brcvs := 0
+	c.Log.Sink = func(e props.Event) {
+		switch e.Kind {
+		case props.TOBcast:
+			ck.Bcast(e.Value, e.P)
+		case props.TOBrcv:
+			brcvs++
+			// The reference: count the origin's labels in the order up to
+			// and including the position just delivered.
+			proc := c.nodes[e.P].proc
+			want := 0
+			for _, l := range proc.Order[:proc.NextReport-1] {
+				if l.Origin == e.From {
+					want++
+				}
+			}
+			if e.ValueSeq != want {
+				t.Errorf("%v: brcv of %q from %v has ValueSeq %d, order scan %d", e.P, e.Value, e.From, e.ValueSeq, want)
+			}
+			if err := ck.Brcv(e.Value, e.From, e.P); err != nil {
+				t.Errorf("TO conformance: %v", err)
+			}
+		}
+	}
+	c.Sim.RunFor(20 * time.Millisecond)
+	runBurst(t,
+		func(i int) { c.Bcast(types.ProcID(i*7%n), types.Value(fmt.Sprintf("v%d", i))) },
+		func(p types.ProcID) int { return len(c.Deliveries(p)) },
+		c.Sim, k, c.Procs)
+	if brcvs != n*k {
+		t.Errorf("%d brcv events, want %d", brcvs, n*k)
 	}
 }

@@ -32,6 +32,9 @@ type Artifact struct {
 	// RecoveryBoundNS is the explicit liveness deadline; always recorded
 	// (never 0) so replays survive changes to the analytic default.
 	RecoveryBoundNS int64 `json:"recovery_bound_ns"`
+	// CheckpointBytes is the WAL compaction threshold (0, compaction off,
+	// is also what an artifact without the field decodes to).
+	CheckpointBytes int `json:"checkpoint_bytes,omitempty"`
 	// Check and Detail describe the violation that produced the artifact.
 	Check  string `json:"check,omitempty"`
 	Detail string `json:"detail,omitempty"`
@@ -60,6 +63,7 @@ func NewArtifact(r *Result) Artifact {
 		Wire:             r.Config.Wire,
 		StorageLatencyNS: int64(r.Config.StorageLatency),
 		RecoveryBoundNS:  int64(r.Bound),
+		CheckpointBytes:  r.Config.CheckpointBytes,
 		Events:           r.Schedule,
 	}
 	if a.Events == nil {
@@ -86,15 +90,16 @@ func (a Artifact) Config() Config {
 		sched = failures.Schedule{}
 	}
 	return Config{
-		Campaign:       a.Campaign,
-		Seed:           a.Seed,
-		N:              a.N,
-		Delta:          time.Duration(a.DeltaNS),
-		Wire:           a.Wire,
-		StorageLatency: time.Duration(a.StorageLatencyNS),
-		Window:         time.Duration(a.WindowNS),
-		RecoveryBound:  time.Duration(a.RecoveryBoundNS),
-		Schedule:       sched,
+		Campaign:        a.Campaign,
+		Seed:            a.Seed,
+		N:               a.N,
+		Delta:           time.Duration(a.DeltaNS),
+		Wire:            a.Wire,
+		StorageLatency:  time.Duration(a.StorageLatencyNS),
+		Window:          time.Duration(a.WindowNS),
+		RecoveryBound:   time.Duration(a.RecoveryBoundNS),
+		CheckpointBytes: a.CheckpointBytes,
+		Schedule:        sched,
 	}
 }
 

@@ -2,38 +2,80 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestArtifactRoundTrip(t *testing.T) {
-	r := Run(Config{Campaign: CrashRestart, Seed: 11, N: 4, Window: 1200 * time.Millisecond})
-	a := NewArtifact(r)
-	data, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeArtifact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := back.Config()
-	if cfg.Campaign != CrashRestart || cfg.Seed != 11 || cfg.N != 4 ||
-		cfg.Delta != time.Millisecond || cfg.Window != 1200*time.Millisecond {
-		t.Fatalf("decoded config = %+v", cfg)
-	}
-	if cfg.RecoveryBound != r.Bound {
-		t.Errorf("artifact lost the effective bound: %v vs %v", cfg.RecoveryBound, r.Bound)
-	}
-	if len(cfg.Schedule) != len(r.Schedule) {
-		t.Fatalf("schedule length %d, want %d", len(cfg.Schedule), len(r.Schedule))
-	}
-	for i := range cfg.Schedule {
-		if cfg.Schedule[i] != r.Schedule[i] {
-			t.Fatalf("event %d: %v vs %v", i, cfg.Schedule[i], r.Schedule[i])
+	for _, orig := range []Config{
+		{Campaign: CrashRestart, Seed: 11, N: 4, Window: 1200 * time.Millisecond},
+		// Compaction armed: a replay that dropped CheckpointBytes would run
+		// a different program, one that never checkpoints.
+		{Campaign: Amnesia, Seed: 1, N: 4, Window: 1200 * time.Millisecond, CheckpointBytes: 1024},
+	} {
+		r := Run(orig)
+		data, err := NewArtifact(r).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeArtifact(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := back.Config()
+		if cfg.Campaign != orig.Campaign || cfg.Seed != orig.Seed || cfg.N != orig.N ||
+			cfg.Delta != time.Millisecond || cfg.Window != orig.Window ||
+			cfg.CheckpointBytes != orig.CheckpointBytes {
+			t.Fatalf("decoded config = %+v, want %+v", cfg, orig)
+		}
+		if cfg.RecoveryBound != r.Bound {
+			t.Errorf("artifact lost the effective bound: %v vs %v", cfg.RecoveryBound, r.Bound)
+		}
+		if len(cfg.Schedule) != len(r.Schedule) {
+			t.Fatalf("schedule length %d, want %d", len(cfg.Schedule), len(r.Schedule))
+		}
+		for i := range cfg.Schedule {
+			if cfg.Schedule[i] != r.Schedule[i] {
+				t.Fatalf("event %d: %v vs %v", i, cfg.Schedule[i], r.Schedule[i])
+			}
+		}
+
+		// Byte for byte: the replay re-encodes to the same artifact and
+		// every instrument, WAL checkpoints included, reads the same.
+		replay := Run(cfg)
+		again, err := NewArtifact(replay).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Errorf("%s: replayed artifact differs from the original", orig.Campaign)
+		}
+		want, err := json.Marshal(r.Obs.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(replay.Obs.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: replay metrics differ:\noriginal %s\nreplay   %s", orig.Campaign, want, got)
+		}
+		if ck := checkpoints(r); ck != checkpoints(replay) || (orig.CheckpointBytes > 0) != (ck > 0) {
+			t.Errorf("%s: checkpoints original %d, replay %d", orig.Campaign, ck, checkpoints(replay))
 		}
 	}
+}
+
+// checkpoints sums the WAL checkpoints every node of a run wrote.
+func checkpoints(r *Result) int {
+	n := 0
+	for _, p := range r.Cluster.Procs.Members() {
+		n += r.Cluster.Node(p).Checkpoints()
+	}
+	return n
 }
 
 // TestSameSeedSameArtifactBytes is the CLI determinism criterion: the same

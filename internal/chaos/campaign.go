@@ -27,6 +27,7 @@ import (
 	"repro/internal/failures"
 	"repro/internal/sim"
 	"repro/internal/types"
+	"repro/internal/vsimpl"
 )
 
 // CampaignType names one family of adversarial failure schedules.
@@ -227,9 +228,6 @@ type Spec struct {
 	// world at the end of the window, establishing the recovery-liveness
 	// hypothesis.
 	Window time.Duration
-	// Pi is the token-launch period π, used to time leader-targeted
-	// crashes against token circulation.
-	Pi time.Duration
 }
 
 // Generate produces the failure schedule of the given campaign type,
@@ -484,10 +482,9 @@ func (g *gen) asymmetric() {
 }
 
 func (g *gen) leaderCrash() {
-	w, pi := g.spec.Window, g.spec.Pi
-	if pi <= 0 {
-		pi = time.Duration(g.spec.N+2) * g.spec.Delta
-	}
+	// Strikes are timed against token circulation: π as the stack derives
+	// it from δ and n.
+	w, pi := g.spec.Window, vsimpl.DefaultConfig(g.spec.Delta, g.spec.N).Pi
 	// downUntil[p] is the instant p comes back up (forever for crashes with
 	// no scheduled restart); liveness is evaluated at each strike's time,
 	// since a restart scheduled earlier may land after a later strike.
@@ -550,11 +547,7 @@ func (g *gen) amnesia() {
 }
 
 func (g *gen) tornWrite() {
-	w := g.spec.Window
-	pi := g.spec.Pi
-	if pi <= 0 {
-		pi = time.Duration(g.spec.N+2) * g.spec.Delta
-	}
+	w, pi := g.spec.Window, vsimpl.DefaultConfig(g.spec.Delta, g.spec.N).Pi
 	// Many short outages at random instants: with λ > 0 some strikes land
 	// while a WAL record is in flight, tearing the log's tail; quick
 	// restarts make the truncated replay rejoin under ongoing traffic.

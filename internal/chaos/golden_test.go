@@ -153,8 +153,7 @@ func TestOracleLevelSchedulesMatchGolden(t *testing.T) {
 		if ct.ProcessLevel() {
 			t.Fatalf("row %v: not an oracle-level campaign", r)
 		}
-		s, err := Generate(ct, seed, Spec{N: n, Delta: time.Millisecond, Window: 4 * time.Second,
-			Pi: time.Duration(n+2) * time.Millisecond})
+		s, err := Generate(ct, seed, Spec{N: n, Delta: time.Millisecond, Window: 4 * time.Second})
 		if err != nil {
 			t.Fatalf("row %v: %v", r, err)
 		}

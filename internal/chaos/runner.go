@@ -143,10 +143,8 @@ func Run(cfg Config) *Result {
 
 	sched := cfg.Schedule
 	if sched == nil {
-		spec := Spec{N: cfg.N, Delta: cfg.Delta, Window: cfg.Window}
-		spec.Pi = time.Duration(cfg.N+2) * cfg.Delta // mirrors vsimpl.DefaultConfig
 		var err error
-		sched, err = Generate(cfg.Campaign, cfg.Seed, spec)
+		sched, err = Generate(cfg.Campaign, cfg.Seed, Spec{N: cfg.N, Delta: cfg.Delta, Window: cfg.Window})
 		if err != nil {
 			res.Violation = &Violation{Check: "config", Detail: err.Error()}
 			return res

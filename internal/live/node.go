@@ -180,16 +180,11 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 	e.traceW = bufio.NewWriter(e.traceFile)
 
 	e.tr = transport.NewTCP(transport.TCPConfig{
-		Self:  opts.Self,
-		Addrs: opts.Config.Addrs(),
-		Delta: opts.Config.Delta(),
-		// A cluster's daemons boot moments apart: the first redial of a peer
-		// that was not listening yet must not cost more than a commit does.
-		// Backoff still doubles up to the transport's default ceiling.
-		DialMin:      time.Millisecond,
-		Encode:       codec.Encode,
-		Decode:       codec.Decode,
+		Self:         opts.Self,
+		Addrs:        opts.Config.Addrs(),
+		Delta:        opts.Config.Delta(),
 		AppendEncode: codec.AppendEncode,
+		Decode:       codec.Decode,
 		Submit:       e.submit,
 		Obs:          e.reg,
 		Logf:         opts.Logf,

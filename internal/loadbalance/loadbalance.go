@@ -197,11 +197,6 @@ func (b *Balancer) Pump() {
 	}
 }
 
-// StatusAt returns the task's status at node p.
-func (b *Balancer) StatusAt(p types.ProcID, name string) Status {
-	return b.perNode[p].status[name]
-}
-
 // DoneCount returns how many tasks node p has seen completed.
 func (b *Balancer) DoneCount(p types.ProcID) int {
 	n := 0

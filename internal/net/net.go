@@ -6,8 +6,8 @@
 //     within δ;
 //   - while it is bad, no packet is delivered;
 //   - while it is ugly, packets may be lost or delayed arbitrarily (here:
-//     lost with a configurable probability, otherwise delayed up to a
-//     configurable multiple of δ).
+//     lost with probability uglyLossProb, otherwise delayed up to
+//     uglyMaxDelayFactor·δ).
 //
 // Packets to or from a bad processor are also dropped: a bad processor is
 // stopped, so it neither sends nor receives. Statuses are sampled at send
@@ -36,6 +36,13 @@ type Packet = transport.Packet
 // program against.
 var _ transport.Transport = (*Network)(nil)
 
+const (
+	// uglyLossProb is the probability an ugly channel drops a packet.
+	uglyLossProb = 0.5
+	// uglyMaxDelayFactor bounds ugly-channel delays to this multiple of δ.
+	uglyMaxDelayFactor = 10
+)
+
 // Config holds the network's timing parameters.
 type Config struct {
 	// Delta is the paper's δ: the delivery bound on good channels.
@@ -45,10 +52,6 @@ type Config struct {
 	// worst case, which makes measured times directly comparable to the
 	// analytic bounds).
 	Jitter bool
-	// UglyLossProb is the probability an ugly channel drops a packet.
-	UglyLossProb float64
-	// UglyMaxDelayFactor bounds ugly-channel delays to this multiple of δ.
-	UglyMaxDelayFactor float64
 	// Transcode, when non-nil, replaces every payload at send time —
 	// typically a serialize/deserialize round trip (see internal/codec) so
 	// that no in-memory pointer survives a network hop. A transcode error
@@ -70,12 +73,6 @@ type Config struct {
 	// is preserved within the coalesced group. Without Jitter the option
 	// changes nothing (every good-channel delay is exactly δ already).
 	Coalesce bool
-}
-
-// DefaultConfig returns δ = 1ms worst-case delivery with moderately lossy
-// ugly channels.
-func DefaultConfig() Config {
-	return Config{Delta: time.Millisecond, UglyLossProb: 0.5, UglyMaxDelayFactor: 10}
 }
 
 // Stats counts network activity for the experiment reports and for the
@@ -248,13 +245,12 @@ func (n *Network) Send(from, to types.ProcID, payload any) {
 		n.m.delay.Record(d)
 		n.sim.After(d, func() { n.deliver(pkt) })
 	case failures.Ugly:
-		if n.sim.Rand().Float64() < n.cfg.UglyLossProb {
+		if n.sim.Rand().Float64() < uglyLossProb {
 			n.ctr.droppedUgly.Add(1)
 			n.m.dropUgly.Inc()
 			return
 		}
-		max := float64(n.cfg.Delta) * n.cfg.UglyMaxDelayFactor
-		d := time.Duration(1 + n.sim.Rand().Int63n(int64(max)))
+		d := time.Duration(1 + n.sim.Rand().Int63n(int64(n.cfg.Delta*uglyMaxDelayFactor)))
 		n.m.delay.Record(d)
 		n.sim.After(d, func() { n.deliver(pkt) })
 	}

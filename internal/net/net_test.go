@@ -176,7 +176,7 @@ func TestSnapshotSubWindowsActivity(t *testing.T) {
 }
 
 func TestUglyChannelLossAndDelayBounds(t *testing.T) {
-	f := newFixture(Config{Delta: time.Millisecond, UglyLossProb: 0.5, UglyMaxDelayFactor: 10}, 2)
+	f := newFixture(Config{Delta: time.Millisecond}, 2)
 	f.oracle.SetChannel(0, 1, failures.Ugly)
 	var times []sim.Time
 	f.net.Register(1, func(Packet) { times = append(times, f.sim.Now()) })
@@ -255,13 +255,6 @@ func TestNonPositiveDeltaPanics(t *testing.T) {
 	}()
 	s := sim.New(1)
 	New(s, failures.NewOracle(s.Now), Config{})
-}
-
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Delta != time.Millisecond || cfg.UglyLossProb <= 0 || cfg.UglyMaxDelayFactor <= 0 {
-		t.Errorf("DefaultConfig = %+v", cfg)
-	}
 }
 
 func TestStatusSampledAtSendTime(t *testing.T) {

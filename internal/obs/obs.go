@@ -28,7 +28,6 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -455,19 +454,4 @@ func (r *Registry) Merge(src *Registry) {
 	for _, h := range hists {
 		r.Histogram(h.name).merge(h.v)
 	}
-}
-
-// CounterNames returns the sorted names of all counters (tests, reports).
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -33,10 +33,9 @@ type Delivery struct {
 
 // Options configures NewCluster.
 type Options struct {
-	Seed   int64
-	N      int
-	Delta  time.Duration
-	Quorum types.QuorumSystem // default: majorities
+	Seed  int64
+	N     int
+	Delta time.Duration
 }
 
 // Cluster is a primary-partition ordered-broadcast instance.
@@ -65,12 +64,9 @@ func NewCluster(opts Options) *Cluster {
 	}
 	s := sim.New(opts.Seed)
 	oracle := failures.NewOracle(s.Now)
-	nw := net.New(s, oracle, net.Config{Delta: opts.Delta, UglyLossProb: 0.5, UglyMaxDelayFactor: 10})
+	nw := net.New(s, oracle, net.Config{Delta: opts.Delta})
 	procs := types.RangeProcSet(opts.N)
-	qs := opts.Quorum
-	if qs == nil {
-		qs = types.Majorities{Universe: procs}
-	}
+	qs := types.Majorities{Universe: procs}
 	cfg := vsimpl.DefaultConfig(opts.Delta, opts.N)
 	c := &Cluster{
 		Sim: s, Oracle: oracle, Procs: procs, Cfg: cfg,

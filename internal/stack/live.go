@@ -59,8 +59,6 @@ type LiveOptions struct {
 	// submission backlog, exactly as Options.MaxPendingBcasts does in
 	// simulation: Bcast rejects past the bound. 0 disables.
 	MaxPendingBcasts int
-	// Quorums defaults to majorities of Universe.
-	Quorums types.QuorumSystem
 	// Log, when non-nil, receives the node's timed external trace, as
 	// Options.Log does in simulation — set its Sink to stream events to
 	// disk instead of holding them. Nil records none. Obs enables
@@ -84,10 +82,6 @@ func NewLiveNode(opts LiveOptions) *Node {
 	}
 	s := opts.Sim
 	opts.Obs.SetClock(s.Now)
-	qs := opts.Quorums
-	if qs == nil {
-		qs = types.Majorities{Universe: opts.Universe}
-	}
 	dp := Options{}.Batched()
 	cfg := vsimpl.DefaultConfig(opts.Delta, opts.Universe.Size())
 	cfg.EagerRelaunch = dp.EagerTokenRounds
@@ -102,7 +96,7 @@ func NewLiveNode(opts LiveOptions) *Node {
 		Cfg:         cfg,
 		Obs:         opts.Obs,
 		tr:          opts.Transport,
-		qs:          qs,
+		qs:          types.Majorities{Universe: opts.Universe},
 		maxPending:  opts.MaxPendingBcasts,
 		deliverPipe: dp.DeliverPipeline,
 		groupCommit: dp.GroupCommit,

@@ -201,8 +201,6 @@ type Options struct {
 	Delta   time.Duration
 	Jitter  bool
 	Quorums types.QuorumSystem // default: majorities of the universe
-	// Pi and Mu override the derived defaults when non-zero.
-	Pi, Mu time.Duration
 	// Wire, when true, serializes every payload crossing the network
 	// through the binary wire codec and back, so no pointer survives a
 	// hop (a realism/honesty mode; slightly slower).
@@ -304,7 +302,7 @@ func NewCluster(opts Options) *Cluster {
 	s := sim.New(opts.Seed)
 	opts.Obs.SetClock(s.Now)
 	oracle := failures.NewOracle(s.Now)
-	netCfg := net.Config{Delta: opts.Delta, Jitter: opts.Jitter, UglyLossProb: 0.5, UglyMaxDelayFactor: 10, Obs: opts.Obs, Coalesce: opts.GroupCommit}
+	netCfg := net.Config{Delta: opts.Delta, Jitter: opts.Jitter, Obs: opts.Obs, Coalesce: opts.GroupCommit}
 	if opts.Wire {
 		netCfg.Transcode = codec.Roundtrip
 		if opts.Obs != nil {
@@ -331,12 +329,6 @@ func NewCluster(opts Options) *Cluster {
 	// patience windows that assume immediate installs must wait λ longer
 	// (see vsimpl.Config.InstallSlack).
 	cfg.InstallSlack = opts.StorageLatency
-	if opts.Pi > 0 {
-		cfg.Pi = opts.Pi
-	}
-	if opts.Mu > 0 {
-		cfg.Mu = opts.Mu
-	}
 	if opts.CollectWait > 0 {
 		cfg.CollectWait = opts.CollectWait
 	}

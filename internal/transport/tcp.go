@@ -17,19 +17,48 @@ import (
 // Frame layout: a fixed 8-byte header — u32 payload length, u32 sender
 // ProcID, both little-endian — followed by the payload: one or more
 // [u32 sub-length | sub-payload] messages back to back, all from that
-// sender, each sub-payload the bytes produced by the injected Encode. The
-// header carries the sender so connections need no handshake: any process
-// may dial any other and start framing. A frame holds more than one message
-// when they coalesce on the send side while the writer is busy (into the
-// queue's tail entry), amortizing both the encode allocations and the write
-// syscalls.
+// sender, each sub-payload the bytes produced by the injected
+// AppendEncode. The header carries the sender so connections need no
+// handshake: any process may dial any other and start framing. A frame
+// holds more than one message when they coalesce on the send side while the
+// writer is busy (into the queue's tail entry), amortizing both the encode
+// allocations and the write syscalls.
 const frameHeader = 8
 
 // maxWriteBatch bounds how many queued frames the writer goroutine drains
 // per wake-up into one vectored write.
 const maxWriteBatch = 32
 
-// TCPConfig configures a TCP transport endpoint (one per process).
+const (
+	// maxBatchMsgs bounds how many messages coalesce into one frame.
+	maxBatchMsgs = 64
+	// maxBatchBytes bounds a frame's payload size: a frame at or past the
+	// bound stops accepting messages and the next message opens a fresh one.
+	maxBatchBytes = 256 << 10
+	// queueLimit bounds each peer's send queue in frames; when full the
+	// OLDEST queued frame is dropped (the protocol tolerates loss — stale
+	// tokens and probes are worthless, the newest traffic is not).
+	queueLimit = 1024
+	// dialMin and dialMax bound the exponential dial backoff; each wait is
+	// jittered to ±50% so a cluster-wide restart does not produce
+	// synchronized dial storms. A cluster's daemons boot moments apart: the
+	// first redial of a peer that was not listening yet must not cost more
+	// than a commit does.
+	dialMin = time.Millisecond
+	dialMax = 2 * time.Second
+	// writeTimeout is the per-frame write deadline: a peer that stalls
+	// longer forfeits the connection and the writer redials.
+	writeTimeout = 5 * time.Second
+	// drainTimeout bounds how long Close waits for queued frames to flush
+	// over established connections.
+	drainTimeout = 3 * time.Second
+	// maxFrame bounds accepted inbound frames; an oversized header is
+	// treated as a corrupt stream and the connection is dropped.
+	maxFrame = 16 << 20
+)
+
+// TCPConfig configures a TCP transport endpoint (one per process). Every
+// field but Obs and Logf is required.
 type TCPConfig struct {
 	// Self is the local processor; inbound frames are delivered to its
 	// registered handler.
@@ -41,50 +70,20 @@ type TCPConfig struct {
 	// On a real network it is a deployment choice, not a guarantee: pick it
 	// comfortably above the observed p99 one-way latency (see DESIGN.md §11).
 	Delta time.Duration
-	// Encode/Decode are the wire codec (internal/codec's Encode and Decode
-	// in every real deployment; injected to keep this package below codec in
-	// the dependency order). Encode errors panic — an unencodable payload is
-	// a programming error, same contract as the simulated net's transcode.
-	Encode func(any) ([]byte, error)
-	Decode func([]byte) (any, error)
-	// AppendEncode, when non-nil, appends a payload's encoding to dst and
-	// returns the extended slice (internal/codec's AppendEncode). The send
-	// path uses it to encode straight into the forming batch buffer — one
-	// growing allocation per batch instead of one per message. Nil falls
-	// back to Encode plus a copy.
+	// AppendEncode/Decode are the wire codec (internal/codec's AppendEncode
+	// and Decode in every real deployment; injected to keep this package
+	// below codec in the dependency order). AppendEncode appends a payload's
+	// encoding to dst and returns the extended slice, so the send path
+	// encodes straight into the forming batch buffer — one growing
+	// allocation per batch instead of one per message. Encode errors panic —
+	// an unencodable payload is a programming error, same contract as the
+	// simulated net's transcode.
 	AppendEncode func(dst []byte, v any) ([]byte, error)
-	// MaxBatchMsgs bounds how many messages coalesce into one frame
-	// (default 64; 1 makes every frame a batch of one).
-	MaxBatchMsgs int
-	// MaxBatchBytes bounds a frame's payload size (default 256 KiB); a
-	// frame at or past the bound stops accepting messages and the next
-	// message opens a fresh one.
-	MaxBatchBytes int
+	Decode       func([]byte) (any, error)
 	// Submit serializes handler invocations: every inbound delivery is
 	// wrapped in a closure and passed to Submit, which must run closures one
-	// at a time (the daemon runs them under its event-loop mutex). Nil runs
-	// handlers inline on the reader goroutine (only safe for tests that do
-	// their own locking).
+	// at a time (the daemon runs them under its event-loop mutex).
 	Submit func(fn func())
-	// QueueLimit bounds each peer's send queue in frames; when full the
-	// OLDEST queued frame is dropped (the protocol tolerates loss — stale
-	// tokens and probes are worthless, the newest traffic is not). Default
-	// 1024.
-	QueueLimit int
-	// DialMin/DialMax bound the exponential dial backoff (defaults
-	// 20ms/2s); each wait is jittered to ±50% so a cluster-wide restart
-	// does not produce synchronized dial storms.
-	DialMin, DialMax time.Duration
-	// WriteTimeout is the per-frame write deadline (default 5s): a peer
-	// that stalls longer forfeits the connection and the writer redials.
-	WriteTimeout time.Duration
-	// DrainTimeout bounds how long Close waits for queued frames to flush
-	// over established connections (default 3s).
-	DrainTimeout time.Duration
-	// MaxFrame bounds accepted inbound frames (default 16 MiB); an
-	// oversized header is treated as a corrupt stream and the connection is
-	// dropped.
-	MaxFrame int
 	// Obs, when non-nil, receives the transport.* instruments. Nil disables
 	// instrumentation at zero cost.
 	Obs *obs.Registry
@@ -118,6 +117,7 @@ type TCP struct {
 	cfg  TCPConfig
 	self types.ProcID
 	m    tcpMetrics
+	lim  limits
 
 	mu       sync.Mutex
 	handlers map[types.ProcID]func(Packet)
@@ -135,45 +135,26 @@ type TCP struct {
 	qNow atomic.Int64
 }
 
+// limits are the send-queue and dial bounds: the package constants in every
+// build, lowered only by tests (export_test.go).
+type limits struct {
+	queue, batchMsgs int
+	dialMin, dialMax time.Duration
+}
+
 // NewTCP creates the endpoint. Call Start to bind the listener and begin
 // dialing peers.
 func NewTCP(cfg TCPConfig) *TCP {
 	if cfg.Delta <= 0 {
 		panic("transport: non-positive delta")
 	}
-	if cfg.Encode == nil || cfg.Decode == nil {
-		panic("transport: Encode and Decode are required")
-	}
-	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = 1024
-	}
-	if cfg.DialMin <= 0 {
-		cfg.DialMin = 20 * time.Millisecond
-	}
-	if cfg.DialMax <= 0 {
-		cfg.DialMax = 2 * time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 5 * time.Second
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 3 * time.Second
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = 16 << 20
-	}
-	if cfg.MaxBatchMsgs == 0 {
-		cfg.MaxBatchMsgs = 64
-	}
-	if cfg.MaxBatchMsgs < 1 {
-		cfg.MaxBatchMsgs = 1
-	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 256 << 10
+	if cfg.AppendEncode == nil || cfg.Decode == nil || cfg.Submit == nil {
+		panic("transport: AppendEncode, Decode and Submit are required")
 	}
 	t := &TCP{
 		cfg:      cfg,
 		self:     cfg.Self,
+		lim:      limits{queue: queueLimit, batchMsgs: maxBatchMsgs, dialMin: dialMin, dialMax: dialMax},
 		handlers: make(map[types.ProcID]func(Packet)),
 		peers:    make(map[types.ProcID]*peer),
 		inbound:  make(map[stdnet.Conn]struct{}),
@@ -253,13 +234,13 @@ func (t *TCP) Delta() time.Duration { return t.cfg.Delta }
 // Send encodes and transmits payload from→to. A self-send loops back
 // locally, still through an encode/decode round trip so no pointer crosses
 // the hop. Outbound messages coalesce into the peer queue's tail batch
-// frame while the writer is busy (up to MaxBatchMsgs/MaxBatchBytes), so a
+// frame while the writer is busy (up to maxBatchMsgs/maxBatchBytes), so a
 // burst leaves in a handful of vectored writes instead of one syscall per
 // message.
 func (t *TCP) Send(from, to types.ProcID, payload any) {
 	t.m.sent.Inc()
 	if to == t.self {
-		b, err := t.cfg.Encode(payload)
+		b, err := t.cfg.AppendEncode(nil, payload)
 		if err != nil {
 			panic(fmt.Sprintf("transport: encode %T: %v", payload, err))
 		}
@@ -278,17 +259,7 @@ func (t *TCP) Send(from, to types.ProcID, payload any) {
 		t.m.dropUnknown.Inc()
 		return
 	}
-	enc := t.cfg.AppendEncode
-	if enc == nil {
-		enc = func(dst []byte, v any) ([]byte, error) {
-			b, err := t.cfg.Encode(v)
-			if err != nil {
-				return nil, err
-			}
-			return append(dst, b...), nil
-		}
-	}
-	res, err := p.q.push(from, payload, enc, t.cfg.MaxBatchMsgs, t.cfg.MaxBatchBytes)
+	res, err := p.q.push(from, payload, t.cfg.AppendEncode)
 	if err != nil {
 		panic(fmt.Sprintf("transport: encode %T: %v", payload, err))
 	}
@@ -322,11 +293,7 @@ func (t *TCP) deliver(pkt Packet) {
 		return
 	}
 	t.m.delivered.Inc()
-	if t.cfg.Submit != nil {
-		t.cfg.Submit(func() { h(pkt) })
-		return
-	}
-	h(pkt)
+	t.cfg.Submit(func() { h(pkt) })
 }
 
 // closing reports whether Close has begun.
@@ -340,7 +307,7 @@ func (t *TCP) closing() bool {
 }
 
 // Close shuts the transport down: the listener closes, queued frames drain
-// over already-established connections for up to DrainTimeout, then every
+// over already-established connections for up to drainTimeout, then every
 // connection is torn down. Idempotent.
 func (t *TCP) Close() error {
 	t.mu.Lock()
@@ -375,7 +342,7 @@ func (t *TCP) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(t.cfg.DrainTimeout):
+	case <-time.After(drainTimeout):
 		t.logf("transport: drain timeout, forcing close")
 	}
 	for _, p := range peers {
@@ -481,7 +448,7 @@ func (t *TCP) readLoop(conn stdnet.Conn) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		from := types.ProcID(int32(binary.LittleEndian.Uint32(hdr[4:8])))
-		if int(n) > t.cfg.MaxFrame {
+		if n > maxFrame {
 			t.m.readErrors.Inc()
 			t.logf("transport: oversized frame (%d bytes) from %v, dropping connection", n, from)
 			return
@@ -543,7 +510,7 @@ type peer struct {
 }
 
 func newPeer(t *TCP, id types.ProcID, addr string) *peer {
-	return &peer{t: t, id: id, addr: addr, q: newSendq(t.cfg.QueueLimit)}
+	return &peer{t: t, id: id, addr: addr, q: newSendq(t.lim.queue, t.lim.batchMsgs)}
 }
 
 func (p *peer) setConn(c stdnet.Conn) {
@@ -610,7 +577,7 @@ func (p *peer) write(frames [][]byte) {
 			p.setConn(conn)
 		}
 		start := time.Now()
-		conn.SetWriteDeadline(start.Add(p.t.cfg.WriteTimeout))
+		conn.SetWriteDeadline(start.Add(writeTimeout))
 		// Buffers consumes its slice headers as it writes, so hand it a
 		// copy and keep frames intact for a retry.
 		bufs := stdnet.Buffers(append([][]byte(nil), frames...))
@@ -628,12 +595,12 @@ func (p *peer) write(frames [][]byte) {
 // dial connects to the peer, backing off exponentially with ±50% jitter
 // between attempts. Returns nil only when the transport is closing.
 func (p *peer) dial() stdnet.Conn {
-	backoff := p.t.cfg.DialMin
+	backoff := p.t.lim.dialMin
 	for {
 		if p.t.closing() {
 			return nil
 		}
-		conn, err := stdnet.DialTimeout("tcp", p.addr, p.t.cfg.DialMax)
+		conn, err := stdnet.DialTimeout("tcp", p.addr, p.t.lim.dialMax)
 		if err == nil {
 			p.t.m.connects.Inc()
 			p.mu.Lock()
@@ -652,8 +619,8 @@ func (p *peer) dial() stdnet.Conn {
 		case <-time.After(wait):
 		}
 		backoff *= 2
-		if backoff > p.t.cfg.DialMax {
-			backoff = p.t.cfg.DialMax
+		if backoff > p.t.lim.dialMax {
+			backoff = p.t.lim.dialMax
 		}
 	}
 }
@@ -692,28 +659,29 @@ type pushResult struct {
 // timeout-driven protocol can actually use (an ancient token only triggers
 // the stale-view path anyway).
 type sendq struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []sendEntry
-	msgs   int // total messages across buf
-	limit  int
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	buf     []sendEntry
+	msgs    int // total messages across buf
+	limit   int // frames
+	maxMsgs int // messages per frame
+	closed  bool
 }
 
-func newSendq(limit int) *sendq {
-	q := &sendq{limit: limit}
+func newSendq(limit, maxMsgs int) *sendq {
+	q := &sendq{limit: limit, maxMsgs: maxMsgs}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 // push encodes payload (via enc, appending to the chosen buffer) into the
 // queue: into the tail entry when it has room — same sender, under maxMsgs
-// messages and maxBytes payload — otherwise as a new frame, evicting the
+// messages and maxBatchBytes payload — otherwise as a new frame, evicting the
 // oldest frame if the queue is full. Encoding under the mutex is what makes
 // the tail append safe and keeps allocation amortized: one growing buffer
 // per frame, not one per message. Pushing after close discards the message
 // (not an overflow: the transport is shutting down).
-func (q *sendq) push(from types.ProcID, payload any, enc func([]byte, any) ([]byte, error), maxMsgs, maxBytes int) (pushResult, error) {
+func (q *sendq) push(from types.ProcID, payload any, enc func([]byte, any) ([]byte, error)) (pushResult, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -721,7 +689,7 @@ func (q *sendq) push(from types.ProcID, payload any, enc func([]byte, any) ([]by
 	}
 	var fresh sendEntry
 	e := &fresh
-	if n := len(q.buf); n > 0 && q.buf[n-1].from == from && q.buf[n-1].msgs < maxMsgs && len(q.buf[n-1].buf)-frameHeader < maxBytes {
+	if n := len(q.buf); n > 0 && q.buf[n-1].from == from && q.buf[n-1].msgs < q.maxMsgs && len(q.buf[n-1].buf)-frameHeader < maxBatchBytes {
 		e = &q.buf[n-1]
 	} else {
 		fresh = sendEntry{from: from, buf: make([]byte, frameHeader, frameHeader+64)}

@@ -69,20 +69,28 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func newTCP(t *testing.T, self types.ProcID, addrs map[types.ProcID]string, reg *obs.Registry, tune func(*transport.TCPConfig)) *transport.TCP {
+// newTCP starts an endpoint whose handlers run one at a time under a
+// mutex, as the daemon's Submit runs them under its event-loop lock. tune,
+// when non-nil, runs between NewTCP and Start.
+func newTCP(t *testing.T, self types.ProcID, addrs map[types.ProcID]string, reg *obs.Registry, tune func(*transport.TCP)) *transport.TCP {
 	t.Helper()
-	cfg := transport.TCPConfig{
-		Self:   self,
-		Addrs:  addrs,
-		Delta:  5 * time.Millisecond,
-		Encode: codec.Encode,
-		Decode: codec.Decode,
-		Obs:    reg,
-	}
+	var mu sync.Mutex
+	tr := transport.NewTCP(transport.TCPConfig{
+		Self:         self,
+		Addrs:        addrs,
+		Delta:        5 * time.Millisecond,
+		AppendEncode: codec.AppendEncode,
+		Decode:       codec.Decode,
+		Submit: func(fn func()) {
+			mu.Lock()
+			defer mu.Unlock()
+			fn()
+		},
+		Obs: reg,
+	})
 	if tune != nil {
-		tune(&cfg)
+		tune(tr)
 	}
-	tr := transport.NewTCP(cfg)
 	if err := tr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestWireTypesOverSocket(t *testing.T) {
 func wireTypesOverSocket(t *testing.T, maxMsgs int) {
 	addrs := map[types.ProcID]string{0: freePort(t), 1: freePort(t)}
 	regA, regB := obs.New(), obs.New()
-	a := newTCP(t, 0, addrs, regA, func(c *transport.TCPConfig) { c.MaxBatchMsgs = maxMsgs })
+	a := newTCP(t, 0, addrs, regA, func(tr *transport.TCP) { tr.SetLimits(0, maxMsgs, 0, 0) })
 	b := newTCP(t, 1, addrs, regB, nil)
 
 	var got sink
@@ -182,9 +190,7 @@ func wireTypesOverSocket(t *testing.T, maxMsgs int) {
 func TestReconnectAfterPeerRestart(t *testing.T) {
 	addrs := map[types.ProcID]string{0: freePort(t), 1: freePort(t)}
 	regA := obs.New()
-	a := newTCP(t, 0, addrs, regA, func(c *transport.TCPConfig) {
-		c.DialMin = 5 * time.Millisecond
-	})
+	a := newTCP(t, 0, addrs, regA, nil)
 
 	var got1 sink
 	b1 := newTCP(t, 1, addrs, obs.New(), nil)
@@ -221,18 +227,14 @@ func TestSendQueueOverflow(t *testing.T) {
 	peerAddr := freePort(t) // nothing listens here yet
 	addrs := map[types.ProcID]string{0: freePort(t), 1: peerAddr}
 	regA := obs.New()
-	a := newTCP(t, 0, addrs, regA, func(c *transport.TCPConfig) {
-		c.QueueLimit = 4
-		// One message per frame pins the frame-granular drop-oldest
-		// accounting (coalescing would put the burst into one frame and
-		// nothing would ever overflow — TestSendQueueOverflowBatched covers
-		// multi-message frames).
-		c.MaxBatchMsgs = 1
-		// Long backoff: the first dial fails instantly (connection refused)
-		// and the writer then sits in backoff while the test overflows the
-		// queue.
-		c.DialMin = 300 * time.Millisecond
-		c.DialMax = 500 * time.Millisecond
+	// A queue of 4 frames of one message each pins the frame-granular
+	// drop-oldest accounting (coalescing would put the burst into one frame
+	// and nothing would ever overflow — TestSendQueueOverflowBatched covers
+	// multi-message frames). Long backoff: the first dial fails instantly
+	// (connection refused) and the writer then sits in backoff while the
+	// test overflows the queue.
+	a := newTCP(t, 0, addrs, regA, func(tr *transport.TCP) {
+		tr.SetLimits(4, 1, 300*time.Millisecond, 500*time.Millisecond)
 	})
 
 	const total = 10
@@ -278,7 +280,7 @@ func TestSendQueueOverflow(t *testing.T) {
 }
 
 // TestSendQueueOverflowBatched is the multi-message twin of
-// TestSendQueueOverflow: entries coalesce up to MaxBatchMsgs messages, so
+// TestSendQueueOverflow: entries coalesce up to two messages here, so
 // drop-oldest evicts multi-message frames and the frame-granular counter
 // alone would undercount the loss. Asserts the message-granular
 // accounting conserves every message (delivered + dropped = sent), that
@@ -288,11 +290,8 @@ func TestSendQueueOverflowBatched(t *testing.T) {
 	peerAddr := freePort(t) // nothing listens here yet
 	addrs := map[types.ProcID]string{0: freePort(t), 1: peerAddr}
 	regA := obs.New()
-	a := newTCP(t, 0, addrs, regA, func(c *transport.TCPConfig) {
-		c.QueueLimit = 2
-		c.MaxBatchMsgs = 2
-		c.DialMin = 300 * time.Millisecond
-		c.DialMax = 500 * time.Millisecond
+	a := newTCP(t, 0, addrs, regA, func(tr *transport.TCP) {
+		tr.SetLimits(2, 2, 300*time.Millisecond, 500*time.Millisecond)
 	})
 
 	const total = 10
@@ -300,7 +299,7 @@ func TestSendQueueOverflowBatched(t *testing.T) {
 		a.Send(0, 1, fmt.Sprintf("m%d", i))
 	}
 	// Evictions happen synchronously inside Send, so the drop counters
-	// are final here. Every evicted entry holds exactly MaxBatchMsgs
+	// are final here. Every evicted entry holds exactly two
 	// messages (an entry only stops being the coalescing tail once full),
 	// so the message-granular counter must be exactly 2x the frame one.
 	dropsFrames := regA.Counter("transport.drops_overflow").Value()
@@ -448,9 +447,7 @@ func TestPartialFrameAtClose(t *testing.T) {
 // listener comes back.
 func TestListenerPauseResume(t *testing.T) {
 	addrs := map[types.ProcID]string{0: freePort(t), 1: freePort(t)}
-	a := newTCP(t, 0, addrs, obs.New(), func(c *transport.TCPConfig) {
-		c.DialMin = 5 * time.Millisecond
-	})
+	a := newTCP(t, 0, addrs, obs.New(), nil)
 	b := newTCP(t, 1, addrs, obs.New(), nil)
 	var got sink
 	b.Register(1, got.handle)

@@ -10,11 +10,6 @@ import "encoding/binary"
 // sequence, and it is a pure function of the abstract state — never of map
 // iteration order, pointer identity, or formatting.
 
-// AppendFingerprintInt appends a signed integer in varint framing.
-func AppendFingerprintInt(buf []byte, v int64) []byte {
-	return binary.AppendVarint(buf, v)
-}
-
 // AppendFingerprintString appends a length-prefixed string.
 func AppendFingerprintString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

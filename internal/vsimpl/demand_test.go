@@ -238,7 +238,7 @@ func TestDemandRingConformanceUnderFaults(t *testing.T) {
 	cfg := DefaultConfig(time.Millisecond, n)
 	cfg.EagerRelaunch = true
 	c := buildCluster(91, n, n,
-		net.Config{Delta: time.Millisecond, Jitter: true, UglyLossProb: 0.5, UglyMaxDelayFactor: 10}, cfg)
+		net.Config{Delta: time.Millisecond, Jitter: true}, cfg)
 	var i int
 	var load func()
 	load = func() {

@@ -50,18 +50,16 @@ type Config struct {
 	// demonstrates the cliff).
 	CollectWait time.Duration
 	// OneRound switches membership to the one-round protocol of footnote
-	// 7: views are announced directly from a reachability estimate. Saves
-	// a round trip in the stable case, stabilizes more slowly after
-	// failures (experiment E10 quantifies the trade).
+	// 7: views are announced directly from a reachability estimate (peers
+	// heard from within the last 2μ). Saves a round trip in the stable
+	// case, stabilizes more slowly after failures (experiment E10
+	// quantifies the trade).
 	OneRound bool
 	// NoTokenCompaction disables dropping all-delivered entries from the
 	// circulating token (the E11 ablation: without compaction the token
 	// grows with the view's entire history), and from each node's copy of
 	// the view's sequence.
 	NoTokenCompaction bool
-	// ReachWindow is the staleness horizon of the one-round reachability
-	// estimate (default 2μ).
-	ReachWindow time.Duration
 	// EagerRelaunch makes token rounds demand-driven: π spaces the launches
 	// of an idle ring only, and a message never waits on it. Three rules
 	// replace "launch every π" at the leader:
@@ -319,11 +317,7 @@ func NewNode(id types.ProcID, universe, p0 types.ProcSet, s *sim.Sim, nw transpo
 	n.mBuffered = cfg.Obs.Gauge("vs.buffered")
 	n.tracer = cfg.Obs.Tracer()
 	if cfg.OneRound {
-		window := cfg.ReachWindow
-		if window <= 0 {
-			window = 2 * cfg.Mu
-		}
-		n.former.SetOneRound(func() types.ProcSet { return n.reachableWithin(window) })
+		n.former.SetOneRound(func() types.ProcSet { return n.reachableWithin(2 * cfg.Mu) })
 	}
 	nw.Register(id, n.receive)
 	return n
@@ -363,11 +357,7 @@ func NewRecoveredNode(id types.ProcID, universe types.ProcSet, s *sim.Sim, nw tr
 		n.former.Instrument(cfg.Obs)
 		n.former.HoldOff = collectWait + 4*cfg.Delta + cfg.InstallSlack
 		if cfg.OneRound {
-			window := cfg.ReachWindow
-			if window <= 0 {
-				window = 2 * cfg.Mu
-			}
-			n.former.SetOneRound(func() types.ProcSet { return n.reachableWithin(window) })
+			n.former.SetOneRound(func() types.ProcSet { return n.reachableWithin(2 * cfg.Mu) })
 		}
 	}
 	return n
@@ -464,12 +454,6 @@ func (n *Node) Gpsnd(payload any) {
 		}
 	}
 }
-
-// BufferedLen returns how many accepted client messages are waiting for
-// token pickup in the current view — observational only; labeled values
-// are never dropped on its account (the Bcast bound upstream in
-// internal/stack is the only admission control).
-func (n *Node) BufferedLen() int { return len(n.buffer) }
 
 // down reports whether this processor is currently stopped (bad or
 // amnesiac).

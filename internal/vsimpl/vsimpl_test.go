@@ -27,7 +27,7 @@ type cluster struct {
 
 func newCluster(seed int64, n int, p0Size int, delta time.Duration, jitter bool) *cluster {
 	return buildCluster(seed, n, p0Size,
-		net.Config{Delta: delta, Jitter: jitter, UglyLossProb: 0.5, UglyMaxDelayFactor: 10},
+		net.Config{Delta: delta, Jitter: jitter},
 		DefaultConfig(delta, n))
 }
 

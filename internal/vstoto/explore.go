@@ -40,8 +40,6 @@ type ExploreConfig struct {
 	// view (default all).
 	N      int
 	P0Size int
-	// Quorums defaults to majorities over the universe.
-	Quorums types.QuorumSystem
 	// MaxBcasts bounds the client inputs; the i-th bcast carries the value
 	// "v<i>" and may be submitted at any processor (all choices explored).
 	MaxBcasts int
@@ -217,9 +215,10 @@ func (s *exploreState) successor(act ioa.Action) *exploreState {
 	return out
 }
 
-// system views the state's components as a System.
-func (s *exploreState) system(cfg ExploreConfig) *System {
-	return NewSystem(s.vs, s.procs, cfg.Quorums)
+// system views the state's components as a System, under the quorum
+// system every processor shares (majorities of the universe).
+func (s *exploreState) system() *System {
+	return NewSystem(s.vs, s.procs, s.procs[0].qs)
 }
 
 // checkAbstractStep verifies the forward-simulation step condition for one
@@ -378,7 +377,7 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 		if cfg.ExactKeys {
 			e.key = string(enc)
 		}
-		sys := succ.system(cfg)
+		sys := succ.system()
 		d := sys.derive(sc.d)
 		var abs *AbstractState
 		var err error
@@ -425,21 +424,19 @@ func exploreInitial(cfg *ExploreConfig) (*exploreState, error) {
 	}
 	procs := types.RangeProcSet(cfg.N)
 	p0 := types.NewProcSet(procs.Members()[:cfg.P0Size]...)
-	if cfg.Quorums == nil {
-		cfg.Quorums = types.Majorities{Universe: procs}
-	}
+	qs := types.Majorities{Universe: procs}
 	initial := &exploreState{
 		vs:    vsmachine.New(procs, p0),
 		procs: make(map[types.ProcID]*Proc, cfg.N),
 	}
 	for _, p := range procs.Members() {
-		pr := NewProc(p, cfg.Quorums, p0)
+		pr := NewProc(p, qs, p0)
 		pr.TrackHistory = true
 		pr.LiteralFigure10Label = cfg.LiteralFigure10Label
 		initial.procs[p] = pr
 	}
 	initial.enc, initial.cut = initial.appendFingerprint(nil, nil, nil)
-	abs, err := initial.system(*cfg).Abstract()
+	abs, err := initial.system().Abstract()
 	if err != nil {
 		return nil, fmt.Errorf("explore: f undefined at the initial state: %w", err)
 	}

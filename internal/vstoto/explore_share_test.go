@@ -105,7 +105,7 @@ func TestDerivedOnceMatchesExported(t *testing.T) {
 		reused := newDerived()
 		violations := 0
 		states := walkExploreEdges(t, cfg, func(cfg ExploreConfig, _, succ *exploreState, act ioa.Action) bool {
-			sys := succ.system(cfg)
+			sys := succ.system()
 			wantInv, wantDeep := errText(sys.CheckInvariants()), errText(sys.CheckDeepInvariants())
 			wantAbs, wantErr := sys.Abstract()
 			var inv, deep, absErr error

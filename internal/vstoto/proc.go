@@ -437,8 +437,9 @@ func (p *Proc) Brcv() (types.ProcID, types.Value) {
 	return q, a
 }
 
-// Quiescent reports whether no locally controlled action is enabled — used
-// by the timed stack, where good processors run enabled actions eagerly.
+// Quiescent reports whether no locally controlled action is enabled: the
+// condition under which §7's timed construction lets a good processor's
+// time pass.
 func (p *Proc) Quiescent() bool {
 	if _, ok := p.LabelEnabled(); ok {
 		return false

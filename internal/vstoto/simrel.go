@@ -76,11 +76,6 @@ func NewSimulationChecker(sys *System) *SimulationChecker {
 	return &SimulationChecker{Sys: sys, Shadow: tomachine.New(sys.VS.Procs()), d: newDerived()}
 }
 
-// Hook returns an executor step hook performing the per-step check.
-func (c *SimulationChecker) Hook() func(ioa.TraceEvent) error {
-	return func(ev ioa.TraceEvent) error { return c.AfterStep(ev.Act) }
-}
-
 // AfterStep advances the shadow machine according to the concrete action
 // just performed and checks f-correspondence.
 func (c *SimulationChecker) AfterStep(act ioa.Action) error {

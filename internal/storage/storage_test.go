@@ -189,3 +189,49 @@ func TestFlipBitBounds(t *testing.T) {
 		t.Fatalf("disk = %x", got)
 	}
 }
+
+// TestPausedHeadHoldsDueWrite: a write that falls due while the device is
+// paused stays in flight — a Drop then tears it and nothing completes —
+// and one that survives to Resume completes on the next event, with the
+// queue behind it following at the usual latency.
+func TestPausedHeadHoldsDueWrite(t *testing.T) {
+	s := sim.New(1)
+	st := New(s, 2*time.Millisecond)
+	var done []int
+	st.Append([]byte("abcd"), func() { done = append(done, 1) })
+	st.Append([]byte("ef"), func() { done = append(done, 2) })
+	st.Pause()
+	if err := s.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 0 || st.Size() != 0 {
+		t.Fatalf("paused device completed %v, holds %d bytes", done, st.Size())
+	}
+	st.Resume()
+	if err := s.RunFor(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 1 || st.Size() != 4 {
+		t.Fatalf("resume completed %v, holds %d bytes; want [1], 4", done, st.Size())
+	}
+	if err := s.RunFor(2 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 2 || string(st.Contents()) != "abcdef" {
+		t.Fatalf("completed %v, image %q", done, st.Contents())
+	}
+
+	st.Append([]byte("ghij"), func() { done = append(done, 3) })
+	st.Pause()
+	if err := s.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	st.Drop()
+	st.Resume()
+	if err := s.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 2 || string(st.Contents()) != "abcdefgh" {
+		t.Fatalf("a held write survived the crash: completed %v, image %q", done, st.Contents())
+	}
+}

@@ -107,8 +107,8 @@ func TestMirroredDeviceKeepsLengthNotImage(t *testing.T) {
 	if st.Size() != 12 || st.Base() != 0 {
 		t.Fatalf("Base=%d Size=%d, want 0/12", st.Base(), st.Size())
 	}
-	if len(st.Contents()) != 0 || cap(st.disk) != 0 {
-		t.Fatalf("mirrored device retained an image: %q (cap %d)", st.Contents(), cap(st.disk))
+	if len(st.Contents()) != 0 || len(st.segs) != 0 {
+		t.Fatalf("mirrored device retained an image: %q (%d segments)", st.Contents(), len(st.segs))
 	}
 	st.FlipBit(3, 1) // nothing to flip; must not panic
 	st.TruncatePrefix(8)

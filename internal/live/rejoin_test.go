@@ -34,7 +34,7 @@ func rejoinFixture(t *testing.T) (walPath string, deliveries []props.Event) {
 	}
 	w.View(view, nil)
 	for i, v := range vals {
-		w.OrderAppend(v.label, v.val, nil)
+		w.OrderAppend(i+1, v.label, v.val, nil)
 		w.Deliver(i+1, v.label, v.from, v.seq, v.val, nil)
 		deliveries = append(deliveries, props.Event{
 			T: sim.Time(time.Duration(i+1) * time.Millisecond), Kind: props.TOBrcv,

@@ -22,7 +22,7 @@ func walImage(t *testing.T) (img []byte, lastRec int) {
 	view := types.View{ID: types.ViewID{Epoch: 2, Proc: 1}, Set: types.RangeProcSet(3)}
 	la := types.Label{ID: view.ID, Seqno: 1, Origin: 1}
 	w.View(view, nil)
-	w.Establish(0, []types.Label{la}, 1, view.ID, nil)
+	w.Establish(0, []types.Label{la}, recovery.ContentMap{la: "a"}, 1, view.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, la, "a", nil)
 	lastRec = w.EndOffset()
@@ -143,7 +143,7 @@ func TestWALMirrorCompactionSurvivesReboot(t *testing.T) {
 	la := types.Label{ID: view.ID, Seqno: 1, Origin: 1}
 	lb := types.Label{ID: view.ID, Seqno: 2, Origin: 2}
 	w.View(view, nil)
-	w.Establish(0, []types.Label{la}, 1, view.ID, nil)
+	w.Establish(0, []types.Label{la}, recovery.ContentMap{la: "a"}, 1, view.ID, nil)
 	cs := recovery.CheckpointState{
 		HasView: true, View: view,
 		Order:       []types.Label{la},
@@ -153,7 +153,7 @@ func TestWALMirrorCompactionSurvivesReboot(t *testing.T) {
 	}
 	c1 := w.EndOffset()
 	w.Checkpoint(cs, nil)
-	w.OrderAppend(lb, "b", nil)
+	w.OrderAppend(2, lb, "b", nil)
 	cs2 := cs
 	cs2.Order = []types.Label{la, lb}
 	cs2.Content = recovery.ContentMap{la: "a", lb: "b"}

@@ -22,7 +22,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.Run("order-append", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w.OrderAppend(l, val, nil)
+			w.OrderAppend(i+1, l, val, nil)
 			if err := s.Run(sim.Never); err != nil {
 				b.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func checkpointDisk(tb testing.TB) (disk []byte, c1, c2 int) {
 	s := sim.New(1)
 	w := New(storage.New(s, 0))
 	w.View(testView, nil)
-	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, labelA, "a", nil)
 	w.Bcast(2, "c", nil)
@@ -46,7 +46,7 @@ func checkpointDisk(tb testing.TB) (disk []byte, c1, c2 int) {
 	c1 = w.EndOffset()
 	w.Checkpoint(ckptState(), nil)
 
-	w.OrderAppend(labelB, "b", nil)
+	w.OrderAppend(2, labelB, "b", nil)
 	w.Deliver(2, labelB, 2, 1, "b", nil)
 
 	cs2 := ckptState()
@@ -179,14 +179,14 @@ func TestCheckpointBehindInFlightAppend(t *testing.T) {
 	s := sim.New(1)
 	w := New(storage.New(s, time.Millisecond))
 	w.View(testView, nil)
-	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil)
 	w.Deliver(1, labelA, 1, 1, "a", nil)
 	c1 := w.EndOffset() // nothing durable yet: offsets are enqueue-time
 	cs := ckptState()
 	cs.Pending = nil
 	cs.BcastSeq = 0
 	w.Checkpoint(cs, nil)
-	w.OrderAppend(labelB, "b", nil)
+	w.OrderAppend(2, labelB, "b", nil)
 	if got := w.Storage().Size(); got != 0 {
 		t.Fatalf("device already has %d durable bytes before the sim ran", got)
 	}
@@ -216,7 +216,7 @@ func TestTornCheckpointNeverTruncates(t *testing.T) {
 	w := New(st)
 	w.SetCompact(true)
 	w.View(testView, nil)
-	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil)
 	w.Deliver(1, labelA, 1, 1, "a", nil)
 	cs := ckptState()
 	cs.Pending = nil
@@ -226,7 +226,7 @@ func TestTornCheckpointNeverTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w.OrderAppend(labelB, "b", nil)
+	w.OrderAppend(2, labelB, "b", nil)
 	if err := s.Run(s.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	w := New(st)
 	w.SetCompact(true)
 	w.View(testView, nil)
-	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, labelA, "a", nil)
 	w.Deliver(1, labelA, 1, 1, "a", nil)
@@ -278,7 +278,7 @@ func TestCheckpointCompaction(t *testing.T) {
 		t.Fatalf("Base after first checkpoint = %d, want 0", st.Base())
 	}
 
-	w.OrderAppend(labelB, "b", nil)
+	w.OrderAppend(2, labelB, "b", nil)
 	cs2 := ckptState()
 	cs2.Order = []types.Label{labelA, labelB}
 	cs2.Content = ContentMap{labelA: "a", labelB: "b"}

@@ -13,16 +13,20 @@ import (
 
 // TestHealEstablishmentIsSuffixSized pins what a view change costs the
 // log: after 2 000 values and one 3|2 partition with traffic on both
-// sides, each node's heal establishment holds a fixed header plus one
-// encoded label per label the exchange changed — not the whole order.
+// sides, each node's heal establishment holds a bounded header plus one
+// encoded label and value per label the exchange changed — not the whole
+// order.
 func TestHealEstablishmentIsSuffixSized(t *testing.T) {
 	const (
 		n      = 5
 		values = 2000
-		// header is an establishment's payload without its suffix: tag,
-		// keep, suffix length, nextconfirm, highprimary.
-		header     = 1 + 4 + 4 + 4 + 12
-		labelBytes = 20
+		// header bounds an establishment's payload without its suffix:
+		// tag, keep and suffix-length uvarints, nextconfirm, highprimary.
+		header = 1 + 3 + 3 + 3 + 4
+		// labelBytes bounds one suffix entry here: a varint label (view,
+		// seqno below 2^13, origin) and a value of at most 5 bytes with
+		// its length.
+		labelBytes = 6 + 6
 	)
 	c := stack.NewCluster(stack.Options{Seed: 9, N: n, Delta: time.Millisecond, StorageLatency: time.Millisecond / 4}.Batched())
 	for i := 0; i < values; i++ {

@@ -24,10 +24,10 @@ func gcDisk(tb testing.TB, window time.Duration) ([]byte, *obs.Snapshot) {
 	w.Instrument(reg)
 	w.SetGroupCommit(window)
 	w.View(testView, nil)
-	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, labelA, "a", nil)
-	w.OrderAppend(labelB, "b", nil)
+	w.OrderAppend(2, labelB, "b", nil)
 	w.Bcast(2, "c", nil)
 	w.Deliver(1, labelA, 1, 1, "a", nil)
 	w.Recovered(1, nil)
@@ -223,7 +223,7 @@ func TestGroupCommitWindowTimerDiesWithCrash(t *testing.T) {
 		t.Fatalf("the crashed incarnation's batch reached the image after the crash: %d bytes", st.Size())
 	}
 
-	w.Resync(0, -1, -1)
+	w.Resync(0, Replay(st.Contents()))
 	w.Bcast(1, "live", nil)
 	s.RunFor(5 * time.Millisecond)
 	got := Replay(st.Contents())

@@ -106,7 +106,7 @@ func Replay(disk []byte) *Snapshot {
 			break
 		}
 		var reason string
-		if payload[0] == recBatch {
+		if payload[0] == recBatch || payload[0] == recBatchVar {
 			reason = s.applyBatch(payload, pending, off)
 		} else {
 			reason = s.applyRecord(payload, pending, off)
@@ -140,32 +140,44 @@ func Replay(disk []byte) *Snapshot {
 }
 
 // applyBatch folds a group-commit batch (outer CRC already verified) into
-// the snapshot: a sequence of [u32 len | record payload] sub-records, each
-// applied exactly as a standalone record. A checkpoint inside a batch is
-// located by the batch frame's start offset — the only physical frame
-// boundary compaction can truncate at. Any structural or semantic failure
-// returns a truncation reason; the caller discards the whole batch.
+// the snapshot: a sequence of [len | record payload] sub-records — len a
+// u32 under recBatch, a uvarint under recBatchVar — each applied exactly
+// as a standalone record. A checkpoint inside a batch is located by the
+// batch frame's start offset — the only physical frame boundary
+// compaction can truncate at. Any structural or semantic failure returns
+// a truncation reason; the caller discards the whole batch.
 func (s *Snapshot) applyBatch(payload []byte, pending map[int]types.Value, off int) string {
+	varLens := payload[0] == recBatchVar
 	body := payload[1:]
 	if len(body) == 0 {
 		return "empty batch record"
 	}
 	for len(body) > 0 {
-		if len(body) < 4 {
-			return fmt.Sprintf("torn batch sub-record length: %d trailing bytes", len(body))
+		var ln, hdr int
+		if varLens {
+			r := codec.NewReader(body)
+			ln = int(min(r.Uvarint(), uint64(len(body))))
+			if r.Err() != nil {
+				return fmt.Sprintf("torn batch sub-record length: %v", r.Err())
+			}
+			hdr = len(body) - r.Rest()
+		} else {
+			if len(body) < 4 {
+				return fmt.Sprintf("torn batch sub-record length: %d trailing bytes", len(body))
+			}
+			ln, hdr = int(binary.LittleEndian.Uint32(body[:4])), 4
 		}
-		ln := int(binary.LittleEndian.Uint32(body[:4]))
-		if ln <= 0 || ln > len(body)-4 {
-			return fmt.Sprintf("bad batch sub-record: length %d with %d bytes left", ln, len(body)-4)
+		if ln <= 0 || ln > len(body)-hdr {
+			return fmt.Sprintf("bad batch sub-record: length %d with %d bytes left", ln, len(body)-hdr)
 		}
-		sub := body[4 : 4+ln]
-		if sub[0] == recBatch {
+		sub := body[hdr : hdr+ln]
+		if sub[0] == recBatch || sub[0] == recBatchVar {
 			return "nested batch record"
 		}
 		if reason := s.applyRecord(sub, pending, off); reason != "" {
 			return reason
 		}
-		body = body[4+ln:]
+		body = body[hdr+ln:]
 	}
 	return ""
 }
@@ -211,17 +223,50 @@ func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value, off 
 		}
 		s.NextConfirm = next
 		s.HighPrimary = high
-	case recOrderAppend:
-		l := r.Label()
-		a := types.Value(r.Str())
+	case recEstablishVar:
+		keep := r.Uvarint()
+		n := r.Uvarint()
+		if r.Err() != nil || n > uint64(r.Rest()) {
+			return "bad establish record: oversized order"
+		}
+		if keep > uint64(len(s.Order)) {
+			return fmt.Sprintf("establish keep %d beyond order of %d", keep, len(s.Order))
+		}
+		// In place, as above.
+		s.Order = s.Order[:keep]
+		for i := uint64(0); i < n; i++ {
+			l := r.VarLabel()
+			s.Content[l] = types.Value(r.VarStr())
+			s.Order = append(s.Order, l)
+		}
+		next := r.Varint()
+		high := r.VarViewID()
+		if r.Err() != nil || next < 1 {
+			return "bad establish record"
+		}
+		s.NextConfirm = int(next)
+		s.HighPrimary = high
+	case recOrderAppend, recOrderAppendVar:
+		var l types.Label
+		var a types.Value
+		if tag == recOrderAppend {
+			l, a = r.Label(), types.Value(r.Str())
+		} else {
+			l, a = r.VarLabel(), types.Value(r.VarStr())
+		}
 		if r.Err() != nil {
 			return "bad order-append record"
 		}
 		s.Order = append(s.Order, l)
 		s.Content[l] = a
-	case recBcast:
-		seq := r.I32()
-		a := types.Value(r.Str())
+	case recBcast, recBcastVar:
+		var seq int
+		var a types.Value
+		if tag == recBcast {
+			seq, a = r.I32(), types.Value(r.Str())
+		} else {
+			seq, a = int(r.Varint()), types.Value(r.VarStr())
+		}
 		if r.Err() != nil || seq < 1 {
 			return "bad bcast record"
 		}
@@ -229,21 +274,37 @@ func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value, off 
 		if seq > s.BcastSeq {
 			s.BcastSeq = seq
 		}
-	case recLabel:
-		seq := r.I32()
-		l := r.Label()
-		a := types.Value(r.Str())
+	case recLabel, recLabelVar:
+		var seq int
+		var l types.Label
+		var a types.Value
+		if tag == recLabel {
+			seq, l, a = r.I32(), r.Label(), types.Value(r.Str())
+		} else {
+			var ok bool
+			seq, l = int(r.Varint()), r.VarLabel()
+			if a, ok = pending[seq]; !ok && r.Err() == nil {
+				return fmt.Sprintf("label record for submission %d with no pending value", seq)
+			}
+		}
 		if r.Err() != nil {
 			return "bad label record"
 		}
 		delete(pending, seq)
 		s.Content[l] = a
-	case recDeliver:
-		pos := r.I32()
-		l := r.Label()
-		from := types.ProcID(r.I32())
-		fromSeq := r.I32()
-		a := types.Value(r.Str())
+	case recDeliver, recDeliverVar, recDeliverValueVar:
+		var pos, fromSeq int
+		var l types.Label
+		var from types.ProcID
+		var a types.Value
+		if tag == recDeliver {
+			pos, l, from, fromSeq, a = r.I32(), r.Label(), types.ProcID(r.I32()), r.I32(), types.Value(r.Str())
+		} else {
+			pos, l, from, fromSeq = int(r.Varint()), r.VarLabel(), types.ProcID(r.Varint()), int(r.Varint())
+			if tag == recDeliverValueVar {
+				a = types.Value(r.VarStr())
+			}
+		}
 		if r.Err() != nil {
 			return "bad deliver record"
 		}
@@ -252,6 +313,12 @@ func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value, off 
 		}
 		if pos > len(s.Order) || s.Order[pos-1] != l {
 			return fmt.Sprintf("deliver record label %v not at order position %d", l, pos)
+		}
+		if tag == recDeliverVar {
+			var ok bool
+			if a, ok = s.Content[l]; !ok {
+				return fmt.Sprintf("deliver record label %v has no replayed value", l)
+			}
 		}
 		s.Content[l] = a
 		s.Delivered = append(s.Delivered, DeliveredRecord{Pos: pos, Label: l, From: from, FromSeq: fromSeq, Value: a})

@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"encoding/binary"
+	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -27,10 +29,10 @@ func sampleDisk(tb testing.TB) []byte {
 	s := sim.New(1)
 	w := New(storage.New(s, 0))
 	w.View(testView, nil)
-	w.Establish(0, []types.Label{labelA}, 1, testView.ID, nil)
+	w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, labelA, "a", nil)
-	w.OrderAppend(labelB, "b", nil)
+	w.OrderAppend(2, labelB, "b", nil)
 	w.Bcast(2, "c", nil) // never labeled: must come back as pending
 	w.Deliver(1, labelA, 1, 1, "a", nil)
 	w.Recovered(1, nil)
@@ -157,11 +159,15 @@ func TestEstablishSuffixRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New(1)
 			w := New(storage.New(s, 0))
+			content := ContentMap{}
+			for i := 1; i <= 9; i++ {
+				content[l(i)] = types.Value(fmt.Sprint("v", i))
+			}
 			w.View(testView, nil)
-			w.Establish(0, []types.Label{l(1), l(2)}, 1, testView.ID, nil)
-			w.OrderAppend(l(3), "c", nil)
+			w.Establish(0, []types.Label{l(1), l(2)}, content, 1, testView.ID, nil)
+			w.OrderAppend(3, l(3), "v3", nil)
 			high := types.ViewID{Epoch: 3, Proc: 0}
-			w.Establish(tc.keep, tc.suffix, 2, high, nil)
+			w.Establish(tc.keep, tc.suffix, content, 2, high, nil)
 			if err := s.Run(s.Now().Add(time.Second)); err != nil {
 				t.Fatal(err)
 			}
@@ -207,6 +213,17 @@ func batchFrame(payloads ...[]byte) []byte {
 	body := []byte{recBatch}
 	for _, p := range payloads {
 		body = binary.LittleEndian.AppendUint32(body, uint32(len(p)))
+		body = append(body, p...)
+	}
+	return frame(nil, body)
+}
+
+// varBatchFrame is batchFrame with uvarint sub-record lengths, the batch
+// the WAL writes.
+func varBatchFrame(payloads ...[]byte) []byte {
+	body := []byte{recBatchVar}
+	for _, p := range payloads {
+		body = binary.AppendUvarint(body, uint64(len(p)))
 		body = append(body, p...)
 	}
 	return frame(nil, body)
@@ -274,6 +291,67 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
 			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(2) }),
 		)[:12], "torn record"},
+		// Compact records. A value-less record whose value replay does not
+		// hold truncates: the order is [A] by a fixed-width establishment
+		// (labels only), so no value of A was ever logged.
+		{"value-less deliver with no replayed value", varBatchFrame(
+			establishRec(0, []types.Label{labelA}, 1, testView.ID)[frameHeader:],
+			payload(func(x *codec.Writer) {
+				x.U8(recDeliverVar)
+				x.Varint(1)
+				x.VarLabel(labelA)
+				x.Varint(1)
+				x.Varint(1)
+			}),
+		), "has no replayed value"},
+		{"value-less label with no pending submission", rec(func(x *codec.Writer) {
+			x.U8(recLabelVar)
+			x.Varint(1)
+			x.VarLabel(labelA)
+		}), "no pending value"},
+		{"label of a submission already labeled", varBatchFrame(
+			payload(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(1); x.VarStr("a") }),
+			payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelA) }),
+			payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelB) }),
+		), "no pending value"},
+		{"overlong varint", rec(func(x *codec.Writer) {
+			x.U8(recBcastVar)
+			x.U8(0x81)
+			x.U8(0x00) // 1, not in its shortest form
+			x.VarStr("a")
+		}), "bad bcast record"},
+		{"overflowing varint", rec(func(x *codec.Writer) {
+			x.U8(recOrderAppendVar)
+			for i := 0; i < 10; i++ {
+				x.U8(0xff)
+			}
+			x.U8(0x01)
+		}), "bad order-append record"},
+		{"value length past the record", rec(func(x *codec.Writer) {
+			x.U8(recOrderAppendVar)
+			x.VarLabel(labelA)
+			x.Uvarint(1 << 40)
+		}), "bad order-append record"},
+		{"compact establish keep beyond order", rec(func(x *codec.Writer) {
+			x.U8(recEstablishVar)
+			x.Uvarint(1)
+			x.Uvarint(0)
+			x.Varint(1)
+			x.VarViewID(testView.ID)
+		}), "establish keep 1 beyond order of 0"},
+		{"compact establish oversized suffix", rec(func(x *codec.Writer) {
+			x.U8(recEstablishVar)
+			x.Uvarint(0)
+			x.Uvarint(1 << 62)
+		}), "oversized order"},
+		{"compact batch torn sub length", frame(nil, []byte{recBatchVar, 0x80}), "torn batch sub-record length"},
+		{"compact batch overlong sub length", frame(nil, []byte{recBatchVar, 0x81, 0x00, recRecovered}), "torn batch sub-record length"},
+		{"compact batch bad sub length", frame(nil, []byte{recBatchVar, 100, 1, 2, 3}), "bad batch sub-record"},
+		{"compact batch nested", varBatchFrame([]byte{recBatch}), "nested batch record"},
+		{"compact batch mid-batch bad record", varBatchFrame(
+			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
+			payload(func(x *codec.Writer) { x.U8(42) }),
+		), "unknown record tag"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -402,6 +480,28 @@ func FuzzReplay(f *testing.F) {
 		establishRec(0, []types.Label{labelA, labelB}, 1, testView.ID)[frameHeader:],
 		establishRec(1, []types.Label{labelC}, 2, testView.ID)[frameHeader:],
 	)...))
+	// Compact layouts: a value-less Deliver and Label behind the records
+	// that hold their values, the same batch torn inside a sub-record
+	// length, and the fixed-width image pinned in testdata.
+	compact := append(append([]byte(nil), viewRec(testView)...), varBatchFrame(
+		payload(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(1); x.VarStr("a") }),
+		payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelA) }),
+		payload(func(x *codec.Writer) { x.U8(recOrderAppendVar); x.VarLabel(labelA); x.VarStr("a") }),
+		payload(func(x *codec.Writer) {
+			x.U8(recDeliverVar)
+			x.Varint(1)
+			x.VarLabel(labelA)
+			x.Varint(1)
+			x.Varint(1)
+		}),
+	)...)
+	f.Add(compact)
+	f.Add(compact[:len(viewRec(testView))+frameHeader+2])
+	f.Add(compact[:len(compact)-4])
+	if legacy, err := os.ReadFile("testdata/legacy.wal"); err == nil {
+		f.Add(legacy)
+		f.Add(legacy[:len(legacy)/3])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := Replay(data) // must never panic
 		if s.TruncatedAt < 0 || s.TruncatedAt > len(data) {
@@ -417,6 +517,11 @@ func FuzzReplay(f *testing.F) {
 		}
 		if len(s.Delivered) > len(s.Order) {
 			t.Fatalf("delivered %d beyond order %d", len(s.Delivered), len(s.Order))
+		}
+		for _, d := range s.Delivered {
+			if _, ok := s.Content[d.Label]; !ok {
+				t.Fatalf("delivery %d of %v replays with no value in the content", d.Pos, d.Label)
+			}
 		}
 		// The kept prefix must itself be a clean log with the same outcome.
 		clean := Replay(data[:s.TruncatedAt])

@@ -137,8 +137,8 @@ func NewLiveNode(opts LiveOptions) *Node {
 	c.m.replayBytes.Add(int64(len(opts.WALData)))
 	n.restoreProc(snap)
 	// The file's offsets are the log's logical offsets (logical 0 = file
-	// start at this boot).
-	n.wal.Resync(len(opts.WALData), snap.CheckpointAt, snap.PrevCheckpointAt)
+	// start at this boot), and the file has no torn tail.
+	n.wal.Resync(0, snap)
 	inc := snap.Incarnations + 1
 	n.waPending++
 	n.wal.Recovered(inc, func() {

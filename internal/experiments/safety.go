@@ -39,7 +39,7 @@ func E6(seed int64) *Table {
 		qs := types.Majorities{Universe: procs}
 		vsAuto := vsmachine.NewAuto(procs, procs)
 		components := []ioa.Automaton{vsAuto}
-		procMap := make(map[types.ProcID]*vstoto.Proc, cfg.n)
+		procMap := make([]*vstoto.Proc, cfg.n)
 		for _, p := range procs.Members() {
 			a := vstoto.NewAuto(p, qs, procs)
 			procMap[p] = a.P

@@ -63,24 +63,20 @@ func (a *Auto) Enabled(buf []ioa.Action) []ioa.Action {
 			}
 		}
 	}
-	// Iterate both maps in sorted key order: the executor resolves its
-	// nondeterminism by drawing a random index into this slice, so the
-	// enumeration order must be a pure function of the state — Go's
-	// randomized map order would otherwise leak into seeded runs.
-	var idBuf [8]types.ViewID
-	for _, id := range sortedKeys(idBuf[:0], m.Created, types.ViewID.Cmp) {
-		v := m.Created[id]
+	// Created and the slots are walked in ascending order: the executor
+	// resolves its nondeterminism by drawing a random index into this
+	// slice, so the enumeration order must be a pure function of the state.
+	for _, v := range m.Created {
 		for _, p := range v.Set.Members() {
 			cur := m.CurrentViewID[p]
 			if cur.IsBottom() || cur.Less(v.ID) {
-				buf = append(buf, Newview{V: v, P: p})
+				buf = append(buf, Newview{V: v.View, P: p})
 			}
 		}
 	}
-	var pgBuf [16]pg
-	for _, k := range sortedKeys(pgBuf[:0], m.pending, cmpPG) {
-		if pend := m.pending[k]; len(pend) > 0 {
-			buf = append(buf, VSOrder{M: pend[0], P: k.P, G: k.G})
+	for _, s := range m.slots {
+		if len(s.pending) > 0 {
+			buf = append(buf, VSOrder{M: s.pending[0], P: s.P, G: s.G})
 		}
 	}
 	for _, q := range m.procs.Members() {
@@ -88,12 +84,12 @@ func (a *Auto) Enabled(buf []ioa.Action) []ioa.Action {
 		if g.IsBottom() {
 			continue
 		}
-		queue := m.Queue[g]
-		if n := m.nextIdx(q, g); n <= len(queue) {
-			e := queue[n-1]
+		queue, s := m.Queue(g), m.slot(q, g)
+		if n := int(s.next); n < len(queue) {
+			e := queue[n]
 			buf = append(buf, Gprcv{M: e.M, P: e.P, Q: q})
 		}
-		if ns := m.nextSafeIdx(q, g); ns <= len(queue) {
+		if ns := int(s.nextSafe) + 1; ns <= len(queue) {
 			e := queue[ns-1]
 			if m.SafeEnabled(e.M, e.P, q) {
 				buf = append(buf, Safe{M: e.M, P: e.P, Q: q})

@@ -2,59 +2,56 @@ package vsmachine
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 
 	"repro/internal/ioa"
 )
 
 // CloneFor returns a copy of the machine that act can be applied to
-// without changing m. Only the maps act writes are copied; the rest, and
+// without changing m. Only the slices act writes are copied; the rest, and
 // every message value (immutable by the package's conventions), are shared
-// with m. An action outside the machine's signature copies every map.
+// with m. Everything is shared capped at its length, so an append or
+// insert on the copy reallocates instead of writing into storage m still
+// reads (nothing writes an element of a sequence in place). An action
+// outside the machine's signature copies everything.
 func (m *Machine) CloneFor(act ioa.Action) *Machine {
 	out := *m
+	out.Created, out.CurrentViewID, out.slots = slices.Clip(m.Created), slices.Clip(m.CurrentViewID), slices.Clip(m.slots)
 	switch act.(type) {
-	case Createview:
-		out.Created = maps.Clone(m.Created)
+	case Createview: // adds a record to the capped Created
 	case Newview:
-		out.CurrentViewID = maps.Clone(m.CurrentViewID)
-	case Gpsnd:
-		out.pending = cloneClipped(m.pending)
+		out.CurrentViewID = slices.Clone(m.CurrentViewID)
+	case Gpsnd, Gprcv, Safe: // may insert the slot they write
+		out.slots = cloneSlots(m.slots, 1)
 	case VSOrder:
-		out.pending, out.Queue = cloneClipped(m.pending), cloneClipped(m.Queue)
-	case Gprcv:
-		out.next = maps.Clone(m.next)
-	case Safe:
-		out.nextSafe = maps.Clone(m.nextSafe)
+		out.slots, out.Created = cloneSlots(m.slots, 0), cloneCreated(m.Created)
 	default:
-		out.Created, out.CurrentViewID = maps.Clone(m.Created), maps.Clone(m.CurrentViewID)
-		out.pending, out.Queue = cloneClipped(m.pending), cloneClipped(m.Queue)
-		out.next, out.nextSafe = maps.Clone(m.next), maps.Clone(m.nextSafe)
+		out.CurrentViewID = slices.Clone(m.CurrentViewID)
+		out.slots, out.Created = cloneSlots(m.slots, 1), cloneCreated(m.Created)
 	}
 	return &out
 }
 
-// cloneClipped copies a map of sequences without copying the sequences:
-// each is capped at its length, so the appends in ApplyGpsnd and
-// ApplyVSOrder reallocate instead of writing into storage the original
-// still reads (nothing else writes a sequence element).
-func cloneClipped[K comparable, E any](m map[K][]E) map[K][]E {
-	out := make(map[K][]E, len(m))
-	for k, v := range m {
-		out[k] = slices.Clip(v)
+// cloneSlots copies the slots with room for spare more, each pending
+// sequence capped at its length. No slots copy to none.
+func cloneSlots(ss []slot, spare int) []slot {
+	if len(ss) == 0 {
+		return slices.Clip(ss)
+	}
+	out := append(make([]slot, 0, len(ss)+spare), ss...)
+	for i := range out {
+		out[i].pending = slices.Clip(out[i].pending)
 	}
 	return out
 }
 
-// sortedKeys appends m's keys to ks, sorted by order. Callers pass an
-// empty slice of a stack array, which keeps small key sets off the heap.
-func sortedKeys[K comparable, V any](ks []K, m map[K]V, order func(K, K) int) []K {
-	for k := range m {
-		ks = append(ks, k)
+// cloneCreated copies the created views, each queue capped at its length.
+func cloneCreated(cs []CreatedView) []CreatedView {
+	out := slices.Clone(cs)
+	for i := range out {
+		out[i].Queue = slices.Clip(out[i].Queue)
 	}
-	slices.SortFunc(ks, order)
-	return ks
+	return out
 }
 
 // cmpPG orders (processor, view) keys by processor, then view.

@@ -13,20 +13,20 @@ import (
 // randomized map iteration leaked into the order, identical seeds would
 // take different runs (this is exactly the E6 divergence the parallel
 // determinism gate caught). The state below puts several entries in both
-// maps Enabled walks (Created, pending); with unsorted iteration, 100
-// re-enumerations of the same state disagree with overwhelming
-// probability.
+// sequences Enabled walks (Created, the pending slots).
 func TestEnabledEnumerationStable(t *testing.T) {
 	procs := types.NewProcSet(0, 1, 2, 3)
 	m := New(procs, procs)
 	// Several created-but-nowhere-installed views: each contributes one
-	// newview action per member, enumerated from the Created map.
+	// newview action per member, enumerated from Created.
 	for e := int64(2); e <= 5; e++ {
 		v := types.View{ID: types.ViewID{Epoch: e, Proc: types.ProcID(e % 4)}, Set: procs}
-		m.Created[v.ID] = v
+		if err := m.ApplyCreateview(v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A pending queue per processor: each contributes one vs-order action,
-	// enumerated from the pending map.
+	// enumerated from the slots.
 	for _, p := range procs.Members() {
 		m.ApplyGpsnd(fmt.Sprintf("m%v", p), p)
 	}

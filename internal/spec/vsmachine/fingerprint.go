@@ -36,68 +36,75 @@ func appendMsgFingerprint(buf []byte, m Msg) []byte {
 
 // AppendFingerprint appends a canonical binary encoding of the machine
 // state, the explorer's visited-set key. Every section is count-prefixed
-// and maps are walked in sorted key order, so the encoding is a pure
-// function of the state. next/next-safe entries at their default value 1 are omitted
-// (an absent key and an explicit 1 are the same abstract state).
+// and walked in ascending order, so the encoding is a pure function of the
+// state: the created views, every processor's current view, the nonempty
+// queues, the nonempty pending sequences, then the next and next-safe
+// indices that are not at their default value 1 (a default index and no
+// index are the same abstract state).
 func (m *Machine) AppendFingerprint(buf []byte) []byte {
-	var idBuf [8]types.ViewID
-	var pgBuf [16]pg
-	created := sortedKeys(idBuf[:0], m.Created, types.ViewID.Cmp)
-	buf = binary.AppendUvarint(buf, uint64(len(created)))
-	for _, id := range created {
-		buf = m.Created[id].AppendFingerprint(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(m.Created)))
+	queues := 0
+	for _, c := range m.Created {
+		buf = c.View.AppendFingerprint(buf)
+		if len(c.Queue) > 0 {
+			queues++
+		}
 	}
 	for _, p := range m.procs.Members() {
 		buf = m.CurrentViewID[p].AppendFingerprint(buf)
 	}
-	queues := sortedKeys(idBuf[:0], m.Queue, types.ViewID.Cmp)
-	buf = binary.AppendUvarint(buf, uint64(len(queues)))
-	for _, g := range queues {
-		buf = g.AppendFingerprint(buf)
-		q := m.Queue[g]
-		buf = binary.AppendUvarint(buf, uint64(len(q)))
-		for _, e := range q {
+	buf = binary.AppendUvarint(buf, uint64(queues))
+	for _, c := range m.Created {
+		if len(c.Queue) == 0 {
+			continue
+		}
+		buf = c.ID.AppendFingerprint(buf)
+		buf = binary.AppendUvarint(buf, uint64(len(c.Queue)))
+		for _, e := range c.Queue {
 			buf = appendMsgFingerprint(buf, e.M)
 			buf = binary.AppendVarint(buf, int64(e.P))
 		}
 	}
-	pgs := sortedKeys(pgBuf[:0], m.pending, cmpPG)
-	nonEmpty := 0
-	for _, k := range pgs {
-		if len(m.pending[k]) > 0 {
-			nonEmpty++
+	n := 0
+	for _, s := range m.slots {
+		if len(s.pending) > 0 {
+			n++
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(nonEmpty))
-	for _, k := range pgs {
-		pend := m.pending[k]
-		if len(pend) == 0 {
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for _, s := range m.slots {
+		if len(s.pending) == 0 {
 			continue
 		}
-		buf = binary.AppendVarint(buf, int64(k.P))
-		buf = k.G.AppendFingerprint(buf)
-		buf = binary.AppendUvarint(buf, uint64(len(pend)))
-		for _, msg := range pend {
+		buf = binary.AppendVarint(buf, int64(s.P))
+		buf = s.G.AppendFingerprint(buf)
+		buf = binary.AppendUvarint(buf, uint64(len(s.pending)))
+		for _, msg := range s.pending {
 			buf = appendMsgFingerprint(buf, msg)
 		}
 	}
-	for _, idx := range []map[pg]int{m.next, m.nextSafe} {
-		ks := sortedKeys(pgBuf[:0], idx, cmpPG)
-		nonDefault := 0
-		for _, k := range ks {
-			if idx[k] != 1 {
-				nonDefault++
-			}
+	buf = appendIndex(buf, m.slots, func(s *slot) int32 { return s.next })
+	return appendIndex(buf, m.slots, func(s *slot) int32 { return s.nextSafe })
+}
+
+// appendIndex appends the section of one per-(p, g) index, read from the
+// slots by idx, that lists the pairs where it is not at its default.
+func appendIndex(buf []byte, slots []slot, idx func(*slot) int32) []byte {
+	n := 0
+	for i := range slots {
+		if idx(&slots[i]) != 0 {
+			n++
 		}
-		buf = binary.AppendUvarint(buf, uint64(nonDefault))
-		for _, k := range ks {
-			if idx[k] == 1 {
-				continue
-			}
-			buf = binary.AppendVarint(buf, int64(k.P))
-			buf = k.G.AppendFingerprint(buf)
-			buf = binary.AppendVarint(buf, int64(idx[k]))
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i := range slots {
+		s := &slots[i]
+		if idx(s) == 0 {
+			continue
 		}
+		buf = binary.AppendVarint(buf, int64(s.P))
+		buf = s.G.AppendFingerprint(buf)
+		buf = binary.AppendVarint(buf, int64(idx(s))+1)
 	}
 	return buf
 }

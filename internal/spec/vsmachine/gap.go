@@ -39,13 +39,11 @@ type GapMachine struct {
 	// recovery path.
 	PerSenderGapFree bool
 
-	// nextIndex[p,g] is 1 + the index of the last message p received in
-	// view g (skipped messages are gone for good: delivery stays an
-	// increasing subsequence).
-	nextIndex map[pg]int
-	// contiguous[p,g] is the length of the gap-free prefix p has received;
-	// it freezes at the first skip and drives safe.
-	contiguous map[pg]int
+	// The machine's next[p,g] is 1 + the index of the last message p
+	// received in view g (skipped messages are gone for good: delivery
+	// stays an increasing subsequence), and its slot's contiguous the
+	// length of the gap-free prefix p has received, which drives safe.
+	//
 	// skippedSender[p,g] records senders from which p has skipped a
 	// message in g (consulted only in PerSenderGapFree mode).
 	skippedSender map[pg]map[types.ProcID]bool
@@ -56,17 +54,8 @@ type GapMachine struct {
 func NewGap(procs, p0 types.ProcSet) *GapMachine {
 	return &GapMachine{
 		Machine:       New(procs, p0),
-		nextIndex:     make(map[pg]int),
-		contiguous:    make(map[pg]int),
 		skippedSender: make(map[pg]map[types.ProcID]bool),
 	}
-}
-
-func (m *GapMachine) nextIdxGap(p types.ProcID, g types.ViewID) int {
-	if n, ok := m.nextIndex[pg{p, g}]; ok {
-		return n
-	}
-	return 1
 }
 
 // GprcvAtEnabled reports whether q may receive the message at 1-based
@@ -77,16 +66,17 @@ func (m *GapMachine) GprcvAtEnabled(q types.ProcID, k int) bool {
 	if g.IsBottom() {
 		return false
 	}
-	if k < m.nextIdxGap(q, g) || k > len(m.Queue[g]) {
+	queue := m.Queue(g)
+	if k < m.Next(q, g) || k > len(queue) {
 		return false
 	}
 	if m.PerSenderGapFree {
-		sender := m.Queue[g][k-1].P
+		sender := queue[k-1].P
 		if m.skippedSender[pg{q, g}][sender] {
 			return false // an earlier message from this sender was skipped
 		}
-		for j := m.nextIdxGap(q, g); j < k; j++ {
-			if m.Queue[g][j-1].P == sender {
+		for j := m.Next(q, g); j < k; j++ {
+			if queue[j-1].P == sender {
 				return false // this delivery would itself skip the sender
 			}
 		}
@@ -101,20 +91,20 @@ func (m *GapMachine) ApplyGprcvAt(q types.ProcID, k int) (Entry, error) {
 		return Entry{}, fmt.Errorf("vsmachine: gap gprcv at %d not enabled for %v", k, q)
 	}
 	g := m.CurrentViewID[q]
-	key := pg{q, g}
-	wasNext := m.nextIdxGap(q, g)
+	key, queue, s := pg{q, g}, m.Queue(g), m.slotFor(q, g)
+	wasNext := int(s.next) + 1
 	for j := wasNext; j < k; j++ {
 		if m.skippedSender[key] == nil {
 			m.skippedSender[key] = make(map[types.ProcID]bool)
 		}
-		m.skippedSender[key][m.Queue[g][j-1].P] = true
+		m.skippedSender[key][queue[j-1].P] = true
 	}
-	m.nextIndex[key] = k + 1
 	// The contiguous prefix grows only when nothing was skipped.
-	if k == wasNext && m.contiguous[key] == wasNext-1 {
-		m.contiguous[key] = k
+	if k == wasNext && int(s.contiguous) == wasNext-1 {
+		s.contiguous = int32(k)
 	}
-	return m.Queue[g][k-1], nil
+	s.next = int32(k)
+	return queue[k-1], nil
 }
 
 // SafeAtEnabled reports whether the footnote-5 safe for index k is enabled
@@ -122,18 +112,15 @@ func (m *GapMachine) ApplyGprcvAt(q types.ProcID, k int) (Entry, error) {
 // prefix must cover k.
 func (m *GapMachine) SafeAtEnabled(q types.ProcID, k int) bool {
 	g := m.CurrentViewID[q]
-	if g.IsBottom() {
-		return false
-	}
-	v, ok := m.Created[g]
+	v, ok := m.View(g) // ⊥ is never created
 	if !ok {
 		return false
 	}
-	if k != m.nextSafeIdx(q, g) || k > len(m.Queue[g]) {
+	if k != m.NextSafe(q, g) || k > len(m.Queue(g)) {
 		return false
 	}
 	for _, r := range v.Set.Members() {
-		if m.contiguous[pg{r, g}] < k {
+		if int(m.slot(r, g).contiguous) < k {
 			return false
 		}
 	}
@@ -146,6 +133,6 @@ func (m *GapMachine) ApplySafeAt(q types.ProcID, k int) (Entry, error) {
 		return Entry{}, fmt.Errorf("vsmachine: gap safe at %d not enabled for %v", k, q)
 	}
 	g := m.CurrentViewID[q]
-	m.nextSafe[pg{q, g}] = k + 1
-	return m.Queue[g][k-1], nil
+	m.slotFor(q, g).nextSafe = int32(k)
+	return m.Queue(g)[k-1], nil
 }

@@ -25,14 +25,15 @@ import (
 //  13. ⟨g,S⟩ ∈ created ∧ next[p,g] ≠ 1 ⇒ p ∈ S
 //  14. ⟨g,S⟩ ∈ created ∧ next-safe[p,g] ≠ 1 ⇒ p ∈ S
 func (m *Machine) CheckInvariants() error {
-	// Part 1 holds by construction: Created is keyed by identifier.
+	// Parts 1 and 7 hold by construction: Created holds each identifier
+	// once, and a queue only as part of a created view.
 
 	for _, p := range m.procs.Members() {
 		cur := m.CurrentViewID[p]
 		if cur.IsBottom() {
 			continue
 		}
-		v, ok := m.Created[cur]
+		v, ok := m.View(cur)
 		if !ok {
 			return fmt.Errorf("lemma 4.1(2): current-viewid[%v]=%v not created", p, cur)
 		}
@@ -41,11 +42,11 @@ func (m *Machine) CheckInvariants() error {
 		}
 	}
 
-	for k, pend := range m.pending {
-		if len(pend) == 0 {
+	for _, k := range m.slots {
+		if len(k.pending) == 0 {
 			continue
 		}
-		if _, ok := m.Created[k.G]; !ok {
+		if _, ok := m.view(k.G); !ok {
 			return fmt.Errorf("lemma 4.1(4): pending[%v,%v] nonempty but %v not created", k.P, k.G, k.G)
 		}
 		cur := m.CurrentViewID[k.P]
@@ -58,14 +59,9 @@ func (m *Machine) CheckInvariants() error {
 		}
 	}
 
-	for g, queue := range m.Queue {
-		if len(queue) == 0 {
-			continue
-		}
-		if _, ok := m.Created[g]; !ok {
-			return fmt.Errorf("lemma 4.1(7): queue[%v] nonempty but %v not created", g, g)
-		}
-		for _, e := range queue {
+	for _, c := range m.Created {
+		g := c.ID
+		for _, e := range c.Queue {
 			cur := m.CurrentViewID[e.P]
 			if cur.IsBottom() {
 				return fmt.Errorf("lemma 4.1(8): ⟨%v,%v⟩ in queue[%v] but current-viewid[%v]=⊥", e.M, e.P, g, e.P)
@@ -77,24 +73,19 @@ func (m *Machine) CheckInvariants() error {
 		}
 	}
 
-	for k, n := range m.next {
-		if n > len(m.Queue[k.G])+1 {
-			return fmt.Errorf("lemma 4.1(10): next[%v,%v]=%d > len(queue[%v])+1=%d",
-				k.P, k.G, n, k.G, len(m.Queue[k.G])+1)
-		}
-		if v, ok := m.Created[k.G]; ok && n != 1 && !v.Set.Contains(k.P) {
+	for _, k := range m.slots {
+		n, ns, q := int(k.next)+1, int(k.nextSafe)+1, len(m.Queue(k.G))
+		v, created := m.View(k.G)
+		switch {
+		case n > q+1:
+			return fmt.Errorf("lemma 4.1(10): next[%v,%v]=%d > len(queue[%v])+1=%d", k.P, k.G, n, k.G, q+1)
+		case created && n != 1 && !v.Set.Contains(k.P):
 			return fmt.Errorf("lemma 4.1(13): next[%v,%v]=%d but %v ∉ %v", k.P, k.G, n, k.P, v.Set)
-		}
-	}
-	for k, ns := range m.nextSafe {
-		if ns > len(m.Queue[k.G])+1 {
-			return fmt.Errorf("lemma 4.1(11): next-safe[%v,%v]=%d > len(queue[%v])+1=%d",
-				k.P, k.G, ns, k.G, len(m.Queue[k.G])+1)
-		}
-		if ns > m.nextIdx(k.P, k.G) {
-			return fmt.Errorf("lemma 4.1(12): next-safe[%v,%v]=%d > next=%d", k.P, k.G, ns, m.nextIdx(k.P, k.G))
-		}
-		if v, ok := m.Created[k.G]; ok && ns != 1 && !v.Set.Contains(k.P) {
+		case ns > q+1:
+			return fmt.Errorf("lemma 4.1(11): next-safe[%v,%v]=%d > len(queue[%v])+1=%d", k.P, k.G, ns, k.G, q+1)
+		case ns > n:
+			return fmt.Errorf("lemma 4.1(12): next-safe[%v,%v]=%d > next=%d", k.P, k.G, ns, n)
+		case created && ns != 1 && !v.Set.Contains(k.P):
 			return fmt.Errorf("lemma 4.1(14): next-safe[%v,%v]=%d but %v ∉ %v", k.P, k.G, ns, k.P, v.Set)
 		}
 	}
@@ -107,6 +98,5 @@ func (m *Machine) CurrentView(p types.ProcID) (types.View, bool) {
 	if g.IsBottom() {
 		return types.View{}, false
 	}
-	v, ok := m.Created[g]
-	return v, ok
+	return m.View(g)
 }

@@ -15,6 +15,8 @@ package vsmachine
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/types"
 )
@@ -115,45 +117,51 @@ type pg struct {
 	G types.ViewID
 }
 
+// CreatedView is one element of created together with queue[g] for its
+// identifier g.
+type CreatedView struct {
+	types.View
+	// Queue is queue[g], the view's total order of ⟨message, sender⟩ pairs.
+	Queue []Entry
+}
+
+// slot is the state Figure 6 keeps per (processor, view) pair.
+type slot struct {
+	pg
+	pending []Msg
+	// next and nextSafe hold next[p,g] − 1 and next-safe[p,g] − 1, so the
+	// zero slot is Figure 6's default of 1. (Three int32s keep a slot at 64
+	// bytes: the explorer copies the slots on most of its edges.)
+	next, nextSafe int32
+	// contiguous is GapMachine's gap-free received prefix (see gap.go).
+	contiguous int32
+}
+
 // Machine is the VS-machine state of Figure 6.
 type Machine struct {
 	procs types.ProcSet
 	weak  bool // WeakVS-machine: createview only requires a fresh id
 
-	// Created is the set of created views, keyed by identifier (unique by
-	// Lemma 4.1 part 1, enforced here by construction).
-	Created map[types.ViewID]types.View
+	// Created is the set of created views in ascending identifier order,
+	// each with its queue. Lemma 4.1 parts 1 (identifiers are unique) and 7
+	// (only created views have queues) hold by construction.
+	Created []CreatedView
 	// CurrentViewID[p] ∈ G⊥ is p's current view identifier.
-	CurrentViewID map[types.ProcID]types.ViewID
-	// Queue[g] is the per-view total order of ⟨message, sender⟩ pairs.
-	Queue map[types.ViewID][]Entry
-	// pending[p,g], next[p,g], nextSafe[p,g] as in Figure 6.
-	pending  map[pg][]Msg
-	next     map[pg]int
-	nextSafe map[pg]int
+	CurrentViewID []types.ViewID
+	// slots holds pending[p,g], next[p,g] and next-safe[p,g] of Figure 6
+	// for every pair that has left the defaults, sorted by cmpPG.
+	slots []slot
 }
 
 // New creates a VS-machine over procs whose distinguished initial view is
 // ⟨g0, p0⟩. Processors in p0 start with current view g0; the rest start
-// with ⊥.
+// with ⊥. CurrentViewID is indexed by ProcID: procs is RangeProcSet(n).
 func New(procs types.ProcSet, p0 types.ProcSet) *Machine {
-	m := &Machine{
-		procs:         procs,
-		Created:       make(map[types.ViewID]types.View),
-		CurrentViewID: make(map[types.ProcID]types.ViewID, procs.Size()),
-		Queue:         make(map[types.ViewID][]Entry),
-		pending:       make(map[pg][]Msg),
-		next:          make(map[pg]int),
-		nextSafe:      make(map[pg]int),
-	}
+	m := &Machine{procs: procs, CurrentViewID: make([]types.ViewID, procs.Size())}
 	v0 := types.InitialView(p0)
-	m.Created[v0.ID] = v0
-	for _, p := range procs.Members() {
-		if p0.Contains(p) {
-			m.CurrentViewID[p] = v0.ID
-		} else {
-			m.CurrentViewID[p] = types.Bottom
-		}
+	m.Created = []CreatedView{{View: v0}}
+	for _, p := range p0.Members() {
+		m.CurrentViewID[p] = v0.ID
 	}
 	return m
 }
@@ -169,30 +177,59 @@ func NewWeak(procs types.ProcSet, p0 types.ProcSet) *Machine {
 // Procs returns the processor universe.
 func (m *Machine) Procs() types.ProcSet { return m.procs }
 
-// nextIdx returns next[p,g], defaulting to 1.
-func (m *Machine) nextIdx(p types.ProcID, g types.ViewID) int {
-	if n, ok := m.next[pg{p, g}]; ok {
-		return n
-	}
-	return 1
+// search returns where the slot of (p, g) is, or would be inserted.
+func (m *Machine) search(p types.ProcID, g types.ViewID) (int, bool) {
+	k := pg{p, g}
+	return sort.Find(len(m.slots), func(i int) int { return cmpPG(k, m.slots[i].pg) })
 }
 
-// nextSafeIdx returns next-safe[p,g], defaulting to 1.
-func (m *Machine) nextSafeIdx(p types.ProcID, g types.ViewID) int {
-	if n, ok := m.nextSafe[pg{p, g}]; ok {
-		return n
+// slot returns the slot of (p, g), the zero slot when it has none.
+func (m *Machine) slot(p types.ProcID, g types.ViewID) slot {
+	if i, ok := m.search(p, g); ok {
+		return m.slots[i]
 	}
-	return 1
+	return slot{}
 }
 
-// Next exposes next[p,g] for invariant checks and tests.
-func (m *Machine) Next(p types.ProcID, g types.ViewID) int { return m.nextIdx(p, g) }
+// slotFor returns the slot of (p, g) for writing, inserting it if absent.
+func (m *Machine) slotFor(p types.ProcID, g types.ViewID) *slot {
+	i, ok := m.search(p, g)
+	if !ok {
+		m.slots = slices.Insert(m.slots, i, slot{pg: pg{p, g}})
+	}
+	return &m.slots[i]
+}
 
-// NextSafe exposes next-safe[p,g].
-func (m *Machine) NextSafe(p types.ProcID, g types.ViewID) int { return m.nextSafeIdx(p, g) }
+// view returns the index of the created view g, or where it would be
+// inserted.
+func (m *Machine) view(g types.ViewID) (int, bool) {
+	return sort.Find(len(m.Created), func(i int) int { return g.Cmp(m.Created[i].ID) })
+}
+
+// View returns the created view with identifier g.
+func (m *Machine) View(g types.ViewID) (types.View, bool) {
+	if i, ok := m.view(g); ok {
+		return m.Created[i].View, true
+	}
+	return types.View{}, false
+}
+
+// Queue returns queue[g] (shared slice; do not modify).
+func (m *Machine) Queue(g types.ViewID) []Entry {
+	if i, ok := m.view(g); ok {
+		return m.Created[i].Queue
+	}
+	return nil
+}
+
+// Next returns next[p,g].
+func (m *Machine) Next(p types.ProcID, g types.ViewID) int { return int(m.slot(p, g).next) + 1 }
+
+// NextSafe returns next-safe[p,g].
+func (m *Machine) NextSafe(p types.ProcID, g types.ViewID) int { return int(m.slot(p, g).nextSafe) + 1 }
 
 // Pending exposes pending[p,g] (shared slice; do not modify).
-func (m *Machine) Pending(p types.ProcID, g types.ViewID) []Msg { return m.pending[pg{p, g}] }
+func (m *Machine) Pending(p types.ProcID, g types.ViewID) []Msg { return m.slot(p, g).pending }
 
 // CreateviewEnabled reports whether createview(v) is enabled.
 func (m *Machine) CreateviewEnabled(v types.View) bool {
@@ -200,15 +237,10 @@ func (m *Machine) CreateviewEnabled(v types.View) bool {
 		return false
 	}
 	if m.weak {
-		_, exists := m.Created[v.ID]
+		_, exists := m.view(v.ID)
 		return !exists
 	}
-	for id := range m.Created {
-		if !id.Less(v.ID) {
-			return false
-		}
-	}
-	return true
+	return m.MaxCreatedViewID().Less(v.ID)
 }
 
 // ApplyCreateview performs createview(v).
@@ -216,7 +248,8 @@ func (m *Machine) ApplyCreateview(v types.View) error {
 	if !m.CreateviewEnabled(v) {
 		return fmt.Errorf("vsmachine: createview(%v) not enabled", v)
 	}
-	m.Created[v.ID] = v
+	i, _ := m.view(v.ID) // the end, except in the weak machine
+	m.Created = slices.Insert(m.Created, i, CreatedView{View: v})
 	return nil
 }
 
@@ -225,7 +258,7 @@ func (m *Machine) NewviewEnabled(v types.View, p types.ProcID) bool {
 	if !v.Set.Contains(p) { // signature constraint
 		return false
 	}
-	created, ok := m.Created[v.ID]
+	created, ok := m.View(v.ID)
 	if !ok || !created.Set.Equal(v.Set) {
 		return false
 	}
@@ -249,13 +282,13 @@ func (m *Machine) ApplyGpsnd(msg Msg, p types.ProcID) {
 	if g.IsBottom() {
 		return
 	}
-	k := pg{p, g}
-	m.pending[k] = append(m.pending[k], msg)
+	s := m.slotFor(p, g)
+	s.pending = append(s.pending, msg)
 }
 
 // VSOrderEnabled reports whether vs-order(m, p, g) is enabled.
 func (m *Machine) VSOrderEnabled(msg Msg, p types.ProcID, g types.ViewID) bool {
-	pend := m.pending[pg{p, g}]
+	pend := m.Pending(p, g)
 	return len(pend) > 0 && pend[0] == msg
 }
 
@@ -264,9 +297,13 @@ func (m *Machine) ApplyVSOrder(msg Msg, p types.ProcID, g types.ViewID) error {
 	if !m.VSOrderEnabled(msg, p, g) {
 		return fmt.Errorf("vsmachine: vs-order(%v,%v,%v) not enabled", msg, p, g)
 	}
-	k := pg{p, g}
-	m.pending[k] = m.pending[k][1:]
-	m.Queue[g] = append(m.Queue[g], Entry{M: msg, P: p})
+	i, ok := m.view(g)
+	if !ok {
+		return fmt.Errorf("vsmachine: vs-order(%v,%v,%v) into a view not created", msg, p, g)
+	}
+	s := m.slotFor(p, g)
+	s.pending = s.pending[1:]
+	m.Created[i].Queue = append(m.Created[i].Queue, Entry{M: msg, P: p})
 	return nil
 }
 
@@ -277,8 +314,8 @@ func (m *Machine) GprcvEnabled(msg Msg, p, q types.ProcID) bool {
 	if g.IsBottom() {
 		return false
 	}
-	n := m.nextIdx(q, g)
-	queue := m.Queue[g]
+	n := m.Next(q, g)
+	queue := m.Queue(g)
 	return n <= len(queue) && queue[n-1].M == msg && queue[n-1].P == p
 }
 
@@ -287,8 +324,7 @@ func (m *Machine) ApplyGprcv(msg Msg, p, q types.ProcID) error {
 	if !m.GprcvEnabled(msg, p, q) {
 		return fmt.Errorf("vsmachine: gprcv(%v)_{%v,%v} not enabled", msg, p, q)
 	}
-	g := m.CurrentViewID[q]
-	m.next[pg{q, g}] = m.nextIdx(q, g) + 1
+	m.slotFor(q, m.CurrentViewID[q]).next++
 	return nil
 }
 
@@ -297,20 +333,17 @@ func (m *Machine) ApplyGprcv(msg Msg, p, q types.ProcID) error {
 // next[r,g] > next-safe[q,g].
 func (m *Machine) SafeEnabled(msg Msg, p, q types.ProcID) bool {
 	g := m.CurrentViewID[q]
-	if g.IsBottom() {
-		return false
-	}
-	v, ok := m.Created[g]
+	i, ok := m.view(g) // ⊥ is never created
 	if !ok {
 		return false
 	}
-	ns := m.nextSafeIdx(q, g)
-	queue := m.Queue[g]
-	if ns > len(queue) || queue[ns-1].M != msg || queue[ns-1].P != p {
+	v := &m.Created[i]
+	ns := m.NextSafe(q, g)
+	if ns > len(v.Queue) || v.Queue[ns-1].M != msg || v.Queue[ns-1].P != p {
 		return false
 	}
 	for _, r := range v.Set.Members() {
-		if m.nextIdx(r, g) <= ns {
+		if m.Next(r, g) <= ns {
 			return false
 		}
 	}
@@ -322,24 +355,19 @@ func (m *Machine) ApplySafe(msg Msg, p, q types.ProcID) error {
 	if !m.SafeEnabled(msg, p, q) {
 		return fmt.Errorf("vsmachine: safe(%v)_{%v,%v} not enabled", msg, p, q)
 	}
-	g := m.CurrentViewID[q]
-	m.nextSafe[pg{q, g}] = m.nextSafeIdx(q, g) + 1
+	m.slotFor(q, m.CurrentViewID[q]).nextSafe++
 	return nil
 }
 
 // CreatedViewIDs returns the derived variable created-viewids, sorted
 // ascending.
 func (m *Machine) CreatedViewIDs() []types.ViewID {
-	return sortedKeys(make([]types.ViewID, 0, len(m.Created)), m.Created, types.ViewID.Cmp)
+	ids := make([]types.ViewID, len(m.Created))
+	for i, c := range m.Created {
+		ids[i] = c.ID
+	}
+	return ids
 }
 
 // MaxCreatedViewID returns the largest created view identifier.
-func (m *Machine) MaxCreatedViewID() types.ViewID {
-	max := types.Bottom
-	for id := range m.Created {
-		if max.Less(id) {
-			max = id
-		}
-	}
-	return max
-}
+func (m *Machine) MaxCreatedViewID() types.ViewID { return m.Created[len(m.Created)-1].ID }

@@ -20,7 +20,7 @@ func TestInitialState(t *testing.T) {
 	if got := m.CurrentViewID[2]; !got.IsBottom() {
 		t.Errorf("p2 starts in %v, want ⊥", got)
 	}
-	if _, ok := m.Created[types.G0()]; !ok {
+	if _, ok := m.View(types.G0()); !ok {
 		t.Error("initial view not created")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -104,8 +104,8 @@ func TestNewviewRules(t *testing.T) {
 func TestGpsndWhileBottomIsIgnored(t *testing.T) {
 	m := New(types.RangeProcSet(2), types.NewProcSet(0))
 	m.ApplyGpsnd("orphan", 1) // p1 has ⊥
-	for g := range m.Queue {
-		if len(m.Queue[g]) != 0 {
+	for _, c := range m.Created {
+		if len(c.Queue) != 0 {
 			t.Fatal("orphan message queued")
 		}
 	}

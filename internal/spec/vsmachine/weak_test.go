@@ -59,16 +59,6 @@ func TestWeakVSTracesAreVSTraces(t *testing.T) {
 			ck := check.NewVSChecker(procs, p0)
 			ids := make(map[any]check.MsgID)
 			seqs := make(map[types.ProcID]int)
-			outOfOrderCreations := 0
-			maxSeen := types.Bottom
-			for _, v := range auto.M.Created {
-				if v.ID.Less(maxSeen) {
-					outOfOrderCreations++
-				}
-				if maxSeen.Less(v.ID) {
-					maxSeen = v.ID
-				}
-			}
 			for _, ev := range exec.Trace() {
 				var err error
 				switch a := ev.Act.(type) {

@@ -25,13 +25,17 @@ func (p *Proc) Clone() *Proc { return p.cloneFor(nil) }
 func (p *Proc) cloneFor(act ioa.Action) *Proc {
 	out := *p
 	out.Buffer, out.Order, out.Delay = slices.Clip(p.Buffer), slices.Clip(p.Order), slices.Clip(p.Delay)
-	switch act.(type) {
+	switch t := act.(type) {
 	case tomachine.Bcast, tomachine.Brcv, vsmachine.Gpsnd, vsmachine.Newview, ConfirmAct: // newview replaces its state
 	case LabelAct:
 		out.content = p.content.clone()
 	case vsmachine.Gprcv:
-		out.content, out.GotState = p.content.clone(), maps.Clone(p.GotState)
-		out.Established, out.BuildOrder = maps.Clone(p.Established), maps.Clone(p.BuildOrder)
+		// A value writes content, Order and BuildOrder; only a summary
+		// writes GotState and Established as well.
+		out.content, out.BuildOrder = p.content.clone(), maps.Clone(p.BuildOrder)
+		if _, ok := t.M.(*Summary); ok {
+			out.GotState, out.Established = maps.Clone(p.GotState), maps.Clone(p.Established)
+		}
 	case vsmachine.Safe:
 		out.SafeExch, out.safe.prefix = maps.Clone(p.SafeExch), slices.Clone(p.safe.prefix)
 	default:

@@ -2,7 +2,6 @@ package vstoto
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/ioa"
@@ -107,19 +106,21 @@ type ExploreResult struct {
 // successor shares every component its action leaves alone, so a component
 // may be reachable from many states, on many workers, at once.
 type exploreState struct {
-	vs     *vsmachine.Machine
-	procs  map[types.ProcID]*Proc
-	bcasts int
-	views  int
+	vs    *vsmachine.Machine
+	procs []*Proc // indexed by ProcID
+	// bcasts and views count the environment's bcasts and createviews so
+	// far. (Two int32s keep a state at 96 bytes.)
+	bcasts, views int32
 
 	// enc is the canonical encoding (see appendFingerprint) and cut its
 	// component boundaries: the VS machine is enc[cut[0]:cut[1]], the i-th
 	// processor enc[cut[i+1]:cut[i+2]]. A successor copies the bytes of
 	// the components it shares instead of encoding them again.
 	enc []byte
-	cut []int
-	// abs is f(state), computed when the state was checked.
-	abs exploreAbs
+	cut []int32 // int32 halves the copy each kept successor makes
+	// abs is f(state), computed when the state was checked; states with
+	// the same f may share it.
+	abs *exploreAbs
 }
 
 // exploreAbs is f(x) of a frontier state in the explorer's compact form:
@@ -131,10 +132,21 @@ type exploreAbs struct {
 }
 
 // compactAbs copies abs, which the next derive overwrites, for a frontier
-// state. An empty sequence copies to nil whether the worker's scratch was
+// state reached by act from a state whose f is pre (nil for the initial
+// state). An empty sequence copies to nil whether the worker's scratch was
 // nil or not, so a state's f does not depend on which worker derived it.
-func compactAbs(members []types.ProcID, abs *AbstractState) exploreAbs {
-	out := exploreAbs{queue: append([]tomachine.Entry(nil), abs.Queue...), pending: make([][]types.Value, len(members)), next: make([]int, len(members))}
+// Most actions have no abstract counterpart (no bcast, brcv or to-order);
+// checkAbstractStep has then found f unchanged, and the successor shares
+// pre, which nothing writes.
+func compactAbs(members []types.ProcID, pre *exploreAbs, act ioa.Action, abs *AbstractState) *exploreAbs {
+	switch act.(type) {
+	case tomachine.Bcast, tomachine.Brcv:
+	default:
+		if pre != nil && len(abs.Queue) == len(pre.queue) {
+			return pre
+		}
+	}
+	out := &exploreAbs{queue: append([]tomachine.Entry(nil), abs.Queue...), pending: make([][]types.Value, len(members)), next: make([]int, len(members))}
 	for i, p := range members {
 		out.pending[i], out.next[i] = append([]types.Value(nil), abs.Pending[p]...), abs.Next[p]
 	}
@@ -150,21 +162,21 @@ func bcastValues(n int) []types.Value {
 	return vals
 }
 
-// enabled enumerates every action available in this state, including the
-// environment's (bounded) choices; values are bcastValues(cfg.MaxBcasts).
-func (s *exploreState) enabled(cfg ExploreConfig, values []types.Value) []ioa.Action {
-	members := s.vs.Procs().Members()
-	acts := (&vsmachine.Auto{M: s.vs}).Enabled(nil)
-	for _, p := range members {
-		acts = (&Auto{P: s.procs[p]}).Enabled(acts)
+// enabled appends to acts every action available in this state, including
+// the environment's (bounded) choices; values are
+// bcastValues(cfg.MaxBcasts).
+func (s *exploreState) enabled(acts []ioa.Action, cfg ExploreConfig, values []types.Value) []ioa.Action {
+	acts = (&vsmachine.Auto{M: s.vs}).Enabled(acts)
+	for _, p := range s.procs {
+		acts = (&Auto{P: p}).Enabled(acts)
 	}
-	if s.bcasts < cfg.MaxBcasts {
+	if int(s.bcasts) < cfg.MaxBcasts {
 		val := values[s.bcasts]
-		for _, p := range members {
+		for _, p := range s.vs.Procs().Members() {
 			acts = append(acts, tomachine.Bcast{A: val, P: p})
 		}
 	}
-	if s.views < len(cfg.Views) {
+	if int(s.views) < len(cfg.Views) {
 		v := cfg.Views[s.views]
 		if s.vs.CreateviewEnabled(v) {
 			acts = append(acts, vsmachine.Createview{V: v})
@@ -178,8 +190,8 @@ func (s *exploreState) enabled(cfg ExploreConfig, values []types.Value) []ioa.Ac
 // act writes) and stepped — the owner performs, a receiver
 // takes the input; their state is disjoint, so the order is immaterial.
 // Every other component is shared with s.
-func (s *exploreState) successor(act ioa.Action) *exploreState {
-	out := &exploreState{vs: s.vs, procs: s.procs, bcasts: s.bcasts, views: s.views}
+func (s *exploreState) successor(act ioa.Action) exploreState {
+	out := exploreState{vs: s.vs, procs: s.procs, bcasts: s.bcasts, views: s.views}
 	switch act.(type) {
 	case tomachine.Bcast:
 		out.bcasts++
@@ -196,15 +208,15 @@ func (s *exploreState) successor(act ioa.Action) *exploreState {
 		}
 	}
 	sharedProcs := true
-	for _, p := range s.vs.Procs().Members() {
-		kind := (&Auto{P: s.procs[p]}).Classify(act)
+	for p, proc := range s.procs {
+		kind := (&Auto{P: proc}).Classify(act)
 		if kind == ioa.NotInSignature {
 			continue
 		}
 		if sharedProcs {
-			out.procs, sharedProcs = maps.Clone(s.procs), false
+			out.procs, sharedProcs = slices.Clone(s.procs), false
 		}
-		a := &Auto{P: s.procs[p].cloneFor(act)}
+		a := &Auto{P: proc.cloneFor(act)}
 		out.procs[p] = a.P
 		if kind == ioa.Input {
 			a.Input(act)
@@ -290,18 +302,19 @@ func newExploreVisited(exactKeys bool) *exploreVisited {
 	return v
 }
 
-func (v *exploreVisited) has(hash uint64, key string) bool {
+// has reports whether the state with this hash and encoding is in the set.
+func (v *exploreVisited) has(hash uint64, enc []byte) bool {
 	if v.exact != nil {
-		_, ok := v.exact[key]
+		_, ok := v.exact[string(enc)]
 		return ok
 	}
 	_, ok := v.hashes[hash]
 	return ok
 }
 
-func (v *exploreVisited) add(hash uint64, key string) {
+func (v *exploreVisited) add(hash uint64, enc []byte) {
 	if v.exact != nil {
-		v.exact[key] = struct{}{}
+		v.exact[string(enc)] = struct{}{}
 		return
 	}
 	v.hashes[hash] = struct{}{}
@@ -310,10 +323,8 @@ func (v *exploreVisited) add(hash uint64, key string) {
 // exploreEdge is one checked transition out of a frontier state, in
 // enumeration order.
 type exploreEdge struct {
-	checkErr error  // invariant/simulation violation
-	hash     uint64 // successor fingerprint hash (computed before checks)
-	key      string // successor encoding, ExactKeys mode only
-	succ     *exploreState
+	hash uint64        // successor fingerprint hash (computed before checks)
+	succ *exploreState // nil when the wave began with the successor visited
 }
 
 // exploreOut is one frontier state's expansion, produced by a worker and
@@ -321,6 +332,7 @@ type exploreEdge struct {
 type exploreOut struct {
 	ample bool // expansion reduced to a singleton ample set
 	edges []exploreEdge
+	err   error // the last edge's invariant or simulation violation
 }
 
 // exploreScratch is what one worker reuses from edge to edge: encoding
@@ -328,10 +340,11 @@ type exploreOut struct {
 // check's TO-machine. Edges hand on copies, never pointers into it.
 type exploreScratch struct {
 	enc    []byte
-	cut    []int
+	cut    []int32
 	d      *derived
 	shadow *tomachine.Machine
 	values []types.Value // bcastValues(cfg.MaxBcasts)
+	acts   []ioa.Action  // the enabled actions of the state being expanded
 }
 
 // exploreExpand expands one frontier state: enumerate (possibly
@@ -350,7 +363,8 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 	// Encode through locals: the workers' scratch entries are neighbours
 	// in memory, and a store per edge would bounce their cache line.
 	enc, cut := sc.enc, sc.cut
-	acts := cur.enabled(cfg, sc.values)
+	acts := cur.enabled(sc.acts[:0], cfg, sc.values)
+	sc.acts = acts
 	if cfg.POR {
 		ample := porAmpleIndex
 		if cfg.ampleHook != nil {
@@ -374,35 +388,34 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 		if cfg.fpHook != nil {
 			e.hash = cfg.fpHook(e.hash)
 		}
-		if cfg.ExactKeys {
-			e.key = string(enc)
-		}
 		sys := succ.system()
 		d := sys.derive(sc.d)
 		var abs *AbstractState
 		var err error
 		if err = sys.checkInvariants(d); err != nil {
-			e.checkErr = fmt.Errorf("explore: invariant after %v: %w", act, err)
+			out.err = fmt.Errorf("explore: invariant after %v: %w", act, err)
 		} else if err = sys.checkDeepInvariants(d); err != nil {
-			e.checkErr = fmt.Errorf("explore: deep invariant after %v: %w", act, err)
+			out.err = fmt.Errorf("explore: deep invariant after %v: %w", act, err)
 		} else if abs, err = sys.abstract(d); err != nil {
-			e.checkErr = fmt.Errorf("explore: f undefined after %v: %w", act, err)
-		} else if err = checkAbstractStep(procs, &cur.abs, abs, act, sc.shadow); err != nil {
-			e.checkErr = fmt.Errorf("explore: simulation step for %v: %w", act, err)
+			out.err = fmt.Errorf("explore: f undefined after %v: %w", act, err)
+		} else if err = checkAbstractStep(procs, cur.abs, abs, act, sc.shadow); err != nil {
+			out.err = fmt.Errorf("explore: simulation step for %v: %w", act, err)
+		}
+		if out.err != nil {
+			out.edges = append(out.edges, e)
+			break
 		}
 		// Keep the successor only if it might enter the frontier: already
 		// visited before this wave means the merge will drop it anyway, so
-		// release it to the collector here. Intra-wave duplicates are
-		// resolved by the merge (first in submission order wins).
-		if e.checkErr == nil && !visited.has(e.hash, e.key) {
-			succ.enc, succ.cut = slices.Clone(enc), slices.Clone(cut)
-			succ.abs = compactAbs(procs.Members(), abs)
-			e.succ = succ
+		// it never reaches the heap. Intra-wave duplicates are resolved by
+		// the merge (first in submission order wins).
+		if !visited.has(e.hash, enc) {
+			kept := succ
+			kept.enc, kept.cut = slices.Clone(enc), slices.Clone(cut)
+			kept.abs = compactAbs(procs.Members(), cur.abs, act, abs)
+			e.succ = &kept
 		}
 		out.edges = append(out.edges, e)
-		if e.checkErr != nil {
-			break
-		}
 	}
 	sc.enc, sc.cut = enc, cut
 	return out
@@ -427,7 +440,7 @@ func exploreInitial(cfg *ExploreConfig) (*exploreState, error) {
 	qs := types.Majorities{Universe: procs}
 	initial := &exploreState{
 		vs:    vsmachine.New(procs, p0),
-		procs: make(map[types.ProcID]*Proc, cfg.N),
+		procs: make([]*Proc, cfg.N),
 	}
 	for _, p := range procs.Members() {
 		pr := NewProc(p, qs, p0)
@@ -440,7 +453,7 @@ func exploreInitial(cfg *ExploreConfig) (*exploreState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("explore: f undefined at the initial state: %w", err)
 	}
-	initial.abs = compactAbs(procs.Members(), abs)
+	initial.abs = compactAbs(procs.Members(), nil, nil, abs)
 	return initial, nil
 }
 
@@ -468,7 +481,7 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 	if cfg.fpHook != nil {
 		h0 = cfg.fpHook(h0)
 	}
-	visited.add(h0, string(initial.enc))
+	visited.add(h0, initial.enc)
 	res.States = 1
 	cStates.Inc()
 
@@ -496,14 +509,14 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 				res.AmpleStates++
 				cAmple.Inc()
 			}
-			for _, e := range out.edges {
+			for j, e := range out.edges {
 				res.Edges++
 				cEdges.Inc()
-				if e.checkErr != nil {
+				if out.err != nil && j == len(out.edges)-1 {
 					res.violationHash = e.hash
-					return res, e.checkErr
+					return res, out.err
 				}
-				if visited.has(e.hash, e.key) {
+				if e.succ == nil || visited.has(e.hash, e.succ.enc) {
 					continue
 				}
 				if cfg.MaxStates > 0 && res.States >= cfg.MaxStates {
@@ -512,7 +525,7 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 					cSkipped.Inc()
 					continue
 				}
-				visited.add(e.hash, e.key)
+				visited.add(e.hash, e.succ.enc)
 				res.States++
 				cStates.Inc()
 				next = append(next, e.succ)

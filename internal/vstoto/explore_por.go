@@ -130,28 +130,7 @@ func porCandidate(act ioa.Action) bool {
 // enabled action's. "First" is well-defined because the enabled
 // enumeration order is a pure function of the state (PR 4), which keeps
 // the reduced exploration deterministic.
-func porAmpleIndex(acts []ioa.Action) int {
-	for i, a := range acts {
-		if !porCandidate(a) {
-			continue
-		}
-		fa := porFootprintOf(a)
-		if fa.wide || fa.vs || fa.env || bits.OnesCount64(fa.procs) != 1 {
-			continue
-		}
-		ok := true
-		for j, b := range acts {
-			if j != i && !fa.disjoint(porFootprintOf(b)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return i
-		}
-	}
-	return -1
-}
+func porAmpleIndex(acts []ioa.Action) int { return ampleIndex(acts, porCandidate, porFootprintOf) }
 
 // porBrokenAmpleIndex is the deliberately unsound ample rule used by the
 // mutant tests (and referenced by the soundness sketch): it admits every
@@ -164,22 +143,30 @@ func porAmpleIndex(acts []ioa.Action) int {
 // pruning exactly the interleavings that exhibit the defect. The POR-off
 // cross-check catches it as a verdict disagreement.
 func porBrokenAmpleIndex(acts []ioa.Action) int {
-	naive := func(act ioa.Action) porFootprint {
+	return ampleIndex(acts, func(ioa.Action) bool { return true }, func(act ioa.Action) porFootprint {
 		f := porFootprintOf(act)
 		switch act.(type) {
 		case tomachine.Bcast, LabelAct:
 			f.env = false
 		}
 		return f
-	}
+	})
+}
+
+// ampleIndex returns the index of the first candidate whose footprint is
+// one processor's alone and disjoint from every other action's, or -1.
+func ampleIndex(acts []ioa.Action, candidate func(ioa.Action) bool, footprint func(ioa.Action) porFootprint) int {
 	for i, a := range acts {
-		fa := naive(a)
+		if !candidate(a) {
+			continue
+		}
+		fa := footprint(a)
 		if fa.wide || fa.vs || fa.env || bits.OnesCount64(fa.procs) != 1 {
 			continue
 		}
 		ok := true
 		for j, b := range acts {
-			if j != i && !fa.disjoint(naive(b)) {
+			if j != i && !fa.disjoint(footprint(b)) {
 				ok = false
 				break
 			}

@@ -61,11 +61,11 @@ func walkExploreEdges(t *testing.T, cfg ExploreConfig, visit func(cfg ExploreCon
 	return walkExploreWaves(t, cfg, func(cfg ExploreConfig, frontier []*exploreState) []*exploreState {
 		var next []*exploreState
 		for _, cur := range frontier {
-			for _, act := range cur.enabled(cfg, values) {
+			for _, act := range cur.enabled(nil, cfg, values) {
 				succ := cur.successor(act)
 				succ.enc, succ.cut = succ.appendFingerprint(nil, nil, cur)
-				if visit(cfg, cur, succ, act) {
-					next = append(next, succ)
+				if visit(cfg, cur, &succ, act) {
+					next = append(next, &succ)
 				}
 			}
 		}
@@ -149,7 +149,7 @@ func TestInvariantErrorTextPinned(t *testing.T) {
 	procs := types.RangeProcSet(2)
 	qs := types.Majorities{Universe: procs}
 	build := func(p0 types.ProcSet) *System {
-		ps := map[types.ProcID]*Proc{}
+		ps := make([]*Proc, procs.Size())
 		for _, p := range procs.Members() {
 			ps[p] = NewProc(p, qs, p0)
 			ps[p].TrackHistory = true
@@ -226,10 +226,14 @@ func TestInvariantErrorTextPinned(t *testing.T) {
 // snapshot deep-copies a state, history variables included, for comparing
 // against the original after something that must not have written to it.
 func (s *exploreState) snapshot() *exploreState {
-	out := &exploreState{vs: s.vs.CloneFor(nil), procs: map[types.ProcID]*Proc{}, bcasts: s.bcasts, views: s.views,
-		enc: slices.Clone(s.enc), cut: slices.Clone(s.cut), abs: s.abs}
+	out := &exploreState{vs: s.vs.CloneFor(nil), procs: make([]*Proc, len(s.procs)), bcasts: s.bcasts, views: s.views,
+		enc: slices.Clone(s.enc), cut: slices.Clone(s.cut),
+		abs: &exploreAbs{queue: slices.Clone(s.abs.queue), pending: slices.Clone(s.abs.pending), next: slices.Clone(s.abs.next)}}
 	for p, proc := range s.procs {
 		out.procs[p] = proc.Clone()
+	}
+	for i, vals := range out.abs.pending {
+		out.abs.pending[i] = slices.Clone(vals)
 	}
 	return out
 }
@@ -242,7 +246,9 @@ func (s *exploreState) snapshot() *exploreState {
 // -race), and: the two expansions are identical; the parent is deep-equal
 // to a snapshot taken before, so no action wrote through a shared map or
 // slice; and every successor's cached encoding, component by component, is
-// what encoding it from scratch gives.
+// what encoding it from scratch gives. A value gprcv copies content and
+// BuildOrder and shares GotState and Established, which only a summary
+// writes: sharing BuildOrder there as well fails this test.
 func TestExploreSharedComponentsImmutable(t *testing.T) {
 	for _, c := range []struct {
 		cfg           ExploreConfig
@@ -282,11 +288,11 @@ func checkSharedComponentsImmutable(t *testing.T, cfg ExploreConfig, wantStates,
 			if enc, _ := cur.appendFingerprint(nil, nil, nil); !bytes.Equal(enc, cur.enc) {
 				t.Fatalf("expanding a state changed its encoding")
 			}
+			if outs[i].err != nil {
+				t.Fatal(outs[i].err)
+			}
 			for _, e := range outs[i].edges {
 				edges++
-				if e.checkErr != nil {
-					t.Fatal(e.checkErr)
-				}
 				enc, cut := e.succ.appendFingerprint(nil, nil, nil)
 				if !bytes.Equal(enc, e.succ.enc) || !slices.Equal(cut, e.succ.cut) {
 					t.Fatalf("successor's cached encoding %x cut %v, encoded afresh %x cut %v", e.succ.enc, e.succ.cut, enc, cut)

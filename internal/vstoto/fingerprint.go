@@ -105,23 +105,23 @@ func sortedKeys[K comparable, V any](ks []K, m map[K]V, order func(K, K) int, ke
 // describes. A component s shares with parent (nil for the initial state)
 // contributes the bytes parent already encoded; the encoding is the same
 // either way.
-func (s *exploreState) appendFingerprint(buf []byte, cut []int, parent *exploreState) ([]byte, []int) {
+func (s *exploreState) appendFingerprint(buf []byte, cut []int32, parent *exploreState) ([]byte, []int32) {
 	buf = binary.AppendVarint(buf, int64(s.bcasts))
 	buf = binary.AppendVarint(buf, int64(s.views))
-	cut = append(cut, len(buf))
+	cut = append(cut, int32(len(buf)))
 	if parent != nil && s.vs == parent.vs {
 		buf = append(buf, parent.enc[parent.cut[0]:parent.cut[1]]...)
 	} else {
 		buf = s.vs.AppendFingerprint(buf)
 	}
-	cut = append(cut, len(buf))
-	for i, p := range s.vs.Procs().Members() {
-		if parent != nil && s.procs[p] == parent.procs[p] {
+	cut = append(cut, int32(len(buf)))
+	for i, p := range s.procs {
+		if parent != nil && p == parent.procs[i] {
 			buf = append(buf, parent.enc[parent.cut[i+1]:parent.cut[i+2]]...)
 		} else {
-			buf = s.procs[p].AppendFingerprint(buf)
+			buf = p.AppendFingerprint(buf)
 		}
-		cut = append(cut, len(buf))
+		cut = append(cut, int32(len(buf)))
 	}
 	return buf, cut
 }

@@ -61,7 +61,7 @@ func runGapVS(t *testing.T, seed int64, steps int, perSenderGapFree bool) (int, 
 	qs := types.Majorities{Universe: procs}
 	vs := vsmachine.NewGap(procs, procs)
 	vs.PerSenderGapFree = perSenderGapFree
-	procMap := make(map[types.ProcID]*Proc, n)
+	procMap := make([]*Proc, n)
 	for _, p := range procs.Members() {
 		procMap[p] = NewProc(p, qs, procs)
 	}
@@ -103,13 +103,13 @@ func runGapVS(t *testing.T, seed int64, steps int, perSenderGapFree bool) (int, 
 				}
 			}
 		case 2: // newview at a random member
-			for _, v := range vs.Created {
-				for _, p := range v.Set.Members() {
-					if vs.NewviewEnabled(v, p) && rng.Intn(2) == 0 {
-						if err := vs.ApplyNewview(v, p); err != nil {
+			for _, c := range vs.Created {
+				for _, p := range c.Set.Members() {
+					if vs.NewviewEnabled(c.View, p) && rng.Intn(2) == 0 {
+						if err := vs.ApplyNewview(c.View, p); err != nil {
 							t.Fatal(err)
 						}
-						procMap[p].Newview(v)
+						procMap[p].Newview(c.View)
 					}
 				}
 			}
@@ -142,7 +142,7 @@ func runGapVS(t *testing.T, seed int64, steps int, perSenderGapFree bool) (int, 
 			if g.IsBottom() {
 				continue
 			}
-			k := 1 + rng.Intn(len(vs.Queue[g])+1)
+			k := 1 + rng.Intn(len(vs.Queue(g))+1)
 			if !vs.GprcvAtEnabled(q, k) {
 				continue
 			}

@@ -12,15 +12,16 @@ import (
 // with VStoTO_p for every p, with the derived-variable and invariant
 // apparatus used by the safety proof. It is a *view* over live components
 // (it holds pointers), so invariants can be checked after every step of a
-// randomized execution.
+// randomized execution. Procs is indexed by ProcID: the universe is a
+// RangeProcSet.
 type System struct {
 	VS    *vsmachine.Machine
-	Procs map[types.ProcID]*Proc
+	Procs []*Proc
 	QS    types.QuorumSystem
 }
 
 // NewSystem bundles the components.
-func NewSystem(vs *vsmachine.Machine, procs map[types.ProcID]*Proc, qs types.QuorumSystem) *System {
+func NewSystem(vs *vsmachine.Machine, procs []*Proc, qs types.QuorumSystem) *System {
 	return &System{VS: vs, Procs: procs, QS: qs}
 }
 
@@ -53,7 +54,7 @@ func (s *System) appendAllState(d *derived, p types.ProcID, g types.ViewID) {
 			d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
 		}
 	}
-	for _, e := range s.VS.Queue[g] {
+	for _, e := range s.VS.Queue(g) {
 		if x, ok := e.M.(*Summary); ok && e.P == p {
 			d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
 		}
@@ -76,20 +77,19 @@ type derived struct {
 	allcontent map[types.Label]types.Value
 	contentErr error // Lemma 6.5 violated: allcontent is partial
 	allconfirm []types.Label
-	confirmErr error          // Corollary 6.24 violated: allconfirm is nil
-	gs         []types.ViewID // the view ids allstate is enumerated over
-	own        []Summary      // allstate clause (1): at most one per processor
-	distinct   []*Summary     // the summaries allContent has visited
-	perOrigin  map[types.ProcID][]types.Label
-	seen       map[types.ProcID]int
+	confirmErr error           // Corollary 6.24 violated: allconfirm is nil
+	gs         []types.ViewID  // the view ids allstate is enumerated over
+	own        []Summary       // allstate clause (1): at most one per processor
+	distinct   []*Summary      // the summaries allContent has visited
+	perOrigin  [][]types.Label // allcontent's labels by origin, in label order
+	seen       []int           // indexed by origin
 	abs        AbstractState
 	confirmed  map[types.Label]bool
 	vals       []types.Value // backing array of abs.Pending
 }
 
 func newDerived() *derived {
-	return &derived{allcontent: make(map[types.Label]types.Value), perOrigin: make(map[types.ProcID][]types.Label),
-		seen: make(map[types.ProcID]int), confirmed: make(map[types.Label]bool),
+	return &derived{allcontent: make(map[types.Label]types.Value), confirmed: make(map[types.Label]bool),
 		abs: AbstractState{Pending: make(map[types.ProcID][]types.Value), Next: make(map[types.ProcID]int)}}
 }
 
@@ -100,8 +100,8 @@ func newDerived() *derived {
 func (s *System) derive(d *derived) *derived {
 	procs := s.VS.Procs().Members()
 	gs := d.gs[:0]
-	for id := range s.VS.Created {
-		gs = append(gs, id)
+	for _, c := range s.VS.Created {
+		gs = append(gs, c.ID)
 	}
 	for _, p := range procs {
 		if id := s.Procs[p].Current.ID; !id.IsBottom() && !slices.Contains(gs, id) {
@@ -117,6 +117,7 @@ func (s *System) derive(d *derived) *derived {
 		}
 	}
 	d.contentErr = s.allContent(d)
+	d.byOrigin(len(s.Procs))
 	d.allconfirm, d.confirmErr = allConfirm(d.allstate)
 	return d
 }
@@ -179,11 +180,11 @@ func (s *System) allContent(d *derived) error {
 			return err
 		}
 	}
-	for g, queue := range s.VS.Queue {
-		for _, e := range queue {
+	for _, c := range s.VS.Created {
+		for _, e := range c.Queue {
 			if lv, ok := e.M.(LabeledValue); ok {
 				if prev, bad := bind(lv.L, lv.A); bad {
-					return clash(lv.L, prev, lv.A, fmt.Sprintf("queue[%v]", g))
+					return clash(lv.L, prev, lv.A, fmt.Sprintf("queue[%v]", c.ID))
 				}
 			}
 		}
@@ -251,7 +252,7 @@ func (s *System) checkInvariants(d *derived) error {
 				return fmt.Errorf("lemma 6.1(2): current_%v=%v ≠ current-viewid[%v]=%v",
 					p, proc.Current.ID, p, vsCur)
 			}
-			created, ok := s.VS.Created[proc.Current.ID]
+			created, ok := s.VS.View(proc.Current.ID)
 			if !ok || !created.Set.Equal(proc.Current.Set) {
 				return fmt.Errorf("lemma 6.1(3): current_%v=%v not in created", p, proc.Current)
 			}
@@ -281,11 +282,11 @@ func (s *System) checkInvariants(d *derived) error {
 	}
 	// Lemma 6.3(2,3): labeled values in VS pending/queues carry matching
 	// view id and sender.
-	for g, queue := range s.VS.Queue {
-		for _, e := range queue {
+	for _, c := range s.VS.Created {
+		for _, e := range c.Queue {
 			if lv, ok := e.M.(LabeledValue); ok {
-				if lv.L.Origin != e.P || lv.L.ID != g {
-					return fmt.Errorf("lemma 6.3(3): queue[%v] holds %v from %v", g, lv, e.P)
+				if lv.L.Origin != e.P || lv.L.ID != c.ID {
+					return fmt.Errorf("lemma 6.3(3): queue[%v] holds %v from %v", c.ID, lv, e.P)
 				}
 			}
 		}
@@ -297,11 +298,11 @@ func (s *System) checkInvariants(d *derived) error {
 
 	// Lemma 6.4: labels in allcontent with origin p are below p's next
 	// label.
-	for l := range d.allcontent {
-		proc := s.Procs[l.Origin]
-		bound := types.Label{ID: proc.Current.ID, Seqno: proc.NextSeqno, Origin: l.Origin}
-		if !proc.Current.ID.IsBottom() && !l.Less(bound) {
-			return fmt.Errorf("lemma 6.4: label %v not below %v", l, bound)
+	for o, ls := range d.perOrigin {
+		proc := s.Procs[o]
+		bound := types.Label{ID: proc.Current.ID, Seqno: proc.NextSeqno, Origin: types.ProcID(o)}
+		if n := len(ls); n > 0 && !proc.Current.ID.IsBottom() && !ls[n-1].Less(bound) {
+			return fmt.Errorf("lemma 6.4: label %v not below %v", ls[n-1], bound)
 		}
 	}
 

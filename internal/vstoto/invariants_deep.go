@@ -29,7 +29,7 @@ func (s *System) checkDeepInvariants(d *derived) error {
 			if !est {
 				continue
 			}
-			v, ok := s.VS.Created[gid]
+			v, ok := s.VS.View(gid)
 			if !ok {
 				if gid == types.G0() {
 					continue // initial view of a sub-universe P0
@@ -55,7 +55,7 @@ func (s *System) checkDeepInvariants(d *derived) error {
 			if !est || gid == types.G0() {
 				continue
 			}
-			v, ok := s.VS.Created[gid]
+			v, ok := s.VS.View(gid)
 			if !ok || !s.QS.IsQuorumContained(v.Set) {
 				continue
 			}
@@ -85,29 +85,14 @@ func (s *System) checkDeepInvariants(d *derived) error {
 		if !proc.Primary() {
 			return fmt.Errorf("lemma 6.20: safe-labels_%v nonempty in a non-primary view", p)
 		}
-		// Longest order prefix terminated by a safe label.
-		longest := 0
-		for i, l := range proc.Order {
-			if proc.Safe(l) {
-				longest = i + 1
-			}
-		}
-		if longest == 0 {
-			continue
-		}
-		sigma := proc.Order[:longest]
 		// The prefix check applies to positions whose entire preceding
-		// prefix is safe — confirmability requires contiguity, so check the
-		// contiguous safe prefix only.
-		contig := 0
-		for _, l := range proc.Order {
-			if proc.Safe(l) {
-				contig++
-			} else {
-				break
-			}
+		// prefix is safe — confirmability requires contiguity, so σ is the
+		// contiguous safe prefix of order_p.
+		n := 0
+		for n < len(proc.Order) && proc.Safe(proc.Order[n]) {
+			n++
 		}
-		sigma = sigma[:contig]
+		sigma := proc.Order[:n]
 		for _, q := range proc.Current.Set.Members() {
 			bo := s.Procs[q].BuildOrder[proc.Current.ID]
 			if !isPrefix(sigma, bo) {
@@ -125,7 +110,8 @@ func (s *System) checkDeepInvariants(d *derived) error {
 	if d.contentErr != nil {
 		return d.contentErr
 	}
-	perOrigin := d.byOrigin(func(types.Label) bool { return true })
+	perOrigin := d.perOrigin
+	d.seen = slices.Grow(d.seen[:0], len(perOrigin))[:len(perOrigin)]
 	for _, sa := range d.allstate {
 		clear(d.seen)
 		for i, l := range sa.X.Ord {
@@ -145,21 +131,19 @@ func (s *System) checkDeepInvariants(d *derived) error {
 	return s.checkLabelRuns()
 }
 
-// byOrigin groups the labels of allcontent that keep admits by origin, in
-// label order, into d.perOrigin (where an origin with none may be empty).
-func (d *derived) byOrigin(keep func(types.Label) bool) map[types.ProcID][]types.Label {
+// byOrigin groups the labels of allcontent by origin, in label order,
+// into d.perOrigin, indexed by origin over the n processors.
+func (d *derived) byOrigin(n int) {
+	d.perOrigin = slices.Grow(d.perOrigin[:0], n)[:n]
 	for o, ls := range d.perOrigin {
 		d.perOrigin[o] = ls[:0]
 	}
 	for l := range d.allcontent {
-		if keep(l) {
-			d.perOrigin[l.Origin] = append(d.perOrigin[l.Origin], l)
-		}
+		d.perOrigin[l.Origin] = append(d.perOrigin[l.Origin], l)
 	}
 	for _, ls := range d.perOrigin {
 		slices.SortFunc(ls, types.Label.Compare)
 	}
-	return d.perOrigin
 }
 
 // checkLabelRuns checks the premises of the dense label state (labels.go)

@@ -21,7 +21,7 @@ func healthySystem(t *testing.T) (*System, *SimulationChecker) {
 	procs := types.RangeProcSet(2)
 	qs := types.Majorities{Universe: procs}
 	vs := vsmachine.New(procs, procs)
-	procMap := map[types.ProcID]*Proc{}
+	procMap := make([]*Proc, procs.Size())
 	for _, p := range procs.Members() {
 		pr := NewProc(p, qs, procs)
 		pr.TrackHistory = true

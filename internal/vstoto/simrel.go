@@ -45,12 +45,13 @@ func (s *System) abstract(d *derived) (*AbstractState, error) {
 		abs.Queue = append(abs.Queue, tomachine.Entry{A: a, P: l.Origin})
 		d.confirmed[l] = true
 	}
-	perOrigin := d.byOrigin(func(l types.Label) bool { return !d.confirmed[l] })
 	d.vals = d.vals[:0]
 	for _, p := range s.VS.Procs().Members() {
 		start := len(d.vals)
-		for _, l := range perOrigin[p] {
-			d.vals = append(d.vals, allcontent[l])
+		for _, l := range d.perOrigin[p] {
+			if !d.confirmed[l] {
+				d.vals = append(d.vals, allcontent[l])
+			}
 		}
 		d.vals = append(d.vals, s.Procs[p].Delay...)
 		abs.Pending[p] = d.vals[start:len(d.vals):len(d.vals)]

@@ -22,7 +22,7 @@ func buildSystem(t *testing.T, seed int64, n int, p0Size int, churn float64) (*i
 
 	vsAuto := vsmachine.NewAuto(procs, p0)
 	components := []ioa.Automaton{vsAuto}
-	procMap := make(map[types.ProcID]*Proc, n)
+	procMap := make([]*Proc, n)
 	for _, p := range procs.Members() {
 		a := NewAuto(p, qs, p0)
 		procMap[p] = a.P

@@ -13,8 +13,8 @@ import (
 	"repro/internal/types"
 )
 
-// refMachine is Figure 6 kept in maps, the way the machine was first
-// written: the reference the slice-based Machine is checked against.
+// refMachine is Figure 6 kept in maps keyed as the figure indexes its
+// variables: the reference the slice-based Machine is checked against.
 type refMachine struct {
 	procs         types.ProcSet
 	weak          bool

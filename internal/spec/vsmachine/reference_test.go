@@ -441,13 +441,13 @@ func checkAgainstReference(t *testing.T, kind string, seed int64) {
 	// Corruptions Lemma 4.1 names the same way in both.
 	last := auto.M.Created[len(auto.M.Created)-1]
 	q := last.Set.Members()[0]
-	i := auto.M.CloneFor(nil)
-	i.slotFor(q, last.ID).next = int32(len(last.Queue) + 1)
+	c := auto.M.CloneFor(nil)
+	c.slotFor(q, last.ID).next = int32(len(last.Queue) + 1)
 	ref.next[pg{q, last.ID}] = len(last.Queue) + 2
-	compareWithReference(t, steps+1, i, ref)
-	i.CurrentViewID[q] = types.ViewID{Epoch: 99, Proc: q}
+	compareWithReference(t, steps+1, c, ref)
+	c.CurrentViewID[q] = types.ViewID{Epoch: 99, Proc: q}
 	ref.currentViewID[q] = types.ViewID{Epoch: 99, Proc: q}
-	compareWithReference(t, steps+2, i, ref)
+	compareWithReference(t, steps+2, c, ref)
 }
 
 // compareWithReference fails unless m and ref hold the same state.

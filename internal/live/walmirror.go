@@ -29,13 +29,19 @@ type walMirror struct {
 // stops at the first torn record, so bytes past the tear are dead — and
 // new records must be appended where the next replay will actually read
 // them. Returns the retained contents (what this boot replays) and the
-// mirror positioned to append after them.
+// mirror positioned to append after them. An image in an older record
+// format is refused (the error wraps recovery.ErrOlderFormat) and the
+// file is left as it was.
 func openWALMirror(path string) ([]byte, *walMirror, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	if snap := recovery.Replay(data); snap.TruncatedAt < len(data) {
+	snap := recovery.Replay(data)
+	if snap.Refused != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, snap.Refused)
+	}
+	if snap.TruncatedAt < len(data) {
 		data = data[:snap.TruncatedAt]
 		if err := os.Truncate(path, int64(snap.TruncatedAt)); err != nil {
 			return nil, nil, fmt.Errorf("live: truncate torn WAL tail: %w", err)

@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -65,6 +67,60 @@ func TestOpenWALMirrorDiscardsTornTail(t *testing.T) {
 	onDisk, _ = os.ReadFile(path)
 	if len(onDisk) != lastRec+2 {
 		t.Fatalf("file is %d bytes after append, want %d", len(onDisk), lastRec+2)
+	}
+}
+
+// TestStartRefusesOlderWAL: a WAL file in the older fixed-width record
+// format — alone, or followed by compact records — fails the engine's
+// boot with recovery.ErrOlderFormat, and the file is left byte for byte as
+// it was: no torn-tail truncation wipes a history the replay cannot read.
+func TestStartRefusesOlderWAL(t *testing.T) {
+	older, err := os.ReadFile("../recovery/testdata/legacy.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, _ := walImage(t)
+	cfg := testConfig(t, 3)
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"older image", older},
+		{"older prefix, compact records", append(append([]byte(nil), older...), compact...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "node.wal")
+			if err := os.WriteFile(path, tc.img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := sha256.Sum256(tc.img)
+			if _, _, err := openWALMirror(path); !errors.Is(err, recovery.ErrOlderFormat) {
+				t.Fatalf("openWALMirror: %v, want ErrOlderFormat", err)
+			}
+			e, err := StartEngine(EngineOptions{
+				Config:    cfg,
+				Self:      0,
+				WALPath:   path,
+				TracePath: filepath.Join(dir, "trace.jsonl"),
+				Tick:      time.Millisecond,
+				Logf:      t.Logf,
+			})
+			if !errors.Is(err, recovery.ErrOlderFormat) {
+				if e != nil {
+					e.Close()
+				}
+				t.Fatalf("StartEngine: %v, want ErrOlderFormat", err)
+			}
+			t.Logf("StartEngine: %v", err)
+			onDisk, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sha256.Sum256(onDisk) != want {
+				t.Fatalf("the refused WAL file changed: %d bytes, was %d", len(onDisk), len(tc.img))
+			}
+		})
 	}
 }
 

@@ -128,7 +128,6 @@ func (w *WAL) Checkpoint(cs CheckpointState, done func()) {
 	}
 	x.I32(cs.BcastSeq)
 	x.I32(cs.Incarnations)
-	w.valued = len(cs.Order)
 
 	// Under group commit the checkpoint must sit at a physical frame
 	// boundary: lastCkpt/prevCkpt feed TruncatePrefix, which slices the

@@ -8,7 +8,7 @@ import (
 
 // EstablishRecord is one establishment record of a WAL image: the offset
 // of the frame holding it, its payload size, its keep and the length of
-// its suffix (keep 0 and the whole order for the older recEstablish tag).
+// its suffix.
 type EstablishRecord struct{ Off, Size, Keep, Suffix int }
 
 // eachRecord calls fn for every record of a clean WAL image, loose and
@@ -18,20 +18,13 @@ func eachRecord(disk []byte, fn func(off int, p []byte, prefix int)) {
 	for off := 0; off+frameHeader <= len(disk); {
 		n := int(binary.LittleEndian.Uint32(disk[off:]))
 		p := disk[off+frameHeader : off+frameHeader+n]
-		switch p[0] {
-		case recBatch:
-			for body := p[1:]; len(body) > 0; {
-				ln := int(binary.LittleEndian.Uint32(body))
-				fn(off, body[4:4+ln], 4)
-				body = body[4+ln:]
-			}
-		case recBatchVar:
+		if p[0] == recBatchVar {
 			for body := p[1:]; len(body) > 0; {
 				ln, k := binary.Uvarint(body)
 				fn(off, body[k:k+int(ln)], k)
 				body = body[k+int(ln):]
 			}
-		default:
+		} else {
 			fn(off, p, 0)
 		}
 		off += frameHeader + n
@@ -43,20 +36,12 @@ func eachRecord(disk []byte, fn func(off int, p []byte, prefix int)) {
 func EstablishRecords(disk []byte) []EstablishRecord {
 	var out []EstablishRecord
 	eachRecord(disk, func(off int, p []byte, _ int) {
-		r := codec.NewReader(p[1:])
-		var keep, n int
-		switch p[0] {
-		case recEstablish:
-			n = int(r.U32())
-		case recEstablishSuffix:
-			keep = int(r.U32())
-			n = int(r.U32())
-		case recEstablishVar:
-			keep = int(r.Uvarint())
-			n = int(r.Uvarint())
-		default:
+		if p[0] != recEstablishVar {
 			return
 		}
+		r := codec.NewReader(p[1:])
+		keep := int(r.Uvarint())
+		n := int(r.Uvarint())
 		out = append(out, EstablishRecord{Off: off, Size: len(p), Keep: keep, Suffix: n})
 	})
 	return out
@@ -68,11 +53,9 @@ type RecordStat struct{ Count, Bytes int }
 
 // recordNames names each record tag for RecordStats.
 var recordNames = map[byte]string{
-	recView: "View", recEstablish: "Establish (whole order)", recOrderAppend: "OrderAppend (fixed)",
-	recBcast: "Bcast (fixed)", recLabel: "Label (fixed)", recDeliver: "Deliver (fixed)",
-	recRecovered: "Recovered", recCheckpoint: "Checkpoint", recEstablishSuffix: "Establish (fixed)",
+	recView: "View", recRecovered: "Recovered", recCheckpoint: "Checkpoint",
 	recEstablishVar: "Establish", recOrderAppendVar: "OrderAppend", recBcastVar: "Bcast",
-	recLabelVar: "Label", recDeliverVar: "Deliver", recDeliverValueVar: "Deliver (with value)",
+	recLabelVar: "Label", recDeliverVar: "Deliver",
 }
 
 // FramingStat is the RecordStats key of frame headers and batch tags.

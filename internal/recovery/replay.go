@@ -1,9 +1,10 @@
 package recovery
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
@@ -68,13 +69,26 @@ type Snapshot struct {
 	// stopped. Everything after that offset is ignored.
 	Truncated   string
 	TruncatedAt int
+	// Refused is non-nil when the image holds a record of a retired format;
+	// it wraps ErrOlderFormat and names the tag and the offset of its
+	// frame. Replay stopped there and the other fields describe the records
+	// before it, but nothing is torn: Truncated is empty and TruncatedAt is
+	// the image's length, so no caller that discards a torn tail cuts a
+	// refused image. Booting over one would lose its history; refuse it.
+	Refused error
 }
+
+// ErrOlderFormat is the error a refused image's Snapshot.Refused wraps: the
+// image holds a record of a retired format (retiredTags) — the older
+// fixed-width records, or a Deliver that carried its value — which Replay
+// no longer reads.
+var ErrOlderFormat = errors.New("WAL image written in an older record format")
 
 // Replay folds a durable byte image back into a Snapshot. It never fails:
 // a torn or corrupt tail — short frame header, oversized length, checksum
 // mismatch, undecodable or inconsistent record — truncates the replay at
-// that record, and the fields report what was kept. Malformed input never
-// panics.
+// that record, and the fields report what was kept; a record of a retired
+// format stops it with Refused set. Malformed input never panics.
 func Replay(disk []byte) *Snapshot {
 	s := &Snapshot{
 		NextConfirm:      1,
@@ -105,13 +119,13 @@ func Replay(disk []byte) *Snapshot {
 			truncate("checksum mismatch")
 			break
 		}
-		var reason string
-		if payload[0] == recBatch || payload[0] == recBatchVar {
-			reason = s.applyBatch(payload, pending, off)
+		var err error
+		if payload[0] == recBatchVar {
+			err = s.applyBatch(payload, pending, off)
 		} else {
-			reason = s.applyRecord(payload, pending, off)
+			err = s.applyRecord(payload, pending, off)
 		}
-		if reason != "" {
+		if err != nil {
 			// A record that decodes but is invalid may already have applied
 			// part of its effect to the snapshot (a batch: a prefix of its
 			// records; an establishment: its in-place order update). The
@@ -120,8 +134,13 @@ func Replay(disk []byte) *Snapshot {
 			// truncation a moment ago, making the recursion depth exactly
 			// one.
 			clean := Replay(disk[:off])
-			clean.Truncated = reason
-			clean.TruncatedAt = off
+			if errors.Is(err, ErrOlderFormat) {
+				clean.Refused = fmt.Errorf("recovery: frame at offset %d: %w", off, err)
+				clean.TruncatedAt = len(disk)
+			} else {
+				clean.Truncated = err.Error()
+				clean.TruncatedAt = off
+			}
 			return clean
 		}
 		off += frameHeader + length
@@ -140,99 +159,65 @@ func Replay(disk []byte) *Snapshot {
 }
 
 // applyBatch folds a group-commit batch (outer CRC already verified) into
-// the snapshot: a sequence of [len | record payload] sub-records — len a
-// u32 under recBatch, a uvarint under recBatchVar — each applied exactly
-// as a standalone record. A checkpoint inside a batch is located by the
-// batch frame's start offset — the only physical frame boundary
-// compaction can truncate at. Any structural or semantic failure returns
-// a truncation reason; the caller discards the whole batch.
-func (s *Snapshot) applyBatch(payload []byte, pending map[int]types.Value, off int) string {
-	varLens := payload[0] == recBatchVar
+// the snapshot: a sequence of [uvarint len | record payload] sub-records,
+// each applied exactly as a standalone record. A checkpoint inside a batch
+// is located by the batch frame's start offset — the only physical frame
+// boundary compaction can truncate at. Any structural or semantic failure
+// returns an error; the caller discards the whole batch.
+func (s *Snapshot) applyBatch(payload []byte, pending map[int]types.Value, off int) error {
 	body := payload[1:]
 	if len(body) == 0 {
-		return "empty batch record"
+		return errors.New("empty batch record")
 	}
 	for len(body) > 0 {
-		var ln, hdr int
-		if varLens {
-			r := codec.NewReader(body)
-			ln = int(min(r.Uvarint(), uint64(len(body))))
-			if r.Err() != nil {
-				return fmt.Sprintf("torn batch sub-record length: %v", r.Err())
-			}
-			hdr = len(body) - r.Rest()
-		} else {
-			if len(body) < 4 {
-				return fmt.Sprintf("torn batch sub-record length: %d trailing bytes", len(body))
-			}
-			ln, hdr = int(binary.LittleEndian.Uint32(body[:4])), 4
+		r := codec.NewReader(body)
+		ln := int(min(r.Uvarint(), uint64(len(body))))
+		if r.Err() != nil {
+			return fmt.Errorf("torn batch sub-record length: %v", r.Err())
 		}
+		hdr := len(body) - r.Rest()
 		if ln <= 0 || ln > len(body)-hdr {
-			return fmt.Sprintf("bad batch sub-record: length %d with %d bytes left", ln, len(body)-hdr)
+			return fmt.Errorf("bad batch sub-record: length %d with %d bytes left", ln, len(body)-hdr)
 		}
 		sub := body[hdr : hdr+ln]
-		if sub[0] == recBatch || sub[0] == recBatchVar {
-			return "nested batch record"
+		if sub[0] == recBatchVar {
+			return errors.New("nested batch record")
 		}
-		if reason := s.applyRecord(sub, pending, off); reason != "" {
-			return reason
+		if err := s.applyRecord(sub, pending, off); err != nil {
+			return err
 		}
 		body = body[hdr+ln:]
 	}
-	return ""
+	return nil
 }
 
 // applyRecord folds one record payload, framed at byte offset off, into
-// the snapshot; it returns a truncation reason for undecodable or
-// internally inconsistent records.
-func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value, off int) string {
+// the snapshot; it returns an error for undecodable or internally
+// inconsistent records, wrapping ErrOlderFormat for a retired tag.
+func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value, off int) error {
 	r := codec.NewReader(payload)
 	switch tag := r.U8(); tag {
 	case recView:
 		v := r.View()
 		if r.Err() != nil {
-			return "bad view record"
+			return errors.New("bad view record")
 		}
 		if s.HasView && !s.View.ID.Less(v.ID) {
-			return fmt.Sprintf("non-monotonic view record %v after %v", v.ID, s.View.ID)
+			return fmt.Errorf("non-monotonic view record %v after %v", v.ID, s.View.ID)
 		}
 		s.View = v
 		s.HasView = true
-	case recEstablish, recEstablishSuffix:
-		keep := 0
-		if tag == recEstablishSuffix {
-			keep = int(r.U32())
-		}
-		n := int(r.U32())
-		if n < 0 || n > r.Rest() {
-			return "bad establish record: oversized order"
-		}
-		if keep > len(s.Order) {
-			return fmt.Sprintf("establish keep %d beyond order of %d", keep, len(s.Order))
-		}
-		// In place: a bad record's partial update is undone by Replay's
-		// rebuild from the clean prefix.
-		s.Order = s.Order[:keep]
-		for i := 0; i < n; i++ {
-			s.Order = append(s.Order, r.Label())
-		}
-		next := r.I32()
-		high := r.ViewID()
-		if r.Err() != nil || next < 1 {
-			return "bad establish record"
-		}
-		s.NextConfirm = next
-		s.HighPrimary = high
 	case recEstablishVar:
 		keep := r.Uvarint()
 		n := r.Uvarint()
 		if r.Err() != nil || n > uint64(r.Rest()) {
-			return "bad establish record: oversized order"
+			return errors.New("bad establish record: oversized order")
 		}
 		if keep > uint64(len(s.Order)) {
-			return fmt.Sprintf("establish keep %d beyond order of %d", keep, len(s.Order))
+			return fmt.Errorf("establish keep %d beyond order of %d", keep, len(s.Order))
 		}
-		// In place, as above.
+		// In place: a bad record's partial update is undone by Replay's
+		// rebuild from the clean prefix.
 		s.Order = s.Order[:keep]
 		for i := uint64(0); i < n; i++ {
 			l := r.VarLabel()
@@ -242,101 +227,69 @@ func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value, off 
 		next := r.Varint()
 		high := r.VarViewID()
 		if r.Err() != nil || next < 1 {
-			return "bad establish record"
+			return errors.New("bad establish record")
 		}
 		s.NextConfirm = int(next)
 		s.HighPrimary = high
-	case recOrderAppend, recOrderAppendVar:
-		var l types.Label
-		var a types.Value
-		if tag == recOrderAppend {
-			l, a = r.Label(), types.Value(r.Str())
-		} else {
-			l, a = r.VarLabel(), types.Value(r.VarStr())
-		}
+	case recOrderAppendVar:
+		l, a := r.VarLabel(), types.Value(r.VarStr())
 		if r.Err() != nil {
-			return "bad order-append record"
+			return errors.New("bad order-append record")
 		}
 		s.Order = append(s.Order, l)
 		s.Content[l] = a
-	case recBcast, recBcastVar:
-		var seq int
-		var a types.Value
-		if tag == recBcast {
-			seq, a = r.I32(), types.Value(r.Str())
-		} else {
-			seq, a = int(r.Varint()), types.Value(r.VarStr())
-		}
+	case recBcastVar:
+		seq, a := int(r.Varint()), types.Value(r.VarStr())
 		if r.Err() != nil || seq < 1 {
-			return "bad bcast record"
+			return errors.New("bad bcast record")
 		}
 		pending[seq] = a
 		if seq > s.BcastSeq {
 			s.BcastSeq = seq
 		}
-	case recLabel, recLabelVar:
-		var seq int
-		var l types.Label
-		var a types.Value
-		if tag == recLabel {
-			seq, l, a = r.I32(), r.Label(), types.Value(r.Str())
-		} else {
-			var ok bool
-			seq, l = int(r.Varint()), r.VarLabel()
-			if a, ok = pending[seq]; !ok && r.Err() == nil {
-				return fmt.Sprintf("label record for submission %d with no pending value", seq)
-			}
-		}
+	case recLabelVar:
+		seq, l := int(r.Varint()), r.VarLabel()
 		if r.Err() != nil {
-			return "bad label record"
+			return errors.New("bad label record")
+		}
+		a, ok := pending[seq]
+		if !ok {
+			return fmt.Errorf("label record for submission %d with no pending value", seq)
 		}
 		delete(pending, seq)
 		s.Content[l] = a
-	case recDeliver, recDeliverVar, recDeliverValueVar:
-		var pos, fromSeq int
-		var l types.Label
-		var from types.ProcID
-		var a types.Value
-		if tag == recDeliver {
-			pos, l, from, fromSeq, a = r.I32(), r.Label(), types.ProcID(r.I32()), r.I32(), types.Value(r.Str())
-		} else {
-			pos, l, from, fromSeq = int(r.Varint()), r.VarLabel(), types.ProcID(r.Varint()), int(r.Varint())
-			if tag == recDeliverValueVar {
-				a = types.Value(r.VarStr())
-			}
-		}
+	case recDeliverVar:
+		pos, l, from, fromSeq := int(r.Varint()), r.VarLabel(), types.ProcID(r.Varint()), int(r.Varint())
 		if r.Err() != nil {
-			return "bad deliver record"
+			return errors.New("bad deliver record")
 		}
 		if pos != len(s.Delivered)+1 {
-			return fmt.Sprintf("deliver record at position %d, want %d", pos, len(s.Delivered)+1)
+			return fmt.Errorf("deliver record at position %d, want %d", pos, len(s.Delivered)+1)
 		}
 		if pos > len(s.Order) || s.Order[pos-1] != l {
-			return fmt.Sprintf("deliver record label %v not at order position %d", l, pos)
+			return fmt.Errorf("deliver record label %v not at order position %d", l, pos)
 		}
-		if tag == recDeliverVar {
-			var ok bool
-			if a, ok = s.Content[l]; !ok {
-				return fmt.Sprintf("deliver record label %v has no replayed value", l)
-			}
-		}
-		s.Content[l] = a
-		s.Delivered = append(s.Delivered, DeliveredRecord{Pos: pos, Label: l, From: from, FromSeq: fromSeq, Value: a})
+		// Every label of the replayed order has its value in the content:
+		// each record that orders a label carries its value.
+		s.Delivered = append(s.Delivered, DeliveredRecord{Pos: pos, Label: l, From: from, FromSeq: fromSeq, Value: s.Content[l]})
 	case recRecovered:
 		n := r.I32()
 		if r.Err() != nil || n < 1 {
-			return "bad recovery marker"
+			return errors.New("bad recovery marker")
 		}
 		s.Incarnations++
 	case recCheckpoint:
 		if reason := s.decodeCheckpoint(r, pending); reason != "" {
-			return reason
+			return errors.New(reason)
 		}
 	default:
-		return fmt.Sprintf("unknown record tag %d", tag)
+		if slices.Contains(retiredTags, tag) {
+			return fmt.Errorf("record tag %d: %w", tag, ErrOlderFormat)
+		}
+		return fmt.Errorf("unknown record tag %d", tag)
 	}
 	if r.Rest() != 0 {
-		return fmt.Sprintf("record tag %d has %d trailing bytes", payload[0], r.Rest())
+		return fmt.Errorf("record tag %d has %d trailing bytes", payload[0], r.Rest())
 	}
 	if payload[0] == recCheckpoint {
 		s.PrevCheckpointAt = s.CheckpointAt
@@ -344,7 +297,7 @@ func (s *Snapshot) applyRecord(payload []byte, pending map[int]types.Value, off 
 		s.Checkpoints++
 	}
 	s.Records++
-	return ""
+	return nil
 }
 
 // ViewFloor returns the identifier of the last durably installed view, or

@@ -2,9 +2,9 @@ package recovery
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -101,22 +101,30 @@ func viewRec(v types.View) []byte {
 	return rec(func(x *codec.Writer) { x.U8(recView); x.View(v) })
 }
 
-// establishRec builds an establishment record: the whole order under the
-// older recEstablish tag when keep < 0, otherwise keep and the suffix.
+// establishRec builds an establishment record: keep and the suffix, each
+// label with the value fmt.Sprint(label).
 func establishRec(keep int, labels []types.Label, next int, high types.ViewID) []byte {
 	return rec(func(x *codec.Writer) {
-		if keep < 0 {
-			x.U8(recEstablish)
-		} else {
-			x.U8(recEstablishSuffix)
-			x.U32(uint32(keep))
-		}
-		x.U32(uint32(len(labels)))
+		x.U8(recEstablishVar)
+		x.Uvarint(uint64(keep))
+		x.Uvarint(uint64(len(labels)))
 		for _, l := range labels {
-			x.Label(l)
+			x.VarLabel(l)
+			x.VarStr(fmt.Sprint(l))
 		}
-		x.I32(next)
-		x.ViewID(high)
+		x.Varint(int64(next))
+		x.VarViewID(high)
+	})
+}
+
+// deliverRec builds a deliver record of label l at position pos.
+func deliverRec(pos int, l types.Label) []byte {
+	return rec(func(x *codec.Writer) {
+		x.U8(recDeliverVar)
+		x.Varint(int64(pos))
+		x.VarLabel(l)
+		x.Varint(int64(l.Origin))
+		x.Varint(int64(l.Seqno))
 	})
 }
 
@@ -126,14 +134,7 @@ func establishRec(keep int, labels []types.Label, next int, high types.ViewID) [
 func deltaDisk() (disk []byte, deltaAt int) {
 	disk = append(disk, viewRec(testView)...)
 	disk = append(disk, establishRec(0, []types.Label{labelA, labelB}, 1, testView.ID)...)
-	disk = append(disk, rec(func(x *codec.Writer) {
-		x.U8(recDeliver)
-		x.I32(1)
-		x.Label(labelA)
-		x.I32(1)
-		x.I32(1)
-		x.Str("a")
-	})...)
+	disk = append(disk, deliverRec(1, labelA)...)
 	deltaAt = len(disk)
 	return append(disk, establishRec(1, []types.Label{labelC}, 2, testView.ID)...), deltaAt
 }
@@ -185,42 +186,10 @@ func TestEstablishSuffixRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayReadsWholeOrderEstablish: logs written before establishment
-// records carried a suffix hold recEstablish records with the whole order.
-// Replay still reads them, as keep 0, to the snapshot the suffix records
-// of the same history replay to.
-func TestReplayReadsWholeOrderEstablish(t *testing.T) {
-	delta, at := deltaDisk()
-	old := append([]byte(nil), delta[:at]...)
-	old = append(old, establishRec(-1, []types.Label{labelA, labelC}, 2, testView.ID)...)
-	got, want := Replay(old), Replay(delta)
-	if got.Truncated != "" || want.Truncated != "" {
-		t.Fatalf("clean logs truncated: %q, %q", got.Truncated, want.Truncated)
-	}
-	if !slices.Equal(want.Order, []types.Label{labelA, labelC}) {
-		t.Fatalf("suffix log Order = %v, want [%v %v]", want.Order, labelA, labelC)
-	}
-	got.TruncatedAt, want.TruncatedAt = 0, 0 // the images differ in length
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("whole-order log replays to\n%+v\nwant\n%+v", got, want)
-	}
-}
-
 // batchFrame wraps record payloads as one group-commit batch frame:
-// [len | crc | recBatch [sublen payload]...]. The CRC covers the whole
-// batch body, making the batch the atom of durability.
+// [len | crc | recBatchVar [uvarint sublen | payload]...]. The CRC covers
+// the whole batch body, making the batch the atom of durability.
 func batchFrame(payloads ...[]byte) []byte {
-	body := []byte{recBatch}
-	for _, p := range payloads {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(p)))
-		body = append(body, p...)
-	}
-	return frame(nil, body)
-}
-
-// varBatchFrame is batchFrame with uvarint sub-record lengths, the batch
-// the WAL writes.
-func varBatchFrame(payloads ...[]byte) []byte {
 	body := []byte{recBatchVar}
 	for _, p := range payloads {
 		body = binary.AppendUvarint(body, uint64(len(p)))
@@ -256,60 +225,28 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 		{"trailing bytes in record", rec(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1); x.U8(7) }), "trailing bytes"},
 		{"unknown tag", rec(func(x *codec.Writer) { x.U8(42) }), "unknown record tag"},
 		{"non-monotonic view", viewRec(older), "non-monotonic view record"},
-		{"bad bcast seq", rec(func(x *codec.Writer) { x.U8(recBcast); x.I32(0); x.Str("a") }), "bad bcast record"},
+		{"bad bcast seq", rec(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(0); x.VarStr("a") }), "bad bcast record"},
 		{"bad recovery marker", rec(func(x *codec.Writer) { x.U8(recRecovered); x.I32(0) }), "bad recovery marker"},
-		{"deliver out of sequence", rec(func(x *codec.Writer) {
-			x.U8(recDeliver)
-			x.I32(2)
-			x.Label(labelA)
-			x.I32(1)
-			x.I32(1)
-			x.Str("a")
-		}), "deliver record at position 2, want 1"},
-		{"deliver label off order", rec(func(x *codec.Writer) {
-			x.U8(recDeliver)
-			x.I32(1)
-			x.Label(labelB)
-			x.I32(1)
-			x.I32(1)
-			x.Str("a")
-		}), "not at order position"},
-		{"establish keep beyond order", establishRec(1, []types.Label{labelA}, 1, testView.ID), "establish keep 1 beyond order of 0"},
+		{"deliver out of sequence", deliverRec(2, labelA), "deliver record at position 2, want 1"},
+		{"deliver label off order", batchFrame(
+			establishRec(0, []types.Label{labelA}, 1, testView.ID)[frameHeader:],
+			deliverRec(1, labelB)[frameHeader:],
+		), "not at order position"},
 		// Group-commit batch tears: the batch is the atom of durability,
 		// so any tear inside one discards it whole while the prefix
 		// before the batch frame replays untouched.
 		{"empty batch", batchFrame(), "empty batch record"},
-		{"torn batch sub length", frame(nil, []byte{recBatch, 1, 2}), "torn batch sub-record length"},
-		{"bad batch sub length", frame(nil, append(binary.LittleEndian.AppendUint32(
-			[]byte{recBatch}, 100), 1, 2, 3)), "bad batch sub-record"},
-		{"nested batch", batchFrame([]byte{recBatch}), "nested batch record"},
-		{"mid-batch bad record", batchFrame(
-			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
-			payload(func(x *codec.Writer) { x.U8(42) }),
-		), "unknown record tag"},
 		{"mid-batch torn write", batchFrame(
 			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
 			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(2) }),
 		)[:12], "torn record"},
-		// Compact records. A value-less record whose value replay does not
-		// hold truncates: the order is [A] by a fixed-width establishment
-		// (labels only), so no value of A was ever logged.
-		{"value-less deliver with no replayed value", varBatchFrame(
-			establishRec(0, []types.Label{labelA}, 1, testView.ID)[frameHeader:],
-			payload(func(x *codec.Writer) {
-				x.U8(recDeliverVar)
-				x.Varint(1)
-				x.VarLabel(labelA)
-				x.Varint(1)
-				x.Varint(1)
-			}),
-		), "has no replayed value"},
+		// Value-less records take their value from what replay holds.
 		{"value-less label with no pending submission", rec(func(x *codec.Writer) {
 			x.U8(recLabelVar)
 			x.Varint(1)
 			x.VarLabel(labelA)
 		}), "no pending value"},
-		{"label of a submission already labeled", varBatchFrame(
+		{"label of a submission already labeled", batchFrame(
 			payload(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(1); x.VarStr("a") }),
 			payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelA) }),
 			payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelB) }),
@@ -347,8 +284,8 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 		{"compact batch torn sub length", frame(nil, []byte{recBatchVar, 0x80}), "torn batch sub-record length"},
 		{"compact batch overlong sub length", frame(nil, []byte{recBatchVar, 0x81, 0x00, recRecovered}), "torn batch sub-record length"},
 		{"compact batch bad sub length", frame(nil, []byte{recBatchVar, 100, 1, 2, 3}), "bad batch sub-record"},
-		{"compact batch nested", varBatchFrame([]byte{recBatch}), "nested batch record"},
-		{"compact batch mid-batch bad record", varBatchFrame(
+		{"compact batch nested", batchFrame([]byte{recBatchVar}), "nested batch record"},
+		{"compact batch mid-batch bad record", batchFrame(
 			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
 			payload(func(x *codec.Writer) { x.U8(42) }),
 		), "unknown record tag"},
@@ -370,6 +307,35 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 				t.Fatalf("TruncatedAt = %d, want %d", s.TruncatedAt, len(good))
 			}
 		})
+	}
+
+	// A retired tag is no torn tail: replay stops there with Refused set,
+	// loose or inside a batch, and reports nothing to discard.
+	for _, tag := range retiredTags {
+		older := payload(func(x *codec.Writer) { x.U8(tag); x.Str("older") })
+		for _, tail := range []struct {
+			name string
+			b    []byte
+		}{
+			{fmt.Sprintf("older tag %d", tag), frame(nil, older)},
+			{fmt.Sprintf("older tag %d in batch", tag), batchFrame(
+				payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }), older)},
+		} {
+			t.Run(tail.name, func(t *testing.T) {
+				disk := append(append([]byte(nil), good...), tail.b...)
+				s := Replay(disk)
+				if !errors.Is(s.Refused, ErrOlderFormat) || s.Truncated != "" || s.TruncatedAt != len(disk) {
+					t.Fatalf("Refused = %v, Truncated = %q at %d; want ErrOlderFormat, nothing torn, %d",
+						s.Refused, s.Truncated, s.TruncatedAt, len(disk))
+				}
+				if want := fmt.Sprintf("offset %d: record tag %d", len(good), tag); !contains(s.Refused.Error(), want) {
+					t.Fatalf("Refused = %q, want it to name %q", s.Refused, want)
+				}
+				if s.Records != 1 || !s.HasView || s.View.ID != testView.ID || s.Incarnations != 0 {
+					t.Fatalf("want exactly the good prefix: records=%d view=%v incarnations=%d", s.Records, s.View, s.Incarnations)
+				}
+			})
+		}
 	}
 }
 
@@ -460,7 +426,7 @@ func FuzzReplay(f *testing.F) {
 	// Group-commit layouts: a clean batched image, the same image cut
 	// mid-batch (the torn covering write), and a batch frame with a
 	// corrupted interior.
-	batched, _ := gcDisk(f, 0)
+	batched, _ := gcDisk(f)
 	f.Add(batched)
 	f.Add(batched[:len(batched)-3])
 	f.Add(batched[:len(batched)/2])
@@ -480,32 +446,34 @@ func FuzzReplay(f *testing.F) {
 		establishRec(0, []types.Label{labelA, labelB}, 1, testView.ID)[frameHeader:],
 		establishRec(1, []types.Label{labelC}, 2, testView.ID)[frameHeader:],
 	)...))
-	// Compact layouts: a value-less Deliver and Label behind the records
-	// that hold their values, the same batch torn inside a sub-record
-	// length, and the fixed-width image pinned in testdata.
-	compact := append(append([]byte(nil), viewRec(testView)...), varBatchFrame(
+	// A value-less Deliver and Label behind the records that hold their
+	// values, the same batch torn inside a sub-record length, and the
+	// older-format image pinned in testdata, which replay refuses.
+	compact := append(append([]byte(nil), viewRec(testView)...), batchFrame(
 		payload(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(1); x.VarStr("a") }),
 		payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelA) }),
 		payload(func(x *codec.Writer) { x.U8(recOrderAppendVar); x.VarLabel(labelA); x.VarStr("a") }),
-		payload(func(x *codec.Writer) {
-			x.U8(recDeliverVar)
-			x.Varint(1)
-			x.VarLabel(labelA)
-			x.Varint(1)
-			x.Varint(1)
-		}),
+		deliverRec(1, labelA)[frameHeader:],
 	)...)
 	f.Add(compact)
 	f.Add(compact[:len(viewRec(testView))+frameHeader+2])
 	f.Add(compact[:len(compact)-4])
-	if legacy, err := os.ReadFile("testdata/legacy.wal"); err == nil {
-		f.Add(legacy)
-		f.Add(legacy[:len(legacy)/3])
+	legacy, err := os.ReadFile("testdata/legacy.wal")
+	if err != nil {
+		f.Fatal(err)
 	}
+	if s := Replay(legacy); !errors.Is(s.Refused, ErrOlderFormat) || s.Truncated != "" {
+		f.Fatalf("the older-format image replays with Refused = %v, Truncated = %q", s.Refused, s.Truncated)
+	}
+	f.Add(legacy)
+	f.Add(legacy[:len(legacy)/3]) // refused too: the first older record comes early
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := Replay(data) // must never panic
 		if s.TruncatedAt < 0 || s.TruncatedAt > len(data) {
 			t.Fatalf("TruncatedAt = %d outside [0,%d]", s.TruncatedAt, len(data))
+		}
+		if s.Refused != nil && (!errors.Is(s.Refused, ErrOlderFormat) || s.Truncated != "" || s.TruncatedAt != len(data)) {
+			t.Fatalf("refused image: %v, truncated %q at %d of %d", s.Refused, s.Truncated, s.TruncatedAt, len(data))
 		}
 		if s.NextConfirm < 1 {
 			t.Fatalf("NextConfirm = %d", s.NextConfirm)

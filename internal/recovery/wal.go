@@ -50,10 +50,11 @@
 // establishment that put its label in the order — and once more at its
 // origin, in the Bcast. Label and Deliver records carry no value: replay
 // takes it from the pending submissions and the content it has already
-// rebuilt, and truncates at a record whose value it does not hold. Every
-// integer, label field and length in these records is a varint. Logs
-// written before this format (fixed-width fields, a value in every record)
-// still replay: their tags stay readable, and the writer never emits them.
+// rebuilt, and truncates at a Label whose submission it does not hold. Every
+// integer, label field and length in these records is a varint. Replay
+// reads exactly the records the writer emits: an image of the older
+// fixed-width format (a value in every record) is refused with
+// ErrOlderFormat, never truncated.
 package recovery
 
 import (
@@ -68,52 +69,38 @@ import (
 	"repro/internal/types"
 )
 
-// Record tags. Older logs hold the fixed-width recEstablish,
-// recOrderAppend, recBcast, recLabel, recDeliver, recBatch and
-// recEstablishSuffix: Replay reads them, the writer no longer emits them.
-// recView, recRecovered and recCheckpoint are rare and keep their
-// encoding.
+// Record tags: every integer, label field and length of the records a
+// varint, apart from the rare recView, recRecovered and recCheckpoint. The
+// numbers missing here belong to retired formats (retiredTags).
 const (
-	recView byte = iota + 1
-	// recEstablish is the whole-order establishment record older logs
-	// hold; Replay reads it as a recEstablishSuffix with keep = 0.
-	recEstablish
-	recOrderAppend // label, value
-	recBcast       // seq, value
-	recLabel       // seq, label, value
-	recDeliver     // pos, label, origin, origin seq, value
-	recRecovered
-	recCheckpoint
-	// recBatch is a group-commit batch: its payload is a sequence of
-	// [u32 len | record payload] sub-records sharing the outer frame's CRC.
-	// The batch is the atom of durability — a tear anywhere inside it fails
-	// the outer checksum and Replay discards the batch whole, exactly as it
-	// discards a torn single record. That is what keeps write-ahead gating
-	// sound under coalescing: all of a batch's completion callbacks ride the
-	// one covering storage write, so either every record of the batch is
-	// durable and acknowledged, or none of its effects were acknowledged.
-	recBatch
-	// recEstablishSuffix is an establishment: keep, the order suffix after
-	// the kept prefix, nextconfirm, highprimary.
-	recEstablishSuffix
-
-	// The compact records the writer emits: every integer, label field and
-	// length a varint.
-
-	// recBatchVar is recBatch with uvarint sub-record lengths.
-	recBatchVar
+	recView       byte = 1
+	recRecovered  byte = 7
+	recCheckpoint byte = 8
+	// recBatchVar is a group-commit batch: its payload is a sequence of
+	// [uvarint len | record payload] sub-records sharing the outer frame's
+	// CRC. The batch is the atom of durability — a tear anywhere inside it
+	// fails the outer checksum and Replay discards the batch whole, exactly
+	// as it discards a torn single record. That is what keeps write-ahead
+	// gating sound under coalescing: all of a batch's completion callbacks
+	// ride the one covering storage write, so either every record of the
+	// batch is durable and acknowledged, or none of its effects were
+	// acknowledged.
+	recBatchVar byte = 11
 	// recEstablishVar is an establishment (Establish): keep, the suffix as
 	// (label, value) pairs, nextconfirm, highprimary.
-	recEstablishVar
-	recOrderAppendVar // label, value
-	recBcastVar       // seq, value
-	recLabelVar       // seq, label; the value is the pending submission's
-	recDeliverVar     // pos, label, origin, origin seq; the value is content's
-	// recDeliverValueVar is recDeliverVar plus the value, for a position
-	// whose value the log does not hold: only after a boot over an older
-	// log (see WAL.valued).
-	recDeliverValueVar
+	recEstablishVar   byte = 12
+	recOrderAppendVar byte = 13 // label, value
+	recBcastVar       byte = 14 // seq, value
+	recLabelVar       byte = 15 // seq, label; the value is the pending submission's
+	recDeliverVar     byte = 16 // pos, label, origin, origin seq; the value is content's
 )
+
+// retiredTags are the tags of the older fixed-width format — 2 to 6 the
+// whole-order establishment, order append, bcast, label and deliver, 9 the
+// u32-length batch, 10 the fixed-width establishment — and 17, a compact
+// deliver that carried its value. The writer never emits them; Replay
+// refuses an image that holds one (ErrOlderFormat).
+var retiredTags = []byte{2, 3, 4, 5, 6, 9, 10, 17}
 
 // frameHeader is the per-record overhead: u32 payload length + u32 CRC.
 const frameHeader = 8
@@ -136,14 +123,6 @@ type WAL struct {
 	// completions) are simply abandoned to the GC.
 	frames [][]byte
 
-	// valued is the length of the longest prefix of the order the log
-	// replays to whose values the log holds (enqueued records). OrderAppend,
-	// Establish and Checkpoint advance it, Resync restores it from the
-	// replay; a Deliver at a position past it carries its value. Only an
-	// older log's establishments, which carried labels alone, leave it short
-	// of the order.
-	valued int
-
 	// Checkpoint bookkeeping, all in logical log offsets (0 = the first
 	// byte the log ever held; compaction never renumbers). endOff is the
 	// offset the next record will be framed at; lastCkpt/prevCkpt are the
@@ -160,19 +139,16 @@ type WAL struct {
 	// Group-commit state (SetGroupCommit). Records appended while a batch
 	// write is outstanding coalesce into the open batch; the batch is
 	// sealed into one storage write (one λ covering every record in it)
-	// when the head frees up, or when the commit window expires on an idle
-	// device. batch is the open batch buffer (outer frame header reserved,
-	// recBatch tag, then sub-records); batchDones fire in append order from
-	// the covering write's completion; flights counts batch writes handed
-	// to the device whose completions are still pending; armed marks a
-	// pending window timer.
+	// when the head frees up. batch is the open batch buffer (outer frame
+	// header reserved, recBatchVar tag, then sub-records); batchDones fire
+	// in append order from the covering write's completion; flights counts
+	// batch writes handed to the device whose completions are still
+	// pending.
 	gcOn       bool
-	gcWindow   time.Duration
 	batch      []byte
 	batchDones []func()
 	batchRecs  int
 	flights    int
-	armed      bool
 
 	// Observability handles (Instrument; nil when disabled).
 	mRecords   *obs.Counter
@@ -193,25 +169,24 @@ func (w *WAL) SetCompact(on bool) { w.compact = on }
 
 // SetGroupCommit turns on group commit: records appended while a batch
 // write is outstanding coalesce into one covering storage write instead of
-// queueing as individual writes behind the device's single head. window,
-// when positive, additionally delays the first write of a batch on an idle
-// device by that long, trading latency for larger batches; window 0 is
-// pure pipelined coalescing — the first record writes immediately and
-// batches form only behind the in-flight write, so an idle, lightly loaded
-// log pays no extra latency at all.
+// queueing as individual writes behind the device's single head. The first
+// record on an idle device writes immediately and batches form only behind
+// the in-flight write, so an idle, lightly loaded log pays no extra
+// latency at all. window must be 0: there is no commit window that holds
+// a batch back on an idle device (the parameter stays for callers that
+// pass 0), and any other value panics.
 //
 // Completion callbacks still fire only once the covering write is durable,
 // in append order, so every write-ahead gate in the stack (view installs,
 // delivery release, recovery markers) keeps its meaning. On disk a batch
-// is a single recBatch frame whose CRC covers all its records: a torn
+// is a single recBatchVar frame whose CRC covers all its records: a torn
 // batch is discarded whole by Replay, which is what preserves the
 // "acknowledged ⇔ durable" equivalence batch-wide.
 func (w *WAL) SetGroupCommit(window time.Duration) {
-	w.gcOn = true
-	if window < 0 {
-		window = 0
+	if window != 0 {
+		panic(fmt.Sprintf("recovery: group-commit window %v: only 0 is supported", window))
 	}
-	w.gcWindow = window
+	w.gcOn = true
 }
 
 // EndOffset returns the logical offset at which the next record will be
@@ -230,33 +205,20 @@ func (w *WAL) SinceCheckpoint() int {
 // Resync re-derives the WAL's bookkeeping after a crash, or at a boot
 // over an existing image, from snap: the replay of the retained image,
 // whose first byte sits at logical offset base. The log ends where the
-// replay stopped (the caller has discarded the torn tail), the two most
-// recent valid checkpoint records are the replay's, and the valued prefix
-// is the longest prefix of the replayed order that the replayed content
-// covers.
+// replay stopped (the caller has discarded the torn tail) and the two most
+// recent valid checkpoint records are the replay's.
 func (w *WAL) Resync(base int, snap *Snapshot) {
 	w.endOff = base + snap.TruncatedAt
 	w.lastCkpt = logicalOff(base, snap.CheckpointAt)
 	w.prevCkpt = logicalOff(base, snap.PrevCheckpointAt)
-	w.valued = 0
-	for w.valued < len(snap.Order) {
-		if _, ok := snap.Content[snap.Order[w.valued]]; !ok {
-			break
-		}
-		w.valued++
-	}
 	// A crash abandoned whatever batch was open or in flight: the device's
 	// Drop suppressed every pending completion, so the outstanding-write
 	// accounting must be reset or the new incarnation's appends would wait
-	// forever for a completion that never comes. The same Drop cancelled any
-	// window timer armed before the crash (storage.Stable.Schedule), so that
-	// timer neither seals the dead incarnation's batch nor the new one's,
-	// and the next append must arm a fresh one.
+	// forever for a completion that never comes.
 	w.batch = nil
 	w.batchDones = nil
 	w.batchRecs = 0
 	w.flights = 0
-	w.armed = false
 }
 
 // logicalOff rebases a replay-relative offset (within the retained
@@ -323,11 +285,9 @@ func (w *WAL) append(payload []byte, done func()) {
 }
 
 // appendBatched adds the record to the open group-commit batch, opening
-// one if needed, and decides when the batch gets written: immediately if
-// the device head is idle and no commit window is pending, at window
-// expiry if one is armed, or when the outstanding batch write completes
-// (flush from the completion callback) otherwise — the classic
-// group-commit discipline.
+// one if needed, and writes the batch immediately if no batch write is
+// outstanding, or when the outstanding one completes (flush from the
+// completion callback) otherwise — the classic group-commit discipline.
 func (w *WAL) appendBatched(payload []byte, done func()) {
 	if len(w.batch) == 0 {
 		var buf []byte
@@ -353,17 +313,7 @@ func (w *WAL) appendBatched(payload []byte, done func()) {
 	w.mBytes.Add(int64(n))
 	w.batchDones = append(w.batchDones, done)
 	w.batchRecs++
-	if w.flights == 0 && !w.armed {
-		if w.gcWindow > 0 {
-			w.armed = true
-			w.st.Schedule(w.gcWindow, func() {
-				w.armed = false
-				w.flush()
-			})
-		} else {
-			w.flush()
-		}
-	}
+	w.flush()
 }
 
 // flush seals the open batch into a storage write, unless a batch write is
@@ -449,9 +399,6 @@ func (w *WAL) Establish(keep int, suffix []types.Label, content Content, next in
 	}
 	x.Varint(int64(next))
 	x.VarViewID(high)
-	if w.valued >= keep {
-		w.valued = keep + len(suffix)
-	}
 	w.append(x.Data(), done)
 }
 
@@ -462,9 +409,6 @@ func (w *WAL) OrderAppend(pos int, l types.Label, a types.Value, done func()) {
 	x.U8(recOrderAppendVar)
 	x.VarLabel(l)
 	x.VarStr(string(a))
-	if w.valued == pos-1 {
-		w.valued = pos
-	}
 	w.append(x.Data(), done)
 }
 
@@ -481,7 +425,7 @@ func (w *WAL) Bcast(seq int, a types.Value, done func()) {
 // Label records the label assigned to the submission with the given
 // origin-local sequence number. The submission's value a is not written
 // again: its Bcast record (or a checkpoint's pending list) already holds
-// it.
+// it. The parameter stays because the benchmark's WAL layer passes it.
 func (w *WAL) Label(seq int, l types.Label, a types.Value, done func()) {
 	x := w.record()
 	x.U8(recLabelVar)
@@ -492,25 +436,19 @@ func (w *WAL) Label(seq int, l types.Label, a types.Value, done func()) {
 
 // Deliver records the release of order position pos (1-based) to the
 // client: the label, its origin and the origin's submission index. The
-// value a is written only when the log does not already hold the value of
-// position pos (pos beyond the valued prefix). The stack must perform the
+// value a is not written: the OrderAppend, establishment or checkpoint
+// that ordered position pos already holds it. The parameter stays because
+// the benchmark's WAL layer passes it. The stack must perform the
 // client-visible delivery only from this record's completion callback
 // (write-ahead), so that the durable delivery prefix never lags the
 // delivered one.
 func (w *WAL) Deliver(pos int, l types.Label, from types.ProcID, fromSeq int, a types.Value, done func()) {
 	x := w.record()
-	if pos <= w.valued {
-		x.U8(recDeliverVar)
-	} else {
-		x.U8(recDeliverValueVar)
-	}
+	x.U8(recDeliverVar)
 	x.Varint(int64(pos))
 	x.VarLabel(l)
 	x.Varint(int64(from))
 	x.Varint(int64(fromSeq))
-	if pos > w.valued {
-		x.VarStr(string(a))
-	}
 	w.append(x.Data(), done)
 }
 

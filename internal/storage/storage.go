@@ -48,7 +48,7 @@ type Stable struct {
 	segOff int
 	size   int // durable bytes in [base, base+size)
 	base   int // logical offset of the first retained byte (advanced by TruncatePrefix)
-	epoch  int // bumped by Drop; stale completions and timers are discarded
+	epoch  int // bumped by Drop; stale completions are discarded
 
 	// TornPrefix, when non-nil, decides how many bytes of an n-byte write
 	// that is in flight at the instant of a Drop have reached the platter.
@@ -100,22 +100,6 @@ func New(s *sim.Sim, latency time.Duration) *Stable {
 
 // Latency returns the configured write latency.
 func (st *Stable) Latency() time.Duration { return st.latency }
-
-// Schedule runs fn after d on the device's simulator. Layers above the
-// device that need a timing source for write policy — the WAL's
-// group-commit window — use this instead of holding their own simulator
-// reference, so the device remains the single point where storage timing
-// is decided. A crash (Drop) cancels scheduled callbacks exactly as it
-// suppresses pending completions: a timer armed by the crashed incarnation
-// must not write that incarnation's records after the crash instant.
-func (st *Stable) Schedule(d time.Duration, fn func()) {
-	epoch := st.epoch
-	st.sim.After(d, func() {
-		if st.epoch == epoch {
-			fn()
-		}
-	})
-}
 
 // Instrument binds the device's obs instruments from the registry (nil
 // disables at zero cost): storage.* counters, the enqueue→durable
@@ -268,10 +252,9 @@ func (st *Stable) persist(b []byte) {
 // Drop simulates the owner's amnesia crash taking the write path with it:
 // the write in flight is torn to a strict prefix of its bytes (TornPrefix
 // decides how many; default half), every queued write is silently
-// discarded, and no pending done callback or Schedule timer ever fires — a
-// wiped processor must not observe completions from before its crash. The
-// durable image itself survives; a subsequent Append starts a fresh write
-// chain.
+// discarded, and no pending done callback ever fires — a wiped processor
+// must not observe completions from before its crash. The durable image
+// itself survives; a subsequent Append starts a fresh write chain.
 func (st *Stable) Drop() {
 	st.mDrops.Inc()
 	if st.busy && len(st.head.data) > 0 {

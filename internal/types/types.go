@@ -289,9 +289,19 @@ type Majorities struct {
 }
 
 // IsQuorumContained reports whether s contains a strict majority of the
-// universe.
+// universe. It counts the universe's members in s with one merge walk over
+// the two sorted slices, allocating nothing.
 func (m Majorities) IsQuorumContained(s ProcSet) bool {
-	return 2*s.Intersect(m.Universe).Size() > m.Universe.Size()
+	n, i := 0, 0
+	for _, p := range m.Universe.ids {
+		for i < len(s.ids) && s.ids[i] < p {
+			i++
+		}
+		if i < len(s.ids) && s.ids[i] == p {
+			n++
+		}
+	}
+	return 2*n > len(m.Universe.ids)
 }
 
 // ExplicitQuorums is a quorum system given by an explicit list of quorums.

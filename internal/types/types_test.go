@@ -320,3 +320,19 @@ func subsetOf(members []ProcID, mask int) ProcSet {
 	}
 	return NewProcSet(ids...)
 }
+
+// TestMajoritiesMatchesIntersection: the merge-walk count agrees with
+// |s ∩ P| > |P|/2 for every subset s of a ground set wider than a universe
+// with gaps.
+func TestMajoritiesMatchesIntersection(t *testing.T) {
+	universe := NewProcSet(1, 3, 4, 6, 8)
+	m := Majorities{Universe: universe}
+	ground := RangeProcSet(10).Members()
+	for bits := 0; bits < 1<<len(ground); bits++ {
+		s := subsetOf(ground, bits)
+		want := 2*s.Intersect(universe).Size() > universe.Size()
+		if got := m.IsQuorumContained(s); got != want {
+			t.Fatalf("IsQuorumContained(%v) = %t, want %t", s, got, want)
+		}
+	}
+}

@@ -336,3 +336,20 @@ func TestConfirmedLabels(t *testing.T) {
 		t.Fatalf("confirmed = %v", got)
 	}
 }
+
+// TestPrimaryAllocatesNothing: Primary is asked on the stack's delivery
+// path and at every explorer state; the majority check walks the two
+// sorted sets and allocates nothing, in a primary view and out of one.
+func TestPrimaryAllocatesNothing(t *testing.T) {
+	universe := types.RangeProcSet(5)
+	for _, members := range []types.ProcSet{universe, types.NewProcSet(0, 4)} {
+		p := NewProc(0, types.Majorities{Universe: universe}, members)
+		want := members.Size() == universe.Size()
+		if p.Primary() != want {
+			t.Fatalf("view %v: Primary() = %t, want %t", members, p.Primary(), want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = p.Primary() }); n != 0 {
+			t.Fatalf("view %v: Primary() allocates %.0f times per call", members, n)
+		}
+	}
+}

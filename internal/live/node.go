@@ -166,11 +166,14 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 	// WAL: prior contents (torn tail physically discarded) route the boot
 	// through recovery; the mirror appends every newly durable byte and
 	// rewrites the file when compaction discards the prefix.
-	walData, walFile, err := openWALMirror(opts.WALPath)
+	_, walFile, err := openWALMirror(opts.WALPath)
 	if err != nil {
 		return nil, fmt.Errorf("live: open WAL: %w", err)
 	}
 	e.walFile = walFile
+	// The node boots from the replay; the engine's mirror need not keep it.
+	boot := walFile.replay
+	walFile.replay = nil
 
 	e.traceFile, err = os.Create(opts.TracePath)
 	if err != nil {
@@ -223,7 +226,7 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		Delta:            opts.Config.Delta(),
 		Sim:              e.sim,
 		Transport:        e.tr,
-		WALData:          walData,
+		WALReplay:        boot,
 		WALMirror:        e.walFile,
 		CheckpointBytes:  opts.CheckpointBytes,
 		MaxPendingBcasts: opts.MaxPending,
@@ -232,8 +235,8 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		OnDeliver:        e.onDeliver,
 	})
 	e.mu.Unlock()
-	if len(walData) > 0 {
-		opts.Logf("node %v: recovered from %d WAL bytes", opts.Self, len(walData))
+	if n := boot.TruncatedAt; n > 0 {
+		opts.Logf("node %v: recovered from %d WAL bytes", opts.Self, n)
 	}
 
 	e.clientLn, err = stdnet.Listen("tcp", nc.ClientAddr)

@@ -22,16 +22,19 @@ type walMirror struct {
 	f      *os.File
 	origin int // logical offset of the file's first byte
 	size   int // current file size
+	// replay is what openWALMirror's replay of the file found: the state
+	// of the retained contents, which the node boots from.
+	replay *recovery.Snapshot
 }
 
 // openWALMirror opens (creating if absent) the WAL file for mirroring,
 // first discarding any torn tail a kill mid-write left behind: replay
 // stops at the first torn record, so bytes past the tear are dead — and
 // new records must be appended where the next replay will actually read
-// them. Returns the retained contents (what this boot replays) and the
-// mirror positioned to append after them. An image in an older record
-// format is refused (the error wraps recovery.ErrOlderFormat) and the
-// file is left as it was.
+// them. Returns the retained contents and the mirror positioned to append
+// after them, which holds their replay (the file is replayed once per
+// boot). An image in an older record format is refused (the error wraps
+// recovery.ErrOlderFormat) and the file is left as it was.
 func openWALMirror(path string) ([]byte, *walMirror, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -51,7 +54,7 @@ func openWALMirror(path string) ([]byte, *walMirror, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return data, &walMirror{path: path, f: f, size: len(data)}, nil
+	return data, &walMirror{path: path, f: f, size: len(data), replay: snap}, nil
 }
 
 func (m *walMirror) Write(b []byte) (int, error) {

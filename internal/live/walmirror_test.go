@@ -70,6 +70,42 @@ func TestOpenWALMirrorDiscardsTornTail(t *testing.T) {
 	}
 }
 
+// TestBootReportsTornTail: the engine boots from openWALMirror's replay
+// of the file, not from a second one over the retained bytes, so the node's
+// LastReplay names the torn tail the boot cut, at the offset it cut, and
+// counts the records before it.
+func TestBootReportsTornTail(t *testing.T) {
+	img, lastRec := walImage(t)
+	clean := recovery.Replay(img[:lastRec])
+	dir := t.TempDir()
+	path := filepath.Join(dir, "node.wal")
+	if err := os.WriteFile(path, append(append([]byte(nil), img[:lastRec+10]...), "garbage"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := StartEngine(EngineOptions{
+		Config:    testConfig(t, 3),
+		Self:      0,
+		WALPath:   path,
+		TracePath: filepath.Join(dir, "trace.jsonl"),
+		Tick:      time.Millisecond,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.mu.Lock()
+	rs, recoveries := e.node.LastReplay(), e.node.Recoveries()
+	e.mu.Unlock()
+	if recoveries != 1 || rs == nil {
+		t.Fatalf("booted over a WAL with %d recoveries, replay %v", recoveries, rs)
+	}
+	if rs.Truncated == "" || rs.TruncatedAt != lastRec || rs.Records != clean.Records {
+		t.Fatalf("boot replay reports %+v, want the tear at %d after %d records", *rs, lastRec, clean.Records)
+	}
+	t.Logf("boot replay: %+v", *rs)
+}
+
 // TestStartRefusesOlderWAL: a WAL file in the older fixed-width record
 // format — alone, or followed by compact records — fails the engine's
 // boot with recovery.ErrOlderFormat, and the file is left byte for byte as

@@ -36,21 +36,22 @@ type LiveOptions struct {
 	// Transport carries packets to peers; the caller owns its lifecycle
 	// and must deliver inbound packets on the simulator's goroutine.
 	Transport transport.Transport
-	// WALData is the content of the node's WAL file from prior
-	// incarnations (nil or empty for a first boot). When non-empty the
-	// node boots through the amnesia-recovery path: state restored from a
-	// replay, a fresh incarnation above every durable floor.
-	WALData []byte
+	// WALReplay is recovery.Replay of the node's WAL file from prior
+	// incarnations (nil for a first boot, as is one whose TruncatedAt is
+	// 0). Otherwise the node boots through the amnesia-recovery path:
+	// state restored from the snapshot, a fresh incarnation above every
+	// durable floor. The boot replays nothing itself.
+	WALReplay *recovery.Snapshot
 	// WALMirror receives every newly durable WAL byte, in order —
-	// normally the same file WALData was read from, opened for append.
+	// normally the same file WALReplay was read from, opened for append.
 	// With CheckpointBytes set it must also implement
 	// storage.MirrorTruncator, so compaction can discard the file's
 	// prefix.
 	WALMirror io.Writer
-	// WALData must already have any torn tail removed (the caller
-	// truncates the file at Replay's TruncatedAt before booting): new
-	// records are appended at the physical end of the file, and a replay
-	// only reads past a tear's offset if the tear is gone.
+	// The file must already have any torn tail removed (the caller
+	// truncates it at WALReplay.TruncatedAt before booting): new records
+	// are appended at the physical end of the file, and a replay only
+	// reads past a tear's offset if the tear is gone.
 	//
 	// CheckpointBytes arms WAL snapshot/compaction exactly as
 	// Options.CheckpointBytes does in simulation. 0 disables.
@@ -107,14 +108,19 @@ func NewLiveNode(opts LiveOptions) *Node {
 	dev.Mirror = opts.WALMirror
 	// The device starts empty but logically continues the WAL file: its
 	// bytes live at logical offsets after the prior incarnations' records.
-	dev.SetBase(len(opts.WALData))
+	snap := opts.WALReplay
+	retained := 0
+	if snap != nil {
+		retained = snap.TruncatedAt
+	}
+	dev.SetBase(retained)
 	n := newNode(c, opts.Self, opts.P0, dev)
 	n.setCheckpointPolicy(opts.CheckpointBytes)
 	if opts.OnDeliver != nil {
 		n.onRcv = append(n.onRcv, opts.OnDeliver)
 	}
 
-	if len(opts.WALData) == 0 {
+	if retained == 0 {
 		// First boot: seal the initial durable state (if inside the
 		// initial view) and come up fresh.
 		if opts.P0.Contains(opts.Self) {
@@ -128,13 +134,14 @@ func NewLiveNode(opts LiveOptions) *Node {
 	// Restart: the previous incarnation of this process died (crash,
 	// SIGKILL, orderly stop — indistinguishable, and treated exactly like
 	// the simulated amnesia crash). Rebuild from the WAL file and rejoin
-	// through the ordinary membership machinery, one incarnation up.
-	snap := recovery.Replay(opts.WALData)
+	// through the ordinary membership machinery, one incarnation up. The
+	// replay is the caller's, of the file as it found it, so a torn tail
+	// the caller cut shows in LastReplay.
 	n.lastReplay = replayStats(snap)
 	n.recoveries++
 	c.m.recoveries.Inc()
 	c.m.replayRecords.Add(int64(snap.Records))
-	c.m.replayBytes.Add(int64(len(opts.WALData)))
+	c.m.replayBytes.Add(int64(retained))
 	n.restoreProc(snap)
 	// The file's offsets are the log's logical offsets (logical 0 = file
 	// start at this boot), and the file has no torn tail.

@@ -51,7 +51,7 @@ func TestSummaryImmutable(t *testing.T) {
 func TestBuildOrderImmutable(t *testing.T) {
 	p := primaryWithOrder(t, 5)
 	g := p.Current.ID
-	held := p.BuildOrder[g]
+	held := p.BuildOrderOf(g)
 	want := append([]types.Label(nil), held...)
 	for i := 6; i <= 20; i++ {
 		p.GprcvValue(LabeledValue{L: lbl(0, i, 1), A: "late"})
@@ -59,7 +59,7 @@ func TestBuildOrderImmutable(t *testing.T) {
 	if !reflect.DeepEqual(held, want) {
 		t.Fatalf("held buildorder slice mutated:\n got %v\nwant %v", held, want)
 	}
-	if got := len(p.BuildOrder[g]); got != 20 {
+	if got := len(p.BuildOrderOf(g)); got != 20 {
 		t.Fatalf("current buildorder length %d, want 20", got)
 	}
 }
@@ -146,15 +146,15 @@ func TestMaxNextConfirmBoundaries(t *testing.T) {
 	if got := (GotState{}).MaxNextConfirm(); got != 1 {
 		t.Fatalf("empty gotstate: maxnextconfirm = %d, want 1 (N⁺ floor)", got)
 	}
-	y := GotState{0: {Next: 1}, 1: {Next: 1}}
+	y := GotState{}.with(0, &Summary{Next: 1}).with(1, &Summary{Next: 1})
 	if got := y.MaxNextConfirm(); got != 1 {
 		t.Fatalf("all-1 gotstate: maxnextconfirm = %d, want 1", got)
 	}
-	y[2] = &Summary{Next: 0} // out of convention; must not lower the max
+	y = y.with(2, &Summary{Next: 0}) // out of convention; must not lower the max
 	if got := y.MaxNextConfirm(); got != 1 {
 		t.Fatalf("gotstate with Next=0: maxnextconfirm = %d, want 1", got)
 	}
-	y[3] = &Summary{Next: 5}
+	y = y.with(3, &Summary{Next: 5})
 	if got := y.MaxNextConfirm(); got != 5 {
 		t.Fatalf("maxnextconfirm = %d, want 5", got)
 	}
@@ -163,15 +163,15 @@ func TestMaxNextConfirmBoundaries(t *testing.T) {
 // mkGotState builds a GotState over n members with deterministic summary
 // contents, inserting entries in the given order.
 func mkGotState(order []types.ProcID) GotState {
-	y := make(GotState, len(order))
+	var y GotState
 	for _, q := range order {
 		ls := []types.Label{lbl(int64(q)+1, 1, q), lbl(int64(q)+1, 2, q)}
-		y[q] = &Summary{
+		y = y.with(q, &Summary{
 			Con:  map[types.Label]types.Value{ls[0]: "a", ls[1]: "b"},
 			Ord:  ls,
 			Next: int(q) + 1,
 			High: types.ViewID{Epoch: int64(q % 2), Proc: q},
-		}
+		})
 	}
 	return y
 }

@@ -33,8 +33,8 @@ func refCon(x *Summary) map[types.Label]types.Value {
 // refKnownContent is knowncontent(Y) = ∪_{q ∈ dom(Y)} Y(q).con.
 func refKnownContent(y GotState) map[types.Label]types.Value {
 	out := make(map[types.Label]types.Value)
-	for _, x := range y {
-		for l, a := range refCon(x) {
+	for _, e := range y {
+		for l, a := range refCon(e.X) {
 			out[l] = a
 		}
 	}
@@ -248,7 +248,7 @@ func TestExchangeMatchesMaps(t *testing.T) {
 			if err := checkSummary(x); err != nil {
 				t.Fatalf("seed %d: summary of %v: %v", seed, q, err)
 			}
-			refY[q] = x
+			refY = refY.with(q, x)
 			if i == len(members)-1 {
 				break // the last summary establishes: see below
 			}
@@ -265,8 +265,8 @@ func TestExchangeMatchesMaps(t *testing.T) {
 		last := members[len(members)-1]
 		wantFull, wantShort := refFullOrder(refY), refY.ShortOrder()
 		wantHigh := refY.MaxPrimary()
-		p.GprcvSummary(last, refY[last])
-		for l, a := range refCon(refY[last]) {
+		p.GprcvSummary(last, refY.Of(last))
+		for l, a := range refCon(refY.Of(last)) {
 			if _, ok := ref[l]; !ok {
 				ref[l] = a
 			}
@@ -274,12 +274,12 @@ func TestExchangeMatchesMaps(t *testing.T) {
 		if err := checkContent(p, ref); err != nil {
 			t.Fatalf("seed %d: after the last summary: %v", seed, err)
 		}
-		for q, x := range p.GotState {
-			if got, want := x.String(), refString(refY[q]); got != want {
-				t.Fatalf("seed %d: gotstate(%v) is\n%s\nnot\n%s", seed, q, got, want)
+		for _, e := range p.GotState {
+			if got, want := e.X.String(), refString(refY.Of(e.Q)); got != want {
+				t.Fatalf("seed %d: gotstate(%v) is\n%s\nnot\n%s", seed, e.Q, got, want)
 			}
-			if err := checkSummary(x); err != nil {
-				t.Fatalf("seed %d: gotstate(%v): %v", seed, q, err)
+			if err := checkSummary(e.X); err != nil {
+				t.Fatalf("seed %d: gotstate(%v): %v", seed, e.Q, err)
 			}
 		}
 		u := p.GotState.union()
@@ -327,11 +327,11 @@ func TestExchangeMatchesMaps(t *testing.T) {
 			}
 		}
 		gotSafe := map[types.ProcID]int{}
-		for _, oc := range p.safe.prefix {
+		for _, oc := range p.safe {
 			gotSafe[oc.origin] = oc.n
 		}
-		if !maps.Equal(gotSafe, wantSafe) || p.safe.exch != p.Primary() {
-			t.Fatalf("seed %d: safe counts %v exch %t, want %v", seed, gotSafe, p.safe.exch, wantSafe)
+		if !maps.Equal(gotSafe, wantSafe) || p.exchSafe != p.Primary() {
+			t.Fatalf("seed %d: safe counts %v exch %t, want %v", seed, gotSafe, p.exchSafe, wantSafe)
 		}
 		if err := checkContent(p, ref); err != nil {
 			t.Fatalf("seed %d: safe summary changed content: %v", seed, err)
@@ -359,7 +359,7 @@ func TestGotStateSharesContent(t *testing.T) {
 	p.GpsndSummary()
 	x := &Summary{Runs: []ContentRun{{ID: g0, Origin: 0, First: 1, Vals: []types.Value{"a", "b", "c"}}}, Next: 1, High: g0}
 	p.GprcvSummary(1, x)
-	got := p.GotState[1]
+	got := p.GotState.Of(1)
 	if got == x || len(got.Runs) != 1 {
 		t.Fatalf("gotstate(1) = %v", got)
 	}
@@ -393,12 +393,12 @@ func TestGotStateSharesOrder(t *testing.T) {
 	p.GpsndSummary()
 	x := &Summary{Ord: slices.Clone(p.Order[:2]), Next: 1, High: g0}
 	p.GprcvSummary(1, x)
-	if got := p.GotState[1].Ord; &got[0] != &p.Order[0] || len(got) != 2 || cap(got) != 2 {
+	if got := p.GotState.Of(1).Ord; &got[0] != &p.Order[0] || len(got) != 2 || cap(got) != 2 {
 		t.Fatalf("gotstate(1)'s order is not the clipped prefix of p's order: len %d cap %d", len(got), cap(got))
 	}
 	other := []types.Label{{ID: g0, Seqno: 1, Origin: 2}}
 	p.GprcvSummary(2, &Summary{Ord: other, Next: 1, High: g0})
-	if got := p.GotState[2].Ord; &got[0] != &other[0] {
+	if got := p.GotState.Of(2).Ord; &got[0] != &other[0] {
 		t.Fatal("an order p holds nowhere was replaced")
 	}
 }

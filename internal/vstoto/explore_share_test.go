@@ -62,7 +62,7 @@ func walkExploreEdges(t *testing.T, cfg ExploreConfig, visit func(cfg ExploreCon
 		var next []*exploreState
 		for _, cur := range frontier {
 			for _, act := range cur.enabled(nil, cfg, values) {
-				succ := cur.successor(act)
+				succ := cur.successor(act, nil)
 				succ.enc, succ.cut = succ.appendFingerprint(nil, nil, cur)
 				if visit(cfg, cur, &succ, act) {
 					next = append(next, &succ)
@@ -275,7 +275,7 @@ func checkSharedComponentsImmutable(t *testing.T, cfg ExploreConfig, wantStates,
 		// Items i and i+n expand the same state; the pool hands them to
 		// whichever workers are free.
 		outs := sweep.RunWorker(workers, 2*n, func(w, i int) exploreOut {
-			return exploreExpand(cfg, frontier[i%n], none, &scratch[w])
+			return exploreExpand(cfg, frontier[i%n], i, none, &scratch[w])
 		})
 		var next []*exploreState
 		for i, cur := range frontier {

@@ -1,9 +1,7 @@
 package vstoto
 
 import (
-	"cmp"
 	"encoding/binary"
-	"slices"
 
 	"repro/internal/types"
 )
@@ -70,33 +68,16 @@ func (p *Proc) AppendFingerprint(buf []byte) []byte {
 		buf = types.AppendFingerprintString(buf, string(a))
 	}
 	buf = p.appendContentFingerprint(buf)
-	// Each list is encoded before the next reuses its stack array.
-	var qbuf [8]types.ProcID
-	gots := sortedKeys(qbuf[:0], p.GotState, cmp.Compare[types.ProcID], nil)
-	buf = binary.AppendUvarint(buf, uint64(len(gots)))
-	for _, q := range gots {
-		buf = binary.AppendVarint(buf, int64(q))
-		buf = p.GotState[q].AppendFingerprint(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(p.GotState)))
+	for _, e := range p.GotState {
+		buf = binary.AppendVarint(buf, int64(e.Q))
+		buf = e.X.AppendFingerprint(buf)
 	}
-	exs := sortedKeys(qbuf[:0], p.SafeExch, cmp.Compare[types.ProcID], func(ok bool) bool { return ok })
-	buf = binary.AppendUvarint(buf, uint64(len(exs)))
-	for _, q := range exs {
+	buf = binary.AppendUvarint(buf, uint64(len(p.SafeExch)))
+	for _, q := range p.SafeExch {
 		buf = binary.AppendVarint(buf, int64(q))
 	}
 	return p.appendSafeFingerprint(buf)
-}
-
-// sortedKeys appends to ks, sorted by order, the keys of m whose value
-// keep admits (every key when keep is nil). Callers pass an empty slice of
-// a stack array, which keeps small key sets off the heap.
-func sortedKeys[K comparable, V any](ks []K, m map[K]V, order func(K, K) int, keep func(V) bool) []K {
-	for k, v := range m {
-		if keep == nil || keep(v) {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, order)
-	return ks
 }
 
 // appendFingerprint appends the composed state's canonical encoding — the

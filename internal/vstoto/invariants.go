@@ -61,7 +61,7 @@ func (s *System) appendAllState(d *derived, p types.ProcID, g types.ViewID) {
 	}
 	for _, q := range s.VS.Procs().Members() {
 		if qp := s.Procs[q]; qp.Current.ID == g {
-			if x, ok := qp.GotState[p]; ok {
+			if x := qp.GotState.Of(p); x != nil {
 				d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
 			}
 		}
@@ -331,13 +331,13 @@ func (s *System) checkInvariants(d *derived) error {
 		if !proc.TrackHistory {
 			continue
 		}
-		for g, est := range proc.Established {
-			if est && proc.Current.ID.Less(g) {
+		for _, g := range proc.Established {
+			if proc.Current.ID.Less(g) {
 				return fmt.Errorf("lemma 6.10(1): established[%v,%v] but current=%v", p, g, proc.Current.ID)
 			}
 		}
 		if !proc.Current.ID.IsBottom() {
-			est := proc.Established[proc.Current.ID]
+			est := proc.IsEstablished(proc.Current.ID)
 			wantEst := proc.Status == StatusNormal
 			if est != wantEst {
 				return fmt.Errorf("lemma 6.10(2): established[%v,%v]=%t but status=%v",
@@ -365,10 +365,10 @@ func (s *System) checkInvariants(d *derived) error {
 			}
 		}
 		// Lemma 6.11(4): gotstate summaries have high below the view.
-		for q, x := range proc.GotState {
-			if !proc.Current.ID.IsBottom() && !x.High.Less(proc.Current.ID) {
+		for _, e := range proc.GotState {
+			if !proc.Current.ID.IsBottom() && !e.X.High.Less(proc.Current.ID) {
 				return fmt.Errorf("lemma 6.11(4): gotstate(%v)_%v has high=%v ≥ current=%v",
-					q, p, x.High, proc.Current.ID)
+					e.Q, p, e.X.High, proc.Current.ID)
 			}
 		}
 	}

@@ -25,10 +25,7 @@ func (s *System) checkDeepInvariants(d *derived) error {
 	// Lemma 6.17: if established[p, v.id] then every member of v has
 	// current.id ≥ v.id.
 	for _, p := range procs {
-		for gid, est := range s.Procs[p].Established {
-			if !est {
-				continue
-			}
+		for _, gid := range s.Procs[p].Established {
 			v, ok := s.VS.View(gid)
 			if !ok {
 				if gid == types.G0() {
@@ -51,8 +48,8 @@ func (s *System) checkDeepInvariants(d *derived) error {
 	// (6.14) stay at or above v.id.
 	for _, p := range procs {
 		proc := s.Procs[p]
-		for gid, est := range proc.Established {
-			if !est || gid == types.G0() {
+		for _, gid := range proc.Established {
+			if gid == types.G0() {
 				continue
 			}
 			v, ok := s.VS.View(gid)
@@ -94,7 +91,7 @@ func (s *System) checkDeepInvariants(d *derived) error {
 		}
 		sigma := proc.Order[:n]
 		for _, q := range proc.Current.Set.Members() {
-			bo := s.Procs[q].BuildOrder[proc.Current.ID]
+			bo := s.Procs[q].BuildOrderOf(proc.Current.ID)
 			if !isPrefix(sigma, bo) {
 				return fmt.Errorf("lemma 6.20: safe prefix of order_%v (len %d) not a prefix of buildorder[%v,%v] (len %d)",
 					p, len(sigma), q, proc.Current.ID, len(bo))
@@ -162,13 +159,13 @@ func (s *System) checkLabelRuns() error {
 					p, r.id, r.origin, r.holes, len(r.vals))
 			}
 		}
-		for _, oc := range proc.safe.prefix {
+		for _, oc := range proc.safe {
 			l := types.Label{ID: proc.Current.ID, Seqno: oc.n, Origin: oc.origin}
 			if _, ok := proc.ValueOf(l); !ok {
 				return fmt.Errorf("label runs: safe-labels_%v holds %v without content", p, l)
 			}
 		}
-		if !proc.safe.exch {
+		if !proc.exchSafe {
 			continue
 		}
 		if !proc.Primary() || proc.Status != StatusNormal {

@@ -274,28 +274,25 @@ type originCount struct {
 	n      int
 }
 
-// safeLabels is safe-labels_p. VS reports safe in each sender's order, so
-// the current view's safe labels of an origin are seqnos 1..n: prefix
-// holds those counts, sorted by origin. The state exchange, once safe in a
-// primary view, makes fullorder(gotstate) safe: its current-view labels
-// are counted in prefix, and its other labels are exactly the content of
-// the views before, which nothing adds to after establishment, so exch
-// stands for them.
-type safeLabels struct {
-	prefix []originCount
-	exch   bool
-}
+// safeLabels is safe-labels_p without its flag. VS reports safe in each
+// sender's order, so the current view's safe labels of an origin are
+// seqnos 1..n: safeLabels holds those counts, sorted by origin. The state
+// exchange, once safe in a primary view, makes fullorder(gotstate) safe:
+// its current-view labels are counted here, and its other labels are
+// exactly the content of the views before, which nothing adds to after
+// establishment, so the flag Proc.exchSafe stands for them.
+type safeLabels []originCount
 
-// count returns origin's safe prefix length and its index in prefix (or
-// where it would be inserted).
-func (s *safeLabels) count(origin types.ProcID) (int, int) {
-	i, ok := slices.BinarySearchFunc(s.prefix, origin, func(oc originCount, o types.ProcID) int {
+// count returns origin's safe prefix length and its index in s (or where
+// it would be inserted).
+func (s safeLabels) count(origin types.ProcID) (int, int) {
+	i, ok := slices.BinarySearchFunc(s, origin, func(oc originCount, o types.ProcID) int {
 		return cmp.Compare(oc.origin, o)
 	})
 	if !ok {
 		return 0, i
 	}
-	return s.prefix[i].n, i
+	return s[i].n, i
 }
 
 // raise makes origin's current-view labels up to seqno n safe.
@@ -304,9 +301,9 @@ func (s *safeLabels) raise(origin types.ProcID, n int) {
 	switch {
 	case n <= k:
 	case k == 0:
-		s.prefix = slices.Insert(s.prefix, i, originCount{origin, n})
+		*s = slices.Insert(*s, i, originCount{origin, n})
 	default:
-		s.prefix[i].n = n
+		(*s)[i].n = n
 	}
 }
 
@@ -342,20 +339,20 @@ func (p *Proc) AppendExtras(dst, order []types.Label) []types.Label {
 func (p *Proc) Safe(l types.Label) bool {
 	if l.ID != p.Current.ID {
 		_, ok := p.content.get(l)
-		return p.safe.exch && ok
+		return p.exchSafe && ok
 	}
 	n, _ := p.safe.count(l.Origin)
 	return l.Seqno >= 1 && l.Seqno <= n
 }
 
 // safeLen returns the size of safe-labels_p: the counted prefixes, and
-// with exch every label content_p binds outside the current view.
+// with exchSafe every label content_p binds outside the current view.
 func (p *Proc) safeLen() int {
 	n := 0
-	for _, oc := range p.safe.prefix {
+	for _, oc := range p.safe {
 		n += oc.n
 	}
-	if p.safe.exch {
+	if p.exchSafe {
 		n += p.content.n
 		for i := range p.content.runs {
 			if r := &p.content.runs[i]; r.id == p.Current.ID {
@@ -384,7 +381,7 @@ func (p *Proc) appendContentFingerprint(buf []byte) []byte {
 func (p *Proc) appendSafeFingerprint(buf []byte) []byte {
 	var lbuf [8]types.Label
 	safe := lbuf[:0]
-	if p.safe.exch {
+	if p.exchSafe {
 		p.RangeContent(func(l types.Label, _ types.Value) bool {
 			if l.ID != p.Current.ID {
 				safe = append(safe, l)
@@ -392,7 +389,7 @@ func (p *Proc) appendSafeFingerprint(buf []byte) []byte {
 			return true
 		})
 	}
-	for _, oc := range p.safe.prefix {
+	for _, oc := range p.safe {
 		for s := 1; s <= oc.n; s++ {
 			safe = append(safe, types.Label{ID: p.Current.ID, Seqno: s, Origin: oc.origin})
 		}

@@ -2,7 +2,6 @@ package vstoto
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -63,15 +62,13 @@ func (m *labelModel) fingerprint(p *Proc) []byte {
 		buf = l.AppendFingerprint(buf)
 		buf = types.AppendFingerprintString(buf, string(m.content[l]))
 	}
-	gots := sortedKeys(nil, p.GotState, cmp.Compare[types.ProcID], nil)
-	buf = binary.AppendUvarint(buf, uint64(len(gots)))
-	for _, q := range gots {
-		buf = binary.AppendVarint(buf, int64(q))
-		buf = p.GotState[q].AppendFingerprint(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(p.GotState)))
+	for _, e := range p.GotState {
+		buf = binary.AppendVarint(buf, int64(e.Q))
+		buf = e.X.AppendFingerprint(buf)
 	}
-	exs := sortedKeys(nil, p.SafeExch, cmp.Compare[types.ProcID], func(ok bool) bool { return ok })
-	buf = binary.AppendUvarint(buf, uint64(len(exs)))
-	for _, q := range exs {
+	buf = binary.AppendUvarint(buf, uint64(len(p.SafeExch)))
+	for _, q := range p.SafeExch {
 		buf = binary.AppendVarint(buf, int64(q))
 	}
 	sls := sortedKeys(nil, m.safe, types.Label.Compare, nil)
@@ -185,7 +182,7 @@ func (d *labelDriver) step() string {
 		m.content[l] = a
 		return "label"
 	case 2, 3, 4: // gprcv of q's next value
-		if cur.ID.IsBottom() || (cur.ID != types.G0() && p.GotState[q] == nil) {
+		if cur.ID.IsBottom() || (cur.ID != types.G0() && p.GotState.Of(q) == nil) {
 			return "skip"
 		}
 		l := types.Label{ID: cur.ID, Seqno: d.got[q] + 1, Origin: q}
@@ -222,7 +219,7 @@ func (d *labelDriver) step() string {
 		case p.GpsndSummaryEnabled():
 			d.own = p.GpsndSummary()
 			return "gpsnd summary"
-		case p.Status == StatusNormal || p.GotState[q] != nil || (q == p.id && d.own == nil):
+		case p.Status == StatusNormal || p.GotState.Of(q) != nil || (q == p.id && d.own == nil):
 			return "skip"
 		}
 		x := d.own
@@ -237,7 +234,7 @@ func (d *labelDriver) step() string {
 		}
 		return "gprcv summary"
 	case 9: // safe of q's summary, once delivered
-		if p.GotState[q] == nil || p.SafeExch[q] {
+		if p.GotState.Of(q) == nil || slices.Contains(p.SafeExch, q) {
 			return "skip"
 		}
 		p.SafeSummary(q)
@@ -336,7 +333,7 @@ func TestLabelStateMatchesMaps(t *testing.T) {
 			if err := d.compare(); err != nil {
 				t.Fatalf("%s: the fork's steps changed the original: %v", name, err)
 			}
-			if d.p.safe.exch {
+			if d.p.exchSafe {
 				exch++
 			}
 		}
@@ -352,6 +349,18 @@ func TestLabelStateMatchesMaps(t *testing.T) {
 		t.Error("no round ended with the exchange safe")
 	}
 	t.Logf("steps: %v; rounds ending with the exchange safe: %d", seen, exch)
+}
+
+// sortedKeys appends to ks, sorted by order, the keys of m whose value
+// keep admits (every key when keep is nil).
+func sortedKeys[K comparable, V any](ks []K, m map[K]V, order func(K, K) int, keep func(V) bool) []K {
+	for k, v := range m {
+		if keep == nil || keep(v) {
+			ks = append(ks, k)
+		}
+	}
+	slices.SortFunc(ks, order)
+	return ks
 }
 
 // TestLabelRunsHoles binds a run out of order, as a merge from a map

@@ -226,10 +226,10 @@ func TestMutationDeepLemma613HighprimaryRollback(t *testing.T) {
 		}
 		sys.Procs[p].Newview(v3)
 		sys.Procs[p].Status = StatusNormal
-		sys.Procs[p].Established[v3.ID] = true
+		sys.Procs[p].establish(v3.ID)
 		sys.Procs[p].HighPrimary = v3.ID
 	}
-	p0.Established[v2.ID] = true
+	p0.establish(v2.ID)
 	p0.HighPrimary = types.G0() // below established primary v2
 	err := sys.CheckDeepInvariants()
 	if err == nil || !strings.Contains(err.Error(), "lemma 6.13") {
@@ -251,11 +251,11 @@ func TestLabelRunsInvariantFires(t *testing.T) {
 			"label runs: content_p0 of (g1.0, p1) has 2 holes below seqno 3"},
 		{"safe beyond content", func(p0 *Proc) { p0.safe.raise(0, 2) },
 			"label runs: safe-labels_p0 holds ⟨g1.0#2@p0⟩ without content"},
-		{"exchange safe in recovery", func(p0 *Proc) { p0.safe.exch, p0.Status = true, StatusCollect },
+		{"exchange safe in recovery", func(p0 *Proc) { p0.exchSafe, p0.Status = true, StatusCollect },
 			"label runs: p0 holds the exchange safe in g1.0 with status collect"},
 		{"old-view content outside the exchange", func(p0 *Proc) {
 			p0.content.set(types.Label{ID: types.ViewID{Epoch: 0, Proc: 1}, Seqno: 1, Origin: 1}, "old")
-			p0.safe.exch = true
+			p0.exchSafe = true
 		}, "label runs: content_p0 holds ⟨g0.1#1@p1⟩, which fullorder(gotstate) lacks"},
 	} {
 		sys, _ := healthySystem(t)

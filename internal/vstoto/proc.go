@@ -8,8 +8,9 @@ import (
 	"repro/internal/types"
 )
 
-// Status is the VStoTO_p processing status of Figure 9.
-type Status int
+// Status is the VStoTO_p processing status of Figure 9. (One byte, so it
+// packs with Proc's flags.)
+type Status uint8
 
 // The three statuses: normal (anywhere outside the first recovery phase),
 // send (a new view was announced; the state-exchange summary is not yet
@@ -39,8 +40,9 @@ func (s Status) String() string {
 // method pairs so that both the randomized ioa executor and the timed
 // event-driven stack can drive it.
 type Proc struct {
-	id types.ProcID
-	qs types.QuorumSystem
+	// The identity, quorum system and obs handles are shared by every
+	// clone (see procFixed).
+	*procFixed
 
 	// Current is the current view (views⊥; ⊥ encoded as ID.IsBottom()).
 	Current types.View
@@ -59,8 +61,6 @@ type Proc struct {
 	// HighPrimary is the highest established-primary view identifier that
 	// has affected Order (G⊥).
 	HighPrimary types.ViewID
-	// Status is normal/send/collect.
-	Status Status
 	// Delay buffers client values not yet labeled.
 	Delay []types.Value
 	// content is the label→value relation (a partial function; Lemma 6.5)
@@ -69,11 +69,31 @@ type Proc struct {
 	content labelRuns
 	// GotState accumulates state-exchange summaries in the current view.
 	GotState GotState
-	// SafeExch is the set of members whose summaries are known safe.
-	SafeExch map[types.ProcID]bool
+	// SafeExch is the set of members whose summaries are known safe, in
+	// ascending order.
+	SafeExch []types.ProcID
 	// safe is the set of labels reported safe in the current view, as
-	// per-origin counts plus the exchange's flag: read it with Safe.
+	// per-origin counts plus the exchange's flag exchSafe: read it with
+	// Safe.
 	safe safeLabels
+
+	// History variables for the Section 6 proof apparatus (maintained when
+	// TrackHistory is set; the timed stack leaves it off).
+	//
+	// Established is the paper's established[p, g] as the ascending list
+	// of the g it holds for: read it with IsEstablished.
+	Established []types.ViewID
+	// BuildOrder is the paper's buildorder[p, g], the last value of Order
+	// while p was in view g, as entries in ascending view order: read it
+	// with BuildOrderOf.
+	BuildOrder []ViewOrder
+
+	// Status is normal/send/collect.
+	Status Status
+	// exchSafe is safe-labels_p's flag for fullorder(gotstate) (see
+	// safeLabels in labels.go), kept beside Status so the flags share a
+	// word.
+	exchSafe bool
 
 	// LiteralFigure10Label reverts label(a)_p to the paper's literal
 	// precondition (no status check). It exists to *study* the resulting
@@ -83,14 +103,15 @@ type Proc struct {
 	// Never set it in real use.
 	LiteralFigure10Label bool
 
-	// History variables for the Section 6 proof apparatus (maintained when
-	// TrackHistory is set; the timed stack leaves it off).
+	// TrackHistory maintains Established and BuildOrder.
 	TrackHistory bool
-	// Established[g] is the paper's established[p, g].
-	Established map[types.ViewID]bool
-	// BuildOrder[g] is the paper's buildorder[p, g]: the last value of
-	// Order while p was in view g.
-	BuildOrder map[types.ViewID][]types.Label
+}
+
+// procFixed is the part of a processor that no action changes: NewProc
+// sets it and SetObs replaces it. Every clone points to the same one.
+type procFixed struct {
+	id types.ProcID
+	qs types.QuorumSystem
 
 	// Observability handles (SetObs; all nil when disabled).
 	mLabels      *obs.Counter
@@ -100,24 +121,25 @@ type Proc struct {
 	gOrderLen    *obs.Gauge
 }
 
+// ViewOrder is one entry of buildorder: Ord is buildorder[p, G].
+type ViewOrder struct {
+	G   types.ViewID
+	Ord []types.Label
+}
+
 // NewProc creates VStoTO_p. Processors in p0 start in the initial view
 // ⟨g0, P0⟩ with highprimary g0; the rest start with both ⊥.
 func NewProc(id types.ProcID, qs types.QuorumSystem, p0 types.ProcSet) *Proc {
 	p := &Proc{
-		id:          id,
-		qs:          qs,
+		procFixed:   &procFixed{id: id, qs: qs},
 		NextSeqno:   1,
 		NextConfirm: 1,
 		NextReport:  1,
-		GotState:    make(GotState),
-		SafeExch:    make(map[types.ProcID]bool),
-		Established: make(map[types.ViewID]bool),
-		BuildOrder:  make(map[types.ViewID][]types.Label),
 	}
 	if p0.Contains(id) {
 		p.Current = types.InitialView(p0)
 		p.HighPrimary = types.G0()
-		p.Established[types.G0()] = true
+		p.Established = []types.ViewID{types.G0()}
 	}
 	return p
 }
@@ -127,19 +149,49 @@ func (p *Proc) ID() types.ProcID { return p.id }
 
 // SetObs binds the layer's obs instruments from the registry (nil disables
 // at zero cost): vstoto.labels/confirms/summaries/establishments counters
-// and the vstoto.order_len high-water gauge.
+// and the vstoto.order_len high-water gauge. Clones share the handles, so
+// SetObs binds them in a copy of procFixed.
 func (p *Proc) SetObs(reg *obs.Registry) {
-	p.mLabels = reg.Counter("vstoto.labels")
-	p.mConfirms = reg.Counter("vstoto.confirms")
-	p.mSummaries = reg.Counter("vstoto.summaries")
-	p.mEstablished = reg.Counter("vstoto.establishments")
-	p.gOrderLen = reg.Gauge("vstoto.order_len")
+	f := *p.procFixed
+	f.mLabels = reg.Counter("vstoto.labels")
+	f.mConfirms = reg.Counter("vstoto.confirms")
+	f.mSummaries = reg.Counter("vstoto.summaries")
+	f.mEstablished = reg.Counter("vstoto.establishments")
+	f.gOrderLen = reg.Gauge("vstoto.order_len")
+	p.procFixed = &f
 }
 
 // Primary is the derived variable of Figure 9: current ≠ ⊥ and current.set
 // contains a quorum.
 func (p *Proc) Primary() bool {
 	return !p.Current.ID.IsBottom() && p.qs.IsQuorumContained(p.Current.Set)
+}
+
+// IsEstablished reports established[p, g].
+func (p *Proc) IsEstablished(g types.ViewID) bool {
+	_, ok := slices.BinarySearchFunc(p.Established, g, types.ViewID.Cmp)
+	return ok
+}
+
+// BuildOrderOf returns buildorder[p, g] (nil if p recorded none for g).
+func (p *Proc) BuildOrderOf(g types.ViewID) []types.Label {
+	if i, ok := p.buildOrderAt(g); ok {
+		return p.BuildOrder[i].Ord
+	}
+	return nil
+}
+
+// buildOrderAt returns the index of g's buildorder entry, or where it
+// would be inserted.
+func (p *Proc) buildOrderAt(g types.ViewID) (int, bool) {
+	return slices.BinarySearchFunc(p.BuildOrder, g, func(e ViewOrder, g types.ViewID) int { return e.G.Cmp(g) })
+}
+
+// establish sets established[p, g].
+func (p *Proc) establish(g types.ViewID) {
+	if i, ok := slices.BinarySearchFunc(p.Established, g, types.ViewID.Cmp); !ok {
+		p.Established = cowSet(p.Established, i, false, g)
+	}
 }
 
 func (p *Proc) recordOrder() {
@@ -151,7 +203,8 @@ func (p *Proc) recordOrder() {
 		// every primary-view gprcv O(|Order|), i.e. O(n²) per view
 		// (BenchmarkRecordOrderHistory pins the asymptotic difference,
 		// TestBuildOrderImmutable the aliasing safety).
-		p.BuildOrder[p.Current.ID] = p.Order[:len(p.Order):len(p.Order)]
+		i, ok := p.buildOrderAt(p.Current.ID)
+		p.BuildOrder = cowSet(p.BuildOrder, i, ok, ViewOrder{G: p.Current.ID, Ord: p.Order[:len(p.Order):len(p.Order)]})
 	}
 }
 
@@ -165,9 +218,8 @@ func (p *Proc) Newview(v types.View) {
 	p.Current = v
 	p.NextSeqno = 1
 	p.Buffer = nil
-	p.GotState = make(GotState)
-	p.SafeExch = make(map[types.ProcID]bool)
-	p.safe = safeLabels{}
+	p.GotState, p.SafeExch = nil, nil
+	p.safe, p.exchSafe = nil, false
 	p.Status = StatusSend
 }
 
@@ -190,7 +242,7 @@ func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
 	// binds all of it to the same values (Lemma 6.5), and its order read
 	// from an equal one p holds already, if any: the node keeps one copy of
 	// the content, and of an order its members share, not one per member.
-	p.GotState[q] = &Summary{Runs: p.content.views(runs), Ord: p.sharedOrder(x.Ord), Next: x.Next, High: x.High}
+	p.GotState = p.GotState.with(q, &Summary{Runs: p.content.views(runs), Ord: p.sharedOrder(x.Ord), Next: x.Next, High: x.High})
 	if p.GotState.domainEquals(p.Current.Set) && p.Status == StatusCollect {
 		p.NextConfirm = p.GotState.MaxNextConfirm()
 		if p.Primary() {
@@ -209,7 +261,7 @@ func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
 		p.mEstablished.Inc()
 		p.gOrderLen.Max(int64(len(p.Order)))
 		if p.TrackHistory {
-			p.Established[p.Current.ID] = true
+			p.establish(p.Current.ID)
 		}
 		p.recordOrder()
 	}
@@ -224,9 +276,9 @@ func (p *Proc) sharedOrder(ord []types.Label) []types.Label {
 	if prefixOf(p.Order) {
 		return p.Order[:len(ord):len(ord)]
 	}
-	for _, y := range p.GotState {
-		if prefixOf(y.Ord) {
-			return y.Ord[:len(ord):len(ord)]
+	for _, e := range p.GotState {
+		if prefixOf(e.X.Ord) {
+			return e.X.Ord[:len(ord):len(ord)]
 		}
 	}
 	return ord
@@ -249,12 +301,14 @@ func (p *Proc) SafeValue(lv LabeledValue) {
 
 // SafeSummary applies the input safe(x)_{q,p} for a state-exchange summary.
 func (p *Proc) SafeSummary(q types.ProcID) {
-	p.SafeExch[q] = true
+	if i, ok := slices.BinarySearch(p.SafeExch, q); !ok {
+		p.SafeExch = cowSet(p.SafeExch, i, false, q)
+	}
 	if p.safeExchComplete() && p.Primary() {
 		// Every label of fullorder(gotstate) becomes safe. Its current-view
 		// labels are shortorder's and the union's, and raise keeps the
 		// maximum, so a run's last seqno stands for all of its labels.
-		p.safe.exch = true
+		p.exchSafe = true
 		u := p.GotState.union()
 		for i := range u.runs {
 			if r := &u.runs[i]; r.id == p.Current.ID {
@@ -269,16 +323,9 @@ func (p *Proc) SafeSummary(q types.ProcID) {
 	}
 }
 
+// safeExchComplete reports whether every member's summary is known safe.
 func (p *Proc) safeExchComplete() bool {
-	if p.Current.ID.IsBottom() || len(p.SafeExch) != p.Current.Set.Size() {
-		return false
-	}
-	for _, q := range p.Current.Set.Members() {
-		if !p.SafeExch[q] {
-			return false
-		}
-	}
-	return true
+	return !p.Current.ID.IsBottom() && slices.Equal(p.SafeExch, p.Current.Set.Members())
 }
 
 // --- Locally controlled actions ------------------------------------------

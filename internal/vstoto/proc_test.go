@@ -177,7 +177,7 @@ func TestEstablishPrimaryAdoptsFullOrder(t *testing.T) {
 	if valueOf(p, lc) != "c" {
 		t.Error("peer content not merged")
 	}
-	if !p.Established[v2.ID] {
+	if !p.IsEstablished(v2.ID) {
 		t.Error("established not recorded")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/types"
@@ -177,16 +176,65 @@ func (x *Summary) String() string {
 }
 
 // GotState is the partial function Y from processor ids to summaries
-// accumulated during state exchange (the gotstate variable).
-type GotState map[types.ProcID]*Summary
+// accumulated during state exchange (the gotstate variable), as entries
+// sorted by member. The automaton never writes one in place — with
+// returns a new one — so clones share it.
+type GotState []GotEntry
+
+// GotEntry is one pair of gotstate: Y(Q) = X.
+type GotEntry struct {
+	Q types.ProcID
+	X *Summary
+}
+
+// find returns the index of q's entry, or where it would be inserted.
+func (y GotState) find(q types.ProcID) (int, bool) {
+	for i, e := range y {
+		if e.Q >= q {
+			return i, e.Q == q
+		}
+	}
+	return len(y), false
+}
+
+// Of returns Y(q), nil when q ∉ dom(Y).
+func (y GotState) Of(q types.ProcID) *Summary {
+	if i, ok := y.find(q); ok {
+		return y[i].X
+	}
+	return nil
+}
+
+// with returns Y with Y(q) = x, in a new slice.
+func (y GotState) with(q types.ProcID, x *Summary) GotState {
+	i, ok := y.find(q)
+	return cowSet(y, i, ok, GotEntry{Q: q, X: x})
+}
+
+// cowSet returns a copy of the sorted slice s with e at index i: in place
+// of s[i] when replace, inserted before it otherwise. Proc's sorted slices
+// are changed only through it, so a slice a clone shares is never written,
+// and the copy's capacity is its length, so an append to it reallocates
+// as well.
+func cowSet[E any](s []E, i int, replace bool, e E) []E {
+	n, rest := len(s)+1, i
+	if replace {
+		n, rest = len(s), i+1
+	}
+	out := make([]E, n)
+	copy(out, s[:i])
+	out[i] = e
+	copy(out[i+1:], s[rest:])
+	return out
+}
 
 // union returns knowncontent(Y) = ∪_{q ∈ dom(Y)} Y(q).con as runs. It
 // shares the summaries' values where a run covers what the union holds so
 // far, so a union of dense contents copies no value.
 func (y GotState) union() labelRuns {
 	var u labelRuns
-	for _, x := range y {
-		u.mergeAll(x.ContentRuns(), true)
+	for _, e := range y {
+		u.mergeAll(e.X.ContentRuns(), true)
 	}
 	return u
 }
@@ -194,9 +242,9 @@ func (y GotState) union() labelRuns {
 // MaxPrimary returns maxprimary(Y) = max_{q ∈ dom(Y)} Y(q).high.
 func (y GotState) MaxPrimary() types.ViewID {
 	max := types.Bottom
-	for _, x := range y {
-		if max.Less(x.High) {
-			max = x.High
+	for _, e := range y {
+		if max.Less(e.X.High) {
+			max = e.X.High
 		}
 	}
 	return max
@@ -207,30 +255,33 @@ func (y GotState) MaxPrimary() types.ViewID {
 func (y GotState) Reps() []types.ProcID {
 	max := y.MaxPrimary()
 	var reps []types.ProcID
-	for q, x := range y {
-		if x.High == max {
-			reps = append(reps, q)
+	for _, e := range y {
+		if e.X.High == max {
+			reps = append(reps, e.Q)
 		}
 	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
 	return reps
+}
+
+// chosen returns the index of chosenrep(Y)'s entry: the last of reps(Y).
+func (y GotState) chosen() int {
+	if len(y) == 0 {
+		panic("vstoto: ChosenRep of empty gotstate")
+	}
+	max, i := y.MaxPrimary(), len(y)-1
+	for y[i].X.High != max {
+		i--
+	}
+	return i
 }
 
 // ChosenRep returns chosenrep(Y). Any deterministic choice works as long as
 // all processors choose identically from identical information; we take the
 // representative with the highest processor id, as the paper suggests.
-func (y GotState) ChosenRep() types.ProcID {
-	reps := y.Reps()
-	if len(reps) == 0 {
-		panic("vstoto: ChosenRep of empty gotstate")
-	}
-	return reps[len(reps)-1]
-}
+func (y GotState) ChosenRep() types.ProcID { return y[y.chosen()].Q }
 
 // ShortOrder returns shortorder(Y) = Y(chosenrep(Y)).ord.
-func (y GotState) ShortOrder() []types.Label {
-	return y[y.ChosenRep()].Ord
-}
+func (y GotState) ShortOrder() []types.Label { return y[y.chosen()].X.Ord }
 
 // FullOrder returns fullorder(Y): shortorder(Y) followed by the remaining
 // labels of dom(knowncontent(Y)) in ascending label order.
@@ -243,9 +294,9 @@ func (y GotState) FullOrder() []types.Label {
 // MaxNextConfirm returns maxnextconfirm(Y) = max_{q ∈ dom(Y)} Y(q).next.
 func (y GotState) MaxNextConfirm() int {
 	max := 1
-	for _, x := range y {
-		if x.Next > max {
-			max = x.Next
+	for _, e := range y {
+		if e.X.Next > max {
+			max = e.X.Next
 		}
 	}
 	return max
@@ -256,8 +307,8 @@ func (y GotState) domainEquals(s types.ProcSet) bool {
 	if len(y) != s.Size() {
 		return false
 	}
-	for q := range y {
-		if !s.Contains(q) {
+	for i, q := range s.Members() {
+		if y[i].Q != q {
 			return false
 		}
 	}

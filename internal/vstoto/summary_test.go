@@ -29,13 +29,22 @@ func TestSummaryConfirm(t *testing.T) {
 	}
 }
 
+// gotStateOf returns the gotstate holding m's pairs, added in map order.
+func gotStateOf(m map[types.ProcID]*Summary) GotState {
+	var y GotState
+	for q, x := range m {
+		y = y.with(q, x)
+	}
+	return y
+}
+
 func TestGotStateAggregates(t *testing.T) {
 	la, lb, lc := lbl(1, 1, 0), lbl(1, 1, 1), lbl(2, 1, 0)
-	y := GotState{
+	y := gotStateOf(map[types.ProcID]*Summary{
 		0: {Con: map[types.Label]types.Value{la: "a", lc: "c"}, Ord: []types.Label{la, lc}, Next: 3, High: types.ViewID{Epoch: 2, Proc: 0}},
 		1: {Con: map[types.Label]types.Value{lb: "b"}, Ord: []types.Label{lb}, Next: 1, High: types.G0()},
 		2: {Con: map[types.Label]types.Value{}, Next: 2, High: types.ViewID{Epoch: 2, Proc: 0}},
-	}
+	})
 	kc := refKnownContent(y)
 	if len(kc) != 3 || kc[la] != "a" || kc[lb] != "b" || kc[lc] != "c" {
 		t.Fatalf("knowncontent = %v", kc)
@@ -74,10 +83,10 @@ func TestGotStateAggregates(t *testing.T) {
 func TestFullOrderKeepsShortOrderPrefixAndDedups(t *testing.T) {
 	la, lb := lbl(1, 1, 0), lbl(1, 2, 0)
 	// The rep's order deliberately disagrees with label order (lb first).
-	y := GotState{
+	y := gotStateOf(map[types.ProcID]*Summary{
 		5: {Con: map[types.Label]types.Value{la: "a", lb: "b"}, Ord: []types.Label{lb, la}, Next: 1, High: types.ViewID{Epoch: 3, Proc: 0}},
 		1: {Con: map[types.Label]types.Value{la: "a"}, Ord: []types.Label{la}, Next: 1, High: types.G0()},
-	}
+	})
 	fo := y.FullOrder()
 	if len(fo) != 2 || fo[0] != lb || fo[1] != la {
 		t.Fatalf("FullOrder = %v, want rep's order [lb la] with no duplicates", fo)
@@ -128,9 +137,9 @@ func TestFullOrderProperties(t *testing.T) {
 				l := lbl(1, int(s%8)+1, types.ProcID(s%3))
 				con[l] = "v"
 			}
-			y[types.ProcID(i)] = &Summary{
+			y = y.with(types.ProcID(i), &Summary{
 				Con: con, Ord: ord, Next: int(raw.Next), High: types.ViewID{Epoch: int64(raw.High % 4), Proc: 0},
-			}
+			})
 		}
 		fo := y.FullOrder()
 		short := y.ShortOrder()

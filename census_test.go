@@ -2,6 +2,7 @@ package pgcs_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -40,11 +41,7 @@ func optionCensus(t *testing.T) []string {
 			return err
 		}
 		if d.IsDir() {
-			// The go tool's own rule: it ignores testdata and names
-			// starting with "." or "_".
-			name := d.Name()
-			if path == "bench" || path == "examples" || name == "testdata" ||
-				path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path == "examples" || skipDir(path) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -56,10 +53,7 @@ func optionCensus(t *testing.T) []string {
 		if err != nil {
 			return err
 		}
-		pkg := "repro"
-		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
-			pkg += "/" + dir
-		}
+		pkg := importPath(filepath.Dir(path))
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {
@@ -122,13 +116,94 @@ func optionCensus(t *testing.T) []string {
 	return lines
 }
 
-// TestOptionCensus pins the module's settable values to
-// testdata/options.golden, so a change that adds or removes a flag or a
-// config field shows the line in its diff. On a deliberate change, replace
-// the golden file's contents with the list the failure prints.
-func TestOptionCensus(t *testing.T) {
-	got := optionCensus(t)
-	raw, err := os.ReadFile("testdata/options.golden")
+// skipDir reports whether a walk of the module from its root skips the
+// directory at path: bench/ is a module of its own, and the go tool
+// ignores testdata and names starting with "." or "_".
+func skipDir(path string) bool {
+	name := filepath.Base(path)
+	return path == "bench" || name == "testdata" ||
+		path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_"))
+}
+
+// importPath is the import path of the module's package in dir.
+func importPath(dir string) string {
+	if dir = filepath.ToSlash(dir); dir == "." {
+		return "repro"
+	}
+	return "repro/" + dir
+}
+
+// packageCensus lists the module's package structure: one "daemon" line
+// per package of the module that cmd/pgcsd links (itself included, as
+// `go list -deps repro/cmd/pgcsd` lists it), and one "single" line per
+// internal package that exactly one package of the module imports outside
+// its tests, naming that importer.
+func packageCensus(t *testing.T) []string {
+	t.Helper()
+	imports := make(map[string][]string) // package -> the module packages it imports
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if skipDir(path) {
+			return filepath.SkipDir
+		}
+		pkg, err := build.ImportDir(path, 0)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		var mod []string
+		for _, imp := range pkg.Imports {
+			if imp == "repro" || strings.HasPrefix(imp, "repro/") {
+				mod = append(mod, imp)
+			}
+		}
+		imports[importPath(path)] = mod
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	linked := map[string]bool{}
+	var link func(string)
+	link = func(pkg string) {
+		if linked[pkg] {
+			return
+		}
+		if _, ok := imports[pkg]; !ok {
+			t.Fatalf("%s is imported but not found in the module", pkg)
+		}
+		linked[pkg] = true
+		lines = append(lines, "daemon "+pkg)
+		for _, imp := range imports[pkg] {
+			link(imp)
+		}
+	}
+	link("repro/cmd/pgcsd")
+	importers := make(map[string][]string)
+	for pkg, imps := range imports {
+		for _, imp := range imps {
+			importers[imp] = append(importers[imp], pkg)
+		}
+	}
+	for pkg, by := range importers {
+		if strings.HasPrefix(pkg, "repro/internal/") && len(by) == 1 {
+			lines = append(lines, "single "+pkg+" <- "+by[0])
+		}
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// diffGolden compares got with the lines of the golden file and, if they
+// differ, fails the test printing the difference and the whole of got,
+// which is the new golden file after a deliberate change.
+func diffGolden(t *testing.T, file string, got []string) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +228,25 @@ func TestOptionCensus(t *testing.T) {
 		}
 	}
 	if len(diff) > 0 {
-		t.Errorf("option census (%d) differs from testdata/options.golden (%d):\n%s\n\ncurrent census:\n%s",
-			len(got), len(want), strings.Join(diff, "\n"), strings.Join(got, "\n"))
+		t.Errorf("census (%d) differs from %s (%d):\n%s\n\ncurrent census:\n%s",
+			len(got), file, len(want), strings.Join(diff, "\n"), strings.Join(got, "\n"))
 	}
+}
+
+// TestOptionCensus pins the module's settable values to
+// testdata/options.golden, so a change that adds or removes a flag or a
+// config field shows the line in its diff. On a deliberate change, replace
+// the golden file's contents with the list the failure prints.
+func TestOptionCensus(t *testing.T) {
+	diffGolden(t, "testdata/options.golden", optionCensus(t))
+}
+
+// TestPackageCensus pins the module's package structure to
+// testdata/packages.golden: what the daemon links, and which internal
+// packages have a single consumer. A package that moves into or out of
+// pgcsd's closure, or a new package only one other imports, shows the
+// line in the diff. On a deliberate change, replace the golden file's
+// contents with the list the failure prints.
+func TestPackageCensus(t *testing.T) {
+	diffGolden(t, "testdata/packages.golden", packageCensus(t))
 }

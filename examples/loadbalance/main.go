@@ -13,13 +13,12 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/loadbalance"
 	"repro/internal/types"
 )
 
 func main() {
 	cluster := pgcs.NewSimCluster(pgcs.Config{N: 4, Seed: 11, Delta: time.Millisecond})
-	balancer := loadbalance.New(cluster.Stack())
+	balancer := newBalancer(cluster.Stack())
 
 	// Re-evaluate ownership every 20ms of virtual time.
 	stack := cluster.Stack()
@@ -32,7 +31,7 @@ func main() {
 
 	fmt.Println("== submit 12 tasks into a 4-node group ==")
 	for i := 0; i < 12; i++ {
-		balancer.Submit(types.ProcID(i%4), loadbalance.Task{
+		balancer.Submit(types.ProcID(i%4), Task{
 			Name: fmt.Sprintf("render-frame-%02d", i),
 			Work: 30 * time.Millisecond,
 		})
@@ -43,7 +42,7 @@ func main() {
 	fmt.Println("\n== node 3 is partitioned away; its tasks are re-owned ==")
 	cluster.Partition(pgcs.NewProcSet(0, 1, 2), pgcs.NewProcSet(3))
 	for i := 12; i < 20; i++ {
-		balancer.Submit(types.ProcID(i%3), loadbalance.Task{
+		balancer.Submit(types.ProcID(i%3), Task{
 			Name: fmt.Sprintf("render-frame-%02d", i),
 			Work: 30 * time.Millisecond,
 		})
@@ -54,7 +53,7 @@ func main() {
 	fmt.Println("\n== heal: node 3 rejoins and picks up its share again ==")
 	cluster.Heal()
 	for i := 20; i < 28; i++ {
-		balancer.Submit(types.ProcID(i%4), loadbalance.Task{
+		balancer.Submit(types.ProcID(i%4), Task{
 			Name: fmt.Sprintf("render-frame-%02d", i),
 			Work: 30 * time.Millisecond,
 		})
@@ -67,7 +66,7 @@ func main() {
 	}
 }
 
-func report(b *loadbalance.Balancer) {
+func report(b *Balancer) {
 	perOwner := map[types.ProcID]int{}
 	for task, owner := range b.Winner {
 		_ = task

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/props"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -130,8 +129,8 @@ func runUntil(s *sim.Sim, step time.Duration, limit sim.Time, done func() bool) 
 }
 
 // allDelivered reports whether each of nodes 0..n-1 has delivered at
-// least k values. D is any cluster's delivery record.
-func allDelivered[D any](n, k int, deliveries func(types.ProcID) []D) bool {
+// least k values.
+func allDelivered(n, k int, deliveries func(types.ProcID) []stack.Delivery) bool {
 	for p := 0; p < n; p++ {
 		if len(deliveries(types.ProcID(p))) < k {
 			return false
@@ -144,8 +143,8 @@ func allDelivered[D any](n, k int, deliveries func(types.ProcID) []D) bool {
 // a 30ms boot it submits k values, value i at node i mod n and i·pace
 // after the start, runs until every node has delivered all k, and returns
 // how long that took.
-func pacedBurst[D any](s *sim.Sim, n, k int, pace time.Duration,
-	bcast func(types.ProcID, types.Value), deliveries func(types.ProcID) []D) time.Duration {
+func pacedBurst(s *sim.Sim, n, k int, pace time.Duration,
+	bcast func(types.ProcID, types.Value), deliveries func(types.ProcID) []stack.Delivery) time.Duration {
 	must(s.RunFor(30 * time.Millisecond))
 	start := s.Now()
 	for i := 0; i < k; i++ {
@@ -392,30 +391,43 @@ func e4(seed int64, workers int) *Table {
 	return t
 }
 
-// E5 compares steady-state delivery latency of the VStoTO stack against
-// the stable-storage baseline as storage latency grows.
+// E5 sets the stack beside the stable-storage baseline as the storage
+// latency λ grows: the stack's reference data path, its batched (shipped)
+// data path and the baseline each run the same paced burst at every λ.
 func E5(seed int64) *Table {
 	t := &Table{
-		ID:      "E5",
-		Title:   "VStoTO vs stable-storage (Keidar–Dolev-style) baseline",
-		Claim:   "the introduction's trade-off: the baseline pays per-message log latency; VStoTO's steady-state latency is independent of storage",
+		ID:    "E5",
+		Title: "VStoTO vs stable-storage (Keidar–Dolev-style) baseline",
+		Claim: "the introduction's trade-off, priced per storage latency λ: the baseline pays λ per message on its critical path; " +
+			"the batched stack stays below it at every λ, while the write-ahead reference path pays more than the baseline from 5δ on",
 		Columns: []string{"protocol", "storage latency", "burst completion", "per-msg mean", "per-msg p99", "stable writes/node"},
 	}
 	const n, k = 3, 8
 	delta := time.Millisecond
+	lats := []time.Duration{0, delta, 5 * delta, 20 * delta}
 
 	// Paced submissions (one per 2π) so per-message latency reflects the
 	// protocol, not queueing behind the burst.
-	sc := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta, Log: &props.Log{}})
-	stackTime := pacedBurst(sc.Sim, n, k, 2*sc.Cfg.Pi, func(p types.ProcID, v types.Value) { sc.Bcast(p, v) }, sc.Deliveries)
-	stackLat := props.MeasureDeliveryLatency(sc.Log, sc.Procs)
-	t.Rows = append(t.Rows, []string{
-		"VStoTO stack", "–", ms(stackTime), ms(stackLat.Mean), ms(stackLat.P99), "0",
-	})
+	stackMeans := func(name string, opts stack.Options) []time.Duration {
+		means := make([]time.Duration, len(lats))
+		for i, lat := range lats {
+			opts.Seed, opts.N, opts.Delta, opts.StorageLatency, opts.Log = seed, n, delta, lat, &props.Log{}
+			c := stack.NewCluster(opts)
+			took := pacedBurst(c.Sim, n, k, 2*c.Cfg.Pi, func(p types.ProcID, v types.Value) { c.Bcast(p, v) }, c.Deliveries)
+			l := props.MeasureDeliveryLatency(c.Log, c.Procs)
+			means[i] = l.Mean
+			t.Rows = append(t.Rows, []string{
+				name, ms(lat), ms(took), ms(l.Mean), ms(l.P99), fmt.Sprint(c.Node(0).WAL().Storage().Writes()),
+			})
+		}
+		return means
+	}
+	reference := stackMeans("VStoTO stack", stack.Options{})
+	batched := stackMeans("VStoTO batch", stack.Options{}.Batched())
 
 	var prev time.Duration
-	for _, lat := range []time.Duration{0, delta, 5 * delta, 20 * delta} {
-		c := baseline.NewCluster(baseline.Options{Seed: seed, N: n, Delta: delta, StorageLatency: lat})
+	for i, lat := range lats {
+		c := newBaseline(seed, n, delta, lat)
 		took := pacedBurst(c.Sim, n, k, 2*c.Cfg.Pi, c.Bcast, c.Deliveries)
 		blat := props.MeasureDeliveryLatency(c.Log, c.Procs)
 		if took < prev {
@@ -423,19 +435,22 @@ func E5(seed int64) *Table {
 				fmt.Sprintf("baseline latency not monotone in storage latency (%v at %v)", took, lat))
 		}
 		prev = took
-		if lat >= 5*delta && blat.Mean <= stackLat.Mean {
-			t.Failures = append(t.Failures,
-				fmt.Sprintf("baseline per-message mean (%v at storage %v) not above stack (%v)", blat.Mean, lat, stackLat.Mean))
+		if batched[i] >= blat.Mean {
+			t.Failures = append(t.Failures, fmt.Sprintf(
+				"batched stack per-message mean (%v at storage %v) not below baseline (%v)", batched[i], lat, blat.Mean))
+		}
+		if lat >= 5*delta && reference[i] <= blat.Mean {
+			t.Failures = append(t.Failures, fmt.Sprintf(
+				"reference stack per-message mean (%v at storage %v) not above baseline (%v)", reference[i], lat, blat.Mean))
 		}
 		t.Rows = append(t.Rows, []string{
 			"baseline", ms(lat), ms(took), ms(blat.Mean), ms(blat.P99), fmt.Sprint(c.StorageWrites(0)),
 		})
 	}
-	if prev <= stackTime {
-		t.Failures = append(t.Failures, "baseline with 20δ storage not slower than stack")
-	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d values over %d nodes, one submission per 2π; completion = all values delivered at all nodes.", k, n),
-		"per-msg latency: bcast → last delivery at any node (distribution over values).")
+		"per-msg latency: bcast → last delivery at any node (distribution over values).",
+		"VStoTO stack is the reference data path, VStoTO batch the shipped one (stack.Options.Batched); both write their WAL to a device of latency λ. "+
+			"The reference path serializes every record and keeps one delivery record in flight; the batched path coalesces what queues behind a write and keeps 64 in flight.")
 	return t
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/primary"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/types"
@@ -97,7 +96,7 @@ func E12(seed int64) *Table {
 	})
 
 	// Primary-partition model.
-	pc := primary.NewCluster(primary.Options{Seed: seed, N: n, Delta: delta})
+	pc := newPrimary(seed, n, delta)
 	prRes := scenario(
 		pc.Bcast,
 		func(until sim.Time) error { return pc.Sim.Run(until) },
@@ -128,18 +127,13 @@ func E12(seed int64) *Table {
 	return t
 }
 
-// coverage indexes which values each of nodes 0..n-1 delivered. D is any
-// cluster's delivery record (stack and primary share one shape).
-func coverage[D ~struct {
-	From  types.ProcID
-	Value types.Value
-	Time  sim.Time
-}](n int, deliveries func(types.ProcID) []D) map[types.ProcID]map[types.Value]bool {
+// coverage indexes which values each of nodes 0..n-1 delivered.
+func coverage(n int, deliveries func(types.ProcID) []stack.Delivery) map[types.ProcID]map[types.Value]bool {
 	out := make(map[types.ProcID]map[types.Value]bool, n)
 	for _, p := range types.RangeProcSet(n).Members() {
 		out[p] = make(map[types.Value]bool)
 		for _, d := range deliveries(p) {
-			out[p][stack.Delivery(d).Value] = true
+			out[p][d.Value] = true
 		}
 	}
 	return out

@@ -13,12 +13,12 @@ import (
 // processor to rejoin and deliver again, as a function of (a) how much WAL
 // it must replay and (b) the stable-storage write latency λ — the same λ
 // axis as the E5 baseline comparison. The claim under test: replay is a
-// local read and the WAL is written off the critical path, so rejoin
-// latency stays within the analytic post-heal budget b + 2·d_impl plus a
-// small number of serialized post-heal writes (the recovery marker, the
-// rejoin view record, and the first delivery record — each λ), regardless
-// of how long the log has grown. Contrast with the E5 baseline, which pays
-// λ per message in steady state.
+// local read, so rejoin latency stays within the analytic post-heal
+// budget b + 2·d_impl plus a small number of serialized post-heal writes
+// (the recovery marker, the rejoin view record, and the first delivery
+// record — each λ), regardless of how long the log has grown. In steady
+// state λ is paid per message, not only at rejoin: E5 shows the stack's
+// reference path paying it per delivery record, as the baseline does.
 func E14(seed int64) *Table {
 	t := &Table{
 		ID:    "E14",
@@ -106,6 +106,6 @@ func E14(seed int64) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"budget = b + 2·d_impl + 3λ: the recovery-liveness bound the chaos harness enforces, plus the three serialized post-heal writes (recovery marker, rejoin view record, first delivery record)",
-		"compare E5: the stable-storage baseline pays λ per message in steady state; here λ appears only at rejoin, and replay itself is a local read costing no virtual time")
+		"compare E5: in steady state the baseline and the stack's reference path both pay λ per message, and the batched path pays it per write flight; here λ enters the rejoin only through the three serialized writes, and replay itself is a local read costing no virtual time")
 	return t
 }

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/props"
 	"repro/internal/rsm"
-	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/types"
@@ -210,27 +209,3 @@ func (r *ReplicatedMemory) Replica(p ProcID) map[string]string { return r.m.Repl
 
 // CheckCoherence verifies all replicas applied a common operation prefix.
 func (r *ReplicatedMemory) CheckCoherence() error { return r.m.CheckCoherence() }
-
-// LiveCluster is the wall-clock-paced service.
-type LiveCluster = runtime.Runtime
-
-// LiveOptions configures StartLiveCluster.
-type LiveOptions struct {
-	Config Config
-	// Speed is virtual time advanced per wall time (default 1.0).
-	Speed float64
-}
-
-// StartLiveCluster launches a live cluster; call Stop when done.
-func StartLiveCluster(opts LiveOptions) *LiveCluster {
-	return runtime.Start(runtime.Options{
-		Cluster: stack.Options{
-			Seed:    opts.Config.Seed,
-			N:       opts.Config.N,
-			P0Size:  opts.Config.InitialMembers,
-			Delta:   opts.Config.Delta,
-			Quorums: opts.Config.Quorums,
-		},
-		Speed: opts.Speed,
-	})
-}

@@ -91,6 +91,73 @@ func TestETablesMatchGolden(t *testing.T) {
 	}
 }
 
+// TestExperimentsDocMatchesGolden finds every table of the golden verbatim
+// in EXPERIMENTS.md's raw tables, so the document cannot drift from what
+// the harness prints. The document's E17 is read back into a Table and
+// masked as the golden's is (maskHost): its wall-clock cells are the
+// host's.
+func TestExperimentsDocMatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/etables_seed1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	start := strings.Index(doc, "\nE17 — ") + 1
+	end := start + strings.Index(doc[start:], "\nresult: ") + 1
+	end += strings.IndexByte(doc[end:], '\n') + 1
+	if start == 0 || end <= start {
+		t.Fatal("EXPERIMENTS.md has no E17 table")
+	}
+	doc = doc[:start] + strings.TrimSuffix(maskHost([]*Table{parseTable(t, doc[start:end])}), "\n") + doc[end:]
+	for _, table := range strings.Split(strings.TrimRight(string(golden), "\n"), "\n\n") {
+		if !strings.Contains(doc, table+"\n") {
+			t.Errorf("EXPERIMENTS.md does not hold the golden's table verbatim:\n%s", table)
+		}
+	}
+}
+
+// parseTable reads a table back from its Format text: the cells of a row
+// start where the dash line's runs do.
+func parseTable(t *testing.T, text string) *Table {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	id, title, _ := strings.Cut(lines[0], " — ")
+	tbl := &Table{ID: id, Title: title, Claim: strings.TrimPrefix(lines[1], "claim: ")}
+	var starts []int
+	for i, c := range lines[3] {
+		if c == '-' && lines[3][i-1] == ' ' {
+			starts = append(starts, i)
+		}
+	}
+	cells := func(line string) []string {
+		var out []string
+		for i, s := range starts {
+			e := len(line)
+			if i+1 < len(starts) {
+				e = starts[i+1] - 2
+			}
+			out = append(out, strings.TrimRight(line[s:e], " "))
+		}
+		return out
+	}
+	tbl.Columns = cells(lines[2])
+	for _, l := range lines[4:] {
+		switch {
+		case strings.HasPrefix(l, "note: "):
+			tbl.Notes = append(tbl.Notes, strings.TrimPrefix(l, "note: "))
+		case strings.HasPrefix(l, "FAIL: "):
+			tbl.Failures = append(tbl.Failures, strings.TrimPrefix(l, "FAIL: "))
+		case !strings.HasPrefix(l, "result: "):
+			tbl.Rows = append(tbl.Rows, cells(l))
+		}
+	}
+	return tbl
+}
+
 // TestExperimentsDeterministic: the same seed regenerates the identical
 // tables (the whole harness is simulator-backed).
 func TestExperimentsDeterministic(t *testing.T) {

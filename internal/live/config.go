@@ -8,7 +8,7 @@
 // The split of responsibilities with the rest of the repository: the
 // protocol itself still runs on the deterministic simulator (the daemon
 // advances it in step with the wall clock, exactly like
-// internal/runtime), internal/transport carries the packets, and the
+// pgcs.LiveCluster), internal/transport carries the packets, and the
 // stack's WAL mirrors to a real file so a killed-and-restarted daemon
 // rejoins through the ordinary amnesia-recovery path.
 package live

@@ -20,8 +20,8 @@
 //     pins 0 allocs/op).
 //
 // Instruments are safe for concurrent use (atomics throughout): the
-// simulation itself is single-threaded, but the real-time runtime driver
-// (internal/runtime) paces the simulator on one goroutine while
+// simulation itself is single-threaded, but the real-time driver
+// (pgcs.LiveCluster) paces the simulator on one goroutine while
 // application goroutines read metrics, which is exactly the access pattern
 // that raced on the pre-obs ad-hoc counters.
 package obs

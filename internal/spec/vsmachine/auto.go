@@ -21,9 +21,6 @@ type Auto struct {
 // NewAuto wraps a fresh machine.
 func NewAuto(procs, p0 types.ProcSet) *Auto { return &Auto{M: New(procs, p0)} }
 
-// NewWeakAuto wraps a fresh WeakVS-machine.
-func NewWeakAuto(procs, p0 types.ProcSet) *Auto { return &Auto{M: NewWeak(procs, p0)} }
-
 // Name returns "VS-machine".
 func (a *Auto) Name() string { return "VS-machine" }
 
@@ -41,14 +38,8 @@ func (a *Auto) Classify(act ioa.Action) ioa.Kind {
 	}
 }
 
-// Input applies gpsnd.
-func (a *Auto) Input(act ioa.Action) {
-	g, ok := act.(Gpsnd)
-	if !ok {
-		panic(fmt.Sprintf("vsmachine: unexpected input %v", act))
-	}
-	a.M.ApplyGpsnd(g.M, g.P)
-}
+// Input applies gpsnd (as Perform does).
+func (a *Auto) Input(act ioa.Action) { a.Perform(act) }
 
 // Enabled enumerates the enabled locally controlled actions. The unbounded
 // createview nondeterminism is resolved externally (see ViewProposer); this
@@ -103,6 +94,8 @@ func (a *Auto) Enabled(buf []ioa.Action) []ioa.Action {
 func (a *Auto) Perform(act ioa.Action) {
 	var err error
 	switch t := act.(type) {
+	case Gpsnd:
+		a.M.ApplyGpsnd(t.M, t.P)
 	case Createview:
 		err = a.M.ApplyCreateview(t.V)
 	case Newview:

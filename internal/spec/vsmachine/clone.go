@@ -1,63 +1,101 @@
 package vsmachine
 
 import (
-	"cmp"
 	"slices"
 
-	"repro/internal/ioa"
+	"repro/internal/types"
 )
 
-// CloneFor returns a copy of the machine that act can be applied to
-// without changing m. Only the slices act writes are copied; the rest, and
-// every message value (immutable by the package's conventions), are shared
-// with m. Everything is shared capped at its length, so an append or
-// insert on the copy reallocates instead of writing into storage m still
-// reads (nothing writes an element of a sequence in place). An action
-// outside the machine's signature copies everything.
-func (m *Machine) CloneFor(act ioa.Action) *Machine {
-	out := *m
+// Writes names the parts of the machine's state an action writes, which
+// CloneFor copies: newview writes current-viewid; gpsnd, gprcv and safe a
+// slot, which they may insert; vs-order a slot and a created view's queue.
+// Createview writes none: it appends to Created, shared capped.
+type Writes uint8
+
+const (
+	WritesCurrent Writes = 1 << iota
+	WritesSlots
+	WritesQueues
+	WritesAll = WritesCurrent | WritesSlots | WritesQueues
+)
+
+// Scratch is where a caller builds the copies it mostly drops: the last
+// machine CloneFor built in it, with the parts it copied, until the next.
+// Keep moves one out, into arrays it carves kept copies from.
+type Scratch struct {
+	m                    Machine
+	own                  Writes // the parts of m in the buffers below
+	current, keptCurrent []types.ViewID
+	slots, keptSlots     []slot
+	created, keptCreated []CreatedView
+	keptMachines         []Machine
+}
+
+// CloneFor returns a copy of the machine that an action writing w can be
+// applied to without changing m. Only the parts w names are copied; the
+// rest, and every message value (immutable by the package's conventions),
+// are shared with m. Everything is shared capped at its length, so an
+// append or insert on the copy reallocates instead of writing into storage
+// m still reads (nothing writes an element of a sequence in place). The
+// copy is built in sc, or in storage of its own when sc is nil.
+func (m *Machine) CloneFor(w Writes, sc *Scratch) *Machine {
+	spare := 1 // room for the slot an action may insert
+	if sc == nil {
+		sc, spare = new(Scratch), 0
+	}
+	out := &sc.m
+	*out, sc.own = *m, w
 	out.Created, out.CurrentViewID, out.slots = slices.Clip(m.Created), slices.Clip(m.CurrentViewID), slices.Clip(m.slots)
-	switch act.(type) {
-	case Createview: // adds a record to the capped Created
-	case Newview:
-		out.CurrentViewID = slices.Clone(m.CurrentViewID)
-	case Gpsnd, Gprcv, Safe: // may insert the slot they write
-		out.slots = cloneSlots(m.slots, 1)
-	case VSOrder:
-		out.slots, out.Created = cloneSlots(m.slots, 0), cloneCreated(m.Created)
-	default:
-		out.CurrentViewID = slices.Clone(m.CurrentViewID)
-		out.slots, out.Created = cloneSlots(m.slots, 1), cloneCreated(m.Created)
+	if w&WritesCurrent != 0 {
+		out.CurrentViewID = copyInto(&sc.current, m.CurrentViewID, 0)
 	}
-	return &out
-}
-
-// cloneSlots copies the slots with room for spare more, each pending
-// sequence capped at its length. No slots copy to none.
-func cloneSlots(ss []slot, spare int) []slot {
-	if len(ss) == 0 {
-		return slices.Clip(ss)
+	if w&WritesSlots != 0 {
+		out.slots = copyInto(&sc.slots, m.slots, spare)
+		for i := range out.slots {
+			out.slots[i].pending = slices.Clip(out.slots[i].pending)
+		}
 	}
-	out := append(make([]slot, 0, len(ss)+spare), ss...)
-	for i := range out {
-		out[i].pending = slices.Clip(out[i].pending)
+	if w&WritesQueues != 0 {
+		out.Created = copyInto(&sc.created, m.Created, 0)
+		for i := range out.Created {
+			out.Created[i].Queue = slices.Clip(out.Created[i].Queue)
+		}
 	}
 	return out
 }
 
-// cloneCreated copies the created views, each queue capped at its length.
-func cloneCreated(cs []CreatedView) []CreatedView {
-	out := slices.Clone(cs)
-	for i := range out {
-		out[i].Queue = slices.Clip(out[i].Queue)
+// Keep returns m, moved out of sc first when it is the copy CloneFor built
+// there, with the parts CloneFor copied; the rest stays shared.
+func (sc *Scratch) Keep(m *Machine) *Machine {
+	if m != &sc.m {
+		return m
+	}
+	out := &carve(&sc.keptMachines, []Machine{*m})[0]
+	if sc.own&WritesCurrent != 0 {
+		out.CurrentViewID = carve(&sc.keptCurrent, m.CurrentViewID)
+	}
+	if sc.own&WritesSlots != 0 {
+		out.slots = carve(&sc.keptSlots, m.slots)
+	}
+	if sc.own&WritesQueues != 0 {
+		out.Created = carve(&sc.keptCreated, m.Created)
 	}
 	return out
 }
 
-// cmpPG orders (processor, view) keys by processor, then view.
-func cmpPG(a, b pg) int {
-	if c := cmp.Compare(a.P, b.P); c != 0 {
-		return c
+// copyInto copies src into *buf, with room for spare more, and returns it.
+func copyInto[E any](buf *[]E, src []E, spare int) []E {
+	*buf = append(slices.Grow((*buf)[:0], len(src)+spare), src...)
+	return *buf
+}
+
+// carve copies src to the front of free, which it refills with a new array
+// of 128 (or len(src)) elements when short, and returns the copy.
+func carve[E any](free *[]E, src []E) []E {
+	if len(*free) < len(src) {
+		*free = make([]E, max(len(src), 128))
 	}
-	return a.G.Cmp(b.G)
+	out := append((*free)[:0:len(src)], src...)
+	*free = (*free)[len(src):]
+	return out
 }

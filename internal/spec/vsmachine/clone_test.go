@@ -1,6 +1,7 @@
 package vsmachine
 
 import (
+	"cmp"
 	"reflect"
 	"testing"
 
@@ -37,7 +38,7 @@ func fingerprint(m *Machine) string { return string(m.AppendFingerprint(nil)) }
 func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	m := New(types.RangeProcSet(2), types.RangeProcSet(2))
 	populate(t, m)
-	c := m.CloneFor(nil) // outside the signature: every map copied
+	c := m.CloneFor(WritesAll, nil) // every part copied
 	if fingerprint(m) != fingerprint(c) {
 		t.Fatalf("clone fingerprint differs:\n%x\nvs\n%x", fingerprint(m), fingerprint(c))
 	}
@@ -71,7 +72,7 @@ func TestCloneForIsolatesEveryAction(t *testing.T) {
 	for _, msg := range []Msg{"m3", "m4", "m5"} { // leaves pending[p1,g] spare capacity
 		m.ApplyGpsnd(msg, 1)
 	}
-	want, wantFP := m.CloneFor(nil), fingerprint(m)
+	want, wantFP := m.CloneFor(WritesAll, nil), fingerprint(m)
 	for _, act := range []ioa.Action{
 		Gpsnd{M: "m6", P: 1},
 		VSOrder{M: "m3", P: 1, G: g},
@@ -80,7 +81,7 @@ func TestCloneForIsolatesEveryAction(t *testing.T) {
 		Newview{V: v(2, 1, 0, 1), P: 1},
 		Createview{V: v(3, 0, 0, 1)},
 	} {
-		a := &Auto{M: m.CloneFor(act)}
+		a := &Auto{M: m.CloneFor(writesOf(act), nil)}
 		if a.Classify(act) == ioa.Input {
 			a.Input(act)
 		} else {
@@ -94,12 +95,66 @@ func TestCloneForIsolatesEveryAction(t *testing.T) {
 		}
 	}
 
-	a, b := m.CloneFor(Gpsnd{}), m.CloneFor(Gpsnd{})
+	a, b := m.CloneFor(WritesSlots, nil), m.CloneFor(WritesSlots, nil)
 	a.ApplyGpsnd("a", 1)
 	b.ApplyGpsnd("b", 1)
 	if pa, pb := a.Pending(1, g), b.Pending(1, g); pa[3] != "a" || pb[3] != "b" {
 		t.Fatalf("sibling copies share an append: %v and %v", pa, pb)
 	}
+}
+
+// TestScratchCopyKept: a copy built in a Scratch and kept survives the
+// next copy built there, and a copy that shares its slots keeps sharing
+// them.
+func TestScratchCopyKept(t *testing.T) {
+	m := New(types.RangeProcSet(2), types.RangeProcSet(2))
+	populate(t, m)
+	var sc Scratch
+	a := m.CloneFor(WritesSlots, &sc)
+	a.ApplyGpsnd("a", 1)
+	wantA := fingerprint(a)
+	kept := sc.Keep(a)
+	if kept == a || fingerprint(kept) != wantA {
+		t.Fatalf("Keep did not move the copy out of the scratch")
+	}
+	b := m.CloneFor(WritesAll, &sc)
+	b.ApplyGpsnd("b", 0)
+	if err := b.ApplyNewview(v(2, 1, 0, 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(kept) != wantA {
+		t.Fatalf("the next copy into the scratch changed a kept one")
+	}
+	c := m.CloneFor(0, &sc)
+	if err := c.ApplyCreateview(v(3, 0, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if k := sc.Keep(c); &k.slots[0] != &m.slots[0] || sc.Keep(m) != m {
+		t.Fatalf("Keep copied slots the copy shares, or moved a machine not in the scratch")
+	}
+}
+
+// writesOf is the part of the machine act writes.
+func writesOf(act ioa.Action) Writes {
+	switch act.(type) {
+	case Createview:
+		return 0
+	case Newview:
+		return WritesCurrent
+	case Gpsnd, Gprcv, Safe:
+		return WritesSlots
+	case VSOrder:
+		return WritesSlots | WritesQueues
+	}
+	return WritesAll
+}
+
+// cmpPG orders (processor, view) keys by processor, then view.
+func cmpPG(a, b pg) int {
+	if c := cmp.Compare(a.P, b.P); c != 0 {
+		return c
+	}
+	return a.G.Cmp(b.G)
 }
 
 func TestFingerprintDistinguishesStates(t *testing.T) {

@@ -1,10 +1,6 @@
 package vsmachine
 
-import (
-	"fmt"
-
-	"repro/internal/types"
-)
+import "fmt"
 
 // CheckInvariants verifies all fourteen parts of Lemma 4.1 on the current
 // state, returning a descriptive error naming the violated part.
@@ -90,13 +86,4 @@ func (m *Machine) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// CurrentView returns p's current view, or ok=false when it is ⊥.
-func (m *Machine) CurrentView(p types.ProcID) (types.View, bool) {
-	g := m.CurrentViewID[p]
-	if g.IsBottom() {
-		return types.View{}, false
-	}
-	return m.View(g)
 }

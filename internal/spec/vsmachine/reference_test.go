@@ -441,7 +441,7 @@ func checkAgainstReference(t *testing.T, kind string, seed int64) {
 	// Corruptions Lemma 4.1 names the same way in both.
 	last := auto.M.Created[len(auto.M.Created)-1]
 	q := last.Set.Members()[0]
-	c := auto.M.CloneFor(nil)
+	c := auto.M.CloneFor(WritesAll, nil)
 	c.slotFor(q, last.ID).next = int32(len(last.Queue) + 1)
 	ref.next[pg{q, last.ID}] = len(last.Queue) + 2
 	compareWithReference(t, steps+1, c, ref)

@@ -16,7 +16,6 @@ package vsmachine
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/types"
 )
@@ -149,7 +148,7 @@ type Machine struct {
 	// CurrentViewID[p] ∈ G⊥ is p's current view identifier.
 	CurrentViewID []types.ViewID
 	// slots holds pending[p,g], next[p,g] and next-safe[p,g] of Figure 6
-	// for every pair that has left the defaults, sorted by cmpPG.
+	// for every pair that has left the defaults, sorted by (p, g).
 	slots []slot
 }
 
@@ -177,10 +176,18 @@ func NewWeak(procs types.ProcSet, p0 types.ProcSet) *Machine {
 // Procs returns the processor universe.
 func (m *Machine) Procs() types.ProcSet { return m.procs }
 
-// search returns where the slot of (p, g) is, or would be inserted.
+// search returns where the slot of (p, g) is, or would be inserted. (The
+// searches are written out: sort.Find's closures were 7 % of the explorer.)
 func (m *Machine) search(p types.ProcID, g types.ViewID) (int, bool) {
-	k := pg{p, g}
-	return sort.Find(len(m.slots), func(i int) int { return cmpPG(k, m.slots[i].pg) })
+	lo, hi := 0, len(m.slots)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); m.slots[h].P < p || m.slots[h].P == p && m.slots[h].G.Less(g) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(m.slots) && m.slots[lo].pg == pg{p, g}
 }
 
 // slot returns the slot of (p, g), the zero slot when it has none.
@@ -200,10 +207,27 @@ func (m *Machine) slotFor(p types.ProcID, g types.ViewID) *slot {
 	return &m.slots[i]
 }
 
+// NumSlots returns how many (p, g) pairs have left Figure 6's defaults.
+func (m *Machine) NumSlots() int { return len(m.slots) }
+
+// SlotAt returns the i-th such pair in (p, g) order, and pending[p,g]
+// (shared; do not modify).
+func (m *Machine) SlotAt(i int) (types.ProcID, types.ViewID, []Msg) {
+	return m.slots[i].P, m.slots[i].G, m.slots[i].pending
+}
+
 // view returns the index of the created view g, or where it would be
 // inserted.
 func (m *Machine) view(g types.ViewID) (int, bool) {
-	return sort.Find(len(m.Created), func(i int) int { return g.Cmp(m.Created[i].ID) })
+	lo, hi := 0, len(m.Created)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); m.Created[h].ID.Less(g) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(m.Created) && m.Created[lo].ID == g
 }
 
 // View returns the created view with identifier g.

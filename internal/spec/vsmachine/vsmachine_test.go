@@ -232,3 +232,12 @@ func TestRandomizedSpecSelfConformance(t *testing.T) {
 		t.Error("no views were proposed/created during the run")
 	}
 }
+
+// CurrentView returns p's current view, or ok=false when it is ⊥.
+func (m *Machine) CurrentView(p types.ProcID) (types.View, bool) {
+	g := m.CurrentViewID[p]
+	if g.IsBottom() {
+		return types.View{}, false
+	}
+	return m.View(g)
+}

@@ -84,3 +84,6 @@ func TestWeakVSTracesAreVSTraces(t *testing.T) {
 		})
 	}
 }
+
+// NewWeakAuto wraps a fresh WeakVS-machine.
+func NewWeakAuto(procs, p0 types.ProcSet) *Auto { return &Auto{M: NewWeak(procs, p0)} }

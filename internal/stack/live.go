@@ -18,7 +18,7 @@ import (
 // LiveOptions configures one processor's endpoint for live deployment:
 // the daemon runs exactly one Node of the cluster, over a real transport,
 // on a simulator that the caller paces against the wall clock
-// (internal/runtime style). Faults are real — process kills, severed
+// (as pgcs.LiveCluster does). Faults are real — process kills, severed
 // sockets — so the failure oracle stays all-good and the WAL mirrors to a
 // real file for crash recovery across process restarts.
 type LiveOptions struct {

@@ -1,12 +1,6 @@
 package vstoto
 
-import (
-	"slices"
-
-	"repro/internal/ioa"
-	"repro/internal/spec/tomachine"
-	"repro/internal/spec/vsmachine"
-)
+import "slices"
 
 // Clone returns a copy of the processor state that any action can be
 // applied to without changing p. The content runs and the safe counts are
@@ -17,23 +11,23 @@ import (
 // for the runs). GotState, SafeExch, Established and BuildOrder are never
 // written in place (cowSet), and the summaries GotState refers to are
 // immutable once sent.
-func (p *Proc) Clone() *Proc { return p.cloneFor(nil, nil) }
+func (p *Proc) Clone() *Proc { return p.cloneFor(Act{}, nil) }
 
 // cloneFor is Clone for one action, into out (allocated when nil): only
-// the state act's effect in proc.go writes in place is copied, the rest is
-// shared with p. An action the table does not name (nil included) copies
-// all of it.
-func (p *Proc) cloneFor(act ioa.Action, out *Proc) *Proc {
+// the state a's effect in proc.go writes in place is copied, the rest is
+// shared with p. An action the table does not name (ActNone included)
+// copies all of it.
+func (p *Proc) cloneFor(a Act, out *Proc) *Proc {
 	if out == nil {
 		out = new(Proc)
 	}
 	*out = *p
 	out.Buffer, out.Order, out.Delay = slices.Clip(p.Buffer), slices.Clip(p.Order), slices.Clip(p.Delay)
-	switch act.(type) {
-	case tomachine.Bcast, tomachine.Brcv, vsmachine.Gpsnd, vsmachine.Newview, ConfirmAct: // newview replaces its state
-	case LabelAct, vsmachine.Gprcv:
+	switch a.Kind {
+	case ActBcast, ActBrcv, ActGpsnd, ActNewview, ActConfirm: // newview replaces its state
+	case ActLabel, ActGprcv:
 		out.content = p.content.clone()
-	case vsmachine.Safe:
+	case ActSafe:
 		out.safe = slices.Clone(p.safe)
 	default:
 		out.content, out.safe = p.content.clone(), slices.Clone(p.safe)

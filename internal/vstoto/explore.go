@@ -17,21 +17,16 @@ import (
 // a fixed menu of views — enumerate EVERY reachable state of the
 // composition of VS-machine with the VStoTO processors, checking at every
 // state the Section 6 invariants and at every edge the forward-simulation
-// step condition against TO-machine. Where the randomized executor samples
-// schedules, the explorer covers all of them: within the bounds, Theorem
-// 6.26 is checked for every interleaving.
+// step condition against TO-machine: within the bounds, Theorem 6.26 for
+// every interleaving.
 //
-// The search is a breadth-first wave expansion parallelized on the sweep
-// pool: each wave's frontier states are expanded concurrently (copy what
-// the action writes, apply, fingerprint, check — all against state the
-// wave never mutates) and the per-state results are merged on the calling
-// goroutine in submission order. Because FIFO BFS order is exactly level order with
-// per-level insertion order preserved, the merged States/Edges/
-// MaxQueueLen/Truncated accounting and the first violation reported are
-// byte-identical to a serial left-to-right BFS at every worker count — the
-// same determinism discipline as the rest of the sweep engine. The visited
-// set is read-only during a wave and written only by the merge, so the
-// whole search needs no locks.
+// The search is a breadth-first wave expansion on the sweep pool: each
+// wave's frontier states are expanded concurrently against state the wave
+// never mutates, and the results are merged on the calling goroutine in
+// submission order. FIFO BFS order is level order with per-level insertion
+// order preserved, so the merged accounting and the first violation are
+// byte-identical to a serial BFS at every worker count. The visited set is
+// read-only during a wave and written only by the merge: no locks.
 
 // ExploreConfig bounds the exploration.
 type ExploreConfig struct {
@@ -73,7 +68,7 @@ type ExploreConfig struct {
 	// ampleHook (tests only) replaces the POR ample-selection rule, used
 	// to prove a broken commutativity relation is caught by the POR-off
 	// cross-check.
-	ampleHook func([]ioa.Action) int
+	ampleHook func([]Act) int
 }
 
 // ExploreResult reports the exploration's extent.
@@ -120,35 +115,23 @@ type exploreState struct {
 	cut []int32 // int32 halves the copy each kept successor makes
 	// abs is f(state), computed when the state was checked; states with
 	// the same f may share it.
-	abs *exploreAbs
-}
-
-// exploreAbs is f(x) of a frontier state in the explorer's compact form:
-// the i-th processor's pending and next are pending[i] and next[i].
-type exploreAbs struct {
-	queue   []tomachine.Entry
-	pending [][]types.Value
-	next    []int
+	abs *AbstractState
 }
 
 // compactAbs copies abs, which the next derive overwrites, for a frontier
-// state reached by act from a state whose f is pre (nil for the initial
-// state). An empty sequence copies to nil whether the worker's scratch was
-// nil or not, so a state's f does not depend on which worker derived it.
-// Most actions have no abstract counterpart (no bcast, brcv or to-order);
-// checkAbstractStep has then found f unchanged, and the successor shares
-// pre, which nothing writes.
-func compactAbs(members []types.ProcID, pre *exploreAbs, act ioa.Action, abs *AbstractState) *exploreAbs {
-	switch act.(type) {
-	case tomachine.Bcast, tomachine.Brcv:
-	default:
-		if pre != nil && len(abs.Queue) == len(pre.queue) {
-			return pre
-		}
+// state reached by a from a state whose f is pre (nil for the initial
+// state); an empty sequence copies to nil, so a state's f does not depend
+// on which worker derived it. When a has no abstract counterpart (no
+// bcast, brcv or to-order), checkAbstractStep found f unchanged, and the
+// successor shares pre, which nothing writes.
+func compactAbs(pre *AbstractState, a Act, abs *AbstractState) *AbstractState {
+	if a.Kind != ActBcast && a.Kind != ActBrcv && pre != nil && len(abs.Queue) == len(pre.Queue) {
+		return pre
 	}
-	out := &exploreAbs{queue: append([]tomachine.Entry(nil), abs.Queue...), pending: make([][]types.Value, len(members)), next: make([]int, len(members))}
-	for i, p := range members {
-		out.pending[i], out.next[i] = append([]types.Value(nil), abs.Pending[p]...), abs.Next[p]
+	out := &AbstractState{Queue: append([]tomachine.Entry(nil), abs.Queue...), Pending: make([][]types.Value, len(abs.Pending)),
+		Next: append([]int(nil), abs.Next...)}
+	for p, vals := range abs.Pending {
+		out.Pending[p] = append([]types.Value(nil), vals...)
 	}
 	return out
 }
@@ -162,80 +145,87 @@ func bcastValues(n int) []types.Value {
 	return vals
 }
 
-// enabled appends to acts every action available in this state, including
-// the environment's (bounded) choices; values are
-// bcastValues(cfg.MaxBcasts).
-func (s *exploreState) enabled(acts []ioa.Action, cfg ExploreConfig, values []types.Value) []ioa.Action {
-	acts = (&vsmachine.Auto{M: s.vs}).Enabled(acts)
+// enabled appends to acts every action available in this state, in the
+// order the ioa automata enumerate them (VS-machine's, then each
+// processor's), then the environment's bounded choices: a bcast of
+// values[bcasts] at each processor and the next view of cfg.Views.
+func (s *exploreState) enabled(acts []Act, cfg ExploreConfig, values []types.Value) []Act {
+	acts = appendVSActs(acts, s.vs)
 	for _, p := range s.procs {
-		acts = (&Auto{P: p}).Enabled(acts)
+		acts = p.appendActs(acts)
 	}
 	if int(s.bcasts) < cfg.MaxBcasts {
-		val := values[s.bcasts]
 		for _, p := range s.vs.Procs().Members() {
-			acts = append(acts, tomachine.Bcast{A: val, P: p})
+			acts = append(acts, Act{Kind: ActBcast, A: values[s.bcasts], P: p})
 		}
 	}
 	if int(s.views) < len(cfg.Views) {
-		v := cfg.Views[s.views]
-		if s.vs.CreateviewEnabled(v) {
-			acts = append(acts, vsmachine.Createview{V: v})
+		if v := cfg.Views[s.views]; s.vs.CreateviewEnabled(v) {
+			acts = append(acts, Act{Kind: ActCreateview, V: v})
 		}
 	}
 	return acts
 }
 
-// successor returns the state act leads to, leaving s untouched. Only the
-// components with act in their signature are copied (each only in the
-// parts act writes) and stepped — the owner performs, a receiver
-// takes the input; their state is disjoint, so the order is immaterial.
-// Every other component is shared with s, the processor list too when act
-// has no processor in its signature. Given a worker's scratch, the copied
-// processors and the list are written to its spare and procs (see keep);
-// without one, they are allocated.
-func (s *exploreState) successor(act ioa.Action, sc *exploreScratch) exploreState {
+// appendVSActs appends the machine's enabled newview, vs-order, gprcv and
+// safe actions, in the order vsmachine.Auto.Enabled enumerates them.
+func appendVSActs(acts []Act, m *vsmachine.Machine) []Act {
+	for _, v := range m.Created {
+		for _, p := range v.Set.Members() {
+			if cur := m.CurrentViewID[p]; cur.IsBottom() || cur.Less(v.ID) {
+				acts = append(acts, Act{Kind: ActNewview, V: v.View, P: p})
+			}
+		}
+	}
+	for i := range m.NumSlots() {
+		if p, g, pending := m.SlotAt(i); len(pending) > 0 {
+			acts = append(acts, Act{Kind: ActVSOrder, M: pending[0], P: p, V: types.View{ID: g}})
+		}
+	}
+	for _, q := range m.Procs().Members() {
+		g := m.CurrentViewID[q]
+		queue := m.Queue(g) // empty when g is ⊥
+		if n := m.Next(q, g); n <= len(queue) {
+			acts = append(acts, Act{Kind: ActGprcv, M: queue[n-1].M, P: queue[n-1].P, Q: q})
+		}
+		if ns := m.NextSafe(q, g); ns <= len(queue) && m.SafeEnabled(queue[ns-1].M, queue[ns-1].P, q) {
+			acts = append(acts, Act{Kind: ActSafe, M: queue[ns-1].M, P: queue[ns-1].P, Q: q})
+		}
+	}
+	return acts
+}
+
+// successor returns the state a leads to, leaving s untouched. Only the
+// components with a in their signature, VS-machine and at most one
+// processor, are copied (each only in the parts a writes) and stepped; the
+// rest, and the processor list when no processor is, are shared with s.
+// The copies go to the worker's scratch sc (see keep), or to the heap.
+func (s *exploreState) successor(a Act, sc *exploreScratch) exploreState {
 	out := exploreState{vs: s.vs, procs: s.procs, bcasts: s.bcasts, views: s.views}
-	switch act.(type) {
-	case tomachine.Bcast:
+	switch a.Kind {
+	case ActBcast:
 		out.bcasts++
-	case vsmachine.Createview:
+	case ActCreateview:
 		out.views++
 	}
-	if kind := (&vsmachine.Auto{}).Classify(act); kind != ioa.NotInSignature {
-		out.vs = s.vs.CloneFor(act)
-		a := &vsmachine.Auto{M: out.vs}
-		if kind == ioa.Input {
-			a.Input(act)
-		} else {
-			a.Perform(act)
+	if sig := actSigs[a.Kind]; sig.vs {
+		var vs *vsmachine.Scratch
+		if sc != nil {
+			vs = &sc.vs
 		}
+		out.vs = s.vs.CloneFor(sig.writes, vs)
+		a.applyVS(out.vs)
 	}
-	sharedProcs := true
-	for p, proc := range s.procs {
-		kind := (&Auto{P: proc}).Classify(act)
-		if kind == ioa.NotInSignature {
-			continue
-		}
+	if p, kind := a.proc(); kind != ioa.NotInSignature {
 		var into *Proc
 		if sc != nil {
-			into = &sc.spare[p]
-		}
-		if sharedProcs {
-			if sc != nil {
-				out.procs = sc.procs
-			} else {
-				out.procs = make([]*Proc, len(s.procs))
-			}
-			copy(out.procs, s.procs)
-			sharedProcs = false
-		}
-		a := &Auto{P: proc.cloneFor(act, into)}
-		out.procs[p] = a.P
-		if kind == ioa.Input {
-			a.Input(act)
+			out.procs, into = sc.procs, &sc.spare
 		} else {
-			a.Perform(act)
+			out.procs = make([]*Proc, len(s.procs))
 		}
+		copy(out.procs, s.procs)
+		out.procs[p] = s.procs[p].cloneFor(a, into)
+		a.apply(out.procs[p])
 	}
 	return out
 }
@@ -250,38 +240,43 @@ func (s *exploreState) system() *System {
 // edge: starting shadow (a TO-machine over procs) at f(pre), the concrete
 // action's abstract counterpart (bcast, zero or more to-orders, brcv, or
 // nothing) must be enabled and lead exactly to f(post).
-func checkAbstractStep(procs types.ProcSet, pre *exploreAbs, post *AbstractState, act ioa.Action, shadow *tomachine.Machine) error {
-	// Copies, so that the shadow's appends never touch pre's storage.
-	shadow.Queue = append(shadow.Queue[:0], pre.queue...)
-	for i, p := range procs.Members() {
-		shadow.Pending[p] = append(shadow.Pending[p][:0], pre.pending[i]...)
-		shadow.Next[p] = pre.next[i]
-	}
-	if b, ok := act.(tomachine.Bcast); ok {
-		shadow.ApplyBcast(b.A, b.P)
-	}
-	if len(post.Queue) < len(pre.queue) {
+func checkAbstractStep(procs types.ProcSet, pre, post *AbstractState, a Act, shadow *tomachine.Machine) error {
+	if len(post.Queue) < len(pre.Queue) {
 		return fmt.Errorf("explore: abstract queue shrank")
 	}
-	for _, e := range post.Queue[len(pre.queue):] {
-		if err := shadow.ApplyToOrder(e.A, e.P); err != nil {
-			return fmt.Errorf("explore: %w", err)
+	// The shadow is pre itself when the step has no abstract counterpart,
+	// and otherwise a copy, so that its appends never touch pre's storage.
+	queue, pending, next := pre.Queue, pre.Pending, pre.Next
+	if a.Kind == ActBcast || a.Kind == ActBrcv || len(post.Queue) > len(pre.Queue) {
+		shadow.Queue = append(shadow.Queue[:0], pre.Queue...)
+		for _, p := range procs.Members() {
+			shadow.Pending[p] = append(shadow.Pending[p][:0], pre.Pending[p]...)
+			shadow.Next[p] = pre.Next[p]
 		}
-	}
-	if b, ok := act.(tomachine.Brcv); ok {
-		if err := shadow.ApplyBrcv(b.A, b.P, b.Q); err != nil {
-			return fmt.Errorf("explore: %w", err)
+		if a.Kind == ActBcast {
+			shadow.ApplyBcast(a.A, a.P)
 		}
+		for _, e := range post.Queue[len(pre.Queue):] {
+			if err := shadow.ApplyToOrder(e.A, e.P); err != nil {
+				return fmt.Errorf("explore: %w", err)
+			}
+		}
+		if a.Kind == ActBrcv {
+			if err := shadow.ApplyBrcv(a.A, a.P, a.Q); err != nil {
+				return fmt.Errorf("explore: %w", err)
+			}
+		}
+		queue, pending, next = shadow.Queue, shadow.Pending, shadow.Next
 	}
 	// Exact correspondence with f(post).
-	if len(shadow.Queue) != len(post.Queue) {
-		return fmt.Errorf("explore: queue length %d ≠ f(post) %d", len(shadow.Queue), len(post.Queue))
+	if len(queue) != len(post.Queue) {
+		return fmt.Errorf("explore: queue length %d ≠ f(post) %d", len(queue), len(post.Queue))
 	}
 	for _, p := range procs.Members() {
-		if shadow.Next[p] != post.Next[p] {
-			return fmt.Errorf("explore: next[%v]=%d ≠ f(post) %d", p, shadow.Next[p], post.Next[p])
+		if next[p] != post.Next[p] {
+			return fmt.Errorf("explore: next[%v]=%d ≠ f(post) %d", p, next[p], post.Next[p])
 		}
-		sp, pp := shadow.Pending[p], post.Pending[p]
+		sp, pp := pending[p], post.Pending[p]
 		if len(sp) != len(pp) {
 			return fmt.Errorf("explore: pending[%v] %v ≠ f(post) %v", p, sp, pp)
 		}
@@ -355,8 +350,8 @@ type exploreOut struct {
 }
 
 // exploreScratch is what one worker reuses from edge to edge: encoding
-// buffers, the successor's processors and their list, the derivation
-// every check reads (f(x) included) and the step check's TO-machine.
+// buffers, the successor's machine, processor and processor list, the
+// derivation every check reads (f(x) included), the step check's shadow.
 // Edges hand on copies, never pointers into it.
 //
 // It also holds the chunks each kept successor and each expansion's edges
@@ -367,12 +362,13 @@ type exploreOut struct {
 type exploreScratch struct {
 	enc    []byte
 	cut    []int32
-	procs  []*Proc // the successor's processor list, until it is kept
-	spare  []Proc  // the successor's copied processors, until it is kept
+	procs  []*Proc           // the successor's processor list, until it is kept
+	spare  Proc              // the successor's copied processor, until it is kept
+	vs     vsmachine.Scratch // the successor's copied machine, until it is kept
 	d      *derived
 	shadow *tomachine.Machine
 	values []types.Value // bcastValues(cfg.MaxBcasts)
-	acts   []ioa.Action  // the enabled actions of the state being expanded
+	acts   []Act         // the enabled actions of the state being expanded
 
 	// first maps the hash of each successor the worker kept in this wave
 	// to the earliest frontier index it kept it for (Explore empties it
@@ -421,20 +417,21 @@ func (c *chunk[E]) carve(n int) []E {
 }
 
 // keep copies the successor s, with enc and cut, into storage carved from
-// the chunks, and each processor it holds in sc.spare to the heap. Its
-// processor list is carved too, even where s shares its parent's, so that
-// a chunk is reachable only from the states of the waves it was carved in
-// and the next, never from a chain of descendants. (A processor is not
-// carved: an unchanged one is shared by its descendants for any number of
-// waves.)
+// the chunks, its machine out of sc.vs (see vsmachine.Scratch.Keep) and
+// the processor it holds in sc.spare to the heap. Its processor list is
+// carved too, even where s shares its parent's, so that a chunk is
+// reachable only from the states of the waves it was carved in and the
+// next, never from a chain of descendants. (A processor is not carved: an
+// unchanged one is shared by its descendants for any number of waves.)
 func (sc *exploreScratch) keep(s *exploreState, enc []byte, cut []int32) *exploreState {
 	kept := &sc.states.carve(1)[0]
 	*kept = *s
+	kept.vs = sc.vs.Keep(s.vs)
 	kept.procs = sc.procLists.carve(len(s.procs))
 	for i, p := range s.procs {
-		if p == &sc.spare[i] {
+		if p == &sc.spare {
 			p = new(Proc)
-			*p = sc.spare[i]
+			*p = sc.spare
 		}
 		kept.procs[i] = p
 	}
@@ -457,7 +454,7 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, item int, visited *expl
 	procs := cur.vs.Procs()
 	if sc.d == nil {
 		sc.d, sc.shadow, sc.values = newDerived(), tomachine.New(procs), bcastValues(cfg.MaxBcasts)
-		sc.procs, sc.spare = make([]*Proc, len(cur.procs)), make([]Proc, len(cur.procs))
+		sc.procs = make([]*Proc, len(cur.procs))
 		if visited.exact == nil {
 			sc.first = make(map[uint64]exploreFirst)
 		}
@@ -522,7 +519,7 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, item int, visited *expl
 		case twin && f.item <= item:
 			e.succ = f.succ
 		default:
-			succ.abs = compactAbs(procs.Members(), cur.abs, act, abs)
+			succ.abs = compactAbs(cur.abs, act, abs)
 			e.succ = sc.keep(&succ, enc, cut)
 			if sc.first != nil {
 				sc.first[e.hash] = exploreFirst{item, e.succ}
@@ -566,7 +563,7 @@ func exploreInitial(cfg *ExploreConfig) (*exploreState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("explore: f undefined at the initial state: %w", err)
 	}
-	initial.abs = compactAbs(procs.Members(), nil, nil, abs)
+	initial.abs = compactAbs(nil, Act{}, abs)
 	return initial, nil
 }
 
@@ -619,7 +616,7 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 		// same sequence a serial run would produce.
 		var next []*exploreState
 		for i, out := range outs {
-			if n := len(frontier[i].abs.queue); n > res.MaxQueueLen {
+			if n := len(frontier[i].abs.Queue); n > res.MaxQueueLen {
 				res.MaxQueueLen = n
 			}
 			if out.ample {

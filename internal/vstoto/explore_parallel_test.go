@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/ioa"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
@@ -101,7 +100,7 @@ func TestExplorePORCrossCheck(t *testing.T) {
 // — exactly the disagreement the cross-check flags.
 func TestExploreBrokenPORCaughtByCrossCheck(t *testing.T) {
 	cfg := exploreMutantCfg()
-	cfg.ampleHook = func(acts []ioa.Action) int { return porBrokenAmpleIndex(acts) }
+	cfg.ampleHook = porBrokenAmpleIndex
 	c := ExplorePORCrossCheck(cfg)
 	if c.FullErr == nil {
 		t.Fatalf("full run missed the literal Figure 10 violation")
@@ -230,4 +229,24 @@ func TestExploreObsCounters(t *testing.T) {
 	if reg.Gauge("explore.frontier").Value() == 0 {
 		t.Errorf("explore.frontier gauge never set")
 	}
+}
+
+// porBrokenAmpleIndex is the deliberately unsound ample rule used by the
+// mutant tests (and referenced by the soundness sketch): it admits every
+// single-processor action as a candidate — including label_p — and drops
+// the environment atom from bcast, i.e. it claims label_p commutes with
+// createview and bcast_p commutes with bcast_q. Both claims are wrong
+// (labeling races the view machinery through the delay queue; bcast order
+// determines value identity), and on the literal-Figure-10 configuration
+// the rule forces every value to be labeled before any view is created,
+// pruning exactly the interleavings that exhibit the defect. The POR-off
+// cross-check catches it as a verdict disagreement.
+func porBrokenAmpleIndex(acts []Act) int {
+	return ampleIndex(acts, func(Act) bool { return true }, func(a Act) porFootprint {
+		f := porFootprintOf(a)
+		if a.Kind == ActBcast || a.Kind == ActLabel {
+			f.env = false
+		}
+		return f
+	})
 }

@@ -4,8 +4,6 @@ import (
 	"math/bits"
 
 	"repro/internal/ioa"
-	"repro/internal/spec/tomachine"
-	"repro/internal/spec/vsmachine"
 )
 
 // Partial-order reduction for the bounded explorer. The reduction is the
@@ -59,54 +57,21 @@ func (f porFootprint) disjoint(g porFootprint) bool {
 	return !(f.vs && g.vs) && !(f.env && g.env) && f.procs&g.procs == 0
 }
 
-// procBit returns the bitmask atom for one processor, widening out of range.
-func procBit(p int) porFootprint {
-	if p < 0 || p >= 64 {
-		return porFootprint{wide: true}
+// porFootprintOf classifies every action the explorer can enumerate: the
+// VS machine for its signature's, the environment budgets for bcast and
+// createview, and the processor whose signature holds it. Receivers count:
+// a gprcv to q writes q's state, a newview to p writes p's, and a bcast at
+// p both consumes the shared value budget (the i-th bcast's identity
+// depends on how many came before — two bcasts at different processors do
+// NOT commute) and writes p's delay queue.
+func porFootprintOf(a Act) porFootprint {
+	f := porFootprint{vs: actSigs[a.Kind].vs, env: a.Kind == ActBcast || a.Kind == ActCreateview, wide: a.Kind == ActNone}
+	if p, kind := a.proc(); kind != ioa.NotInSignature && (p < 0 || p >= 64) {
+		f.wide = true // out of the bitmask's range
+	} else if kind != ioa.NotInSignature {
+		f.procs = 1 << uint(p)
 	}
-	return porFootprint{procs: 1 << uint(p)}
-}
-
-// porFootprintOf classifies every action the explorer can enumerate.
-// Receivers count: a gprcv to q writes q's state, a newview to p writes
-// p's, and a bcast at p both consumes the shared value budget (the i-th
-// bcast's identity depends on how many came before — two bcasts at
-// different processors do NOT commute) and writes p's delay queue.
-func porFootprintOf(act ioa.Action) porFootprint {
-	merge := func(a, b porFootprint) porFootprint {
-		return porFootprint{
-			procs: a.procs | b.procs,
-			vs:    a.vs || b.vs,
-			env:   a.env || b.env,
-			wide:  a.wide || b.wide,
-		}
-	}
-	env := porFootprint{env: true}
-	vs := porFootprint{vs: true}
-	switch t := act.(type) {
-	case tomachine.Bcast:
-		return merge(env, procBit(int(t.P)))
-	case tomachine.Brcv:
-		return procBit(int(t.Q))
-	case vsmachine.Createview:
-		return merge(env, vs)
-	case vsmachine.VSOrder:
-		return vs
-	case vsmachine.Newview:
-		return merge(vs, procBit(int(t.P)))
-	case vsmachine.Gpsnd:
-		return merge(vs, procBit(int(t.P)))
-	case vsmachine.Gprcv:
-		return merge(vs, procBit(int(t.Q)))
-	case vsmachine.Safe:
-		return merge(vs, procBit(int(t.Q)))
-	case LabelAct:
-		return procBit(int(t.P))
-	case ConfirmAct:
-		return procBit(int(t.P))
-	default:
-		return porFootprint{wide: true}
-	}
+	return f
 }
 
 // porCandidate reports whether the action is in the conservative ample
@@ -115,14 +80,7 @@ func porFootprintOf(act ioa.Action) porFootprint {
 // confirm_p moves a local cursor over an already-ordered prefix; brcv_p
 // releases an already-confirmed value to the client. Neither feeds back
 // into labeling, sending, or the view machinery.
-func porCandidate(act ioa.Action) bool {
-	switch act.(type) {
-	case ConfirmAct, tomachine.Brcv:
-		return true
-	default:
-		return false
-	}
-}
+func porCandidate(a Act) bool { return a.Kind == ActConfirm || a.Kind == ActBrcv }
 
 // porAmpleIndex returns the index of a singleton ample action among the
 // enabled set, or -1 when full expansion is required: the first candidate
@@ -130,32 +88,11 @@ func porCandidate(act ioa.Action) bool {
 // enabled action's. "First" is well-defined because the enabled
 // enumeration order is a pure function of the state (PR 4), which keeps
 // the reduced exploration deterministic.
-func porAmpleIndex(acts []ioa.Action) int { return ampleIndex(acts, porCandidate, porFootprintOf) }
-
-// porBrokenAmpleIndex is the deliberately unsound ample rule used by the
-// mutant tests (and referenced by the soundness sketch): it admits every
-// single-processor action as a candidate — including label_p — and drops
-// the environment atom from bcast, i.e. it claims label_p commutes with
-// createview and bcast_p commutes with bcast_q. Both claims are wrong
-// (labeling races the view machinery through the delay queue; bcast order
-// determines value identity), and on the literal-Figure-10 configuration
-// the rule forces every value to be labeled before any view is created,
-// pruning exactly the interleavings that exhibit the defect. The POR-off
-// cross-check catches it as a verdict disagreement.
-func porBrokenAmpleIndex(acts []ioa.Action) int {
-	return ampleIndex(acts, func(ioa.Action) bool { return true }, func(act ioa.Action) porFootprint {
-		f := porFootprintOf(act)
-		switch act.(type) {
-		case tomachine.Bcast, LabelAct:
-			f.env = false
-		}
-		return f
-	})
-}
+func porAmpleIndex(acts []Act) int { return ampleIndex(acts, porCandidate, porFootprintOf) }
 
 // ampleIndex returns the index of the first candidate whose footprint is
 // one processor's alone and disjoint from every other action's, or -1.
-func ampleIndex(acts []ioa.Action, candidate func(ioa.Action) bool, footprint func(ioa.Action) porFootprint) int {
+func ampleIndex(acts []Act, candidate func(Act) bool, footprint func(Act) porFootprint) int {
 	for i, a := range acts {
 		if !candidate(a) {
 			continue

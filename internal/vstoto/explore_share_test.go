@@ -2,7 +2,6 @@ package vstoto
 
 import (
 	"bytes"
-	"maps"
 	"reflect"
 	"runtime"
 	"slices"
@@ -64,7 +63,7 @@ func walkExploreEdges(t *testing.T, cfg ExploreConfig, visit func(cfg ExploreCon
 			for _, act := range cur.enabled(nil, cfg, values) {
 				succ := cur.successor(act, nil)
 				succ.enc, succ.cut = succ.appendFingerprint(nil, nil, cur)
-				if visit(cfg, cur, &succ, act) {
+				if visit(cfg, cur, &succ, act.Action()) {
 					next = append(next, &succ)
 				}
 			}
@@ -87,8 +86,8 @@ func sameAbstract(a, b *AbstractState) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return slices.Equal(a.Queue, b.Queue) && maps.Equal(a.Next, b.Next) &&
-		maps.EqualFunc(a.Pending, b.Pending, slices.Equal[[]types.Value])
+	return slices.Equal(a.Queue, b.Queue) && slices.Equal(a.Next, b.Next) &&
+		slices.EqualFunc(a.Pending, b.Pending, slices.Equal[[]types.Value])
 }
 
 // TestDerivedOnceMatchesExported is the differential for the single
@@ -226,14 +225,14 @@ func TestInvariantErrorTextPinned(t *testing.T) {
 // snapshot deep-copies a state, history variables included, for comparing
 // against the original after something that must not have written to it.
 func (s *exploreState) snapshot() *exploreState {
-	out := &exploreState{vs: s.vs.CloneFor(nil), procs: make([]*Proc, len(s.procs)), bcasts: s.bcasts, views: s.views,
+	out := &exploreState{vs: s.vs.CloneFor(vsmachine.WritesAll, nil), procs: make([]*Proc, len(s.procs)), bcasts: s.bcasts, views: s.views,
 		enc: slices.Clone(s.enc), cut: slices.Clone(s.cut),
-		abs: &exploreAbs{queue: slices.Clone(s.abs.queue), pending: slices.Clone(s.abs.pending), next: slices.Clone(s.abs.next)}}
+		abs: &AbstractState{Queue: slices.Clone(s.abs.Queue), Pending: slices.Clone(s.abs.Pending), Next: slices.Clone(s.abs.Next)}}
 	for p, proc := range s.procs {
 		out.procs[p] = proc.Clone()
 	}
-	for i, vals := range out.abs.pending {
-		out.abs.pending[i] = slices.Clone(vals)
+	for i, vals := range out.abs.Pending {
+		out.abs.Pending[i] = slices.Clone(vals)
 	}
 	return out
 }

@@ -6,14 +6,10 @@ import (
 	"repro/internal/types"
 )
 
-// Binary fingerprints for the bounded exhaustive explorer. The seed
-// explorer keyed its visited set by fmt.Sprintf-built strings — the
-// allocation hot path of a run (every generated successor built kilobytes
-// of formatted text, and the visited map retained all of it). The binary
-// encoding below appends into a worker-owned reusable buffer and the
-// visited set stores only the 64-bit FNV-1a hash: ~8 bytes per state
-// instead of the full rendering (hash compaction; see DESIGN.md §16 for
-// the collision discussion and the check-before-dedup guarantee).
+// Binary fingerprints for the bounded exhaustive explorer: a canonical
+// encoding appended into a worker-owned buffer, whose 64-bit FNV-1a hash
+// keys the visited set (hash compaction; DESIGN.md §16 has the collision
+// discussion and the check-before-dedup guarantee).
 
 // AppendFingerprint appends the pair's canonical encoding (tag 0x10 keeps
 // it disjoint from Summary's under vsmachine's message framing).

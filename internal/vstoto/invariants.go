@@ -39,43 +39,14 @@ type summaryAt struct {
 // String names the slot the way the invariant errors do.
 func (sa summaryAt) String() string { return fmt.Sprintf("allstate[%v,%v]", sa.P, sa.G) }
 
-// appendAllState appends to d.allstate the derived variable allstate[p, g],
-// tagged with its slot: every summary that is (1) the state of p if p's
-// current view is g, (2) in pending[p,g] of VS-machine, (3) in queue[g]
-// with sender p, or (4) recorded as gotstate(p)_q for some q currently in
-// view g.
-func (s *System) appendAllState(d *derived, p types.ProcID, g types.ViewID) {
-	if proc := s.Procs[p]; proc.Current.ID == g {
-		d.own = append(d.own, Summary{Ord: proc.Order, Next: proc.NextConfirm, High: proc.HighPrimary})
-		d.allstate = append(d.allstate, summaryAt{&d.own[len(d.own)-1], p, g, proc})
-	}
-	for _, m := range s.VS.Pending(p, g) {
-		if x, ok := m.(*Summary); ok {
-			d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
-		}
-	}
-	for _, e := range s.VS.Queue(g) {
-		if x, ok := e.M.(*Summary); ok && e.P == p {
-			d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
-		}
-	}
-	for _, q := range s.VS.Procs().Members() {
-		if qp := s.Procs[q]; qp.Current.ID == g {
-			if x := qp.GotState.Of(p); x != nil {
-				d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
-			}
-		}
-	}
-}
-
 // derived holds the Section 6 derived variables of one composed state and
 // the storage the checks reading them work in. Each exported check derives
 // into a newDerived; a caller checking many states (an explorer worker, a
 // simulation checker) refills one, so the next derive overwrites it all.
 type derived struct {
 	allstate   []summaryAt
-	allcontent map[types.Label]types.Value
-	contentErr error // Lemma 6.5 violated: allcontent is partial
+	content    labelRuns // allcontent, held as a processor's content is
+	contentErr error     // Lemma 6.5 violated: allcontent is partial
 	allconfirm []types.Label
 	confirmErr error           // Corollary 6.24 violated: allconfirm is nil
 	gs         []types.ViewID  // the view ids allstate is enumerated over
@@ -84,23 +55,25 @@ type derived struct {
 	perOrigin  [][]types.Label // allcontent's labels by origin, in label order
 	seen       []int           // indexed by origin
 	abs        AbstractState
-	confirmed  map[types.Label]bool
+	confirmed  labelRuns     // allconfirm's labels, for abs.Pending
 	vals       []types.Value // backing array of abs.Pending
 }
 
-func newDerived() *derived {
-	return &derived{allcontent: make(map[types.Label]types.Value), confirmed: make(map[types.Label]bool),
-		abs: AbstractState{Pending: make(map[types.ProcID][]types.Value), Next: make(map[types.ProcID]int)}}
-}
+func newDerived() *derived { return new(derived) }
 
 // derive computes the derived variables into d and returns it. allstate =
 // ∪_{p,g} allstate[p,g] is enumerated over the view ids that can have
 // nonempty slots (created views and procs' current views), in ascending
 // order so that every derivation of a state reports the same violation.
+// allstate[p, g] is, tagged with its slot, every summary that is (1) the
+// state of p if p's current view is g, (2) in pending[p,g] of VS-machine,
+// (3) in queue[g] with sender p, or (4) recorded as gotstate(p)_q for some
+// q currently in view g. The (p, g) pairs are walked in order beside
+// VS-machine's slots and created views, which are sorted the same way.
 func (s *System) derive(d *derived) *derived {
-	procs := s.VS.Procs().Members()
+	procs, created := s.VS.Procs().Members(), s.VS.Created
 	gs := d.gs[:0]
-	for _, c := range s.VS.Created {
+	for _, c := range created {
 		gs = append(gs, c.ID)
 	}
 	for _, p := range procs {
@@ -111,9 +84,40 @@ func (s *System) derive(d *derived) *derived {
 	slices.SortFunc(gs, types.ViewID.Cmp)
 	// Reserving a slot per processor keeps the pointers into own stable.
 	d.gs, d.own, d.allstate = gs, slices.Grow(d.own[:0], len(procs)), d.allstate[:0]
+	slot := 0
 	for _, p := range procs {
+		c := 0
 		for _, g := range gs {
-			s.appendAllState(d, p, g)
+			if proc := s.Procs[p]; proc.Current.ID == g {
+				d.own = append(d.own, Summary{Ord: proc.Order, Next: proc.NextConfirm, High: proc.HighPrimary})
+				d.allstate = append(d.allstate, summaryAt{&d.own[len(d.own)-1], p, g, proc})
+			}
+			for ; slot < s.VS.NumSlots(); slot++ {
+				q, h, pending := s.VS.SlotAt(slot)
+				if q > p || q == p && g.Less(h) {
+					break
+				}
+				for _, m := range pending {
+					if x, ok := m.(*Summary); ok && h == g && q == p {
+						d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
+					}
+				}
+			}
+			if c < len(created) && created[c].ID == g { // gs holds every created id
+				for _, e := range created[c].Queue {
+					if x, ok := e.M.(*Summary); ok && e.P == p {
+						d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
+					}
+				}
+				c++
+			}
+			for _, q := range procs {
+				if qp := s.Procs[q]; qp.Current.ID == g {
+					if x := qp.GotState.Of(p); x != nil {
+						d.allstate = append(d.allstate, summaryAt{X: x, P: p, G: g})
+					}
+				}
+			}
 		}
 	}
 	d.contentErr = s.allContent(d)
@@ -122,32 +126,41 @@ func (s *System) derive(d *derived) *derived {
 	return d
 }
 
+// reset unbinds every label of c, keeping its runs and their arrays for
+// the next bindings: what a derivation binds from is dense runs of the
+// same few (view, origin) pairs, state after state. (The runs are every
+// pair the derivations since newDerived have bound.)
+func (c *labelRuns) reset() {
+	for i := range c.runs {
+		c.runs[i].vals, c.runs[i].missing, c.runs[i].holes = c.runs[i].vals[:0], nil, 0
+	}
+	c.n = 0
+}
+
 // allContent computes the derived variable allcontent: the union of x.con
 // over all summaries in allstate (each visited once: a repeat can bind
-// nothing new), every processor's content and the labeled values in
-// transit. It returns an error if the union is not a function (Lemma 6.5).
+// nothing new), the content of every processor in no view (the others'
+// is their allstate clause (1)) and the labeled values in transit. It
+// returns an error at the first binding that shows the union is not a
+// function (Lemma 6.5).
 func (s *System) allContent(d *derived) error {
-	out := d.allcontent
-	clear(out)
+	c := &d.content
+	c.reset()
 	// bind adds l ↦ a, or reports the different value l is already bound
 	// to. Where a binding came from is formatted only for that report.
-	bind := func(l types.Label, a types.Value) (types.Value, bool) {
-		prev, ok := out[l]
-		if !ok {
-			out[l] = a
+	bind := func(l types.Label, a types.Value, where func() string) error {
+		if prev, ok := c.get(l); !ok {
+			c.set(l, a)
+		} else if prev != a {
+			return fmt.Errorf("lemma 6.5: allcontent not a function: %v ↦ %q and %q (%s)",
+				l, string(prev), string(a), where())
 		}
-		return prev, ok && prev != a
-	}
-	clash := func(l types.Label, prev, a types.Value, where string) error {
-		return fmt.Errorf("lemma 6.5: allcontent not a function: %v ↦ %q and %q (%s)",
-			l, string(prev), string(a), where)
+		return nil
 	}
 	// bindContent binds content_p's pairs, returning the first clash.
 	bindContent := func(p *Proc, where func() string) (err error) {
 		p.RangeContent(func(l types.Label, a types.Value) bool {
-			if prev, bad := bind(l, a); bad {
-				err = clash(l, prev, a, where())
-			}
+			err = bind(l, a, where)
 			return err == nil
 		})
 		return err
@@ -166,9 +179,8 @@ func (s *System) allContent(d *derived) error {
 		}
 		for _, r := range sa.X.ContentRuns() {
 			for k, a := range r.Vals {
-				l := types.Label{ID: r.ID, Seqno: r.First + k, Origin: r.Origin}
-				if prev, bad := bind(l, a); bad {
-					return clash(l, prev, a, sa.String())
+				if err := bind(types.Label{ID: r.ID, Seqno: r.First + k, Origin: r.Origin}, a, sa.String); err != nil {
+					return err
 				}
 			}
 		}
@@ -176,15 +188,17 @@ func (s *System) allContent(d *derived) error {
 	// Content held locally and labeled values in VS transit also carry
 	// label→value bindings; include them so the function check is global.
 	for _, p := range s.VS.Procs().Members() {
-		if err := bindContent(s.Procs[p], func() string { return fmt.Sprintf("content_%v", p) }); err != nil {
-			return err
+		if s.Procs[p].Current.ID.IsBottom() {
+			if err := bindContent(s.Procs[p], func() string { return fmt.Sprintf("content_%v", p) }); err != nil {
+				return err
+			}
 		}
 	}
-	for _, c := range s.VS.Created {
-		for _, e := range c.Queue {
+	for _, cv := range s.VS.Created {
+		for _, e := range cv.Queue {
 			if lv, ok := e.M.(LabeledValue); ok {
-				if prev, bad := bind(lv.L, lv.A); bad {
-					return clash(lv.L, prev, lv.A, fmt.Sprintf("queue[%v]", c.ID))
+				if err := bind(lv.L, lv.A, func() string { return fmt.Sprintf("queue[%v]", cv.ID) }); err != nil {
+					return err
 				}
 			}
 		}

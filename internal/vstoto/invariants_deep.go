@@ -129,18 +129,18 @@ func (s *System) checkDeepInvariants(d *derived) error {
 }
 
 // byOrigin groups the labels of allcontent by origin, in label order,
-// into d.perOrigin, indexed by origin over the n processors.
+// into d.perOrigin, indexed by origin over the n processors: walk visits
+// the runs' bound labels in label order, so no list needs a sort.
 func (d *derived) byOrigin(n int) {
 	d.perOrigin = slices.Grow(d.perOrigin[:0], n)[:n]
 	for o, ls := range d.perOrigin {
 		d.perOrigin[o] = ls[:0]
 	}
-	for l := range d.allcontent {
-		d.perOrigin[l.Origin] = append(d.perOrigin[l.Origin], l)
-	}
-	for _, ls := range d.perOrigin {
-		slices.SortFunc(ls, types.Label.Compare)
-	}
+	d.content.walk(func(i, j int) bool {
+		r := &d.content.runs[i]
+		d.perOrigin[r.origin] = append(d.perOrigin[r.origin], r.label(j))
+		return true
+	})
 }
 
 // checkLabelRuns checks the premises of the dense label state (labels.go)

@@ -155,7 +155,7 @@ func TestMutationSimulationCatchesPhantomDelivery(t *testing.T) {
 	p1.NextConfirm = 2
 	p1.NextReport = 2
 	// f(x).next[1] = 2 but the shadow machine still has next[1] = 1.
-	if err := sim.checkCorrespondence(); err == nil {
+	if err := sim.correspond(sim.Sys.derive(sim.d)); err == nil {
 		t.Fatal("phantom delivery not detected by the simulation checker")
 	}
 }

@@ -248,7 +248,7 @@ func (a *refAuto) step(act ioa.Action, do func(*Auto, ioa.Action)) {
 	before := procImage(parent)
 	a.note(act, parent)
 	pre := parent.Status
-	a.P = parent.cloneFor(act, nil)
+	a.P = parent.cloneFor(actOf(act), nil)
 	a.procs[a.P.id] = a.P
 	do(a.Auto, act)
 	if after := procImage(parent); after != before {

@@ -2,6 +2,7 @@ package vstoto
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ioa"
 	"repro/internal/spec/tomachine"
@@ -10,10 +11,11 @@ import (
 
 // AbstractState is the image f(x) of the composed system state under the
 // forward simulation relation of Section 6.2: a complete TO-machine state.
+// Pending and Next are indexed by ProcID, as the System's processors are.
 type AbstractState struct {
 	Queue   []tomachine.Entry
-	Pending map[types.ProcID][]types.Value
-	Next    map[types.ProcID]int
+	Pending [][]types.Value
+	Next    []int
 }
 
 // Abstract computes f(x) for the current state of the composed system:
@@ -32,30 +34,31 @@ func (s *System) abstract(d *derived) (*AbstractState, error) {
 	if d.confirmErr != nil {
 		return nil, d.confirmErr
 	}
-	allcontent, allconfirm, abs := d.allcontent, d.allconfirm, &d.abs
-	clear(abs.Pending)
-	clear(abs.Next)
-	clear(d.confirmed)
+	abs, n := &d.abs, len(s.Procs)
 	abs.Queue = abs.Queue[:0]
-	for _, l := range allconfirm {
-		a, ok := allcontent[l]
+	d.confirmed.reset()
+	for _, l := range d.allconfirm {
+		a, ok := d.content.get(l)
 		if !ok {
 			return nil, fmt.Errorf("vstoto: confirmed label %v has no content", l)
 		}
 		abs.Queue = append(abs.Queue, tomachine.Entry{A: a, P: l.Origin})
-		d.confirmed[l] = true
+		d.confirmed.set(l, "")
 	}
-	d.vals = d.vals[:0]
-	for _, p := range s.VS.Procs().Members() {
+	abs.Pending, abs.Next, d.vals = slices.Grow(abs.Pending[:0], n)[:n], slices.Grow(abs.Next[:0], n)[:n], d.vals[:0]
+	for p, proc := range s.Procs {
 		start := len(d.vals)
-		for _, l := range d.perOrigin[p] {
-			if !d.confirmed[l] {
-				d.vals = append(d.vals, allcontent[l])
+		for i := range d.content.runs {
+			r := &d.content.runs[i]
+			for j := 0; r.origin == types.ProcID(p) && j < len(r.vals); j++ {
+				if _, ok := d.confirmed.get(r.label(j)); r.bound(j) && !ok {
+					d.vals = append(d.vals, r.vals[j])
+				}
 			}
 		}
-		d.vals = append(d.vals, s.Procs[p].Delay...)
+		d.vals = append(d.vals, proc.Delay...)
 		abs.Pending[p] = d.vals[start:len(d.vals):len(d.vals)]
-		abs.Next[p] = s.Procs[p].NextReport
+		abs.Next[p] = proc.NextReport
 	}
 	return abs, nil
 }
@@ -97,7 +100,7 @@ func (c *SimulationChecker) AfterStep(act ioa.Action) error {
 			return d.contentErr
 		}
 		for _, l := range d.allconfirm[len(c.Shadow.Queue):] {
-			a, ok := d.allcontent[l]
+			a, ok := d.content.get(l)
 			if !ok {
 				return fmt.Errorf("simulation: confirmed label %v has no content", l)
 			}
@@ -114,10 +117,8 @@ func (c *SimulationChecker) AfterStep(act ioa.Action) error {
 	return c.correspond(d)
 }
 
-// checkCorrespondence verifies f(x) equals the shadow state exactly.
-func (c *SimulationChecker) checkCorrespondence() error { return c.correspond(c.Sys.derive(c.d)) }
-
-// correspond is checkCorrespondence on d, the current state's derivation.
+// correspond verifies that f(x), from d, the current state's derivation,
+// equals the shadow state exactly.
 func (c *SimulationChecker) correspond(d *derived) error {
 	abs, err := c.Sys.abstract(d)
 	if err != nil {

@@ -20,14 +20,16 @@ const (
 )
 
 // Scratch is where a caller builds the copies it mostly drops: the last
-// machine CloneFor built in it, with the parts it copied, until the next.
-// Keep moves one out, into arrays it carves kept copies from.
+// machine CloneFor built in it, with the parts it copied or grew, until
+// the next. Keep moves one out, into arrays it carves kept copies from.
 type Scratch struct {
 	m                    Machine
 	own                  Writes // the parts of m in the buffers below
 	current, keptCurrent []types.ViewID
 	slots, keptSlots     []slot
 	created, keptCreated []CreatedView
+	pending, keptPending []Msg
+	queue, keptQueue     []Entry
 	keptMachines         []Machine
 }
 
@@ -39,12 +41,12 @@ type Scratch struct {
 // m still reads (nothing writes an element of a sequence in place). The
 // copy is built in sc, or in storage of its own when sc is nil.
 func (m *Machine) CloneFor(w Writes, sc *Scratch) *Machine {
-	spare := 1 // room for the slot an action may insert
+	in, spare := sc, 1 // room for the slot an action may insert
 	if sc == nil {
 		sc, spare = new(Scratch), 0
 	}
 	out := &sc.m
-	*out, sc.own = *m, w
+	*out, sc.own, out.sc = *m, w, in
 	out.Created, out.CurrentViewID, out.slots = slices.Clip(m.Created), slices.Clip(m.CurrentViewID), slices.Clip(m.slots)
 	if w&WritesCurrent != 0 {
 		out.CurrentViewID = copyInto(&sc.current, m.CurrentViewID, 0)
@@ -71,16 +73,29 @@ func (sc *Scratch) Keep(m *Machine) *Machine {
 		return m
 	}
 	out := &carve(&sc.keptMachines, []Machine{*m})[0]
+	out.sc = nil
 	if sc.own&WritesCurrent != 0 {
 		out.CurrentViewID = carve(&sc.keptCurrent, m.CurrentViewID)
 	}
 	if sc.own&WritesSlots != 0 {
 		out.slots = carve(&sc.keptSlots, m.slots)
+		keepBuilt(out.slots, func(s *slot) *[]Msg { return &s.pending }, sc.pending, &sc.keptPending)
 	}
 	if sc.own&WritesQueues != 0 {
 		out.Created = carve(&sc.keptCreated, m.Created)
+		keepBuilt(out.Created, func(c *CreatedView) *[]Entry { return &c.Queue }, sc.queue, &sc.keptQueue)
 	}
 	return out
+}
+
+// keepBuilt carves into kept the sequence of items grown in buf: a copy's
+// are clipped, so growing one in place would allocate on every edge.
+func keepBuilt[I, E any](items []I, seq func(*I) *[]E, buf []E, kept *[]E) {
+	for i := range items {
+		if s := seq(&items[i]); len(*s) > 0 && cap(buf) > 0 && &(*s)[0] == &buf[:1][0] {
+			*s = carve(kept, *s)
+		}
+	}
 }
 
 // copyInto copies src into *buf, with room for spare more, and returns it.

@@ -104,12 +104,14 @@ func TestCloneForIsolatesEveryAction(t *testing.T) {
 }
 
 // TestScratchCopyKept: a copy built in a Scratch and kept survives the
-// next copy built there, and a copy that shares its slots keeps sharing
+// next copy built there, the pending sequence and queue gpsnd and vs-order
+// grew there included, and a copy that shares its slots keeps sharing
 // them.
 func TestScratchCopyKept(t *testing.T) {
 	m := New(types.RangeProcSet(2), types.RangeProcSet(2))
 	populate(t, m)
 	var sc Scratch
+	m.CloneFor(WritesSlots, &sc).ApplyGpsnd("w", 0) // sizes the buffer the next copies reuse
 	a := m.CloneFor(WritesSlots, &sc)
 	a.ApplyGpsnd("a", 1)
 	wantA := fingerprint(a)
@@ -124,6 +126,21 @@ func TestScratchCopyKept(t *testing.T) {
 	}
 	if fingerprint(kept) != wantA {
 		t.Fatalf("the next copy into the scratch changed a kept one")
+	}
+	// vs-order grows a queue in the scratch: the kept copy takes its own,
+	// which a copy of another machine growing its queue there leaves alone.
+	d := m.CloneFor(WritesSlots|WritesQueues, &sc)
+	if err := d.ApplyVSOrder("m2", 0, types.G0()); err != nil {
+		t.Fatal(err)
+	}
+	wantD, keptD := fingerprint(d), sc.Keep(d)
+	other := New(types.RangeProcSet(2), types.RangeProcSet(2))
+	other.ApplyGpsnd("z", 0)
+	if err := other.CloneFor(WritesSlots|WritesQueues, &sc).ApplyVSOrder("z", 0, types.G0()); err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(keptD) != wantD || keptD.sc != nil {
+		t.Fatalf("the next copy into the scratch changed a kept one's queue")
 	}
 	c := m.CloneFor(0, &sc)
 	if err := c.ApplyCreateview(v(3, 0, 0, 1)); err != nil {

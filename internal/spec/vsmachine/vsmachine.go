@@ -150,6 +150,8 @@ type Machine struct {
 	// slots holds pending[p,g], next[p,g] and next-safe[p,g] of Figure 6
 	// for every pair that has left the defaults, sorted by (p, g).
 	slots []slot
+	// sc is the Scratch a copy was built in: gpsnd and vs-order grow there.
+	sc *Scratch
 }
 
 // New creates a VS-machine over procs whose distinguished initial view is
@@ -307,6 +309,10 @@ func (m *Machine) ApplyGpsnd(msg Msg, p types.ProcID) {
 		return
 	}
 	s := m.slotFor(p, g)
+	if m.sc != nil {
+		s.pending = slices.Clip(append(copyInto(&m.sc.pending, s.pending, 1), msg))
+		return
+	}
 	s.pending = append(s.pending, msg)
 }
 
@@ -327,6 +333,10 @@ func (m *Machine) ApplyVSOrder(msg Msg, p types.ProcID, g types.ViewID) error {
 	}
 	s := m.slotFor(p, g)
 	s.pending = s.pending[1:]
+	if m.sc != nil {
+		m.Created[i].Queue = slices.Clip(append(copyInto(&m.sc.queue, m.Created[i].Queue, 1), Entry{M: msg, P: p}))
+		return nil
+	}
 	m.Created[i].Queue = append(m.Created[i].Queue, Entry{M: msg, P: p})
 	return nil
 }

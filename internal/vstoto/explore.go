@@ -26,7 +26,7 @@ import (
 // submission order. FIFO BFS order is level order with per-level insertion
 // order preserved, so the merged accounting and the first violation are
 // byte-identical to a serial BFS at every worker count. The visited set is
-// read-only during a wave and written only by the merge: no locks.
+// read-only during each expansion and written only by the merge: no locks.
 
 // ExploreConfig bounds the exploration.
 type ExploreConfig struct {
@@ -69,6 +69,8 @@ type ExploreConfig struct {
 	// to prove a broken commutativity relation is caught by the POR-off
 	// cross-check.
 	ampleHook func([]Act) int
+	// memoHook (tests only) sees each successor that took a twin's checks.
+	memoHook func(exploreState, Act, *AbstractState)
 }
 
 // ExploreResult reports the exploration's extent.
@@ -294,23 +296,24 @@ func checkAbstractStep(procs types.ProcSet, pre, post *AbstractState, a Act, sha
 // per state instead of the full rendering); in ExactKeys mode it stores
 // the encodings themselves. A hash collision in the default mode can hide
 // an unexplored subtree, never a violation at a generated state: every
-// generated successor is checked BEFORE the dedup lookup (see
-// exploreExpand), so the worst a collision does is under-count — which the
-// ExactKeys audit tests measure.
+// generated successor is checked BEFORE the dedup lookup, or found equal,
+// not by hash, to a twin that was (see exploreExpand), so the worst a
+// collision does is under-count — which the ExactKeys audit tests measure.
 type exploreVisited struct {
 	hashes map[uint64]struct{}
 	exact  map[string]struct{} // non-nil iff ExactKeys
-	// full is set for a wave that begins with MaxStates states: the merge
-	// adds none of its successors, so none is kept.
+	// full is set for a wave prefix that begins with MaxStates states: the
+	// merge adds none of its successors, so none is kept.
 	full bool
 }
 
-func newExploreVisited(exactKeys bool) *exploreVisited {
-	v := &exploreVisited{hashes: make(map[uint64]struct{})}
+// newExploreVisited sizes the set for a MaxStates cap, at most 2^20 up front.
+func newExploreVisited(exactKeys bool, maxStates int) *exploreVisited {
+	n := min(maxStates, 1<<20)
 	if exactKeys {
-		v.exact = make(map[string]struct{})
+		return &exploreVisited{exact: make(map[string]struct{}, n)}
 	}
-	return v
+	return &exploreVisited{hashes: make(map[uint64]struct{}, n)}
 }
 
 // has reports whether the state with this hash and encoding is in the set.
@@ -335,7 +338,7 @@ func (v *exploreVisited) add(hash uint64, enc []byte) {
 // enumeration order.
 type exploreEdge struct {
 	hash uint64        // successor fingerprint hash (computed before checks)
-	succ *exploreState // nil when the wave began with the successor visited
+	succ *exploreState // nil when the prefix began with the successor visited
 }
 
 // exploreOut is one frontier state's expansion, produced by a worker and
@@ -343,7 +346,7 @@ type exploreEdge struct {
 type exploreOut struct {
 	ample bool // expansion reduced to a singleton ample set
 	edges []exploreEdge
-	// dropped counts the edges to unvisited successors that a full wave
+	// dropped counts the edges to unvisited successors that a full prefix
 	// did not keep (their succ is nil): each is a skipped edge.
 	dropped int
 	err     error // the last edge's invariant or simulation violation
@@ -354,11 +357,10 @@ type exploreOut struct {
 // derivation every check reads (f(x) included), the step check's shadow.
 // Edges hand on copies, never pointers into it.
 //
-// It also holds the chunks each kept successor and each expansion's edges
-// are carved from, so that keeping a successor allocates nothing of its
-// own. A kept state lives one wave as a successor and one as a parent;
-// a chunk is freed once nothing carved from it is reachable and the worker
-// has moved on to the next one.
+// It also holds the chunks each kept successor is carved from, so that
+// keeping a successor allocates nothing of its own. A kept state lives one
+// wave as a successor and one as a parent; a chunk is freed once nothing
+// carved from it is reachable and the worker has moved on to the next one.
 type exploreScratch struct {
 	enc    []byte
 	cut    []int32
@@ -370,23 +372,13 @@ type exploreScratch struct {
 	values []types.Value // bcastValues(cfg.MaxBcasts)
 	acts   []Act         // the enabled actions of the state being expanded
 
-	// first maps the hash of each successor the worker kept in this wave
-	// to the earliest frontier index it kept it for (Explore empties it
-	// at each wave; it stays nil under ExactKeys).
-	first map[uint64]exploreFirst
+	first map[uint64]*exploreState // the last kept per hash in this wave
+	edges []exploreEdge            // emptied once the merge has consumed them
 
 	states    chunk[exploreState]
 	encs      chunk[byte]
 	cuts      chunk[int32]
 	procLists chunk[*Proc]
-	edges     chunk[exploreEdge]
-}
-
-// exploreFirst is where a worker first kept a successor in a wave: the
-// frontier index it expanded, and the state.
-type exploreFirst struct {
-	item int
-	succ *exploreState
 }
 
 // chunk hands out consecutive runs of one array, allocating the next
@@ -442,22 +434,20 @@ func (sc *exploreScratch) keep(s *exploreState, enc []byte, cut []int32) *explor
 	return kept
 }
 
-// exploreExpand expands one frontier state, the item-th of its wave:
-// enumerate (possibly POR-reduced) actions, and for each, build the
-// successor, fingerprint it, derive allstate/allcontent/allconfirm once
-// and run every check on that one derivation. It reads cur and visited but
-// mutates neither — visited is frozen for the duration of the wave, which
-// is what makes concurrent expansion race-free. Expansion stops at the
-// state's first erroring edge, exactly where the serial explorer stopped.
-func exploreExpand(cfg ExploreConfig, cur *exploreState, item int, visited *exploreVisited, sc *exploreScratch) exploreOut {
+// exploreExpand expands one frontier state: enumerate (possibly
+// POR-reduced) actions, and for each, build the successor, fingerprint it,
+// run every state check on one derivation (unless a twin passed them) and
+// the step check. It reads cur and visited but mutates neither — visited
+// is frozen during an expansion, which is what makes concurrent expansion
+// race-free. Expansion stops at the state's first erroring edge, exactly
+// where the serial explorer stopped.
+func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited, sc *exploreScratch) exploreOut {
 	var out exploreOut
 	procs := cur.vs.Procs()
 	if sc.d == nil {
 		sc.d, sc.shadow, sc.values = newDerived(), tomachine.New(procs), bcastValues(cfg.MaxBcasts)
 		sc.procs = make([]*Proc, len(cur.procs))
-		if visited.exact == nil {
-			sc.first = make(map[uint64]exploreFirst)
-		}
+		sc.first = make(map[uint64]*exploreState)
 	}
 	// Encode through locals: the workers' scratch entries are neighbours
 	// in memory, and a store per edge would bounce their cache line.
@@ -475,7 +465,7 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, item int, visited *expl
 		}
 	}
 
-	out.edges = sc.edges.carve(len(acts))[:0]
+	edges, start := sc.edges, len(sc.edges)
 	for _, act := range acts {
 		succ := cur.successor(act, sc)
 		var e exploreEdge
@@ -487,46 +477,55 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, item int, visited *expl
 		if cfg.fpHook != nil {
 			e.hash = cfg.fpHook(e.hash)
 		}
-		sys := succ.system()
-		d := sys.derive(sc.d)
+		// A twin kept earlier in the wave passed every state check and equals
+		// succ in all they read: its verdict and f are succ's (DESIGN.md §16).
+		twin := sc.first[e.hash]
+		same := twin != nil && succ.sameChecks(twin, enc)
 		var abs *AbstractState
 		var err error
-		if err = sys.checkInvariants(d); err != nil {
-			out.err = fmt.Errorf("explore: invariant after %v: %w", act, err)
-		} else if err = sys.checkDeepInvariants(d); err != nil {
-			out.err = fmt.Errorf("explore: deep invariant after %v: %w", act, err)
-		} else if abs, err = sys.abstract(d); err != nil {
-			out.err = fmt.Errorf("explore: f undefined after %v: %w", act, err)
-		} else if err = checkAbstractStep(procs, cur.abs, abs, act, sc.shadow); err != nil {
-			out.err = fmt.Errorf("explore: simulation step for %v: %w", act, err)
+		if same {
+			abs = twin.abs
+			if cfg.memoHook != nil {
+				cfg.memoHook(succ, act, abs)
+			}
+		} else {
+			sys := succ.system()
+			d := sys.derive(sc.d)
+			if err = sys.checkInvariants(d); err != nil {
+				out.err = fmt.Errorf("explore: invariant after %v: %w", act, err)
+			} else if err = sys.checkDeepInvariants(d); err != nil {
+				out.err = fmt.Errorf("explore: deep invariant after %v: %w", act, err)
+			} else if abs, err = sys.abstract(d); err != nil {
+				out.err = fmt.Errorf("explore: f undefined after %v: %w", act, err)
+			}
+		}
+		if out.err == nil {
+			if err = checkAbstractStep(procs, cur.abs, abs, act, sc.shadow); err != nil {
+				out.err = fmt.Errorf("explore: simulation step for %v: %w", act, err)
+			}
 		}
 		if out.err != nil {
-			out.edges = append(out.edges, e)
+			edges = append(edges, e)
 			break
 		}
 		// Keep the successor only if it might enter the frontier: already
-		// visited before this wave means the merge will drop it anyway, so
-		// it never reaches the heap. Intra-wave duplicates are resolved by
-		// the merge (first in submission order wins); one this worker kept
-		// at an earlier edge of the wave is not kept again: the merge meets
-		// that edge first, and then either adds the state, so that it drops
-		// this edge's, or skips it for MaxStates, as it skips this one.
-		f, twin := sc.first[e.hash]
+		// visited before this prefix means the merge will drop it anyway, so
+		// it never reaches the heap. The merge resolves intra-wave duplicates
+		// (first in submission order wins), so a twin is shared, not kept.
 		switch {
 		case visited.has(e.hash, enc):
 		case visited.full:
 			out.dropped++
-		case twin && f.item <= item:
-			e.succ = f.succ
+		case same:
+			e.succ = twin
 		default:
 			succ.abs = compactAbs(cur.abs, act, abs)
 			e.succ = sc.keep(&succ, enc, cut)
-			if sc.first != nil {
-				sc.first[e.hash] = exploreFirst{item, e.succ}
-			}
+			sc.first[e.hash] = e.succ
 		}
-		out.edges = append(out.edges, e)
+		edges = append(edges, e)
 	}
+	out.edges, sc.edges = edges[start:len(edges):len(edges)], edges
 	sc.enc, sc.cut = enc, cut
 	return out
 }
@@ -586,7 +585,7 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 	cSkipped := cfg.Obs.Counter("explore.skipped_edges")
 	gFrontier := cfg.Obs.Gauge("explore.frontier")
 
-	visited := newExploreVisited(cfg.ExactKeys)
+	visited := newExploreVisited(cfg.ExactKeys, cfg.MaxStates)
 	h0 := types.HashFingerprint(initial.enc)
 	if cfg.fpHook != nil {
 		h0 = cfg.fpHook(h0)
@@ -601,55 +600,68 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 	depth := 0
 	for len(frontier) > 0 {
 		gFrontier.Max(int64(len(frontier)))
-		visited.full = cfg.MaxStates > 0 && res.States >= cfg.MaxStates
 		for w := range scratch {
 			clear(scratch[w].first)
 		}
-		outs := sweep.RunWorker(workers, len(frontier), func(w, i int) exploreOut {
-			return exploreExpand(cfg, frontier[i], i, visited, &scratch[w])
-		})
-		cWaves.Inc()
-
-		// Ordered merge: scanning states in submission order and their
-		// edges in enumeration order replays exactly the serial FIFO BFS,
-		// so every counter update and early return below lands in the
-		// same sequence a serial run would produce.
 		var next []*exploreState
-		for i, out := range outs {
-			if n := len(frontier[i].abs.Queue); n > res.MaxQueueLen {
-				res.MaxQueueLen = n
+		// Near MaxStates, expand and merge the wave in prefixes (room states,
+		// then at least twice the last) so that nothing is kept past the cap.
+		for lo, hi, size := 0, 0, 1; lo < len(frontier); lo, size = hi, 2*size {
+			room := cfg.MaxStates - res.States
+			visited.full, hi = cfg.MaxStates > 0 && room <= 0, len(frontier)
+			if cfg.MaxStates > 0 && room > 0 {
+				hi = min(hi, lo+max(room, size))
 			}
-			if out.ample {
-				res.AmpleStates++
-				cAmple.Inc()
+			for w := range scratch {
+				clear(scratch[w].edges)
+				scratch[w].edges = scratch[w].edges[:0]
 			}
-			if out.dropped > 0 {
-				res.Truncated = true
-				res.SkippedEdges += out.dropped
-				cSkipped.Add(int64(out.dropped))
-			}
-			for j, e := range out.edges {
-				res.Edges++
-				cEdges.Inc()
-				if out.err != nil && j == len(out.edges)-1 {
-					res.violationHash = e.hash
-					return res, out.err
+			part := frontier[lo:hi]
+			outs := sweep.RunWorker(workers, len(part), func(w, i int) exploreOut {
+				return exploreExpand(cfg, part[i], visited, &scratch[w])
+			})
+
+			// Ordered merge: scanning states in submission order and their
+			// edges in enumeration order replays exactly the serial FIFO
+			// BFS, so every counter update and early return below lands in
+			// the same sequence a serial run would produce.
+			for i, out := range outs {
+				if n := len(part[i].abs.Queue); n > res.MaxQueueLen {
+					res.MaxQueueLen = n
 				}
-				if e.succ == nil || visited.has(e.hash, e.succ.enc) {
-					continue
+				if out.ample {
+					res.AmpleStates++
+					cAmple.Inc()
 				}
-				if cfg.MaxStates > 0 && res.States >= cfg.MaxStates {
+				if out.dropped > 0 {
 					res.Truncated = true
-					res.SkippedEdges++
-					cSkipped.Inc()
-					continue
+					res.SkippedEdges += out.dropped
+					cSkipped.Add(int64(out.dropped))
 				}
-				visited.add(e.hash, e.succ.enc)
-				res.States++
-				cStates.Inc()
-				next = append(next, e.succ)
+				for j, e := range out.edges {
+					res.Edges++
+					cEdges.Inc()
+					if out.err != nil && j == len(out.edges)-1 {
+						res.violationHash = e.hash
+						return res, out.err
+					}
+					if e.succ == nil || visited.has(e.hash, e.succ.enc) {
+						continue
+					}
+					if cfg.MaxStates > 0 && res.States >= cfg.MaxStates {
+						res.Truncated = true
+						res.SkippedEdges++
+						cSkipped.Inc()
+						continue
+					}
+					visited.add(e.hash, e.succ.enc)
+					res.States++
+					cStates.Inc()
+					next = append(next, e.succ)
+				}
 			}
 		}
+		cWaves.Inc()
 		if len(next) > 0 {
 			depth++
 			res.MaxDepth = depth

@@ -90,8 +90,8 @@ func TestExploreAllocBudget(t *testing.T) {
 		t.Skip("the race detector changes what allocates")
 	}
 	const (
-		allocsBudget = 8    // objects per state (7.4 measured)
-		bytesBudget  = 1600 // bytes per state (1 589 measured)
+		allocsBudget = 7    // objects per state (6.1 measured)
+		bytesBudget  = 1350 // bytes per state (1 262 measured)
 	)
 	// explore.bounded's configuration (n = 2, 2 bcasts, one 2-member view,
 	// POR off, truncated at 5 000 states) on one worker, so that every

@@ -203,31 +203,41 @@ func TestExploreTruncatedExactStates(t *testing.T) {
 }
 
 // TestExploreObsCounters checks the explore.* instruments match the result
-// counters.
+// counters, on a full run with POR and on the benchmark's truncated one,
+// whose last waves are expanded in prefixes: explore.waves still counts
+// the search's levels, MaxDepth + 1 (14 on the benchmark's).
 func TestExploreObsCounters(t *testing.T) {
-	reg := obs.New()
-	cfg := exploreCleanCfg()
-	cfg.POR = true
-	cfg.Obs = reg
-	res, err := Explore(cfg)
-	if err != nil {
-		t.Fatalf("explore: %v", err)
-	}
-	for name, want := range map[string]int{
-		"explore.states":        res.States,
-		"explore.edges":         res.Edges,
-		"explore.ample_states":  res.AmpleStates,
-		"explore.skipped_edges": res.SkippedEdges,
-	} {
-		if got := reg.Counter(name).Value(); got != int64(want) {
-			t.Errorf("%s = %d, want %d", name, got, want)
+	bench := ExploreConfig{N: 2, MaxBcasts: 2, MaxStates: 5000, Views: []types.View{
+		{ID: types.ViewID{Epoch: 2, Proc: 1}, Set: types.RangeProcSet(2)},
+	}}
+	clean := exploreCleanCfg()
+	clean.POR = true
+	for name, cfg := range map[string]ExploreConfig{"clean POR": clean, "bench truncated": bench} {
+		reg := obs.New()
+		cfg.Obs = reg
+		res, err := Explore(cfg)
+		if err != nil {
+			t.Fatalf("%s: explore: %v", name, err)
 		}
-	}
-	if reg.Counter("explore.waves").Value() != int64(res.MaxDepth)+1 {
-		t.Errorf("explore.waves = %d, want MaxDepth+1 = %d", reg.Counter("explore.waves").Value(), res.MaxDepth+1)
-	}
-	if reg.Gauge("explore.frontier").Value() == 0 {
-		t.Errorf("explore.frontier gauge never set")
+		for counter, want := range map[string]int{
+			"explore.states":        res.States,
+			"explore.edges":         res.Edges,
+			"explore.ample_states":  res.AmpleStates,
+			"explore.skipped_edges": res.SkippedEdges,
+		} {
+			if got := reg.Counter(counter).Value(); got != int64(want) {
+				t.Errorf("%s: %s = %d, want %d", name, counter, got, want)
+			}
+		}
+		if reg.Counter("explore.waves").Value() != int64(res.MaxDepth)+1 {
+			t.Errorf("%s: explore.waves = %d, want MaxDepth+1 = %d", name, reg.Counter("explore.waves").Value(), res.MaxDepth+1)
+		}
+		if reg.Gauge("explore.frontier").Value() == 0 {
+			t.Errorf("%s: explore.frontier gauge never set", name)
+		}
+		if name == "bench truncated" && (!res.Truncated || res.MaxDepth != 13) {
+			t.Errorf("%s: truncated %t at depth %d, want true and 13", name, res.Truncated, res.MaxDepth)
+		}
 	}
 }
 

@@ -263,7 +263,7 @@ func TestExploreSharedComponentsImmutable(t *testing.T) {
 func checkSharedComponentsImmutable(t *testing.T, cfg ExploreConfig, wantStates, wantEdges int) {
 	workers := max(2, runtime.NumCPU())
 	scratch := make([]exploreScratch, workers)
-	none := newExploreVisited(false) // empty: every successor is kept
+	none := newExploreVisited(false, 0) // empty: every successor is kept
 	edges := 0
 	states := walkExploreWaves(t, cfg, func(cfg ExploreConfig, frontier []*exploreState) []*exploreState {
 		n := len(frontier)
@@ -274,7 +274,7 @@ func checkSharedComponentsImmutable(t *testing.T, cfg ExploreConfig, wantStates,
 		// Items i and i+n expand the same state; the pool hands them to
 		// whichever workers are free.
 		outs := sweep.RunWorker(workers, 2*n, func(w, i int) exploreOut {
-			return exploreExpand(cfg, frontier[i%n], i, none, &scratch[w])
+			return exploreExpand(cfg, frontier[i%n], none, &scratch[w])
 		})
 		var next []*exploreState
 		for i, cur := range frontier {

@@ -2,6 +2,7 @@ package vstoto
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -101,4 +102,26 @@ func (s *exploreState) appendFingerprint(buf []byte, cut []int32, parent *explor
 		cut = append(cut, int32(len(buf)))
 	}
 	return buf, cut
+}
+
+// sameChecks reports whether s, encoded as enc, is k to every state check.
+func (s *exploreState) sameChecks(k *exploreState, enc []byte) bool {
+	if string(enc) != string(k.enc) {
+		return false
+	}
+	for i, p := range s.procs {
+		if q := k.procs[i]; p != q && !p.sameUnencoded(q) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameUnencoded reports whether p and q, which encode alike, have the same
+// history, label-run holes, and safe counts and flag (encoded as one set).
+func (p *Proc) sameUnencoded(q *Proc) bool {
+	sameOrder := func(a, b ViewOrder) bool { return a.G == b.G && slices.Equal(a.Ord, b.Ord) }
+	sameHoles := func(a, b labelRun) bool { return a.holes == b.holes && slices.Equal(a.missing, b.missing) }
+	return p.exchSafe == q.exchSafe && slices.Equal(p.safe, q.safe) && slices.Equal(p.Established, q.Established) &&
+		slices.EqualFunc(p.BuildOrder, q.BuildOrder, sameOrder) && slices.EqualFunc(p.content.runs, q.content.runs, sameHoles)
 }

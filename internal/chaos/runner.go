@@ -157,8 +157,6 @@ func Run(cfg Config) *Result {
 	reg := obs.New()
 	reg.EnableTrace(obs.DefaultTraceCapacity)
 	res.Obs = reg
-	// The cluster runs the shipped data path, so every campaign, shrink
-	// and replay tests what pgcsd runs.
 	c := stack.NewCluster(stack.Options{
 		Seed: cfg.Seed, N: cfg.N, Delta: cfg.Delta, Wire: cfg.Wire,
 		StorageLatency:     cfg.StorageLatency,
@@ -166,7 +164,7 @@ func Run(cfg Config) *Result {
 		SkipRecoveryReplay: cfg.SkipRecoveryReplay,
 		Obs:                reg,
 		Log:                &props.Log{},
-	}.Batched())
+	})
 	res.Cluster = c
 	bound := cfg.RecoveryBound
 	if bound == 0 {

@@ -17,8 +17,7 @@ import (
 // budget b + 2·d_impl plus a small number of serialized post-heal writes
 // (the recovery marker, the rejoin view record, and the first delivery
 // record — each λ), regardless of how long the log has grown. In steady
-// state λ is paid per message, not only at rejoin: E5 shows the stack's
-// reference path paying it per delivery record, as the baseline does.
+// state the stack pays λ per write flight, not per message (E5, E16).
 func E14(seed int64) *Table {
 	t := &Table{
 		ID:    "E14",
@@ -106,6 +105,6 @@ func E14(seed int64) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"budget = b + 2·d_impl + 3λ: the recovery-liveness bound the chaos harness enforces, plus the three serialized post-heal writes (recovery marker, rejoin view record, first delivery record)",
-		"compare E5: in steady state the baseline and the stack's reference path both pay λ per message, and the batched path pays it per write flight; here λ enters the rejoin only through the three serialized writes, and replay itself is a local read costing no virtual time")
+		"compare E5: in steady state the baseline pays λ per message and the stack pays it per write flight; here λ enters the rejoin only through the three serialized writes, and replay itself is a local read costing no virtual time")
 	return t
 }

@@ -50,7 +50,10 @@ type Config struct {
 	// Jitter, when true, draws each good-channel delay uniformly from
 	// (0, δ]; when false every good-channel delivery takes exactly δ (the
 	// worst case, which makes measured times directly comparable to the
-	// analytic bounds).
+	// analytic bounds). Packets sent at the same instant on the same good
+	// channel share one draw, as the real transport's frame batching
+	// does: frames queued together leave in one syscall and arrive
+	// together, in send order.
 	Jitter bool
 	// Transcode, when non-nil, replaces every payload at send time —
 	// typically a serialize/deserialize round trip (see internal/codec) so
@@ -66,13 +69,6 @@ type Config struct {
 	// the net.bytes counter (the stack wires the wire-codec's encoded size
 	// in wire mode). Left nil, byte accounting is skipped.
 	PayloadBytes func(any) int
-	// Coalesce makes packets sent at the same instant on the same good
-	// channel share one jitter draw, mirroring the real transport's frame
-	// batching: frames queued together leave in one syscall and arrive
-	// together, rather than each drawing an independent delay. Send order
-	// is preserved within the coalesced group. Without Jitter the option
-	// changes nothing (every good-channel delay is exactly δ already).
-	Coalesce bool
 }
 
 // Stats counts network activity for the experiment reports and for the
@@ -140,7 +136,7 @@ type Network struct {
 	ctr      counters
 	m        metrics
 	// coalesced caches the last jitter draw per directed channel so that
-	// same-instant sends share it (Config.Coalesce). Touched only from the
+	// same-instant sends share it (Config.Jitter). Touched only from the
 	// simulator goroutine, like handlers.
 	coalesced map[chanKey]coalesceEntry
 }
@@ -227,19 +223,17 @@ func (n *Network) Send(from, to types.ProcID, payload any) {
 		d := n.cfg.Delta
 		if n.cfg.Jitter {
 			d = time.Duration(1 + n.sim.Rand().Int63n(int64(n.cfg.Delta)))
-			if n.cfg.Coalesce {
-				if n.coalesced == nil {
-					n.coalesced = make(map[chanKey]coalesceEntry)
-				}
-				key := chanKey{from, to}
-				if e, ok := n.coalesced[key]; ok && e.at == n.sim.Now() {
-					// Same instant, same channel: ride the batch already
-					// in flight (sim.After is FIFO at equal times, so
-					// send order within the group is preserved).
-					d = e.delay
-				} else {
-					n.coalesced[key] = coalesceEntry{at: n.sim.Now(), delay: d}
-				}
+			if n.coalesced == nil {
+				n.coalesced = make(map[chanKey]coalesceEntry)
+			}
+			key := chanKey{from, to}
+			if e, ok := n.coalesced[key]; ok && e.at == n.sim.Now() {
+				// Same instant, same channel: ride the batch already
+				// in flight (sim.After is FIFO at equal times, so
+				// send order within the group is preserved).
+				d = e.delay
+			} else {
+				n.coalesced[key] = coalesceEntry{at: n.sim.Now(), delay: d}
 			}
 		}
 		n.m.delay.Record(d)

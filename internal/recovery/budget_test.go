@@ -30,7 +30,7 @@ func TestWALByteBudget(t *testing.T) {
 	)
 	c := stack.NewCluster(stack.Options{
 		Seed: 1, N: n, Delta: time.Millisecond, Jitter: true, Wire: true, StorageLatency: time.Millisecond / 4,
-	}.Batched())
+	})
 	for i := 0; i < values; i++ {
 		v := types.Value(fmt.Sprintf("%-44s#%05d", "w|key|value", i))
 		p := types.ProcID(i % n)

@@ -28,7 +28,7 @@ func TestHealEstablishmentIsSuffixSized(t *testing.T) {
 		// its length.
 		labelBytes = 6 + 6
 	)
-	c := stack.NewCluster(stack.Options{Seed: 9, N: n, Delta: time.Millisecond, StorageLatency: time.Millisecond / 4}.Batched())
+	c := stack.NewCluster(stack.Options{Seed: 9, N: n, Delta: time.Millisecond, StorageLatency: time.Millisecond / 4})
 	for i := 0; i < values; i++ {
 		v := types.Value(fmt.Sprintf("v%d", i))
 		p := types.ProcID(i % n)

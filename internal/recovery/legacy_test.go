@@ -18,7 +18,7 @@ import (
 // format, in which every OrderAppend, Bcast, Label and Deliver record
 // carries its value. It is processor 2's durable image after a seeded run
 // of stack.Options{Seed: 1, N: 3, Delta: 1ms, StorageLatency: δ/4,
-// CheckpointBytes: 18000}.Batched() with 240 values submitted round-robin
+// CheckpointBytes: 18000} with 240 values submitted round-robin
 // every 2 ms from t = 10 ms, a {0,1}|{2} partition from 150 ms to 250 ms,
 // and an amnesia crash of processor 2 at 330 ms, good again at 345 ms,
 // run to 2 s: 575 records, among them four establishments, one checkpoint

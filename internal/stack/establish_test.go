@@ -24,7 +24,7 @@ func TestEstablishLogReplaysToOrder(t *testing.T) {
 		cycles = 7
 		victim = types.ProcID(2)
 	)
-	c := NewCluster(Options{Seed: 5, N: n, Delta: time.Millisecond, Jitter: true, StorageLatency: time.Millisecond / 4}.Batched())
+	c := NewCluster(Options{Seed: 5, N: n, Delta: time.Millisecond, Jitter: true, StorageLatency: time.Millisecond / 4})
 	end := sim.Time(cycles * cycle)
 	for i := 0; sim.Time(10*time.Millisecond+time.Duration(i)*2*time.Millisecond) < end; i++ {
 		v := types.Value(fmt.Sprintf("v%d", i))

@@ -1,7 +1,9 @@
 package stack
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,60 +13,105 @@ import (
 	"repro/internal/types"
 )
 
-// batchedOpts is the shipped data path on a λ-latency device.
-func batchedOpts(seed int64, n int, lambda time.Duration) Options {
-	return Options{Seed: seed, N: n, Delta: time.Millisecond, StorageLatency: lambda, Log: &props.Log{}}.Batched()
+// burstOpts is a traced cluster on a λ-latency device.
+func burstOpts(seed int64, n int, lambda time.Duration) Options {
+	return Options{Seed: seed, N: n, Delta: time.Millisecond, StorageLatency: lambda, Log: &props.Log{}}
 }
 
-// TestGroupCommitMatchesLegacyOrder: the batched stack must deliver the
-// byte-identical (From, Value) sequence the legacy lock-step stack
-// delivers. A single-origin workload pins the total order to the
-// submission order (TO is FIFO per origin), so the two runs are
-// comparable value-for-value — batching may only change the timing.
-func TestGroupCommitMatchesLegacyOrder(t *testing.T) {
-	const want = 15
-	run := func(opts Options) ([]Delivery, sim.Time) {
+// TestGroupCommitDeliversSubmissionOrder: a single-origin burst on a slow
+// device, with group commit coalescing the records queued behind each
+// write and the delivery pipeline keeping many in flight, must deliver
+// exactly v0 … v(k-1), in submission order, at every node. TO is FIFO per
+// origin, so with one submitter the spec pins the whole order.
+func TestGroupCommitDeliversSubmissionOrder(t *testing.T) {
+	const want, n = 15, 3
+	c := NewCluster(burstOpts(7, n, 2*time.Millisecond))
+	c.Sim.After(10*time.Millisecond, func() {
+		for i := 0; i < want; i++ {
+			c.Bcast(0, types.Value(fmt.Sprintf("v%d", i)))
+		}
+	})
+	if err := c.Sim.Run(sim.Time(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	toConformance(t, c.Log)
+	for p := types.ProcID(0); p < n; p++ {
+		got := c.Deliveries(p)
+		if len(got) != want {
+			t.Fatalf("node %v delivered %d values, want %d", p, len(got), want)
+		}
+		for i, d := range got {
+			if v := types.Value(fmt.Sprintf("v%d", i)); d.From != 0 || d.Value != v {
+				t.Fatalf("node %v delivery %d is %q from %v, want %q from 0", p, i, d.Value, d.From, v)
+			}
+		}
+	}
+}
+
+// TestDeprecatedDataPathFieldsIgnored: the benchmark's simulated cluster
+// spells out GroupCommit, DeliverPipeline and EagerTokenRounds; every
+// other caller leaves them zero. At the benchmark's settings (jitter, the
+// wire codec, λ = δ/4) both spellings must run the same protocol: the same
+// deliveries at the same instants, the same WAL images and the same trace,
+// through load from every origin, a partition and its heal.
+func TestDeprecatedDataPathFieldsIgnored(t *testing.T) {
+	const n = 5
+	type outcome struct {
+		deliveries [][]Delivery
+		wal        [][]byte
+		trace      []props.Event
+	}
+	run := func(opts Options) outcome {
+		delta := time.Millisecond
+		opts.Seed, opts.N, opts.Delta = 3, n, delta
+		opts.Jitter, opts.Wire, opts.StorageLatency = true, true, delta/4
+		opts.Log = &props.Log{}
 		c := NewCluster(opts)
-		c.Sim.After(10*time.Millisecond, func() {
-			for i := 0; i < want; i++ {
-				c.Bcast(0, types.Value(fmt.Sprintf("v%d", i)))
-			}
+		for i := 0; i < 300; i++ {
+			i := i
+			c.Sim.After(10*time.Millisecond+time.Duration(i)*500*time.Microsecond, func() {
+				c.Bcast(types.ProcID(i%n), types.Value(fmt.Sprintf("v%d", i)))
+			})
+		}
+		c.Sim.At(sim.Time(60*time.Millisecond), func() {
+			c.Oracle.Partition(c.Procs, types.NewProcSet(0, 1, 2), types.NewProcSet(3, 4))
 		})
-		for len(c.Deliveries(0)) < want || len(c.Deliveries(types.ProcID(opts.N-1))) < want {
-			if err := c.Sim.RunFor(20 * time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			if c.Sim.Now() > sim.Time(120*time.Second) {
-				t.Fatal("burst never fully delivered")
-			}
+		c.Sim.At(sim.Time(120*time.Millisecond), func() { c.Oracle.Heal(c.Procs) })
+		if err := c.Sim.Run(sim.Time(time.Second)); err != nil {
+			t.Fatal(err)
 		}
-		toConformance(t, c.Log)
-		return c.Deliveries(0), c.Sim.Now()
+		var o outcome
+		for p := types.ProcID(0); p < n; p++ {
+			o.deliveries = append(o.deliveries, c.Deliveries(p))
+			o.wal = append(o.wal, c.Node(p).WAL().Storage().Contents())
+		}
+		o.trace = c.Log.Events
+		return o
 	}
-
-	const lambda = 2 * time.Millisecond
-	legacy, slow := run(Options{Seed: 7, N: 3, Delta: time.Millisecond, StorageLatency: lambda, Log: &props.Log{}})
-	batched, fast := run(batchedOpts(7, 3, lambda))
-	if len(batched) != len(legacy) {
-		t.Fatalf("batched delivered %d, legacy %d", len(batched), len(legacy))
+	spelled := run(Options{GroupCommit: true, DeliverPipeline: 64, EagerTokenRounds: true})
+	zero := run(Options{})
+	if len(zero.deliveries[n-1]) < 300 {
+		t.Fatalf("node %d delivered %d of 300 values", n-1, len(zero.deliveries[n-1]))
 	}
-	for i := range legacy {
-		if batched[i].Value != legacy[i].Value || batched[i].From != legacy[i].From {
-			t.Fatalf("order diverges at %d: batched %v vs legacy %v", i, batched[i], legacy[i])
+	for p := 0; p < n; p++ {
+		if !reflect.DeepEqual(spelled.deliveries[p], zero.deliveries[p]) {
+			t.Errorf("node %d: deliveries differ (%d vs %d)", p, len(spelled.deliveries[p]), len(zero.deliveries[p]))
+		}
+		if !bytes.Equal(spelled.wal[p], zero.wal[p]) {
+			t.Errorf("node %d: WAL images differ (%d vs %d bytes)", p, len(spelled.wal[p]), len(zero.wal[p]))
 		}
 	}
-	if fast >= slow {
-		t.Errorf("batched run was not faster: %v vs %v", fast, slow)
+	if !reflect.DeepEqual(spelled.trace, zero.trace) {
+		t.Errorf("traces differ (%d vs %d events)", len(spelled.trace), len(zero.trace))
 	}
 }
 
-// TestGroupCommitCrashRecovery: an amnesia crash mid-burst with the whole
-// batched hot path armed — pipelined delivery records in flight, a batch
+// TestGroupCommitCrashRecovery: an amnesia crash mid-burst — pipelined delivery records in flight, a batch
 // write possibly torn — must still rejoin through the WAL with a
 // conformant total order, and the surviving nodes must deliver every
 // value submitted at them.
 func TestGroupCommitCrashRecovery(t *testing.T) {
-	c := NewCluster(batchedOpts(11, 3, 2*time.Millisecond))
+	c := NewCluster(burstOpts(11, 3, 2*time.Millisecond))
 	victim := types.ProcID(1)
 	const total = 12
 	// Submit only at the nodes that stay up: values buffered at the

@@ -71,8 +71,7 @@ type LiveOptions struct {
 }
 
 // NewLiveNode builds and starts a single processor's full TO stack (VS
-// implementation, VStoTO, write-ahead recovery log) for live deployment,
-// always on the shipped data path (Options.Batched).
+// implementation, VStoTO, write-ahead recovery log) for live deployment.
 // The returned Node is the same type the simulated Cluster hands out, so
 // everything layered on Node (Bcast, DeliveredCount, WAL inspection) works
 // unchanged. The endpoint becomes active only as the caller's pacer runs
@@ -83,25 +82,21 @@ func NewLiveNode(opts LiveOptions) *Node {
 	}
 	s := opts.Sim
 	opts.Obs.SetClock(s.Now)
-	dp := Options{}.Batched()
 	cfg := vsimpl.DefaultConfig(opts.Delta, opts.Universe.Size())
-	cfg.EagerRelaunch = dp.EagerTokenRounds
 	cfg.Obs = opts.Obs
 	c := &Cluster{
 		Sim: s,
 		// All-good oracle: in live mode faults are physical (killed
 		// processes, closed sockets), not injected into the stack.
-		Oracle:      failures.NewOracle(s.Now),
-		Log:         opts.Log,
-		Procs:       opts.Universe,
-		Cfg:         cfg,
-		Obs:         opts.Obs,
-		tr:          opts.Transport,
-		qs:          types.Majorities{Universe: opts.Universe},
-		maxPending:  opts.MaxPendingBcasts,
-		deliverPipe: dp.DeliverPipeline,
-		groupCommit: dp.GroupCommit,
-		nodes:       make(map[types.ProcID]*Node, 1),
+		Oracle:     failures.NewOracle(s.Now),
+		Log:        opts.Log,
+		Procs:      opts.Universe,
+		Cfg:        cfg,
+		Obs:        opts.Obs,
+		tr:         opts.Transport,
+		qs:         types.Majorities{Universe: opts.Universe},
+		maxPending: opts.MaxPendingBcasts,
+		nodes:      make(map[types.ProcID]*Node, 1),
 	}
 	c.initMetrics(opts.Obs)
 	dev := storage.New(s, 0)

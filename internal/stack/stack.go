@@ -80,7 +80,7 @@ type Node struct {
 	// incarnation guards storage completion callbacks: a callback captured
 	// under an older incarnation must not act on the rebuilt state.
 	incarnation int
-	// Delivery pipelining (Cluster.deliverPipe bounds the sum of the two):
+	// Delivery pipelining (deliverPipeline bounds the sum of the two):
 	// deliverInFlight counts delivery records being written, and ready
 	// holds, in release order, the origin seq of each record durable but
 	// not yet released. Records are written for consecutive confirmed
@@ -141,13 +141,8 @@ type Cluster struct {
 	// maxPending bounds each node's accepted-but-undelivered submission
 	// backlog (Bcast backpressure); 0 leaves Bcast unbounded.
 	maxPending int
-	// deliverPipe bounds each node's delivery records in flight plus
-	// durable-awaiting-release (Options.DeliverPipeline; always ≥ 1);
-	// groupCommit arms WAL group commit on every node's log.
-	deliverPipe int
-	groupCommit bool
-	nodes       map[types.ProcID]*Node
-	m           clusterMetrics
+	nodes      map[types.ProcID]*Node
+	m          clusterMetrics
 	// submitted maps each client submission to its bcast instant, for the
 	// end-to-end to.deliver_latency histogram (nil when obs is disabled).
 	// An entry leaves once every node of the cluster has released it.
@@ -240,23 +235,13 @@ type Options struct {
 	// cannot drain, and without a bound a stalled node buffers client
 	// values without limit. 0 (the default) leaves submission unbounded.
 	MaxPendingBcasts int
-	// GroupCommit turns on WAL group commit (recovery.WAL.SetGroupCommit):
-	// records appended while a batch write is outstanding coalesce into one
-	// covering storage write instead of serializing one λ each. The
-	// simulated network mirrors the batching semantics (net.Config.Coalesce)
-	// so sim and live stay behaviorally aligned.
+	// Deprecated: every stack runs WAL group commit; the field is ignored.
 	GroupCommit bool
-	// DeliverPipeline bounds how many delivery records a node keeps in
-	// flight ahead of the release point. The default 0 means 1: write one
-	// record, wait for durability, release, repeat. Depths > 1 overlap the
-	// storage latency of consecutive deliveries; release order and
-	// write-ahead gating are unchanged.
+	// Deprecated: every stack keeps deliverPipeline delivery records in
+	// flight; the field is ignored.
 	DeliverPipeline int
-	// EagerTokenRounds makes VS token rounds demand-driven
-	// (vsimpl.Config.EagerRelaunch): a value asks for the token instead of
-	// waiting out the π spacing, the leader announces "safe" one rotation
-	// after it learns it, and a burst of TOBcasts is carried by
-	// back-to-back rounds. π spaces the launches of an idle ring only.
+	// Deprecated: every stack's token rounds are demand-driven (see
+	// vsimpl's tokenHome); the field is ignored.
 	EagerTokenRounds bool
 	// SkipRecoveryReplay is a test-only hook: a processor recovering from
 	// an amnesia crash is rebuilt from an empty snapshot instead of a
@@ -276,17 +261,12 @@ type Options struct {
 	Log *props.Log
 }
 
-// Batched returns o with the shipped data path switched on: WAL group
-// commit (window 0), 64 delivery records in flight, demand-driven token
-// rounds. It is the one definition of what pgcsd, the chaos campaigns and
-// the batched experiment rows run; the zero value of the three fields is
-// the paper-faithful reference the E-tables hold against the §8 bounds.
-func (o Options) Batched() Options {
-	o.GroupCommit = true
-	o.DeliverPipeline = 64
-	o.EagerTokenRounds = true
-	return o
-}
+// deliverPipeline bounds each node's delivery records in flight plus
+// durable-awaiting-release: while one record's write rides out the storage
+// latency, the next confirmed positions get theirs enqueued behind it, and
+// WAL group commit coalesces them into one covering write. Release order
+// and write-ahead gating do not depend on the depth.
+const deliverPipeline = 64
 
 // NewCluster builds and starts a TO service instance.
 func NewCluster(opts Options) *Cluster {
@@ -302,7 +282,7 @@ func NewCluster(opts Options) *Cluster {
 	s := sim.New(opts.Seed)
 	opts.Obs.SetClock(s.Now)
 	oracle := failures.NewOracle(s.Now)
-	netCfg := net.Config{Delta: opts.Delta, Jitter: opts.Jitter, Obs: opts.Obs, Coalesce: opts.GroupCommit}
+	netCfg := net.Config{Delta: opts.Delta, Jitter: opts.Jitter, Obs: opts.Obs}
 	if opts.Wire {
 		netCfg.Transcode = codec.Roundtrip
 		if opts.Obs != nil {
@@ -334,22 +314,19 @@ func NewCluster(opts Options) *Cluster {
 	}
 	cfg.OneRound = opts.OneRound
 	cfg.NoTokenCompaction = opts.NoTokenCompaction
-	cfg.EagerRelaunch = opts.EagerTokenRounds
 	cfg.Obs = opts.Obs
 	c := &Cluster{
 		Sim: s, Oracle: oracle, Net: nw,
-		Log:         opts.Log,
-		Procs:       procs,
-		Cfg:         cfg,
-		Obs:         opts.Obs,
-		tr:          nw,
-		qs:          qs,
-		skipReplay:  opts.SkipRecoveryReplay,
-		maxPending:  opts.MaxPendingBcasts,
-		deliverPipe: max(1, opts.DeliverPipeline),
-		groupCommit: opts.GroupCommit,
-		nodes:       make(map[types.ProcID]*Node, opts.N),
-		history:     make(map[types.ProcID][]Delivery, opts.N),
+		Log:        opts.Log,
+		Procs:      procs,
+		Cfg:        cfg,
+		Obs:        opts.Obs,
+		tr:         nw,
+		qs:         qs,
+		skipReplay: opts.SkipRecoveryReplay,
+		maxPending: opts.MaxPendingBcasts,
+		nodes:      make(map[types.ProcID]*Node, opts.N),
+		history:    make(map[types.ProcID][]Delivery, opts.N),
 	}
 	c.initMetrics(opts.Obs)
 	for _, p := range procs.Members() {
@@ -448,9 +425,7 @@ func newNode(c *Cluster, p types.ProcID, p0 types.ProcSet, dev *storage.Stable) 
 	}
 	node.proc.SetObs(c.Obs)
 	node.wal.Instrument(c.Obs)
-	if c.groupCommit {
-		node.wal.SetGroupCommit(0)
-	}
+	node.wal.SetGroupCommit(0)
 	if c.Obs != nil {
 		node.labelAt = make(map[types.Label]sim.Time)
 		node.confirmAt = make(map[types.Label]sim.Time)
@@ -561,12 +536,6 @@ func (n *Node) VS() *vsimpl.Node { return n.vs }
 // WAL exposes the node's write-ahead log (tests and experiments: log
 // size, fault injection on the underlying device).
 func (n *Node) WAL() *recovery.WAL { return n.wal }
-
-// DataPath reports the data-path configuration this node runs, as the
-// three Options fields that select it (compare with Options.Batched).
-func (n *Node) DataPath() Options {
-	return Options{GroupCommit: n.c.groupCommit, DeliverPipeline: n.c.deliverPipe, EagerTokenRounds: n.c.Cfg.EagerRelaunch}
-}
 
 // Recoveries returns how many amnesia restarts this node has performed.
 func (n *Node) Recoveries() int { return n.recoveries }
@@ -928,11 +897,9 @@ func (n *Node) drain() {
 			progress = true
 		}
 		// Write delivery records ahead of the release point, up to the
-		// pipeline depth: while one record's write is riding out the
-		// storage latency the next confirmed positions get their records
-		// enqueued behind it (and, under group commit, coalesced into the
-		// same covering write) instead of waiting a full λ each.
-		for n.deliverInFlight+len(n.ready) < n.c.deliverPipe {
+		// pipeline depth, so consecutive deliveries share the storage
+		// latency instead of waiting a full λ each.
+		for n.deliverInFlight+len(n.ready) < deliverPipeline {
 			pos := n.proc.NextReport + len(n.ready) + n.deliverInFlight
 			from, a, ok := n.proc.BrcvEnabledAt(pos)
 			if !ok {

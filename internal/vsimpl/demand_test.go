@@ -14,7 +14,7 @@ import (
 	"repro/internal/types"
 )
 
-// Demand-driven token rounds (Config.EagerRelaunch): every hop takes
+// Demand-driven token rounds (see tokenHome): every hop takes
 // exactly δ here (no jitter) and π is set far above a rotation, so any wait
 // on the π spacing would show as a gross overshoot of the rotation-count
 // bounds below.
@@ -24,13 +24,11 @@ const (
 	demandPi    = 50 * demandDelta
 )
 
-// demandCluster is newCluster with an obs registry, π = 50δ and the given
-// launch policy.
-func demandCluster(n int, eager bool) (*cluster, *obs.Registry) {
+// demandCluster is newCluster with an obs registry and π = 50δ.
+func demandCluster(n int) (*cluster, *obs.Registry) {
 	reg := obs.New()
 	cfg := DefaultConfig(demandDelta, n)
 	cfg.Pi, cfg.Mu = demandPi, 2*demandPi
-	cfg.EagerRelaunch = eager
 	cfg.Obs = reg
 	return buildCluster(101, n, n, net.Config{Delta: demandDelta}, cfg), reg
 }
@@ -54,25 +52,21 @@ func (c *cluster) lastSafe(id check.MsgID) (sim.Time, int) {
 }
 
 // TestIdleRingLaunchesOncePerPi: with no traffic the token goes out exactly
-// once per π under either launch policy, in a three-member view and in a
-// singleton one, and no demand or announce launch ever fires — the eager
-// ring does not spin.
+// once per π, in a three-member view and in a singleton one, and no demand
+// or announce launch ever fires — the ring does not spin.
 func TestIdleRingLaunchesOncePerPi(t *testing.T) {
 	for _, n := range []int{3, 1} {
-		for _, eager := range []bool{true, false} {
-			c, reg := demandCluster(n, eager)
-			// Launches at 0, π, …, 19π fall inside the window; 20π does not.
-			if err := c.sim.Run(sim.Time(20*demandPi - demandDelta)); err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("n=%d eager=%t", n, eager)
-			if got := counter(reg, "vs.token_launches"); got != 20 {
-				t.Errorf("%s: %d launches in 20π of idle time, want 20", name, got)
-			}
-			for _, k := range []string{"vs.token_requests", "vs.token_demand_launches", "vs.token_announce_rounds", "vs.token_timeouts"} {
-				if got := counter(reg, k); got != 0 {
-					t.Errorf("%s: idle ring counted %s = %d", name, k, got)
-				}
+		c, reg := demandCluster(n)
+		// Launches at 0, π, …, 19π fall inside the window; 20π does not.
+		if err := c.sim.Run(sim.Time(20*demandPi - demandDelta)); err != nil {
+			t.Fatal(err)
+		}
+		if got := counter(reg, "vs.token_launches"); got != 20 {
+			t.Errorf("n=%d: %d launches in 20π of idle time, want 20", n, got)
+		}
+		for _, k := range []string{"vs.token_requests", "vs.token_demand_launches", "vs.token_announce_rounds", "vs.token_timeouts"} {
+			if got := counter(reg, k); got != 0 {
+				t.Errorf("n=%d: idle ring counted %s = %d", n, k, got)
 			}
 		}
 	}
@@ -84,7 +78,7 @@ func TestIdleRingLaunchesOncePerPi(t *testing.T) {
 // announce rounds — and then the ring is idle again.
 func TestFollowerMessageSafeWithinThreeRotations(t *testing.T) {
 	const n = 3
-	c, reg := demandCluster(n, true)
+	c, reg := demandCluster(n)
 	sendAt := sim.Time(2*demandPi + 10*demandDelta) // mid-hold: the token came home at 2π+3δ
 	c.sim.At(sendAt, func() { c.nodes[2].Gpsnd("from-the-tail") })
 	launchesBefore := int64(3) // 0, π, 2π
@@ -116,7 +110,7 @@ func TestFollowerMessageSafeWithinThreeRotations(t *testing.T) {
 // no request, and one announce round finishes the job.
 func TestLeaderMessageLaunchesHeldToken(t *testing.T) {
 	const n = 3
-	c, reg := demandCluster(n, true)
+	c, reg := demandCluster(n)
 	sendAt := sim.Time(2*demandPi + 10*demandDelta)
 	c.sim.At(sendAt, func() { c.nodes[0].Gpsnd("from-the-head") })
 	if err := c.sim.Run(sendAt.Add(20 * demandDelta)); err != nil {
@@ -137,7 +131,7 @@ func TestLeaderMessageLaunchesHeldToken(t *testing.T) {
 // relaunches the moment the token is home, not π later.
 func TestRequestWhileTokenCirculatesHonouredAtHomecoming(t *testing.T) {
 	const n = 3
-	c, reg := demandCluster(n, true)
+	c, reg := demandCluster(n)
 	// The 2π launch passes node 1 at 2π+δ and is home at 2π+3δ; the request
 	// sent at 2π+1.5δ reaches the leader at 2π+2.5δ.
 	sendAt := sim.Time(2*demandPi + demandDelta + demandDelta/2)
@@ -161,7 +155,7 @@ func TestRequestWhileTokenCirculatesHonouredAtHomecoming(t *testing.T) {
 // request lost on the wire costs the π wait it tried to skip and no more.
 func TestStaleAndDroppedRequestsAreHarmless(t *testing.T) {
 	const n = 3
-	c, reg := demandCluster(n, true)
+	c, reg := demandCluster(n)
 	cur, _ := c.nodes[0].View()
 	at := sim.Time(2*demandPi + 10*demandDelta) // leader holding
 	c.sim.At(at, func() {
@@ -202,43 +196,14 @@ func TestStaleAndDroppedRequestsAreHarmless(t *testing.T) {
 	}
 }
 
-// TestPacedRingIgnoresDemand: with EagerRelaunch off a Gpsnd asks for
-// nothing and launches nothing — the paper's π-paced ring, E4's reference.
-func TestPacedRingIgnoresDemand(t *testing.T) {
-	c, reg := demandCluster(3, false)
-	sendAt := sim.Time(2*demandPi + 10*demandDelta)
-	c.sim.At(sendAt, func() {
-		c.nodes[0].Gpsnd("a")
-		c.nodes[2].Gpsnd("b")
-	})
-	if err := c.sim.Run(sim.Time(6*demandPi - demandDelta)); err != nil {
-		t.Fatal(err)
-	}
-	c.conformance(t, c.procs)
-	if _, members := c.lastSafe(check.MsgID{Sender: 2, Seq: 1}); members != 3 {
-		t.Fatalf("safe at %d members, want 3", members)
-	}
-	if got := counter(reg, "vs.token_launches"); got != 6 {
-		t.Errorf("%d launches in 6π, want 6", got)
-	}
-	for _, k := range []string{"vs.token_requests", "vs.token_demand_launches", "vs.token_announce_rounds"} {
-		if got := counter(reg, k); got != 0 {
-			t.Errorf("paced ring counted %s = %d", k, got)
-		}
-	}
-}
-
 // TestDemandRingConformanceUnderFaults: jittered delays, load from every
 // member, a partition and a heal, an ugly link that loses tokens and
 // requests alike — the demand-driven ring keeps the Lemma 4.2 trace
-// properties and keeps delivering, as the paced ring does in
-// TestJitterConformance and TestTokenLossViaUglyLinkRecovers.
+// properties and keeps delivering.
 func TestDemandRingConformanceUnderFaults(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig(time.Millisecond, n)
-	cfg.EagerRelaunch = true
 	c := buildCluster(91, n, n,
-		net.Config{Delta: time.Millisecond, Jitter: true}, cfg)
+		net.Config{Delta: time.Millisecond, Jitter: true}, DefaultConfig(time.Millisecond, n))
 	var i int
 	var load func()
 	load = func() {

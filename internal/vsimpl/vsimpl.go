@@ -4,12 +4,14 @@
 // sequence and per-member delivery counts.
 //
 // Once a view is installed, a deterministically chosen leader (the minimum
-// member) launches a token around the logical ring of members, spacing
-// launches by π. Each member, when the token passes: appends its buffered
-// client messages to the token's sequence, delivers (gprcv) every message
-// of the sequence it has not yet delivered, records its delivery count in
-// the token, and emits safe events for the prefix of the sequence that
-// every member's recorded count covers. A member that sees no token
+// member) launches a token around the logical ring of members: at once
+// when a member has a message waiting or the last rotation left "safe"
+// unannounced, and otherwise π after the previous launch (see tokenHome).
+// Each member, when the token passes: appends its buffered client
+// messages to the token's sequence, delivers (gprcv) every message of the
+// sequence it has not yet delivered, records its delivery count in the
+// token, and emits safe events for the prefix of the sequence that every
+// member's recorded count covers. A member that sees no token
 // activity for the timeout π + (n+3)δ initiates a view change, as does a
 // member contacted by a processor outside its membership (probes are sent
 // to non-members every μ).
@@ -39,8 +41,8 @@ import (
 type Config struct {
 	// Delta is δ, the good-channel delivery bound (must match the network).
 	Delta time.Duration
-	// Pi is π, the spacing of token launches by the ring leader; the
-	// analysis requires π > nδ.
+	// Pi is π, the spacing of an idle ring's token launches by the
+	// leader; the analysis requires π > nδ.
 	Pi time.Duration
 	// Mu is μ, the spacing of probes to processors outside the membership.
 	Mu time.Duration
@@ -60,25 +62,6 @@ type Config struct {
 	// grows with the view's entire history), and from each node's copy of
 	// the view's sequence.
 	NoTokenCompaction bool
-	// EagerRelaunch makes token rounds demand-driven: π spaces the launches
-	// of an idle ring only, and a message never waits on it. Three rules
-	// replace "launch every π" at the leader:
-	//
-	//   - demand launch: a Gpsnd that makes an empty buffer non-empty
-	//     launches the held token at once; at any other member it sends the
-	//     leader a TokenRequestPkt, which launches the held token or, with
-	//     the token out, is honoured at homecoming;
-	//   - announce round: a token that comes home to a sequence longer than
-	//     the safe prefix it was launched with goes straight out again, so
-	//     the other members learn "safe" one rotation after the leader
-	//     instead of π later;
-	//   - otherwise — a rotation that changed nothing — the leader holds the
-	//     token until π after its last launch, as the paced ring always does.
-	//
-	// Messages arriving while a rotation is in flight ride the next one
-	// together, so batching adapts to load. A lost request costs at most the
-	// π wait it tried to skip, and d = 2π + nδ still bounds delivery.
-	EagerRelaunch bool
 	// InstallSlack stretches the patience windows that implicitly assume a
 	// view installation is instantaneous: the token-loss timeout and the
 	// formation hold-off. With write-ahead install gating (internal/
@@ -172,7 +155,7 @@ type ProbePkt struct {
 }
 
 // TokenRequestPkt asks the ring leader of view ViewID for a rotation now:
-// the sender's empty buffer just took a client message (EagerRelaunch's
+// the sender's empty buffer just took a client message (tokenHome's
 // demand launch). Requests for any other view are dropped.
 type TokenRequestPkt struct {
 	ViewID types.ViewID
@@ -444,7 +427,7 @@ func (n *Node) Gpsnd(payload any) {
 	if n.Log != nil {
 		n.Log.Append(props.Event{T: n.sim.Now(), Kind: props.VSGpsnd, P: n.id, Msg: id})
 	}
-	if n.cfg.EagerRelaunch && len(n.buffer) == 1 {
+	if len(n.buffer) == 1 {
 		// Later messages ride the rotation this one asks for.
 		if n.isLeader() {
 			n.launchHeld()
@@ -610,23 +593,37 @@ func (n *Node) handleToken(tok *TokenPkt) {
 }
 
 // tokenHome decides, with the token back at the leader, when it goes out
-// again: at once under EagerRelaunch's announce and demand rules, otherwise
-// π after the previous launch (the paper's "spacing of token creation").
+// again. Token rounds are demand-driven: π spaces the launches of an idle
+// ring only, and a message never waits on it. Three rules replace the
+// paper's "launch every π":
+//
+//   - demand launch: a Gpsnd that makes an empty buffer non-empty
+//     launches the held token at once; at any other member it sends the
+//     leader a TokenRequestPkt, which launches the held token or, with
+//     the token out, is honoured here;
+//   - announce round: a token that comes home to a sequence longer than
+//     the safe prefix it was launched with goes straight out again, so
+//     the other members learn "safe" one rotation after the leader
+//     instead of π later;
+//   - otherwise — a rotation that changed nothing — the leader holds the
+//     token until π after its last launch.
+//
+// Messages arriving while a rotation is in flight ride the next one
+// together, so batching adapts to load. A lost request costs at most the
+// π wait it tried to skip, and d = 2π + nδ still bounds delivery.
 func (n *Node) tokenHome() {
 	n.holdTimer.Cancel()
-	if n.cfg.EagerRelaunch {
-		// The ring's wire time paces consecutive rounds, and a rotation that
-		// adds nothing leaves launchSafe == seqLen(), so this cannot spin.
-		if len(n.buffer) > 0 || n.launchSafe < n.seqLen() {
-			n.mAnnounceRounds.Inc()
-			n.launchToken()
-			return
-		}
-		if n.requested {
-			n.mDemandLaunches.Inc()
-			n.launchToken()
-			return
-		}
+	// The ring's wire time paces consecutive rounds, and a rotation that
+	// adds nothing leaves launchSafe == seqLen(), so this cannot spin.
+	if len(n.buffer) > 0 || n.launchSafe < n.seqLen() {
+		n.mAnnounceRounds.Inc()
+		n.launchToken()
+		return
+	}
+	if n.requested {
+		n.mDemandLaunches.Inc()
+		n.launchToken()
+		return
 	}
 	next := n.lastLaunch.Add(n.cfg.Pi)
 	if next <= n.sim.Now() {

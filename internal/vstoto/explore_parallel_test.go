@@ -11,8 +11,11 @@ import (
 // Configurations shared by the parallel-explorer tests: a small clean one
 // (every interleaving satisfies the invariants) and the literal Figure 10
 // mutant (a reachable deep-invariant violation).
+// exploreCleanCfg explores 1 335 states. Its cap is ten times that: the
+// tests that run it assert that the cap was not reached, so a merge that
+// re-admits states fails fast instead of growing until the host kills it.
 func exploreCleanCfg() ExploreConfig {
-	return ExploreConfig{N: 2, MaxBcasts: 2}
+	return ExploreConfig{N: 2, MaxBcasts: 2, MaxStates: 13350}
 }
 
 func exploreMutantCfg() ExploreConfig {
@@ -43,6 +46,9 @@ func TestExploreParallelDeterminism(t *testing.T) {
 		for i, w := range workerCounts {
 			cfg.Workers = w
 			res, err := Explore(cfg)
+			if res.Truncated {
+				t.Fatalf("%s: workers=%d reached MaxStates %d", name, w, cfg.MaxStates)
+			}
 			if i == 0 {
 				baseRes, baseErr = res, err
 				t.Logf("%s: %d states, %d edges, depth %d, err=%v", name, res.States, res.Edges, res.MaxDepth, err)
@@ -74,6 +80,9 @@ func TestExplorePORCrossCheck(t *testing.T) {
 		"mutant": exploreMutantCfg(),
 	} {
 		c := ExplorePORCrossCheck(cfg)
+		if c.Full.Truncated || c.Reduced.Truncated {
+			t.Fatalf("%s: reached MaxStates %d (full %d, reduced %d states)", name, cfg.MaxStates, c.Full.States, c.Reduced.States)
+		}
 		if !c.Agree() {
 			t.Fatalf("%s: verdict disagreement: full err=%v, reduced err=%v", name, c.FullErr, c.RedErr)
 		}
@@ -166,6 +175,9 @@ func TestExploreExactKeysAgreesWithHashed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exact run: %v", err)
 	}
+	if hashed.Truncated || exact.Truncated {
+		t.Fatalf("reached MaxStates %d: hashed %+v, exact %+v", cfg.MaxStates, hashed, exact)
+	}
 	if hashed != exact {
 		t.Fatalf("hash compaction changed the exploration: hashed %+v ≠ exact %+v", hashed, exact)
 	}
@@ -237,6 +249,9 @@ func TestExploreObsCounters(t *testing.T) {
 		}
 		if name == "bench truncated" && (!res.Truncated || res.MaxDepth != 13) {
 			t.Errorf("%s: truncated %t at depth %d, want true and 13", name, res.Truncated, res.MaxDepth)
+		}
+		if name == "clean POR" && res.Truncated {
+			t.Errorf("%s: reached MaxStates %d", name, cfg.MaxStates)
 		}
 	}
 }

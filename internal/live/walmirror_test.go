@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -16,8 +17,9 @@ import (
 )
 
 // walImage builds a small valid WAL image (via a real WAL on a
-// zero-latency simulated device) and the offset of its last record.
-func walImage(t *testing.T) (img []byte, lastRec int) {
+// zero-latency simulated device) and the offset of its last frame, read
+// from the frame headers: the last batch the WAL wrote.
+func walImage(t *testing.T) (img []byte, lastFrame int) {
 	t.Helper()
 	s := sim.New(1)
 	w := recovery.New(storage.New(s, 0))
@@ -27,18 +29,22 @@ func walImage(t *testing.T) (img []byte, lastRec int) {
 	w.Establish(0, []types.Label{la}, recovery.ContentMap{la: "a"}, 1, view.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, la, "a", nil)
-	lastRec = w.EndOffset()
 	w.Deliver(1, la, 1, 1, "a", nil)
 	if err := s.Run(s.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	return w.Storage().Contents(), lastRec
+	img = w.Storage().Contents()
+	// A frame is [u32 payload length | u32 CRC | payload].
+	for off := 0; off < len(img); off += 8 + int(binary.LittleEndian.Uint32(img[off:])) {
+		lastFrame = off
+	}
+	return img, lastFrame
 }
 
 func TestOpenWALMirrorDiscardsTornTail(t *testing.T) {
 	img, lastRec := walImage(t)
 	path := filepath.Join(t.TempDir(), "node.wal")
-	// Tear the final record: keep its header plus part of the payload,
+	// Tear the final frame: keep its header plus part of the payload,
 	// then add garbage the next boot must never append after.
 	torn := append(append([]byte(nil), img[:lastRec+10]...), "garbage"...)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {

@@ -129,14 +129,12 @@ func (w *WAL) Checkpoint(cs CheckpointState, done func()) {
 	x.I32(cs.BcastSeq)
 	x.I32(cs.Incarnations)
 
-	// Under group commit the checkpoint must sit at a physical frame
-	// boundary: lastCkpt/prevCkpt feed TruncatePrefix, which slices the
-	// durable image at these offsets, and Replay must find a frame header
-	// there. Seal whatever batch is open, let the checkpoint open a fresh
-	// batch, and seal again so it rides alone in its own frame.
-	if w.gcOn {
-		w.seal()
-	}
+	// The checkpoint must sit at a physical frame boundary: lastCkpt/
+	// prevCkpt feed TruncatePrefix, which slices the durable image at these
+	// offsets, and Replay must find a frame header there. Seal whatever
+	// batch is open, let the checkpoint open a fresh batch, and seal again
+	// so it rides alone in its own frame.
+	w.seal()
 	start := w.endOff
 	w.append(x.Data(), func() {
 		if w.compact && w.prevCkpt >= 0 {
@@ -146,9 +144,7 @@ func (w *WAL) Checkpoint(cs CheckpointState, done func()) {
 			done()
 		}
 	})
-	if w.gcOn {
-		w.seal()
-	}
+	w.seal()
 	w.prevCkpt = w.lastCkpt
 	w.lastCkpt = start
 }

@@ -32,30 +32,25 @@ func tags(disk []byte) []byte {
 // value everywhere it is needed.
 func TestValueLoggedOncePerNode(t *testing.T) {
 	v := types.Value(strings.Repeat("payload-", 8))
-	for _, gc := range []bool{false, true} {
-		s := sim.New(1)
-		w := New(storage.New(s, 0))
-		if gc {
-			w.SetGroupCommit(0)
-		}
-		w.View(testView, nil)
-		w.Bcast(1, v, nil)
-		w.Label(1, labelA, v, nil)
-		w.OrderAppend(1, labelA, v, nil)
-		w.Deliver(1, labelA, 1, 1, v, nil)
-		run(t, s)
-		disk := w.Storage().Contents()
-		if got := bytes.Count(disk, []byte(v)); got != 2 {
-			t.Errorf("group commit %t: the value is in the image %d times, want 2", gc, got)
-		}
-		want := []byte{recView, recBcastVar, recLabelVar, recOrderAppendVar, recDeliverVar}
-		if got := tags(disk); !bytes.Equal(got, want) {
-			t.Errorf("group commit %t: tags %v, want %v", gc, got, want)
-		}
-		snap := Replay(disk)
-		if snap.Truncated != "" || snap.Content[labelA] != v || len(snap.Delivered) != 1 || snap.Delivered[0].Value != v {
-			t.Errorf("group commit %t: replay %+v", gc, snap)
-		}
+	s := sim.New(1)
+	w := New(storage.New(s, 0))
+	w.View(testView, nil)
+	w.Bcast(1, v, nil)
+	w.Label(1, labelA, v, nil)
+	w.OrderAppend(1, labelA, v, nil)
+	w.Deliver(1, labelA, 1, 1, v, nil)
+	run(t, s)
+	disk := w.Storage().Contents()
+	if got := bytes.Count(disk, []byte(v)); got != 2 {
+		t.Errorf("the value is in the image %d times, want 2", got)
+	}
+	want := []byte{recView, recBcastVar, recLabelVar, recOrderAppendVar, recDeliverVar}
+	if got := tags(disk); !bytes.Equal(got, want) {
+		t.Errorf("tags %v, want %v", got, want)
+	}
+	snap := Replay(disk)
+	if snap.Truncated != "" || snap.Content[labelA] != v || len(snap.Delivered) != 1 || snap.Delivered[0].Value != v {
+		t.Errorf("replay %+v", snap)
 	}
 }
 

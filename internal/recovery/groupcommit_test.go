@@ -1,7 +1,9 @@
 package recovery
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,65 +13,57 @@ import (
 	"repro/internal/types"
 )
 
-// gcDisk writes the same record set as sampleDisk through a group-commit
-// WAL on a device with real write latency, so records coalesce into batch
-// frames. The durable image is physically different from sampleDisk's but
-// must replay to the same logical snapshot.
-func gcDisk(tb testing.TB) ([]byte, *obs.Snapshot) {
-	tb.Helper()
-	s := sim.New(1)
-	st := storage.New(s, 2*time.Millisecond)
-	w := New(st)
-	reg := obs.New()
-	w.Instrument(reg)
-	w.SetGroupCommit(0)
-	w.View(testView, nil)
-	w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil)
-	w.Bcast(1, "a", nil)
-	w.Label(1, labelA, "a", nil)
-	w.OrderAppend(2, labelB, "b", nil)
-	w.Bcast(2, "c", nil)
-	w.Deliver(1, labelA, 1, 1, "a", nil)
-	w.Recovered(1, nil)
-	w.Recovered(2, nil)
-	if err := s.Run(s.Now().Add(time.Second)); err != nil {
-		tb.Fatal(err)
-	}
-	return st.Contents(), reg.Snapshot()
-}
-
-// TestGroupCommitReplayEquivalence: a batched log is a different physical
-// layout for the same history — replay must produce the identical logical
-// snapshot the one-frame-per-record log produces.
+// TestGroupCommitReplayEquivalence: how records coalesce is physical
+// layout only. The sample record set written at λ = 0, each record alone
+// in its batch frame, and at λ = 2 ms, records coalesced behind the write
+// in flight, gives two different images, and each replays to exactly the
+// records that were appended.
 func TestGroupCommitReplayEquivalence(t *testing.T) {
-	loose := Replay(sampleDisk(t))
-	// The WAL batches with a zero window only (SetGroupCommit rejects any
-	// other), so that is the one case.
-	t.Run("window=0s", func(t *testing.T) {
-		disk, snap := gcDisk(t)
-		got := Replay(disk)
-		if got.Truncated != "" {
-			t.Fatalf("clean batched log truncated: %s", got.Truncated)
-		}
-		if got.Records != loose.Records {
-			t.Errorf("Records = %d, want %d", got.Records, loose.Records)
-		}
-		if len(got.Order) != len(loose.Order) || got.Order[0] != labelA || got.Order[1] != labelB {
-			t.Errorf("Order = %v, want %v", got.Order, loose.Order)
-		}
-		if len(got.Delivered) != 1 || got.Delivered[0] != loose.Delivered[0] {
-			t.Errorf("Delivered = %v, want %v", got.Delivered, loose.Delivered)
-		}
-		if got.NextConfirm != loose.NextConfirm || got.BcastSeq != loose.BcastSeq ||
-			got.Incarnations != loose.Incarnations {
-			t.Errorf("scalars diverge: got %+v want %+v", got, loose)
-		}
-		// Coalescing must actually have happened: 9 records in fewer covering
-		// writes.
-		if b := snap.Counters["wal.batches"]; b <= 0 || b >= snap.Counters["wal.batch_records"] {
-			t.Errorf("batches = %d of %d records: no coalescing", b, snap.Counters["wal.batch_records"])
-		}
-	})
+	alone, aloneObs := sampleDisk(t, 0)
+	coalesced, coalescedObs := sampleDisk(t, 2*time.Millisecond)
+	if bytes.Equal(alone, coalesced) {
+		t.Fatal("the images written at λ = 0 and λ = 2ms are identical")
+	}
+	if b, r := aloneObs.Counters["wal.batches"], aloneObs.Counters["wal.batch_records"]; b != 9 || r != 9 {
+		t.Errorf("λ = 0: %d batches of %d records, want each of the 9 records alone", b, r)
+	}
+	// Coalescing must actually have happened: 9 records in fewer covering
+	// writes.
+	if b, r := coalescedObs.Counters["wal.batches"], coalescedObs.Counters["wal.batch_records"]; b <= 0 || b >= r {
+		t.Errorf("λ = 2ms: %d batches of %d records: no coalescing", b, r)
+	}
+	order := []types.Label{labelA, labelB}
+	delivered := []DeliveredRecord{{Pos: 1, Label: labelA, From: 1, FromSeq: 1, Value: "a"}}
+	pending := []PendingValue{{Seq: 2, Value: "c"}}
+	for _, tc := range []struct {
+		name string
+		disk []byte
+	}{{"latency=0s", alone}, {"latency=2ms", coalesced}} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Replay(tc.disk)
+			if got.Truncated != "" || got.Refused != nil {
+				t.Fatalf("clean log truncated %q, refused %v", got.Truncated, got.Refused)
+			}
+			if got.Records != 9 {
+				t.Errorf("Records = %d, want 9", got.Records)
+			}
+			if !slices.Equal(got.Order, order) {
+				t.Errorf("Order = %v, want %v", got.Order, order)
+			}
+			if !slices.Equal(got.Delivered, delivered) {
+				t.Errorf("Delivered = %v, want %v", got.Delivered, delivered)
+			}
+			if !slices.Equal(got.Pending, pending) {
+				t.Errorf("Pending = %v, want %v", got.Pending, pending)
+			}
+			// The delivery at position 1 raises NextConfirm past the
+			// establishment's 1.
+			if got.BcastSeq != 2 || got.NextConfirm != 2 || got.Incarnations != 2 {
+				t.Errorf("BcastSeq, NextConfirm, Incarnations = %d, %d, %d; want 2, 2, 2",
+					got.BcastSeq, got.NextConfirm, got.Incarnations)
+			}
+		})
+	}
 }
 
 // TestGroupCommitDurabilityOrdering is the write-ahead contract under
@@ -81,7 +75,6 @@ func TestGroupCommitDurabilityOrdering(t *testing.T) {
 	s := sim.New(1)
 	st := storage.New(s, 3*time.Millisecond)
 	w := New(st)
-	w.SetGroupCommit(0)
 	w.View(testView, nil)
 
 	const n = 8
@@ -119,7 +112,6 @@ func TestGroupCommitCascadeCoalesces(t *testing.T) {
 	w := New(st)
 	reg := obs.New()
 	w.Instrument(reg)
-	w.SetGroupCommit(0)
 
 	w.Bcast(1, "first", func() {
 		// Cascade: these all arrive while the first batch's flight is
@@ -148,7 +140,6 @@ func TestGroupCommitTornBatchThroughDevice(t *testing.T) {
 	s := sim.New(1)
 	st := storage.New(s, 5*time.Millisecond)
 	w := New(st)
-	w.SetGroupCommit(0)
 	w.View(testView, nil)
 	s.RunFor(20 * time.Millisecond) // view batch durable
 
@@ -187,7 +178,6 @@ func TestGroupCommitCrashDropsOpenBatch(t *testing.T) {
 	st := storage.New(s, 2*time.Millisecond)
 	st.TornPrefix = func(int) int { return 0 }
 	w := New(st)
-	w.SetGroupCommit(0)
 	w.Bcast(1, "in flight", nil)
 	w.Bcast(2, "dead", nil) // opens a batch behind the in-flight write
 	s.RunFor(time.Millisecond)
@@ -206,15 +196,18 @@ func TestGroupCommitCrashDropsOpenBatch(t *testing.T) {
 	}
 }
 
-// TestGroupCommitRejectsWindow: a batch is never held back on an idle
-// device; SetGroupCommit takes no window but 0.
-func TestGroupCommitRejectsWindow(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("SetGroupCommit(1ms) did not panic")
+// TestSetGroupCommitIsNoOp: every WAL group-commits from New, so the
+// deprecated SetGroupCommit changes nothing — the sample record set written
+// with no call, with a zero window and with a 1 ms window gives
+// byte-identical images.
+func TestSetGroupCommitIsNoOp(t *testing.T) {
+	want, _ := sampleDisk(t, 2*time.Millisecond)
+	for _, window := range []time.Duration{0, time.Millisecond} {
+		got, _ := sampleDisk(t, 2*time.Millisecond, func(w *WAL) { w.SetGroupCommit(window) })
+		if !bytes.Equal(got, want) {
+			t.Errorf("SetGroupCommit(%v): image of %d bytes differs from the %d written without the call", window, len(got), len(want))
 		}
-	}()
-	New(storage.New(sim.New(1), 0)).SetGroupCommit(time.Millisecond)
+	}
 }
 
 // TestGroupCommitCheckpointCompaction: the checkpoint barrier must keep
@@ -225,7 +218,6 @@ func TestGroupCommitCheckpointCompaction(t *testing.T) {
 	s := sim.New(1)
 	st := storage.New(s, time.Millisecond)
 	w := New(st)
-	w.SetGroupCommit(0)
 	w.View(testView, nil)
 	w.Bcast(1, "a", nil)
 	s.RunFor(20 * time.Millisecond)

@@ -31,7 +31,6 @@ func compactImage(t *testing.T) []byte {
 	t.Helper()
 	s := sim.New(1)
 	w := recovery.New(storage.New(s, 0))
-	w.SetGroupCommit(0)
 	v := types.View{ID: types.ViewID{Epoch: 9, Proc: 0}, Set: types.RangeProcSet(3)}
 	l := types.Label{ID: v.ID, Seqno: 1, Origin: 0}
 	w.View(v, nil)

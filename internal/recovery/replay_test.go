@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -22,29 +23,45 @@ var (
 	labelC   = types.Label{ID: testView.ID, Seqno: 3, Origin: 0}
 )
 
-// sampleDisk writes one record of every type through a real WAL on a
-// zero-latency device and returns the durable image.
-func sampleDisk(tb testing.TB) []byte {
+// sampleDisk writes one record of every type through a WAL on a device
+// of write latency λ, one record per millisecond of virtual time, and
+// returns the durable image and the WAL's counters. At λ = 0 each record
+// finds the device idle and rides alone in its batch frame; at λ = 2 ms
+// records coalesce behind the write in flight. configure, if any, runs on
+// the fresh WAL before the first append.
+func sampleDisk(tb testing.TB, latency time.Duration, configure ...func(*WAL)) ([]byte, *obs.Snapshot) {
 	tb.Helper()
 	s := sim.New(1)
-	w := New(storage.New(s, 0))
-	w.View(testView, nil)
-	w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil)
-	w.Bcast(1, "a", nil)
-	w.Label(1, labelA, "a", nil)
-	w.OrderAppend(2, labelB, "b", nil)
-	w.Bcast(2, "c", nil) // never labeled: must come back as pending
-	w.Deliver(1, labelA, 1, 1, "a", nil)
-	w.Recovered(1, nil)
-	w.Recovered(2, nil)
+	w := New(storage.New(s, latency))
+	reg := obs.New()
+	w.Instrument(reg)
+	for _, c := range configure {
+		c(w)
+	}
+	for _, appendRec := range []func(){
+		func() { w.View(testView, nil) },
+		func() { w.Establish(0, []types.Label{labelA}, ContentMap{labelA: "a"}, 1, testView.ID, nil) },
+		func() { w.Bcast(1, "a", nil) },
+		func() { w.Label(1, labelA, "a", nil) },
+		func() { w.OrderAppend(2, labelB, "b", nil) },
+		func() { w.Bcast(2, "c", nil) }, // never labeled: must come back as pending
+		func() { w.Deliver(1, labelA, 1, 1, "a", nil) },
+		func() { w.Recovered(1, nil) },
+		func() { w.Recovered(2, nil) },
+	} {
+		appendRec()
+		if err := s.RunFor(time.Millisecond); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	if err := s.Run(s.Now().Add(time.Second)); err != nil {
 		tb.Fatal(err)
 	}
-	return w.Storage().Contents()
+	return w.Storage().Contents(), reg.Snapshot()
 }
 
 func TestReplayRoundTrip(t *testing.T) {
-	disk := sampleDisk(t)
+	disk, _ := sampleDisk(t, 0)
 	s := Replay(disk)
 	if s.Truncated != "" {
 		t.Fatalf("clean log truncated: %s", s.Truncated)
@@ -90,11 +107,18 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// rec builds one framed record from a payload-writer.
+// frame wraps a payload as one frame, [len | crc32(payload) | payload],
+// under the header the WAL writes.
+func frame(payload []byte) []byte {
+	buf := append(make([]byte, frameHeader, frameHeader+len(payload)), payload...)
+	putFrameHeader(buf)
+	return buf
+}
+
+// rec builds one framed record from a payload-writer: a loose frame, which
+// the WAL does not write but Replay still reads (the older image holds them).
 func rec(parts func(x *codec.Writer)) []byte {
-	x := codec.NewWriter()
-	parts(x)
-	return frame(nil, x.Data())
+	return frame(payload(parts))
 }
 
 func viewRec(v types.View) []byte {
@@ -195,7 +219,7 @@ func batchFrame(payloads ...[]byte) []byte {
 		body = binary.AppendUvarint(body, uint64(len(p)))
 		body = append(body, p...)
 	}
-	return frame(nil, body)
+	return frame(body)
 }
 
 // payload builds one record payload (unframed).
@@ -206,28 +230,25 @@ func payload(parts func(x *codec.Writer)) []byte {
 }
 
 func TestReplayTruncatesCorruptTail(t *testing.T) {
-	good := viewRec(testView)
+	// The clean prefix is what the WAL writes: a batch frame.
+	good := batchFrame(payload(func(x *codec.Writer) { x.U8(recView); x.View(testView) }))
 	older := types.View{ID: types.ViewID{Epoch: 1, Proc: 0}, Set: types.RangeProcSet(3)}
 
 	corrupt := func(mutate func([]byte) []byte) []byte {
 		return mutate(rec(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }))
 	}
-	cases := []struct {
+	type tailCase struct {
 		name   string
 		tail   []byte
 		reason string // substring of the truncation reason
-	}{
+	}
+	// Frame-level and batch-structure corruption.
+	cases := []tailCase{
 		{"torn frame header", []byte{1, 2, 3}, "torn frame header"},
 		{"zero length", corrupt(func(b []byte) []byte { return append(make([]byte, 8), b[8:]...) }), "torn record"},
 		{"oversized length", corrupt(func(b []byte) []byte { b[0] = 0xff; return b }), "torn record"},
 		{"torn payload", corrupt(func(b []byte) []byte { return b[:len(b)-2] }), "torn record"},
 		{"checksum mismatch", corrupt(func(b []byte) []byte { b[len(b)-1] ^= 1; return b }), "checksum mismatch"},
-		{"trailing bytes in record", rec(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1); x.U8(7) }), "trailing bytes"},
-		{"unknown tag", rec(func(x *codec.Writer) { x.U8(42) }), "unknown record tag"},
-		{"non-monotonic view", viewRec(older), "non-monotonic view record"},
-		{"bad bcast seq", rec(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(0); x.VarStr("a") }), "bad bcast record"},
-		{"bad recovery marker", rec(func(x *codec.Writer) { x.U8(recRecovered); x.I32(0) }), "bad recovery marker"},
-		{"deliver out of sequence", deliverRec(2, labelA), "deliver record at position 2, want 1"},
 		{"deliver label off order", batchFrame(
 			establishRec(0, []types.Label{labelA}, 1, testView.ID)[frameHeader:],
 			deliverRec(1, labelB)[frameHeader:],
@@ -240,17 +261,36 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
 			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(2) }),
 		)[:12], "torn record"},
+		{"label of a submission already labeled", batchFrame(
+			payload(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(1); x.VarStr("a") }),
+			payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelA) }),
+			payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelB) }),
+		), "no pending value"},
+		{"compact batch torn sub length", frame([]byte{recBatchVar, 0x80}), "torn batch sub-record length"},
+		{"compact batch overlong sub length", frame([]byte{recBatchVar, 0x81, 0x00, recRecovered}), "torn batch sub-record length"},
+		{"compact batch bad sub length", frame([]byte{recBatchVar, 100, 1, 2, 3}), "bad batch sub-record"},
+		{"compact batch nested", batchFrame([]byte{recBatchVar}), "nested batch record"},
+		{"compact batch mid-batch bad record", batchFrame(
+			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
+			payload(func(x *codec.Writer) { x.U8(42) }),
+		), "unknown record tag"},
+	}
+	// Record-level corruption: each tail is one record that is bad in
+	// itself, so it is refused alone in a loose frame and as the sole
+	// sub-record of a batch frame alike.
+	records := []tailCase{
+		{"trailing bytes in record", rec(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1); x.U8(7) }), "trailing bytes"},
+		{"unknown tag", rec(func(x *codec.Writer) { x.U8(42) }), "unknown record tag"},
+		{"non-monotonic view", viewRec(older), "non-monotonic view record"},
+		{"bad bcast seq", rec(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(0); x.VarStr("a") }), "bad bcast record"},
+		{"bad recovery marker", rec(func(x *codec.Writer) { x.U8(recRecovered); x.I32(0) }), "bad recovery marker"},
+		{"deliver out of sequence", deliverRec(2, labelA), "deliver record at position 2, want 1"},
 		// Value-less records take their value from what replay holds.
 		{"value-less label with no pending submission", rec(func(x *codec.Writer) {
 			x.U8(recLabelVar)
 			x.Varint(1)
 			x.VarLabel(labelA)
 		}), "no pending value"},
-		{"label of a submission already labeled", batchFrame(
-			payload(func(x *codec.Writer) { x.U8(recBcastVar); x.Varint(1); x.VarStr("a") }),
-			payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelA) }),
-			payload(func(x *codec.Writer) { x.U8(recLabelVar); x.Varint(1); x.VarLabel(labelB) }),
-		), "no pending value"},
 		{"overlong varint", rec(func(x *codec.Writer) {
 			x.U8(recBcastVar)
 			x.U8(0x81)
@@ -281,14 +321,9 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 			x.Uvarint(0)
 			x.Uvarint(1 << 62)
 		}), "oversized order"},
-		{"compact batch torn sub length", frame(nil, []byte{recBatchVar, 0x80}), "torn batch sub-record length"},
-		{"compact batch overlong sub length", frame(nil, []byte{recBatchVar, 0x81, 0x00, recRecovered}), "torn batch sub-record length"},
-		{"compact batch bad sub length", frame(nil, []byte{recBatchVar, 100, 1, 2, 3}), "bad batch sub-record"},
-		{"compact batch nested", batchFrame([]byte{recBatchVar}), "nested batch record"},
-		{"compact batch mid-batch bad record", batchFrame(
-			payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }),
-			payload(func(x *codec.Writer) { x.U8(42) }),
-		), "unknown record tag"},
+	}
+	for _, tc := range records {
+		cases = append(cases, tc, tailCase{tc.name + " in batch", batchFrame(tc.tail[frameHeader:]), tc.reason})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,7 +352,7 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 			name string
 			b    []byte
 		}{
-			{fmt.Sprintf("older tag %d", tag), frame(nil, older)},
+			{fmt.Sprintf("older tag %d", tag), frame(older)},
 			{fmt.Sprintf("older tag %d in batch", tag), batchFrame(
 				payload(func(x *codec.Writer) { x.U8(recRecovered); x.I32(1) }), older)},
 		} {
@@ -354,7 +389,7 @@ func contains(s, sub string) bool {
 // delivered prefix a prefix of the clean replay's — corruption may cost
 // the tail, never rewrite history.
 func TestReplayBitFlips(t *testing.T) {
-	disk := sampleDisk(t)
+	disk, _ := sampleDisk(t, 0)
 	clean := Replay(disk)
 	for off := range disk {
 		for bit := uint(0); bit < 8; bit++ {
@@ -377,9 +412,9 @@ func TestReplayBitFlips(t *testing.T) {
 }
 
 // TestReplayTornWriteThroughDevice drives the tear through the storage
-// device itself: a crash mid-write leaves a strict prefix of the record,
-// queued writes vanish, and replay keeps exactly the records that
-// completed before the crash.
+// device itself: a crash mid-write leaves a strict prefix of the batch
+// frame, the batch still open behind it is never written, and replay keeps
+// exactly the records that completed before the crash.
 func TestReplayTornWriteThroughDevice(t *testing.T) {
 	s := sim.New(1)
 	st := storage.New(s, 5*time.Millisecond)
@@ -389,7 +424,7 @@ func TestReplayTornWriteThroughDevice(t *testing.T) {
 
 	w.Bcast(1, "durable-never", nil)
 	w.Bcast(2, "queued-never", nil)
-	s.RunFor(time.Millisecond) // first Bcast in flight, second queued
+	s.RunFor(time.Millisecond) // first Bcast in flight, second in the open batch
 	st.Drop()
 	s.RunFor(20 * time.Millisecond)
 
@@ -414,7 +449,7 @@ func TestReplayTornWriteThroughDevice(t *testing.T) {
 }
 
 func FuzzReplay(f *testing.F) {
-	disk := sampleDisk(f)
+	disk, _ := sampleDisk(f, 0)
 	f.Add(disk)
 	f.Add(disk[:len(disk)/2])
 	f.Add([]byte{})
@@ -423,10 +458,10 @@ func FuzzReplay(f *testing.F) {
 		img[off] ^= 0x10
 		f.Add(img)
 	}
-	// Group-commit layouts: a clean batched image, the same image cut
-	// mid-batch (the torn covering write), and a batch frame with a
-	// corrupted interior.
-	batched, _ := gcDisk(f)
+	// Coalesced layouts: a clean image whose batches hold several records,
+	// the same image cut mid-batch (the torn covering write), and a batch
+	// frame with a corrupted interior.
+	batched, _ := sampleDisk(f, 2*time.Millisecond)
 	f.Add(batched)
 	f.Add(batched[:len(batched)-3])
 	f.Add(batched[:len(batched)/2])

@@ -41,10 +41,10 @@
 //     no matter how far the wiped incarnation's volatile counter ran ahead
 //     of stable storage.
 //
-// Records are length-prefixed and CRC-checksummed; Replay truncates at the
-// first torn or corrupt record, which together with write-ahead delivery
-// gating makes a torn tail safe: whatever was lost had not been released
-// to any client at this processor.
+// Records travel in group-commit batch frames, each length-prefixed and
+// CRC-checksummed; Replay truncates at the first torn or corrupt frame,
+// which together with write-ahead delivery gating makes a torn tail safe:
+// whatever was lost had not been released to any client at this processor.
 //
 // A value's bytes are logged once per processor — in the OrderAppend or
 // establishment that put its label in the order — and once more at its
@@ -102,22 +102,41 @@ const (
 // refuses an image that holds one (ErrOlderFormat).
 var retiredTags = []byte{2, 3, 4, 5, 6, 9, 10, 17}
 
-// frameHeader is the per-record overhead: u32 payload length + u32 CRC.
+// frameHeader is the per-frame overhead: u32 payload length + u32 CRC.
 const frameHeader = 8
 
-// WAL is one processor's write-ahead log on a storage device. All
-// appenders are asynchronous: done (which may be nil) fires when the
-// record is durable, and never fires if the owner crashes first (the
-// storage layer's Drop suppresses pending completions).
+// putFrameHeader fills the frameHeader bytes reserved at the front of
+// frame: the length of the payload after them and its CRC-32.
+func putFrameHeader(frame []byte) {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(frame[frameHeader:]))
+}
+
+// WAL is one processor's write-ahead log on a storage device, written by
+// group commit. All appenders are asynchronous: done (which may be nil)
+// fires when the record is durable, and never fires if the owner crashes
+// first (the storage layer's Drop suppresses pending completions).
+//
+// Records appended while a storage write is outstanding coalesce into one
+// covering write instead of queueing as individual writes behind the
+// device's single head. The first record on an idle device writes at once
+// and batches form only behind the in-flight write, so an idle, lightly
+// loaded log pays no extra latency, and a loaded one pays one λ per batch.
+// The done callbacks of a batch fire in append order, only once its
+// covering write is durable, so every write-ahead gate in the stack (view
+// installs, delivery release, recovery markers) keeps its meaning. On disk
+// a batch is a single recBatchVar frame whose CRC covers all its records:
+// Replay discards a torn batch whole, which keeps "acknowledged ⇔ durable"
+// batch-wide.
 type WAL struct {
 	st *storage.Stable
 
-	// enc is the reusable record-payload scratch: frame copies the payload
-	// into the outgoing frame buffer synchronously, so the scratch is free
-	// again by the time an appender returns.
+	// enc is the reusable record-payload scratch: append copies the payload
+	// into the open batch synchronously, so the scratch is free again by
+	// the time an appender returns.
 	enc codec.Writer
 	// frames recycles completed frame buffers. A frame buffer is owned by
-	// the storage layer until the record is durable (the device copies it
+	// the storage layer until its batch is durable (the device copies it
 	// into the disk image at completion), so recycling happens in the
 	// completion wrapper; buffers lost to a crash (Drop suppresses
 	// completions) are simply abandoned to the GC.
@@ -127,7 +146,7 @@ type WAL struct {
 	// byte the log ever held; compaction never renumbers). endOff is the
 	// offset the next record will be framed at; lastCkpt/prevCkpt are the
 	// start offsets of the two most recent checkpoint records (-1 when
-	// absent); sinceCkpt counts bytes framed since the last checkpoint.
+	// absent).
 	// Offsets track *enqueued* records and run ahead of durability; a
 	// crash discards the queue, and Resync re-derives them from the
 	// replayed image.
@@ -136,15 +155,11 @@ type WAL struct {
 	lastCkpt int
 	prevCkpt int
 
-	// Group-commit state (SetGroupCommit). Records appended while a batch
-	// write is outstanding coalesce into the open batch; the batch is
-	// sealed into one storage write (one λ covering every record in it)
-	// when the head frees up. batch is the open batch buffer (outer frame
-	// header reserved, recBatchVar tag, then sub-records); batchDones fire
-	// in append order from the covering write's completion; flights counts
-	// batch writes handed to the device whose completions are still
-	// pending.
-	gcOn       bool
+	// Group-commit state. batch is the open batch buffer (outer frame
+	// header reserved, recBatchVar tag, then sub-records), sealed into one
+	// storage write when the head frees up; batchDones fire in append order
+	// from the covering write's completion; flights counts batch writes
+	// handed to the device whose completions are still pending.
 	batch      []byte
 	batchDones []func()
 	batchRecs  int
@@ -167,27 +182,11 @@ func New(st *storage.Stable) *WAL { return &WAL{st: st, lastCkpt: -1, prevCkpt: 
 // back to the previous one plus every record after it.
 func (w *WAL) SetCompact(on bool) { w.compact = on }
 
-// SetGroupCommit turns on group commit: records appended while a batch
-// write is outstanding coalesce into one covering storage write instead of
-// queueing as individual writes behind the device's single head. The first
-// record on an idle device writes immediately and batches form only behind
-// the in-flight write, so an idle, lightly loaded log pays no extra
-// latency at all. window must be 0: there is no commit window that holds
-// a batch back on an idle device (the parameter stays for callers that
-// pass 0), and any other value panics.
+// SetGroupCommit does nothing: every WAL group-commits from New.
 //
-// Completion callbacks still fire only once the covering write is durable,
-// in append order, so every write-ahead gate in the stack (view installs,
-// delivery release, recovery markers) keeps its meaning. On disk a batch
-// is a single recBatchVar frame whose CRC covers all its records: a torn
-// batch is discarded whole by Replay, which is what preserves the
-// "acknowledged ⇔ durable" equivalence batch-wide.
-func (w *WAL) SetGroupCommit(window time.Duration) {
-	if window != 0 {
-		panic(fmt.Sprintf("recovery: group-commit window %v: only 0 is supported", window))
-	}
-	w.gcOn = true
-}
+// Deprecated: the benchmark's WAL layer still calls it with 0; any window
+// writes the same image as no call at all.
+func (w *WAL) SetGroupCommit(time.Duration) {}
 
 // EndOffset returns the logical offset at which the next record will be
 // framed (enqueued records included).
@@ -251,44 +250,11 @@ func (w *WAL) record() *codec.Writer {
 	return &w.enc
 }
 
-// frame wraps a record payload as [len | crc32(payload) | payload],
-// appending into buf.
-func frame(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
+// append adds the record to the open batch, opening one if needed, and
+// writes the batch immediately if no batch write is outstanding, or when
+// the outstanding one completes (flush from the completion callback)
+// otherwise — the classic group-commit discipline.
 func (w *WAL) append(payload []byte, done func()) {
-	if w.gcOn {
-		w.appendBatched(payload, done)
-		return
-	}
-	var buf []byte
-	if k := len(w.frames); k > 0 {
-		buf = w.frames[k-1][:0]
-		w.frames[k-1] = nil
-		w.frames = w.frames[:k-1]
-	}
-	framed := frame(buf, payload)
-	w.endOff += len(framed)
-	w.mRecords.Inc()
-	w.mBytes.Add(int64(len(framed)))
-	w.st.Append(framed, func() {
-		// Durable: the device has copied the bytes into its disk image,
-		// so the frame buffer is free to be reused by a later record.
-		w.frames = append(w.frames, framed)
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// appendBatched adds the record to the open group-commit batch, opening
-// one if needed, and writes the batch immediately if no batch write is
-// outstanding, or when the outstanding one completes (flush from the
-// completion callback) otherwise — the classic group-commit discipline.
-func (w *WAL) appendBatched(payload []byte, done func()) {
 	if len(w.batch) == 0 {
 		var buf []byte
 		if k := len(w.frames); k > 0 {
@@ -337,9 +303,7 @@ func (w *WAL) seal() {
 	}
 	buf, dones, recs := w.batch, w.batchDones, w.batchRecs
 	w.batch, w.batchDones, w.batchRecs = nil, nil, 0
-	payload := buf[frameHeader:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	putFrameHeader(buf)
 	w.flights++
 	w.mBatches.Inc()
 	w.mBatchRecs.Add(int64(recs))

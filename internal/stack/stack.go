@@ -425,7 +425,6 @@ func newNode(c *Cluster, p types.ProcID, p0 types.ProcSet, dev *storage.Stable) 
 	}
 	node.proc.SetObs(c.Obs)
 	node.wal.Instrument(c.Obs)
-	node.wal.SetGroupCommit(0)
 	if c.Obs != nil {
 		node.labelAt = make(map[types.Label]sim.Time)
 		node.confirmAt = make(map[types.Label]sim.Time)

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	stdnet "net"
 	"strconv"
@@ -18,18 +19,31 @@ type DeliveryLine struct {
 	Value string
 }
 
+// maxUnreadDeliveries and maxUnreadRejects bound what a Client holds for
+// a consumer that does not read: the reader sheds lines beyond them.
+const (
+	maxUnreadDeliveries = 1 << 16
+	maxUnreadRejects    = 1 << 12
+)
+
 // Client speaks the daemon's client/control line protocol. Submissions
 // and control commands go out on one connection; a background reader
 // splits the inbound stream into delivery lines and command replies.
+// Deliveries and rejects reach the consumer in wire order, and the client
+// holds only what the consumer has not read yet: its memory follows the
+// unread backlog, up to 65 536 delivery lines (4 096 rejects), beyond
+// which further lines are shed.
 type Client struct {
 	conn stdnet.Conn
 
 	wmu sync.Mutex // serializes writes
 
-	deliveries chan DeliveryLine
-	rejects    chan string // values bounced by backpressure (BUSY ...)
-	replies    chan string // PONG / OK / ERR ... / M ... / ST ...
+	deliveries *backlog[DeliveryLine]
+	rejects    *backlog[string] // values bounced by backpressure (BUSY ...)
+	replies    chan string      // PONG / OK / ERR ... / M ... / ST ...
 
+	quit      chan struct{} // closed by Close
+	readDone  chan struct{} // closed when readLoop returns
 	closeOnce sync.Once
 }
 
@@ -54,11 +68,14 @@ func DialClient(addr string, timeout time.Duration) (*Client, error) {
 	for time.Now().Before(deadline) {
 		conn, err := stdnet.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
+			quit := make(chan struct{})
 			c := &Client{
 				conn:       conn,
-				deliveries: make(chan DeliveryLine, 1<<16),
-				rejects:    make(chan string, 1<<12),
+				deliveries: newBacklog[DeliveryLine](maxUnreadDeliveries, quit),
+				rejects:    newBacklog[string](maxUnreadRejects, quit),
 				replies:    make(chan string, 16),
+				quit:       quit,
+				readDone:   make(chan struct{}),
 			}
 			go c.readLoop()
 			if err = c.Ping(time.Until(deadline)); err == nil {
@@ -73,40 +90,44 @@ func DialClient(addr string, timeout time.Duration) (*Client, error) {
 }
 
 func (c *Client) readLoop() {
+	defer close(c.readDone)
 	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	sc.Buffer(nil, 1<<20) // bufio's default size, grown on demand
 	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "D "); ok {
-			fromStr, value, _ := strings.Cut(rest, " ")
-			from, err := strconv.Atoi(fromStr)
+		line := sc.Bytes() // only the parts kept are copied out
+		if rest, ok := bytes.CutPrefix(line, []byte("D ")); ok {
+			fromStr, value := cutSpace(rest)
+			from, err := strconv.Atoi(string(fromStr))
 			if err != nil {
 				continue
 			}
-			select {
-			case c.deliveries <- DeliveryLine{From: types.ProcID(from), Value: value}:
-			default: // consumer far behind: shed rather than stall the reader
-			}
+			c.deliveries.push(DeliveryLine{From: types.ProcID(from), Value: string(value)})
 			continue
 		}
-		if value, ok := strings.CutPrefix(line, "BUSY "); ok {
-			// Backpressure bounces ride their own channel: the replies
+		if value, ok := bytes.CutPrefix(line, []byte("BUSY ")); ok {
+			// Backpressure bounces ride their own stream: the replies
 			// channel is small and drop-on-overflow, and a burst of BUSY
 			// lines must neither displace command replies nor be lost to
 			// the loadgen's retry accounting.
-			select {
-			case c.rejects <- value:
-			default:
-			}
+			c.rejects.push(string(value))
 			continue
 		}
 		select {
-		case c.replies <- line:
+		case c.replies <- string(line):
 		default:
 		}
 	}
-	close(c.deliveries)
+	c.deliveries.end()
+	c.rejects.end()
 	close(c.replies) // a command waiting on a dead connection fails now, not at its timeout
+}
+
+// cutSpace splits a protocol line at its first space.
+func cutSpace(line []byte) (head, rest []byte) {
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		return line[:i], line[i+1:]
+	}
+	return line, nil
 }
 
 func (c *Client) send(line string) error {
@@ -133,14 +154,19 @@ func (c *Client) reply(timeout time.Duration) (string, error) {
 // delivery stream is the acknowledgement.
 func (c *Client) Submit(value string) error { return c.send("S " + value) }
 
-// Deliveries returns the channel of streamed deliveries. Closed when the
-// connection drops.
-func (c *Client) Deliveries() <-chan DeliveryLine { return c.deliveries }
+// Deliveries returns the stream of deliveries, in the order the daemon
+// sent them. Lines beyond 65 536 unread are shed; the client's memory
+// follows the unread backlog, and a non-blocking drain sees every line
+// already read off the connection while that backlog is at most 256
+// lines. Closed when the connection drops, after every line read before
+// the drop has been received.
+func (c *Client) Deliveries() <-chan DeliveryLine { return c.deliveries.ch }
 
-// Rejects returns the channel of values the daemon bounced with BUSY
-// (backpressure: the node's pending-submission bound was hit). A bounced
-// value never entered the system, so retrying it verbatim is safe.
-func (c *Client) Rejects() <-chan string { return c.rejects }
+// Rejects returns the stream of values the daemon bounced with BUSY
+// (backpressure: the node's pending-submission bound was hit), in order
+// and bounded like Deliveries, at 4 096 unread. A bounced value never
+// entered the system, so retrying it verbatim is safe.
+func (c *Client) Rejects() <-chan string { return c.rejects.ch }
 
 // Status round-trips a STATUS command: stalled/OK, pending backlog,
 // delivered count. Non-ST replies arriving in between (stale PONGs, OKs)
@@ -229,9 +255,16 @@ func (c *Client) command(cmd string) error {
 	return nil
 }
 
-// Close drops the connection.
+// Close drops the connection and any unread backlog, and returns once
+// the client's goroutines have exited.
 func (c *Client) Close() error {
 	var err error
-	c.closeOnce.Do(func() { err = c.conn.Close() })
+	c.closeOnce.Do(func() {
+		err = c.conn.Close()
+		close(c.quit)
+		<-c.readDone // no push, so no new pump, after this
+		c.deliveries.pumps.Wait()
+		c.rejects.pumps.Wait()
+	})
 	return err
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	stdnet "net"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -345,16 +344,16 @@ func (e *Engine) serveClient(cc *clientConn) {
 		cc.kill()
 	}()
 	sc := bufio.NewScanner(cc.conn)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	sc.Buffer(nil, 1<<20) // bufio's default size, grown on demand
 	for sc.Scan() {
-		line := sc.Text()
-		cmd, rest, _ := strings.Cut(line, " ")
-		switch cmd {
+		cmd, rest := cutSpace(sc.Bytes())
+		switch string(cmd) {
 		case "S":
-			accepted := true // a stopping engine answers nothing
-			e.submit(func() { accepted = e.node.Bcast(types.Value(rest)) })
+			v := types.Value(rest) // the value alone is copied: the node keeps it
+			accepted := true       // a stopping engine answers nothing
+			e.submit(func() { accepted = e.node.Bcast(v) })
 			if !accepted {
-				cc.push("BUSY " + rest)
+				cc.push("BUSY " + string(v))
 			}
 		case "STATUS":
 			e.mu.Lock()
@@ -390,7 +389,7 @@ func (e *Engine) serveClient(cc *clientConn) {
 			go e.Close()
 			return
 		default:
-			cc.push("ERR unknown command " + cmd)
+			cc.push("ERR unknown command " + string(cmd))
 		}
 	}
 }

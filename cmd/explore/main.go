@@ -9,6 +9,8 @@
 // identical at every worker count; -por enables partial-order reduction,
 // and -crosscheck runs the configuration both reduced and unreduced and
 // fails on a verdict disagreement (the POR soundness smoke check CI runs).
+// The summary line ends with the process's peak resident set: memory per
+// frontier state, not speed, is what bounds how far a search goes.
 //
 // Usage:
 //
@@ -23,6 +25,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/types"
@@ -100,10 +105,29 @@ func main() {
 	if *por {
 		fmt.Printf(", %d ample states", res.AmpleStates)
 	}
-	fmt.Println(")")
+	fmt.Printf(", %s)\n", peakMemory())
 	if err != nil {
 		fmt.Printf("VIOLATION: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Println("no violations: every interleaving within the bounds satisfies the Section 6 invariants and the forward simulation")
+}
+
+// peakMemory renders the process's peak resident set (VmHWM in
+// /proc/self/status), or, where that file is missing, the memory the Go
+// runtime has mapped, which it seldom returns: what bounds how far a
+// search can go on a host.
+func peakMemory() string {
+	if status, err := os.ReadFile("/proc/self/status"); err == nil {
+		for _, line := range strings.Split(string(status), "\n") {
+			if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+				if kb, err := strconv.Atoi(strings.TrimSpace(strings.TrimSuffix(v, "kB"))); err == nil {
+					return fmt.Sprintf("peak RSS %d MB", kb>>10)
+				}
+			}
+		}
+	}
+	s := []metrics.Sample{{Name: "/memory/classes/total:bytes"}}
+	metrics.Read(s)
+	return fmt.Sprintf("Go runtime memory %d MB", s[0].Value.Uint64()>>20)
 }

@@ -103,19 +103,21 @@ func TestCloneForIsolatesEveryAction(t *testing.T) {
 	}
 }
 
-// TestScratchCopyKept: a copy built in a Scratch and kept survives the
-// next copy built there, the pending sequence and queue gpsnd and vs-order
-// grew there included, and a copy that shares its slots keeps sharing
-// them.
+// TestScratchCopyKept: a copy built in a Scratch and kept in an Arena
+// survives the next copy built there, the pending sequence and queue
+// gpsnd and vs-order grew there included; a kept copy shares no sequence
+// with the machine it copies; and a Reset arena hands its storage out
+// again.
 func TestScratchCopyKept(t *testing.T) {
 	m := New(types.RangeProcSet(2), types.RangeProcSet(2))
 	populate(t, m)
 	var sc Scratch
+	var ar Arena
 	m.CloneFor(WritesSlots, &sc).ApplyGpsnd("w", 0) // sizes the buffer the next copies reuse
 	a := m.CloneFor(WritesSlots, &sc)
 	a.ApplyGpsnd("a", 1)
 	wantA := fingerprint(a)
-	kept := sc.Keep(a)
+	kept := ar.Keep(a)
 	if kept == a || fingerprint(kept) != wantA {
 		t.Fatalf("Keep did not move the copy out of the scratch")
 	}
@@ -133,7 +135,7 @@ func TestScratchCopyKept(t *testing.T) {
 	if err := d.ApplyVSOrder("m2", 0, types.G0()); err != nil {
 		t.Fatal(err)
 	}
-	wantD, keptD := fingerprint(d), sc.Keep(d)
+	wantD, keptD := fingerprint(d), ar.Keep(d)
 	other := New(types.RangeProcSet(2), types.RangeProcSet(2))
 	other.ApplyGpsnd("z", 0)
 	if err := other.CloneFor(WritesSlots|WritesQueues, &sc).ApplyVSOrder("z", 0, types.G0()); err != nil {
@@ -146,8 +148,19 @@ func TestScratchCopyKept(t *testing.T) {
 	if err := c.ApplyCreateview(v(3, 0, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if k := sc.Keep(c); &k.slots[0] != &m.slots[0] || sc.Keep(m) != m {
-		t.Fatalf("Keep copied slots the copy shares, or moved a machine not in the scratch")
+	k := ar.Keep(c)
+	if &k.slots[0] == &m.slots[0] || &k.Created[0] == &m.Created[0] || &k.CurrentViewID[0] == &m.CurrentViewID[0] ||
+		&k.slots[0].pending[0] == &m.slots[0].pending[0] || &k.Created[0].Queue[0] == &m.Created[0].Queue[0] {
+		t.Fatalf("a kept copy shares a sequence with the machine it copies")
+	}
+	// After a Reset the arena carves the same storage again.
+	inUse := ar.InUse()
+	ar.Reset()
+	if ar.InUse() != 0 {
+		t.Fatalf("Reset left %d bytes in use", ar.InUse())
+	}
+	if again := ar.Keep(c); again != kept || ar.InUse() > inUse {
+		t.Fatalf("a Reset arena allocated instead of reusing its storage")
 	}
 }
 

@@ -275,6 +275,10 @@ func (m *Machine) ApplyCreateview(v types.View) error {
 		return fmt.Errorf("vsmachine: createview(%v) not enabled", v)
 	}
 	i, _ := m.view(v.ID) // the end, except in the weak machine
+	if m.sc != nil {
+		m.Created = slices.Clip(slices.Insert(copyInto(&m.sc.created, m.Created, 1), i, CreatedView{View: v}))
+		return nil
+	}
 	m.Created = slices.Insert(m.Created, i, CreatedView{View: v})
 	return nil
 }

@@ -207,8 +207,10 @@ func (a Act) apply(p *Proc) {
 	}
 }
 
-// appendActs appends p's enabled locally controlled actions (Figure 10).
-func (p *Proc) appendActs(buf []Act) []Act {
+// appendActs appends p's enabled locally controlled actions (Figure 10),
+// with the state-exchange summary gpsnd would carry built in fx (see
+// procEffects).
+func (p *Proc) appendActs(buf []Act, fx *procEffects) []Act {
 	if v, ok := p.LabelEnabled(); ok {
 		buf = append(buf, Act{Kind: ActLabel, A: v, P: p.id})
 	}
@@ -216,7 +218,7 @@ func (p *Proc) appendActs(buf []Act) []Act {
 		buf = append(buf, Act{Kind: ActGpsnd, M: lv, P: p.id})
 	}
 	if p.GpsndSummaryEnabled() {
-		buf = append(buf, Act{Kind: ActGpsnd, M: p.SummaryMessage(), P: p.id})
+		buf = append(buf, Act{Kind: ActGpsnd, M: p.summaryIn(fx), P: p.id})
 	}
 	if p.ConfirmEnabled() {
 		buf = append(buf, Act{Kind: ActConfirm, P: p.id})
@@ -260,7 +262,7 @@ func (a *Auto) Input(act ioa.Action) { a.Perform(act) }
 
 // Enabled enumerates the enabled locally controlled actions of Figure 10.
 func (a *Auto) Enabled(buf []ioa.Action) []ioa.Action {
-	for _, act := range a.P.appendActs(nil) {
+	for _, act := range a.P.appendActs(nil, nil) {
 		buf = append(buf, act.Action())
 	}
 	return buf

@@ -11,26 +11,31 @@ import "slices"
 // for the runs). GotState, SafeExch, Established and BuildOrder are never
 // written in place (cowSet), and the summaries GotState refers to are
 // immutable once sent.
-func (p *Proc) Clone() *Proc { return p.cloneFor(Act{}, nil) }
+func (p *Proc) Clone() *Proc { return p.cloneInto(Act{}, nil, nil) }
 
-// cloneFor is Clone for one action, into out (allocated when nil): only
+// cloneInto is Clone for one action, into out (allocated when nil): only
 // the state a's effect in proc.go writes in place is copied, the rest is
 // shared with p. An action the table does not name (ActNone included)
-// copies all of it.
-func (p *Proc) cloneFor(a Act, out *Proc) *Proc {
+// copies all of it. With fx, the copy's effects, this copy's included,
+// are built in fx (see procEffects), which the last copy built there gives
+// up.
+func (p *Proc) cloneInto(a Act, out *Proc, fx *procEffects) *Proc {
 	if out == nil {
 		out = new(Proc)
 	}
 	*out = *p
+	if fx != nil {
+		fx.adopt(out, p.procFixed)
+	}
 	out.Buffer, out.Order, out.Delay = slices.Clip(p.Buffer), slices.Clip(p.Order), slices.Clip(p.Delay)
 	switch a.Kind {
 	case ActBcast, ActBrcv, ActGpsnd, ActNewview, ActConfirm: // newview replaces its state
 	case ActLabel, ActGprcv:
-		out.content = p.content.clone()
+		out.content = p.content.copyIn(fx)
 	case ActSafe:
-		out.safe = slices.Clone(p.safe)
+		out.safe = cloneIn(fx.originCounts(), p.safe)
 	default:
-		out.content, out.safe = p.content.clone(), slices.Clone(p.safe)
+		out.content, out.safe = p.content.copyIn(fx), cloneIn(fx.originCounts(), p.safe)
 	}
 	return out
 }

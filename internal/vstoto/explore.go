@@ -2,6 +2,8 @@ package vstoto
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"unsafe"
 
 	"repro/internal/ioa"
@@ -71,6 +73,9 @@ type ExploreConfig struct {
 	ampleHook func([]Act) int
 	// memoHook (tests only) sees each successor that took a twin's checks.
 	memoHook func(exploreState, Act, *AbstractState)
+	// arenaHook (tests only) sees, after each wave's merge, the bytes the
+	// workers' two generations hold and the bytes this wave kept.
+	arenaHook func(inUse, kept int)
 }
 
 // ExploreResult reports the exploration's extent.
@@ -147,14 +152,15 @@ func bcastValues(n int) []types.Value {
 	return vals
 }
 
-// enabled appends to acts every action available in this state, in the
+// enabledIn appends to acts every action available in this state, in the
 // order the ioa automata enumerate them (VS-machine's, then each
 // processor's), then the environment's bounded choices: a bcast of
 // values[bcasts] at each processor and the next view of cfg.Views.
-func (s *exploreState) enabled(acts []Act, cfg ExploreConfig, values []types.Value) []Act {
+// A state-exchange summary a processor would send is built in fx.
+func (s *exploreState) enabledIn(acts []Act, cfg ExploreConfig, values []types.Value, fx *procEffects) []Act {
 	acts = appendVSActs(acts, s.vs)
 	for _, p := range s.procs {
-		acts = p.appendActs(acts)
+		acts = p.appendActs(acts, fx)
 	}
 	if int(s.bcasts) < cfg.MaxBcasts {
 		for _, p := range s.vs.Procs().Members() {
@@ -220,13 +226,14 @@ func (s *exploreState) successor(a Act, sc *exploreScratch) exploreState {
 	}
 	if p, kind := a.proc(); kind != ioa.NotInSignature {
 		var into *Proc
+		var fx *procEffects
 		if sc != nil {
-			out.procs, into = sc.procs, &sc.spare
+			out.procs, into, fx = sc.procs, &sc.spare, &sc.fx
 		} else {
 			out.procs = make([]*Proc, len(s.procs))
 		}
 		copy(out.procs, s.procs)
-		out.procs[p] = s.procs[p].cloneFor(a, into)
+		out.procs[p] = s.procs[p].cloneInto(a, into, fx)
 		a.apply(out.procs[p])
 	}
 	return out
@@ -307,15 +314,6 @@ type exploreVisited struct {
 	full bool
 }
 
-// newExploreVisited sizes the set for a MaxStates cap, at most 2^20 up front.
-func newExploreVisited(exactKeys bool, maxStates int) *exploreVisited {
-	n := min(maxStates, 1<<20)
-	if exactKeys {
-		return &exploreVisited{exact: make(map[string]struct{}, n)}
-	}
-	return &exploreVisited{hashes: make(map[uint64]struct{}, n)}
-}
-
 // has reports whether the state with this hash and encoding is in the set.
 func (v *exploreVisited) has(hash uint64, enc []byte) bool {
 	if v.exact != nil {
@@ -357,15 +355,15 @@ type exploreOut struct {
 // derivation every check reads (f(x) included), the step check's shadow.
 // Edges hand on copies, never pointers into it.
 //
-// It also holds the chunks each kept successor is carved from, so that
-// keeping a successor allocates nothing of its own. A kept state lives one
-// wave as a successor and one as a parent; a chunk is freed once nothing
-// carved from it is reachable and the worker has moved on to the next one.
+// It also holds the two generations the worker keeps successors in (see
+// exploreGen): gen is the one the current wave keeps into.
 type exploreScratch struct {
 	enc    []byte
 	cut    []int32
 	procs  []*Proc           // the successor's processor list, until it is kept
 	spare  Proc              // the successor's copied processor, until it is kept
+	fx     procEffects       // the arrays spare's effect built, until it is kept
+	sent   procEffects       // the summaries the state being expanded would send
 	vs     vsmachine.Scratch // the successor's copied machine, until it is kept
 	d      *derived
 	shadow *tomachine.Machine
@@ -375,63 +373,96 @@ type exploreScratch struct {
 	first map[uint64]*exploreState // the last kept per hash in this wave
 	edges []exploreEdge            // emptied once the merge has consumed them
 
-	states    chunk[exploreState]
-	encs      chunk[byte]
-	cuts      chunk[int32]
-	procLists chunk[*Proc]
+	gens [2]exploreGen
+	gen  *exploreGen // nil means gens[0]
+	// forward holds processors of the generation before that keep copied
+	// forward, with their copies, by address, so that the successors
+	// sharing one mostly share one copy.
+	forward [64]struct{ from, to *Proc }
 }
 
-// chunk hands out consecutive runs of one array, allocating the next
-// array when a run does not fit. The arrays start at chunkMin bytes and
-// double up to chunkMax, so a short search pays for little.
-type chunk[E any] struct {
-	free []E
-	size int // the length of the last array allocated
+// exploreGen is one generation of kept states on one worker: every
+// successor the worker keeps while one wave is expanded, with all it holds
+// but immutable heap values (messages, strings, procFixed, f, and the
+// arrays a processor's effects moved to the heap; see procEffects). A
+// kept state lives one wave as a successor and one as a parent. Keeping it
+// copies forward what it shares with its parent, so no generation points
+// into the one before, and the one before is reset, and its storage reused,
+// as soon as the next wave begins: two generations are live, at any depth.
+type exploreGen struct {
+	states    vsmachine.Chunks[exploreState]
+	encs      vsmachine.Chunks[byte]
+	cuts      vsmachine.Chunks[int32]
+	procLists vsmachine.Chunks[*Proc]
+	procs     vsmachine.Chunks[Proc]
+	vs        vsmachine.Arena
 }
 
-const (
-	chunkMin = 1 << 10
-	chunkMax = 32 << 10
-)
+func (g *exploreGen) reset() {
+	g.states.Reset()
+	g.encs.Reset()
+	g.cuts.Reset()
+	g.procLists.Reset()
+	g.procs.Reset()
+	g.vs.Reset()
+}
 
-// carve returns n zeroed elements, capacity clipped: an append to them
-// reallocates instead of writing over the next run.
-func (c *chunk[E]) carve(n int) []E {
-	if len(c.free) < n {
-		var e E
-		sz := int(unsafe.Sizeof(e))
-		c.size = min(max(2*c.size, chunkMin/sz), chunkMax/sz)
-		c.free = make([]E, max(c.size, n))
+// inUse returns the bytes kept in g since its last reset.
+func (g *exploreGen) inUse() int {
+	return g.states.InUse() + g.encs.InUse() + g.cuts.InUse() + g.procLists.InUse() + g.procs.InUse() + g.vs.InUse()
+}
+
+// keep copies the successor s, with enc and cut, into the worker's current
+// generation: the state, its encoding and cut, its processor list, and the
+// processor in sc.spare and the machine (see vsmachine.Arena.Keep). A
+// processor s shares with its parent is copied forward once per wave and
+// worker, and the successors that share it share the copy.
+func (sc *exploreScratch) keep(s *exploreState, a Act, enc []byte, cut []int32) *exploreState {
+	g := sc.gen
+	if g == nil {
+		g = &sc.gens[0]
 	}
-	out := c.free[:n:n]
-	c.free = c.free[n:]
-	return out
-}
-
-// keep copies the successor s, with enc and cut, into storage carved from
-// the chunks, its machine out of sc.vs (see vsmachine.Scratch.Keep) and
-// the processor it holds in sc.spare to the heap. Its processor list is
-// carved too, even where s shares its parent's, so that a chunk is
-// reachable only from the states of the waves it was carved in and the
-// next, never from a chain of descendants. (A processor is not carved: an
-// unchanged one is shared by its descendants for any number of waves.)
-func (sc *exploreScratch) keep(s *exploreState, enc []byte, cut []int32) *exploreState {
-	kept := &sc.states.carve(1)[0]
+	kept := &g.states.Carve(1)[0]
 	*kept = *s
-	kept.vs = sc.vs.Keep(s.vs)
-	kept.procs = sc.procLists.carve(len(s.procs))
+	if x, ok := a.M.(*Summary); ok && a.Kind == ActGpsnd && sc.sent.sums.owns(unsafe.Pointer(x)) {
+		kept.vs = g.vs.KeepReplacing(s.vs, x, sc.sent.detach(x))
+	} else {
+		kept.vs = g.vs.Keep(s.vs)
+	}
+	kept.procs = g.procLists.Carve(len(s.procs))
 	for i, p := range s.procs {
 		if p == &sc.spare {
-			p = new(Proc)
-			*p = sc.spare
+			q := &g.procs.Carve(1)[0]
+			*q = *p
+			sc.fx.move(q)
+			kept.procs[i] = q
+			continue
 		}
-		kept.procs[i] = p
+		f := &sc.forward[uintptr(unsafe.Pointer(p))/unsafe.Sizeof(*p)%uintptr(len(sc.forward))]
+		if f.from != p {
+			f.from, f.to = p, &g.procs.Carve(1)[0]
+			*f.to = *p
+		}
+		kept.procs[i] = f.to
 	}
-	kept.enc = sc.encs.carve(len(enc))
-	copy(kept.enc, enc)
-	kept.cut = sc.cuts.carve(len(cut))
-	copy(kept.cut, cut)
+	kept.enc = g.encs.Copy(enc)
+	kept.cut = g.cuts.Copy(cut)
 	return kept
+}
+
+// release drops what sc holds of one call (the configuration's fields are
+// rebuilt by the next) and resets both generations.
+func (sc *exploreScratch) release() {
+	sc.d, sc.shadow, sc.values, sc.procs = nil, nil, nil, nil
+	sc.spare = Proc{}
+	sc.fx.release()
+	clear(sc.acts[:cap(sc.acts)])
+	clear(sc.first)
+	clear(sc.forward[:])
+	clear(sc.edges[:cap(sc.edges)])
+	sc.edges, sc.gen = sc.edges[:0], nil
+	sc.gens[0].reset()
+	sc.gens[1].reset()
 }
 
 // exploreExpand expands one frontier state: enumerate (possibly
@@ -447,12 +478,15 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 	if sc.d == nil {
 		sc.d, sc.shadow, sc.values = newDerived(), tomachine.New(procs), bcastValues(cfg.MaxBcasts)
 		sc.procs = make([]*Proc, len(cur.procs))
+	}
+	if sc.first == nil {
 		sc.first = make(map[uint64]*exploreState)
 	}
 	// Encode through locals: the workers' scratch entries are neighbours
 	// in memory, and a store per edge would bounce their cache line.
 	enc, cut := sc.enc, sc.cut
-	acts := cur.enabled(sc.acts[:0], cfg, sc.values)
+	sc.sent.reset()
+	acts := cur.enabledIn(sc.acts[:0], cfg, sc.values, &sc.sent)
 	sc.acts = acts
 	if cfg.POR {
 		ample := porAmpleIndex
@@ -520,7 +554,7 @@ func exploreExpand(cfg ExploreConfig, cur *exploreState, visited *exploreVisited
 			e.succ = twin
 		default:
 			succ.abs = compactAbs(cur.abs, act, abs)
-			e.succ = sc.keep(&succ, enc, cut)
+			e.succ = sc.keep(&succ, act, enc, cut)
 			sc.first[e.hash] = e.succ
 		}
 		edges = append(edges, e)
@@ -566,6 +600,57 @@ func exploreInitial(cfg *ExploreConfig) (*exploreState, error) {
 	return initial, nil
 }
 
+// exploreRun is what Explore reuses from call to call, through
+// explorePool: the workers' scratch with both generations' storage, the
+// visited set's maps, the expansions' slots and the frontier buffers. A
+// loop of bounded checks allocates them once. Every return path of Explore
+// resets the run before putting it back, and nothing else outlives a call.
+type exploreRun struct {
+	scratch        []exploreScratch
+	visited        exploreVisited
+	hashes         map[uint64]struct{}
+	exact          map[string]struct{}
+	outs           []exploreOut
+	frontier, next []*exploreState
+}
+
+var explorePool = sync.Pool{New: func() any { return new(exploreRun) }}
+
+// start readies r for a call with this many workers and cfg's visited set,
+// whose map is sized for MaxStates (at most 2^20 entries) the first time.
+func (r *exploreRun) start(workers int, cfg ExploreConfig) {
+	if len(r.scratch) < workers {
+		grown := make([]exploreScratch, workers)
+		copy(grown, r.scratch)
+		r.scratch = grown
+	}
+	n := min(cfg.MaxStates, 1<<20)
+	switch {
+	case cfg.ExactKeys && r.exact == nil:
+		r.exact = make(map[string]struct{}, n)
+	case !cfg.ExactKeys && r.hashes == nil:
+		r.hashes = make(map[uint64]struct{}, n)
+	}
+	r.visited = exploreVisited{hashes: r.hashes}
+	if cfg.ExactKeys {
+		r.visited = exploreVisited{exact: r.exact}
+	}
+}
+
+// release resets r, whatever the call ended in, and puts it back.
+func (r *exploreRun) release() {
+	for w := range r.scratch {
+		r.scratch[w].release()
+	}
+	clear(r.hashes)
+	clear(r.exact)
+	r.visited = exploreVisited{}
+	clear(r.outs[:cap(r.outs)])
+	clear(r.frontier[:cap(r.frontier)])
+	clear(r.next[:cap(r.next)])
+	explorePool.Put(r)
+}
+
 // Explore runs the bounded exhaustive check. It returns an error on the
 // first invariant or simulation violation, identifying the failing state
 // and action. The error, like every counter in the result, is independent
@@ -585,7 +670,10 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 	cSkipped := cfg.Obs.Counter("explore.skipped_edges")
 	gFrontier := cfg.Obs.Gauge("explore.frontier")
 
-	visited := newExploreVisited(cfg.ExactKeys, cfg.MaxStates)
+	run := explorePool.Get().(*exploreRun)
+	defer run.release()
+	run.start(workers, cfg)
+	visited, scratch := &run.visited, run.scratch[:workers]
 	h0 := types.HashFingerprint(initial.enc)
 	if cfg.fpHook != nil {
 		h0 = cfg.fpHook(h0)
@@ -594,16 +682,21 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 	res.States = 1
 	cStates.Inc()
 
-	scratch := make([]exploreScratch, workers)
-
-	frontier := []*exploreState{initial}
-	depth := 0
-	for len(frontier) > 0 {
+	frontier := append(run.frontier[:0], initial)
+	for depth := 0; len(frontier) > 0; depth++ {
 		gFrontier.Max(int64(len(frontier)))
+		// This wave keeps into the generation that held the wave before
+		// last: the frontier's parents, which nothing reads any more.
+		base := 0
 		for w := range scratch {
-			clear(scratch[w].first)
+			sc := &scratch[w]
+			clear(sc.first)
+			clear(sc.forward[:])
+			sc.gen = &sc.gens[(depth+1)%2]
+			sc.gen.reset()
+			base += sc.gen.inUse()
 		}
-		var next []*exploreState
+		next := run.next[:0]
 		// Near MaxStates, expand and merge the wave in prefixes (room states,
 		// then at least twice the last) so that nothing is kept past the cap.
 		for lo, hi, size := 0, 0, 1; lo < len(frontier); lo, size = hi, 2*size {
@@ -617,8 +710,11 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 				scratch[w].edges = scratch[w].edges[:0]
 			}
 			part := frontier[lo:hi]
-			outs := sweep.RunWorker(workers, len(part), func(w, i int) exploreOut {
-				return exploreExpand(cfg, part[i], visited, &scratch[w])
+			outs := slices.Grow(run.outs[:0], len(part))[:len(part)]
+			run.outs = outs
+			sweep.RunWorker(workers, len(part), func(w, i int) struct{} {
+				outs[i] = exploreExpand(cfg, part[i], visited, &scratch[w])
+				return struct{}{}
 			})
 
 			// Ordered merge: scanning states in submission order and their
@@ -662,10 +758,18 @@ func Explore(cfg ExploreConfig) (ExploreResult, error) {
 			}
 		}
 		cWaves.Inc()
-		if len(next) > 0 {
-			depth++
-			res.MaxDepth = depth
+		if cfg.arenaHook != nil {
+			inUse, kept := 0, -base
+			for w := range scratch {
+				inUse += scratch[w].gens[0].inUse() + scratch[w].gens[1].inUse()
+				kept += scratch[w].gen.inUse()
+			}
+			cfg.arenaHook(inUse, kept)
 		}
+		if len(next) > 0 {
+			res.MaxDepth = depth + 1
+		}
+		run.frontier, run.next = next, frontier
 		frontier = next
 	}
 	return res, nil

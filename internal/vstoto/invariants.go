@@ -150,7 +150,7 @@ func (s *System) allContent(d *derived) error {
 	// to. Where a binding came from is formatted only for that report.
 	bind := func(l types.Label, a types.Value, where func() string) error {
 		if prev, ok := c.get(l); !ok {
-			c.set(l, a)
+			c.setIn(nil, l, a)
 		} else if prev != a {
 			return fmt.Errorf("lemma 6.5: allcontent not a function: %v ↦ %q and %q (%s)",
 				l, string(prev), string(a), where())

@@ -89,25 +89,26 @@ func (c *labelRuns) get(l types.Label) (types.Value, bool) {
 	return c.runs[i].vals[l.Seqno-1], true
 }
 
-// set binds l to a, unless l is bound already: content is a function
+// setIn binds l to a, unless l is bound already: content is a function
 // system-wide (Lemma 6.5), so a second binding carries the same value, and
 // a merge need not read the value it would overwrite. Arrays a clone, a
 // summary or gotstate may share are never written in place: they hold
 // them clipped, so an append reallocates, and clone copies a run with
 // holes, so filling one writes only an owned array (a summary shares only
-// bound stretches, which no fill touches).
-func (c *labelRuns) set(l types.Label, a types.Value) {
+// bound stretches, which no fill touches). The arrays it makes come from
+// fx (see procEffects).
+func (c *labelRuns) setIn(fx *procEffects, l types.Label, a types.Value) {
 	if l.Seqno < 1 {
 		panic(fmt.Sprintf("vstoto: label %v has seqno < 1", l))
 	}
 	i, ok := c.run(l)
 	if !ok {
-		c.runs = slices.Insert(c.runs, i, labelRun{id: l.ID, origin: l.Origin})
+		c.runs = insertIn(fx.labelRuns(), c.runs, i, labelRun{id: l.ID, origin: l.Origin})
 	}
 	r, j := &c.runs[i], l.Seqno-1
 	switch {
 	case j == len(r.vals):
-		r.vals = append(r.vals, a)
+		r.vals = appendIn(fx.values(), r.vals, a)
 		c.n++
 	case j > len(r.vals): // the seqnos in between become holes
 		for len(r.missing) <= j/64 {
@@ -130,10 +131,10 @@ func (c *labelRuns) set(l types.Label, a types.Value) {
 	}
 }
 
-// clone returns a copy that either side can write without the other
-// seeing it (see set).
-func (c *labelRuns) clone() labelRuns {
-	runs := slices.Clone(c.runs)
+// copyIn returns a copy that either side can write without the other
+// seeing it (see setIn), its runs from fx.
+func (c *labelRuns) copyIn(fx *procEffects) labelRuns {
+	runs := cloneIn(fx.labelRuns(), c.runs)
 	for i := range runs {
 		if r := &runs[i]; r.holes > 0 {
 			r.vals, r.missing = slices.Clone(r.vals), slices.Clone(r.missing)
@@ -164,10 +165,10 @@ func (c *labelRuns) walk(fn func(i, j int) bool) {
 }
 
 // mergeAll binds every pair of runs, sorted as a summary's are.
-func (c *labelRuns) mergeAll(runs []ContentRun, share bool) {
+func (c *labelRuns) mergeAll(fx *procEffects, runs []ContentRun, share bool) {
 	i := 0
 	for _, r := range runs {
-		i = c.merge(i, r, share)
+		i = c.merge(fx, i, r, share)
 	}
 }
 
@@ -177,7 +178,7 @@ func (c *labelRuns) mergeAll(runs []ContentRun, share bool) {
 // r's values instead, capacity clipped, when r starts at seqno 1 and
 // reaches at least as far as the run: content is a function system-wide
 // (Lemma 6.5), so the values it replaces are the same.
-func (c *labelRuns) merge(from int, r ContentRun, share bool) int {
+func (c *labelRuns) merge(fx *procEffects, from int, r ContentRun, share bool) int {
 	if len(r.Vals) == 0 {
 		return from
 	}
@@ -186,13 +187,13 @@ func (c *labelRuns) merge(from int, r ContentRun, share bool) int {
 	}
 	i, ok := c.runFrom(from, types.Label{ID: r.ID, Origin: r.Origin})
 	if !ok {
-		c.runs = slices.Insert(c.runs, i, labelRun{id: r.ID, origin: r.Origin})
+		c.runs = insertIn(fx.labelRuns(), c.runs, i, labelRun{id: r.ID, origin: r.Origin})
 	}
 	run, skip, end := &c.runs[i], r.First-1, r.First-1+len(r.Vals)
 	switch {
 	case run.holes > 0 || skip > len(run.vals):
 		for k, a := range r.Vals {
-			c.set(types.Label{ID: r.ID, Seqno: r.First + k, Origin: r.Origin}, a)
+			c.setIn(fx, types.Label{ID: r.ID, Seqno: r.First + k, Origin: r.Origin}, a)
 		}
 	case end <= len(run.vals):
 	case share && skip == 0:
@@ -200,15 +201,16 @@ func (c *labelRuns) merge(from int, r ContentRun, share bool) int {
 		run.vals = slices.Clip(r.Vals)
 	default:
 		c.n += end - len(run.vals)
-		run.vals = append(run.vals, r.Vals[len(run.vals)-skip:]...)
+		run.vals = appendIn(fx.values(), run.vals, r.Vals[len(run.vals)-skip:]...)
 	}
 	return i
 }
 
 // segments returns c as a summary's runs, sharing the values with their
 // capacity clipped: one per run, or one per stretch between a run's holes.
-func (c *labelRuns) segments() []ContentRun {
-	out := make([]ContentRun, 0, len(c.runs))
+// The array comes from fx (the heap's, past one per run).
+func (c *labelRuns) segments(fx *procEffects) []ContentRun {
+	out := allocIn(fx.contentRuns(), len(c.runs))[:0]
 	for i := range c.runs {
 		r := &c.runs[i]
 		if r.holes == 0 {
@@ -232,10 +234,11 @@ func (c *labelRuns) segments() []ContentRun {
 	return out
 }
 
-// views returns runs with each run's values replaced by the same stretch
-// of c, capacity clipped. c must bind every label of runs.
-func (c *labelRuns) views(runs []ContentRun) []ContentRun {
-	out, i := make([]ContentRun, len(runs)), 0
+// views returns runs, in an array from fx, with each run's values
+// replaced by the same stretch of c, capacity clipped. c must bind every
+// label of runs.
+func (c *labelRuns) views(fx *procEffects, runs []ContentRun) []ContentRun {
+	out, i := allocIn(fx.contentRuns(), len(runs)), 0
 	for k, r := range runs {
 		i, _ = c.runFrom(i, types.Label{ID: r.ID, Origin: r.Origin})
 		lo, hi := r.First-1, r.First-1+len(r.Vals)
@@ -295,13 +298,14 @@ func (s safeLabels) count(origin types.ProcID) (int, int) {
 	return s[i].n, i
 }
 
-// raise makes origin's current-view labels up to seqno n safe.
-func (s *safeLabels) raise(origin types.ProcID, n int) {
+// raiseIn makes origin's current-view labels up to seqno n safe, inserting
+// into an array from fx.
+func (s *safeLabels) raiseIn(fx *procEffects, origin types.ProcID, n int) {
 	k, i := s.count(origin)
 	switch {
 	case n <= k:
 	case k == 0:
-		*s = slices.Insert(*s, i, originCount{origin, n})
+		*s = insertIn(fx.originCounts(), *s, i, originCount{origin, n})
 	default:
 		(*s)[i].n = n
 	}
@@ -327,7 +331,7 @@ func (p *Proc) RangeContent(fn func(types.Label, types.Value) bool) {
 // Runs that continue content_p's runs append only the suffix content_p
 // lacks; the union of two prefixes is a prefix, so where content_p and
 // runs were both dense the merge leaves no holes.
-func (p *Proc) MergeContent(runs []ContentRun) { p.content.mergeAll(runs, false) }
+func (p *Proc) MergeContent(runs []ContentRun) { p.content.mergeAll(p.fx, runs, false) }
 
 // AppendExtras appends to dst, in label order, the labels content_p binds
 // that order does not hold (a checkpoint's unordered labels).

@@ -108,10 +108,14 @@ type Proc struct {
 }
 
 // procFixed is the part of a processor that no action changes: NewProc
-// sets it and SetObs replaces it. Every clone points to the same one.
+// sets it and SetObs replaces it. Every clone points to the same one, but
+// the explorer's copy, which points to a copy with fx set.
 type procFixed struct {
 	id types.ProcID
 	qs types.QuorumSystem
+	// fx is where the actions build the arrays they write (see
+	// procEffects); nil, the heap, everywhere but on the explorer's copy.
+	fx *procEffects
 
 	// Observability handles (SetObs; all nil when disabled).
 	mLabels      *obs.Counter
@@ -190,7 +194,7 @@ func (p *Proc) buildOrderAt(g types.ViewID) (int, bool) {
 // establish sets established[p, g].
 func (p *Proc) establish(g types.ViewID) {
 	if i, ok := slices.BinarySearchFunc(p.Established, g, types.ViewID.Cmp); !ok {
-		p.Established = cowSet(p.Established, i, false, g)
+		p.Established = cowSet(p.fx.viewIDs(), p.Established, i, false, g)
 	}
 }
 
@@ -204,14 +208,14 @@ func (p *Proc) recordOrder() {
 		// (BenchmarkRecordOrderHistory pins the asymptotic difference,
 		// TestBuildOrderImmutable the aliasing safety).
 		i, ok := p.buildOrderAt(p.Current.ID)
-		p.BuildOrder = cowSet(p.BuildOrder, i, ok, ViewOrder{G: p.Current.ID, Ord: p.Order[:len(p.Order):len(p.Order)]})
+		p.BuildOrder = cowSet(p.fx.viewOrders(), p.BuildOrder, i, ok, ViewOrder{G: p.Current.ID, Ord: p.Order[:len(p.Order):len(p.Order)]})
 	}
 }
 
 // --- Input actions -------------------------------------------------------
 
 // Bcast applies the input bcast(a)_p: append a to delay.
-func (p *Proc) Bcast(a types.Value) { p.Delay = append(p.Delay, a) }
+func (p *Proc) Bcast(a types.Value) { p.Delay = appendIn(p.fx.values(), p.Delay, a) }
 
 // Newview applies the input newview(v)_p.
 func (p *Proc) Newview(v types.View) {
@@ -225,9 +229,9 @@ func (p *Proc) Newview(v types.View) {
 
 // GprcvValue applies the input gprcv(⟨l,a⟩)_{q,p} for an ordinary message.
 func (p *Proc) GprcvValue(lv LabeledValue) {
-	p.content.set(lv.L, lv.A)
+	p.content.setIn(p.fx, lv.L, lv.A)
 	if p.Primary() {
-		p.Order = append(p.Order, lv.L)
+		p.Order = appendIn(p.fx.labels(), p.Order, lv.L)
 		p.gOrderLen.Max(int64(len(p.Order)))
 		p.recordOrder()
 	}
@@ -242,12 +246,14 @@ func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
 	// binds all of it to the same values (Lemma 6.5), and its order read
 	// from an equal one p holds already, if any: the node keeps one copy of
 	// the content, and of an order its members share, not one per member.
-	p.GotState = p.GotState.with(q, &Summary{Runs: p.content.views(runs), Ord: p.sharedOrder(x.Ord), Next: x.Next, High: x.High})
+	y := p.fx.summary()
+	*y = Summary{Runs: p.content.views(p.fx, runs), Ord: p.sharedOrder(x.Ord), Next: x.Next, High: x.High}
+	p.GotState = p.GotState.withIn(p.fx, q, y)
 	if p.GotState.domainEquals(p.Current.Set) && p.Status == StatusCollect {
 		p.NextConfirm = p.GotState.MaxNextConfirm()
 		if p.Primary() {
 			// FullOrder already returns a fresh slice; no defensive copy.
-			p.Order = p.GotState.FullOrder()
+			p.Order = p.GotState.fullOrder(p.fx)
 			p.HighPrimary = p.Current.ID
 		} else {
 			// ShortOrder aliases the chosen representative's summary; cap the
@@ -296,13 +302,13 @@ func (p *Proc) SafeValue(lv LabeledValue) {
 		panic(fmt.Sprintf("vstoto: safe(%v) at %v does not extend %v's safe prefix %d in %v",
 			l, p.id, l.Origin, n, p.Current.ID))
 	}
-	p.safe.raise(l.Origin, l.Seqno)
+	p.safe.raiseIn(p.fx, l.Origin, l.Seqno)
 }
 
 // SafeSummary applies the input safe(x)_{q,p} for a state-exchange summary.
 func (p *Proc) SafeSummary(q types.ProcID) {
 	if i, ok := slices.BinarySearch(p.SafeExch, q); !ok {
-		p.SafeExch = cowSet(p.SafeExch, i, false, q)
+		p.SafeExch = cowSet(p.fx.procIDs(), p.SafeExch, i, false, q)
 	}
 	if p.safeExchComplete() && p.Primary() {
 		// Every label of fullorder(gotstate) becomes safe. Its current-view
@@ -312,12 +318,12 @@ func (p *Proc) SafeSummary(q types.ProcID) {
 		u := p.GotState.union()
 		for i := range u.runs {
 			if r := &u.runs[i]; r.id == p.Current.ID {
-				p.safe.raise(r.origin, len(r.vals))
+				p.safe.raiseIn(p.fx, r.origin, len(r.vals))
 			}
 		}
 		for _, l := range p.GotState.ShortOrder() {
 			if l.ID == p.Current.ID {
-				p.safe.raise(l.Origin, l.Seqno)
+				p.safe.raiseIn(p.fx, l.Origin, l.Seqno)
 			}
 		}
 	}
@@ -360,8 +366,8 @@ func (p *Proc) Label() types.Label {
 	}
 	l := types.Label{ID: p.Current.ID, Seqno: p.NextSeqno, Origin: p.id}
 	p.mLabels.Inc()
-	p.content.set(l, a)
-	p.Buffer = append(p.Buffer, l)
+	p.content.setIn(p.fx, l, a)
+	p.Buffer = appendIn(p.fx.labels(), p.Buffer, l)
 	p.NextSeqno++
 	p.Delay = p.Delay[1:]
 	return l
@@ -403,13 +409,18 @@ func (p *Proc) GpsndSummaryEnabled() bool { return p.Status == StatusSend }
 // values, all with their capacity clipped (the automaton only appends to
 // them, so any later growth reallocates away from the shared prefix;
 // TestSummaryImmutable pins it).
-func (p *Proc) SummaryMessage() *Summary {
-	return &Summary{
-		Runs: p.content.segments(),
+func (p *Proc) SummaryMessage() *Summary { return p.summaryIn(nil) }
+
+// summaryIn is SummaryMessage with the summary and its runs from fx.
+func (p *Proc) summaryIn(fx *procEffects) *Summary {
+	x := fx.summary()
+	*x = Summary{
+		Runs: p.content.segments(fx),
 		Ord:  p.Order[:len(p.Order):len(p.Order)],
 		Next: p.NextConfirm,
 		High: p.HighPrimary,
 	}
+	return x
 }
 
 // CommitSummarySend applies the effect of the state-exchange gpsnd(x)_p:

@@ -43,7 +43,7 @@ func (s *System) abstract(d *derived) (*AbstractState, error) {
 			return nil, fmt.Errorf("vstoto: confirmed label %v has no content", l)
 		}
 		abs.Queue = append(abs.Queue, tomachine.Entry{A: a, P: l.Origin})
-		d.confirmed.set(l, "")
+		d.confirmed.setIn(nil, l, "")
 	}
 	abs.Pending, abs.Next, d.vals = slices.Grow(abs.Pending[:0], n)[:n], slices.Grow(abs.Next[:0], n)[:n], d.vals[:0]
 	for p, proc := range s.Procs {

@@ -205,23 +205,23 @@ func (y GotState) Of(q types.ProcID) *Summary {
 	return nil
 }
 
-// with returns Y with Y(q) = x, in a new slice.
-func (y GotState) with(q types.ProcID, x *Summary) GotState {
+// withIn returns Y with Y(q) = x, in a new slice from fx.
+func (y GotState) withIn(fx *procEffects, q types.ProcID, x *Summary) GotState {
 	i, ok := y.find(q)
-	return cowSet(y, i, ok, GotEntry{Q: q, X: x})
+	return cowSet(fx.gotEntries(), y, i, ok, GotEntry{Q: q, X: x})
 }
 
 // cowSet returns a copy of the sorted slice s with e at index i: in place
 // of s[i] when replace, inserted before it otherwise. Proc's sorted slices
 // are changed only through it, so a slice a clone shares is never written,
 // and the copy's capacity is its length, so an append to it reallocates
-// as well.
-func cowSet[E any](s []E, i int, replace bool, e E) []E {
+// as well. The copy comes from r (see procEffects).
+func cowSet[E any](r *region[E], s []E, i int, replace bool, e E) []E {
 	n, rest := len(s)+1, i
 	if replace {
 		n, rest = len(s), i+1
 	}
-	out := make([]E, n)
+	out := allocIn(r, n)
 	copy(out, s[:i])
 	out[i] = e
 	copy(out[i+1:], s[rest:])
@@ -234,7 +234,7 @@ func cowSet[E any](s []E, i int, replace bool, e E) []E {
 func (y GotState) union() labelRuns {
 	var u labelRuns
 	for _, e := range y {
-		u.mergeAll(e.X.ContentRuns(), true)
+		u.mergeAll(nil, e.X.ContentRuns(), true)
 	}
 	return u
 }
@@ -285,10 +285,15 @@ func (y GotState) ShortOrder() []types.Label { return y[y.chosen()].X.Ord }
 
 // FullOrder returns fullorder(Y): shortorder(Y) followed by the remaining
 // labels of dom(knowncontent(Y)) in ascending label order.
-func (y GotState) FullOrder() []types.Label {
+func (y GotState) FullOrder() []types.Label { return y.fullOrder(nil) }
+
+// fullOrder is FullOrder in an array from fx.
+func (y GotState) fullOrder(fx *procEffects) []types.Label {
 	short, u := y.ShortOrder(), y.union()
 	extras := u.appendExtras(nil, short)
-	return append(append(make([]types.Label, 0, len(short)+len(extras)), short...), extras...)
+	out := allocIn(fx.labels(), len(short)+len(extras))
+	copy(out[copy(out, short):], extras)
+	return out
 }
 
 // MaxNextConfirm returns maxnextconfirm(Y) = max_{q ∈ dom(Y)} Y(q).next.
